@@ -93,6 +93,10 @@ class PrecisionContext:
         Default series stopping tolerance, 2**-(precision_bits - 20).
     mp : mpmath context
         Private mpmath context at ``precision_bits`` working precision.
+    tables : dict
+        Tuples of derived constants (such as the b_n of
+        :func:`qhermite2.qkernel.b_table`), filled on demand and never
+        changed once computed.  Not part of equality or hashing.
     """
 
     q: Fraction
@@ -100,6 +104,7 @@ class PrecisionContext:
     max_terms: int = 4000
     series_tol: Fraction = field(init=False)
     mp: MPContext = field(init=False, repr=False, compare=False)
+    tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         q = as_fraction(self.q)
@@ -120,6 +125,7 @@ class PrecisionContext:
         ctx = MPContext()
         ctx.prec = bits
         object.__setattr__(self, "mp", ctx)
+        object.__setattr__(self, "tables", {})
 
     # -- conversions -----------------------------------------------------
 
@@ -151,9 +157,6 @@ class PrecisionContext:
         if isinstance(value, complex):
             return self.mp.mpc(value.real, value.imag)
         return self.mp.mpc(value)
-
-    def to_float_tol(self) -> float:
-        return float(self.series_tol)
 
     def nstr(self, x, digits: int | None = None) -> str:
         """Deterministic decimal rendering used by reports and the CLI."""

@@ -20,7 +20,6 @@ from .errors import DomainError
 __all__ = [
     "GaussianRational",
     "Poly",
-    "qpow",
     "qbracket",
     "qpochhammer_exact",
     "qfactorial_exact",
@@ -286,11 +285,6 @@ class Poly:
 
 
 # -- exact q-arithmetic ----------------------------------------------------
-
-
-def qpow(q: Fraction, n: int) -> Fraction:
-    """q**n for integer n of either sign, exactly."""
-    return _as_fraction(q) ** n
 
 
 def qbracket(n: int, q: Fraction) -> Fraction:

@@ -29,6 +29,19 @@ assumed.
 All alpha/beta polynomial coefficients and bracket factorials are exact
 rationals; only square roots and series evaluation use working-precision
 arithmetic.
+
+Every series here (the carrier D and its derivative D', the loading
+ratio and the kernel mass) is summed in one streamed pass over a single
+three-term recurrence, which yields Psi_n (with Psi_n' when asked) or
+S_n from their seeds, reads the context's b_n table and stops at the
+monitored-decay rule.  It runs on raw mpf values with the calls and the
+operation order of the mpf operators, so the values are bitwise those
+of the reference ``psi_sequence``.  Carrier roots are found by a sign
+scan followed by safeguarded Newton inside each sign-change bracket,
+certified by a sign change across a final bracket of width at most
+10^-(precision_bits/4).  At 64 bits that width, 1e-16, lies below the
+evaluation noise of D (about 2^-44, the series tolerance), so the last
+halvings there follow rounding rather than the function.
 """
 
 from __future__ import annotations
@@ -36,7 +49,22 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Optional, Sequence, Tuple
+
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_le,
+    mpf_mul,
+    mpf_neg,
+    mpf_sub,
+    round_nearest,
+)
 
 from .context import PrecisionContext
 from .errors import (
@@ -47,7 +75,7 @@ from .errors import (
 )
 from .exact import extremal_bracket_exact
 from .qhermite import psi_sequence
-from .qkernel import b_coeff
+from .qkernel import b_coeff, b_table
 
 __all__ = [
     "bracket_double_factorial",
@@ -64,6 +92,7 @@ __all__ = [
 ]
 
 _STREAK = 3
+_RND = round_nearest
 
 
 def bracket_factorial(n: int, q: Fraction) -> Fraction:
@@ -152,15 +181,71 @@ def first_kind_eval(n: int, x, ctx: PrecisionContext):
     return total / mp.sqrt(ctx.mpf(bracket_factorial(n, ctx.q)))
 
 
-def _second_kind_sequence(nmax: int, x, ctx: PrecisionContext):
-    """S_0..S_nmax at x by the recurrence x S_n = b_n S_{n+1} + b_{n-1} S_{n-1}."""
-    mp = ctx.mp
-    xv = ctx.mpf(x)
-    values = [mp.mpf(0), mp.mpf(1)]
-    bs = [b_coeff(k, ctx) for k in range(max(nmax, 1))]
-    for n in range(1, nmax):
-        values.append((xv * values[n] - bs[n - 1] * values[n - 1]) / bs[n])
-    return values[: nmax + 1]
+def _recurrence(x, ctx: PrecisionContext, seeds, slopes=None):
+    """Stream p_0, p_1, ... of x p_n = b_n p_{n+1} + b_{n-1} p_{n-1}.
+
+    Raw mpf tuples in and out; each step is
+    p_{n+1} = (x p_n - b_{n-1} p_{n-1}) / b_n at working precision with
+    round-to-nearest, the calls and the order the mpf operators of
+    ``psi_sequence`` make, so every value is bitwise the reference one.
+    ``seeds`` are (p_0, p_1): (1, x/b_0) gives Psi_n, (0, 1) gives S_n.
+    With ``slopes`` = (p_0', p_1') it yields pairs (p_n, p_n'), the
+    derivative following b_n p_{n+1}' = p_n + x p_n' - b_{n-1} p_{n-1}'.
+    """
+    prec = ctx.precision_bits
+    p0, p1 = seeds
+    d0, d1 = slopes if slopes is not None else (None, None)
+    yield p0 if slopes is None else (p0, d0)
+    yield p1 if slopes is None else (p1, d1)
+    bs = b_table(32, ctx)
+    b_prev = bs[0]._mpf_
+    n = 1
+    while True:
+        if n == len(bs):
+            bs = b_table(n + 1, ctx)
+        b = bs[n]._mpf_
+        rise = mpf_mul(x, p1, prec, _RND)
+        fall = mpf_mul(b_prev, p0, prec, _RND)
+        p2 = mpf_div(mpf_sub(rise, fall, prec, _RND), b, prec, _RND)
+        if slopes is None:
+            yield p2
+        else:
+            rise = mpf_add(p1, mpf_mul(x, d1, prec, _RND), prec, _RND)
+            fall = mpf_mul(b_prev, d0, prec, _RND)
+            d2 = mpf_div(mpf_sub(rise, fall, prec, _RND), b, prec, _RND)
+            yield p2, d2
+            d0, d1 = d1, d2
+        p0, p1, b_prev = p1, p2, b
+        n += 1
+
+
+def _psi_stream(x, ctx: PrecisionContext, slope: bool = False):
+    """Psi_0(x), Psi_1(x), ... (with Psi_n'(x) when ``slope``), raw x in."""
+    b0 = b_table(1, ctx)[0]._mpf_
+    seeds = (fone, mpf_div(x, b0, ctx.precision_bits, _RND))
+    slopes = (fzero, mpf_div(fone, b0, ctx.precision_bits, _RND)) if slope else None
+    return _recurrence(x, ctx, seeds, slopes)
+
+
+def _odd(stream):
+    """Entries 1, 3, 5, ... of a stream."""
+    return islice(stream, 1, None, 2)
+
+
+def _raw_max(a, b):
+    """max(a, b) of raw mpf values, picking as the builtin max does."""
+    return b if mpf_gt(b, a) else a
+
+
+def _converged(last, scale, tol, prec: int) -> bool:
+    """Monitored-decay test last <= tol * max(scale, tol), on raw mpf."""
+    return mpf_le(last, mpf_mul(tol, _raw_max(scale, tol), prec, _RND))
+
+
+def _second_kind_value(n: int, x, ctx: PrecisionContext):
+    """S_n(x) by the recurrence x S_n = b_n S_{n+1} + b_{n-1} S_{n-1}."""
+    stream = _recurrence(ctx.mpf(x)._mpf_, ctx, (fzero, fone))
+    return ctx.mp.make_mpf(next(islice(stream, n, None)))
 
 
 def second_kind_eval(n: int, x, ctx: PrecisionContext):
@@ -176,7 +261,7 @@ def second_kind_eval(n: int, x, ctx: PrecisionContext):
     if n < 0:
         raise DomainError(f"polynomial degree must be >= 0, got {n}")
     mp = ctx.mp
-    value = _second_kind_sequence(n, x, ctx)[n]
+    value = _second_kind_value(n, x, ctx)
     if n == 0:
         return value
     t = ctx.mpf(x) / b_coeff(0, ctx)
@@ -212,41 +297,61 @@ def _carrier_coefficients(count: int, ctx: PrecisionContext):
     return tuple(coeffs)
 
 
-def _carrier_value(x, ctx: PrecisionContext, k_terms: Optional[int]):
-    """Carrier value with tail metadata: (value, terms_used, last_term)."""
+def _coefficient_stream(ctx: PrecisionContext):
+    """S_1(0), S_3(0), ... as raw mpf, from cached blocks of doubling size."""
+    count, j = 16, 0
+    while True:
+        block = _carrier_coefficients(count, ctx)
+        for c in block[j:]:
+            yield c._mpf_
+        j, count = count, 2 * count
+
+
+def _carrier_value(
+    x, ctx: PrecisionContext, k_terms: Optional[int], slope: bool = False
+):
+    """Carrier value with tail metadata: (value, terms_used, last_term, slope).
+
+    One streamed pass over Psi_1, Psi_3, ...; with ``slope`` it also
+    sums D'(x) = -sum_k c_k (Psi_{2k+1} + x Psi_{2k+1}') over the same
+    terms (else the fourth entry is None).  The value does not depend
+    on ``slope``.
+    """
     mp = ctx.mp
     xv = ctx.mpf(x)
     cap = k_terms if k_terms is not None else ctx.max_terms
     if cap < 1:
         raise DomainError(f"k_terms must be >= 1, got {cap}")
-    tol = ctx.mpf(ctx.series_tol)
-    block = 16
-    coeffs = _carrier_coefficients(block, ctx)
-    psis = psi_sequence(2 * block - 1, xv, ctx)
-    total = mp.mpf(1)
-    streak = 0
-    last = mp.mpf(0)
-    k = 0
-    while k < cap:
-        if k >= len(coeffs):
-            block *= 2
-            coeffs = _carrier_coefficients(block, ctx)
-            psis = psi_sequence(2 * block - 1, xv, ctx)
-        term = -coeffs[k] * xv * psis[2 * k + 1]
-        total = total + term
-        last = abs(term)
-        k += 1
-        if last <= tol * max(abs(total), tol):
+    prec = ctx.precision_bits
+    tol = ctx.mpf(ctx.series_tol)._mpf_
+    x = xv._mpf_
+    terms = zip(_coefficient_stream(ctx), _odd(_psi_stream(x, ctx, slope)))
+    total, derivative, streak = fone, fzero, 0
+    for k, (c, p) in enumerate(islice(terms, cap), 1):
+        c = mpf_neg(c)
+        if slope:
+            p, dp = p
+            dterm = mpf_add(p, mpf_mul(x, dp, prec, _RND), prec, _RND)
+            derivative = mpf_add(derivative, mpf_mul(c, dterm, prec, _RND), prec, _RND)
+        term = mpf_mul(mpf_mul(c, x, prec, _RND), p, prec, _RND)
+        total = mpf_add(total, term, prec, _RND)
+        last = mpf_abs(term)
+        if _converged(last, mpf_abs(total), tol, prec):
             streak += 1
             if streak >= _STREAK:
-                return total, k, last
+                break
         else:
             streak = 0
-    if k_terms is not None:
-        return total, k, last
-    raise NoConvergenceError(
-        f"carrier series terms failed to decay within {cap} terms at "
-        f"x={ctx.nstr(xv, 8)}"
+    if streak < _STREAK and k_terms is None:
+        raise NoConvergenceError(
+            f"carrier series terms failed to decay within {cap} terms at "
+            f"x={ctx.nstr(xv, 8)}"
+        )
+    return (
+        mp.make_mpf(total),
+        k,
+        mp.make_mpf(last),
+        mp.make_mpf(derivative) if slope else None,
     )
 
 
@@ -258,8 +363,7 @@ def carrier_function(x, k_terms: Optional[int], ctx: PrecisionContext):
     summability of (Psi_n(x))_n guarantees decay); pass k_terms to force
     a fixed truncation depth instead.
     """
-    value, _, _ = _carrier_value(x, ctx, k_terms)
-    return value
+    return _carrier_value(x, ctx, k_terms)[0]
 
 
 @dataclass(frozen=True)
@@ -275,6 +379,58 @@ class CarrierPoint:
     tail_estimate: Optional[object] = None
 
 
+def _shrink_bracket(lo, hi, flo, tol_root, ctx: PrecisionContext, k_terms):
+    """Close a carrier sign change [lo, hi] to width <= tol_root.
+
+    Safeguarded Newton: each step evaluates D and D' in one pass and
+    moves the bracket end whose sign D shares, so D(lo) keeps the sign
+    of ``flo`` and D(hi) the other one.  The next point is the Newton
+    point when it lies strictly inside the bracket, else the midpoint.
+    Once the Newton step is below tol_root/2, D is probed a quarter of
+    tol_root either side of the Newton point; a sign change across the
+    probes is the final bracket, centred on the root and narrow enough
+    that rounding its ends cannot push it past tol_root.  When rounding
+    hides that sign change, the probes inside the bracket shrink it and
+    the loop goes on halving.  Returns the final (lo, hi).
+    """
+    quarter = tol_root / 4
+    x = (lo + hi) / 2
+    while hi - lo > tol_root:
+        fx, _, _, slope = _carrier_value(x, ctx, k_terms, slope=True)
+        if fx == 0:
+            return x, x
+        if (fx > 0) == (flo > 0):
+            lo, flo = x, fx
+        else:
+            hi = x
+        # A flat D sends the Newton point out of the bracket: bisect.
+        step = fx / slope if slope else hi - lo
+        newton = x - step
+        x = (lo + hi) / 2
+        if abs(step) >= 2 * quarter:
+            if lo < newton < hi:
+                x = newton
+            continue
+        if not lo <= newton <= hi:
+            continue
+        ends = (newton - quarter, newton + quarter)
+        sides = []
+        for probe in ends:
+            fp = _carrier_value(probe, ctx, k_terms)[0]
+            if fp == 0:
+                return probe, probe
+            sides.append((fp > 0) == (flo > 0))
+            if lo < probe < hi:
+                if sides[-1]:
+                    lo, flo = probe, fp
+                else:
+                    hi = probe
+        if sides == [True, False]:
+            return ends
+        x = (lo + hi) / 2
+    return lo, hi
+
+
 def carrier_roots(
     search_bound,
     ctx: PrecisionContext,
@@ -284,9 +440,14 @@ def carrier_roots(
     """All carrier roots in [-search_bound, search_bound].
 
     Sign-scans a merged geometric + linear grid on (0, search_bound]
-    and bisects each bracket to 10^-(precision_bits/4); the function is
-    even (checked on samples), so roots are emitted as symmetric +-
-    pairs, sorted ascending.  No root sits at 0 (carrier value 1).
+    and closes each sign-change bracket with safeguarded Newton (D and
+    D' from one streamed pass, midpoint steps when Newton leaves the
+    bracket) to width at most 10^-(precision_bits/4), with D changing
+    sign across it; the root is its midpoint.  At 64 bits that width
+    is below the evaluation noise, so the last halvings follow rounding.
+    The function is even (checked on samples), so roots are emitted as
+    symmetric +- pairs, sorted ascending.  No root sits at 0 (carrier
+    value 1).
     """
     mp = ctx.mp
     bound = ctx.mpf(search_bound)
@@ -313,28 +474,14 @@ def carrier_roots(
             )
 
     tol_root = mp.mpf(10) ** (-(ctx.precision_bits // 4))
-    values = [_carrier_value(g, ctx, k_terms) for g in grid]
+    values = [_carrier_value(g, ctx, k_terms)[0] for g in grid]
     points = []
-    for (a, (fa, _, _)), (b, (fb, used, tail)) in zip(
-        zip(grid, values), zip(grid[1:], values[1:])
-    ):
-        if fa == 0:
+    for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]):
+        if fa == 0 or fa * fb > 0:
             continue
-        if fa * fb > 0:
-            continue
-        lo, hi, flo = a, b, fa
-        while hi - lo > tol_root:
-            mid = (lo + hi) / 2
-            fmid, used, tail = _carrier_value(mid, ctx, k_terms)
-            if fmid == 0:
-                lo = hi = mid
-                break
-            if flo * fmid < 0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
+        lo, hi = _shrink_bracket(a, b, fa, tol_root, ctx, k_terms)
         root = (lo + hi) / 2
-        residual, used, tail = _carrier_value(root, ctx, k_terms)
+        residual, used, tail, _ = _carrier_value(root, ctx, k_terms)
         points.append(
             CarrierPoint(
                 x=root,
@@ -348,67 +495,51 @@ def carrier_roots(
     return tuple(sorted(negatives + points, key=lambda p: p.x))
 
 
-def _kernel_mass(x, ctx: PrecisionContext, cap: int = 600):
+def _kernel_mass(x, ctx: PrecisionContext):
     """1 / sum_n Psi_n(x)^2 with monitored decay of the squared terms."""
-    mp = ctx.mp
-    tol = ctx.mpf(ctx.series_tol)
-    nmax = 64
-    while True:
-        psis = psi_sequence(nmax, x, ctx)
-        total = mp.mpf(0)
-        streak = 0
-        for n, p in enumerate(psis):
-            term = p * p
-            total = total + term
-            if term <= tol * max(total, tol):
-                streak += 1
-                if streak >= _STREAK:
-                    return 1 / total, n + 1
-            else:
-                streak = 0
-        if nmax >= cap:
-            raise NoConvergenceError(
-                f"kernel series failed to decay within {cap} terms at "
-                f"x={ctx.nstr(ctx.mpf(x), 8)}"
-            )
-        nmax = min(2 * nmax, cap)
+    prec = ctx.precision_bits
+    tol = ctx.mpf(ctx.series_tol)._mpf_
+    cap = ctx.max_terms
+    total, streak = fzero, 0
+    for n, p in enumerate(islice(_psi_stream(ctx.mpf(x)._mpf_, ctx), cap), 1):
+        term = mpf_mul(p, p, prec, _RND)
+        total = mpf_add(total, term, prec, _RND)
+        if _converged(term, total, tol, prec):
+            streak += 1
+            if streak >= _STREAK:
+                return ctx.mp.make_mpf(mpf_div(fone, total, prec, _RND)), n
+        else:
+            streak = 0
+    raise NoConvergenceError(
+        f"kernel series failed to decay within {cap} terms at "
+        f"x={ctx.nstr(ctx.mpf(x), 8)}"
+    )
 
 
 def _loading_at(x, ctx: PrecisionContext):
     """(sigma0, terms_used, last_term) via the Num / Den' series ratio."""
     mp = ctx.mp
     xv = ctx.mpf(x)
-    tol = ctx.mpf(ctx.series_tol)
-    block = 16
+    prec = ctx.precision_bits
+    tol = ctx.mpf(ctx.series_tol)._mpf_
     cap = ctx.max_terms
-    coeffs = _carrier_coefficients(block, ctx)
-    psis = psi_sequence(2 * block - 1, xv, ctx)
-    seconds = _second_kind_sequence(2 * block - 1, xv, ctx)
-    dpsis = _psi_derivative_sequence(2 * block - 1, xv, ctx)
-    num = mp.mpf(0)
-    den = mp.mpf(0)
-    den_scale = mp.mpf(0)
+    x = xv._mpf_
+    terms = zip(
+        _coefficient_stream(ctx),
+        _odd(_psi_stream(x, ctx, slope=True)),
+        _odd(_recurrence(x, ctx, (fzero, fone))),
+    )
+    num = den = den_scale = fzero
     streak = 0
-    j = 0
-    last = mp.mpf(0)
-    while j < cap:
-        if j >= len(coeffs):
-            block *= 2
-            coeffs = _carrier_coefficients(block, ctx)
-            psis = psi_sequence(2 * block - 1, xv, ctx)
-            seconds = _second_kind_sequence(2 * block - 1, xv, ctx)
-            dpsis = _psi_derivative_sequence(2 * block - 1, xv, ctx)
-        s0 = coeffs[j]
-        idx = 2 * j + 1
-        num_term = s0 * xv * seconds[idx]
-        den_term = s0 * (psis[idx] + xv * dpsis[idx])
-        num = num + num_term
-        den = den + den_term
-        den_scale = den_scale + abs(den_term)
-        last = max(abs(num_term), abs(den_term))
-        j += 1
-        scale = max(abs(num), abs(den), tol)
-        if last <= tol * scale:
+    for j, (s0, (p, dp), s) in enumerate(islice(terms, cap), 1):
+        num_term = mpf_mul(mpf_mul(s0, x, prec, _RND), s, prec, _RND)
+        den_term = mpf_add(p, mpf_mul(x, dp, prec, _RND), prec, _RND)
+        den_term = mpf_mul(s0, den_term, prec, _RND)
+        num = mpf_add(num, num_term, prec, _RND)
+        den = mpf_add(den, den_term, prec, _RND)
+        den_scale = mpf_add(den_scale, mpf_abs(den_term), prec, _RND)
+        last = _raw_max(mpf_abs(num_term), mpf_abs(den_term))
+        if _converged(last, _raw_max(mpf_abs(num), mpf_abs(den)), tol, prec):
             streak += 1
             if streak >= _STREAK:
                 break
@@ -419,25 +550,12 @@ def _loading_at(x, ctx: PrecisionContext):
             f"loading series failed to decay within {cap} terms at "
             f"x={ctx.nstr(xv, 8)}"
         )
+    num, den, den_scale = mp.make_mpf(num), mp.make_mpf(den), mp.make_mpf(den_scale)
     if abs(den) <= ctx.eps * den_scale * 64:
         raise DegenerateRootError(
             f"loading denominator vanishes at x={ctx.nstr(xv, 8)}"
         )
-    return num / den, j, last
-
-
-def _psi_derivative_sequence(nmax: int, x, ctx: PrecisionContext):
-    """Psi_n'(x) by differentiating the three-term recurrence."""
-    mp = ctx.mp
-    xv = ctx.mpf(x)
-    psis = psi_sequence(nmax, xv, ctx)
-    bs = [b_coeff(k, ctx) for k in range(max(nmax, 1))]
-    derivs = [mp.mpf(0), 1 / bs[0]]
-    for n in range(1, nmax):
-        derivs.append(
-            (psis[n] + xv * derivs[n] - bs[n - 1] * derivs[n - 1]) / bs[n]
-        )
-    return derivs[: nmax + 1]
+    return num / den, j, mp.make_mpf(last)
 
 
 def loadings(

@@ -31,7 +31,7 @@ from .exact import (
     bn_squared_exact,
     qfactorial_exact,
 )
-from .qkernel import HypergeometricSpec, phi_rs, b_coeff
+from .qkernel import HypergeometricSpec, phi_rs, b_coeff, b_table
 
 __all__ = [
     "hermite2_coeffs",
@@ -123,7 +123,7 @@ def psi_sequence(nmax: int, x, ctx: PrecisionContext) -> list:
     values = [1 + xv * 0]
     if nmax == 0:
         return values
-    bs = [b_coeff(k, ctx) for k in range(nmax)]
+    bs = b_table(nmax, ctx)
     values.append(xv * values[0] / bs[0])
     for n in range(1, nmax):
         values.append((xv * values[n] - bs[n - 1] * values[n - 1]) / bs[n])

@@ -151,6 +151,22 @@ def b_coeff(n: int, ctx: PrecisionContext):
     return mp.sqrt(ctx.mpf(bn_squared_exact(n, ctx.q)))
 
 
+def b_table(count: int, ctx: PrecisionContext) -> tuple:
+    """(b_0, b_1, ...) for this context, at least ``count`` entries long.
+
+    Built only through :func:`b_coeff`, so every b_n is the same
+    once-rounded value, and grown by doubling.  Recurrences index this
+    tuple instead of calling the cached ``b_coeff``, which hashes the
+    context on every call.
+    """
+    table = ctx.tables.get("b", ())
+    if len(table) < count:
+        stop = max(count, 2 * len(table))
+        table += tuple(b_coeff(n, ctx) for n in range(len(table), stop))
+        ctx.tables["b"] = table
+    return table
+
+
 def rho_factorial(n: int, ctx: PrecisionContext):
     """Generalized ladder factorial rho_n! = (q/(1-q))^n q^{-n^2} (q; q)_n.
 

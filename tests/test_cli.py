@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qhermite2
 from qhermite2.cli import SUITES, main
 from qhermite2.discrepancies import REGISTRY
 
@@ -231,11 +234,15 @@ class TestExitCodes:
 
 
 def test_module_invocation_round_trip():
+    # The child imports the package under test, found or not on PYTHONPATH.
+    src = str(Path(qhermite2.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "qhermite2.cli", "poly", "--n", "1", "--x", "1"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("1,1,1,")

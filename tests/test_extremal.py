@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from qhermite2 import PrecisionContext
 from qhermite2.errors import DomainError
 from qhermite2.exact import extremal_bracket_exact
 from qhermite2.extremal import (
+    _kernel_mass,
     alpha_coeff,
     beta_coeff,
     bracket_double_factorial,
@@ -170,6 +172,25 @@ class TestCarrierRoots:
         for a, b in zip(shallow, deep):
             assert abs(a.x - b.x) < ctx_half.mpf("1e-10")
 
+    @pytest.mark.parametrize("bits", (64, 128, 192, 256))
+    def test_root_certificates_across_precision(self, bits):
+        ctx = PrecisionContext(q=Fraction(1, 2), precision_bits=bits)
+        tol_root = ctx.mp.mpf(10) ** (-(bits // 4))
+        points = carrier_roots(Fraction(6), ctx)
+        assert len(points) == 4
+        for p, m in zip(points[:2], reversed(points[2:])):
+            assert p.x == -m.x
+        match = max(ctx.mpf("1e-18"), 10 * tol_root)
+        for p, frozen in zip(points[2:], POSITIVE_ROOTS_HALF):
+            assert abs(p.x - ctx.mpf(frozen)) <= match
+        for p in points:
+            assert p.bracket_width <= tol_root
+            if bits >= 128:
+                half = p.bracket_width / 2
+                lo = carrier_function(p.x - half, None, ctx)
+                hi = carrier_function(p.x + half, None, ctx)
+                assert lo * hi < 0
+
     def test_parameter_validation(self, ctx_half):
         with pytest.raises(DomainError):
             carrier_roots(Fraction(-1), ctx_half)
@@ -192,6 +213,13 @@ class TestLoadings:
     def test_total_mass_near_one(self, extremal_points_half, ctx_half):
         total = sum(p.sigma0 for p in extremal_points_half)
         assert abs(total - 1) < ctx_half.mpf("1e-12")
+
+    def test_kernel_mass_term_budget_follows_context(self):
+        # Needs 699 terms at x = 2; a fixed 600-term budget used to fail here.
+        ctx = PrecisionContext(q=Fraction(9, 10), precision_bits=128)
+        mass, terms = _kernel_mass(2, ctx)
+        assert terms > 600
+        assert 0 < mass < 1
 
     def test_matches_reproducing_kernel_mass(self, extremal_points_half, ctx_half):
         for p in extremal_points_half:
