@@ -1,8 +1,11 @@
 """Finite Fock-basis sections of the deformed oscillator operators.
 
-Builds dense truncated matrices for position X, momentum P, the ladder
-pair a-/a+, and the Hamiltonian, together with the exact spectrum table
-and an algebraic-identity verifier.
+Builds truncated sections of position X, momentum P, the ladder pair
+a-/a+, and the Hamiltonian, together with the exact spectrum table and
+an algebraic-identity verifier.  Every section is tridiagonal or a
+product of two, so each is stored by its structurally nonzero
+diagonals and all operator arithmetic costs O(dim * bandwidth^2); the
+results are bitwise those of dense ascending-index sums.
 
 Finite sections of infinite Jacobi matrices satisfy the operator
 identities exactly only away from the truncation boundary, so every
@@ -14,8 +17,9 @@ summation order, no normalization by dim anywhere).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .context import PrecisionContext
 from .errors import AlgebraViolation, DomainError
@@ -40,32 +44,42 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense dim x dim matrix over mpc with truncation metadata.
+    """dim x dim section over mpc stored by diagonals, with truncation metadata.
 
+    ``bands`` maps an offset d to the diagonal (i, i + d) as a tuple
+    indexed by min(i, i + d).  Only structurally nonzero offsets are
+    stored; every entry off them is the exact mpc ``zero``.
     ``valid_block`` is the size of the top-left block unaffected by the
     finite section; identity checks must not look past it.
     """
 
     dim: int
-    entries: Tuple[Tuple[object, ...], ...]
+    bands: Dict[int, Tuple[object, ...]]
     valid_block: int
+    zero: object
 
     def entry(self, i: int, j: int):
-        return self.entries[i][j]
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexError(f"entry ({i},{j}) outside dim {self.dim}")
+        band = self.bands.get(j - i)
+        return self.zero if band is None else band[min(i, j)]
+
+    def row(self, i: int):
+        """Stored entries (j, value) of row i, in ascending j."""
+        for d in sorted(self.bands):
+            if 0 <= i + d < self.dim:
+                yield i + d, self.bands[d][min(i, i + d)]
 
     def apply(self, vector):
-        """Matrix-vector product with fixed ascending-index summation."""
+        """Matrix-vector product, each row summed over ascending j."""
         if len(vector) != self.dim:
             raise DomainError(
                 f"vector length {len(vector)} != operator dim {self.dim}"
             )
-        out = []
-        for i in range(self.dim):
-            acc = self.entries[i][0] * vector[0]
-            for j in range(1, self.dim):
-                acc = acc + self.entries[i][j] * vector[j]
-            out.append(acc)
-        return out
+        return [
+            _ascending_sum((x * vector[j] for j, x in self.row(i)), self.zero)
+            for i in range(self.dim)
+        ]
 
 
 @dataclass(frozen=True)
@@ -78,17 +92,17 @@ class SpectrumTable:
         return self.levels[n][1]
 
 
-def _zeros(dim: int, ctx: PrecisionContext) -> List[List[object]]:
-    z = ctx.mp.mpc(0)
-    return [[z for _ in range(dim)] for _ in range(dim)]
+def _ascending_sum(terms, zero):
+    """Sum ``terms`` in order, starting from the first; ``zero`` if none.
 
-
-def _freeze(rows: List[List[object]], dim: int, valid_block: int) -> TruncatedOperator:
-    return TruncatedOperator(
-        dim=dim,
-        entries=tuple(tuple(row) for row in rows),
-        valid_block=valid_block,
-    )
+    The terms left out of a banded sum are exact zeros, and adding an
+    exact zero to a value already rounded at the working precision is a
+    no-op under round-to-nearest, so this is bitwise the dense sum.
+    """
+    acc = None
+    for term in terms:
+        acc = term if acc is None else acc + term
+    return zero if acc is None else acc
 
 
 def _check_dim(dim: int, minimum: int) -> None:
@@ -101,12 +115,8 @@ def build_position(dim: int, ctx: PrecisionContext) -> TruncatedOperator:
     b_{n-1} at row n-1 (symmetric tridiagonal, zero diagonal)."""
     _check_dim(dim, 2)
     mp = ctx.mp
-    rows = _zeros(dim, ctx)
-    for n in range(dim - 1):
-        b = mp.mpc(b_coeff(n, ctx))
-        rows[n + 1][n] = b
-        rows[n][n + 1] = b
-    return _freeze(rows, dim, dim - 1)
+    b = tuple(mp.mpc(b_coeff(n, ctx)) for n in range(dim - 1))
+    return TruncatedOperator(dim, {-1: b, 1: b}, dim - 1, mp.mpc(0))
 
 
 def build_momentum(dim: int, ctx: PrecisionContext) -> TruncatedOperator:
@@ -114,12 +124,12 @@ def build_momentum(dim: int, ctx: PrecisionContext) -> TruncatedOperator:
     -i b_{n-1} at row n-1 (Hermitian, purely imaginary entries)."""
     _check_dim(dim, 2)
     mp = ctx.mp
-    rows = _zeros(dim, ctx)
-    for n in range(dim - 1):
-        b = b_coeff(n, ctx)
-        rows[n + 1][n] = mp.mpc(0, 1) * b
-        rows[n][n + 1] = mp.mpc(0, -1) * b
-    return _freeze(rows, dim, dim - 1)
+    b = [b_coeff(n, ctx) for n in range(dim - 1)]
+    bands = {
+        -1: tuple(mp.mpc(0, 1) * x for x in b),
+        1: tuple(mp.mpc(0, -1) * x for x in b),
+    }
+    return TruncatedOperator(dim, bands, dim - 1, mp.mpc(0))
 
 
 def build_ladder(
@@ -127,35 +137,35 @@ def build_ladder(
 ) -> Tuple[TruncatedOperator, TruncatedOperator]:
     """(lowering, raising) = (a-, a+) with a+- = (1/2) sqrt(q/(1-q)) (X -+ iP).
 
-    Built literally from the defining combination so the structural
-    zeros are exact (the X and iP contributions cancel as b - b = 0,
-    not to rounding).  Raising carries sqrt(q/(1-q)) b_n on the
-    subdiagonal; lowering is its conjugate transpose and annihilates
-    the first basis vector.
+    Raising carries sqrt(q/(1-q)) b_n on the subdiagonal; lowering is
+    its conjugate transpose and annihilates the first basis vector.
     """
-    _check_dim(dim, 2)
+    return _ladder(build_position(dim, ctx), build_momentum(dim, ctx), ctx)
+
+
+def _ladder(X: TruncatedOperator, P: TruncatedOperator, ctx: PrecisionContext):
+    """(a-, a+) built literally from the defining combination of X and P.
+
+    On the other diagonal the X and iP contributions cancel exactly
+    (b - b = 0, not to rounding), so lowering stores only the
+    superdiagonal and raising only the subdiagonal.
+    """
     mp = ctx.mp
-    q = ctx.qm
     half_root = mp.sqrt(ctx.mpf(ctx.q / (1 - ctx.q))) / 2
-    X = build_position(dim, ctx)
-    P = build_momentum(dim, ctx)
     i = mp.mpc(0, 1)
-    lowering = _zeros(dim, ctx)
-    raising = _zeros(dim, ctx)
-    for r in range(dim):
-        for c in range(dim):
-            x = X.entries[r][c]
-            p = P.entries[r][c]
-            raising[r][c] = half_root * (x - i * p)
-            lowering[r][c] = half_root * (x + i * p)
+    lowering = tuple(half_root * (x + i * p) for x, p in zip(X.bands[1], P.bands[1]))
+    raising = tuple(half_root * (x - i * p) for x, p in zip(X.bands[-1], P.bands[-1]))
     return (
-        _freeze(lowering, dim, dim - 1),
-        _freeze(raising, dim, dim - 1),
+        TruncatedOperator(X.dim, {1: lowering}, X.dim - 1, X.zero),
+        TruncatedOperator(X.dim, {-1: raising}, X.dim - 1, X.zero),
     )
 
 
 def mat_mul(a: TruncatedOperator, b: TruncatedOperator, ctx: PrecisionContext) -> TruncatedOperator:
     """Product with fixed (i, j, ascending-k) summation order.
+
+    Each entry sums only the terms whose factors are both stored (see
+    ``_ascending_sum``), in O(dim * bandwidth^2).
 
     The product of operators valid to blocks va, vb is valid to
     min(va, vb) - 1 when both factors have tridiagonal bandwidth; for
@@ -165,41 +175,47 @@ def mat_mul(a: TruncatedOperator, b: TruncatedOperator, ctx: PrecisionContext) -
     if a.dim != b.dim:
         raise DomainError("operator dimensions differ")
     dim = a.dim
-    rows = _zeros(dim, ctx)
-    for i in range(dim):
-        for j in range(dim):
-            acc = a.entries[i][0] * b.entries[0][j]
-            for k in range(1, dim):
-                acc = acc + a.entries[i][k] * b.entries[k][j]
-            rows[i][j] = acc
-    return _freeze(rows, dim, min(a.valid_block, b.valid_block, dim - 1))
+    bands = {
+        d: tuple(
+            _ascending_sum(
+                (x * b.entry(k, i + d) for k, x in a.row(i) if i + d - k in b.bands),
+                a.zero,
+            )
+            for i in range(max(0, -d), dim - max(0, d))
+        )
+        for d in sorted({da + db for da in a.bands for db in b.bands})
+    }
+    return TruncatedOperator(dim, bands, min(a.valid_block, b.valid_block, dim - 1), a.zero)
+
+
+def _combine(a: TruncatedOperator, b: TruncatedOperator, op) -> TruncatedOperator:
+    """Entrywise ``op(a, b)`` over the union of the stored offsets."""
+    if a.dim != b.dim:
+        raise DomainError("operator dimensions differ")
+    bands = {}
+    for d in sorted(set(a.bands) | set(b.bands)):
+        absent = (a.zero,) * (a.dim - abs(d))
+        bands[d] = tuple(map(op, a.bands.get(d, absent), b.bands.get(d, absent)))
+    return TruncatedOperator(a.dim, bands, min(a.valid_block, b.valid_block), a.zero)
 
 
 def mat_sub(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
-    if a.dim != b.dim:
-        raise DomainError("operator dimensions differ")
-    rows = [
-        [a.entries[i][j] - b.entries[i][j] for j in range(a.dim)]
-        for i in range(a.dim)
-    ]
-    return _freeze(rows, a.dim, min(a.valid_block, b.valid_block))
+    return _combine(a, b, operator.sub)
 
 
 def mat_scale(a: TruncatedOperator, s) -> TruncatedOperator:
-    rows = [[s * a.entries[i][j] for j in range(a.dim)] for i in range(a.dim)]
-    return _freeze(rows, a.dim, a.valid_block)
+    bands = {d: tuple(s * x for x in band) for d, band in a.bands.items()}
+    return TruncatedOperator(a.dim, bands, a.valid_block, a.zero)
 
 
 def build_hamiltonian(dim: int, ctx: PrecisionContext) -> TruncatedOperator:
     """H = a+ a- + a- a+ (diagonal with entries lambda_n on the valid block)."""
     lowering, raising = build_ladder(dim, ctx)
-    h1 = mat_mul(raising, lowering, ctx)
-    h2 = mat_mul(lowering, raising, ctx)
-    rows = [
-        [h1.entries[i][j] + h2.entries[i][j] for j in range(dim)]
-        for i in range(dim)
-    ]
-    return _freeze(rows, dim, dim - 1)
+    return _combine(
+        mat_mul(raising, lowering, ctx),
+        mat_mul(lowering, raising, ctx),
+        operator.add,
+    )
 
 
 def spectrum(n_max: int, ctx: PrecisionContext) -> SpectrumTable:
@@ -242,19 +258,25 @@ class AlgebraReport:
     passed: bool
 
 
-def _diag_operator(values, dim: int, ctx: PrecisionContext) -> TruncatedOperator:
-    rows = _zeros(dim, ctx)
-    for n in range(dim):
-        rows[n][n] = ctx.mp.mpc(values[n])
-    return _freeze(rows, dim, dim - 1)
+def _diag_operator(exact_values, ctx: PrecisionContext) -> TruncatedOperator:
+    """Diagonal section of exact rationals, each rounded once: floating
+    powers of an inexact q would drift by about n/2 ulp at exponent n."""
+    mp = ctx.mp
+    diag = tuple(mp.mpc(ctx.mpf(v)) for v in exact_values)
+    return TruncatedOperator(len(diag), {0: diag}, len(diag) - 1, mp.mpc(0))
+
+
+def _block_entries(op: TruncatedOperator, block: int):
+    """Stored entries (i, j, value) inside the block, in row-major order;
+    every other block entry is an exact zero."""
+    for i in range(block):
+        for j, value in op.row(i):
+            if j < block:
+                yield i, j, value
 
 
 def _block_max_abs(op: TruncatedOperator, block: int):
-    worst = abs(op.entries[0][0]) * 0
-    for i in range(block):
-        for j in range(block):
-            worst = max(worst, abs(op.entries[i][j]))
-    return worst
+    return max((abs(v) for _, _, v in _block_entries(op, block)), default=abs(op.zero))
 
 
 def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = 4) -> AlgebraReport:
@@ -283,67 +305,45 @@ def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = 4) -> Algeb
     q = ctx.qm
     block = dim - 1
 
-    lowering, raising = build_ladder(dim, ctx)
+    X = build_position(dim, ctx)
+    P = build_momentum(dim, ctx)
+    lowering, raising = _ladder(X, P, ctx)
     minus_plus = mat_mul(lowering, raising, ctx)
     plus_minus = mat_mul(raising, lowering, ctx)
 
-    # References rounded once from exact rationals; floating powers of
-    # an inexact q would drift by about n/2 ulp at exponent n.
-    qx = ctx.q
-    d1 = [ctx.mpf(qx ** (-2 * n) * qbracket(n + 1, qx)) for n in range(dim)]
-    d2 = [
-        (
-            mp.mpf(0)
-            if n == 0
-            else ctx.mpf(qx ** (-2 * (n - 1)) * qbracket(n, qx))
-        )
-        for n in range(dim)
-    ]
-    d3 = [ctx.mpf(qx ** (-2 * n)) for n in range(dim)]
-    d4 = [ctx.mpf(qx ** (-n)) for n in range(dim)]
-
-    X = build_position(dim, ctx)
-    P = build_momentum(dim, ctx)
-    h_direct = build_hamiltonian(dim, ctx)
-    x2p2 = mat_mul(X, X, ctx)
-    p2 = mat_mul(P, P, ctx)
-    rows = [
-        [
-            (q / (1 - q)) / 2 * (x2p2.entries[i][j] + p2.entries[i][j])
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
-    h_quadrature = _freeze(rows, dim, dim - 1)
-    lam = [ctx.mpf(lambda_exact(n, ctx.q)) for n in range(dim)]
-
+    h_direct = _combine(plus_minus, minus_plus, operator.add)
+    h_quadrature = mat_scale(
+        _combine(mat_mul(X, X, ctx), mat_mul(P, P, ctx), operator.add),
+        (q / (1 - q)) / 2,
+    )
+    qx, ns = ctx.q, range(dim)
     scaled_pm1 = mat_scale(plus_minus, ctx.mpf(1 / ctx.q))
     scaled_pm2 = mat_scale(plus_minus, ctx.mpf(ctx.q**-2))
     checks = {
         "lowering-raising-product": (
             minus_plus,
-            _diag_operator(d1, dim, ctx),
+            _diag_operator((qx ** (-2 * n) * qbracket(n + 1, qx) for n in ns), ctx),
             (minus_plus,),
         ),
         "raising-lowering-product": (
             plus_minus,
-            _diag_operator(d2, dim, ctx),
+            _diag_operator((qx ** (2 - 2 * n) * qbracket(n, qx) for n in ns), ctx),
             (plus_minus,),
         ),
         "q-commutator-inverse-q": (
             mat_sub(minus_plus, scaled_pm1),
-            _diag_operator(d3, dim, ctx),
+            _diag_operator((qx ** (-2 * n) for n in ns), ctx),
             (minus_plus, scaled_pm1),
         ),
         "q-commutator-inverse-q2": (
             mat_sub(minus_plus, scaled_pm2),
-            _diag_operator(d4, dim, ctx),
+            _diag_operator((qx ** (-n) for n in ns), ctx),
             (minus_plus, scaled_pm2),
         ),
         "hamiltonian-quadrature": (h_direct, h_quadrature, (h_direct,)),
         "hamiltonian-diagonal": (
             h_direct,
-            _diag_operator(lam, dim, ctx),
+            _diag_operator((lambda_exact(n, qx) for n in ns), ctx),
             (h_direct,),
         ),
     }
@@ -359,16 +359,15 @@ def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = 4) -> Algeb
         )
         tol = ulp_bound * scale * eps
         worst = mp.mpf(0)
-        for i in range(block):
-            for j in range(block):
-                diff = abs(lhs.entries[i][j] - rhs.entries[i][j])
-                if diff > tol:
-                    raise AlgebraViolation(
-                        f"{name}: entry ({i},{j}) residual {mp.nstr(diff, 8)} "
-                        f"exceeds {ulp_bound} ulp of scale {mp.nstr(scale, 8)} "
-                        f"at dim={dim}"
-                    )
-                worst = max(worst, diff)
+        for i, j, value in _block_entries(mat_sub(lhs, rhs), block):
+            diff = abs(value)
+            if diff > tol:
+                raise AlgebraViolation(
+                    f"{name}: entry ({i},{j}) residual {mp.nstr(diff, 8)} "
+                    f"exceeds {ulp_bound} ulp of scale {mp.nstr(scale, 8)} "
+                    f"at dim={dim}"
+                )
+            worst = max(worst, diff)
         max_residuals[name] = worst
         scales[name] = scale
     return AlgebraReport(
