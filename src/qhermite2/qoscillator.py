@@ -302,7 +302,6 @@ def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = 4) -> Algeb
     """
     _check_dim(dim, 3)
     mp = ctx.mp
-    q = ctx.qm
     block = dim - 1
 
     X = build_position(dim, ctx)
@@ -314,7 +313,7 @@ def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = 4) -> Algeb
     h_direct = _combine(plus_minus, minus_plus, operator.add)
     h_quadrature = mat_scale(
         _combine(mat_mul(X, X, ctx), mat_mul(P, P, ctx), operator.add),
-        (q / (1 - q)) / 2,
+        ctx.mpf(ctx.q / (1 - ctx.q)) / 2,
     )
     qx, ns = ctx.q, range(dim)
     scaled_pm1 = mat_scale(plus_minus, ctx.mpf(1 / ctx.q))

@@ -79,6 +79,13 @@ class TestAlgebraIdentities:
                 bound = report.ulp_bound * report.scales[name] * ctx.eps
                 assert worst <= bound, name
 
+    @pytest.mark.parametrize("dim", [3, 16, 32])
+    @pytest.mark.parametrize("q", [Fraction(9, 10), Fraction(99, 100), Fraction(23, 24)], ids=str)
+    def test_passes_near_q_one(self, q, dim):
+        # The quadrature prefactor q/(1-q) is rounded once from the exact
+        # rational; forming it from the rounded q broke the 4-ulp budget.
+        assert verify_algebra(dim, PrecisionContext(q=q, precision_bits=256)).passed
+
     def test_hamiltonian_diagonal_matches_exact_levels(self, ctx_half):
         dim = 10
         H = build_hamiltonian(dim, ctx_half)
