@@ -11,7 +11,8 @@ cs       coherent-state diagnostics for one z
 Conventions
 -----------
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 numeric or
-convergence failure (with a JSON error object).  CSV output is
+convergence failure (with a JSON error object), 4 internal error (an
+unexpected exception; traceback on stderr, JSON error object).  CSV output is
 comma-separated with a fixed header row and LF line endings; JSON output
 is a single top-level object carrying ``schema_version``.  All numerics
 are printed as decimal strings that parse back to the same value at the
@@ -26,6 +27,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -86,6 +88,7 @@ _EXIT_PASS = 0
 _EXIT_FAIL = 1
 _EXIT_USAGE = 2
 _EXIT_NUMERIC = 3
+_EXIT_INTERNAL = 4
 
 _VERIFY_COLUMNS = (
     "record",
@@ -998,6 +1001,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AlgebraViolation as exc:
         _write(_error_payload(ns, exc), getattr(ns, "out", None))
         return _EXIT_FAIL
+    except Exception as exc:  # a fault of ours must not read as a failed gate
+        traceback.print_exc(file=sys.stderr)
+        _write(_error_payload(ns, exc), getattr(ns, "out", None))
+        return _EXIT_INTERNAL
 
     _write(_render(out, ns), ns.out)
     return out.exit_code

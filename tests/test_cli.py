@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qhermite2
+from qhermite2 import cli
 from qhermite2.cli import SUITES, main
 from qhermite2.discrepancies import REGISTRY
 
@@ -231,6 +232,18 @@ class TestExitCodes:
         )
         assert code == 1
         assert json.loads(out)["overall_pass"] is False
+
+    def test_unexpected_exception_returns_four_with_payload(self, capsys, monkeypatch):
+        def broken(ns, ctx):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli, "_cmd_poly", broken)
+        code, out, err = run_cli(capsys, ["poly", "--n", "3", "--x", "1/2"])
+        assert code == 4
+        doc = json.loads(out)
+        assert doc["command"] == "poly"
+        assert doc["error"] == {"type": "RuntimeError", "message": "injected fault"}
+        assert "Traceback" in err and "injected fault" in err
 
 
 def test_module_invocation_round_trip():
