@@ -12,13 +12,14 @@ Conventions
 -----------
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 numeric or
 convergence failure (with a JSON error object), 4 internal error (an
-unexpected exception; traceback on stderr, JSON error object).  CSV output is
-comma-separated with a fixed header row and LF line endings; JSON output
-is a single top-level object carrying ``schema_version``.  All numerics
-are printed as decimal strings that parse back to the same value at the
-same working precision.  Identical invocations produce byte-identical
-output.  Verification reports embed the discrepancy registry so known
-formula defects are never mistaken for implementation bugs.
+unexpected exception: traceback on stderr, JSON error object).  CSV
+output is comma-separated with a fixed header row and LF line endings;
+JSON output is a single top-level object carrying ``schema_version``.
+All numerics are printed as decimal strings that parse back to the same
+value at the same working precision.  Identical invocations produce
+byte-identical output.  Verification reports embed the discrepancy
+registry so known formula defects are never mistaken for implementation
+bugs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import argparse
 import json
 import math
 import sys
-import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -1002,6 +1002,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _write(_error_payload(ns, exc), getattr(ns, "out", None))
         return _EXIT_FAIL
     except Exception as exc:  # a fault of ours must not read as a failed gate
+        import traceback  # only this path needs it; keeps it out of start-up
+
         traceback.print_exc(file=sys.stderr)
         _write(_error_payload(ns, exc), getattr(ns, "out", None))
         return _EXIT_INTERNAL
