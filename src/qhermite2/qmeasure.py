@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
+from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, mpf_pow_int, round_nearest
+
 from .coherent import cs_norm_sq
 from .context import PrecisionContext
 from .errors import DomainError, InstabilityError
@@ -51,6 +53,8 @@ __all__ = [
 ]
 
 MEASURE_TARGETS = ("y-variable", "x-variable", "z-plane-radial")
+
+_RND = round_nearest
 
 
 @dataclass(frozen=True)
@@ -93,23 +97,32 @@ def _default_buffer(ctx: PrecisionContext) -> int:
     return max(32, math.ceil(2 * ctx.precision_bits * math.log(2) / ln_inv_q)) + 16
 
 
-def _raw_lattice(K: int, M: int, ctx: PrecisionContext, buffer: int):
-    """One unnormalized upward sweep; returns (values list, lo, m_top)."""
-    mp = ctx.mp
-    q = ctx.qm
-    ln_inv_q = -math.log(float(ctx.q))
-    m_top = max(
-        M + 2, math.ceil(ctx.precision_bits * math.log(2) / ln_inv_q) + 4
-    )
-    lo = -K - buffer - 2
-    n_points = m_top - lo + 1
-    g = [mp.mpf(0)] * n_points
-    g[1] = mp.mpf(1)
-    # g[i] holds exponent m = lo + i; recursion g_{m+2} = g_{m+1} + q^{m+1} g_m
-    for i in range(n_points - 2):
-        m = lo + i
-        g[i + 2] = g[i + 1] + q ** (m + 1) * g[i]
-    return g, lo, m_top
+def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
+    """One streamed upward sweep of g_{m+2} = g_{m+1} + q^{m+1} g_m.
+
+    Seeds g = 0, 1 at exponents lo = -K - buffer - 2 and lo + 1 and runs
+    on raw mpf values, each step the ``mpf_pow_int``, ``mpf_mul`` and
+    ``mpf_add`` calls (working precision, round-to-nearest) that the mpf
+    operators make, up to the check index.  Only the window
+    [-K, M] is kept.  Returns (window, (m_top, g_{m_top}),
+    (m_check, g_{m_check})): the tail normalization index, where
+    1 - f < 2^-precision, and the tail index of the doubled-depth check.
+    """
+    prec = ctx.precision_bits
+    q = ctx.qm._mpf_
+    floor = math.ceil(prec * math.log(2) / -math.log(float(ctx.q))) + 4
+    m_top = max(M + 2, floor)
+    m_check = max(2 * M + 2, floor)
+    window, tails = [], {}
+    g0, g1 = fzero, fone
+    for m in range(-K - buffer - 2, m_check - 1):
+        step = mpf_mul(mpf_pow_int(q, m + 1, prec, _RND), g0, prec, _RND)
+        g0, g1 = g1, mpf_add(g1, step, prec, _RND)
+        if -K <= m + 2 <= M:
+            window.append(g1)
+        elif m + 2 in (m_top, m_check):
+            tails[m + 2] = g1
+    return window, (m_top, tails[m_top]), (m_check, tails[m_check])
 
 
 def lattice_weight(
@@ -117,12 +130,14 @@ def lattice_weight(
 ) -> LatticeWeight:
     """Weight values f(q^m) for m in [-K, M], tail-normalized to f(0+)=1.
 
-    Runs the stable deep-seeded sweep, normalizes at m_top (where
-    1 - f < 2^-precision), and repeats with the tail depth doubled;
-    if any retained value moves by more than series_tol in relative
-    terms the evaluation is declared unstable (InstabilityError).
-    The all-positive recursion has no cancellation, so interior
-    residuals sit at rounding level.
+    One stable deep-seeded sweep (``_sweep``) keeps the window [-K, M]
+    and the values at two tail indices: m_top, where 1 - f <
+    2^-precision and the weight is normalized, and a deeper check
+    index.  If any retained value, normalized at the check index
+    instead, moves by more than series_tol in relative terms the
+    evaluation is declared unstable (InstabilityError).  The
+    all-positive recursion has no cancellation, so interior residuals
+    sit at rounding level.
     """
     if K < 4 or M < 4:
         raise DomainError(f"K and M must be >= 4, got K={K}, M={M}")
@@ -131,15 +146,15 @@ def lattice_weight(
     if buf < 8:
         raise DomainError(f"buffer must be >= 8, got {buf}")
 
-    g, lo, m_top = _raw_lattice(K, M, ctx, buf)
-    norm = g[m_top - lo]
-    values = {m: g[m - lo] / norm for m in range(-K, M + 1)}
+    window, (m_top, g_top), (m_check, g_check) = _sweep(K, M, ctx, buf)
+    raw = dict(zip(range(-K, M + 1), map(mp.make_mpf, window)))
+    norm = mp.make_mpf(g_top)
+    values = {m: g / norm for m, g in raw.items()}
 
-    g2, lo2, m_top2 = _raw_lattice(K, 2 * M, ctx, buf)
-    norm2 = g2[m_top2 - lo2]
+    norm2 = mp.make_mpf(g_check)
     tol = ctx.mpf(ctx.series_tol)
     for m in range(-K, M + 1):
-        v2 = g2[m - lo2] / norm2
+        v2 = raw[m] / norm2
         ref = abs(values[m])
         if ref == 0:
             continue

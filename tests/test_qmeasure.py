@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from qhermite2 import PrecisionContext
 from qhermite2.coherent import cs_norm_sq
-from qhermite2.errors import DomainError
+from qhermite2.errors import DomainError, InstabilityError
 from qhermite2.exact import bn_squared_exact, moment_In_exact
 from qhermite2.qkernel import rho_factorial
 from qhermite2.qmeasure import (
     MEASURE_TARGETS,
+    _default_buffer,
     build_measure,
     formal_series_partial,
     lattice_weight,
@@ -23,6 +27,62 @@ from qhermite2.qmeasure import (
 @pytest.fixture(scope="module")
 def weight_half(ctx_half):
     return lattice_weight(61, 120, ctx_half)
+
+
+def _ref_raw_lattice(K, M, ctx, buffer):
+    """The two-pass reference: one full sweep held as mpf objects."""
+    mp = ctx.mp
+    q = ctx.qm
+    ln_inv_q = -math.log(float(ctx.q))
+    m_top = max(
+        M + 2, math.ceil(ctx.precision_bits * math.log(2) / ln_inv_q) + 4
+    )
+    lo = -K - buffer - 2
+    n_points = m_top - lo + 1
+    g = [mp.mpf(0)] * n_points
+    g[1] = mp.mpf(1)
+    for i in range(n_points - 2):
+        m = lo + i
+        g[i + 2] = g[i + 1] + q ** (m + 1) * g[i]
+    return g, lo, m_top
+
+
+def _ref_lattice_weight(K, M, ctx):
+    """Weight by two full sweeps (tail indices M and 2M) with mpf operators."""
+    mp = ctx.mp
+    buf = _default_buffer(ctx)
+    g, lo, m_top = _ref_raw_lattice(K, M, ctx, buf)
+    norm = g[m_top - lo]
+    values = {m: g[m - lo] / norm for m in range(-K, M + 1)}
+    g2, lo2, m_top2 = _ref_raw_lattice(K, 2 * M, ctx, buf)
+    norm2 = g2[m_top2 - lo2]
+    tol = ctx.mpf(ctx.series_tol)
+    for m in range(-K, M + 1):
+        v2 = g2[m - lo2] / norm2
+        ref = abs(values[m])
+        if ref != 0 and abs(values[m] - v2) / ref > tol:
+            raise InstabilityError(f"moved at m={m}")
+    q = ctx.qm
+    residual_max = mp.mpf(0)
+    for m in range(-K, M - 1):
+        step = q ** (m + 1) * values[m]
+        res = abs(values[m + 1] - values[m + 2] + step)
+        scale = max(abs(values[m + 2]), abs(step), tol)
+        residual_max = max(residual_max, res / scale)
+    negative_count = sum(1 for v in values.values() if v < 0)
+    return values, residual_max, negative_count, m_top
+
+
+def _assert_bitwise_reference(K, M, ctx):
+    w = lattice_weight(K, M, ctx)
+    values, residual_max, negative_count, m_top = _ref_lattice_weight(K, M, ctx)
+    assert (w.m_min, w.m_max) == (-K, M)
+    assert {m: v._mpf_ for m, v in w.values.items()} == {
+        m: v._mpf_ for m, v in values.items()
+    }
+    assert w.residual_max._mpf_ == residual_max._mpf_
+    assert w.negative_count == negative_count
+    assert w.tail_init_index == m_top
 
 
 class TestLatticeWeight:
@@ -60,6 +120,42 @@ class TestLatticeWeight:
             lattice_weight(12, 3, ctx_half)
         with pytest.raises(DomainError):
             lattice_weight(12, 40, ctx_half, buffer=4)
+
+
+class TestStreamedSweep:
+    """The one-sweep weight is bitwise the two-pass mpf-operator reference."""
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    @pytest.mark.parametrize(
+        "q",
+        [
+            Fraction(1, 64),
+            Fraction(1, 5),
+            Fraction(1, 2),
+            Fraction(3, 4),
+            Fraction(29, 30),
+        ],
+        ids=str,
+    )
+    def test_matches_reference(self, q, bits):
+        _assert_bitwise_reference(61, 120, PrecisionContext(q, bits))
+
+    def test_matches_reference_near_q_one(self):
+        _assert_bitwise_reference(61, 120, PrecisionContext(Fraction(63, 64), 64))
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        q=st.fractions(Fraction(1, 64), Fraction(63, 64), max_denominator=64),
+        bits=st.integers(min_value=64, max_value=512),
+        K=st.integers(min_value=4, max_value=24),
+        M=st.integers(min_value=4, max_value=48),
+    )
+    def test_matches_reference_property(self, q, bits, K, M):
+        _assert_bitwise_reference(K, M, PrecisionContext(q, bits))
 
 
 class TestMoments:
