@@ -103,16 +103,15 @@ def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
     Seeds g = 0, 1 at exponents lo = -K - buffer - 2 and lo + 1 and runs
     on raw mpf values, each step the ``mpf_pow_int``, ``mpf_mul`` and
     ``mpf_add`` calls (working precision, round-to-nearest) that the mpf
-    operators make, up to the check index.  Only the window
+    operators make, up to the check index 2 m_top.  Only the window
     [-K, M] is kept.  Returns (window, (m_top, g_{m_top}),
     (m_check, g_{m_check})): the tail normalization index, where
-    1 - f < 2^-precision, and the tail index of the doubled-depth check.
+    1 - f < 2^-precision, and the check index at twice its depth.
     """
     prec = ctx.precision_bits
     q = ctx.qm._mpf_
-    floor = math.ceil(prec * math.log(2) / -math.log(float(ctx.q))) + 4
-    m_top = max(M + 2, floor)
-    m_check = max(2 * M + 2, floor)
+    m_top = max(M + 2, math.ceil(prec * math.log(2) / -math.log(float(ctx.q))) + 4)
+    m_check = 2 * m_top
     window, tails = [], {}
     g0, g1 = fzero, fone
     for m in range(-K - buffer - 2, m_check - 1):
@@ -132,8 +131,8 @@ def lattice_weight(
 
     One stable deep-seeded sweep (``_sweep``) keeps the window [-K, M]
     and the values at two tail indices: m_top, where 1 - f <
-    2^-precision and the weight is normalized, and a deeper check
-    index.  If any retained value, normalized at the check index
+    2^-precision and the weight is normalized, and the check index
+    2 m_top.  If any retained value, normalized at the check index
     instead, moves by more than series_tol in relative terms the
     evaluation is declared unstable (InstabilityError).  The
     all-positive recursion has no cancellation, so interior residuals
@@ -161,7 +160,8 @@ def lattice_weight(
         if abs(values[m] - v2) / ref > tol:
             raise InstabilityError(
                 f"lattice weight value at m={m} moved by more than "
-                f"series_tol under tail doubling (M={M} -> {2 * M})"
+                f"series_tol between the tail normalizations at "
+                f"m={m_top} and m={m_check}"
             )
 
     q = ctx.qm

@@ -16,6 +16,7 @@ from qhermite2.qkernel import rho_factorial
 from qhermite2.qmeasure import (
     MEASURE_TARGETS,
     _default_buffer,
+    _sweep,
     build_measure,
     formal_series_partial,
     lattice_weight,
@@ -120,6 +121,23 @@ class TestLatticeWeight:
             lattice_weight(12, 3, ctx_half)
         with pytest.raises(DomainError):
             lattice_weight(12, 40, ctx_half, buffer=4)
+
+
+class TestTailDoubling:
+    @pytest.mark.parametrize(
+        "q, bits", [(Fraction(1, 2), 256), (Fraction(63, 64), 128)], ids=str
+    )
+    def test_check_normalizer_is_deeper_and_agrees(self, q, bits):
+        # In both cases the precision floor sets m_top, so a check at the
+        # tail index for 2M would land on m_top itself.
+        ctx = PrecisionContext(q, bits)
+        buf = _default_buffer(ctx)
+        _, (m_top, g_top), (m_check, g_check) = _sweep(61, 120, ctx, buf)
+        assert m_top == lattice_weight(61, 120, ctx).tail_init_index
+        assert m_top > 2 * 120 + 2
+        assert m_check == 2 * m_top
+        top, check = ctx.mp.make_mpf(g_top), ctx.mp.make_mpf(g_check)
+        assert abs(check - top) / top < ctx.mpf(ctx.series_tol)
 
 
 class TestStreamedSweep:
