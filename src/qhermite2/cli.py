@@ -10,9 +10,11 @@ cs       coherent-state diagnostics for one z
 
 Conventions
 -----------
-Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 numeric or
-convergence failure (with a JSON error object), 4 internal error (an
-unexpected exception: traceback on stderr, JSON error object).  CSV
+Exit codes: 0 pass, 1 verification failure, 2 usage error (an ``--out``
+path that cannot be written also prints a JSON error object to stdout),
+3 numeric or convergence failure (with a JSON error object), 4 internal
+error (an unexpected exception: traceback on stderr, JSON error
+object).  CSV
 output is comma-separated with a fixed header row and LF line endings;
 JSON output is a single top-level object carrying ``schema_version``.
 All numerics are printed as decimal strings that parse back to the same
@@ -256,6 +258,21 @@ def _write(text: str, out_path: Optional[str]) -> None:
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _emit(ns, text: str, code: int) -> int:
+    """Write ``text`` to ``--out`` (else stdout) and return ``code``.
+
+    An ``--out`` path that cannot be written is a usage error: exit 2,
+    with the JSON error object on stdout instead.
+    """
+    try:
+        _write(text, getattr(ns, "out", None))
+    except OSError as exc:
+        sys.stderr.write(f"usage error: cannot write --out: {exc}\n")
+        _write(_error_payload(ns, exc), None)
+        return _EXIT_USAGE
+    return code
 
 
 def _error_payload(ns, exc: Exception) -> str:
@@ -983,6 +1000,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out = _cmd_measure(ns, ctx)
         else:
             out = _cmd_cs(ns, ctx)
+        text = _render(out, ns)
     except DomainError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return _EXIT_USAGE
@@ -996,20 +1014,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         FormalSeriesError,
         DegenerateRootError,
     ) as exc:
-        _write(_error_payload(ns, exc), getattr(ns, "out", None))
-        return _EXIT_NUMERIC
+        return _emit(ns, _error_payload(ns, exc), _EXIT_NUMERIC)
     except AlgebraViolation as exc:
-        _write(_error_payload(ns, exc), getattr(ns, "out", None))
-        return _EXIT_FAIL
+        return _emit(ns, _error_payload(ns, exc), _EXIT_FAIL)
     except Exception as exc:  # a fault of ours must not read as a failed gate
         import traceback  # only this path needs it; keeps it out of start-up
 
         traceback.print_exc(file=sys.stderr)
-        _write(_error_payload(ns, exc), getattr(ns, "out", None))
-        return _EXIT_INTERNAL
+        return _emit(ns, _error_payload(ns, exc), _EXIT_INTERNAL)
 
-    _write(_render(out, ns), ns.out)
-    return out.exit_code
+    return _emit(ns, text, out.exit_code)
 
 
 if __name__ == "__main__":

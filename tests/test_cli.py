@@ -245,6 +245,22 @@ class TestExitCodes:
         assert doc["error"] == {"type": "RuntimeError", "message": "injected fault"}
         assert "Traceback" in err and "injected fault" in err
 
+    def test_unwritable_out_returns_two_with_payload(self, capsys, tmp_path):
+        bad = str(tmp_path / "missing" / "x.csv")
+        for argv, code_without_out in (
+            (["poly", "--n", "3", "--x", "1/2"], 0),
+            (["cs", "--z-re", "50", "--trunc", "4"], 3),
+        ):
+            assert run_cli(capsys, argv)[0] == code_without_out
+            code, out, err = run_cli(capsys, argv + ["--out", bad])
+            assert code == 2
+            doc = json.loads(out)
+            assert doc["command"] == argv[0]
+            assert doc["error"]["type"] == "FileNotFoundError"
+            assert bad in doc["error"]["message"]
+            assert "usage error" in err and "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+
 
 def test_module_invocation_round_trip():
     # The child imports the package under test, found or not on PYTHONPATH.
