@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -260,6 +261,45 @@ class TestExitCodes:
             assert bad in doc["error"]["message"]
             assert "usage error" in err and "Traceback" not in err
         assert not (tmp_path / "missing").exists()
+
+
+# Exit code and SHA-256 of stdout of the lattice subcommands, recorded
+# from the two-sweep lattice weight that the one-sweep version replaced:
+# q, bits, job, exit code, digest.
+_PINNED_LATTICE_OUTPUT = """
+1/2 256 jackson-y 0 848322c6183617109c19773c00b4bf81987e8301dae8d3b8ebb238a20b74aa1e
+1/2 256 jackson-x 0 da090c5a47dbf99a21e600290ab1dd563ed687114328b1d4f09bade29ba31202
+1/2 256 jackson-z-radial 0 9af7757e84041faf52105e09bcf4edab4d0dde9cdfc2f2d042e58add160c925d
+1/2 256 moments 0 dbe0b0923fc24cf01571c28046d0bdeb3ba2a6f405d8a364d16ee0c4ec7fad22
+1/2 256 unity 0 6d7da677ade919909793216ab98141fa6501868703368354e0692f81c108bf37
+3/4 128 jackson-y 0 bb1a64af0a6645d3c0014cb24abf69f1c3388ec32fdf068c985fd25137a5ce56
+3/4 128 jackson-x 0 98a720ae1c33580e0317bb2ca9abd9e645b4eb7167af0f1c8ceae6605b2203ff
+3/4 128 jackson-z-radial 0 e2d2248093d6f8be54f6470229c6e52ac6759a09eccaa8cd8502d59826290227
+3/4 128 moments 1 e09f9660a24094fdec829f2807a74e8f8bc34c3b27d33dbf61d4f4eb937a0634
+3/4 128 unity 0 7b1c1ea09e4ca556a15ffe2e9b31ab1df97fd954ab9f0a3b095f2634a5f5bc7c
+1/5 64 jackson-y 0 9736a4f2709ccfcbd1cbf293945f0d93eb933dfaf06d991aa3a0305405ac3cfa
+1/5 64 jackson-x 0 933ac5fd9edaf209068393b6227d67d88b86826ffc04ffe4dc7f1bb33947c497
+1/5 64 jackson-z-radial 0 62df22257df0264a9911811b666093b76911447eb510e500d9a82b04120eecd3
+1/5 64 moments 0 775646a1ffd5d3c3e03f69a75eb27aa6a817f6a2e8917fa5228f6c023e690c99
+1/5 64 unity 0 47b980485789dce0001dd1aa4fe2a75f15540730f52f7fc925904a9056c6855d
+"""
+
+
+@pytest.mark.parametrize(
+    "q, bits, job, code, digest",
+    [
+        pytest.param(*fields, id="-".join(fields[:3]))
+        for fields in map(str.split, _PINNED_LATTICE_OUTPUT.strip().splitlines())
+    ],
+)
+def test_lattice_output_pinned(capsys, q, bits, job, code, digest):
+    if job.startswith("jackson-"):
+        argv = ["measure", "--type", "jackson", "--variable", job[len("jackson-"):]]
+    else:
+        argv = ["verify", "--suite", job]
+    got, out, _ = run_cli(capsys, argv + [f"--q={q}", f"--precision-bits={bits}"])
+    assert got == int(code)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_module_invocation_round_trip():
