@@ -13,7 +13,11 @@ recursion from the f -> 1 end amplifies the seed error by q^{-m} per
 step and collapses in two steps (see discrepancy registry entry
 ``lattice_weight_scheme``).  The seed contamination of the deep end
 decays like q^{buffer/2}, so the default buffer is sized to push it
-below working precision.
+below working precision.  ``lattice_weight`` makes one streamed sweep
+on raw mpf values from the deep seeds to twice the tail depth and
+retains only the requested window and the two tail values it
+normalizes and checks against (the standard one-pass evaluation of a
+minimal solution; W. Gautschi, SIAM Rev. 9 (1967) 24-82).
 
 Moments of the weight against the hat integral reproduce
 I_n = q^{-n^2} (q; q)_n, and the associated point-mass measures carry
@@ -112,16 +116,16 @@ def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
     q = ctx.qm._mpf_
     m_top = max(M + 2, math.ceil(prec * math.log(2) / -math.log(float(ctx.q))) + 4)
     m_check = 2 * m_top
-    window, tails = [], {}
+    window = []
     g0, g1 = fzero, fone
     for m in range(-K - buffer - 2, m_check - 1):
         step = mpf_mul(mpf_pow_int(q, m + 1, prec, _RND), g0, prec, _RND)
         g0, g1 = g1, mpf_add(g1, step, prec, _RND)
         if -K <= m + 2 <= M:
             window.append(g1)
-        elif m + 2 in (m_top, m_check):
-            tails[m + 2] = g1
-    return window, (m_top, tails[m_top]), (m_check, tails[m_check])
+        elif m + 2 == m_top:
+            g_top = g1
+    return window, (m_top, g_top), (m_check, g1)
 
 
 def lattice_weight(
