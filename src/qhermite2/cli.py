@@ -13,10 +13,10 @@ Conventions
 Exit codes: 0 pass, 1 verification failure, 2 usage error (an ``--out``
 path that cannot be written also prints a JSON error object to stdout),
 3 numeric or convergence failure (with a JSON error object), 4 internal
-error (an unexpected exception: traceback on stderr, JSON error
-object).  CSV
-output is comma-separated with a fixed header row and LF line endings;
-JSON output is a single top-level object carrying ``schema_version``.
+error (an unexpected exception: traceback on stderr, JSON error object).
+CSV output is comma-separated with a fixed header row and LF line
+endings; JSON output is a single top-level object carrying
+``schema_version``.
 All numerics are printed as decimal strings that parse back to the same
 value at the same working precision.  Identical invocations produce
 byte-identical output.  Verification reports embed the discrepancy
@@ -252,25 +252,22 @@ def _config_echo(ns: argparse.Namespace) -> Dict[str, str]:
     return echo
 
 
-def _write(text: str, out_path: Optional[str]) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 def _emit(ns, text: str, code: int) -> int:
     """Write ``text`` to ``--out`` (else stdout) and return ``code``.
 
     An ``--out`` path that cannot be written is a usage error: exit 2,
     with the JSON error object on stdout instead.
     """
+    out_path = getattr(ns, "out", None)
+    if out_path is None:
+        sys.stdout.write(text)
+        return code
     try:
-        _write(text, getattr(ns, "out", None))
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
         sys.stderr.write(f"usage error: cannot write --out: {exc}\n")
-        _write(_error_payload(ns, exc), None)
+        sys.stdout.write(_error_payload(ns, exc))
         return _EXIT_USAGE
     return code
 
