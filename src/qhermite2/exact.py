@@ -234,18 +234,28 @@ class Poly:
 
     def eval_mp(self, ctx, x):
         """Evaluate at an mpf/mpc point by Horner in ctx's precision."""
+        return self.mp_evaluator(ctx)(x)
+
+    def mp_evaluator(self, ctx):
+        """Horner evaluator at mpf/mpc points in ctx's precision.
+
+        The coefficients are rounded once, here, not on every call.  The
+        accumulator is complex when a coefficient or the point is.
+        """
         mp = ctx.mp
-        complex_needed = isinstance(x, mp.mpc) or any(
-            c.im != 0 for c in self.coeffs
-        )
-        acc = mp.mpc(0) if complex_needed else mp.mpf(0)
-        for c in reversed(self.coeffs):
-            if c.im == 0:
-                cv = ctx.mpf(c.re)
-            else:
-                cv = mp.mpc(ctx.mpf(c.re), ctx.mpf(c.im))
-            acc = acc * x + cv
-        return acc
+        complex_coeffs = any(c.im != 0 for c in self.coeffs)
+        coeffs = [
+            ctx.mpf(c.re) if c.im == 0 else mp.mpc(ctx.mpf(c.re), ctx.mpf(c.im))
+            for c in reversed(self.coeffs)
+        ]
+
+        def horner(x):
+            acc = mp.mpc(0) if complex_coeffs or isinstance(x, mp.mpc) else mp.mpf(0)
+            for cv in coeffs:
+                acc = acc * x + cv
+            return acc
+
+        return horner
 
     def shift(self, c: ScalarLike) -> "Poly":
         """Compose with x + c, returning p(x + c), exactly."""

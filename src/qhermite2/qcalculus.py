@@ -41,6 +41,7 @@ from .exact import (
     jackson_monomial_exact,
     qbracket,
 )
+from .qkernel import q_power
 
 __all__ = [
     "LatticeFunction",
@@ -102,7 +103,7 @@ Evaluatable = Union[Callable, Poly]
 
 def _as_callable(f: Evaluatable, ctx: PrecisionContext) -> Callable:
     if isinstance(f, Poly):
-        return lambda t: f.eval_mp(ctx, t)
+        return f.mp_evaluator(ctx)
     return f
 
 
@@ -255,7 +256,7 @@ def hat_q_integral(
     else:
         func = _as_callable(f, ctx)
         def sample(m: int):
-            return func(q**m)
+            return func(q_power(m, ctx))
 
     total = mp.mpf(0)
     max_grow = mp.mpf(0)
@@ -265,8 +266,8 @@ def hat_q_integral(
     for k in range(K + 1):
         m_down = 1 - k
         m_up = k + 2
-        t_grow = q**m_down * sample(m_down)
-        t_shrink = q**m_up * sample(m_up)
+        t_grow = q_power(m_down, ctx) * sample(m_down)
+        t_shrink = q_power(m_up, ctx) * sample(m_up)
         total = total + t_grow + t_shrink
         max_grow = max(max_grow, abs(t_grow))
         max_shrink = max(max_shrink, abs(t_shrink))
@@ -381,30 +382,31 @@ def ibp_residual(
     else:
         vf = _as_callable(v, ctx)
         def v_at(m: int):
-            return vf(q**m)
+            return vf(q_power(m, ctx))
 
     def dv_at(m: int):
         # (dhat v)(q^m) = q^{1-m} (v(q^{m-2}) - v(q^{m-1}))
-        return q ** (1 - m) * (v_at(m - 2) - v_at(m - 1))
+        return q_power(1 - m, ctx) * (v_at(m - 2) - v_at(m - 1))
 
     du = _dhat_callable(uf, ctx)
 
     def lhs_sample(m: int):
         # u(q^m) * (dhat v)(q * q^m) summed against the hat measure
-        return uf(q**m) * dv_at(m + 1)
+        return uf(q_power(m, ctx)) * dv_at(m + 1)
 
     def rhs_sample(m: int):
-        return v_at(m - 2) * du(q**m)
+        return v_at(m - 2) * du(q_power(m, ctx))
 
     lhs_total = mp.mpf(0)
     rhs_total = mp.mpf(0)
     for k in range(K + 1):
         for m in (1 - k, k + 2):
-            lhs_total = lhs_total + q**m * lhs_sample(m)
-            rhs_total = rhs_total + q**m * rhs_sample(m)
+            qm = q_power(m, ctx)
+            lhs_total = lhs_total + qm * lhs_sample(m)
+            rhs_total = rhs_total + qm * rhs_sample(m)
     lhs = lhs_total  # the Jacobian q cancels the measure's q^{-1} prefactor
     # boundary [uv]_0^inf: deep end ~ 0 for decaying v, 0-end -> u(0) v(0+)
-    deep = uf(q ** (-K)) * v_at(-K)
+    deep = uf(q_power(-K, ctx)) * v_at(-K)
     zero_end = uf(mp.mpf(0)) * v_at(K + 4)
     rhs = (deep - zero_end) - rhs_total / q
     return abs(lhs - rhs)

@@ -1,10 +1,17 @@
 """q-arithmetic primitives and basic hypergeometric series.
 
-This is the numeric substrate of the package: q-numbers, q-Pochhammer
-symbols (finite and infinite), the three-term recurrence coefficients
-b_n, the generalized ladder factorial, a generic terminating/convergent
-rphi_s evaluator, the generalized q-exponential, and the continuous
-orthogonality weight W.
+This is the numeric substrate of the package: integer powers of q,
+q-numbers, q-Pochhammer symbols (finite and infinite), the three-term
+recurrence coefficients b_n, the generalized ladder factorial, a generic
+terminating/convergent rphi_s evaluator, the generalized q-exponential,
+and the continuous orthogonality weight W.
+
+Every integer power q^n of the rounded q in the series, calculus and
+lattice layers comes from one kernel, :func:`q_power` (raw tuples:
+:func:`q_power_raw`).  It is bitwise ``mpf_pow_int``, which is what
+``ctx.qm ** n`` computes, but keeps the chain of truncated squarings
+q, q^2, q^4, ... in the context per working precision, so each call
+only multiplies the entries for the set bits of n.
 
 Scalar results are plain mpf/mpc values bound to the calling context's
 precision.  Because mpmath exponents are bignums, partial products like
@@ -22,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
+
+from mpmath.libmp import MPZ_ONE, fone, mpf_div, mpf_pow_int, normalize, round_nearest
 
 from .context import PrecisionContext, default_context
 from .errors import (
@@ -47,6 +56,8 @@ __all__ = [
 # considered converged.  q-series can plateau (q^{n^2} beats x^n only
 # eventually), so a single small term is not evidence of convergence.
 _STREAK = 3
+
+_RND = round_nearest
 
 
 @dataclass(frozen=True)
@@ -79,6 +90,75 @@ class HypergeometricSpec:
             raise DomainError("terminating_at must be a nonnegative integer")
 
 
+def q_power_raw(n: int, ctx: PrecisionContext) -> tuple:
+    """q^n as a raw mpf tuple, bitwise ``ctx.qm ** n``.
+
+    ``ctx.qm ** n`` is ``mpf_pow_int(q, n, prec, round_nearest)`` at the
+    current ``ctx.mp.prec``.  For n with bc*n >= 1000 (bc the mantissa
+    bit count of q) that is a binary exponentiation whose chain of
+    truncated squarings q, q^2, q^4, ... depends only on q and the
+    working precision prec + 4 bitcount(n) + 4, not on n.  Here the
+    chain is built once per working precision and kept in
+    ``ctx.tables``; each call multiplies the chain entries of the set
+    bits of n, least significant first, truncating exactly as
+    ``mpf_pow_int`` does.  n < -1 is the reciprocal of the power at
+    prec + 5, as there; every other branch (n in -1..2, q a power of
+    two, exact small powers) is ``mpf_pow_int`` itself.  Only the
+    context's own precision is cached: inside an ``mp.workprec`` block
+    the call is ``mpf_pow_int`` on ``ctx.qm`` at that precision.
+    """
+    prec = ctx.mp.prec
+    if prec != ctx.precision_bits:
+        return mpf_pow_int(ctx.qm._mpf_, n, prec, _RND)
+    powers = ctx.tables.get("q_power")
+    if powers is None:
+        powers = ctx.tables["q_power"] = (ctx.qm._mpf_, {})
+    q, chains = powers
+    if n < -1:
+        return mpf_div(fone, _positive_power(q, -n, prec + 5, chains), prec, _RND)
+    return _positive_power(q, n, prec, chains)
+
+
+def q_power(n: int, ctx: PrecisionContext):
+    """q^n as an mpf, bitwise ``ctx.qm ** n`` (see :func:`q_power_raw`)."""
+    return ctx.mp.make_mpf(q_power_raw(n, ctx))
+
+
+def _positive_power(q: tuple, n: int, prec: int, chains: dict) -> tuple:
+    """``mpf_pow_int(q, n, prec, round_nearest)`` for q > 0 and n >= -1."""
+    _, man, exp, bc = q
+    if n <= 2 or man == 1 or bc * n < 1000:
+        return mpf_pow_int(q, n, prec, _RND)
+    workprec = prec + 4 * n.bit_length() + 4
+    chain = chains.get(workprec)
+    if chain is None:
+        chain = chains[workprec] = _squarings(man, exp, n.bit_length(), workprec)
+    pm, pe = MPZ_ONE, 0
+    for bit, (cm, ce) in zip(bin(n)[:1:-1], chain):
+        if bit == "1":
+            pm *= cm
+            pe += ce
+            excess = pm.bit_length() - workprec
+            if excess > 0:
+                pm >>= excess
+                pe += excess
+    return normalize(0, pm, pe, pm.bit_length(), prec, _RND)
+
+
+def _squarings(man, exp: int, count: int, workprec: int) -> tuple:
+    """(man, exp) of q^(2^k), k < count, each square truncated to workprec."""
+    chain = [(man, exp)]
+    for _ in range(count - 1):
+        man *= man
+        exp += exp
+        excess = man.bit_length() - workprec
+        if excess > 0:
+            man >>= excess
+            exp += excess
+        chain.append((man, exp))
+    return tuple(chain)
+
+
 def q_number(n: int, ctx: PrecisionContext):
     """q-number [n]_q = (1 - q^n)/(1 - q).
 
@@ -86,8 +166,7 @@ def q_number(n: int, ctx: PrecisionContext):
     """
     if n < 0:
         raise DomainError(f"q_number needs n >= 0, got {n}")
-    q = ctx.qm
-    return (1 - q**n) / (1 - q)
+    return (1 - q_power(n, ctx)) / (1 - ctx.qm)
 
 
 def q_pochhammer(a, k: int, ctx: PrecisionContext):
@@ -178,15 +257,14 @@ def rho_factorial(n: int, ctx: PrecisionContext):
         raise DomainError(f"rho_factorial needs n >= 0, got {n}")
     q = ctx.qm
     poch = q_pochhammer(q, n, ctx)
-    return (q / (1 - q)) ** n * q ** (-(n * n)) * poch
+    return (q / (1 - q)) ** n * q_power(-(n * n), ctx) * poch
 
 
 def _term_ratio(spec: HypergeometricSpec, k: int, ctx: PrecisionContext):
     """T_{k+1}/T_k for the basic hypergeometric series."""
     mp = ctx.mp
-    q = ctx.qm
     e = 1 + len(spec.lower) - len(spec.upper)
-    qk = q**k
+    qk = q_power(k, ctx)
     num = mp.mpf(1) if not any(
         isinstance(a, (complex, mp.mpc)) for a in spec.upper
     ) else mp.mpc(1)
@@ -203,9 +281,9 @@ def _term_ratio(spec: HypergeometricSpec, k: int, ctx: PrecisionContext):
                 "before the zero denominator (set terminating_at)"
             )
         den = den * factor
-    den = den * (1 - q ** (k + 1))
+    den = den * (1 - q_power(k + 1, ctx))
     z = ctx.mpc(spec.z) if isinstance(spec.z, (complex, mp.mpc)) else ctx.mpf(spec.z)
-    ratio = num / den * z * q ** (e * k)
+    ratio = num / den * z * q_power(e * k, ctx)
     if e % 2 == 1:
         ratio = -ratio
     return ratio
@@ -276,14 +354,13 @@ def gen_exponential(x, ctx: PrecisionContext):
     """
     mp = ctx.mp
     xv = ctx.mpc(x) if isinstance(x, (complex, mp.mpc)) else ctx.mpf(x)
-    q = ctx.qm
     tol = ctx.mpf(ctx.series_tol)
     total = xv * 0
     term = 1 + xv * 0
     streak = 0
     for n in range(ctx.max_terms):
         total = total + term
-        ratio = q ** (2 * n + 1) * xv / (1 - q ** (n + 1))
+        ratio = q_power(2 * n + 1, ctx) * xv / (1 - q_power(n + 1, ctx))
         term = term * ratio
         if abs(term) <= tol * abs(total):
             streak += 1

@@ -33,14 +33,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, mpf_pow_int, round_nearest
+from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, round_nearest
 
 from .coherent import cs_norm_sq
 from .context import PrecisionContext
 from .errors import DomainError, InstabilityError
 from .exact import moment_In_exact
 from .qcalculus import LatticeFunction, hat_q_integral
-from .qkernel import rho_factorial
+from .qkernel import q_power, q_power_raw, rho_factorial
 
 __all__ = [
     "LatticeWeight",
@@ -105,21 +105,21 @@ def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
     """One streamed upward sweep of g_{m+2} = g_{m+1} + q^{m+1} g_m.
 
     Seeds g = 0, 1 at exponents lo = -K - buffer - 2 and lo + 1 and runs
-    on raw mpf values, each step the ``mpf_pow_int``, ``mpf_mul`` and
-    ``mpf_add`` calls (working precision, round-to-nearest) that the mpf
-    operators make, up to the check index 2 m_top.  Only the window
+    on raw mpf values up to the check index 2 m_top.  Each step is
+    ``q_power_raw`` (bitwise ``q ** (m + 1)``, without re-squaring q)
+    and the ``mpf_mul`` and ``mpf_add`` calls (working precision,
+    round-to-nearest) that the mpf operators make.  Only the window
     [-K, M] is kept.  Returns (window, (m_top, g_{m_top}),
     (m_check, g_{m_check})): the tail normalization index, where
     1 - f < 2^-precision, and the check index at twice its depth.
     """
     prec = ctx.precision_bits
-    q = ctx.qm._mpf_
     m_top = max(M + 2, math.ceil(prec * math.log(2) / -math.log(float(ctx.q))) + 4)
     m_check = 2 * m_top
     window = []
     g0, g1 = fzero, fone
     for m in range(-K - buffer - 2, m_check - 1):
-        step = mpf_mul(mpf_pow_int(q, m + 1, prec, _RND), g0, prec, _RND)
+        step = mpf_mul(q_power_raw(m + 1, ctx), g0, prec, _RND)
         g0, g1 = g1, mpf_add(g1, step, prec, _RND)
         if -K <= m + 2 <= M:
             window.append(g1)
@@ -168,10 +168,9 @@ def lattice_weight(
                 f"m={m_top} and m={m_check}"
             )
 
-    q = ctx.qm
     residual_max = mp.mpf(0)
     for m in range(-K, M - 1):
-        step = q ** (m + 1) * values[m]
+        step = q_power(m + 1, ctx) * values[m]
         res = abs(values[m + 1] - values[m + 2] + step)
         scale = max(abs(values[m + 2]), abs(step), tol)
         residual_max = max(residual_max, res / scale)
@@ -220,7 +219,6 @@ def formal_series_partial(
     yv = ctx.mpf(y)
     if yv < 0:
         raise DomainError(f"lattice variable must be >= 0, got {y}")
-    q = ctx.qm
     if yv == 0:
         return FormalSeriesPartial(
             value=mp.mpf(1), optimal_index=1, error_estimate=mp.mpf(0),
@@ -230,7 +228,7 @@ def formal_series_partial(
     term = mp.mpf(1)
     n = 0
     while n < n_terms:
-        nxt = term * (-yv) * q ** (-n) / (1 - q ** (n + 1))
+        nxt = term * (-yv) * q_power(-n, ctx) / (1 - q_power(n + 1, ctx))
         if abs(nxt) >= abs(term):
             break
         total = total + term
@@ -273,7 +271,6 @@ def moment_In(
     if M < K + 2:
         raise DomainError(f"tail depth M={M} too small for K={K}")
     mp = ctx.mp
-    q = ctx.qm
     if weight is None:
         weight = lattice_weight(K + 1, M, ctx)
     elif weight.m_min > -(K + 1) or weight.m_max < K:
@@ -282,7 +279,7 @@ def moment_In(
             f"does not cover [{-(K + 1)}, {K}]"
         )
     integrand = {
-        j: q ** (j * n) * weight.value(j - 2)
+        j: q_power(j * n, ctx) * weight.value(j - 2)
         for j in range(1 - K, K + 3)
     }
     lattice_fn = LatticeFunction(
@@ -358,10 +355,10 @@ def build_measure(
     exponents = [1 - k for k in range(K + 1)] + [k + 2 for k in range(K + 1)]
     branch_split = K + 1
 
-    y_masses = [q ** (m - 1) * weight.value(m - 2) for m in exponents]
+    y_masses = [q_power(m - 1, ctx) * weight.value(m - 2) for m in exponents]
 
     if target == "y-variable":
-        support = [q**m for m in exponents]
+        support = [q_power(m, ctx) for m in exponents]
         masses = y_masses
         constants = {
             "mass_formula": "q^(m-1) * f(q^(m-2)) at y = q^m",
@@ -369,7 +366,7 @@ def build_measure(
         }
     else:
         c = q / (1 - q)
-        support = [c * q**m for m in exponents]
+        support = [c * q_power(m, ctx) for m in exponents]
         nu = [w / mp.pi for w in y_masses]
         if target == "x-variable":
             masses = nu

@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qhermite2.errors import DomainError
+from qhermite2 import PrecisionContext
+from qhermite2.errors import DomainError, NoConvergenceError
 from qhermite2.exact import bn_squared_exact
+from qhermite2.qhermite import hermite2_eval_direct
 from qhermite2.qkernel import (
+    HypergeometricSpec,
+    _is_complexy,
     b_coeff,
     gen_exponential,
+    phi_rs,
     q_number,
     q_pochhammer,
     q_pochhammer_inf,
+    q_power,
+    q_power_raw,
     rho_factorial,
     weight_W,
 )
@@ -129,3 +138,184 @@ class TestWeightW:
             if prev is not None:
                 assert v < prev
             prev = v
+
+
+class TestQPower:
+    """q_power_raw is bitwise ``ctx.qm ** n``, the per-call binary power."""
+
+    # Every branch of mpf_pow_int: n in -1..2, the power at prec + 5 for
+    # n < -1, q = 1/2 (mantissa 1), q = 63/64 on both sides of the exact
+    # bc*n < 1000 path (bc = 6: n = 166 exact, n = 167 binary), and the
+    # binary exponentiation up to |n| = 2^17.
+    EXPONENTS = (
+        0, 1, -1, 2, -2, 3, -3, 166, 167, -166, -167, 1000, -1000, 12345,
+        -54321, 2**17 - 1, 2**17, -(2**17),
+    )
+
+    @pytest.mark.parametrize("bits", [64, 128, 512])
+    @pytest.mark.parametrize(
+        "q", [Fraction(1, 2), Fraction(63, 64), Fraction(3, 10), Fraction(40, 41)]
+    )
+    def test_matches_operator_power(self, q, bits):
+        ctx = PrecisionContext(q, bits)
+        qm = ctx.qm
+        for n in self.EXPONENTS + tuple(range(-300, 301)):
+            want = (qm**n)._mpf_
+            assert q_power_raw(n, ctx) == want, n
+            assert q_power(n, ctx)._mpf_ == want, n
+
+    def test_squaring_chains_only_per_working_precision(self):
+        ctx = PrecisionContext(Fraction(40, 41), 256)
+        for n in range(-3000, 3001):
+            q_power_raw(n, ctx)
+        _, chains = ctx.tables["q_power"]
+        # one chain per bit length of |n| and sign, none per exponent
+        assert len(chains) <= 2 * (3000).bit_length()
+        assert all(len(c) <= (3000).bit_length() for c in chains.values())
+
+    def test_other_precision_is_not_cached(self):
+        ctx = PrecisionContext(Fraction(63, 64), 128)
+        with ctx.mp.workprec(128 + 77):
+            qm = ctx.qm
+            for n in self.EXPONENTS:
+                assert q_power_raw(n, ctx) == (qm**n)._mpf_, n
+        assert "q_power" not in ctx.tables
+        qm = ctx.qm
+        for n in self.EXPONENTS:
+            assert q_power_raw(n, ctx) == (qm**n)._mpf_, n
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        b=st.integers(2, 1000),
+        a_frac=st.floats(0, 1, exclude_max=True),
+        bits=st.integers(64, 512),
+        ns=st.lists(st.integers(-(10**5), 10**5), min_size=1, max_size=30),
+    )
+    def test_property_rational_q(self, b, a_frac, bits, ns):
+        a = 1 + int(a_frac * (b - 1))
+        ctx = PrecisionContext(Fraction(a, b), bits)
+        qm = ctx.qm
+        for n in ns:
+            assert q_power_raw(n, ctx) == (qm**n)._mpf_, n
+
+
+# Test-local copies of the series kernels as they were with the per-call
+# operator power ``q ** n``; the kernel-routed versions must equal them.
+
+
+def _ref_term_ratio(spec, k, ctx):
+    mp = ctx.mp
+    q = ctx.qm
+    e = 1 + len(spec.lower) - len(spec.upper)
+    qk = q**k
+    cplx = any(isinstance(a, (complex, mp.mpc)) for a in spec.upper)
+    num = mp.mpc(1) if cplx else mp.mpf(1)
+    for a in spec.upper:
+        av = ctx.mpc(a) if isinstance(a, (complex, mp.mpc)) else ctx.mpf(a)
+        num = num * (1 - av * qk)
+    den = mp.mpf(1)
+    for b in spec.lower:
+        bv = ctx.mpc(b) if isinstance(b, (complex, mp.mpc)) else ctx.mpf(b)
+        den = den * (1 - bv * qk)
+    den = den * (1 - q ** (k + 1))
+    z = ctx.mpc(spec.z) if isinstance(spec.z, (complex, mp.mpc)) else ctx.mpf(spec.z)
+    ratio = num / den * z * q ** (e * k)
+    return -ratio if e % 2 == 1 else ratio
+
+
+def _ref_phi_rs(spec, ctx):
+    mp = ctx.mp
+    total = mp.mpc(0) if _is_complexy(spec, ctx) else mp.mpf(0)
+    term = mp.mpf(1) + total * 0
+    tol = ctx.mpf(ctx.series_tol)
+    streak = 0
+    for k in range(ctx.max_terms):
+        total = total + term
+        if spec.terminating_at is not None and k == spec.terminating_at:
+            return total
+        ratio = _ref_term_ratio(spec, k, ctx)
+        term = term * ratio
+        if spec.terminating_at is None:
+            if abs(term) <= tol * abs(total):
+                streak += 1
+                if streak >= 3 and abs(ratio) < 0.5:
+                    return total
+            else:
+                streak = 0
+    raise NoConvergenceError("reference phi_rs did not converge")
+
+
+def _ref_gen_exponential(x, ctx):
+    mp = ctx.mp
+    xv = ctx.mpc(x) if isinstance(x, (complex, mp.mpc)) else ctx.mpf(x)
+    q = ctx.qm
+    tol = ctx.mpf(ctx.series_tol)
+    total = xv * 0
+    term = 1 + xv * 0
+    streak = 0
+    for n in range(ctx.max_terms):
+        total = total + term
+        ratio = q ** (2 * n + 1) * xv / (1 - q ** (n + 1))
+        term = term * ratio
+        if abs(term) <= tol * abs(total):
+            streak += 1
+            if streak >= 3 and abs(ratio) < 0.5:
+                return total
+        else:
+            streak = 0
+    raise NoConvergenceError("reference gen_exponential did not converge")
+
+
+def _ref_hermite2_eval_direct(n, x, ctx):
+    mp = ctx.mp
+    guard = (
+        int(math.ceil((n * (n - 1) / 2) * math.log2(1 / float(ctx.q))))
+        + int(math.ceil(n * math.log2(2 + abs(complex(x)))))
+        + 64
+    )
+    with mp.workprec(ctx.precision_bits + guard):
+        q = ctx.qm
+        xv = ctx.mpc(x)
+        spec = HypergeometricSpec(
+            upper=(q ** (-n), mp.mpc(0, 1) * xv),
+            lower=(),
+            z=-(q**n),
+            terminating_at=n,
+        )
+        value = _ref_phi_rs(spec, ctx)
+        prefactor = mp.mpc(0, 1) ** (-n) * q ** (-(n * (n - 1)) // 2)
+        out = prefactor * mp.mpc(value)
+    return mp.mpc(out)
+
+
+SERIES_CONTEXTS = [
+    pytest.param(Fraction(q), bits, id=f"{q}-{bits}")
+    for q in ("3/10", "1/2", "40/41")
+    for bits in (64, 256)
+]
+
+
+@pytest.mark.parametrize("q, bits", SERIES_CONTEXTS)
+class TestSeriesKernelsBitwise:
+    def test_gen_exponential(self, q, bits):
+        ctx = PrecisionContext(q, bits)
+        for x in (Fraction(1, 2), Fraction(-7, 3), 5, complex(1, -2)):
+            assert gen_exponential(x, ctx) == _ref_gen_exponential(x, ctx), x
+
+    def test_phi_rs(self, q, bits):
+        ctx = PrecisionContext(q, bits)
+        specs = (
+            HypergeometricSpec((Fraction(1, 3),), (Fraction(1, 5),), Fraction(1, 2)),
+            HypergeometricSpec((), (Fraction(-1, 4),), Fraction(3, 2)),
+            HypergeometricSpec((Fraction(1, 7), complex(0, 1)), (), -1, terminating_at=9),
+            HypergeometricSpec((Fraction(2, 3),), (), Fraction(1, 4)),
+        )
+        for spec in specs:
+            assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx), spec
+
+    def test_hermite2_eval_direct(self, q, bits):
+        ctx = PrecisionContext(q, bits)
+        for n in (0, 1, 2, 5, 9):
+            for x in (Fraction(1, 2), Fraction(-13, 5)):
+                got = hermite2_eval_direct(n, x, ctx)
+                assert got == _ref_hermite2_eval_direct(n, x, ctx), (n, x)
