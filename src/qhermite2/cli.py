@@ -10,10 +10,12 @@ cs       coherent-state diagnostics for one z
 
 Conventions
 -----------
-Exit codes: 0 pass, 1 verification failure, 2 usage error (an ``--out``
-path that cannot be written also prints a JSON error object to stdout),
-3 numeric or convergence failure (with a JSON error object), 4 internal
-error (an unexpected exception: traceback on stderr, JSON error object).
+Exit codes: 0 pass, 1 verification failure, 2 usage error (a
+``DomainError``, which every input check raises; an ``--out`` path that
+cannot be written also prints a JSON error object to stdout), 3 numeric
+or convergence failure (with a JSON error object), 4 internal error (any
+other exception, a bare ``ValueError`` included: traceback on stderr,
+JSON error object).
 CSV output is comma-separated with a fixed header row and LF line
 endings; JSON output is a single top-level object carrying
 ``schema_version``.
@@ -999,9 +1001,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out = _cmd_cs(ns, ctx)
         text = _render(out, ns)
     except DomainError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return _EXIT_USAGE
-    except ValueError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return _EXIT_USAGE
     except (

@@ -246,6 +246,19 @@ class TestExitCodes:
         assert doc["error"] == {"type": "RuntimeError", "message": "injected fault"}
         assert "Traceback" in err and "injected fault" in err
 
+    def test_bare_value_error_returns_four_with_payload(self, capsys, monkeypatch):
+        # Only a DomainError is a usage error; a bare ValueError is a fault.
+        def broken(ns, ctx):
+            raise ValueError("injected fault")
+
+        monkeypatch.setattr(cli, "_cmd_table", broken)
+        code, out, err = run_cli(capsys, ["table", "--what", "spectrum"])
+        assert code == 4
+        doc = json.loads(out)
+        assert doc["command"] == "table"
+        assert doc["error"] == {"type": "ValueError", "message": "injected fault"}
+        assert "Traceback" in err and "usage error" not in err
+
     def test_unwritable_out_returns_two_with_payload(self, capsys, tmp_path):
         bad = str(tmp_path / "missing" / "x.csv")
         for argv, code_without_out in (
@@ -295,6 +308,44 @@ _PINNED_LATTICE_OUTPUT = """
 def test_lattice_output_pinned(capsys, q, bits, job, code, digest):
     if job.startswith("jackson-"):
         argv = ["measure", "--type", "jackson", "--variable", job[len("jackson-"):]]
+    else:
+        argv = ["verify", "--suite", job]
+    got, out, _ = run_cli(capsys, argv + [f"--q={q}", f"--precision-bits={bits}"])
+    assert got == int(code)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Exit code and SHA-256 of stdout of the series-layer subcommands,
+# recorded from the per-call q ** n that the cached q-power kernel
+# replaced (q = 1/2, 256 bits, z-radial is pinned above): q, bits, job,
+# exit code, digest.
+_PINNED_SERIES_OUTPUT = """
+1/2 256 cs 0 7a69f2f4b4bd94b1e3b9ef17bdce2d82737bc56630a432da71bce7f0fb91b0d2
+1/2 256 generating 0 13dda2aab459ecdfd8b26100477bcc4139ec092481a77a9fe9ed675ccb9b9d80
+1/2 256 qdiff 0 06168546fd3057b6ff844856dfcb6f6013910d1871cb118d0fc3f6b1b7e25632
+1/2 256 recurrence 0 2fd14423b00dbc8e7f7ca10b471b8b2ac623920ce9d8d7008564a35a0bcde972
+1/2 256 qcalculus 0 f689993336970683af5d4609f1b1bbd47ed4fd079770d951321a385d3e37b758
+40/41 128 cs 0 ae9106474f257256001b90f1ce8ddf7caa37847ea2949a38eeca6787014185b3
+40/41 128 generating 0 12bb9807fa47ed3f48f37dd992b3923e5a1c68defbd48f622e05c2d1b1374c50
+40/41 128 qdiff 0 c9c497a9bacc083ca1a67dba4e26cd21155a0b06e004975f26a402733915fb28
+40/41 128 recurrence 0 ad4550b4d5b5fb876955ddeeff5432d8107e507edd5b58ffb95371953a99bc4e
+40/41 128 qcalculus 0 1c93a59a6e9540259d691fc20d0a58d3809f75e8b2f02c54e37587fc5085bb7b
+40/41 128 jackson-z-radial 0 166f58e9a32e31d40f1dc11a920db669efffc55a77160a09dd96215a55e9aa6a
+"""
+
+
+@pytest.mark.parametrize(
+    "q, bits, job, code, digest",
+    [
+        pytest.param(*fields, id="-".join(fields[:3]))
+        for fields in map(str.split, _PINNED_SERIES_OUTPUT.strip().splitlines())
+    ],
+)
+def test_series_output_pinned(capsys, q, bits, job, code, digest):
+    if job == "jackson-z-radial":
+        argv = ["measure", "--type", "jackson", "--variable", "z-radial"]
+    elif job == "cs":
+        argv = ["cs"]
     else:
         argv = ["verify", "--suite", job]
     got, out, _ = run_cli(capsys, argv + [f"--q={q}", f"--precision-bits={bits}"])
