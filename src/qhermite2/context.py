@@ -94,11 +94,11 @@ class PrecisionContext:
     mp : mpmath context
         Private mpmath context at ``precision_bits`` working precision.
     tables : dict
-        Derived constants at this precision (the b_n of
-        :func:`qhermite2.qkernel.b_table`, the squaring chains of
-        :func:`qhermite2.qkernel.q_power_raw`), filled on demand; an
-        entry, once computed, is never changed.  Not part of equality
-        or hashing.
+        Derived constants (the b_n of
+        :func:`qhermite2.qkernel.b_table`, the rounded q and squaring
+        chains of :func:`qhermite2.qkernel.q_power_raw`), filled on
+        demand; an entry, once computed, is never changed.  Not part of
+        equality or hashing.
     """
 
     q: Fraction

@@ -103,17 +103,18 @@ def q_power_raw(n: int, ctx: PrecisionContext) -> tuple:
     bits of n, least significant first, truncating exactly as
     ``mpf_pow_int`` does.  n < -1 is the reciprocal of the power at
     prec + 5, as there; every other branch (n in -1..2, q a power of
-    two, exact small powers) is ``mpf_pow_int`` itself.  Only the
-    context's own precision is cached: inside an ``mp.workprec`` block
-    the call is ``mpf_pow_int`` on ``ctx.qm`` at that precision.
+    two, exact small powers) is ``mpf_pow_int`` itself.  Chains are
+    cached only at the context's own precision: inside an
+    ``mp.workprec`` block the call is ``mpf_pow_int`` on ``ctx.qm`` at
+    that precision (kept too, so that it is rounded once).
     """
     prec = ctx.mp.prec
+    q = ctx.tables.get(("q", prec))
+    if q is None:
+        q = ctx.tables[("q", prec)] = ctx.qm._mpf_
     if prec != ctx.precision_bits:
-        return mpf_pow_int(ctx.qm._mpf_, n, prec, _RND)
-    powers = ctx.tables.get("q_power")
-    if powers is None:
-        powers = ctx.tables["q_power"] = (ctx.qm._mpf_, {})
-    q, chains = powers
+        return mpf_pow_int(q, n, prec, _RND)
+    chains = ctx.tables.setdefault("q_power", {})
     if n < -1:
         return mpf_div(fone, _positive_power(q, -n, prec + 5, chains), prec, _RND)
     return _positive_power(q, n, prec, chains)
