@@ -135,7 +135,7 @@ def _positive_power(q: tuple, n: int, prec: int, chains: dict) -> tuple:
     if chain is None:
         chain = chains[workprec] = _squarings(man, exp, n.bit_length(), workprec)
     pm, pe = MPZ_ONE, 0
-    for bit, (cm, ce) in zip(bin(n)[:1:-1], chain):
+    for bit, (cm, ce) in zip(bin(n)[:1:-1], chain):  # least significant bit first
         if bit == "1":
             pm *= cm
             pe += ce
