@@ -976,10 +976,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value is a rational number, which may be negative.
+_RATIONAL_OPTIONS = frozenset(("--q", "--tol", "--x", "--bound", "--z-re", "--z-im"))
+
+
+def _join_negative_values(argv: Sequence[str]) -> List[str]:
+    """Write ``--x -13/5`` as ``--x=-13/5`` for the rational options.
+
+    argparse takes a separate value that starts with '-' for an option
+    unless it looks like a plain negative number, which -13/5 does not.
+    """
+    out: List[str] = []
+    for arg in argv:
+        negative = arg[:1] == "-" and (arg[1:2].isdigit() or arg[1:2] == ".")
+        if negative and out and out[-1] in _RATIONAL_OPTIONS:
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else _EXIT_USAGE
         return code if code == 0 else _EXIT_USAGE

@@ -36,16 +36,31 @@ three-term recurrence, which yields Psi_n (with Psi_n' when asked) or
 S_n from their seeds, reads the context's b_n table and stops at the
 monitored-decay rule.  It runs on raw mpf values with the calls and the
 operation order of the mpf operators, so the values are bitwise those
-of the reference ``psi_sequence``.  Carrier roots are found by a sign
-scan followed by safeguarded Newton inside each sign-change bracket,
-certified by a sign change across a final bracket of width at most
-10^-(precision_bits/4).  At 64 bits that width, 1e-16, lies below the
-evaluation noise of D (about 2^-44, the series tolerance), so the last
-halvings there follow rounding rather than the function.
+of the reference ``psi_sequence``.
+
+Carrier roots are found by a sign scan over a fixed grid (its
+``grid_points`` set the bracket lattice), in two stages:
+
+- a screen sums D at every grid point in doubles with a running error
+  bound and keeps a sign only where the value clears that bound by a
+  wide margin; it may only exclude a grid cell, as one whose ends have
+  the same sign;
+- every other cell is certified at working precision: D at both of its
+  ends (a screened sign that this value contradicts raises
+  AlgebraViolation), the sign-change test, then safeguarded Newton down
+  to a final bracket of width at most 10^-(precision_bits/4) across
+  which D changes sign.
+
+So every sign change and every root rests on working-precision values,
+the same ones a scan of every grid point would use.  At 64 bits the
+final width, 1e-16, lies below the evaluation noise of D (about 2^-44,
+the series tolerance), so the last halvings there follow rounding
+rather than the function.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -93,6 +108,16 @@ __all__ = [
 
 _STREAK = 3
 _RND = round_nearest
+
+# The carrier sign screen (``_screen_sum``): a double operation, and
+# float() of an mpf, errs by at most _U relative in the normal range; a
+# sign is trusted only when the value exceeds the error bound by
+# _SCREEN_MARGIN; grid points at or below _SCREEN_LOW are left to the
+# working-precision pass, because terms of order x^2 there would near
+# the subnormal range, where that relative bound fails.
+_U = 2.0 ** -52
+_SCREEN_MARGIN = 2.0 ** 10
+_SCREEN_LOW = 2.0 ** -300
 
 
 def bracket_factorial(n: int, q: Fraction) -> Fraction:
@@ -281,30 +306,40 @@ def second_kind_eval(n: int, x, ctx: PrecisionContext):
     return value
 
 
-@lru_cache(maxsize=64)
-def _carrier_coefficients(count: int, ctx: PrecisionContext):
-    """S_{2j-1}(0) = (-1)^(j-1) sqrt([2j-2]!!/[2j-1]!!) for j = 1..count."""
-    mp = ctx.mp
-    coeffs = []
-    ratio = Fraction(1) / extremal_bracket_exact(1, ctx.q)
-    for j in range(1, count + 1):
-        if j > 1:
-            ratio *= extremal_bracket_exact(2 * j - 2, ctx.q) / (
-                extremal_bracket_exact(2 * j - 1, ctx.q)
-            )
-        sign = 1 if j % 2 == 1 else -1
-        coeffs.append(sign * mp.sqrt(ctx.mpf(ratio)))
-    return tuple(coeffs)
+def _carrier_coefficients(count: int, ctx: PrecisionContext) -> tuple:
+    """S_{2j-1}(0) = (-1)^(j-1) sqrt([2j-2]!!/[2j-1]!!) for j = 1, 2, ...
+
+    At least ``count`` entries.  The table lives in ``ctx.tables`` with
+    the exact ratio of its last entry, so growing it extends that ratio
+    instead of rebuilding the prefix; each entry is the once-rounded
+    square root of its exact ratio either way.
+    """
+    coeffs, ratio = ctx.tables.get("carrier", ((), None))
+    if len(coeffs) < count:
+        mp, q = ctx.mp, ctx.q
+        grown = list(coeffs)
+        for j in range(len(coeffs) + 1, count + 1):
+            if j == 1:
+                ratio = Fraction(1) / extremal_bracket_exact(1, q)
+            else:
+                ratio *= extremal_bracket_exact(2 * j - 2, q) / (
+                    extremal_bracket_exact(2 * j - 1, q)
+                )
+            sign = 1 if j % 2 == 1 else -1
+            grown.append(sign * mp.sqrt(ctx.mpf(ratio)))
+        coeffs = tuple(grown)
+        ctx.tables["carrier"] = (coeffs, ratio)
+    return coeffs
 
 
 def _coefficient_stream(ctx: PrecisionContext):
-    """S_1(0), S_3(0), ... as raw mpf, from cached blocks of doubling size."""
-    count, j = 16, 0
+    """S_1(0), S_3(0), ... as raw mpf, from the table grown by doubling."""
+    j = 0
     while True:
-        block = _carrier_coefficients(count, ctx)
+        block = _carrier_coefficients(max(16, 2 * j), ctx)
         for c in block[j:]:
             yield c._mpf_
-        j, count = count, 2 * count
+        j = len(block)
 
 
 def _carrier_value(
@@ -431,6 +466,137 @@ def _shrink_bracket(lo, hi, flo, tol_root, ctx: PrecisionContext, k_terms):
     return lo, hi
 
 
+def _screen_sum(x: float, q: float, log_tol: int, cap: int, forced: bool, bs, cs):
+    """(sum, bound): the carrier at x summed in doubles, and a bound on
+    its distance from the value ``_carrier_value`` computes.
+
+    Sums the same series as ``_carrier_value`` (same recurrence, b_n and
+    coefficients, given as the doubles ``bs`` and ``cs``), with a
+    first-order running bound ``err`` on the rounding, counting the
+    rounding of x, b_n and c_k to doubles.  The working-precision series
+    stops at a monitored-decay streak, tolerance 2^log_tol (or after
+    ``cap`` terms when ``forced``), that the doubles cannot place
+    exactly, so two allowances cover the terms on which the two sums may
+    disagree:
+
+    - once the working-precision stop test could have passed three times
+      running (checked loosely: twice its tolerance, less the error of
+      the term), every later term summed here goes into ``spare``;
+    - past the last term k summed here, with n = 2k - 1, rho = x/b_n + q
+      gives |Psi_{m+1}| <= rho max(|Psi_m|, |Psi_{m-1}|) for every
+      m >= n (b_n grows and b_{m-1}/b_m < q), and c_{k+1}/c_k < q, so
+      when rho < 1 term k + i is at most head r^i, with
+      head = x |c_k| max(|Psi_n|, |Psi_{n-1}|) and r = q rho, and the
+      unsummed terms add up to at most head r / (1 - r).
+
+    The loop stops once that tail bound falls below ``err``.  The bound
+    is first order; the caller's margin covers the rest and the
+    working-precision rounding (2^(52 - bits) times the double one).
+    It is infinite, and the point undecided, for x at or below
+    _SCREEN_LOW, after an overflow, and where ``_carrier_value`` may
+    raise: unforced, it raises unless its stop test passes three times
+    running within ``cap`` terms, which the head r^i bound must show.
+    When the loop runs past ``bs`` or ``cs`` the IndexError reaches the
+    caller, which grows them and calls again.
+    """
+    if not _SCREEN_LOW < x:
+        return 0.0, math.inf
+    # Rounded up into the normal range at high precision: a larger
+    # tolerance only loosens the stop test, which must stay loose.
+    tol = math.ldexp(1.0, max(log_tol, -1000))
+    p0, e0 = 1.0, 0.0
+    p1 = x / bs[0]
+    e1 = 3 * _U * p1
+    total, err, spare = 1.0, 0.0, 0.0
+    streak = 0
+    n = 1
+    for k in range(1, cap + 1):
+        if k > 1:
+            for _ in range(2):
+                n += 1
+                b_prev, b = bs[n - 2], bs[n - 1]
+                rise, fall = x * p1, b_prev * p0
+                p2 = (rise - fall) / b
+                e2 = (x * e1 + b_prev * e0 + 3 * _U * (abs(rise) + abs(fall))) / b
+                p0, e0, p1, e1 = p1, e1, p2, e2 + 2 * _U * abs(p2)
+        c = cs[k - 1]
+        a = -c * x
+        term = a * p1
+        total += term
+        term_err = abs(a) * e1 + 4 * _U * abs(term)
+        err += term_err + _U * abs(total)
+        if not err < math.inf:  # overflowed: no later term can settle it
+            return total, math.inf
+        if streak >= _STREAK:
+            spare += abs(term) + term_err
+        elif abs(term) - term_err <= 2 * tol * max(abs(total) + err, tol):
+            streak += 1
+        else:
+            streak = 0
+        r = q * (x / bs[n] + q)
+        if r < q:
+            head = x * abs(c) * max(abs(p1) + e1, abs(p0) + e0)
+            tail = head * r / (1 - r)
+            if tail <= err:
+                break
+    else:
+        return total, err + spare if forced else math.inf
+    bound = err + spare + tail
+    if not forced and bound < math.inf:
+        # Later sums stay above |total| - bound, so a term passes the
+        # stop test once below 2^log_tol max(|total| - bound, 2^log_tol),
+        # halved for slack; terms k + i, k + i + 1, k + i + 2 then pass.
+        gap = abs(total) - bound
+        floor = log_tol - 1 + (max(math.log2(gap), log_tol) if gap > 0 else log_tol)
+        i = 1
+        if head > 0 and r > 0:
+            i = max(1, math.ceil((floor - math.log2(head)) / math.log2(r)))
+        if k + i + 2 > cap:
+            return total, math.inf
+    return total, bound
+
+
+def _screen(grid, ctx: PrecisionContext, k_terms: Optional[int]):
+    """``_screen_sum`` at every grid point: (sum, bound) pairs."""
+    cap = k_terms if k_terms is not None else ctx.max_terms
+    q = float(ctx.q)
+    log_tol = 20 - ctx.precision_bits  # series_tol = 2^log_tol
+    count, bs, cs = 0, [], []
+    for g in grid:
+        while True:
+            try:
+                pair = _screen_sum(float(g), q, log_tol, cap, k_terms is not None, bs, cs)
+            except IndexError:
+                count = max(16, 2 * count)
+                bs = [float(b) for b in b_table(2 * count, ctx)]
+                cs = [float(c) for c in _carrier_coefficients(count, ctx)]
+                continue
+            except ZeroDivisionError:  # a b_n below the double range
+                pair = 0.0, math.inf
+            break
+        yield pair
+
+
+def _screened_sign(total: float, bound: float) -> int:
+    """The sign of a screened sum that clears the margin, else 0."""
+    # A NaN or an infinity fails both comparisons.
+    if total > _SCREEN_MARGIN * bound:
+        return 1
+    if total < -_SCREEN_MARGIN * bound:
+        return -1
+    return 0
+
+
+def _scan_grid(bound, grid_points: int, ctx: PrecisionContext) -> list:
+    """Sorted merged grid on (0, bound]: ``grid_points`` geometric points
+    from bound/10^4 and ``grid_points`` linear ones."""
+    lo_edge = bound * ctx.mpf(Fraction(1, 10000))
+    grid = [lo_edge * (bound / lo_edge) ** (ctx.mpf(Fraction(i, grid_points - 1)))
+            for i in range(grid_points)]
+    grid += [bound * ctx.mpf(Fraction(i, grid_points)) for i in range(1, grid_points + 1)]
+    return sorted(set(grid))
+
+
 def carrier_roots(
     search_bound,
     ctx: PrecisionContext,
@@ -440,12 +606,18 @@ def carrier_roots(
     """All carrier roots in [-search_bound, search_bound].
 
     Sign-scans a merged geometric + linear grid on (0, search_bound]
-    and closes each sign-change bracket with safeguarded Newton (D and
-    D' from one streamed pass, midpoint steps when Newton leaves the
-    bracket) to width at most 10^-(precision_bits/4), with D changing
-    sign across it; the root is its midpoint.  At 64 bits that width
-    is below the evaluation noise, so the last halvings follow rounding.
-    The function is even (checked on samples), so roots are emitted as
+    (``grid_points`` of each).  The double-precision screen
+    (``_screen``) signs the grid points it can; the others are
+    evaluated at working precision.  A cell whose two end signs agree
+    holds no sign change and is skipped.  Every other cell has D
+    evaluated at working precision at both ends, which must agree with
+    any screened sign (else AlgebraViolation); when those values change
+    sign, safeguarded Newton (D and D' from one streamed pass, midpoint
+    steps when Newton leaves the bracket) closes the cell to width at
+    most 10^-(precision_bits/4), with D changing sign across it; the
+    root is its midpoint.  At 64 bits that width is below the
+    evaluation noise, so the last halvings follow rounding.  The
+    function is even (checked on samples), so roots are emitted as
     symmetric +- pairs, sorted ascending.  No root sits at 0 (carrier
     value 1).
     """
@@ -456,11 +628,7 @@ def carrier_roots(
     if grid_points < 16:
         raise DomainError(f"grid_points must be >= 16, got {grid_points}")
 
-    lo_edge = bound * ctx.mpf(Fraction(1, 10000))
-    grid = [lo_edge * (bound / lo_edge) ** (ctx.mpf(Fraction(i, grid_points - 1)))
-            for i in range(grid_points)]
-    grid += [bound * ctx.mpf(Fraction(i, grid_points)) for i in range(1, grid_points + 1)]
-    grid = sorted(set(grid))
+    grid = _scan_grid(bound, grid_points, ctx)
 
     for probe in (bound / 3, bound / 7):
         even_gap = abs(
@@ -474,9 +642,30 @@ def carrier_roots(
             )
 
     tol_root = mp.mpf(10) ** (-(ctx.precision_bits // 4))
-    values = [_carrier_value(g, ctx, k_terms)[0] for g in grid]
+    signs = [_screened_sign(*pair) for pair in _screen(grid, ctx, k_terms)]
+    values = {}
+
+    def certified(i):
+        """D(grid[i]) at working precision, checked against a screened sign."""
+        if i not in values:
+            v = values[i] = _carrier_value(grid[i], ctx, k_terms)[0]
+            sign = (v > 0) - (v < 0)
+            if signs[i] and sign != signs[i]:
+                raise AlgebraViolation(
+                    "carrier sign screen contradicts the working-precision "
+                    f"value at x={ctx.nstr(grid[i], 8)}"
+                )
+            signs[i] = sign
+        return values[i]
+
+    for i, sign in enumerate(signs):
+        if not sign:
+            certified(i)
     points = []
-    for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]):
+    for i in range(len(grid) - 1):
+        if signs[i] == signs[i + 1]:
+            continue
+        a, b, fa, fb = grid[i], grid[i + 1], certified(i), certified(i + 1)
         if fa == 0 or fa * fb > 0:
             continue
         lo, hi = _shrink_bracket(a, b, fa, tol_root, ctx, k_terms)

@@ -353,6 +353,60 @@ def test_series_output_pinned(capsys, q, bits, job, code, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# Exit code and SHA-256 of stdout of the extremal measure and the
+# orthonormality suite, recorded from the scan that evaluated every grid
+# point at working precision: q, bits, job, bound, format, exit code,
+# digest.
+_PINNED_EXTREMAL_OUTPUT = """
+1/2 256 extremal 7/1000 csv 0 737c28655dd1d0de9b5d2349da2133d95a2a9adec87936c8317b7d49a0054f29
+1/2 256 extremal 7/1000 json 0 24803ee4ee827f70e5d68b52ffaead8eaa2c0017972c9bc8a00077e7b8f5dbc9
+1/2 192 extremal 43/10 csv 0 9fee0edb21f9d3bfcb50b81adfe8437a5a73ed936e2e83acbdcf0fa041f5ff85
+1/2 192 extremal 43/10 json 0 731a9f8486c9ae2d552100347e495cf17950987120fc18aabd2834a951cd59d4
+1/2 128 extremal 973/10 csv 0 910d464e3eba2927ed1f13e6ba5ba2fe45584a7c8bde471fcc313c924433be83
+1/2 128 extremal 973/10 json 0 18f2919a96139f8d05c4b468c3f712d5dfa9b9404c905d13158aaa4daadb38ef
+3/10 256 extremal 30 csv 0 b531b31193848040d21839da1c8cd23c13a1136f4c727220e07ec85f403e5096
+3/10 256 extremal 30 json 0 ec239b030aa328551a9415be7f91e806ca5406d7bedecf7c665a22f13f47a75b
+1/2 128 orthonormality 40 csv 0 5124f48ff9d37258dbadb17d0e69859bacc56df72dbc6a82d0986c8956905e85
+1/2 128 orthonormality 40 json 0 7e5fe1057ca1c6dbe2a6031bad13ace6341948c96327e670e82a4284cb91b0c9
+1/2 128 orthonormality 51 csv 0 8c2fd5048ff6a646e4ee32a5c53f57507662ba49f78c15f3bb061dacc49cffd4
+1/2 128 orthonormality 51 json 0 d9e48726ecd1c8236877cff4fe0983e85c935f256acf39e55661932c0cb5caf7
+"""
+
+
+@pytest.mark.parametrize(
+    "q, bits, job, bound, fmt, code, digest",
+    [
+        pytest.param(*fields, id="-".join(fields[:5]))
+        for fields in map(str.split, _PINNED_EXTREMAL_OUTPUT.strip().splitlines())
+    ],
+)
+def test_extremal_output_pinned(capsys, q, bits, job, bound, fmt, code, digest):
+    if job == "extremal":
+        argv = ["measure", "--type", "extremal"]
+    else:
+        argv = ["verify", "--suite", job]
+    got, out, _ = run_cli(
+        capsys, argv + [f"--q={q}", f"--precision-bits={bits}", f"--bound={bound}", f"--format={fmt}"]
+    )
+    assert got == int(code)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_negative_rational_value_without_equals(capsys):
+    # Recorded from `poly --n 7 --x=-13/5 --q=26/27`; the separate value
+    # used to exit 2, because argparse read -13/5 as an option.
+    code, out, _ = run_cli(capsys, ["poly", "--n", "7", "--x", "-13/5", "--q", "26/27"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "0935bbdb1812a2905b6bdf52b61f7426c541aad1db479272b02e5d2d270647ba"
+    )
+    joined = run_cli(capsys, ["cs", "--z-re=-3/2", "--z-im=-.25", "--trunc", "20"])
+    assert run_cli(capsys, ["cs", "--z-re", "-3/2", "--z-im", "-.25", "--trunc", "20"]) == joined
+    assert joined[0] == 0
+    # A following option is still not taken as a value.
+    assert run_cli(capsys, ["poly", "--n", "7", "--x", "--q", "26/27"])[0] == 2
+
+
 def test_module_invocation_round_trip():
     # The child imports the package under test, found or not on PYTHONPATH.
     src = str(Path(qhermite2.__file__).resolve().parents[1])
