@@ -3,7 +3,7 @@
 Subcommands
 -----------
 poly     tabulate monic and orthonormal polynomial values
-verify   run a named verification suite, exit 0 iff it passes
+verify   run a suite from ``qhermite2.suites``, exit 0 iff it passes
 table    tabulate spectra, recurrence coefficients, or closed-form moments
 measure  export lattice or extremal measures (supports and masses)
 cs       coherent-state diagnostics for one z
@@ -23,14 +23,14 @@ All numerics are printed as decimal strings that parse back to the same
 value at the same working precision.  Identical invocations produce
 byte-identical output.  Verification reports embed the discrepancy
 registry so known formula defects are never mistaken for implementation
-bugs.
+bugs.  ``verify`` renders the suite's ``Check`` records and exits on
+their verdict; the suites themselves compute and gate.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,61 +48,23 @@ from .errors import (
     NoConvergenceError,
     TruncationError,
 )
-from .exact import (
-    GaussianRational,
-    Poly,
-    bn_squared_exact,
-    lambda_exact,
-    moment_In_exact,
-)
-from .extremal import carrier_roots, loadings, orthonormality_gram
-from .qcalculus import (
-    deformed_derivative,
-    ibp_residual,
-    jackson_integral_poly,
-    leibniz_residual,
-    q_derivative_poly,
-)
-from .qhermite import (
-    WEIGHT_HYPOTHESES,
-    generating_fn_report,
-    hermite2_coeffs,
-    hermite2_eval_direct,
-    psi_eval,
-    qdiff_equation_check,
-)
-from .qkernel import b_coeff, gen_exponential
-from .qmeasure import build_measure, lattice_weight, moment_In, unity_check
-from .qoscillator import verify_algebra
+from . import suites
+from .exact import GaussianRational, lambda_exact, moment_In_exact
+from .extremal import carrier_roots, loadings
+from .qhermite import hermite2_coeffs, psi_eval
+from .qkernel import b_coeff
+from .qmeasure import build_measure
 
 __all__ = ["main", "SUITES", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = "1"
-SUITES = (
-    "recurrence",
-    "qcalculus",
-    "commutators",
-    "generating",
-    "qdiff",
-    "moments",
-    "unity",
-    "orthonormality",
-)
 _EXIT_PASS = 0
 _EXIT_FAIL = 1
 _EXIT_USAGE = 2
 _EXIT_NUMERIC = 3
 _EXIT_INTERNAL = 4
 
-_VERIFY_COLUMNS = (
-    "record",
-    "identity",
-    "parameters",
-    "residual",
-    "bound",
-    "passed",
-    "note",
-)
+_VERIFY_COLUMNS = ("record",) + suites.Check._fields
 
 
 # --------------------------------------------------------------------------
@@ -153,10 +115,6 @@ def _fmt(ctx: PrecisionContext, value) -> str:
     if hasattr(value, "real") and not isinstance(value, float):
         value = value.real
     return ctx.nstr(ctx.mpf(value), ctx.decimal_digits)
-
-
-def _flag(value: bool) -> str:
-    return "true" if value else "false"
 
 
 # --------------------------------------------------------------------------
@@ -397,7 +355,7 @@ def _cmd_cs(ns, ctx: PrecisionContext) -> CommandOutput:
         ["residual", _fmt(ctx, res.residual)],
         ["bound", _fmt(ctx, res.bound)],
         ["noise_floor", _fmt(ctx, res.noise_floor)],
-        ["residual_below_bound", _flag(res.residual <= res.bound)],
+        ["residual_below_bound", _fmt(ctx, res.residual <= res.bound)],
     ]
     return CommandOutput("cs", columns, rows, {}, _EXIT_PASS)
 
@@ -407,489 +365,51 @@ def _cmd_cs(ns, ctx: PrecisionContext) -> CommandOutput:
 # --------------------------------------------------------------------------
 
 
-def _check(identity, parameters, residual, bound, passed, note="") -> List[str]:
-    return ["check", identity, parameters, residual, bound, _flag(passed), note]
-
-
-def _diag(identity, parameters, residual, bound, note="") -> List[str]:
-    return ["diagnostic", identity, parameters, residual, bound, "", note]
-
-
-def _tol_or(ns, default: Fraction) -> Fraction:
-    if ns.tol is None:
-        return default
-    try:
-        return as_fraction(ns.tol)
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"could not parse --tol value {ns.tol!r}")
-
-
-def _suite_recurrence(ns, ctx: PrecisionContext):
-    n_max = ns.n_max if ns.n_max is not None else 12
-    tol = _tol_or(ns, Fraction(1, 10**25))
-    tol_mp = ctx.mpf(tol)
-    xs = [
-        Fraction(0),
-        Fraction(1, 2),
-        Fraction(-1, 2),
-        Fraction(1),
-        Fraction(-1),
-        Fraction(2),
-        Fraction(-2),
-    ]
-    rows = []
-    ok_all = True
-    for n in range(n_max + 1):
-        poly = hermite2_coeffs(n, ctx)
-        worst = ctx.mp.mpf(0)
-        for x in xs:
-            xv = ctx.mpf(x)
-            direct = hermite2_eval_direct(n, xv, ctx)
-            via = poly.eval_mp(ctx, xv)
-            scale = max(abs(via), ctx.mp.mpf(1))
-            worst = max(worst, abs(direct - via) / scale)
-        ok = worst <= tol_mp
-        ok_all = ok_all and ok
-        rows.append(
-            _check(
-                f"cross-representation n={n}",
-                f"q={ns.q}; x in {{0,+-1/2,+-1,+-2}}",
-                _fmt(ctx, worst),
-                _fmt(ctx, tol),
-                ok,
-            )
-        )
-    return rows, ok_all
-
-
-def _suite_qcalculus(ns, ctx: PrecisionContext):
-    tol = _tol_or(ns, Fraction(1, 10**20))
-    tol_mp = ctx.mpf(tol)
-    rows = []
-    ok_all = True
-
-    def gex(t):
-        return gen_exponential(t, ctx)
-
-    worst = ctx.mp.mpf(0)
-    for x in (
-        Fraction(1, 10),
-        Fraction(1, 2),
-        Fraction(1),
-        Fraction(3, 2),
-        Fraction(2),
-    ):
-        xv = ctx.mpf(x)
-        lhs = deformed_derivative(gex, xv, ctx)
-        ref = gen_exponential(xv, ctx)
-        worst = max(worst, abs(lhs - ref) / abs(ref))
-    ok = worst <= tol_mp
-    ok_all = ok_all and ok
-    rows.append(
-        _check(
-            "deformed-derivative-reproduces-gen-exponential",
-            f"q={ns.q}; x in [1/10, 2]",
-            _fmt(ctx, worst),
-            _fmt(ctx, tol),
-            ok,
-        )
-    )
-
-    u = Poly((1, 0, 1))
-    v = Poly((0, -1, 0, 1))
-    for variant in ("first", "second"):
-        residual = leibniz_residual(u, v, variant, ctx.q)
-        ok = residual.is_zero()
-        ok_all = ok_all and ok
-        rows.append(
-            _check(
-                f"leibniz-{variant}",
-                f"q={ns.q}; u=x^2+1, v=x^3-x",
-                "0" if ok else str(residual),
-                "exact zero",
-                ok,
-            )
-        )
-
-    for variant in ("ip1", "ip2"):
-        residual = ibp_residual(u, v, variant, Fraction(1), ctx)
-        ok = residual <= tol_mp
-        ok_all = ok_all and ok
-        rows.append(
-            _check(
-                f"integration-by-parts-{variant}",
-                f"q={ns.q}; a=1; u=x^2+1, v=x^3-x",
-                _fmt(ctx, residual),
-                _fmt(ctx, tol),
-                ok,
-                "boundary at q^-2 a (ledger ibp_boundary_points)",
-            )
-        )
-
-    qf = float(ctx.q)
-    k_inf = max(80, math.ceil(math.log(float(tol)) / math.log(qf)) + 40)
-
-    def u_dec(t):
-        return 1 / (1 + t * t) ** 3
-
-    def v_dec(t):
-        return t / (1 + t * t) ** 2
-
-    residual = ibp_residual(u_dec, v_dec, "ip3", None, ctx, K=k_inf)
-    ok = residual <= tol_mp
-    ok_all = ok_all and ok
-    rows.append(
-        _check(
-            "integration-by-parts-ip3",
-            f"q={ns.q}; K={k_inf}; decaying rational pair",
-            _fmt(ctx, residual),
-            _fmt(ctx, tol),
-            ok,
-            "left side carries Jacobian q (ledger ibp_infinite_jacobian)",
-        )
-    )
-
-    p = Poly((1, 2, 3, 0, 5))
-    x0 = Fraction(3, 2)
-    recovered = jackson_integral_poly(q_derivative_poly(p, ctx.q), x0, ctx.q)
-    target = p(x0) - p(Fraction(0))
-    ok = (recovered - target).is_zero()
-    ok_all = ok_all and ok
-    rows.append(
-        _check(
-            "jackson-endpoint-recovery",
-            f"q={ns.q}; p=5x^4+3x^2+2x+1; x=3/2",
-            "0" if ok else _fmt(ctx, recovered - target),
-            "exact zero",
-            ok,
-        )
-    )
-    return rows, ok_all
-
-
-def _suite_commutators(ns, ctx: PrecisionContext):
-    rows = []
-    ok_all = True
-    try:
-        report = verify_algebra(ns.dim, ctx)
-        for name in sorted(report.max_residuals):
-            residual = report.max_residuals[name]
-            bound = (
-                report.ulp_bound * report.scales[name] * ctx.eps
-            )
-            ok = residual <= bound
-            ok_all = ok_all and ok
-            rows.append(
-                _check(
-                    name,
-                    f"q={ns.q}; dim={ns.dim}; valid_block={report.valid_block}",
-                    _fmt(ctx, residual),
-                    _fmt(ctx, bound),
-                    ok,
-                )
-            )
-    except AlgebraViolation as exc:
-        ok_all = False
-        rows.append(
-            _check(
-                "operator-algebra",
-                f"q={ns.q}; dim={ns.dim}",
-                "violation",
-                "4 ulp",
-                False,
-                str(exc),
-            )
-        )
-
-    worst_n = -1
-    for n in range(0, 9):
-        lhs = lambda_exact(n, ctx.q)
-        rhs = (ctx.q / (1 - ctx.q)) * (
-            bn_squared_exact(n - 1, ctx.q) + bn_squared_exact(n, ctx.q)
-        )
-        if lhs != rhs:
-            worst_n = n
-    ok = worst_n < 0
-    ok_all = ok_all and ok
-    rows.append(
-        _check(
-            "spectrum-two-paths",
-            f"q={ns.q}; n<=8",
-            "0" if ok else f"mismatch at n={worst_n}",
-            "exact zero",
-            ok,
-        )
-    )
-    return rows, ok_all
-
-
-def _suite_generating(ns, ctx: PrecisionContext):
-    x = as_fraction(ns.x)
-    order = ns.order
-    rep = generating_fn_report(x, ctx.mpf(Fraction(1, 2)), order, ctx)
-    rows = []
-    resolved_tag = "divided-with-qpower-squared"
-    ok_all = rep.matched_hypothesis == resolved_tag
-    rows.append(
-        _check(
-            "resolved-weight-matches-all-orders",
-            f"q={ns.q}; x={ns.x}; orders<={order}",
-            "0" if ok_all else "mismatch",
-            "exact zero per order",
-            ok_all,
-            f"matched hypothesis: {rep.matched_hypothesis}",
-        )
-    )
-    for tag in WEIGHT_HYPOTHESES:
-        residuals = rep.residuals[tag]
-        first_bad = next(
-            (k for k, r in enumerate(residuals) if not r.is_zero()), None
-        )
-        if first_bad is None:
-            rows.append(
-                _diag(
-                    f"weight-{tag}",
-                    f"x={ns.x}; orders<={order}",
-                    "0",
-                    "exact zero",
-                    "matches every computed order",
-                )
-            )
-        else:
-            ratio = rep.ratios[tag][first_bad]
-            note = (
-                f"first mismatch at order {first_bad}"
-                + (f"; printed/closed ratio {ratio}" if ratio is not None else "")
-                + "; expected (ledger gf_weight_order1)"
-            )
-            rows.append(
-                _diag(
-                    f"weight-{tag}",
-                    f"x={ns.x}; orders<={order}",
-                    str(rep.residuals[tag][first_bad]),
-                    "exact zero",
-                    note,
-                )
-            )
-    return rows, ok_all
-
-
-def _expected_qdiff_n1(ctx: PrecisionContext) -> Poly:
-    one_minus_q = 1 - ctx.q
-    return Poly(
-        (
-            GaussianRational(Fraction(0), one_minus_q),
-            GaussianRational(Fraction(0), Fraction(0)),
-            GaussianRational(Fraction(0), Fraction(1)),
-            GaussianRational(one_minus_q, Fraction(0)),
-        )
-    )
-
-
-def _suite_qdiff(ns, ctx: PrecisionContext):
-    n_max = ns.n_max if ns.n_max is not None else 4
-    rows = []
-    res0 = qdiff_equation_check(0, ctx)
-    ok0 = res0.is_zero()
-    rows.append(
-        _check(
-            "qdiff-residual-n0",
-            f"q={ns.q}",
-            "0" if ok0 else str(res0),
-            "exact zero",
-            ok0,
-        )
-    )
-    res1 = qdiff_equation_check(1, ctx)
-    expected = _expected_qdiff_n1(ctx)
-    ok1 = res1 == expected
-    rows.append(
-        _check(
-            "qdiff-residual-n1-reproduced",
-            f"q={ns.q}",
-            str(res1),
-            str(expected),
-            ok1,
-            "nonzero residual is the documented defect (ledger qdiff_n1)",
-        )
-    )
-    for n in range(2, n_max + 1):
-        res = qdiff_equation_check(n, ctx)
-        rows.append(
-            _diag(
-                f"qdiff-residual-n{n}",
-                f"q={ns.q}",
-                "0" if res.is_zero() else str(res),
-                "",
-                "diagnostic listing only",
-            )
-        )
-    return rows, ok0 and ok1
-
-
-def _suite_moments(ns, ctx: PrecisionContext):
-    n_max = ns.n_max if ns.n_max is not None else 8
-    tol = _tol_or(ns, Fraction(1, 10**8))
-    tol_mp = ctx.mpf(tol)
-    K, M = ns.k_depth, ns.tail
-    weight = lattice_weight(K + 1, max(M, K + 2), ctx)
-    rows = []
-    ok_all = True
-    lattice_values = []
-    for n in range(n_max + 1):
-        result = moment_In(n, ctx, K=K, M=M, weight=weight)
-        lattice_values.append(result.lattice_value)
-        ok = result.rel_deviation <= tol_mp
-        ok_all = ok_all and ok
-        rows.append(
-            _check(
-                f"moment-closed-form n={n}",
-                f"q={ns.q}; K={K}; M={M}",
-                _fmt(ctx, result.rel_deviation),
-                _fmt(ctx, tol),
-                ok,
-                "lattice prefactor 1/q (ledger hat_integral_prefactor)",
-            )
-        )
-    for n in range(1, n_max + 1):
-        step = ctx.mpf(bn_squared_exact(n - 1, ctx.q)) * lattice_values[n - 1]
-        rel = abs(lattice_values[n] - step) / abs(step)
-        ok = rel <= tol_mp
-        ok_all = ok_all and ok
-        rows.append(
-            _check(
-                f"moment-telescoping n={n}",
-                f"q={ns.q}; K={K}; M={M}",
-                _fmt(ctx, rel),
-                _fmt(ctx, tol),
-                ok,
-            )
-        )
-    return rows, ok_all
-
-
-def _suite_unity(ns, ctx: PrecisionContext):
-    n_max = ns.n_max if ns.n_max is not None else 6
-    tol = _tol_or(ns, Fraction(1, 10**6))
-    tol_mp = ctx.mpf(tol)
-    report = unity_check(n_max, ctx, K=ns.k_depth, M=ns.tail)
-    rows = []
-    ok_all = True
-    for n, g in enumerate(report.diagonal):
-        dev = abs(g - 1)
-        ok = dev <= tol_mp
-        ok_all = ok_all and ok
-        rows.append(
-            _check(
-                f"gram-diagonal n={n}",
-                f"q={ns.q}; K={ns.k_depth}; M={ns.tail}",
-                _fmt(ctx, dev),
-                _fmt(ctx, tol),
-                ok,
-                "measure prefactor 1/q (ledger measure_prefactor)",
-            )
-        )
-    rows.append(
-        _check(
-            "gram-off-diagonal",
-            f"q={ns.q}; n<={n_max}",
-            "0",
-            "exact zero",
-            True,
-            report.off_diagonal,
-        )
-    )
-    return rows, ok_all
-
-
-def _suite_orthonormality(ns, ctx: PrecisionContext):
-    tol = _tol_or(ns, Fraction(1, 10**3))
-    tol_mp = ctx.mpf(tol)
-    bound = as_fraction(ns.bound)
-    roots = carrier_roots(bound, ctx)
-    points = loadings(roots, ctx)
-    rows = []
-    ok_all = True
-
-    _, worst = orthonormality_gram(points, 3, ctx)
-    ok = worst <= tol_mp
-    ok_all = ok_all and ok
-    rows.append(
-        _check(
-            "extremal-gram-identity",
-            f"q={ns.q}; bound={ns.bound}; m,n<=3",
-            _fmt(ctx, worst),
-            _fmt(ctx, tol),
-            ok,
-            "loadings vs orthonormality (ledger carrier_variable_scaling)",
-        )
-    )
-
-    sym_worst = ctx.mp.mpf(0)
-    for p, pm in zip(points, reversed(points)):
-        sym_worst = max(
-            sym_worst, abs(p.sigma0 - pm.sigma0) / max(abs(p.sigma0), ctx.eps)
-        )
-    ok = sym_worst <= ctx.mpf(Fraction(1, 10**20))
-    ok_all = ok_all and ok
-    rows.append(
-        _check(
-            "loading-symmetry",
-            f"q={ns.q}; bound={ns.bound}",
-            _fmt(ctx, sym_worst),
-            "1e-20 relative",
-            ok,
-        )
-    )
-
-    total = ctx.mp.mpf(0)
-    for p in points:
-        total = total + p.sigma0
-    rows.append(
-        _diag(
-            "total-mass",
-            f"q={ns.q}; bound={ns.bound}; roots={len(points)}",
-            _fmt(ctx, total),
-            "target 1 (diagnostic)",
-            "mass outside the search bound is not captured",
-        )
-    )
-
-    kern_worst = ctx.mp.mpf(0)
-    for p in points:
-        kern_worst = max(
-            kern_worst, abs(p.sigma0 - p.kernel_mass) / abs(p.kernel_mass)
-        )
-    rows.append(
-        _diag(
-            "loading-vs-kernel-mass",
-            f"q={ns.q}; bound={ns.bound}",
-            _fmt(ctx, kern_worst),
-            "convention cross-check",
-            "exact agreement expected only at b_0 = 1 (q = 1/2)",
-        )
-    )
-    return rows, ok_all
-
-
-_SUITE_RUNNERS = {
-    "recurrence": _suite_recurrence,
-    "qcalculus": _suite_qcalculus,
-    "commutators": _suite_commutators,
-    "generating": _suite_generating,
-    "qdiff": _suite_qdiff,
-    "moments": _suite_moments,
-    "unity": _suite_unity,
-    "orthonormality": _suite_orthonormality,
+# Suite name -> (suite, the verify options it reads); an option left
+# unset keeps the suite's own default.
+_SUITES = {
+    "recurrence": (suites.recurrence, ("n_max", "tol")),
+    "qcalculus": (suites.qcalculus, ("tol",)),
+    "commutators": (suites.commutators, ("dim",)),
+    "generating": (suites.generating, ("x", "order")),
+    "qdiff": (suites.qdiff, ("n_max",)),
+    "moments": (suites.moments, ("tol", "n_max", "k_depth", "tail")),
+    "unity": (suites.unity, ("tol", "n_max", "k_depth", "tail")),
+    "orthonormality": (suites.orthonormality, ("tol", "bound")),
 }
+SUITES = tuple(_SUITES)
+
+
+def _suite_inputs(ns, options) -> Dict[str, object]:
+    """Keyword inputs for a suite: the options set, rationals parsed."""
+    inputs: Dict[str, object] = {}
+    for key in options:
+        value = getattr(ns, key)
+        if value is None:
+            continue
+        if key == "tol":
+            try:
+                value = as_fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise DomainError(f"could not parse --tol value {ns.tol!r}")
+        elif key in ("x", "bound"):
+            value = as_fraction(value)
+        inputs[key] = value
+    return inputs
 
 
 def _cmd_verify(ns, ctx: PrecisionContext) -> CommandOutput:
-    runner = _SUITE_RUNNERS[ns.suite]
-    rows, ok = runner(ns, ctx)
+    suite, options = _SUITES[ns.suite]
+    checks = suite(ctx, **_suite_inputs(ns, options))
+    ok = suites.passed(checks)
+    rows = [
+        [check.kind]
+        + [c if isinstance(c, str) else "" if c is None else _fmt(ctx, c) for c in check]
+        for check in checks
+    ]
     extra = {
         "suite": ns.suite,
-        "overall_pass": bool(ok),
+        "overall_pass": ok,
         "diagnostic_class": ns.suite in ("qdiff", "generating"),
     }
     return CommandOutput(

@@ -63,7 +63,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from typing import Optional, Sequence, Tuple
 
@@ -90,7 +89,7 @@ from .errors import (
 )
 from .exact import extremal_bracket_exact
 from .qhermite import psi_sequence
-from .qkernel import b_coeff, b_table
+from .qkernel import _STREAK, b_coeff, b_table
 
 __all__ = [
     "bracket_double_factorial",
@@ -106,7 +105,6 @@ __all__ = [
     "orthonormality_gram",
 ]
 
-_STREAK = 3
 _RND = round_nearest
 
 # The carrier sign screen (``_screen_sum``): a double operation, and
@@ -142,22 +140,26 @@ def bracket_double_factorial(n: int, q: Fraction) -> Fraction:
     return out
 
 
-@lru_cache(maxsize=None)
-def _nested_sum(levels: int, upper: int, start: int, q: Fraction) -> Fraction:
+def _nested_sum(levels: int, upper: int, start: int, ctx: PrecisionContext) -> Fraction:
     """sum_{k=start-descending windows} [k1][k2]... with k_{j+1} <= k_j - 2.
 
     ``levels`` factors remain; the current index runs from its floor
     (start - 2*(levels-1) ... kept implicit via ``start``) up to
     ``upper``; each inner window tops out two below its outer index.
+    Memoised in ``ctx.tables``.
     """
     if levels == 0:
         return Fraction(1)
-    total = Fraction(0)
-    for k in range(start, upper + 1):
-        total += extremal_bracket_exact(k, q) * _nested_sum(
-            levels - 1, k - 2, start - 2, q
-        )
-    return total
+    memo = ctx.tables.setdefault("nested_sum", {})
+    key = (levels, upper, start)
+    if key not in memo:
+        total = Fraction(0)
+        for k in range(start, upper + 1):
+            total += extremal_bracket_exact(k, ctx.q) * _nested_sum(
+                levels - 1, k - 2, start - 2, ctx
+            )
+        memo[key] = total
+    return memo[key]
 
 
 def alpha_coeff(m: int, n: int, ctx: PrecisionContext) -> Fraction:
@@ -171,7 +173,7 @@ def alpha_coeff(m: int, n: int, ctx: PrecisionContext) -> Fraction:
         raise DomainError(f"alpha_coeff needs m >= 0, got {m}")
     if m == 0:
         return Fraction(1)
-    return _nested_sum(m, n - 1, 2 * m - 1, ctx.q)
+    return _nested_sum(m, n - 1, 2 * m - 1, ctx)
 
 
 def beta_coeff(m: int, n: int, ctx: PrecisionContext) -> Fraction:
@@ -184,7 +186,7 @@ def beta_coeff(m: int, n: int, ctx: PrecisionContext) -> Fraction:
         raise DomainError(f"beta_coeff needs m >= 0, got {m}")
     if m == 0:
         return Fraction(1)
-    return _nested_sum(m, n, 2 * m, ctx.q)
+    return _nested_sum(m, n, 2 * m, ctx)
 
 
 def first_kind_eval(n: int, x, ctx: PrecisionContext):
@@ -426,11 +428,14 @@ def _shrink_bracket(lo, hi, flo, tol_root, ctx: PrecisionContext, k_terms):
     probes is the final bracket, centred on the root and narrow enough
     that rounding its ends cannot push it past tol_root.  When rounding
     hides that sign change, the probes inside the bracket shrink it and
-    the loop goes on halving.  Returns the final (lo, hi).
+    the loop goes on halving.  Returns the final (lo, hi), which is
+    wider than tol_root only when one ulp at the root exceeds tol_root.
     """
     quarter = tol_root / 4
     x = (lo + hi) / 2
     while hi - lo > tol_root:
+        if not lo < (lo + hi) / 2 < hi:
+            return lo, hi  # adjacent floats: wider than tol_root, but final
         fx, _, _, slope = _carrier_value(x, ctx, k_terms, slope=True)
         if fx == 0:
             return x, x

@@ -41,7 +41,7 @@ from .exact import (
     jackson_monomial_exact,
     qbracket,
 )
-from .qkernel import q_power
+from .qkernel import _STREAK, q_power
 
 __all__ = [
     "LatticeFunction",
@@ -56,8 +56,6 @@ __all__ = [
     "jackson_integral_poly",
     "leibniz_residual",
 ]
-
-_STREAK = 3
 
 
 @dataclass(frozen=True)

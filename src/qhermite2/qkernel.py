@@ -27,7 +27,6 @@ state).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from mpmath.libmp import MPZ_ONE, fone, mpf_div, mpf_pow_int, normalize, round_nearest
@@ -53,8 +52,9 @@ __all__ = [
 ]
 
 # Number of consecutive sub-tolerance terms required before a series is
-# considered converged.  q-series can plateau (q^{n^2} beats x^n only
-# eventually), so a single small term is not evidence of convergence.
+# considered converged (here and in the qcalculus and extremal sums).
+# q-series can plateau (q^{n^2} beats x^n only eventually), so a single
+# small term is not evidence of convergence.
 _STREAK = 3
 
 _RND = round_nearest
@@ -209,7 +209,6 @@ def q_pochhammer_inf(a, ctx: PrecisionContext):
     )
 
 
-@lru_cache(maxsize=8192)
 def b_coeff(n: int, ctx: PrecisionContext):
     """Recurrence coefficient b_n = q^{-(2n+1)/2} sqrt(1 - q^{n+1}).
 
@@ -222,27 +221,28 @@ def b_coeff(n: int, ctx: PrecisionContext):
     would amplify the representation error of q by the exponent (powers
     of an inexact base lose about k/2 ulp at exponent k), which is
     invisible at binary-exact q = 1/2 but dominates everywhere else.
+    The value is the entry of :func:`b_table`, rounded once per context.
     """
     if n < -1:
         raise DomainError(f"b_coeff needs n >= -1, got {n}")
-    mp = ctx.mp
     if n == -1:
-        return mp.mpf(0)
-    return mp.sqrt(ctx.mpf(bn_squared_exact(n, ctx.q)))
+        return ctx.mp.mpf(0)
+    return b_table(n + 1, ctx)[n]
 
 
 def b_table(count: int, ctx: PrecisionContext) -> tuple:
     """(b_0, b_1, ...) for this context, at least ``count`` entries long.
 
-    Built only through :func:`b_coeff`, so every b_n is the same
-    once-rounded value, and grown by doubling.  Recurrences index this
-    tuple instead of calling the cached ``b_coeff``, which hashes the
-    context on every call.
+    Each b_n is sqrt of the exact b_n^2 rounded once (see
+    :func:`b_coeff`).  The tuple lives in ``ctx.tables``, so it goes
+    with its context, and grows by doubling.  Recurrences index it
+    directly.
     """
     table = ctx.tables.get("b", ())
     if len(table) < count:
         stop = max(count, 2 * len(table))
-        table += tuple(b_coeff(n, ctx) for n in range(len(table), stop))
+        sqrt, mpf, q = ctx.mp.sqrt, ctx.mpf, ctx.q
+        table += tuple(sqrt(mpf(bn_squared_exact(n, q))) for n in range(len(table), stop))
         ctx.tables["b"] = table
     return table
 

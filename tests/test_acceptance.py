@@ -2,8 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they are produced.  Criteria 1-7 assert their stated tolerances;
-criterion 8 is diagnostic (its tolerances are gated by the unit suite)
-and asserts completion within budget only.
+criteria 1, 2, 3, 4 and 7 run the verification suites of
+``qhermite2.suites`` that ``qhermite2 verify`` runs, and assert on the
+residuals they return.  Criterion 8 is diagnostic (its tolerances are
+gated by the unit suite) and asserts completion within budget only.
 """
 
 from __future__ import annotations
@@ -12,14 +14,9 @@ import math
 import time
 from fractions import Fraction
 
-from qhermite2 import PrecisionContext
+from qhermite2 import PrecisionContext, suites
 from qhermite2.coherent import cs_eigen_residual
-from qhermite2.exact import (
-    GaussianRational,
-    Poly,
-    bn_squared_exact,
-    moment_In_exact,
-)
+from qhermite2.exact import GaussianRational, Poly, bn_squared_exact, moment_In_exact
 from qhermite2.extremal import carrier_roots, loadings, orthonormality_gram
 from qhermite2.qcalculus import (
     deformed_derivative,
@@ -28,20 +25,11 @@ from qhermite2.qcalculus import (
     leibniz_residual,
     q_derivative_poly,
 )
-from qhermite2.qhermite import (
-    generating_fn_report,
-    hermite2_coeffs,
-    hermite2_eval_direct,
-    qdiff_equation_check,
-)
+from qhermite2.qhermite import generating_fn_report
 from qhermite2.qkernel import gen_exponential
-from qhermite2.qmeasure import lattice_weight, moment_In, unity_check
-from qhermite2.qoscillator import spectrum, verify_algebra
+from qhermite2.qoscillator import spectrum
 
 Q_VALUES = (Fraction(3, 10), Fraction(1, 2), Fraction(4, 5))
-X_GRID = tuple(
-    Fraction(v) for v in (0, "1/2", "-1/2", 1, -1, 2, -2)
-)
 
 _CONTEXTS = {q: PrecisionContext(q=q) for q in Q_VALUES}
 
@@ -77,17 +65,14 @@ class _Criterion:
 
 def test_criterion_1_cross_representation():
     with _Criterion(1, "cross-representation agreement", 5.0) as crit:
-        tol = 1e-25
+        tol = Fraction(1, 10**25)
         for q, ctx in _CONTEXTS.items():
-            tol_mp = ctx.mpf(f"{tol}")
-            for n in range(16):
-                poly = hermite2_coeffs(n, ctx)
-                for x in X_GRID:
-                    xv = ctx.mpf(x)
-                    direct = hermite2_eval_direct(n, xv, ctx)
-                    via = poly.eval_mp(ctx, xv)
-                    scale = max(abs(via), ctx.mpf(1))
-                    assert abs(direct - via) / scale < tol_mp, (q, n, x)
+            tol_mp = ctx.mpf(tol)
+            # n <= 15 on x in {0, +-1/2, +-1, +-2}
+            checks = suites.recurrence(ctx, n_max=15, tol=tol)
+            assert len(checks) == 16
+            for check in checks:
+                assert check.residual < tol_mp, (q, check.identity)
     crit.assert_budget()
 
 
@@ -95,8 +80,8 @@ def test_criterion_2_operator_algebra():
     with _Criterion(2, "operator algebra within ulp budget", 5.0) as crit:
         for q, ctx in _CONTEXTS.items():
             for dim in (4, 8, 16, 32):
-                report = verify_algebra(dim, ctx, ulp_bound=4)
-                assert report.passed, (q, dim)
+                checks = suites.commutators(ctx, dim=dim)
+                assert suites.passed(checks), (q, dim, checks)
         half = _CONTEXTS[Fraction(1, 2)]
         levels = [float(v) for _, v in spectrum(2, half).levels]
         assert levels == [1.0, 7.0, 34.0]
@@ -106,17 +91,13 @@ def test_criterion_2_operator_algebra():
 def test_criterion_3_lattice_moments():
     with _Criterion(3, "lattice moments against closed form", 10.0) as crit:
         ctx = _CONTEXTS[Fraction(1, 2)]
-        tol = ctx.mpf("1e-8")
-        weight = lattice_weight(61, 120, ctx)
-        results = [
-            moment_In(n, ctx, K=60, M=120, weight=weight) for n in range(9)
-        ]
-        for res in results:
-            assert res.rel_deviation < tol, res.n
+        tol = Fraction(1, 10**8)
+        # closed form for n <= 8, then the telescoping for 1 <= n <= 8
+        checks = suites.moments(ctx, n_max=8, tol=tol, k_depth=60, tail=120)
+        assert len(checks) == 17
+        for check in checks:
+            assert check.residual < ctx.mpf(tol), check.identity
         for n in range(1, 9):
-            ratio = results[n].lattice_value / results[n - 1].lattice_value
-            want = ctx.mpf(bn_squared_exact(n - 1, ctx.q))
-            assert abs(ratio - want) / want < tol, n
             assert moment_In_exact(n, ctx.q) == (
                 bn_squared_exact(n - 1, ctx.q) * moment_In_exact(n - 1, ctx.q)
             )
@@ -126,9 +107,12 @@ def test_criterion_3_lattice_moments():
 def test_criterion_4_resolution_of_unity():
     with _Criterion(4, "resolution-of-unity diagonal", 10.0) as crit:
         ctx = _CONTEXTS[Fraction(1, 2)]
-        report = unity_check(6, ctx, K=60, M=120)
-        assert report.max_abs_deviation < ctx.mpf("1e-6")
-        assert "exact zero" in report.off_diagonal
+        tol = Fraction(1, 10**6)
+        *diagonal, off_diagonal = suites.unity(ctx, n_max=6, tol=tol, k_depth=60, tail=120)
+        assert len(diagonal) == 7
+        for check in diagonal:
+            assert check.residual < ctx.mpf(tol), check.identity
+        assert "exact zero" in off_diagonal.note
     crit.assert_budget()
 
 
@@ -196,22 +180,17 @@ def test_criterion_7_difference_equation_and_generating_function():
     ) as crit:
         for q, ctx in _CONTEXTS.items():
             one_minus_q = Fraction(1) - q
-            assert qdiff_equation_check(0, ctx).is_zero(), q
-            expected_n1 = Poly(
-                (
-                    GaussianRational(Fraction(0), one_minus_q),
-                    GaussianRational.ZERO,
-                    GaussianRational.I,
-                    GaussianRational(one_minus_q, Fraction(0)),
-                )
-            )
-            assert qdiff_equation_check(1, ctx) == expected_n1, q
+            # residual exactly zero at n = 0; the documented residual
+            # (1-q) x^3 + i x^2 + i (1-q) at n = 1
+            assert suites.passed(suites.qdiff(ctx, n_max=1)), q
 
+            checks = suites.generating(ctx, x=Fraction(1, 2), order=10)
+            assert suites.passed(checks), q  # the resolved weight matched
+            resolved = next(
+                c for c in checks if c.identity == "weight-divided-with-qpower-squared"
+            )
+            assert resolved.residual == "0", q  # at every order
             rep = generating_fn_report(Fraction(1, 2), ctx.mpf("0.5"), 10, ctx)
-            assert rep.matched_hypothesis == "divided-with-qpower-squared", q
-            assert all(
-                r.is_zero() for r in rep.residuals["divided-with-qpower-squared"]
-            ), q
             assert rep.ratios["as-printed"][1] == one_minus_q, q
     crit.assert_budget()
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -392,6 +394,44 @@ def test_extremal_output_pinned(capsys, q, bits, job, bound, fmt, code, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# Exit code and SHA-256 of stdout of the operator-algebra suite, recorded
+# from the suite as it was written inside the CLI (q = 999/1000 fails the
+# 4-ulp gate there too): q, bits, dim, format, exit code, digest.
+_PINNED_COMMUTATORS_OUTPUT = """
+1/2 256 16 csv 0 dcc790a6ca9f45154aa2afb7b762b89ef4388a12b2baa6d541700cfab62a3426
+1/2 256 16 json 0 d6255717a8f01d9503f9fa608c4cd50e7dc705a5e7ccb01a843944a478ae58a7
+3/10 256 32 csv 0 ad3e2dc39af9656a4e4ee346eaec4e12658e282b1e939a93ae623b1cb41fc927
+999/1000 256 32 csv 1 ab35f620b9d516176288f315db69380c1614642b299bd6d48250b069dd3f6371
+"""
+
+
+@pytest.mark.parametrize(
+    "q, bits, dim, fmt, code, digest",
+    [
+        pytest.param(*fields, id="-".join(fields[:4]))
+        for fields in map(str.split, _PINNED_COMMUTATORS_OUTPUT.strip().splitlines())
+    ],
+)
+def test_commutators_output_pinned(capsys, q, bits, dim, fmt, code, digest):
+    got, out, _ = run_cli(
+        capsys,
+        ["verify", "--suite", "commutators", f"--q={q}", f"--precision-bits={bits}",
+         f"--dim={dim}", f"--format={fmt}"],
+    )
+    assert got == int(code)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_suite_parameters_spell_q_exactly(capsys):
+    # The parameters column is built from the exact q; the config echo
+    # keeps the text as typed.
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "unity", "--q=0.5", "--format=json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["q"] == "0.5"
+    assert [row[2].split(";")[0] for row in doc["rows"]] == ["q=1/2"] * 8
+
+
 def test_negative_rational_value_without_equals(capsys):
     # Recorded from `poly --n 7 --x=-13/5 --q=26/27`; the separate value
     # used to exit 2, because argparse read -13/5 as an option.
@@ -405,6 +445,31 @@ def test_negative_rational_value_without_equals(capsys):
     assert joined[0] == 0
     # A following option is still not taken as a value.
     assert run_cli(capsys, ["poly", "--n", "7", "--x", "--q", "26/27"])[0] == 2
+
+
+def test_no_context_outlives_its_job(capsys, monkeypatch):
+    # Caches belong in ctx.tables: a module-level cache keyed on the
+    # context keeps it, and its tables, alive after the job.
+    made = []
+
+    def recording_context(**kwargs):
+        ctx = qhermite2.PrecisionContext(**kwargs)
+        made.append(weakref.ref(ctx))
+        return ctx
+
+    monkeypatch.setattr(cli, "PrecisionContext", recording_context)
+    jobs = (
+        ["poly", "--n", "9", "--x", "1/2"],
+        ["table", "--what", "bn", "--n-max", "12"],
+        ["measure", "--type", "jackson", "--variable", "z-radial"],
+        ["measure", "--type", "extremal", "--bound", "3"],
+    )
+    for q in ("1/3", "2/5", "1/2", "3/5", "2/3", "5/7"):
+        for argv in jobs:
+            assert run_cli(capsys, argv + [f"--q={q}", "--precision-bits=128"])[0] == 0
+    gc.collect()
+    assert len(made) == 24
+    assert sum(ref() is not None for ref in made) == 0
 
 
 def test_module_invocation_round_trip():

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import qhermite2
 
 from qhermite2 import PrecisionContext
 from qhermite2.errors import DomainError
@@ -190,6 +196,34 @@ class TestCarrierRoots:
                 lo = carrier_function(p.x - half, None, ctx)
                 hi = carrier_function(p.x + half, None, ctx)
                 assert lo * hi < 0
+
+    def test_bracket_stops_at_one_ulp_above_tolerance(self):
+        # At q = 1/64 and 64 bits one ulp at the root 32767.94 (3.6e-15)
+        # exceeds tol_root = 1e-16, so the bracket cannot reach tol_root;
+        # the search used to loop forever.  A child process with a
+        # timeout turns a regression into a failure instead of a hang.
+        script = (
+            "from fractions import Fraction\n"
+            "from qhermite2 import PrecisionContext\n"
+            "from qhermite2.extremal import carrier_roots\n"
+            "ctx = PrecisionContext(q=Fraction(1, 64), precision_bits=64)\n"
+            "for p in carrier_roots(Fraction(100000), ctx):\n"
+            "    print(ctx.nstr(p.x, 12), p.bracket_width * 2 ** 52 / abs(p.x))\n"
+        )
+        src = str(Path(qhermite2.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()]
+        assert [x for x, _ in rows] == ["-32767.9373789", "32767.9373789"]
+        # one ulp at 64 bits: 2^-63 relative, below 2^-52 by 2^11
+        assert all(0 < float(width) < 2.0 ** -10 for _, width in rows)
 
     def test_parameter_validation(self, ctx_half):
         with pytest.raises(DomainError):
