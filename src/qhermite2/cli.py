@@ -30,6 +30,7 @@ their verdict; the suites themselves compute and gate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -442,6 +443,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+# Built on the first ``main`` call, not at import, and reused by later
+# calls in the same process: building it costs about as much as a short
+# job, and parse_args keeps no state between calls.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qhermite2",
@@ -517,9 +522,8 @@ def _join_negative_values(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+        ns = _build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else _EXIT_USAGE
         return code if code == 0 else _EXIT_USAGE

@@ -87,7 +87,7 @@ from .errors import (
     DomainError,
     NoConvergenceError,
 )
-from .exact import extremal_bracket_exact
+from .exact import bn_squared_exact, extremal_bracket_exact
 from .qhermite import psi_sequence
 from .qkernel import _STREAK, b_coeff, b_table
 
@@ -592,12 +592,36 @@ def _screened_sign(total: float, bound: float) -> int:
     return 0
 
 
+def _root_free_radius(q: Fraction) -> Fraction:
+    """r0 with D(x) >= 1/2 for 0 < x <= 2 r0: no carrier root there.
+
+    From the bounds ``_screen_sum`` states: c_1 = 1 and
+    |c_{k+1}/c_k| < q, so |c_k| < q^(k-1); while x/b_0 + q < 1,
+    |Psi_{m+1}| <= (x/b_m + q) max(|Psi_m|, |Psi_{m-1}|) keeps every
+    |Psi_n(x)| <= max(Psi_0, Psi_1) = max(1, x/b_0) = 1.  Then
+    |D(x) - 1| <= x sum_k q^(k-1) = x/(1 - q), which is at most 1/2 for
+    x <= (1 - q) min(1, b_0)/2.  min(1, b_0^2) <= min(1, b_0) keeps r0
+    rational, and x <= 2 r0 still has x/b_0 + q < 1.
+    """
+    return (1 - q) * min(1, bn_squared_exact(0, q)) / 4
+
+
 def _scan_grid(bound, grid_points: int, ctx: PrecisionContext) -> list:
     """Sorted merged grid on (0, bound]: ``grid_points`` geometric points
-    from bound/10^4 and ``grid_points`` linear ones."""
+    from bound/10^4 and ``grid_points`` linear ones.
+
+    Where the root-free radius r0 (``_root_free_radius``) lies below
+    bound/10^4, the geometric grid goes on down, at the same ratio, to
+    its first point at or below r0, so no cell below the grid can hold
+    a root.  Otherwise the grid is unchanged.
+    """
     lo_edge = bound * ctx.mpf(Fraction(1, 10000))
+    first = 0
+    r0 = ctx.mpf(_root_free_radius(ctx.q))
+    if r0 < lo_edge:
+        first = -(math.floor((grid_points - 1) * math.log(lo_edge / r0) / math.log(10000)) + 1)
     grid = [lo_edge * (bound / lo_edge) ** (ctx.mpf(Fraction(i, grid_points - 1)))
-            for i in range(grid_points)]
+            for i in range(first, grid_points)]
     grid += [bound * ctx.mpf(Fraction(i, grid_points)) for i in range(1, grid_points + 1)]
     return sorted(set(grid))
 

@@ -11,7 +11,10 @@ lattice layers comes from one kernel, :func:`q_power` (raw tuples:
 :func:`q_power_raw`).  It is bitwise ``mpf_pow_int``, which is what
 ``ctx.qm ** n`` computes, but keeps the chain of truncated squarings
 q, q^2, q^4, ... in the context per working precision, so each call
-only multiplies the entries for the set bits of n.
+only multiplies the entries for the set bits of n.  Consecutive powers
+come from :func:`q_power_run`, which yields the same bits from one
+running product and a rounding test (Ziv), calling ``q_power_raw`` only
+where that test cannot decide.
 
 Scalar results are plain mpf/mpc values bound to the calling context's
 precision.  Because mpmath exponents are bignums, partial products like
@@ -27,6 +30,7 @@ state).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence, Tuple
 
 from mpmath.libmp import MPZ_ONE, fone, mpf_div, mpf_pow_int, normalize, round_nearest
@@ -50,6 +54,10 @@ __all__ = [
     "gen_exponential",
     "weight_W",
 ]
+
+# Guard bits of the running product in q_power_run above the precision
+# its values are rounded to.
+_RUN_GUARD = 64
 
 # Number of consecutive sub-tolerance terms required before a series is
 # considered converged (here and in the qcalculus and extremal sums).
@@ -94,10 +102,19 @@ def q_power_raw(n: int, ctx: PrecisionContext) -> tuple:
     """q^n as a raw mpf tuple, bitwise ``ctx.qm ** n``.
 
     ``ctx.qm ** n`` is ``mpf_pow_int(q, n, prec, round_nearest)`` at the
-    current ``ctx.mp.prec``.  For n with bc*n >= 1000 (bc the mantissa
-    bit count of q) that is a binary exponentiation whose chain of
-    truncated squarings q, q^2, q^4, ... depends only on q and the
-    working precision prec + 4 bitcount(n) + 4, not on n.  Here the
+    current ``ctx.mp.prec``.  For n > 2 with bc*n >= 1000 (bc the
+    mantissa bit count of q, q not a power of two) that is a binary
+    exponentiation whose chain of truncated squarings q, q^2, q^4, ...
+    depends only on q and the working precision
+    wp = prec + 4 bitcount(n) + 4, not on n; its product T is rounded
+    once to prec.  Every truncation there rounds down and loses less
+    than 2^(1-wp) relative; chain entry k carries 2^k - 1 of them and
+    the product one per set bit of n, so
+
+        q^n (1 - 2^(1-wp))^n <= T <= q^n,
+
+    a loss delta_n = n 2^(1-wp) that grows with n, not with
+    bitcount(n).  Here the
     chain is built once per working precision and kept in
     ``ctx.tables``; each call multiplies the chain entries of the set
     bits of n, least significant first, truncating exactly as
@@ -125,6 +142,85 @@ def q_power(n: int, ctx: PrecisionContext):
     return ctx.mp.make_mpf(q_power_raw(n, ctx))
 
 
+def q_power_run(start: int, stop: int, ctx: PrecisionContext):
+    """Yield ``q_power_raw(n, ctx)`` for n in range(start, stop), bitwise.
+
+    A running product A = pm 2^pe of W = prec + _RUN_GUARD bits follows
+    q^|n|: one multiply by the mantissa of q per step for n > 2, one by
+    a W-bit 1/q (rounded down) for n < -1, where |n| falls.  It starts
+    from a truncated binary power and every truncation rounds down, so
+    A <= q^|n| <= A (1 - 2^(1-W))^-c, c counting those truncations.
+    With the loss delta_n = |n| 2^(1-wp) of ``mpf_pow_int``'s product T
+    (see :func:`q_power_raw`),
+
+        A (1 - delta_n) <= T <= A (1 + 2c 2^(1-W))     (c 2^(1-W) <= 1/2).
+
+    When both ends round to the same mpf at the target precision, so
+    does T, rounding being monotone: that mpf is the answer.  The
+    target is prec for n > 2 and prec + 5 for n < -1, whose value then
+    goes through the same ``mpf_div(1, .)`` as in ``mpf_pow_int``.
+    Where the ends differ (rare: the interval spans under 2^-40 ulp on
+    runs of up to a million steps), and for every n
+    that ``mpf_pow_int`` treats exactly (|n| <= 2, bc |n| < 1000, q a
+    power of two) or inside an ``mp.workprec`` block, the value is
+    ``q_power_raw(n, ctx)``.
+    """
+    prec = ctx.mp.prec
+    _, man, exp, bc = ctx.qm._mpf_
+    exact = max(2, 999 // bc)  # |n| <= exact: the exact branches
+    if prec != ctx.precision_bits or man == 1:
+        exact = max(-start, stop)  # every n
+    low, high = min(stop, -exact), max(start, exact + 1)
+    if start < low:
+        run = _certified_powers(man, exp, -start, -low, prec + 5)
+        for n, inverse in zip(range(start, low), run):
+            yield q_power_raw(n, ctx) if inverse is None else mpf_div(fone, inverse, prec, _RND)
+    for n in range(max(start, low), min(stop, high)):
+        yield q_power_raw(n, ctx)
+    if high < stop:
+        run = _certified_powers(man, exp, high, stop, prec)
+        for n, power in zip(range(high, stop), run):
+            yield q_power_raw(n, ctx) if power is None else power
+
+
+def _certified_powers(man, exp: int, first: int, end: int, prec: int):
+    """``mpf_pow_int(q, k, prec, round_nearest)`` or None, for k from
+    ``first`` to ``end`` (exclusive, either direction), q = man 2^exp
+    (see :func:`q_power_run`)."""
+    width = prec + _RUN_GUARD
+    pm, pe = _chain_power(first, _squarings(man, exp, first.bit_length(), width), width)
+    loss = first  # truncations in pm, as for T in q_power_raw
+    pad = width - pm.bit_length()  # from here on pm has >= width bits
+    pm, pe = pm << pad, pe - pad
+    if end > first:
+        step, step_exp, step_loss = man, exp, 1
+    else:
+        bc = man.bit_length()
+        step = (MPZ_ONE << (width + bc - 1)) // man
+        step_exp, step_loss = -(width + bc - 1) - exp, 2
+    if (loss + step_loss * abs(end - first)) >> (width - 2):
+        yield from repeat(None, abs(end - first))  # c 2^(1-W) could pass 1/2
+        return
+    for k in range(first, end, 1 if end > first else -1):
+        lo = pm - ((pm * k) >> (prec + 4 * k.bit_length() + 3)) - 1
+        hi = pm + ((pm * loss) >> (width - 2)) + 1
+        # lo..hi lies strictly between two neighbouring multiples of
+        # 2^shift, an interval holding no float of prec bits and no
+        # midpoint between two of them: all of it rounds alike.
+        shift = hi.bit_length() - prec - 1
+        if (lo - 1) >> shift == hi >> shift:
+            yield normalize(0, lo, pe, lo.bit_length(), prec, _RND)
+        else:
+            yield None
+        pm *= step
+        pe += step_exp
+        loss += step_loss
+        excess = pm.bit_length() - width
+        if excess > 0:
+            pm >>= excess
+            pe += excess
+
+
 def _positive_power(q: tuple, n: int, prec: int, chains: dict) -> tuple:
     """``mpf_pow_int(q, n, prec, round_nearest)`` for q > 0 and n >= -1."""
     _, man, exp, bc = q
@@ -134,6 +230,13 @@ def _positive_power(q: tuple, n: int, prec: int, chains: dict) -> tuple:
     chain = chains.get(workprec)
     if chain is None:
         chain = chains[workprec] = _squarings(man, exp, n.bit_length(), workprec)
+    pm, pe = _chain_power(n, chain, workprec)
+    return normalize(0, pm, pe, pm.bit_length(), prec, _RND)
+
+
+def _chain_power(n: int, chain: tuple, workprec: int) -> tuple:
+    """(man, exp) of the product of the ``chain`` entries of the set bits
+    of n, truncated to workprec after each multiply."""
     pm, pe = MPZ_ONE, 0
     for bit, (cm, ce) in zip(bin(n)[:1:-1], chain):  # least significant bit first
         if bit == "1":
@@ -143,7 +246,7 @@ def _positive_power(q: tuple, n: int, prec: int, chains: dict) -> tuple:
             if excess > 0:
                 pm >>= excess
                 pe += excess
-    return normalize(0, pm, pe, pm.bit_length(), prec, _RND)
+    return pm, pe
 
 
 def _squarings(man, exp: int, count: int, workprec: int) -> tuple:

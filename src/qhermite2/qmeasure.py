@@ -14,10 +14,13 @@ step and collapses in two steps (see discrepancy registry entry
 ``lattice_weight_scheme``).  The seed contamination of the deep end
 decays like q^{buffer/2}, so the default buffer is sized to push it
 below working precision.  ``lattice_weight`` makes one streamed sweep
-on raw mpf values from the deep seeds to twice the tail depth and
+on raw mpf values from the deep seeds toward twice the tail depth and
 retains only the requested window and the two tail values it
 normalizes and checks against (the standard one-pass evaluation of a
-minimal solution; W. Gautschi, SIAM Rev. 9 (1967) 24-82).
+minimal solution; W. Gautschi, SIAM Rev. 9 (1967) 24-82).  The powers
+q^(m+1) come from one running product (``q_power_run``), and the sweep
+stops once three values in a row are equal: past that point it
+provably changes no bit (see ``_sweep``).
 
 Moments of the weight against the hat integral reproduce
 I_n = q^{-n^2} (q; q)_n, and the associated point-mass measures carry
@@ -40,7 +43,7 @@ from .context import PrecisionContext
 from .errors import DomainError, InstabilityError
 from .exact import moment_In_exact
 from .qcalculus import LatticeFunction, hat_q_integral
-from .qkernel import q_power, q_power_raw, rho_factorial
+from .qkernel import q_power, q_power_run, rho_factorial
 
 __all__ = [
     "LatticeWeight",
@@ -105,27 +108,46 @@ def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
     """One streamed upward sweep of g_{m+2} = g_{m+1} + q^{m+1} g_m.
 
     Seeds g = 0, 1 at exponents lo = -K - buffer - 2 and lo + 1 and runs
-    on raw mpf values up to the check index 2 m_top.  Each step is
-    ``q_power_raw`` (bitwise ``q ** (m + 1)``, without re-squaring q)
-    and the ``mpf_mul`` and ``mpf_add`` calls (working precision,
+    on raw mpf values toward the check index 2 m_top.  Each step takes
+    p_{m+1} from ``q_power_run`` (bitwise ``q ** (m + 1)``) and makes
+    the ``mpf_mul`` and ``mpf_add`` calls (working precision,
     round-to-nearest) that the mpf operators make.  Only the window
     [-K, M] is kept.  Returns (window, (m_top, g_{m_top}),
     (m_check, g_{m_check})): the tail normalization index, where
     1 - f < 2^-precision, and the check index at twice its depth.
+
+    The sweep stops at the first step with m + 1 >= 1 and
+    g_m == g_{m+1} == g_{m+2} = G, and every later value is G:
+
+    - p_n does not increase for n >= 1: ``mpf_pow_int`` forms q^n within
+      a factor 1 - n 2^(1-wp) >= 1 - 2^(-prec-3) below (see
+      ``q_power_raw``), and q <= 1 - 2^-prec, so its product for n + 1
+      lies below the one for n, and rounding keeps that order;
+    - all g are >= 0 and ``mpf_mul``/``mpf_add`` round monotonically, so
+      G <= round(G + round(p_{n+1} G)) <= round(G + round(p_n G)) = G,
+      and the pair (G, G) repeats with the next, smaller power.
+
+    So the values the full sweep would reach at m_top (when the stop
+    comes first), at 2 m_top and in the rest of the window are G, bit
+    for bit.
     """
     prec = ctx.precision_bits
     m_top = max(M + 2, math.ceil(prec * math.log(2) / -math.log(float(ctx.q))) + 4)
     m_check = 2 * m_top
-    window = []
+    lo = -K - buffer - 2
+    window, g_top = [], None
     g0, g1 = fzero, fone
-    for m in range(-K - buffer - 2, m_check - 1):
-        step = mpf_mul(q_power_raw(m + 1, ctx), g0, prec, _RND)
-        g0, g1 = g1, mpf_add(g1, step, prec, _RND)
+    for m, power in zip(range(lo, m_check - 1), q_power_run(lo + 1, m_check, ctx)):
+        g2 = mpf_add(g1, mpf_mul(power, g0, prec, _RND), prec, _RND)
         if -K <= m + 2 <= M:
-            window.append(g1)
+            window.append(g2)
         elif m + 2 == m_top:
-            g_top = g1
-    return window, (m_top, g_top), (m_check, g1)
+            g_top = g2
+        if m >= 0 and g0 == g1 == g2:
+            break
+        g0, g1 = g1, g2
+    window += [g2] * (K + M + 1 - len(window))
+    return window, (m_top, g2 if g_top is None else g_top), (m_check, g2)
 
 
 def lattice_weight(

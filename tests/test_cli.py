@@ -279,7 +279,9 @@ class TestExitCodes:
 
 
 # Exit code and SHA-256 of stdout of the lattice subcommands, recorded
-# from the two-sweep lattice weight that the one-sweep version replaced:
+# from the two-sweep lattice weight that the one-sweep version replaced
+# (the q = 29/30 and 40/41 rows, where most q-powers take mpf_pow_int's
+# squaring chain, from the sweep before the running q-power kernel):
 # q, bits, job, exit code, digest.
 _PINNED_LATTICE_OUTPUT = """
 1/2 256 jackson-y 0 848322c6183617109c19773c00b4bf81987e8301dae8d3b8ebb238a20b74aa1e
@@ -297,6 +299,16 @@ _PINNED_LATTICE_OUTPUT = """
 1/5 64 jackson-z-radial 0 62df22257df0264a9911811b666093b76911447eb510e500d9a82b04120eecd3
 1/5 64 moments 0 775646a1ffd5d3c3e03f69a75eb27aa6a817f6a2e8917fa5228f6c023e690c99
 1/5 64 unity 0 47b980485789dce0001dd1aa4fe2a75f15540730f52f7fc925904a9056c6855d
+29/30 256 jackson-y 0 0c0c99b4e5426dd212d9a60a1bbb69ec52b0e0e534143bf27dcaa0cdd0ea5524
+29/30 256 jackson-x 0 b700c8eeed776b08591a5aa4f3ff4e3f335e9c910c55c29a4a7c9280766bfe70
+29/30 256 jackson-z-radial 0 e6e1c0d1e1a887741ed49d5f7969f789290e49df7c3176f3a8648bac3a7db832
+29/30 256 moments 1 08c79ff30fba45cfbf5efc8cd8e7e2134e215f8d14463386c5f32c380a11b6f3
+29/30 256 unity 1 f7f06569a62f57537bfa09afbb2fd046a2b10c0353b2b0d6f652046e608a4129
+40/41 128 jackson-y 0 bf6de5a510495adb83c8551ecc13d251cb8bb830730a737c722060cfb72ab108
+40/41 128 jackson-x 0 548727d358467bb7a3db7476cb8ee4183e8bfdbc85a803a0ad7fd687bd2df1e7
+40/41 128 jackson-z-radial 0 166f58e9a32e31d40f1dc11a920db669efffc55a77160a09dd96215a55e9aa6a
+40/41 128 moments 1 66f5c705dc08226ab1ca52716506b9667a9d3b92e910b5ba85c979b0022bbcaf
+40/41 128 unity 1 b2a10e58adee45af1bb694e29403a98e6829f11e889b8f14a3aa1138fefdb46e
 """
 
 
@@ -472,16 +484,39 @@ def test_no_context_outlives_its_job(capsys, monkeypatch):
     assert sum(ref() is not None for ref in made) == 0
 
 
-def test_module_invocation_round_trip():
+def _run_module(argv):
+    """Run the CLI in a fresh interpreter: (exit code, stdout)."""
     # The child imports the package under test, found or not on PYTHONPATH.
     src = str(Path(qhermite2.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "qhermite2.cli", "poly", "--n", "1", "--x", "1"],
+        [sys.executable, "-m", "qhermite2.cli", *argv],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.returncode == 0
-    assert proc.stdout.splitlines()[1].startswith("1,1,1,")
+    return proc.returncode, proc.stdout
+
+
+def test_module_invocation_round_trip():
+    code, out = _run_module(["poly", "--n", "1", "--x", "1"])
+    assert code == 0
+    assert out.splitlines()[1].startswith("1,1,1,")
+
+
+def test_reused_parser_matches_fresh_runs(capsys, monkeypatch):
+    # One process reuses its parser across jobs, usage errors included.
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps to it
+    jobs = [
+        ["table", "--what", "bn", "--q=3/10", "--n-max=4"],
+        ["verify", "--suite", "nope"],
+        ["poly", "--n", "3", "--x=-13/5", "--q=26/27", "--format=json"],
+        ["measure", "--type", "jackson", "--k-depth=-3"],
+        ["verify", "--suite", "recurrence", "--n-max=3", "--q=1/3"],
+        ["cs", "--help"],
+        ["cs", "--trunc=20", "--z-re=-3/2", "--z-im=1/4"],
+    ]
+    in_process = [run_cli(capsys, argv)[:2] for argv in jobs]
+    assert [code for code, _ in in_process] == [0, 2, 0, 2, 0, 0, 0]
+    assert in_process == [_run_module(argv) for argv in jobs]

@@ -15,8 +15,12 @@ import qhermite2
 from qhermite2 import PrecisionContext
 from qhermite2.errors import DomainError
 from qhermite2.exact import extremal_bracket_exact
+from qhermite2.cli import main
 from qhermite2.extremal import (
+    _carrier_coefficients,
     _kernel_mass,
+    _root_free_radius,
+    _scan_grid,
     alpha_coeff,
     beta_coeff,
     bracket_double_factorial,
@@ -221,9 +225,40 @@ class TestCarrierRoots:
         )
         assert proc.returncode == 0, proc.stderr
         rows = [line.split() for line in proc.stdout.splitlines()]
-        assert [x for x, _ in rows] == ["-32767.9373789", "32767.9373789"]
+        assert [x for x, _ in rows] == [
+            "-32767.9373789", "-2.81696932637", "2.81696932637", "32767.9373789"
+        ]
         # one ulp at 64 bits: 2^-63 relative, below 2^-52 by 2^11
-        assert all(0 < float(width) < 2.0 ** -10 for _, width in rows)
+        assert all(0 < float(width) < 2.0 ** -10 for x, width in rows if "32767" in x)
+
+    def test_scan_reaches_the_root_free_radius(self, capsys):
+        # bound/10^4 = 10 lies above the roots +-2.8170, which the grid
+        # from bound/10^4 used to miss.
+        assert main(["measure", "--type", "extremal", "--q=1/64",
+                     "--bound=100000", "--precision-bits=64"]) == 0
+        xs = [line.split(",")[0][:10] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert xs == ["-32767.937", "-2.8169693", "2.81696932", "32767.9373"]
+
+    @pytest.mark.parametrize("q", [Fraction(1, 64), Fraction(1, 2), Fraction(4, 5)], ids=str)
+    def test_root_free_radius(self, q):
+        ctx = PrecisionContext(q=q, precision_bits=64)
+        r0 = _root_free_radius(q)
+        # c_1 = 1 and (c_{k+1}/c_k)^2 = [2k]/[2k+1] < q^2, exactly
+        assert _carrier_coefficients(1, ctx)[0] == 1
+        assert extremal_bracket_exact(1, q) == 1
+        for k in range(1, 40):
+            assert extremal_bracket_exact(2 * k, q) < q**2 * extremal_bracket_exact(2 * k + 1, q)
+        for k in range(1, 33):
+            assert carrier_function(r0 * k / 16, None, ctx) >= 0.5
+        # The grid reaches down to r0 where r0 < bound/10^4 ...
+        grid = _scan_grid(ctx.mpf(10 ** 6), 64, ctx)
+        assert grid[0] <= ctx.mpf(r0) < grid[1]
+        # ... and is the plain one elsewhere.
+        bound = ctx.mpf(40)
+        lo_edge = bound * ctx.mpf(Fraction(1, 10000))
+        plain = [lo_edge * (bound / lo_edge) ** ctx.mpf(Fraction(i, 63)) for i in range(64)]
+        plain += [bound * ctx.mpf(Fraction(i, 64)) for i in range(1, 65)]
+        assert _scan_grid(bound, 64, ctx) == sorted(set(plain))
 
     def test_parameter_validation(self, ctx_half):
         with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qhermite2 import PrecisionContext
+from qhermite2 import PrecisionContext, qkernel
 from qhermite2.errors import DomainError, NoConvergenceError
 from qhermite2.exact import bn_squared_exact
 from qhermite2.qhermite import hermite2_eval_direct
@@ -23,6 +23,7 @@ from qhermite2.qkernel import (
     q_pochhammer_inf,
     q_power,
     q_power_raw,
+    q_power_run,
     rho_factorial,
     weight_W,
 )
@@ -197,6 +198,72 @@ class TestQPower:
         qm = ctx.qm
         for n in ns:
             assert q_power_raw(n, ctx) == (qm**n)._mpf_, n
+
+
+def _exact_branch(n, ctx):
+    """Whether mpf_pow_int computes q^|n| without its squaring chain."""
+    _, man, _, bc = ctx.qm._mpf_
+    return man == 1 or abs(n) <= max(2, 999 // bc)
+
+
+class TestQPowerRun:
+    """q_power_run yields q_power_raw(n) for consecutive n, bitwise."""
+
+    # Ranges across zero, and runs that start deep on either side.
+    RANGES = ((-1500, 1500), (-40000, -39000), (39000, 40000))
+
+    @pytest.mark.parametrize("bits", [64, 128, 256, 512])
+    @pytest.mark.parametrize(
+        "q",
+        [Fraction(1, 64), Fraction(1, 2), Fraction(3, 4), Fraction(29, 30),
+         Fraction(63, 64), Fraction(999, 1000)],
+        ids=str,
+    )
+    def test_matches_q_power_raw(self, q, bits):
+        ctx = PrecisionContext(q, bits)
+        for start, stop in self.RANGES:
+            want = [q_power_raw(n, ctx) for n in range(start, stop)]
+            assert list(q_power_run(start, stop, ctx)) == want
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        b=st.integers(2, 1000),
+        a_frac=st.floats(0, 1, exclude_max=True),
+        bits=st.integers(64, 512),
+        start=st.integers(-(10**4), 10**4),
+        length=st.integers(0, 300),
+    )
+    def test_property_rational_q(self, b, a_frac, bits, start, length):
+        a = 1 + int(a_frac * (b - 1))
+        ctx = PrecisionContext(Fraction(a, b), bits)
+        want = [q_power_raw(n, ctx) for n in range(start, start + length)]
+        assert list(q_power_run(start, start + length, ctx)) == want
+
+    @pytest.mark.parametrize("guard, certified", [(64, True), (2, False)])
+    def test_fallback_keeps_the_bits(self, monkeypatch, guard, certified):
+        # The rounding test decides every step at the default guard; with
+        # two guard bits it decides none, and each step falls back.
+        ctx = PrecisionContext(Fraction(29, 30), 256)
+        ns = range(-1500, 1500)
+        want = [q_power_raw(n, ctx) for n in ns]
+        calls = []
+
+        def counted(n, ctx):
+            calls.append(n)
+            return q_power_raw(n, ctx)
+
+        monkeypatch.setattr(qkernel, "_RUN_GUARD", guard)
+        monkeypatch.setattr(qkernel, "q_power_raw", counted)
+        assert list(q_power_run(ns.start, ns.stop, ctx)) == want
+        exact = [n for n in ns if _exact_branch(n, ctx)]
+        assert calls == (exact if certified else list(ns))
+        assert len(exact) < len(ns) / 100
+
+    def test_other_precision_delegates(self):
+        ctx = PrecisionContext(Fraction(40, 41), 128)
+        with ctx.mp.workprec(128 + 77):
+            got = list(q_power_run(-2000, 2000, ctx))
+            assert got == [q_power_raw(n, ctx) for n in range(-2000, 2000)]
 
 
 # Test-local copies of the series kernels as they were with the per-call

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, round_nearest
 
-from qhermite2 import PrecisionContext
+from qhermite2 import PrecisionContext, qmeasure
 from qhermite2.coherent import cs_norm_sq
 from qhermite2.errors import DomainError, InstabilityError
 from qhermite2.exact import bn_squared_exact, moment_In_exact
-from qhermite2.qkernel import rho_factorial
+from qhermite2.qkernel import q_power_raw, q_power_run, rho_factorial
 from qhermite2.qmeasure import (
     MEASURE_TARGETS,
     _default_buffer,
@@ -72,6 +73,30 @@ def _ref_lattice_weight(K, M, ctx):
         residual_max = max(residual_max, res / scale)
     negative_count = sum(1 for v in values.values() if v < 0)
     return values, residual_max, negative_count, m_top
+
+
+def _ref_sweep(K, M, ctx, buffer):
+    """The sweep without its early stop: every step up to 2 m_top, each
+    power from q_power_raw."""
+    prec = ctx.precision_bits
+    m_top = max(M + 2, math.ceil(prec * math.log(2) / -math.log(float(ctx.q))) + 4)
+    m_check = 2 * m_top
+    window = []
+    g0, g1 = fzero, fone
+    for m in range(-K - buffer - 2, m_check - 1):
+        step = mpf_mul(q_power_raw(m + 1, ctx), g0, prec, round_nearest)
+        g0, g1 = g1, mpf_add(g1, step, prec, round_nearest)
+        if -K <= m + 2 <= M:
+            window.append(g1)
+        elif m + 2 == m_top:
+            g_top = g1
+    return window, (m_top, g_top), (m_check, g1)
+
+
+def _assert_sweep_reference(K, M, ctx):
+    """_sweep, early stop included, returns what the full sweep does."""
+    buf = _default_buffer(ctx)
+    assert _sweep(K, M, ctx, buf) == _ref_sweep(K, M, ctx, buf)
 
 
 def _assert_bitwise_reference(K, M, ctx):
@@ -139,6 +164,21 @@ class TestTailDoubling:
         top, check = ctx.mp.make_mpf(g_top), ctx.mp.make_mpf(g_check)
         assert abs(check - top) / top < ctx.mpf(ctx.series_tol)
 
+    def test_sweep_stops_near_the_tail_index(self, monkeypatch):
+        # Once the weight is stationary the sweep stops instead of
+        # running on to the check index 2 m_top.
+        ctx = PrecisionContext(Fraction(29, 30), 128)
+        exponents = []
+
+        def run(start, stop, ctx):
+            for n, power in zip(range(start, stop), q_power_run(start, stop, ctx)):
+                exponents.append(n)
+                yield power
+
+        monkeypatch.setattr(qmeasure, "q_power_run", run)
+        _, (m_top, _), (m_check, _) = _sweep(61, 120, ctx, _default_buffer(ctx))
+        assert m_top - 100 < exponents[-1] < m_top + 100 < m_check
+
 
 class TestStreamedSweep:
     """The one-sweep weight is bitwise the two-pass mpf-operator reference."""
@@ -156,10 +196,16 @@ class TestStreamedSweep:
         ids=str,
     )
     def test_matches_reference(self, q, bits):
-        _assert_bitwise_reference(61, 120, PrecisionContext(q, bits))
+        ctx = PrecisionContext(q, bits)
+        _assert_bitwise_reference(61, 120, ctx)
+        _assert_sweep_reference(61, 120, ctx)
+        # A window that reaches past the early stop, which fills it.
+        _assert_sweep_reference(8, 600, ctx)
 
     def test_matches_reference_near_q_one(self):
-        _assert_bitwise_reference(61, 120, PrecisionContext(Fraction(63, 64), 64))
+        ctx = PrecisionContext(Fraction(63, 64), 64)
+        _assert_bitwise_reference(61, 120, ctx)
+        _assert_sweep_reference(61, 120, ctx)
 
     @settings(
         max_examples=15,
@@ -173,7 +219,9 @@ class TestStreamedSweep:
         M=st.integers(min_value=4, max_value=48),
     )
     def test_matches_reference_property(self, q, bits, K, M):
-        _assert_bitwise_reference(K, M, PrecisionContext(q, bits))
+        ctx = PrecisionContext(q, bits)
+        _assert_bitwise_reference(K, M, ctx)
+        _assert_sweep_reference(K, M, ctx)
 
 
 class TestMoments:
