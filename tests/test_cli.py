@@ -434,6 +434,33 @@ def test_commutators_output_pinned(capsys, q, bits, dim, fmt, code, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# The exit-3 payload of the calculus suite where the finite hat integral
+# runs out of its 4,000-term budget (256 bits), recorded before the
+# lattice walks shared one generator: the message quotes the last term
+# the monitored sum saw.
+_PINNED_TERM_BUDGET_PAYLOAD = {
+    "99/100": "0.00000000000000000003544116595446662363786473658183099617399391139504888387303001878363989153145",
+    "26/27": "1.095853036964786019490793542187900127398814521842147470474160819782913514359e-67",
+}
+
+
+@pytest.mark.parametrize("q", sorted(_PINNED_TERM_BUDGET_PAYLOAD))
+def test_qcalculus_term_budget_payload_pinned(capsys, q):
+    code, out, _ = run_cli(
+        capsys, ["verify", "--suite", "qcalculus", f"--q={q}", "--precision-bits=256", "--format=json"]
+    )
+    assert code == 3
+    assert json.loads(out) == {
+        "schema_version": "1",
+        "command": "verify",
+        "error": {
+            "type": "NoConvergenceError",
+            "message": "hat_q_integral_finite: lattice terms still "
+            f"{_PINNED_TERM_BUDGET_PAYLOAD[q]} after 4000 terms",
+        },
+    }
+
+
 def test_suite_parameters_spell_q_exactly(capsys):
     # The parameters column is built from the exact q; the config echo
     # keeps the text as typed.

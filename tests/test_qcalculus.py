@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from qhermite2 import PrecisionContext
 from qhermite2.errors import DomainError, NoConvergenceError
 from qhermite2.exact import GaussianRational, Poly, bn_squared_exact, qbracket
 from qhermite2.qcalculus import (
@@ -210,3 +211,123 @@ class TestIntegrationByParts:
             ibp_residual(POLY_A, POLY_B, "ip9", Fraction(1), ctx_half)
         with pytest.raises(DomainError):
             ibp_residual(POLY_A, POLY_B, "ip1", None, ctx_half)
+
+
+# Reference lattice sums: the monitored sum and the lattice generators as
+# they were written before the stop rule and the walk were shared, kept
+# here to pin the numeric Jackson and finite hat integrals bitwise.
+
+
+def _ref_monitored_sum(terms, ctx, what):
+    mp = ctx.mp
+    tol = ctx.mpf(ctx.series_tol)
+    total = mp.mpf(0)
+    prev = None
+    streak = 0
+    for k, term in enumerate(terms):
+        total = total + term
+        mag = abs(term)
+        scale = max(abs(total), tol)
+        if mag <= tol * scale and (prev is None or mag <= prev):
+            streak += 1
+            if streak >= 3:
+                return total
+        else:
+            streak = 0
+        prev = mag
+        if k + 1 >= ctx.max_terms:
+            raise NoConvergenceError(
+                f"{what}: lattice terms still {mag} after {ctx.max_terms} terms"
+            )
+    return total
+
+
+def _ref_jackson_integral(func, kind, x, ctx):
+    xv = ctx.mpf(x)
+    q = ctx.qm
+    if kind == "zero_to_x":
+        def small_terms():
+            qn = ctx.mp.mpf(1)
+            for _ in range(ctx.max_terms):
+                yield qn * func(qn * xv)
+                qn = qn * q
+        return xv * (1 - q) * _ref_monitored_sum(small_terms(), ctx, "jackson")
+
+    mirrored = kind == "minus_inf_to_inf"
+
+    def value_at(t):
+        v = func(t)
+        if mirrored:
+            v = v + func(-t)
+        return v
+
+    def downward_terms():
+        qj = 1 / q
+        for _ in range(ctx.max_terms):
+            yield qj * value_at(qj * xv)
+            qj = qj / q
+
+    def upward_terms():
+        qj = ctx.mp.mpf(1)
+        for _ in range(ctx.max_terms):
+            yield qj * value_at(qj * xv)
+            qj = qj * q
+
+    up = _ref_monitored_sum(upward_terms(), ctx, "jackson upward branch")
+    down = _ref_monitored_sum(downward_terms(), ctx, "jackson downward branch")
+    return (1 - q) * xv * (up + down)
+
+
+def _ref_hat_q_integral_finite(func, a, ctx):
+    av = ctx.mpf(a)
+    q = ctx.qm
+
+    def terms():
+        qj = ctx.mp.mpf(1)
+        for _ in range(ctx.max_terms):
+            yield qj * func(av * qj)
+            qj = qj * q
+
+    return av / q * _ref_monitored_sum(terms(), ctx, "hat_q_integral_finite")
+
+
+def _outcome(call, *args):
+    """The value of call(*args), or the type and message it raised."""
+    try:
+        return call(*args)
+    except NoConvergenceError as exc:
+        return type(exc), str(exc)
+
+
+def _integrands(ctx):
+    mp = ctx.mp
+    return {
+        "constant": lambda t: 1,
+        "gaussian": lambda t: t * t * mp.exp(-t * t),
+        "wiggle": lambda t: t * mp.cos(1 / t),
+    }
+
+
+@pytest.mark.parametrize(
+    "q, bits",
+    [
+        pytest.param(Fraction(q), bits, id=f"{q}-{bits}")
+        for q in ("3/10", "1/2", "40/41")
+        for bits in (64, 256)
+    ],
+)
+class TestLatticeSumsBitwise:
+    def test_jackson_integral(self, q, bits):
+        ctx = PrecisionContext(q, bits)
+        x = Fraction(3, 4)
+        for name, f in _integrands(ctx).items():
+            for kind in ("zero_to_x", "zero_to_inf", "minus_inf_to_inf"):
+                got = _outcome(jackson_integral, f, kind, x, ctx)
+                assert got == _outcome(_ref_jackson_integral, f, kind, x, ctx), (name, kind)
+
+    def test_hat_q_integral_finite(self, q, bits):
+        ctx = PrecisionContext(q, bits)
+        a = Fraction(2, 3)
+        for name, f in _integrands(ctx).items():
+            got = _outcome(hat_q_integral_finite, f, a, ctx)
+            assert got == _outcome(_ref_hat_q_integral_finite, f, a, ctx), name
