@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coherent import cs_coeffs, cs_eigen_residual
 from .context import PrecisionContext, as_fraction
-from .discrepancies import REGISTRY
+from .discrepancies import REGISTRY, as_dicts
 from .errors import (
     AlgebraViolation,
     DegenerateRootError,
@@ -142,19 +142,6 @@ def _ledger_rows() -> List[List[str]]:
     return rows
 
 
-def _ledger_json() -> List[Dict[str, str]]:
-    return [
-        {
-            "identifier": e.identifier,
-            "topic": e.topic,
-            "rejected": e.rejected,
-            "resolved": e.resolved,
-            "evidence": e.evidence,
-        }
-        for e in REGISTRY
-    ]
-
-
 def _render(out: CommandOutput, ns: argparse.Namespace) -> str:
     if ns.fmt == "csv":
         lines = [",".join(out.columns)]
@@ -173,7 +160,7 @@ def _render(out: CommandOutput, ns: argparse.Namespace) -> str:
     }
     obj.update(out.extra)
     if out.include_ledger:
-        obj["discrepancy_ledger"] = _ledger_json()
+        obj["discrepancy_ledger"] = list(as_dicts())
     return json.dumps(obj, indent=2) + "\n"
 
 

@@ -33,10 +33,13 @@ arithmetic.
 Every series here (the carrier D and its derivative D', the loading
 ratio and the kernel mass) is summed in one streamed pass over a single
 three-term recurrence, which yields Psi_n (with Psi_n' when asked) or
-S_n from their seeds, reads the context's b_n table and stops at the
-monitored-decay rule.  It runs on raw mpf values with the calls and the
-operation order of the mpf operators, so the values are bitwise those
-of the reference ``psi_sequence``.
+S_n from their seeds and reads the context's b_n table.  It runs on raw
+mpf values with the calls and the operation order of the mpf operators,
+so the values are bitwise those of the reference ``psi_sequence``.  Each
+loop stops at the package's monitored-decay rule,
+:class:`~qhermite2.qkernel.Decay`: three terms in a row with
+|t| <= series_tol max(S, series_tol), S the running sum (for the loading
+ratio the larger of |Num| and |Den'|, with t the larger of their terms).
 
 Carrier roots are found by a sign scan over a fixed grid (its
 ``grid_points`` set the bracket lattice), in two stages:
@@ -73,7 +76,6 @@ from mpmath.libmp import (
     mpf_add,
     mpf_div,
     mpf_gt,
-    mpf_le,
     mpf_mul,
     mpf_neg,
     mpf_sub,
@@ -89,7 +91,7 @@ from .errors import (
 )
 from .exact import bn_squared_exact, extremal_bracket_exact
 from .qhermite import psi_sequence
-from .qkernel import _STREAK, b_coeff, b_table
+from .qkernel import _STREAK, Decay, b_coeff, b_table
 
 __all__ = [
     "bracket_double_factorial",
@@ -264,11 +266,6 @@ def _raw_max(a, b):
     return b if mpf_gt(b, a) else a
 
 
-def _converged(last, scale, tol, prec: int) -> bool:
-    """Monitored-decay test last <= tol * max(scale, tol), on raw mpf."""
-    return mpf_le(last, mpf_mul(tol, _raw_max(scale, tol), prec, _RND))
-
-
 def _second_kind_value(n: int, x, ctx: PrecisionContext):
     """S_n(x) by the recurrence x S_n = b_n S_{n+1} + b_{n-1} S_{n-1}."""
     stream = _recurrence(ctx.mpf(x)._mpf_, ctx, (fzero, fone))
@@ -360,10 +357,9 @@ def _carrier_value(
     if cap < 1:
         raise DomainError(f"k_terms must be >= 1, got {cap}")
     prec = ctx.precision_bits
-    tol = ctx.mpf(ctx.series_tol)._mpf_
     x = xv._mpf_
     terms = zip(_coefficient_stream(ctx), _odd(_psi_stream(x, ctx, slope)))
-    total, derivative, streak = fone, fzero, 0
+    total, derivative, decay = fone, fzero, Decay(ctx)
     for k, (c, p) in enumerate(islice(terms, cap), 1):
         c = mpf_neg(c)
         if slope:
@@ -373,17 +369,14 @@ def _carrier_value(
         term = mpf_mul(mpf_mul(c, x, prec, _RND), p, prec, _RND)
         total = mpf_add(total, term, prec, _RND)
         last = mpf_abs(term)
-        if _converged(last, mpf_abs(total), tol, prec):
-            streak += 1
-            if streak >= _STREAK:
-                break
-        else:
-            streak = 0
-    if streak < _STREAK and k_terms is None:
-        raise NoConvergenceError(
-            f"carrier series terms failed to decay within {cap} terms at "
-            f"x={ctx.nstr(xv, 8)}"
-        )
+        if decay.settled(last, mpf_abs(total)):
+            break
+    else:
+        if k_terms is None:
+            raise NoConvergenceError(
+                f"carrier series terms failed to decay within {cap} terms at "
+                f"x={ctx.nstr(xv, 8)}"
+            )
     return (
         mp.make_mpf(total),
         k,
@@ -716,18 +709,13 @@ def carrier_roots(
 def _kernel_mass(x, ctx: PrecisionContext):
     """1 / sum_n Psi_n(x)^2 with monitored decay of the squared terms."""
     prec = ctx.precision_bits
-    tol = ctx.mpf(ctx.series_tol)._mpf_
     cap = ctx.max_terms
-    total, streak = fzero, 0
+    total, decay = fzero, Decay(ctx)
     for n, p in enumerate(islice(_psi_stream(ctx.mpf(x)._mpf_, ctx), cap), 1):
         term = mpf_mul(p, p, prec, _RND)
         total = mpf_add(total, term, prec, _RND)
-        if _converged(term, total, tol, prec):
-            streak += 1
-            if streak >= _STREAK:
-                return ctx.mp.make_mpf(mpf_div(fone, total, prec, _RND)), n
-        else:
-            streak = 0
+        if decay.settled(term, total):
+            return ctx.mp.make_mpf(mpf_div(fone, total, prec, _RND)), n
     raise NoConvergenceError(
         f"kernel series failed to decay within {cap} terms at "
         f"x={ctx.nstr(ctx.mpf(x), 8)}"
@@ -739,7 +727,6 @@ def _loading_at(x, ctx: PrecisionContext):
     mp = ctx.mp
     xv = ctx.mpf(x)
     prec = ctx.precision_bits
-    tol = ctx.mpf(ctx.series_tol)._mpf_
     cap = ctx.max_terms
     x = xv._mpf_
     terms = zip(
@@ -748,7 +735,7 @@ def _loading_at(x, ctx: PrecisionContext):
         _odd(_recurrence(x, ctx, (fzero, fone))),
     )
     num = den = den_scale = fzero
-    streak = 0
+    decay = Decay(ctx)
     for j, (s0, (p, dp), s) in enumerate(islice(terms, cap), 1):
         num_term = mpf_mul(mpf_mul(s0, x, prec, _RND), s, prec, _RND)
         den_term = mpf_add(p, mpf_mul(x, dp, prec, _RND), prec, _RND)
@@ -757,12 +744,8 @@ def _loading_at(x, ctx: PrecisionContext):
         den = mpf_add(den, den_term, prec, _RND)
         den_scale = mpf_add(den_scale, mpf_abs(den_term), prec, _RND)
         last = _raw_max(mpf_abs(num_term), mpf_abs(den_term))
-        if _converged(last, _raw_max(mpf_abs(num), mpf_abs(den)), tol, prec):
-            streak += 1
-            if streak >= _STREAK:
-                break
-        else:
-            streak = 0
+        if decay.settled(last, _raw_max(mpf_abs(num), mpf_abs(den))):
+            break
     else:
         raise NoConvergenceError(
             f"loading series failed to decay within {cap} terms at "

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from .context import PrecisionContext, as_fraction
@@ -41,7 +42,7 @@ from .exact import (
     jackson_monomial_exact,
     qbracket,
 )
-from .qkernel import _STREAK, q_power
+from .qkernel import Decay, q_power
 
 __all__ = [
     "LatticeFunction",
@@ -132,32 +133,35 @@ def deformed_derivative(f: Evaluatable, x, ctx: PrecisionContext):
 def _monitored_sum(terms, ctx: PrecisionContext, what: str):
     """Ascending-k summation with a monitored stopping rule.
 
-    Stops after three consecutive terms below series_tol times the
-    running scale, provided the terms are not growing (geometric
-    q-lattice tails then contribute at most a small multiple of the
-    tolerance).  Raises NoConvergenceError at the term budget.
+    Stops where :class:`~qhermite2.qkernel.Decay` settles on the term
+    magnitudes against the running sum, counting only terms that are
+    not growing (a growing term resets the streak), so geometric
+    q-lattice tails contribute at most a small multiple of the
+    tolerance.  Raises NoConvergenceError at the term budget.
     """
-    mp = ctx.mp
-    tol = ctx.mpf(ctx.series_tol)
-    total = mp.mpf(0)
+    total = ctx.mp.mpf(0)
+    decay = Decay(ctx)
     prev = None
-    streak = 0
-    for k, term in enumerate(terms):
+    for term in islice(terms, ctx.max_terms):
         total = total + term
         mag = abs(term)
-        scale = max(abs(total), tol)
-        if mag <= tol * scale and (prev is None or mag <= prev):
-            streak += 1
-            if streak >= _STREAK:
-                return total
-        else:
-            streak = 0
+        if prev is not None and mag > prev:
+            decay.streak = 0
+        elif decay.settled(mag._mpf_, abs(total)._mpf_):
+            return total
         prev = mag
-        if k + 1 >= ctx.max_terms:
-            raise NoConvergenceError(
-                f"{what}: lattice terms still {mag} after {ctx.max_terms} terms"
-            )
-    return total
+    raise NoConvergenceError(
+        f"{what}: lattice terms still {mag} after {ctx.max_terms} terms"
+    )
+
+
+def _walk(value, x, first, step):
+    """Yield q^j value(q^j x) along a lattice, q^j running from ``first``
+    through step(q^j)."""
+    qj = first
+    while True:
+        yield qj * value(qj * x)
+        qj = step(qj)
 
 
 def jackson_integral(f: Evaluatable, kind: str, x, ctx: PrecisionContext):
@@ -179,12 +183,8 @@ def jackson_integral(f: Evaluatable, kind: str, x, ctx: PrecisionContext):
     q = ctx.qm
 
     if kind == "zero_to_x":
-        def small_terms():
-            qn = ctx.mp.mpf(1)
-            for _ in range(ctx.max_terms):
-                yield qn * func(qn * xv)
-                qn = qn * q
-        return xv * (1 - q) * _monitored_sum(small_terms(), ctx, "jackson")
+        small_terms = _walk(func, xv, ctx.mp.mpf(1), lambda qj: qj * q)
+        return xv * (1 - q) * _monitored_sum(small_terms, ctx, "jackson")
 
     if kind not in ("zero_to_inf", "minus_inf_to_inf"):
         raise DomainError(f"unknown jackson integral kind {kind!r}")
@@ -197,20 +197,11 @@ def jackson_integral(f: Evaluatable, kind: str, x, ctx: PrecisionContext):
             v = v + func(-t)
         return v
 
-    def downward_terms():  # j = -1, -2, ... (abscissa grows)
-        qj = 1 / q
-        for _ in range(ctx.max_terms):
-            yield qj * value_at(qj * xv)
-            qj = qj / q
-
-    def upward_terms():  # j = 0, 1, 2, ... (abscissa shrinks)
-        qj = ctx.mp.mpf(1)
-        for _ in range(ctx.max_terms):
-            yield qj * value_at(qj * xv)
-            qj = qj * q
-
-    up = _monitored_sum(upward_terms(), ctx, "jackson upward branch")
-    down = _monitored_sum(downward_terms(), ctx, "jackson downward branch")
+    # j = 0, 1, 2, ... (abscissa shrinks) and j = -1, -2, ... (it grows)
+    upward_terms = _walk(value_at, xv, ctx.mp.mpf(1), lambda qj: qj * q)
+    downward_terms = _walk(value_at, xv, 1 / q, lambda qj: qj / q)
+    up = _monitored_sum(upward_terms, ctx, "jackson upward branch")
+    down = _monitored_sum(downward_terms, ctx, "jackson downward branch")
     return (1 - q) * xv * (up + down)
 
 
@@ -269,13 +260,9 @@ def hat_q_integral(
         total = total + t_grow + t_shrink
         max_grow = max(max_grow, abs(t_grow))
         max_shrink = max(max_shrink, abs(t_shrink))
-        if k == K:
-            envelope = max(
-                x for x in (prev_grow, prev2_grow) if x is not None
-            ) if (prev_grow is not None or prev2_grow is not None) else None
-            if abs(t_grow) > tol * max(abs(total), tol) and (
-                envelope is not None and abs(t_grow) >= envelope
-            ):
+        if k == K:  # K >= 1, so prev_grow is set
+            envelope = max(x for x in (prev_grow, prev2_grow) if x is not None)
+            if abs(t_grow) > tol * max(abs(total), tol) and abs(t_grow) >= envelope:
                 raise NoConvergenceError(
                     "hat_q_integral: growing-abscissa branch not decaying "
                     f"at K={K} (last term {mp.nstr(abs(t_grow), 8)})"
@@ -295,14 +282,8 @@ def hat_q_integral_finite(f: Evaluatable, a, ctx: PrecisionContext):
         raise DomainError(f"upper limit must be positive, got {a}")
     func = _as_callable(f, ctx)
     q = ctx.qm
-
-    def terms():
-        qj = ctx.mp.mpf(1)
-        for _ in range(ctx.max_terms):
-            yield qj * func(av * qj)
-            qj = qj * q
-
-    return av / q * _monitored_sum(terms(), ctx, "hat_q_integral_finite")
+    terms = _walk(func, av, ctx.mp.mpf(1), lambda qj: qj * q)
+    return av / q * _monitored_sum(terms, ctx, "hat_q_integral_finite")
 
 
 def _dhat_callable(f: Callable, ctx: PrecisionContext) -> Callable:

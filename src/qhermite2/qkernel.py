@@ -16,6 +16,13 @@ come from :func:`q_power_run`, which yields the same bits from one
 running product and a rounding test (Ziv), calling ``q_power_raw`` only
 where that test cannot decide.
 
+Every adaptive series in the package stops on one rule, kept by
+:class:`Decay`: three terms in a row with |t| <= tol max(|S|, tol), tol
+the context's ``series_tol`` and S the running scale (the partial sum,
+or the larger partial sum of a ratio), compared on raw mpf values at
+the working precision.  The two ratio series here share one loop,
+:func:`_ratio_sum`, which also waits for a term ratio below 1/2.
+
 Scalar results are plain mpf/mpc values bound to the calling context's
 precision.  Because mpmath exponents are bignums, partial products like
 q^(-n^2) never overflow; the overflow failure mode that a fixed-exponent
@@ -33,7 +40,17 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Sequence, Tuple
 
-from mpmath.libmp import MPZ_ONE, fone, mpf_div, mpf_pow_int, normalize, round_nearest
+from mpmath.libmp import (
+    MPZ_ONE,
+    fone,
+    mpf_div,
+    mpf_gt,
+    mpf_le,
+    mpf_mul,
+    mpf_pow_int,
+    normalize,
+    round_nearest,
+)
 
 from .context import PrecisionContext, default_context
 from .errors import (
@@ -60,12 +77,39 @@ __all__ = [
 _RUN_GUARD = 64
 
 # Number of consecutive sub-tolerance terms required before a series is
-# considered converged (here and in the qcalculus and extremal sums).
-# q-series can plateau (q^{n^2} beats x^n only eventually), so a single
-# small term is not evidence of convergence.
+# considered converged (see Decay).  q-series can plateau (q^{n^2}
+# beats x^n only eventually), so a single small term is not evidence of
+# convergence.
 _STREAK = 3
 
 _RND = round_nearest
+
+
+class Decay:
+    """The monitored-decay stop rule of every adaptive series.
+
+    ``settled(last, scale)`` takes the magnitude of the latest term and
+    the running scale as raw nonnegative mpf values and is True from the
+    _STREAK-th term in a row with last <= tol max(scale, tol), tol the
+    context's ``series_tol``, the product rounded to nearest at the
+    working precision; any other term resets the streak.
+    """
+
+    __slots__ = ("tol", "prec", "streak")
+
+    def __init__(self, ctx: PrecisionContext) -> None:
+        self.tol = ctx.mpf(ctx.series_tol)._mpf_
+        self.prec = ctx.mp.prec
+        self.streak = 0
+
+    def settled(self, last, scale) -> bool:
+        tol = self.tol
+        bound = mpf_mul(tol, tol if mpf_gt(tol, scale) else scale, self.prec, _RND)
+        if mpf_le(last, bound):
+            self.streak += 1
+            return self.streak >= _STREAK
+        self.streak = 0
+        return False
 
 
 @dataclass(frozen=True)
@@ -401,14 +445,15 @@ def phi_rs(spec: HypergeometricSpec, ctx: PrecisionContext):
 
     Terminating series (``terminating_at=n``) are summed exactly through
     the z^n term.  Convergent series (e > 0 always; e = 0 for |z| < 1)
-    stop once three consecutive terms fall below series_tol times the
-    partial sum and the term ratio certifies a geometric tail.  A
-    divergent non-terminating request raises FormalSeriesError.
+    stop at the monitored-decay rule (:class:`Decay`) once the term
+    ratio also certifies a geometric tail.  A divergent non-terminating
+    request raises FormalSeriesError.
     """
     mp = ctx.mp
     e = 1 + len(spec.lower) - len(spec.upper)
     zabs = abs(ctx.mpc(spec.z))
-    if spec.terminating_at is None:
+    n = spec.terminating_at
+    if n is None:
         if e < 0:
             raise FormalSeriesError(
                 "phi_rs: series with 1+s-r < 0 has zero radius of "
@@ -420,26 +465,30 @@ def phi_rs(spec: HypergeometricSpec, ctx: PrecisionContext):
                 "phi_rs: 1+s-r = 0 series diverges for |z| >= 1"
             )
 
-    total = mp.mpc(0) if _is_complexy(spec, ctx) else mp.mpf(0)
-    term = mp.mpf(1) + total * 0  # one, in the right (real/complex) type
-    tol = ctx.mpf(ctx.series_tol)
-    streak = 0
+    term = mp.mpc(1) if _is_complexy(spec, ctx) else mp.mpf(1)
+    if n is None:
+        return _ratio_sum(term, lambda k: _term_ratio(spec, k, ctx), ctx, "phi_rs")
+    total = term * 0
+    for k in range(min(n, ctx.max_terms)):
+        total = total + term
+        term = term * _term_ratio(spec, k, ctx)
+    if n < ctx.max_terms:
+        return total + term
+    raise NoConvergenceError(f"phi_rs: no convergence within max_terms={ctx.max_terms}")
+
+
+def _ratio_sum(term, ratio, ctx: PrecisionContext, what: str):
+    """Sum T_0 = ``term``, T_{k+1} = T_k ratio(k) until :class:`Decay`
+    settles on |T_{k+1}| against the partial sum through T_k and
+    |ratio(k)| < 1/2; NoConvergenceError after max_terms terms."""
+    total, decay = term * 0, Decay(ctx)
     for k in range(ctx.max_terms):
         total = total + term
-        if spec.terminating_at is not None and k == spec.terminating_at:
+        r = ratio(k)
+        term = term * r
+        if decay.settled(abs(term)._mpf_, abs(total)._mpf_) and abs(r) < 0.5:
             return total
-        ratio = _term_ratio(spec, k, ctx)
-        term = term * ratio
-        if spec.terminating_at is None:
-            if abs(term) <= tol * abs(total):
-                streak += 1
-                if streak >= _STREAK and abs(ratio) < 0.5:
-                    return total
-            else:
-                streak = 0
-    raise NoConvergenceError(
-        f"phi_rs: no convergence within max_terms={ctx.max_terms}"
-    )
+    raise NoConvergenceError(f"{what}: no convergence within max_terms={ctx.max_terms}")
 
 
 def _is_complexy(spec: HypergeometricSpec, ctx: PrecisionContext) -> bool:
@@ -458,23 +507,11 @@ def gen_exponential(x, ctx: PrecisionContext):
     """
     mp = ctx.mp
     xv = ctx.mpc(x) if isinstance(x, (complex, mp.mpc)) else ctx.mpf(x)
-    tol = ctx.mpf(ctx.series_tol)
-    total = xv * 0
-    term = 1 + xv * 0
-    streak = 0
-    for n in range(ctx.max_terms):
-        total = total + term
-        ratio = q_power(2 * n + 1, ctx) * xv / (1 - q_power(n + 1, ctx))
-        term = term * ratio
-        if abs(term) <= tol * abs(total):
-            streak += 1
-            if streak >= _STREAK and abs(ratio) < 0.5:
-                return total
-        else:
-            streak = 0
-    raise NoConvergenceError(
-        f"gen_exponential: no convergence within max_terms={ctx.max_terms}"
-    )
+
+    def ratio(n):
+        return q_power(2 * n + 1, ctx) * xv / (1 - q_power(n + 1, ctx))
+
+    return _ratio_sum(1 + xv * 0, ratio, ctx, "gen_exponential")
 
 
 def weight_W(x, ctx: PrecisionContext):

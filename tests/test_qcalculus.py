@@ -12,6 +12,7 @@ from qhermite2.errors import DomainError, NoConvergenceError
 from qhermite2.exact import GaussianRational, Poly, bn_squared_exact, qbracket
 from qhermite2.qcalculus import (
     LatticeFunction,
+    _monitored_sum,
     deformed_derivative,
     deformed_derivative_poly,
     hat_q_integral,
@@ -331,3 +332,17 @@ class TestLatticeSumsBitwise:
         for name, f in _integrands(ctx).items():
             got = _outcome(hat_q_integral_finite, f, a, ctx)
             assert got == _outcome(_ref_hat_q_integral_finite, f, a, ctx), name
+
+
+def test_growing_term_resets_the_monitored_streak(ctx_half):
+    # Every term after the first is below tol times the sum; the fourth
+    # grows, so the count restarts and the sum stops at the seventh.
+    tol = ctx_half.series_tol
+    terms = [ctx_half.mpf(t) for t in (1, tol / 8, tol / 16, tol / 4, tol / 32, tol / 64, tol / 128, 5)]
+    stream = iter(terms)
+    total = _monitored_sum(stream, ctx_half, "test")
+    assert next(stream) == 5
+    want = ctx_half.mp.mpf(0)
+    for t in terms[:7]:
+        want = want + t
+    assert total == want

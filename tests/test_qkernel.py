@@ -141,6 +141,31 @@ class TestWeightW:
             prev = v
 
 
+class TestDecay:
+    """The monitored-decay stop rule shared by every adaptive series."""
+
+    @staticmethod
+    def _run(ctx, lasts, scale):
+        decay = qkernel.Decay(ctx)
+        return [decay.settled(ctx.mpf(last)._mpf_, ctx.mpf(scale)._mpf_) for last in lasts]
+
+    def test_three_small_terms_in_a_row_settle(self, ctx_half):
+        tol = ctx_half.series_tol
+        got = self._run(ctx_half, [tol / 2, tol, tol / 3, tol / 5], 1)
+        assert got == [False, False, True, True]
+
+    def test_larger_term_resets_the_count(self, ctx_half):
+        tol = ctx_half.series_tol
+        got = self._run(ctx_half, [tol / 2, tol / 2, 2 * tol, tol / 2, tol / 2, tol / 2], 1)
+        assert got == [False, False, False, False, False, True]
+
+    def test_zero_scale_uses_the_tolerance_floor(self, ctx_half):
+        # tol max(0, tol) = tol^2: terms of tol^2 count, twice that does not.
+        tol = ctx_half.series_tol
+        assert self._run(ctx_half, [tol**2] * 3, 0) == [False, False, True]
+        assert self._run(ctx_half, [tol**2, tol**2, 2 * tol**2], 0) == [False, False, False]
+
+
 class TestQPower:
     """q_power_raw is bitwise ``ctx.qm ** n``, the per-call binary power."""
 
