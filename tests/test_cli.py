@@ -461,6 +461,30 @@ def test_qcalculus_term_budget_payload_pinned(capsys, q):
     }
 
 
+# At depth K = 8 the moments suite stops on the hat sum's growing-branch
+# certificate (exit 3), while the measure path of the unity suite has
+# none and fails its gates (exit 1); recorded before the hat integral,
+# the moments and the infinite parts residual shared one lattice sum:
+# suite, exit code, digest.
+_PINNED_SHALLOW_LATTICE_OUTPUT = """
+moments 3 d3ab0868361d7ec1faf0e3cded742bc3091e2f0e900e5affe597b55769cb7446
+unity 1 0053ff85b3a082d28181c5568b922c621daceda2d41385669126592e7a32b34f
+"""
+
+
+@pytest.mark.parametrize(
+    "suite, code, digest",
+    [
+        pytest.param(*fields, id=fields[0])
+        for fields in map(str.split, _PINNED_SHALLOW_LATTICE_OUTPUT.strip().splitlines())
+    ],
+)
+def test_shallow_lattice_output_pinned(capsys, suite, code, digest):
+    got, out, _ = run_cli(capsys, ["verify", "--suite", suite, "--k-depth=8"])
+    assert got == int(code)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_suite_parameters_spell_q_exactly(capsys):
     # The parameters column is built from the exact q; the config echo
     # keeps the text as typed.

@@ -1,0 +1,98 @@
+"""Output contract: the CLI's printed bytes and exit codes, pinned.
+
+Each row holds a command line, its exit code, the SHA-256 of its stdout
+and the last line it wrote to stderr ('' for none), recorded in-process
+through ``cli.main``.  The rows are the quick commands (under about
+0.3 s each) of the list that refactors of the package must leave
+byte-identical; they cover all five subcommands, csv and json, and exit
+codes 0 to 3.  Slower commands of that list, and commands already pinned
+in ``test_cli.py``, are not repeated here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import shlex
+
+import pytest
+
+from qhermite2.cli import main
+
+# argv, exit code, SHA-256 of stdout, last stderr line
+_CONTRACT = [
+    ('measure --type jackson --variable y --q=63/64 --precision-bits=64', 0, "3380145b5ec1adad6ab4bf665d4a6be665e43630f96bbfe7de56a41addc94cf9", ''),
+    ('measure --type jackson --variable x --q=63/64 --precision-bits=64', 0, "215b4dca673649be440f50ccc0126087d7d11ca79e93bb0dff1c6d37fcd98d2f", ''),
+    ('measure --type jackson --variable z-radial --q=63/64 --precision-bits=64', 0, "f8a29424d1294b77896786ae0526863fb1df507aa43b402fc8266810185c0d59", ''),
+    ('verify --suite moments --q=63/64 --precision-bits=64', 1, "59fd498aaaf8ded0c304dbe72523b53ad5d8b6d13dba59339e9232f80e8e3419", ''),
+    ('verify --suite unity --q=63/64 --precision-bits=64', 1, "954659037414cdff0ce644bb9f97ea37af34d86944f4c81cf67be195761755a2", ''),
+    ('cs --q=1/3 --precision-bits=128', 0, "5eb47609e9ef5782ea80f9d20c98482ebca94c3d641f83c5ed1132d29974a608", ''),
+    ('cs --z-re=-3/2 --z-im=1/4 --trunc=30 --q=1/3 --precision-bits=128', 0, "cbb642c00c608e73f98bbd68cb2d539e61031db3cef6d304505f47e6b40a2af2", ''),
+    ('verify --suite generating --q=1/3 --precision-bits=128', 0, "b9e90101959a4d22796809e0d16dec639a47d8016ad94b8ba23e907f9b644547", ''),
+    ('verify --suite qdiff --q=1/3 --precision-bits=128', 0, "8ccd91c918634aa4d9a7dd0a7d0ec0417af8498f75fe8292018cfd5c70ec9e72", ''),
+    ('verify --suite recurrence --q=1/3 --precision-bits=128', 0, "70b278347242ef010f9197dd87927bdb916d874252e8ad4a23a474a9de45bea8", ''),
+    ('verify --suite qcalculus --q=1/3 --precision-bits=128', 0, "642244d70268f8a4ed24220eb3299fbccafad9cfe2ced0771c9943a7315efb2f", ''),
+    ('cs --q=1/3 --precision-bits=256', 0, "c60067587f138a8e4ff8b43d68380facad1390760d96806fbb407283cc6270b4", ''),
+    ('cs --z-re=-3/2 --z-im=1/4 --trunc=30 --q=1/3 --precision-bits=256', 0, "d258f842599bd6e2e95745d03229034efa224ca465e0d13b592c2319e97f179b", ''),
+    ('verify --suite generating --q=1/3 --precision-bits=256', 0, "b9e90101959a4d22796809e0d16dec639a47d8016ad94b8ba23e907f9b644547", ''),
+    ('verify --suite qdiff --q=1/3 --precision-bits=256', 0, "8ccd91c918634aa4d9a7dd0a7d0ec0417af8498f75fe8292018cfd5c70ec9e72", ''),
+    ('verify --suite recurrence --q=1/3 --precision-bits=256', 0, "8865c9efc3f7a5aea9f7c341319380e2ae4a34c4d2383c2511f26f49ae2a7503", ''),
+    ('verify --suite qcalculus --q=1/3 --precision-bits=256', 0, "fe1615f9c769e3952df060e4bd283fc434482d4052018d378cfb1ead819730bf", ''),
+    ('cs --q=26/27 --precision-bits=128', 0, "542747c7796d32efae0d3dcaf0e58f393798e0e5419449cf2023b9d702d99a52", ''),
+    ('cs --z-re=-3/2 --z-im=1/4 --trunc=30 --q=26/27 --precision-bits=128', 0, "080ff8ed7ab1938494f61069f1f02f845aa541156aad04be7506dd803ce1e2ab", ''),
+    ('verify --suite generating --q=26/27 --precision-bits=128', 0, "2c3602e6a3636ff3d93f4396ea8c6b401aab4871e35937142c8127f833b84269", ''),
+    ('verify --suite qdiff --q=26/27 --precision-bits=128', 0, "b9e2c7d2c44f9cc752b1ae6009c51a521a0f7df966b6644d547fa93fd5ee6cc1", ''),
+    ('verify --suite recurrence --q=26/27 --precision-bits=128', 0, "1b1bb49ac43cc511c37347283ffb0a59b918ecc4ba358a61680aee38659a47d5", ''),
+    ('cs --q=26/27 --precision-bits=256', 0, "17b3495373e398588bf0da2a914eb80ca344a184d096112a90962166d25e4dde", ''),
+    ('cs --z-re=-3/2 --z-im=1/4 --trunc=30 --q=26/27 --precision-bits=256', 3, "77e02c65496b79daa6b614d6106898835c7b2ca2013c707f52eb4e8e6acaa606", ''),
+    ('verify --suite generating --q=26/27 --precision-bits=256', 0, "2c3602e6a3636ff3d93f4396ea8c6b401aab4871e35937142c8127f833b84269", ''),
+    ('verify --suite qdiff --q=26/27 --precision-bits=256', 0, "b9e2c7d2c44f9cc752b1ae6009c51a521a0f7df966b6644d547fa93fd5ee6cc1", ''),
+    ('verify --suite recurrence --q=26/27 --precision-bits=256', 0, "0ffdf1dac31347d65aeb3bc07c01349dd99a13a5da7f9d872d059bb4d6564f11", ''),
+    ('verify --suite recurrence --format=json', 0, "684dbf80a3cab6f4a9b879c9d38ed08c2c79f168a978a82d761f8612acf7114d", ''),
+    ('verify --suite generating --x=-3/4 --order=6 --format=json', 0, "7ba59dda8c98d80a9f4813e7323ebb3e386254d9ae9fe05ab888d93d546f88e9", ''),
+    ('cs --format=json', 0, "69398cec35c4629585be0559a57e9eac57d9a6a01c7f108d18ad481ff6571ba6", ''),
+    ('table --what spectrum --q=3/10', 0, "b78c22614120d963ddb08bcdb12cf475221394268c58040b09403430dd15ba6f", ''),
+    ('table --what bn --q=3/10', 0, "262471ff3512157105499cb35453f61f7d03f906507d335aa133e29aa48323a2", ''),
+    ('table --what moments --q=3/10', 0, "5d048476d9e3cb62d83e27cde6264054720e9ab2f266460590038972dba07e62", ''),
+    ('verify --suite commutators --q=2/3 --dim=24 --format=json', 0, "57a612c793f7fb29aa9bd4c3cb4a16d70c9a4908d3abaa20156547d9a3039dc0", ''),
+    ('measure --type extremal --bound=1/1000 --precision-bits=128', 0, "737c28655dd1d0de9b5d2349da2133d95a2a9adec87936c8317b7d49a0054f29", ''),
+    ('measure --type extremal --q=1/64 --bound=200', 0, "d18d2e943b3f0a4cc45b3eb69f2b9e6c677d82ff551ab41139102225d617f5d2", ''),
+    ('verify --suite recurrence --n-max=5 --tol=1e-30 --q=3/10', 0, "c1a260273d93288be9e262a6e799e5bc4ad07dcd187f6153fa103e6505a74e05", ''),
+    ('verify --suite recurrence --precision-bits=64', 1, "ed259cd8676a0bd2cafa1982a19050e4a64212070a135483a643a8cec7379f75", ''),
+    ('verify --suite qcalculus --tol=1/10000000000 --q=4/5', 0, "ca319f53d82092345c534bb7570dd52fb14633156994b630ed4032e16408a5ea", ''),
+    ('verify --suite qdiff --n-max=6 --format=json', 0, "b107af320d6758c479ff8df6c88868a7ee7694e9839354bc799df8e84092ea1c", ''),
+    ('verify --suite moments --n-max=4 --k-depth=30 --tail=60 --tol=1e-6', 0, "c8e960c026f11666e65074aa05ecb1f6cbea7d14e3cbadc1be9ad7fa09a6a48f", ''),
+    ('verify --suite unity --n-max=3 --q=4/5 --format=json', 1, "5c0229e4a7a83ef657eaf81a0b220edcb46ed04f85bfde3dd1a21538075d20be", ''),
+    ('verify --suite unity --tol=1e-3', 0, "4ce35cc831317603f90a696b7baf48b0917e507357ad6675b8e90b94f68a218d", ''),
+    ('verify --suite commutators --q=99/100 --dim=48 --precision-bits=64', 1, "ed1d32a900bbaf3e22b42dca66fdaaf4d2a2e0423b17331f6a721d25ef226606", ''),
+    ('verify --suite generating --x=2 --q=4/5', 0, "e07fe26bc5fd532dcfbe12b991fc9525629c14106e87e32dde5e39f4330b6c45", ''),
+    ('verify --suite recurrence --tol=abc', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage error: could not parse --tol value 'abc'"),
+    ('poly --n 3 --x=abc', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage error: could not parse --x value 'abc'"),
+    ('measure --type extremal --bound=abc', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage error: cannot parse rational from 'abc'"),
+    ('measure --type jackson --k-depth=-3', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: K and M must be >= 4, got K=-2, M=120'),
+    ('measure --type extremal --q=1/64 --bound=100000 --precision-bits=64', 0, "610261b84ef193e1b59087ad0db84377fd3113bc797870f5d635621491dd0f99", ''),
+    ('verify --suite qcalculus --q=3/10 --precision-bits=64', 1, "ddb8effb9004b7ca6ab4d65e52b85272013a62dfda26f328d4bcfa9c330a17a8", ''),
+    ('verify --suite generating --x=-5 --q=2/3 --precision-bits=64', 0, "a9783fa39590d4787029a386227fe9abc52057050fae007f455ac1321b2d14e2", ''),
+    ('verify --suite generating --x=7 --q=1/64 --precision-bits=512', 0, "b28ed2cfb9489dea088cb1c341b95e31960728f6b07c34052fee20e3a2fb6569", ''),
+    ('measure --type jackson --variable x --k-depth=8', 0, "ceda67470cf8ee261ab2a45b17dd7796810ee981821c70c33570cc686117d36f", ''),
+    ('verify --suite qcalculus --q=1/64 --precision-bits=128', 1, "079c148976d7915b51cb183c05718fe197183bb2d839c463b272772999d9f286", ''),
+    ('verify --suite qcalculus --q=1/64 --precision-bits=256', 0, "de39dd58d011313d6b4444f3a3d347a86869140b7b8f5c410c87e86c286a5eff", ''),
+    ('verify --suite moments --k-depth=10 --tail=8', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: tail depth M=8 too small for K=10'),
+    ('verify --suite moments --tail=3', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: tail depth M=3 too small for K=60'),
+    ('verify --suite moments --k-depth=2', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: K and M must be >= 4, got K=3, M=120'),
+    ('verify --suite unity --k-depth=-3', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: K and M must be >= 4, got K=-2, M=120'),
+    ('verify --suite moments --k-depth=-3', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: K and M must be >= 4, got K=-2, M=120'),
+    ('verify --suite unity --n-max=-1', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: n_max must be >= 0, got -1'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest, last_err",
+    [pytest.param(*row, id=row[0]) for row in _CONTRACT],
+)
+def test_output_contract(capsys, argv, code, digest, last_err):
+    got = main(shlex.split(argv))
+    captured = capsys.readouterr()
+    err_lines = captured.err.strip().splitlines()
+    assert got == code
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+    assert (err_lines[-1] if err_lines else "") == last_err

@@ -9,7 +9,13 @@ import pytest
 
 from qhermite2 import PrecisionContext
 from qhermite2.errors import DomainError, NoConvergenceError
-from qhermite2.exact import GaussianRational, Poly, bn_squared_exact, qbracket
+from qhermite2.exact import (
+    GaussianRational,
+    Poly,
+    bn_squared_exact,
+    moment_In_exact,
+    qbracket,
+)
 from qhermite2.qcalculus import (
     LatticeFunction,
     _monitored_sum,
@@ -24,8 +30,8 @@ from qhermite2.qcalculus import (
     q_derivative,
     q_derivative_poly,
 )
-from qhermite2.qkernel import gen_exponential
-from qhermite2.qmeasure import moment_In
+from qhermite2.qkernel import gen_exponential, q_power
+from qhermite2.qmeasure import lattice_weight, moment_In
 
 
 def gr(v) -> GaussianRational:
@@ -346,3 +352,147 @@ def test_growing_term_resets_the_monitored_streak(ctx_half):
     for t in terms[:7]:
         want = want + t
     assert total == want
+
+
+# Reference hat-lattice sums: the hat integral, the lattice moment and the
+# infinite integration-by-parts residual as they were written before they
+# shared one enumeration of the lattice, kept here to pin them bitwise.
+
+
+def _ref_hat_q_integral(f, ctx, K, return_diagnostics=False):
+    mp = ctx.mp
+    q = ctx.qm
+    tol = ctx.mpf(ctx.series_tol)
+    if isinstance(f, LatticeFunction):
+        sample = f.at_exponent
+    else:
+        def sample(m):
+            return f(q_power(m, ctx))
+    total = mp.mpf(0)
+    max_grow = mp.mpf(0)
+    max_shrink = mp.mpf(0)
+    prev_grow = None
+    prev2_grow = None
+    for k in range(K + 1):
+        m_down = 1 - k
+        m_up = k + 2
+        t_grow = q_power(m_down, ctx) * sample(m_down)
+        t_shrink = q_power(m_up, ctx) * sample(m_up)
+        total = total + t_grow + t_shrink
+        max_grow = max(max_grow, abs(t_grow))
+        max_shrink = max(max_shrink, abs(t_shrink))
+        if k == K:
+            envelope = max(x for x in (prev_grow, prev2_grow) if x is not None)
+            if abs(t_grow) > tol * max(abs(total), tol) and abs(t_grow) >= envelope:
+                raise NoConvergenceError(
+                    "hat_q_integral: growing-abscissa branch not decaying "
+                    f"at K={K} (last term {mp.nstr(abs(t_grow), 8)})"
+                )
+        prev2_grow = prev_grow
+        prev_grow = abs(t_grow)
+    value = total / q
+    if return_diagnostics:
+        return value, max_grow, max_shrink
+    return value
+
+
+def _ref_moment_In(n, ctx, K, weight):
+    integrand = {
+        j: q_power(j * n, ctx) * weight.value(j - 2)
+        for j in range(1 - K, K + 3)
+    }
+    lattice_fn = LatticeFunction(
+        x0=Fraction(1), values=integrand, m_min=1 - K, m_max=K + 2
+    )
+    value = _ref_hat_q_integral(lattice_fn, ctx, K)
+    closed = ctx.mpf(moment_In_exact(n, ctx.q))
+    return value, closed, abs(value - closed) / abs(closed)
+
+
+def _ref_ip3(u, v, ctx, K):
+    mp = ctx.mp
+    q = ctx.qm
+    if isinstance(v, LatticeFunction):
+        v_at = v.at_exponent
+    else:
+        def v_at(m):
+            return v(q_power(m, ctx))
+
+    def dv_at(m):
+        return q_power(1 - m, ctx) * (v_at(m - 2) - v_at(m - 1))
+
+    qi = 1 / ctx.qm
+
+    def du(t):
+        return (u(qi * qi * t) - u(qi * t)) / (qi * t)
+
+    def lhs_sample(m):
+        return u(q_power(m, ctx)) * dv_at(m + 1)
+
+    def rhs_sample(m):
+        return v_at(m - 2) * du(q_power(m, ctx))
+
+    lhs_total = mp.mpf(0)
+    rhs_total = mp.mpf(0)
+    for k in range(K + 1):
+        for m in (1 - k, k + 2):
+            qm = q_power(m, ctx)
+            lhs_total = lhs_total + qm * lhs_sample(m)
+            rhs_total = rhs_total + qm * rhs_sample(m)
+    deep = u(q_power(-K, ctx)) * v_at(-K)
+    zero_end = u(mp.mpf(0)) * v_at(K + 4)
+    rhs = (deep - zero_end) - rhs_total / q
+    return abs(lhs_total - rhs)
+
+
+def _lattice(f, ctx, m_min, m_max):
+    values = {m: f(q_power(m, ctx)) for m in range(m_min, m_max + 1)}
+    return LatticeFunction(x0=Fraction(1), values=values, m_min=m_min, m_max=m_max)
+
+
+@pytest.mark.parametrize(
+    "q, bits",
+    [
+        pytest.param(Fraction(q), bits, id=f"{q}-{bits}")
+        for q in ("3/10", "1/2", "4/5", "40/41")
+        for bits in (64, 256)
+    ],
+)
+class TestHatSumsBitwise:
+    def test_hat_q_integral(self, q, bits):
+        ctx = PrecisionContext(q, bits)
+        integrands = {
+            "decaying": _decaying,
+            "gaussian": lambda t: t * t * ctx.mp.exp(-t * t),
+            "linear": lambda t: t,
+        }
+        for K in (20, 60):
+            for name, f in integrands.items():
+                for g in (f, _lattice(f, ctx, 1 - K, K + 2)):
+                    for diagnostics in (False, True):
+                        got = _outcome(hat_q_integral, g, ctx, K, diagnostics)
+                        want = _outcome(_ref_hat_q_integral, g, ctx, K, diagnostics)
+                        assert got == want, (name, K, diagnostics)
+
+    def test_moment_In(self, q, bits):
+        ctx = PrecisionContext(q, bits)
+        # K = 8 leaves the growing branch undecayed at high n, so it raises.
+        for K, M in ((60, 120), (20, 40), (8, 16)):
+            weight = lattice_weight(K + 1, M, ctx)
+            for n in range(9):
+                got = _outcome(
+                    lambda: tuple(
+                        vars(moment_In(n, ctx, K=K, M=M, weight=weight)).values()
+                    )
+                )
+                want = _outcome(lambda: (n,) + _ref_moment_In(n, ctx, K, weight))
+                assert got == want, (K, n)
+            fresh = moment_In(3, ctx, K=K, M=M)
+            assert fresh.lattice_value == _ref_moment_In(3, ctx, K, weight)[0]
+
+    def test_ibp_residual_ip3(self, q, bits):
+        ctx = PrecisionContext(q, bits)
+        K = 80
+        for v in (_v_dec, _lattice(_v_dec, ctx, -K - 1, K + 4)):
+            got = _outcome(ibp_residual, _u_dec, v, "ip3", None, ctx, K)
+            assert got == _outcome(_ref_ip3, _u_dec, v, ctx, K)
