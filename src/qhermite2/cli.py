@@ -380,6 +380,8 @@ def _suite_inputs(ns, options) -> Dict[str, object]:
                 value = as_fraction(value)
             except (ValueError, ZeroDivisionError):
                 raise DomainError(f"could not parse --tol value {ns.tol!r}")
+            if value <= 0:
+                raise DomainError(f"--tol must be > 0, got {ns.tol}")
         elif key in ("x", "bound"):
             value = as_fraction(value)
         inputs[key] = value

@@ -205,6 +205,40 @@ def jackson_integral(f: Evaluatable, kind: str, x, ctx: PrecisionContext):
     return (1 - q) * xv * (up + down)
 
 
+def _hat_sum(sample: Callable[[int], object], K: int, ctx: PrecisionContext):
+    """sum_j q^j sample(j) over the hat lattice at depth K: for k = 0..K
+    the growing-abscissa term j = 1 - k, then the shrinking one j = k + 2.
+
+    Returns (total, max |growing term|, max |shrinking term|).  Raises
+    NoConvergenceError if the last growing term is not negligible and
+    not below both terms before it: weights obeying g_m ~ g_{m+2}/q^{m+1}
+    decay on the growing side as two interleaved parity subsequences, so
+    adjacent terms may zigzag while the envelope falls.
+    """
+    if K < 1:
+        raise DomainError(f"K must be >= 1, got {K}")
+    mp = ctx.mp
+    tol = ctx.mpf(ctx.series_tol)
+    total = mp.mpf(0)
+    max_grow = mp.mpf(0)
+    max_shrink = mp.mpf(0)
+    recent = []  # growing-branch magnitudes of the last three steps
+    for k in range(K + 1):
+        t_grow = q_power(1 - k, ctx) * sample(1 - k)
+        t_shrink = q_power(k + 2, ctx) * sample(k + 2)
+        total = total + t_grow + t_shrink
+        max_grow = max(max_grow, abs(t_grow))
+        max_shrink = max(max_shrink, abs(t_shrink))
+        recent = recent[-2:] + [abs(t_grow)]
+    *before, last = recent  # K >= 1, so one or two terms come before
+    if last > tol * max(abs(total), tol) and last >= max(before):
+        raise NoConvergenceError(
+            "hat_q_integral: growing-abscissa branch not decaying "
+            f"at K={K} (last term {mp.nstr(last, 8)})"
+        )
+    return total, max_grow, max_shrink
+
+
 def hat_q_integral(
     f: Union[Evaluatable, LatticeFunction],
     ctx: PrecisionContext,
@@ -213,25 +247,14 @@ def hat_q_integral(
 ):
     """Hat q-integral over (0, inf): q^{-1} sum over the lattice {q^j}.
 
-    The sum is enumerated exactly as the two-branch split
-    j = -(k-1) (growing abscissa) and j = k+2 (shrinking abscissa) for
-    k = 0..K; the two branches cover every integer j once.  The
-    growing-abscissa branch must decay: if its last term is still not
-    negligible and not below the two preceding terms, NoConvergenceError
-    is raised.  The two-step comparison matters because lattice weights
-    obeying g_m ~ g_{m+2}/q^{m+1} deep on the growing side decay as two
-    interleaved parity subsequences, so adjacent terms may zigzag while
-    the envelope falls superexponentially.
+    Sums the lattice by :func:`_hat_sum` at depth K (exponents
+    1 - K .. K + 2), which raises NoConvergenceError when the
+    growing-abscissa branch has not decayed.  The lattice moments and
+    the ip3 residual of :func:`ibp_residual` share that sum and check.
 
     With ``return_diagnostics=True`` returns
     (value, max_term_growing_branch, max_term_shrinking_branch).
     """
-    if K < 1:
-        raise DomainError(f"K must be >= 1, got {K}")
-    mp = ctx.mp
-    q = ctx.qm
-    tol = ctx.mpf(ctx.series_tol)
-
     if isinstance(f, LatticeFunction):
         if f.x0 != 1:
             raise DomainError("hat_q_integral expects a base-1 lattice")
@@ -240,36 +263,14 @@ def hat_q_integral(
                 f"lattice range [{f.m_min}, {f.m_max}] does not cover "
                 f"exponents [{1 - K}, {K + 2}] needed at K={K}"
             )
-        def sample(m: int):
-            return f.at_exponent(m)
+        sample = f.at_exponent
     else:
         func = _as_callable(f, ctx)
         def sample(m: int):
             return func(q_power(m, ctx))
 
-    total = mp.mpf(0)
-    max_grow = mp.mpf(0)
-    max_shrink = mp.mpf(0)
-    prev_grow = None
-    prev2_grow = None
-    for k in range(K + 1):
-        m_down = 1 - k
-        m_up = k + 2
-        t_grow = q_power(m_down, ctx) * sample(m_down)
-        t_shrink = q_power(m_up, ctx) * sample(m_up)
-        total = total + t_grow + t_shrink
-        max_grow = max(max_grow, abs(t_grow))
-        max_shrink = max(max_shrink, abs(t_shrink))
-        if k == K:  # K >= 1, so prev_grow is set
-            envelope = max(x for x in (prev_grow, prev2_grow) if x is not None)
-            if abs(t_grow) > tol * max(abs(total), tol) and abs(t_grow) >= envelope:
-                raise NoConvergenceError(
-                    "hat_q_integral: growing-abscissa branch not decaying "
-                    f"at K={K} (last term {mp.nstr(abs(t_grow), 8)})"
-                )
-        prev2_grow = prev_grow
-        prev_grow = abs(t_grow)
-    value = total / q
+    total, max_grow, max_shrink = _hat_sum(sample, K, ctx)
+    value = total / ctx.qm
     if return_diagnostics:
         return value, max_grow, max_shrink
     return value
@@ -316,7 +317,8 @@ def ibp_residual(
     left (registry entry ``ibp_infinite_jacobian``).  For ip3 the 0-end
     boundary value uses u(0) times the shrinking-end lattice limit of v,
     and the inf-end uses the deepest retained lattice point (negligible
-    for decaying integrands).
+    for decaying integrands).  Both ip3 sums carry the growing-branch
+    certificate of :func:`hat_q_integral` (NoConvergenceError; K >= 1).
     """
     mp = ctx.mp
     q = ctx.qm
@@ -376,18 +378,12 @@ def ibp_residual(
     def rhs_sample(m: int):
         return v_at(m - 2) * du(q_power(m, ctx))
 
-    lhs_total = mp.mpf(0)
-    rhs_total = mp.mpf(0)
-    for k in range(K + 1):
-        for m in (1 - k, k + 2):
-            qm = q_power(m, ctx)
-            lhs_total = lhs_total + qm * lhs_sample(m)
-            rhs_total = rhs_total + qm * rhs_sample(m)
-    lhs = lhs_total  # the Jacobian q cancels the measure's q^{-1} prefactor
+    # the Jacobian q cancels the measure's q^{-1} prefactor
+    lhs = _hat_sum(lhs_sample, K, ctx)[0]
     # boundary [uv]_0^inf: deep end ~ 0 for decaying v, 0-end -> u(0) v(0+)
     deep = uf(q_power(-K, ctx)) * v_at(-K)
     zero_end = uf(mp.mpf(0)) * v_at(K + 4)
-    rhs = (deep - zero_end) - rhs_total / q
+    rhs = (deep - zero_end) - _hat_sum(rhs_sample, K, ctx)[0] / q
     return abs(lhs - rhs)
 
 

@@ -42,7 +42,7 @@ from .coherent import cs_norm_sq
 from .context import PrecisionContext
 from .errors import DomainError, InstabilityError
 from .exact import moment_In_exact
-from .qcalculus import LatticeFunction, hat_q_integral
+from .qcalculus import _hat_sum
 from .qkernel import q_power, q_power_run, rho_factorial
 
 __all__ = [
@@ -89,14 +89,6 @@ class LatticeWeight:
                 f"exponent {m} outside retained range [{self.m_min}, {self.m_max}]"
             )
         return self.values[m]
-
-    def to_lattice_function(self) -> LatticeFunction:
-        return LatticeFunction(
-            x0=Fraction(1),
-            values=dict(self.values),
-            m_min=self.m_min,
-            m_max=self.m_max,
-        )
 
 
 def _default_buffer(ctx: PrecisionContext) -> int:
@@ -274,6 +266,24 @@ class MomentResult:
     rel_deviation: object
 
 
+def _hat_weight(
+    K: int, M: int, ctx: PrecisionContext, weight: Optional[LatticeWeight] = None
+) -> LatticeWeight:
+    """The weight on [-(K+1), K], the window that a depth-K hat sum of
+    f(q^{j-2}) reads: built with tail index M >= K + 2, or a prebuilt
+    ``weight`` that covers it."""
+    if M < K + 2:
+        raise DomainError(f"tail depth M={M} too small for K={K}")
+    if weight is None:
+        return lattice_weight(K + 1, M, ctx)
+    if weight.m_min > -(K + 1) or weight.m_max < K:
+        raise DomainError(
+            f"prebuilt weight range [{weight.m_min}, {weight.m_max}] "
+            f"does not cover [{-(K + 1)}, {K}]"
+        )
+    return weight
+
+
 def moment_In(
     n: int,
     ctx: PrecisionContext,
@@ -285,29 +295,17 @@ def moment_In(
 
     Evaluates integral-hat_0^inf x^n f(q^{-2} x) d-hat x by sampling
     the integrand on {q^j} and comparing against the closed form.  A
-    prebuilt ``weight`` covering [-(K+1), M] may be passed to amortize
+    prebuilt ``weight`` covering [-(K+1), K] may be passed to amortize
     construction over several moments.
     """
     if n < 0:
         raise DomainError(f"moment order must be >= 0, got {n}")
-    if M < K + 2:
-        raise DomainError(f"tail depth M={M} too small for K={K}")
-    mp = ctx.mp
-    if weight is None:
-        weight = lattice_weight(K + 1, M, ctx)
-    elif weight.m_min > -(K + 1) or weight.m_max < K:
-        raise DomainError(
-            f"prebuilt weight range [{weight.m_min}, {weight.m_max}] "
-            f"does not cover [{-(K + 1)}, {K}]"
-        )
-    integrand = {
-        j: q_power(j * n, ctx) * weight.value(j - 2)
-        for j in range(1 - K, K + 3)
-    }
-    lattice_fn = LatticeFunction(
-        x0=Fraction(1), values=integrand, m_min=1 - K, m_max=K + 2
-    )
-    value = hat_q_integral(lattice_fn, ctx, K=K)
+    weight = _hat_weight(K, M, ctx, weight)
+
+    def sample(j: int):
+        return q_power(j * n, ctx) * weight.value(j - 2)
+
+    value = _hat_sum(sample, K, ctx)[0] / ctx.qm
     closed = ctx.mpf(moment_In_exact(n, ctx.q))
     rel = abs(value - closed) / abs(closed)
     return MomentResult(
@@ -364,7 +362,7 @@ def build_measure(
 
     Support points are enumerated by the two-branch index split
     (exponents 1-k and k+2, k = 0..K); the branches are separately
-    monotone in abscissa and disjoint.
+    monotone in abscissa and disjoint.  M must be >= K + 2.
     """
     if target not in MEASURE_TARGETS:
         raise DomainError(
@@ -372,8 +370,7 @@ def build_measure(
         )
     mp = ctx.mp
     q = ctx.qm
-    if weight is None:
-        weight = lattice_weight(K + 1, max(M, K + 2), ctx)
+    weight = _hat_weight(K, M, ctx, weight)
     exponents = [1 - k for k in range(K + 1)] + [k + 2 for k in range(K + 1)]
     branch_split = K + 1
 
@@ -406,15 +403,6 @@ def build_measure(
                 "variable_scale": "|z|^2 = q/(1-q) * y",
                 "normalizer": "N^2 from the coherent-state norm",
             }
-
-    down_exp = exponents[:branch_split]
-    up_exp = exponents[branch_split:]
-    if any(a <= b for a, b in zip(down_exp, down_exp[1:])):
-        raise DomainError("growing branch exponents must strictly decrease")
-    if any(a >= b for a, b in zip(up_exp, up_exp[1:])):
-        raise DomainError("shrinking branch exponents must strictly increase")
-    if set(down_exp) & set(up_exp):
-        raise DomainError("measure support contains duplicate lattice points")
 
     total = mp.mpf(0)
     for wv in masses:

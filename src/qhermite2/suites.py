@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional
 
 from .context import PrecisionContext
-from .errors import AlgebraViolation
+from .errors import AlgebraViolation, DomainError
 from .exact import GaussianRational, Poly, bn_squared_exact, lambda_exact
 from .extremal import carrier_roots, loadings, orthonormality_gram
 from .qcalculus import (
@@ -36,7 +36,7 @@ from .qhermite import (
     qdiff_equation_check,
 )
 from .qkernel import gen_exponential
-from .qmeasure import lattice_weight, moment_In, unity_check
+from .qmeasure import _hat_weight, moment_In, unity_check
 from .qoscillator import verify_algebra
 
 __all__ = [
@@ -82,6 +82,8 @@ def recurrence(
     One check per n <= n_max: the worst gap over x in {0, +-1/2, +-1,
     +-2}, relative to max(|H~_n(x)|, 1).
     """
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
     tol_mp = ctx.mpf(tol)
     xs = [Fraction(x) for x in (0, "1/2", "-1/2", 1, -1, 2, -2)]
     checks = []
@@ -161,7 +163,11 @@ def qcalculus(ctx: PrecisionContext, tol: Fraction = Fraction(1, 10**20)) -> Lis
             )
         )
 
-    k_inf = max(80, math.ceil(math.log(float(tol)) / math.log(float(q))) + 40)
+    try:  # float(tol) is 0 below the double range and overflows above it
+        ln_tol = math.log(float(tol))
+    except (ValueError, OverflowError):
+        ln_tol = math.log(tol.numerator) - math.log(tol.denominator)
+    k_inf = max(80, math.ceil(ln_tol / math.log(float(q))) + 40)
 
     def u_dec(t):
         return 1 / (1 + t * t) ** 3
@@ -296,6 +302,8 @@ def generating(
 def qdiff(ctx: PrecisionContext, n_max: int = 4) -> List[Check]:
     """q-difference equation: exact zero at n = 0, the documented
     nonzero residual at n = 1, a diagnostic listing for 2 <= n <= n_max."""
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
     q = ctx.q
     res0 = qdiff_equation_check(0, ctx)
     ok0 = res0.is_zero()
@@ -350,9 +358,11 @@ def moments(
     """Lattice moments I_n (depth K = k_depth, tail index M = tail)
     against the closed form, and the telescoping I_n = b_{n-1}^2 I_{n-1}
     between them."""
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
     tol_mp = ctx.mpf(tol)
     K, M = k_depth, tail
-    weight = lattice_weight(K + 1, max(M, K + 2), ctx)
+    weight = _hat_weight(K, M, ctx)
     params = f"q={ctx.q}; K={K}; M={M}"
     checks = []
     lattice_values = []

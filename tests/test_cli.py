@@ -485,6 +485,44 @@ def test_shallow_lattice_output_pinned(capsys, suite, code, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# Refusals with exit 2 and the stderr line: a tail index below K + 2
+# (unity and the jackson measure used to widen it silently), a negative
+# n_max (these suites used to pass with nothing checked) and a tolerance
+# <= 0 (qcalculus used to exit 4 from math.log, the others 1).
+_REFUSALS = """
+verify --suite moments --k-depth=10 --tail=8 | tail depth M=8 too small for K=10
+verify --suite unity --k-depth=10 --tail=8 | tail depth M=8 too small for K=10
+measure --type jackson --k-depth=10 --tail=8 | tail depth M=8 too small for K=10
+verify --suite recurrence --n-max=-1 | n_max must be >= 0, got -1
+verify --suite moments --n-max=-1 | n_max must be >= 0, got -1
+verify --suite qdiff --n-max=-2 | n_max must be >= 0, got -2
+verify --suite qcalculus --tol=0 | --tol must be > 0, got 0
+verify --suite qcalculus --tol=-1/10 | --tol must be > 0, got -1/10
+verify --suite unity --tol=0 | --tol must be > 0, got 0
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(argv.split(), message, id=argv)
+        for argv, message in (
+            line.split(" | ") for line in _REFUSALS.strip().splitlines()
+        )
+    ],
+)
+def test_refusal_exits_two(capsys, argv, message):
+    assert run_cli(capsys, argv) == (2, "", f"usage error: {message}\n")
+
+
+def test_tolerance_below_double_range(capsys):
+    # The ip3 depth comes from ln tol without float(tol), which is 0 here;
+    # the gates then fail at 256 bits.
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "qcalculus", "--tol=1e-400"])
+    assert code == 1
+    assert "K=1369;" in out
+
+
 def test_suite_parameters_spell_q_exactly(capsys):
     # The parameters column is built from the exact q; the config echo
     # keeps the text as typed.

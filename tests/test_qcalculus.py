@@ -213,11 +213,23 @@ class TestIntegrationByParts:
             res = ibp_residual(_u_dec, _v_dec, "ip3", None, ctx, K=k_inf)
             assert res <= ctx.mpf(tol)
 
+    def test_infinite_variant_certifies_the_growing_branch(self, ctx_half):
+        # u v grows without bound; the lattice sums used to return
+        # 7.98e36 here as a residual.
+        with pytest.raises(NoConvergenceError) as err:
+            ibp_residual(lambda t: 1 + t * t, lambda t: t, "ip3", None, ctx_half, K=40)
+        assert str(err.value) == (
+            "hat_q_integral: growing-abscissa branch not decaying at K=40 "
+            "(last term 1.661535e+35)"
+        )
+
     def test_variant_validation(self, ctx_half):
         with pytest.raises(DomainError):
             ibp_residual(POLY_A, POLY_B, "ip9", Fraction(1), ctx_half)
         with pytest.raises(DomainError):
             ibp_residual(POLY_A, POLY_B, "ip1", None, ctx_half)
+        with pytest.raises(DomainError, match="K must be >= 1, got 0"):
+            ibp_residual(_u_dec, _v_dec, "ip3", None, ctx_half, K=0)
 
 
 # Reference lattice sums: the monitored sum and the lattice generators as

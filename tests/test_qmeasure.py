@@ -356,3 +356,5 @@ class TestUnityCheck:
     def test_parameter_validation(self, ctx_half):
         with pytest.raises(DomainError):
             unity_check(-1, ctx_half)
+        with pytest.raises(DomainError, match="tail depth M=8 too small for K=10"):
+            unity_check(3, ctx_half, K=10, M=8)
