@@ -486,11 +486,11 @@ def test_shallow_lattice_output_pinned(capsys, suite, code, digest):
 
 
 # Refusals with exit 2 and the stderr line: a tail index below K + 2
-# (unity and the jackson measure used to widen it silently), a negative
-# n_max (these suites used to pass with nothing checked) and a tolerance
-# <= 0 (qcalculus used to exit 4 from math.log, the others 1).
+# (unity and the jackson measure used to widen it silently, where the
+# moments suite refused it), a negative n_max (these suites used to pass
+# with nothing checked) and a tolerance <= 0 (qcalculus used to exit 4
+# from math.log, the others 1).
 _REFUSALS = """
-verify --suite moments --k-depth=10 --tail=8 | tail depth M=8 too small for K=10
 verify --suite unity --k-depth=10 --tail=8 | tail depth M=8 too small for K=10
 measure --type jackson --k-depth=10 --tail=8 | tail depth M=8 too small for K=10
 verify --suite recurrence --n-max=-1 | n_max must be >= 0, got -1
