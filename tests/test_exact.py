@@ -93,6 +93,76 @@ class TestPoly:
         )
 
 
+def _ref_horner(poly, ctx, x):
+    """Test-local copy of Horner on mpmath objects, as ``Poly.mp_evaluator``
+    computed it with every step an mpf/mpc operation."""
+    mp = ctx.mp
+    complex_coeffs = any(c.im != 0 for c in poly.coeffs)
+    coeffs = [
+        ctx.mpf(c.re) if c.im == 0 else mp.mpc(ctx.mpf(c.re), ctx.mpf(c.im))
+        for c in reversed(poly.coeffs)
+    ]
+    acc = mp.mpc(0) if complex_coeffs or isinstance(x, mp.mpc) else mp.mpf(0)
+    for cv in coeffs:
+        acc = acc * x + cv
+    return acc
+
+
+def _raw(value):
+    return getattr(value, "_mpf_", None) or value._mpc_
+
+
+class TestMpEvaluatorBitwise:
+    """``Poly.mp_evaluator`` equals the object-level Horner bit for bit."""
+
+    POLYS = (
+        Poly.zero(),
+        Poly((Fraction(7, 3),)),
+        Poly((Fraction(1, 3), 0, Fraction(-2, 7), 5, Fraction(-11, 13))),
+        Poly((GaussianRational(Fraction(1, 5), Fraction(-3)), Fraction(2, 9), GaussianRational.I)),
+    )
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_points_of_every_kind(self, bits):
+        ctx = PrecisionContext(q=Q3, precision_bits=bits)
+        points = (
+            3,
+            -2,
+            Fraction(-5, 4),
+            ctx.mpf(Fraction(1, 3)),
+            ctx.mpf(Fraction(-22, 7)) * 10**40,
+            ctx.mpc(complex(1, -2)),
+        )
+        for poly in self.POLYS:
+            horner = poly.mp_evaluator(ctx)
+            for x in points:
+                got, want = horner(x), _ref_horner(poly, ctx, x)
+                assert type(got) is type(want), (poly, x)
+                assert _raw(got) == _raw(want), (poly, x)
+                assert _raw(poly.eval_mp(ctx, x)) == _raw(want), (poly, x)
+
+    def test_call_at_another_precision(self):
+        # Coefficients are rounded when the evaluator is built; a call
+        # inside workprec rounds every step, the top coefficient too, at
+        # the caller's precision.
+        ctx = PrecisionContext(q=Q3, precision_bits=128)
+        mp = ctx.mp
+        x = ctx.mpf(Fraction(5, 3))
+        for poly in self.POLYS:
+            horner = poly.mp_evaluator(ctx)
+            coeffs = [
+                ctx.mpf(c.re) if c.im == 0 else mp.mpc(ctx.mpf(c.re), ctx.mpf(c.im))
+                for c in reversed(poly.coeffs)
+            ]
+            for prec in (64, 200):
+                with mp.workprec(prec):
+                    got = horner(x)
+                    want = mp.mpc(0) if any(c.im != 0 for c in poly.coeffs) else mp.mpf(0)
+                    for cv in coeffs:
+                        want = want * x + cv
+                assert _raw(got) == _raw(want), (poly, prec)
+
+
 class TestClosedForms:
     def test_qbracket_values(self):
         assert qbracket(0, HALF) == 0

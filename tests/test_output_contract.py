@@ -6,7 +6,9 @@ through ``cli.main``.  The rows are the quick commands (under about
 0.3 s each) of the list that refactors of the package must leave
 byte-identical; they cover all five subcommands, csv and json, and exit
 codes 0 to 3.  Slower commands of that list, and commands already pinned
-in ``test_cli.py``, are not repeated here.
+in ``test_cli.py``, are not repeated here.  A second list pins slower
+commands that run the series and lattice hot paths at q and precisions
+the first list does not reach.
 """
 
 from __future__ import annotations
@@ -84,10 +86,26 @@ _CONTRACT = [
     ('verify --suite unity --n-max=-1', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: n_max must be >= 0, got -1'),
 ]
 
+# Slower commands (about 0.1-1 s each) that load the series and lattice
+# hot paths: the generalized q-exponential of the coherent-state
+# normalizer, the terminating 2phi0 of H~_n at guard precision, the
+# polynomial evaluators and the finite, infinite and ip3 hat sums.
+_HOT_PATH_CONTRACT = [
+    ('verify --suite qcalculus --q=26/27 --precision-bits=128', 0, "9452d5a44c9649fbc4251e168eb327f2ae030381b30d9e5d4278e09ce0173a04", ''),
+    ('verify --suite qcalculus --q=9/10 --precision-bits=512', 0, "ff5113549ac0608083ffd69a029081e71000a699a1dc06fb3046cb1749be95e9", ''),
+    ('measure --type jackson --variable z-radial --q=32/33', 0, "3378543a772b4307c5c3b958816da5726c85de625b83e79fff8885c8867f2e1e", ''),
+    ('measure --type jackson --variable z-radial --q=3/7 --precision-bits=512 --format=json', 0, "da9be76b30afd956adf4ecda57f8a77ce7270704ba56964e521da85180117a49", ''),
+    ('verify --suite recurrence --q=7/61 --precision-bits=512', 0, "8e22f9e6f2acc42f2de44b7532b5da7335b55ecd19cd541c6880e581273efeb6", ''),
+    ('verify --suite moments --q=11/12 --k-depth=300 --tail=400 --precision-bits=128', 0, "547fc16f6b094afb21af1bd40b0cfe9590f4a7a17065250a7aab8613544a47e9", ''),
+    ('cs --q=19/28 --precision-bits=512', 0, "df92cbdc95a4cb9f10728d3c0b904711c30139b1ad9305b7feb452cd3d8a90a4", ''),
+    ('cs --z-re=3 --z-im=-2 --q=7/8 --format=json', 0, "667cf93f01dc488cdbc31369378c283fc490b98a2a7439c05e7bfee0048ec5d2", ''),
+    ('poly --n 12 --x=-13/5 --q=5/6 --precision-bits=512', 0, "4ea3f7a33ef80f45fca54961fa34fadd8581f62bd6af18fdd0ac6c093822e397", ''),
+]
+
 
 @pytest.mark.parametrize(
     "argv, code, digest, last_err",
-    [pytest.param(*row, id=row[0]) for row in _CONTRACT],
+    [pytest.param(*row, id=row[0]) for row in _CONTRACT + _HOT_PATH_CONTRACT],
 )
 def test_output_contract(capsys, argv, code, digest, last_err):
     got = main(shlex.split(argv))
