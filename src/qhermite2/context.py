@@ -94,11 +94,23 @@ class PrecisionContext:
     mp : mpmath context
         Private mpmath context at ``precision_bits`` working precision.
     tables : dict
-        Derived constants (the b_n of
-        :func:`qhermite2.qkernel.b_table`, the rounded q and squaring
-        chains of :func:`qhermite2.qkernel.q_power_raw`), filled on
-        demand; an entry, once computed, is never changed.  Not part of
-        equality or hashing.
+        Quantities that depend only on q and the precision, filled on
+        demand by :mod:`qhermite2.qkernel`:
+
+        - ``"b"``: the tuple b_0, b_1, ... of :func:`~qhermite2.qkernel.b_table`;
+        - ``("q", prec)``: q rounded to prec bits, for every precision
+          that asked for a power of q;
+        - ``"q_power"``: the squaring chains q, q^2, q^4, ... of
+          :func:`~qhermite2.qkernel.q_power_raw`, one per working
+          precision of its binary powers;
+        - ``"q^n"``: the memo n -> q^n of ``q_power_raw``;
+        - ``"1-q^(n+1)"``: the list 1 - q^(n+1), n = 0, 1, ..., read by
+          ``gen_exponential`` and ``phi_rs``.
+
+        Each value is formed at the context precision only (the rounded
+        q at its own precision), never inside an ``mp.workprec`` block,
+        and never changed once stored; containers only grow.  Not part
+        of equality or hashing.
     """
 
     q: Fraction

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from mpmath.libmp import fzero, mpf_add, mpf_mul
+
 from .errors import DomainError
 
 __all__ = [
@@ -240,7 +242,11 @@ class Poly:
         """Horner evaluator at mpf/mpc points in ctx's precision.
 
         The coefficients are rounded once, here, not on every call.  The
-        accumulator is complex when a coefficient or the point is.
+        accumulator is complex when a coefficient or the point is.  Real
+        coefficients at an mpf point run on raw mpf tuples with the
+        rounding of the mpf operators at the caller's precision, the
+        first step 0*x + c included; every other point (int, Fraction,
+        mpc) goes through the mpf/mpc operators.
         """
         mp = ctx.mp
         complex_coeffs = any(c.im != 0 for c in self.coeffs)
@@ -248,8 +254,18 @@ class Poly:
             ctx.mpf(c.re) if c.im == 0 else mp.mpc(ctx.mpf(c.re), ctx.mpf(c.im))
             for c in reversed(self.coeffs)
         ]
+        real = bool(coeffs) and not complex_coeffs
+        if real:
+            top, *rest = [cv._mpf_ for cv in coeffs]
 
         def horner(x):
+            if real and hasattr(x, "_mpf_"):
+                prec, rnd = mp._prec_rounding
+                xr = x._mpf_
+                acc = mpf_add(mpf_mul(fzero, xr, prec, rnd), top, prec, rnd)
+                for c in rest:
+                    acc = mpf_add(mpf_mul(acc, xr, prec, rnd), c, prec, rnd)
+                return mp.make_mpf(acc)
             acc = mp.mpc(0) if complex_coeffs or isinstance(x, mp.mpc) else mp.mpf(0)
             for cv in coeffs:
                 acc = acc * x + cv

@@ -289,7 +289,13 @@ def hat_q_integral_finite(f: Evaluatable, a, ctx: PrecisionContext):
 
 def _dhat_callable(f: Callable, ctx: PrecisionContext) -> Callable:
     qi = 1 / ctx.qm
-    return lambda t: (f(qi * qi * t) - f(qi * t)) / (qi * t)
+    qi2 = qi * qi
+
+    def dhat(t):
+        qit = qi * t
+        return (f(qi2 * t) - f(qit)) / qit
+
+    return dhat
 
 
 def ibp_residual(
@@ -333,14 +339,15 @@ def ibp_residual(
         av = ctx.mpf(a)
         du = _dhat_callable(uf, ctx)
         dv = _dhat_callable(vf, ctx)
-        boundary = uf(av / q**2) * vf(av / q**2) - uf(mp.mpf(0)) * vf(mp.mpf(0))
+        q2 = q**2
+        boundary = uf(av / q2) * vf(av / q2) - uf(mp.mpf(0)) * vf(mp.mpf(0))
         if variant == "ip1":
             lhs = hat_q_integral_finite(lambda t: uf(t / q) * dv(t), av, ctx)
             rhs = boundary - hat_q_integral_finite(
-                lambda t: vf(t / q**2) * du(t), av, ctx
+                lambda t: vf(t / q2) * du(t), av, ctx
             )
         else:
-            lhs = hat_q_integral_finite(lambda t: uf(t / q**2) * dv(t), av, ctx)
+            lhs = hat_q_integral_finite(lambda t: uf(t / q2) * dv(t), av, ctx)
             rhs = boundary - hat_q_integral_finite(
                 lambda t: vf(t / q) * du(t), av, ctx
             )
@@ -362,8 +369,12 @@ def ibp_residual(
         v_at = v.at_exponent
     else:
         vf = _as_callable(v, ctx)
+        v_values = {}  # each lattice index is read up to three times
+
         def v_at(m: int):
-            return vf(q_power(m, ctx))
+            if m not in v_values:
+                v_values[m] = vf(q_power(m, ctx))
+            return v_values[m]
 
     def dv_at(m: int):
         # (dhat v)(q^m) = q^{1-m} (v(q^{m-2}) - v(q^{m-1}))

@@ -10,8 +10,11 @@ Every integer power q^n of the rounded q in the series, calculus and
 lattice layers comes from one kernel, :func:`q_power` (raw tuples:
 :func:`q_power_raw`).  It is bitwise ``mpf_pow_int``, which is what
 ``ctx.qm ** n`` computes, but keeps the chain of truncated squarings
-q, q^2, q^4, ... in the context per working precision, so each call
-only multiplies the entries for the set bits of n.  Consecutive powers
+q, q^2, q^4, ... in the context per working precision, so a first call
+only multiplies the entries for the set bits of n, and a memo of q^n
+at the context precision answers the calls after it.  The series
+read 1 - q^(n+1) from one list per context as well (the tables are
+listed in :class:`~qhermite2.context.PrecisionContext`).  Consecutive powers
 come from :func:`q_power_run`, which yields the same bits from one
 running product and a rounding test (Ziv), calling ``q_power_raw`` only
 where that test cannot decide.
@@ -160,25 +163,46 @@ def q_power_raw(n: int, ctx: PrecisionContext) -> tuple:
     a loss delta_n = n 2^(1-wp) that grows with n, not with
     bitcount(n).  Here the
     chain is built once per working precision and kept in
-    ``ctx.tables``; each call multiplies the chain entries of the set
-    bits of n, least significant first, truncating exactly as
-    ``mpf_pow_int`` does.  n < -1 is the reciprocal of the power at
+    ``ctx.tables``; the first call for n multiplies the chain entries of
+    the set bits of n, least significant first, truncating exactly as
+    ``mpf_pow_int`` does, and the memo of q^n in ``ctx.tables`` answers
+    every later call for n.  n < -1 is the reciprocal of the power at
     prec + 5, as there; every other branch (n in -1..2, q a power of
-    two, exact small powers) is ``mpf_pow_int`` itself.  Chains are
-    cached only at the context's own precision: inside an
-    ``mp.workprec`` block the call is ``mpf_pow_int`` on ``ctx.qm`` at
-    that precision (kept too, so that it is rounded once).
+    two, exact small powers) is ``mpf_pow_int`` itself.
+
+    Of the per-context tables (``ctx.tables``: the b_n, q rounded per
+    precision, the squaring chains, the q^n memo and 1 - q^(n+1)) this
+    function fills the middle three.  Like every table, chains and
+    memo hold values formed at the context's own precision only and
+    never changed once stored: inside an ``mp.workprec`` block the call
+    is ``mpf_pow_int`` on ``ctx.qm`` at that precision, and only the
+    rounded q is kept, so that it is rounded once.
     """
     prec = ctx.mp.prec
+    tables = ctx.tables
+    if prec == ctx.precision_bits:
+        memo = tables.get("q^n")
+        if memo is None:
+            memo = tables["q^n"] = {}
+        power = memo.get(n)
+        if power is None:
+            q = _rounded_q(prec, ctx)
+            chains = tables.setdefault("q_power", {})
+            if n < -1:
+                power = mpf_div(fone, _positive_power(q, -n, prec + 5, chains), prec, _RND)
+            else:
+                power = _positive_power(q, n, prec, chains)
+            memo[n] = power
+        return power
+    return mpf_pow_int(_rounded_q(prec, ctx), n, prec, _RND)
+
+
+def _rounded_q(prec: int, ctx: PrecisionContext) -> tuple:
+    """q rounded to ``prec`` bits as a raw mpf, kept per precision."""
     q = ctx.tables.get(("q", prec))
     if q is None:
         q = ctx.tables[("q", prec)] = ctx.qm._mpf_
-    if prec != ctx.precision_bits:
-        return mpf_pow_int(q, n, prec, _RND)
-    chains = ctx.tables.setdefault("q_power", {})
-    if n < -1:
-        return mpf_div(fone, _positive_power(q, -n, prec + 5, chains), prec, _RND)
-    return _positive_power(q, n, prec, chains)
+    return q
 
 
 def q_power(n: int, ctx: PrecisionContext):
@@ -408,32 +432,62 @@ def rho_factorial(n: int, ctx: PrecisionContext):
     return (q / (1 - q)) ** n * q_power(-(n * n), ctx) * poch
 
 
-def _term_ratio(spec: HypergeometricSpec, k: int, ctx: PrecisionContext):
-    """T_{k+1}/T_k for the basic hypergeometric series."""
+def _q_complement(n: int, table: Optional[list], ctx: PrecisionContext):
+    """1 - q^(n+1): entry n of ``table``, the context's list of these
+    values (grown here up to n), or, for ``table=None``, formed anew at
+    the working precision."""
+    if table is None:
+        return 1 - q_power(n + 1, ctx)
+    while len(table) <= n:
+        table.append(1 - q_power(len(table) + 1, ctx))
+    return table[n]
+
+
+def _q_complements(ctx: PrecisionContext) -> Optional[list]:
+    """The context's list of 1 - q^(n+1), n = 0, 1, ..., grown by the
+    series that read it; None inside an ``mp.workprec`` block, where the
+    values would be rounded elsewhere (see :func:`q_power_raw`)."""
+    if ctx.mp.prec != ctx.precision_bits:
+        return None
+    return ctx.tables.setdefault("1-q^(n+1)", [])
+
+
+def _term_ratios(spec: HypergeometricSpec, ctx: PrecisionContext):
+    """k -> T_{k+1}/T_k for the basic hypergeometric series, to be called
+    for k = 0, 1, 2, ... in turn: the parameters and z are converted
+    once, and q^(k+1) of one call is the q^k of the next."""
     mp = ctx.mp
     e = 1 + len(spec.lower) - len(spec.upper)
-    qk = q_power(k, ctx)
-    num = mp.mpf(1) if not any(
-        isinstance(a, (complex, mp.mpc)) for a in spec.upper
-    ) else mp.mpc(1)
-    for a in spec.upper:
-        av = ctx.mpc(a) if isinstance(a, (complex, mp.mpc)) else ctx.mpf(a)
-        num = num * (1 - av * qk)
-    den = mp.mpf(1)
-    for b in spec.lower:
-        bv = ctx.mpc(b) if isinstance(b, (complex, mp.mpc)) else ctx.mpf(b)
-        factor = 1 - bv * qk
-        if factor == 0:
-            raise DomainError(
-                "phi_rs: lower parameter hits q^{-m}; series must terminate "
-                "before the zero denominator (set terminating_at)"
-            )
-        den = den * factor
-    den = den * (1 - q_power(k + 1, ctx))
-    z = ctx.mpc(spec.z) if isinstance(spec.z, (complex, mp.mpc)) else ctx.mpf(spec.z)
-    ratio = num / den * z * q_power(e * k, ctx)
-    if e % 2 == 1:
-        ratio = -ratio
+
+    def convert(v):
+        return ctx.mpc(v) if isinstance(v, (complex, mp.mpc)) else ctx.mpf(v)
+
+    upper = [convert(a) for a in spec.upper]
+    lower = [convert(b) for b in spec.lower]
+    z = convert(spec.z)
+    one = mp.mpc(1) if any(isinstance(a, (complex, mp.mpc)) for a in spec.upper) else mp.mpf(1)
+    complements = _q_complements(ctx)
+    qk = q_power(0, ctx)
+
+    def ratio(k: int):
+        nonlocal qk
+        num = one
+        for av in upper:
+            num = num * (1 - av * qk)
+        den = mp.mpf(1)
+        for bv in lower:
+            factor = 1 - bv * qk
+            if factor == 0:
+                raise DomainError(
+                    "phi_rs: lower parameter hits q^{-m}; series must terminate "
+                    "before the zero denominator (set terminating_at)"
+                )
+            den = den * factor
+        qk = q_power(k + 1, ctx)
+        den = den * (1 - qk if complements is None else _q_complement(k, complements, ctx))
+        r = num / den * z * q_power(e * k, ctx)
+        return -r if e % 2 == 1 else r
+
     return ratio
 
 
@@ -466,12 +520,13 @@ def phi_rs(spec: HypergeometricSpec, ctx: PrecisionContext):
             )
 
     term = mp.mpc(1) if _is_complexy(spec, ctx) else mp.mpf(1)
+    ratio = _term_ratios(spec, ctx)
     if n is None:
-        return _ratio_sum(term, lambda k: _term_ratio(spec, k, ctx), ctx, "phi_rs")
+        return _ratio_sum(term, ratio, ctx, "phi_rs")
     total = term * 0
     for k in range(min(n, ctx.max_terms)):
         total = total + term
-        term = term * _term_ratio(spec, k, ctx)
+        term = term * ratio(k)
     if n < ctx.max_terms:
         return total + term
     raise NoConvergenceError(f"phi_rs: no convergence within max_terms={ctx.max_terms}")
@@ -507,9 +562,10 @@ def gen_exponential(x, ctx: PrecisionContext):
     """
     mp = ctx.mp
     xv = ctx.mpc(x) if isinstance(x, (complex, mp.mpc)) else ctx.mpf(x)
+    complements = _q_complements(ctx)
 
     def ratio(n):
-        return q_power(2 * n + 1, ctx) * xv / (1 - q_power(n + 1, ctx))
+        return q_power(2 * n + 1, ctx) * xv / _q_complement(n, complements, ctx)
 
     return _ratio_sum(1 + xv * 0, ratio, ctx, "gen_exponential")
 

@@ -271,7 +271,10 @@ def _hat_weight(
 ) -> LatticeWeight:
     """The weight on [-(K+1), K], the window that a depth-K hat sum of
     f(q^{j-2}) reads: built with tail index M >= K + 2, or a prebuilt
-    ``weight`` that covers it."""
+    ``weight`` that covers it.  K >= 3, so the window's lower depth
+    K + 1 meets the floor of :func:`lattice_weight`."""
+    if K < 3:
+        raise DomainError(f"K must be >= 3, got K={K}")
     if M < K + 2:
         raise DomainError(f"tail depth M={M} too small for K={K}")
     if weight is None:

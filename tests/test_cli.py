@@ -548,6 +548,33 @@ def test_negative_rational_value_without_equals(capsys):
     assert run_cli(capsys, ["poly", "--n", "7", "--x", "--q", "26/27"])[0] == 2
 
 
+# At low order several weight hypotheses match every computed order;
+# the verdict used to demand that the resolved weight be the first of
+# them, and these exited 1: argv, the matches the note names.
+_GENERATING_LOW_ORDER = """
+--order=0 | as-printed, divided-by-qpochhammer, divided-with-qpower, divided-with-qpower-squared
+--order=1 | divided-by-qpochhammer, divided-with-qpower, divided-with-qpower-squared
+--order=2 --q=4/5 | divided-by-qpochhammer, divided-with-qpower, divided-with-qpower-squared
+"""
+
+
+@pytest.mark.parametrize(
+    "args, matched",
+    [
+        pytest.param(args.split(), matched, id=args)
+        for args, matched in (
+            line.split(" | ") for line in _GENERATING_LOW_ORDER.strip().splitlines()
+        )
+    ],
+)
+def test_generating_passes_when_several_weights_match(capsys, args, matched):
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "generating", *args, "--format=json"])
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row[:2] == ["check", "resolved-weight-matches-all-orders"]
+    assert row[5:] == ["true", f"matched hypotheses: {matched}"]
+
+
 def test_no_context_outlives_its_job(capsys, monkeypatch):
     # Caches belong in ctx.tables: a module-level cache keyed on the
     # context keeps it, and its tables, alive after the job.

@@ -70,7 +70,7 @@ _CONTRACT = [
     ('verify --suite recurrence --tol=abc', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage error: could not parse --tol value 'abc'"),
     ('poly --n 3 --x=abc', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage error: could not parse --x value 'abc'"),
     ('measure --type extremal --bound=abc', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage error: cannot parse rational from 'abc'"),
-    ('measure --type jackson --k-depth=-3', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: K and M must be >= 4, got K=-2, M=120'),
+    ('measure --type jackson --k-depth=-3', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: K must be >= 3, got K=-3'),
     ('measure --type extremal --q=1/64 --bound=100000 --precision-bits=64', 0, "610261b84ef193e1b59087ad0db84377fd3113bc797870f5d635621491dd0f99", ''),
     ('verify --suite qcalculus --q=3/10 --precision-bits=64', 1, "ddb8effb9004b7ca6ab4d65e52b85272013a62dfda26f328d4bcfa9c330a17a8", ''),
     ('verify --suite generating --x=-5 --q=2/3 --precision-bits=64', 0, "a9783fa39590d4787029a386227fe9abc52057050fae007f455ac1321b2d14e2", ''),
@@ -80,9 +80,9 @@ _CONTRACT = [
     ('verify --suite qcalculus --q=1/64 --precision-bits=256', 0, "de39dd58d011313d6b4444f3a3d347a86869140b7b8f5c410c87e86c286a5eff", ''),
     ('verify --suite moments --k-depth=10 --tail=8', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: tail depth M=8 too small for K=10'),
     ('verify --suite moments --tail=3', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: tail depth M=3 too small for K=60'),
-    ('verify --suite moments --k-depth=2', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: K and M must be >= 4, got K=3, M=120'),
-    ('verify --suite unity --k-depth=-3', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: K and M must be >= 4, got K=-2, M=120'),
-    ('verify --suite moments --k-depth=-3', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: K and M must be >= 4, got K=-2, M=120'),
+    ('verify --suite moments --k-depth=2', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: K must be >= 3, got K=2'),
+    ('verify --suite unity --k-depth=-3', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: K must be >= 3, got K=-3'),
+    ('verify --suite moments --k-depth=-3', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: K must be >= 3, got K=-3'),
     ('verify --suite unity --n-max=-1', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: n_max must be >= 0, got -1'),
 ]
 

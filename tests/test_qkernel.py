@@ -188,7 +188,8 @@ class TestQPower:
         for n in self.EXPONENTS + tuple(range(-300, 301)):
             want = (qm**n)._mpf_
             assert q_power_raw(n, ctx) == want, n
-            assert q_power(n, ctx)._mpf_ == want, n
+            assert q_power(n, ctx)._mpf_ == want, n  # from the memo
+            assert ctx.tables["q^n"][n] == want, n
 
     def test_squaring_chains_only_per_working_precision(self):
         ctx = PrecisionContext(Fraction(40, 41), 256)
@@ -200,15 +201,27 @@ class TestQPower:
         assert all(len(c) <= (3000).bit_length() for c in chains.values())
 
     def test_other_precision_is_not_cached(self):
+        # Chains, the q^n memo and the 1 - q^(n+1) table hold values at
+        # the context precision only; the series kernels fill none of
+        # them inside workprec.
         ctx = PrecisionContext(Fraction(63, 64), 128)
+        spec = HypergeometricSpec((Fraction(1, 3),), (Fraction(1, 5),), Fraction(1, 2))
         with ctx.mp.workprec(128 + 77):
             qm = ctx.qm
             for n in self.EXPONENTS:
                 assert q_power_raw(n, ctx) == (qm**n)._mpf_, n
-        assert "q_power" not in ctx.tables
+            assert gen_exponential(Fraction(3, 2), ctx) == _ref_gen_exponential(Fraction(3, 2), ctx)
+            assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx)
+        for table in ("q_power", "q^n", "1-q^(n+1)"):
+            assert table not in ctx.tables, table
         qm = ctx.qm
         for n in self.EXPONENTS:
             assert q_power_raw(n, ctx) == (qm**n)._mpf_, n
+        assert gen_exponential(Fraction(3, 2), ctx) == _ref_gen_exponential(Fraction(3, 2), ctx)
+        complements = ctx.tables["1-q^(n+1)"]
+        assert complements
+        for n, value in enumerate(complements):
+            assert value._mpf_ == (1 - qm ** (n + 1))._mpf_, n
 
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -382,28 +395,44 @@ def _ref_hermite2_eval_direct(n, x, ctx):
 
 SERIES_CONTEXTS = [
     pytest.param(Fraction(q), bits, id=f"{q}-{bits}")
-    for q in ("3/10", "1/2", "40/41")
+    for q in ("1/64", "3/10", "1/2", "32/33", "40/41", "63/64")
     for bits in (64, 256)
 ]
+
+PHI_SPECS = (
+    HypergeometricSpec((Fraction(1, 3),), (Fraction(1, 5),), Fraction(1, 2)),
+    HypergeometricSpec((), (Fraction(-1, 4),), Fraction(3, 2)),
+    HypergeometricSpec((Fraction(1, 7), complex(0, 1)), (), -1, terminating_at=9),
+    HypergeometricSpec((Fraction(2, 3),), (), Fraction(1, 4)),
+    HypergeometricSpec((Fraction(1, 3), complex(1, -1)), (Fraction(-1, 2),), complex(-1, 2) / 8),
+)
 
 
 @pytest.mark.parametrize("q, bits", SERIES_CONTEXTS)
 class TestSeriesKernelsBitwise:
     def test_gen_exponential(self, q, bits):
+        # Twice each: the first call grows the context's tables, the
+        # second reads them.
         ctx = PrecisionContext(q, bits)
-        for x in (Fraction(1, 2), Fraction(-7, 3), 5, complex(1, -2)):
+        for x in (Fraction(1, 2), Fraction(-7, 3), 5, complex(1, -2), complex(-3, 1) / 4) * 2:
             assert gen_exponential(x, ctx) == _ref_gen_exponential(x, ctx), x
 
     def test_phi_rs(self, q, bits):
         ctx = PrecisionContext(q, bits)
-        specs = (
-            HypergeometricSpec((Fraction(1, 3),), (Fraction(1, 5),), Fraction(1, 2)),
-            HypergeometricSpec((), (Fraction(-1, 4),), Fraction(3, 2)),
-            HypergeometricSpec((Fraction(1, 7), complex(0, 1)), (), -1, terminating_at=9),
-            HypergeometricSpec((Fraction(2, 3),), (), Fraction(1, 4)),
-        )
-        for spec in specs:
+        for spec in PHI_SPECS * 2:
             assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx), spec
+
+    def test_terminating_phi_rs_at_guard_precision(self, q, bits):
+        # The 2phi0 of H~_n runs inside workprec, with q^n arguments
+        # rounded there.
+        ctx = PrecisionContext(q, bits)
+        for n in (1, 6, 13):
+            with ctx.mp.workprec(bits + 11 * n):
+                qm = ctx.qm
+                spec = HypergeometricSpec(
+                    (qm ** (-n), ctx.mpc(complex(0, 2))), (), -(qm**n), terminating_at=n
+                )
+                assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx), n
 
     def test_hermite2_eval_direct(self, q, bits):
         ctx = PrecisionContext(q, bits)
