@@ -205,9 +205,10 @@ def jackson_integral(f: Evaluatable, kind: str, x, ctx: PrecisionContext):
     return (1 - q) * xv * (up + down)
 
 
-def _hat_sum(sample: Callable[[int], object], K: int, ctx: PrecisionContext):
-    """sum_j q^j sample(j) over the hat lattice at depth K: for k = 0..K
-    the growing-abscissa term j = 1 - k, then the shrinking one j = k + 2.
+def _hat_sum(term: Callable[[int], object], K: int, ctx: PrecisionContext):
+    """sum_j term(j) over the hat lattice at depth K: for k = 0..K the
+    growing-abscissa term j = 1 - k, then the shrinking one j = k + 2.
+    The caller forms each whole term, such as q^j g(q^j).
 
     Returns (total, max |growing term|, max |shrinking term|).  Raises
     NoConvergenceError if the last growing term is not negligible and
@@ -224,8 +225,8 @@ def _hat_sum(sample: Callable[[int], object], K: int, ctx: PrecisionContext):
     max_shrink = mp.mpf(0)
     recent = []  # growing-branch magnitudes of the last three steps
     for k in range(K + 1):
-        t_grow = q_power(1 - k, ctx) * sample(1 - k)
-        t_shrink = q_power(k + 2, ctx) * sample(k + 2)
+        t_grow = term(1 - k)
+        t_shrink = term(k + 2)
         total = total + t_grow + t_shrink
         max_grow = max(max_grow, abs(t_grow))
         max_shrink = max(max_shrink, abs(t_shrink))
@@ -249,7 +250,7 @@ def hat_q_integral(
 
     Sums the lattice by :func:`_hat_sum` at depth K (exponents
     1 - K .. K + 2), which raises NoConvergenceError when the
-    growing-abscissa branch has not decayed.  The lattice moments and
+    growing-abscissa branch has not decayed.  Every lattice moment and
     the ip3 residual of :func:`ibp_residual` share that sum and check.
 
     With ``return_diagnostics=True`` returns
@@ -269,7 +270,7 @@ def hat_q_integral(
         def sample(m: int):
             return func(q_power(m, ctx))
 
-    total, max_grow, max_shrink = _hat_sum(sample, K, ctx)
+    total, max_grow, max_shrink = _hat_sum(lambda j: q_power(j, ctx) * sample(j), K, ctx)
     value = total / ctx.qm
     if return_diagnostics:
         return value, max_grow, max_shrink
@@ -382,19 +383,19 @@ def ibp_residual(
 
     du = _dhat_callable(uf, ctx)
 
-    def lhs_sample(m: int):
-        # u(q^m) * (dhat v)(q * q^m) summed against the hat measure
-        return uf(q_power(m, ctx)) * dv_at(m + 1)
+    def lhs_term(m: int):
+        # q^m u(q^m) (dhat v)(q * q^m) on the hat lattice
+        return q_power(m, ctx) * (uf(q_power(m, ctx)) * dv_at(m + 1))
 
-    def rhs_sample(m: int):
-        return v_at(m - 2) * du(q_power(m, ctx))
+    def rhs_term(m: int):
+        return q_power(m, ctx) * (v_at(m - 2) * du(q_power(m, ctx)))
 
     # the Jacobian q cancels the measure's q^{-1} prefactor
-    lhs = _hat_sum(lhs_sample, K, ctx)[0]
+    lhs = _hat_sum(lhs_term, K, ctx)[0]
     # boundary [uv]_0^inf: deep end ~ 0 for decaying v, 0-end -> u(0) v(0+)
     deep = uf(q_power(-K, ctx)) * v_at(-K)
     zero_end = uf(mp.mpf(0)) * v_at(K + 4)
-    rhs = (deep - zero_end) - _hat_sum(rhs_sample, K, ctx)[0] / q
+    rhs = (deep - zero_end) - _hat_sum(rhs_term, K, ctx)[0] / q
     return abs(lhs - rhs)
 
 

@@ -23,10 +23,12 @@ stops once three values in a row are equal: past that point it
 provably changes no bit (see ``_sweep``).
 
 Moments of the weight against the hat integral reproduce
-I_n = q^{-n^2} (q; q)_n, and the associated point-mass measures carry
-the resolution of unity for the coherent states.  All scale constants
-of the measures are re-derived from the moment conditions; the
-re-derived forms are recorded in the discrepancy registry.
+I_n = q^{-n^2} (q; q)_n.  As rho_n! = c^n I_n (c = q/(1-q)), the Gram
+diagonal of the coherent resolution of unity is I_n(lattice)/I_n.  All
+lattice moments, of the weight or of a point-mass measure, go through
+the one certified hat sum ``qcalculus._hat_sum``.  The measures' scale
+constants are re-derived from the moment conditions and recorded in
+the discrepancy registry.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .context import PrecisionContext
 from .errors import DomainError, InstabilityError
 from .exact import moment_In_exact
 from .qcalculus import _hat_sum
-from .qkernel import q_power, q_power_run, rho_factorial
+from .qkernel import _q_complement, _q_complements, q_power, q_power_run
 
 __all__ = [
     "LatticeWeight",
@@ -238,11 +240,12 @@ def formal_series_partial(
             value=mp.mpf(1), optimal_index=1, error_estimate=mp.mpf(0),
             diverging=False,
         )
+    complements = _q_complements(ctx)
     total = mp.mpf(0)
     term = mp.mpf(1)
     n = 0
     while n < n_terms:
-        nxt = term * (-yv) * q_power(-n, ctx) / (1 - q_power(n + 1, ctx))
+        nxt = term * (-yv) * q_power(-n, ctx) / _q_complement(n, complements, ctx)
         if abs(nxt) >= abs(term):
             break
         total = total + term
@@ -305,10 +308,10 @@ def moment_In(
         raise DomainError(f"moment order must be >= 0, got {n}")
     weight = _hat_weight(K, M, ctx, weight)
 
-    def sample(j: int):
-        return q_power(j * n, ctx) * weight.value(j - 2)
+    def term(j: int):
+        return q_power(j, ctx) * (q_power(j * n, ctx) * weight.value(j - 2))
 
-    value = _hat_sum(sample, K, ctx)[0] / ctx.qm
+    value = _hat_sum(term, K, ctx)[0] / ctx.qm
     closed = ctx.mpf(moment_In_exact(n, ctx.q))
     rel = abs(value - closed) / abs(closed)
     return MomentResult(
@@ -337,11 +340,10 @@ class DiscreteMeasure:
     total_mass: object
 
     def moment(self, n: int, ctx: PrecisionContext):
-        """sum_k support_k^n * weight_k (ascending enumeration order)."""
-        total = ctx.mp.mpf(0)
-        for s, w in zip(self.support, self.weights):
-            total = total + s**n * w
-        return total
+        """sum_k support_k^n * weight_k by the certified hat sum ``_hat_sum``."""
+        terms = [s**n * w for s, w in zip(self.support, self.weights)]
+        term = dict(zip(self.exponents, terms)).__getitem__
+        return _hat_sum(term, self.branch_split - 1, ctx)[0]
 
 
 def build_measure(
@@ -425,10 +427,10 @@ def build_measure(
 class GramReport:
     """Diagonal Gram entries of the resolution-of-unity check.
 
-    G_nn = (pi / rho_n!) * (n-th moment of the x-variable measure);
-    off-diagonal entries are exactly zero by the angular symmetry of
-    the ring measure (integrals of z^m conj(z)^n over a ring vanish
-    for m != n), so they are asserted structurally, never computed.
+    G_nn = (pi/rho_n!) (n-th x-measure moment) = I_n(lattice)/I_n, as
+    rho_n! = c^n I_n (c = q/(1-q)); off-diagonal entries vanish by the
+    angular symmetry of the ring measure (z^m conj(z)^n integrates to 0
+    over a ring for m != n), so they are asserted, never computed.
     """
 
     n_max: int
@@ -445,25 +447,20 @@ def unity_check(
 ) -> GramReport:
     """Fock-basis Gram diagnostics of the coherent resolution of unity.
 
-    The angular integral collapses the double sum to the diagonal; the
-    radial (lattice) part of G_nn reduces to the n-th weight moment
-    over its closed form, so the report is the numeric distance of each
-    diagonal entry from 1.
+    The angular integral collapses the double sum to the diagonal, and
+    rho_n! = c^n I_n (c = q/(1-q)) makes G_nn = I_n(lattice)/I_n:
+    ``moment_In``'s lattice value over its closed form, on one weight
+    (NoConvergenceError on an undecayed lattice).  The report is the
+    numeric distance of each diagonal entry from 1.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    mp = ctx.mp
-    measure = build_measure("x-variable", ctx, K=K, M=M)
-    diag = []
-    worst = mp.mpf(0)
-    for n in range(n_max + 1):
-        moment = measure.moment(n, ctx)
-        g = mp.pi / rho_factorial(n, ctx) * moment
-        diag.append(g)
-        worst = max(worst, abs(g - 1))
+    weight = _hat_weight(K, M, ctx)
+    moments = [moment_In(n, ctx, K=K, M=M, weight=weight) for n in range(n_max + 1)]
+    diag = tuple(m.lattice_value / m.closed_form for m in moments)
     return GramReport(
         n_max=n_max,
-        diagonal=tuple(diag),
-        max_abs_deviation=worst,
+        diagonal=diag,
+        max_abs_deviation=max(abs(g - 1) for g in diag),
         off_diagonal="exact zero by angular symmetry (never computed)",
     )

@@ -403,9 +403,9 @@ def unity(
     k_depth: int = 60,
     tail: int = 120,
 ) -> List[Check]:
-    """Resolution of unity: each Gram diagonal entry n <= n_max within
-    tol of 1 (lattice depth k_depth, tail index tail); the off-diagonal
-    vanishes by symmetry."""
+    """Resolution of unity: each Gram diagonal entry I_n(lattice)/I_n,
+    n <= n_max, within tol of 1 (lattice depth k_depth, tail index
+    tail); the off-diagonal vanishes by symmetry."""
     tol_mp = ctx.mpf(tol)
     report = unity_check(n_max, ctx, K=k_depth, M=tail)
     checks = []
@@ -418,7 +418,7 @@ def unity(
                 dev,
                 tol,
                 dev <= tol_mp,
-                "measure prefactor 1/q (ledger measure_prefactor)",
+                "lattice prefactor 1/q (ledger hat_integral_prefactor)",
             )
         )
     checks.append(

@@ -281,34 +281,37 @@ class TestExitCodes:
 # Exit code and SHA-256 of stdout of the lattice subcommands, recorded
 # from the two-sweep lattice weight that the one-sweep version replaced
 # (the q = 29/30 and 40/41 rows, where most q-powers take mpf_pow_int's
-# squaring chain, from the sweep before the running q-power kernel):
+# squaring chain, from the sweep before the running q-power kernel).
+# The unity rows were recorded again when the Gram diagonal became
+# I_n(lattice)/I_n from the shared hat-lattice sum: the summation order
+# moved its last bits, and the note now cites hat_integral_prefactor.
 # q, bits, job, exit code, digest.
 _PINNED_LATTICE_OUTPUT = """
 1/2 256 jackson-y 0 848322c6183617109c19773c00b4bf81987e8301dae8d3b8ebb238a20b74aa1e
 1/2 256 jackson-x 0 da090c5a47dbf99a21e600290ab1dd563ed687114328b1d4f09bade29ba31202
 1/2 256 jackson-z-radial 0 9af7757e84041faf52105e09bcf4edab4d0dde9cdfc2f2d042e58add160c925d
 1/2 256 moments 0 dbe0b0923fc24cf01571c28046d0bdeb3ba2a6f405d8a364d16ee0c4ec7fad22
-1/2 256 unity 0 6d7da677ade919909793216ab98141fa6501868703368354e0692f81c108bf37
+1/2 256 unity 0 b8d69e27c63eda96eca2f25218a4bd3587c0e560808c7cfe175fa6a7c0136497
 3/4 128 jackson-y 0 bb1a64af0a6645d3c0014cb24abf69f1c3388ec32fdf068c985fd25137a5ce56
 3/4 128 jackson-x 0 98a720ae1c33580e0317bb2ca9abd9e645b4eb7167af0f1c8ceae6605b2203ff
 3/4 128 jackson-z-radial 0 e2d2248093d6f8be54f6470229c6e52ac6759a09eccaa8cd8502d59826290227
 3/4 128 moments 1 e09f9660a24094fdec829f2807a74e8f8bc34c3b27d33dbf61d4f4eb937a0634
-3/4 128 unity 0 7b1c1ea09e4ca556a15ffe2e9b31ab1df97fd954ab9f0a3b095f2634a5f5bc7c
+3/4 128 unity 0 3f639331ebd54439ebf86824edf07230ecb784d4c48ffb31304b9255b03e7f5e
 1/5 64 jackson-y 0 9736a4f2709ccfcbd1cbf293945f0d93eb933dfaf06d991aa3a0305405ac3cfa
 1/5 64 jackson-x 0 933ac5fd9edaf209068393b6227d67d88b86826ffc04ffe4dc7f1bb33947c497
 1/5 64 jackson-z-radial 0 62df22257df0264a9911811b666093b76911447eb510e500d9a82b04120eecd3
 1/5 64 moments 0 775646a1ffd5d3c3e03f69a75eb27aa6a817f6a2e8917fa5228f6c023e690c99
-1/5 64 unity 0 47b980485789dce0001dd1aa4fe2a75f15540730f52f7fc925904a9056c6855d
+1/5 64 unity 0 574a34c12c2921d15ac2575966e1c033771d6446f05eac492eea92db2fc613c4
 29/30 256 jackson-y 0 0c0c99b4e5426dd212d9a60a1bbb69ec52b0e0e534143bf27dcaa0cdd0ea5524
 29/30 256 jackson-x 0 b700c8eeed776b08591a5aa4f3ff4e3f335e9c910c55c29a4a7c9280766bfe70
 29/30 256 jackson-z-radial 0 e6e1c0d1e1a887741ed49d5f7969f789290e49df7c3176f3a8648bac3a7db832
 29/30 256 moments 1 08c79ff30fba45cfbf5efc8cd8e7e2134e215f8d14463386c5f32c380a11b6f3
-29/30 256 unity 1 f7f06569a62f57537bfa09afbb2fd046a2b10c0353b2b0d6f652046e608a4129
+29/30 256 unity 1 68fc3fec7a511ff6df9f0ccae8e8e3e5c49bef59c5da74e6a7278041154e7f4d
 40/41 128 jackson-y 0 bf6de5a510495adb83c8551ecc13d251cb8bb830730a737c722060cfb72ab108
 40/41 128 jackson-x 0 548727d358467bb7a3db7476cb8ee4183e8bfdbc85a803a0ad7fd687bd2df1e7
 40/41 128 jackson-z-radial 0 166f58e9a32e31d40f1dc11a920db669efffc55a77160a09dd96215a55e9aa6a
 40/41 128 moments 1 66f5c705dc08226ab1ca52716506b9667a9d3b92e910b5ba85c979b0022bbcaf
-40/41 128 unity 1 b2a10e58adee45af1bb694e29403a98e6829f11e889b8f14a3aa1138fefdb46e
+40/41 128 unity 1 605935fc4a779d859e0d17c6036ae7fa1fc2fa318af111a70d4c85ba2e66ac35
 """
 
 
@@ -461,26 +464,30 @@ def test_qcalculus_term_budget_payload_pinned(capsys, q):
     }
 
 
-# At depth K = 8 the moments suite stops on the hat sum's growing-branch
-# certificate (exit 3), while the measure path of the unity suite has
-# none and fails its gates (exit 1); recorded before the hat integral,
+# At depth K = 8 the hat sum's growing-branch certificate first fires at
+# moment n = 8.  The moments suite (n <= 8) stops there with exit 3.  The
+# unity suite reads the same moments, so at its default n <= 6 it fails
+# its gates (exit 1), and at n <= 8 it stops with the moments payload,
+# byte for byte.  The moments row was recorded before the hat integral,
 # the moments and the infinite parts residual shared one lattice sum:
-# suite, exit code, digest.
+# suite and extra options, exit code, digest.
 _PINNED_SHALLOW_LATTICE_OUTPUT = """
 moments 3 d3ab0868361d7ec1faf0e3cded742bc3091e2f0e900e5affe597b55769cb7446
-unity 1 0053ff85b3a082d28181c5568b922c621daceda2d41385669126592e7a32b34f
+unity 1 40d10f7211ede7b0d533a67447a177ea8c91f63d057efdadff7200b1632ff4e4
+unity --n-max=8 3 d3ab0868361d7ec1faf0e3cded742bc3091e2f0e900e5affe597b55769cb7446
 """
 
 
 @pytest.mark.parametrize(
-    "suite, code, digest",
+    "args, code, digest",
     [
-        pytest.param(*fields, id=fields[0])
+        pytest.param(fields[:-2], *fields[-2:], id=" ".join(fields[:-2]))
         for fields in map(str.split, _PINNED_SHALLOW_LATTICE_OUTPUT.strip().splitlines())
     ],
 )
-def test_shallow_lattice_output_pinned(capsys, suite, code, digest):
-    got, out, _ = run_cli(capsys, ["verify", "--suite", suite, "--k-depth=8"])
+def test_shallow_lattice_output_pinned(capsys, args, code, digest):
+    suite, *extra = args
+    got, out, _ = run_cli(capsys, ["verify", "--suite", suite, "--k-depth=8", *extra])
     assert got == int(code)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

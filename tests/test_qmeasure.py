@@ -11,9 +11,9 @@ from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, round_nearest
 
 from qhermite2 import PrecisionContext, qmeasure
 from qhermite2.coherent import cs_norm_sq
-from qhermite2.errors import DomainError, InstabilityError
-from qhermite2.exact import bn_squared_exact, moment_In_exact
-from qhermite2.qkernel import q_power_raw, q_power_run, rho_factorial
+from qhermite2.errors import DomainError, InstabilityError, NoConvergenceError
+from qhermite2.exact import bn_squared_exact, moment_In_exact, rho_factorial_exact
+from qhermite2.qkernel import q_power, q_power_raw, q_power_run, rho_factorial
 from qhermite2.qmeasure import (
     MEASURE_TARGETS,
     _default_buffer,
@@ -296,6 +296,52 @@ class TestFormalSeries:
             formal_series_partial(Fraction(1, 4), 0, ctx_half)
 
 
+def _ref_formal_series_partial(y, n_terms, ctx):
+    """The optimal-truncation loop with each 1 - q^(n+1) formed afresh."""
+    mp = ctx.mp
+    yv = ctx.mpf(y)
+    if yv == 0:
+        return mp.mpf(1), 1, mp.mpf(0), False
+    total = mp.mpf(0)
+    term = mp.mpf(1)
+    n = 0
+    while n < n_terms:
+        nxt = term * (-yv) * q_power(-n, ctx) / (1 - q_power(n + 1, ctx))
+        if abs(nxt) >= abs(term):
+            break
+        total = total + term
+        term = nxt
+        n += 1
+    return total, n, abs(term), True
+
+
+def _formal_series_bits(value, optimal_index, error_estimate, diverging):
+    return value._mpf_, optimal_index, error_estimate._mpf_, diverging
+
+
+@pytest.mark.parametrize(
+    "q, bits",
+    [
+        pytest.param(Fraction(q), bits, id=f"{q}-{bits}")
+        for q in ("1/64", "1/2", "63/64")
+        for bits in (64, 256)
+    ],
+)
+def test_formal_series_reads_shared_complements_bitwise(q, bits):
+    ctx = PrecisionContext(q, bits)
+    for y in (0, Fraction(1, 1024), Fraction(1, 4), Fraction(4)):
+        want = _formal_series_bits(*_ref_formal_series_partial(y, 400, ctx))
+        for _ in range(2):  # the list grown, then read
+            got = formal_series_partial(y, 400, ctx)
+            assert _formal_series_bits(*vars(got).values()) == want, y
+            if y:
+                assert len(ctx.tables["1-q^(n+1)"]) >= got.optimal_index
+    with ctx.mp.workprec(bits + 40):  # no list: formed at this precision
+        want = _formal_series_bits(*_ref_formal_series_partial(Fraction(1, 4), 400, ctx))
+        got = formal_series_partial(Fraction(1, 4), 400, ctx)
+        assert _formal_series_bits(*vars(got).values()) == want
+
+
 class TestBuildMeasure:
     def test_branches_are_monotone_and_disjoint(self, ctx_half, weight_half):
         for target in MEASURE_TARGETS:
@@ -317,10 +363,29 @@ class TestBuildMeasure:
         assert abs(mu.total_mass - 1) < ctx_half.mpf("1e-8")
 
     def test_x_measure_gram_normalization(self, ctx_half, weight_half):
+        # The measure path, pi / rho_n! times the x-measure moment, is the
+        # independent reference for unity_check's I_n(lattice)/I_n.  Both
+        # add the same 122 positive terms in the same order and round each
+        # term differently (under 16 roundings), so at p bits they agree
+        # within 2^(8-p) (measured at 256 bits: at most 8 * 2^-256, at n = 3).
         mu = build_measure("x-variable", ctx_half, K=60, M=120, weight=weight_half)
+        diagonal = unity_check(4, ctx_half, K=60, M=120).diagonal
         for n in range(5):
             g = ctx_half.mp.pi / rho_factorial(n, ctx_half) * mu.moment(n, ctx_half)
             assert abs(g - 1) < ctx_half.mpf("1e-6")
+            bound = ctx_half.mpf(2) ** (8 - ctx_half.precision_bits)
+            assert abs(g - diagonal[n]) <= bound, n
+
+    def test_moment_of_undecayed_lattice_raises(self, ctx_half):
+        # At K = 8 the growing branch of moment 8 has not decayed; the
+        # measure moment goes through the hat sum and its certificate.
+        mu = build_measure("y-variable", ctx_half, K=8, M=16)
+        with pytest.raises(
+            NoConvergenceError,
+            match=r"^hat_q_integral: growing-abscissa branch not decaying "
+            r"at K=8 \(last term ",
+        ):
+            mu.moment(8, ctx_half)
 
     def test_radial_masses_absorb_normalizer(self, ctx_half, weight_half):
         flat = build_measure("x-variable", ctx_half, K=60, M=120, weight=weight_half)
@@ -352,6 +417,37 @@ class TestUnityCheck:
         assert report.max_abs_deviation < ctx_half.mpf("1e-6")
         assert len(report.diagonal) == 7
         assert "exact zero" in report.off_diagonal
+
+    @pytest.mark.parametrize("q", ["1/64", "1/5", "1/2", "3/4", "63/64"])
+    def test_rho_factorial_is_c_power_times_moment(self, q):
+        # rho_n! = c^n I_n with c = q/(1-q) turns the Gram diagonal into
+        # I_n(lattice)/I_n; the ladder product c^n b_0^2 ... b_{n-1}^2
+        # gives the same exact value.
+        q = Fraction(q)
+        c = q / (1 - q)
+        ladder = Fraction(1)
+        for n in range(13):
+            assert rho_factorial_exact(n, q) == c**n * moment_In_exact(n, q) == ladder
+            ladder *= c * bn_squared_exact(n, q)
+
+    @pytest.mark.parametrize(
+        "q, bits, K",
+        [
+            pytest.param(q, bits, K, id=f"{q}-{bits}-K{K}")
+            for q, bits, K in (
+                ("1/2", 256, 60), ("3/4", 128, 60), ("1/5", 64, 60),
+                ("29/30", 256, 60), ("1/2", 256, 8),
+            )
+        ],
+    )
+    def test_diagonal_is_lattice_moment_over_closed_form(self, q, bits, K):
+        ctx = PrecisionContext(Fraction(q), bits)
+        report = unity_check(6, ctx, K=K, M=120)
+        weight = lattice_weight(K + 1, 120, ctx)
+        for n, g in enumerate(report.diagonal):
+            res = moment_In(n, ctx, K=K, M=120, weight=weight)
+            assert g._mpf_ == (res.lattice_value / res.closed_form)._mpf_, n
+        assert report.max_abs_deviation == max(abs(g - 1) for g in report.diagonal)
 
     def test_parameter_validation(self, ctx_half):
         with pytest.raises(DomainError):
