@@ -92,7 +92,8 @@ _CONTRACT = [
 # Slower commands (about 0.1-1 s each) that load the series and lattice
 # hot paths: the generalized q-exponential of the coherent-state
 # normalizer, the terminating 2phi0 of H~_n at guard precision, the
-# polynomial evaluators and the finite, infinite and ip3 hat sums.
+# polynomial evaluators, the finite, infinite and ip3 hat sums, and deep
+# lattice-weight sweeps near q = 1 at 512 bits.
 _HOT_PATH_CONTRACT = [
     ('verify --suite qcalculus --q=26/27 --precision-bits=128', 0, "9452d5a44c9649fbc4251e168eb327f2ae030381b30d9e5d4278e09ce0173a04", ''),
     ('verify --suite qcalculus --q=9/10 --precision-bits=512', 0, "ff5113549ac0608083ffd69a029081e71000a699a1dc06fb3046cb1749be95e9", ''),
@@ -103,6 +104,8 @@ _HOT_PATH_CONTRACT = [
     ('cs --q=19/28 --precision-bits=512', 0, "df92cbdc95a4cb9f10728d3c0b904711c30139b1ad9305b7feb452cd3d8a90a4", ''),
     ('cs --z-re=3 --z-im=-2 --q=7/8 --format=json', 0, "667cf93f01dc488cdbc31369378c283fc490b98a2a7439c05e7bfee0048ec5d2", ''),
     ('poly --n 12 --x=-13/5 --q=5/6 --precision-bits=512', 0, "4ea3f7a33ef80f45fca54961fa34fadd8581f62bd6af18fdd0ac6c093822e397", ''),
+    ('measure --type jackson --variable y --q=63/64 --precision-bits=512', 0, "92d8b6ed5edd2589bbb6c4034dd237c0bdfd4f7273bdbdcfbdba68ed2a77c5d4", ''),
+    ('verify --suite unity --q=45/46 --precision-bits=512', 1, "0804d48d79529387f5cf3a71d5177ac1992360ad1fa27d8e3adb70ef87ab3699", ''),
 ]
 
 

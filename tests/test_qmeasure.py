@@ -183,16 +183,21 @@ class TestTailDoubling:
 class TestStreamedSweep:
     """The one-sweep weight is bitwise the two-pass mpf-operator reference."""
 
-    @pytest.mark.parametrize("bits", [64, 128, 256])
     @pytest.mark.parametrize(
-        "q",
+        "q, bits",
         [
-            Fraction(1, 64),
-            Fraction(1, 5),
-            Fraction(1, 2),
-            Fraction(3, 4),
-            Fraction(29, 30),
-        ],
+            (q, bits)
+            for q in (
+                Fraction(1, 64),
+                Fraction(1, 5),
+                Fraction(1, 2),
+                Fraction(3, 4),
+                Fraction(29, 30),
+            )
+            for bits in (64, 128, 256)
+        ]
+        # Deep sweeps near q = 1 at 512 bits, where most steps descend.
+        + [(Fraction(63, 64), 512), (Fraction(45, 46), 512)],
         ids=str,
     )
     def test_matches_reference(self, q, bits):
