@@ -205,10 +205,11 @@ def jackson_integral(f: Evaluatable, kind: str, x, ctx: PrecisionContext):
     return (1 - q) * xv * (up + down)
 
 
-def _hat_sum(term: Callable[[int], object], K: int, ctx: PrecisionContext):
+def _hat_sum(term: Callable[[int], object], K: int, ctx: PrecisionContext, what: str):
     """sum_j term(j) over the hat lattice at depth K: for k = 0..K the
     growing-abscissa term j = 1 - k, then the shrinking one j = k + 2.
-    The caller forms each whole term, such as q^j g(q^j).
+    The caller forms each whole term, such as q^j g(q^j), and names
+    itself in ``what``, which opens the error message.
 
     Returns (total, max |growing term|, max |shrinking term|).  Raises
     NoConvergenceError if the last growing term is not negligible and
@@ -234,7 +235,7 @@ def _hat_sum(term: Callable[[int], object], K: int, ctx: PrecisionContext):
     *before, last = recent  # K >= 1, so one or two terms come before
     if last > tol * max(abs(total), tol) and last >= max(before):
         raise NoConvergenceError(
-            "hat_q_integral: growing-abscissa branch not decaying "
+            f"{what}: growing-abscissa branch not decaying "
             f"at K={K} (last term {mp.nstr(last, 8)})"
         )
     return total, max_grow, max_shrink
@@ -270,7 +271,9 @@ def hat_q_integral(
         def sample(m: int):
             return func(q_power(m, ctx))
 
-    total, max_grow, max_shrink = _hat_sum(lambda j: q_power(j, ctx) * sample(j), K, ctx)
+    total, max_grow, max_shrink = _hat_sum(
+        lambda j: q_power(j, ctx) * sample(j), K, ctx, "hat_q_integral"
+    )
     value = total / ctx.qm
     if return_diagnostics:
         return value, max_grow, max_shrink
@@ -391,11 +394,11 @@ def ibp_residual(
         return q_power(m, ctx) * (v_at(m - 2) * du(q_power(m, ctx)))
 
     # the Jacobian q cancels the measure's q^{-1} prefactor
-    lhs = _hat_sum(lhs_term, K, ctx)[0]
+    lhs = _hat_sum(lhs_term, K, ctx, "ibp_residual ip3")[0]
     # boundary [uv]_0^inf: deep end ~ 0 for decaying v, 0-end -> u(0) v(0+)
     deep = uf(q_power(-K, ctx)) * v_at(-K)
     zero_end = uf(mp.mpf(0)) * v_at(K + 4)
-    rhs = (deep - zero_end) - _hat_sum(rhs_term, K, ctx)[0] / q
+    rhs = (deep - zero_end) - _hat_sum(rhs_term, K, ctx, "ibp_residual ip3")[0] / q
     return abs(lhs - rhs)
 
 

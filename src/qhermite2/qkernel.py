@@ -15,9 +15,11 @@ only multiplies the entries for the set bits of n, and a memo of q^n
 at the context precision answers the calls after it.  The series
 read 1 - q^(n+1) from one list per context as well (the tables are
 listed in :class:`~qhermite2.context.PrecisionContext`).  Consecutive powers
-come from :func:`q_power_run`, which yields the same bits from one
-running product and a rounding test (Ziv), calling ``q_power_raw`` only
-where that test cannot decide.
+come from :func:`q_power_run`, which yields the same values as integer
+mantissas and exponents from one running product and a rounding test
+(Ziv), with the reciprocals of the negative powers from one integer
+division each, and calls ``q_power_raw`` only where that test cannot
+decide.
 
 Every adaptive series in the package stops on one rule, kept by
 :class:`Decay`: three terms in a row with |t| <= tol max(|S|, tol), tol
@@ -211,24 +213,30 @@ def q_power(n: int, ctx: PrecisionContext):
 
 
 def q_power_run(start: int, stop: int, ctx: PrecisionContext):
-    """Yield ``q_power_raw(n, ctx)`` for n in range(start, stop), bitwise.
+    """Yield q^n for n in range(start, stop) as an integer pair (man, exp),
+    man 2^exp bitwise the value of ``q_power_raw(n, ctx)``.
 
-    A running product A = pm 2^pe of W = prec + _RUN_GUARD bits follows
-    q^|n|: one multiply by the mantissa of q per step for n > 2, one by
-    a W-bit 1/q (rounded down) for n < -1, where |n| falls.  It starts
-    from a truncated binary power and every truncation rounds down, so
-    A <= q^|n| <= A (1 - 2^(1-W))^-c, c counting those truncations.
-    With the loss delta_n = |n| 2^(1-wp) of ``mpf_pow_int``'s product T
-    (see :func:`q_power_raw`),
+    The mantissa has ``ctx.mp.prec`` bits (one more only where rounding
+    carries to a power of two), so the caller can round products of it
+    on integers.  A running product A = pm 2^pe of W = prec + _RUN_GUARD
+    bits follows q^|n|: one multiply by the mantissa of q per step for
+    n > 2, one by a W-bit 1/q (rounded down) for n < -1, where |n|
+    falls.  It starts from a truncated binary power and every truncation
+    rounds down, so A <= q^|n| <= A (1 - 2^(1-W))^-c, c counting those
+    truncations.  With the loss delta_n = |n| 2^(1-wp) of
+    ``mpf_pow_int``'s product T (see :func:`q_power_raw`),
 
         A (1 - delta_n) <= T <= A (1 + 2c 2^(1-W))     (c 2^(1-W) <= 1/2).
 
-    When both ends round to the same mpf at the target precision, so
-    does T, rounding being monotone: that mpf is the answer.  The
-    target is prec for n > 2 and prec + 5 for n < -1, whose value then
-    goes through the same ``mpf_div(1, .)`` as in ``mpf_pow_int``.
-    Where the ends differ (rare: the interval spans under 2^-40 ulp on
-    runs of up to a million steps), and for every n
+    When both ends round to the same float at the target precision, so
+    does T, rounding being monotone: that float is ``mpf_pow_int``'s.
+    The target is prec for n > 2 and prec + 5 for n < -1, whose power P
+    ``mpf_pow_int`` then inverts by a correctly rounded ``mpf_div(1, P)``;
+    here one integer division 2^t // P, its remainder as the sticky bit
+    and a round-half-even (:func:`_round_even`) give the same float.
+    Where the ends differ (rare: the running product adds under
+    2^-40 ulp to the interval on runs of up to a million steps, and
+    delta_n is under 2^(-3 bitcount(n) - 3) ulp), and for every n
     that ``mpf_pow_int`` treats exactly (|n| <= 2, bc |n| < 1000, q a
     power of two) or inside an ``mp.workprec`` block, the value is
     ``q_power_raw(n, ctx)``.
@@ -240,53 +248,95 @@ def q_power_run(start: int, stop: int, ctx: PrecisionContext):
         exact = max(-start, stop)  # every n
     low, high = min(stop, -exact), max(start, exact + 1)
     if start < low:
-        run = _certified_powers(man, exp, -start, -low, prec + 5)
-        for n, inverse in zip(range(start, low), run):
-            yield q_power_raw(n, ctx) if inverse is None else mpf_div(fone, inverse, prec, _RND)
+        yield from _certified_run(start, low, ctx)
     for n in range(max(start, low), min(stop, high)):
-        yield q_power_raw(n, ctx)
+        yield _pair(q_power_raw(n, ctx), prec)
     if high < stop:
-        run = _certified_powers(man, exp, high, stop, prec)
-        for n, power in zip(range(high, stop), run):
-            yield q_power_raw(n, ctx) if power is None else power
+        yield from _certified_run(high, stop, ctx)
 
 
-def _certified_powers(man, exp: int, first: int, end: int, prec: int):
-    """``mpf_pow_int(q, k, prec, round_nearest)`` or None, for k from
-    ``first`` to ``end`` (exclusive, either direction), q = man 2^exp
-    (see :func:`q_power_run`)."""
-    width = prec + _RUN_GUARD
+def _pair(value: tuple, prec: int) -> tuple:
+    """(man, exp) of the positive raw mpf ``value``, man of prec bits."""
+    _, man, exp, bc = value
+    return man << (prec - bc), exp - (prec - bc)
+
+
+def _round_even(x: int, prec: int, sticky: bool = False) -> tuple:
+    """(man, shift): the integer x >= 2^prec, plus a positive amount
+    below 1 if ``sticky``, rounded to prec bits, ties to even, as
+    man 2^shift."""
+    shift = x.bit_length() - prec
+    half = x >> (shift - 1)
+    man = half >> 1
+    if half & 1 and (sticky or man & 1 or x & ((1 << (shift - 1)) - 1)):
+        man += 1
+        if man >> prec:
+            man >>= 1
+            shift += 1
+    return man, shift
+
+
+def _certified_run(start: int, stop: int, ctx: PrecisionContext):
+    """:func:`q_power_run` on range(start, stop), which lies above 2 or
+    below -2 and where ``mpf_pow_int`` forms q^|n| from its squaring
+    chain."""
+    prec = ctx.mp.prec
+    _, man, exp, bc = ctx.qm._mpf_
+    invert = start < 0
+    first = -start if invert else start
+    target = prec + 5 if invert else prec
+    width = target + _RUN_GUARD
     pm, pe = _chain_power(first, _squarings(man, exp, first.bit_length(), width), width)
     loss = first  # truncations in pm, as for T in q_power_raw
-    pad = width - pm.bit_length()  # from here on pm has >= width bits
+    pad = width - pm.bit_length()  # from here on pm has width bits
     pm, pe = pm << pad, pe - pad
-    if end > first:
-        step, step_exp, step_loss = man, exp, 1
-    else:
-        bc = man.bit_length()
+    if invert:
         step = (MPZ_ONE << (width + bc - 1)) // man
         step_exp, step_loss = -(width + bc - 1) - exp, 2
-    if (loss + step_loss * abs(end - first)) >> (width - 2):
-        yield from repeat(None, abs(end - first))  # c 2^(1-W) could pass 1/2
+    else:
+        step, step_exp, step_loss = man, exp, 1
+    if (loss + step_loss * (stop - start)) >> (width - 2):  # c 2^(1-W) could pass 1/2
+        for n in range(start, stop):
+            yield _pair(q_power_raw(n, ctx), prec)
         return
-    for k in range(first, end, 1 if end > first else -1):
-        lo = pm - ((pm * k) >> (prec + 4 * k.bit_length() + 3)) - 1
-        hi = pm + ((pm * loss) >> (width - 2)) + 1
-        # lo..hi lies strictly between two neighbouring multiples of
-        # 2^shift, an interval holding no float of prec bits and no
-        # midpoint between two of them: all of it rounds alike.
-        shift = hi.bit_length() - prec - 1
-        if (lo - 1) >> shift == hi >> shift:
-            yield normalize(0, lo, pe, lo.bit_length(), prec, _RND)
-        else:
-            yield None
-        pm *= step
-        pe += step_exp
-        loss += step_loss
-        excess = pm.bit_length() - width
-        if excess > 0:
+    # The top target + 1 bits of pm, r = pm >> shift, bracket A between
+    # r 2^shift and (r + 1) 2^shift: a float of target bits and the
+    # midpoint above it (r even) or a midpoint and the float above it
+    # (r odd).  When the interval [A (1 - delta), A (1 + 2c 2^(1-W))]
+    # lies strictly inside, all of it rounds to (r + 1) >> 1.  As pm <
+    # 2^width, the two ends lie below pm by less than below - 1 and
+    # above it by less than block - limit, bounds that change only
+    # with the bit lengths of |n| and of the loss count c.
+    shift = _RUN_GUARD - 1
+    block = MPZ_ONE << shift
+    t = prec + target + 1
+    numerator = MPZ_ONE << t
+    n = start
+    while n < stop:
+        bits = abs(n).bit_length()
+        end = min(stop, 1 - (1 << (bits - 1)) if invert else 1 << bits)
+        loss += step_loss * (end - n - 1)
+        below = (MPZ_ONE << max(_RUN_GUARD - 3 * bits - 3, 0)) + 2
+        limit = block - (MPZ_ONE << (loss.bit_length() + 2)) - 1
+        for n in range(n, end):
+            if below <= pm & (block - 1) < limit:
+                power = ((pm >> shift) + 1) >> 1  # P = power 2^(pe + shift + 1)
+                if invert:
+                    # 1/P = (2^t / power) 2^(-t - pe - shift - 1)
+                    quot, rem = divmod(numerator, power)
+                    man, low = _round_even(quot, prec, rem)
+                    yield man, low - t - pe - shift - 1
+                else:
+                    yield power, pe + shift + 1
+            else:
+                yield _pair(q_power_raw(n, ctx), prec)
+            pm *= step
+            pe += step_exp
+            excess = pm.bit_length() - width
             pm >>= excess
             pe += excess
+        n = end
+        loss += step_loss
 
 
 def _positive_power(q: tuple, n: int, prec: int, chains: dict) -> tuple:
@@ -498,10 +548,15 @@ def phi_rs(spec: HypergeometricSpec, ctx: PrecisionContext):
              / [(b_1;q)_k ... (b_s;q)_k] * z^k / (q;q)_k,   e = 1+s-r.
 
     Terminating series (``terminating_at=n``) are summed exactly through
-    the z^n term.  Convergent series (e > 0 always; e = 0 for |z| < 1)
-    stop at the monitored-decay rule (:class:`Decay`) once the term
-    ratio also certifies a geometric tail.  A divergent non-terminating
-    request raises FormalSeriesError.
+    the z^n term.  A non-terminating series stops at the monitored-decay
+    rule (:class:`Decay`) once the term ratio is also below 1/2, which
+    certifies a geometric tail.  For e > 0 the ratio tends to 0, so
+    every z qualifies.  For e = 0 the series converges for |z| < 1, but
+    its ratio tends to z: below |z| = 1/2 the sum is certified; for
+    1/2 < |z| < 1 it is not, nor at |z| = 1/2 unless the ratio
+    approaches z from below, and NoConvergenceError is raised at the
+    term budget (exit 3, uncertifiable).  e < 0, or e = 0 with
+    |z| >= 1, raises FormalSeriesError.
     """
     mp = ctx.mp
     e = 1 + len(spec.lower) - len(spec.upper)

@@ -14,13 +14,17 @@ step and collapses in two steps (see discrepancy registry entry
 ``lattice_weight_scheme``).  The seed contamination of the deep end
 decays like q^{buffer/2}, so the default buffer is sized to push it
 below working precision.  ``lattice_weight`` makes one streamed sweep
-on raw mpf values from the deep seeds toward twice the tail depth and
-retains only the requested window and the two tail values it
-normalizes and checks against (the standard one-pass evaluation of a
-minimal solution; W. Gautschi, SIAM Rev. 9 (1967) 24-82).  The powers
-q^(m+1) come from one running product (``q_power_run``), and the sweep
-stops once three values in a row are equal: past that point it
-provably changes no bit (see ``_sweep``).
+from the deep seeds toward twice the tail depth and retains only the
+requested window and the two tail values it normalizes and checks
+against (the standard one-pass evaluation of a minimal solution;
+W. Gautschi, SIAM Rev. 9 (1967) 24-82).  The sweep runs on integer
+mantissas and exponents: the powers q^(m+1), with the reciprocals on
+the descending side, come from one certified running product
+(``q_power_run``), and each step is an exact integer product and sum,
+each rounded to nearest, ties to even, as ``mpf_mul`` and ``mpf_add``
+round; so every value is bitwise the mpf one.  The sweep stops once
+three values in a row are equal: past that point it provably changes no
+bit (see ``_sweep``).
 
 Moments of the weight against the hat integral reproduce
 I_n = q^{-n^2} (q; q)_n.  As rho_n! = c^n I_n (c = q/(1-q)), the Gram
@@ -35,17 +39,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cmp_to_key
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, round_nearest
+from mpmath.libmp import (
+    from_man_exp,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_cmp,
+    mpf_div,
+    mpf_gt,
+    mpf_mul,
+    mpf_sub,
+    round_nearest,
+)
 
 from .coherent import cs_norm_sq
 from .context import PrecisionContext
 from .errors import DomainError, InstabilityError
 from .exact import moment_In_exact
 from .qcalculus import _hat_sum
-from .qkernel import _q_complement, _q_complements, q_power, q_power_run
+from .qkernel import (
+    _q_complement,
+    _q_complements,
+    _round_even,
+    q_power,
+    q_power_raw,
+    q_power_run,
+)
 
 __all__ = [
     "LatticeWeight",
@@ -64,6 +87,9 @@ __all__ = [
 MEASURE_TARGETS = ("y-variable", "x-variable", "z-plane-radial")
 
 _RND = round_nearest
+
+# Orders raw mpf values as max() and min() order mpf objects.
+_by_value = cmp_to_key(mpf_cmp)
 
 
 @dataclass(frozen=True)
@@ -101,14 +127,19 @@ def _default_buffer(ctx: PrecisionContext) -> int:
 def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
     """One streamed upward sweep of g_{m+2} = g_{m+1} + q^{m+1} g_m.
 
-    Seeds g = 0, 1 at exponents lo = -K - buffer - 2 and lo + 1 and runs
-    on raw mpf values toward the check index 2 m_top.  Each step takes
-    p_{m+1} from ``q_power_run`` (bitwise ``q ** (m + 1)``) and makes
-    the ``mpf_mul`` and ``mpf_add`` calls (working precision,
-    round-to-nearest) that the mpf operators make.  Only the window
-    [-K, M] is kept.  Returns (window, (m_top, g_{m_top}),
-    (m_check, g_{m_check})): the tail normalization index, where
-    1 - f < 2^-precision, and the check index at twice its depth.
+    Seeds g = 0, 1 at exponents lo = -K - buffer - 2 and lo + 1 (so
+    g_{lo+2} = 1 exactly) and runs toward the check index 2 m_top on
+    integer pairs (man, exp), man of prec bits.  Each step takes
+    p_{m+1} from ``q_power_run`` (bitwise ``q ** (m + 1)``) and forms
+    round(g_{m+1} + round(p_{m+1} g_m)) with the exact integer product
+    and sum, each rounded to nearest, ties to even, at the working
+    precision.  ``mpf_mul`` and ``mpf_add`` round correctly in that
+    mode, so every value is bitwise theirs, and a pair is equal to
+    another exactly when their values are.  Only the window [-K, M] is
+    kept, and the powers on it go into the ``q^n`` memo.  Returns
+    (window, (m_top, g_{m_top}), (m_check, g_{m_check})) as raw mpf
+    values: the tail normalization index, where 1 - f < 2^-precision,
+    and the check index at twice its depth.
 
     The sweep stops at the first step with m + 1 >= 1 and
     g_m == g_{m+1} == g_{m+2} = G, and every later value is G:
@@ -117,7 +148,7 @@ def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
       a factor 1 - n 2^(1-wp) >= 1 - 2^(-prec-3) below (see
       ``q_power_raw``), and q <= 1 - 2^-prec, so its product for n + 1
       lies below the one for n, and rounding keeps that order;
-    - all g are >= 0 and ``mpf_mul``/``mpf_add`` round monotonically, so
+    - all g are >= 0 and both roundings are monotone, so
       G <= round(G + round(p_{n+1} G)) <= round(G + round(p_n G)) = G,
       and the pair (G, G) repeats with the next, smaller power.
 
@@ -129,19 +160,40 @@ def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
     m_top = max(M + 2, math.ceil(prec * math.log(2) / -math.log(float(ctx.q))) + 4)
     m_check = 2 * m_top
     lo = -K - buffer - 2
-    window, g_top = [], None
-    g0, g1 = fzero, fone
-    for m, power in zip(range(lo, m_check - 1), q_power_run(lo + 1, m_check, ctx)):
-        g2 = mpf_add(g1, mpf_mul(power, g0, prec, _RND), prec, _RND)
+    window, powers, g_top = [], [], None
+    g0 = g1 = (1 << (prec - 1), 1 - prec)
+    for m, (pm, pe) in zip(range(lo + 1, m_check - 1), q_power_run(lo + 2, m_check, ctx)):
+        (am, ae), (bm, be) = g0, g1
+        tm, shift = _round_even(pm * am, prec)
+        te = pe + ae + shift
+        gap = be - te
+        # An addend below half an ulp of the other leaves it unrounded.
+        if gap > prec:
+            g2 = g1
+        elif gap < -prec:
+            g2 = tm, te
+        else:
+            low = min(be, te)
+            cm, shift = _round_even((bm << (be - low)) + (tm << (te - low)), prec)
+            g2 = cm, low + shift
         if -K <= m + 2 <= M:
             window.append(g2)
+            powers.append((m + 1, pm, pe))
         elif m + 2 == m_top:
             g_top = g2
         if m >= 0 and g0 == g1 == g2:
             break
         g0, g1 = g1, g2
     window += [g2] * (K + M + 1 - len(window))
-    return window, (m_top, g2 if g_top is None else g_top), (m_check, g2)
+    if ctx.mp.prec == prec:
+        memo = ctx.tables.setdefault("q^n", {})
+        for n, pm, pe in powers:
+            memo.setdefault(n, from_man_exp(pm, pe))
+    return (
+        [from_man_exp(*g) for g in window],
+        (m_top, from_man_exp(*(g2 if g_top is None else g_top))),
+        (m_check, from_man_exp(*g2)),
+    )
 
 
 def lattice_weight(
@@ -166,38 +218,38 @@ def lattice_weight(
         raise DomainError(f"buffer must be >= 8, got {buf}")
 
     window, (m_top, g_top), (m_check, g_check) = _sweep(K, M, ctx, buf)
-    raw = dict(zip(range(-K, M + 1), map(mp.make_mpf, window)))
-    norm = mp.make_mpf(g_top)
-    values = {m: g / norm for m, g in raw.items()}
+    prec = mp.prec
+    values = [mpf_div(g, g_top, prec, _RND) for g in window]
 
-    norm2 = mp.make_mpf(g_check)
-    tol = ctx.mpf(ctx.series_tol)
-    for m in range(-K, M + 1):
-        v2 = raw[m] / norm2
-        ref = abs(values[m])
-        if ref == 0:
-            continue
-        if abs(values[m] - v2) / ref > tol:
-            raise InstabilityError(
-                f"lattice weight value at m={m} moved by more than "
-                f"series_tol between the tail normalizations at "
-                f"m={m_top} and m={m_check}"
-            )
+    tol = ctx.mpf(ctx.series_tol)._mpf_
+    # Equal normalizers move no value: the check can only pass.
+    if g_check != g_top:
+        for m, g, v in zip(range(-K, M + 1), window, values):
+            if v == fzero:
+                continue
+            moved = mpf_abs(mpf_sub(v, mpf_div(g, g_check, prec, _RND), prec, _RND))
+            if mpf_gt(mpf_div(moved, mpf_abs(v), prec, _RND), tol):
+                raise InstabilityError(
+                    f"lattice weight value at m={m} moved by more than "
+                    f"series_tol between the tail normalizations at "
+                    f"m={m_top} and m={m_check}"
+                )
 
-    residual_max = mp.mpf(0)
-    for m in range(-K, M - 1):
-        step = q_power(m + 1, ctx) * values[m]
-        res = abs(values[m + 1] - values[m + 2] + step)
-        scale = max(abs(values[m + 2]), abs(step), tol)
-        residual_max = max(residual_max, res / scale)
-    negative_count = sum(1 for v in values.values() if v < 0)
+    residual_max = fzero
+    for m, v0, v1, v2 in zip(range(-K, M - 1), values, values[1:], values[2:]):
+        step = mpf_mul(q_power_raw(m + 1, ctx), v0, prec, _RND)
+        res = mpf_abs(mpf_add(mpf_sub(v1, v2, prec, _RND), step, prec, _RND))
+        scale = max(mpf_abs(v2), mpf_abs(step), tol, key=_by_value)
+        residual_max = max(residual_max, mpf_div(res, scale, prec, _RND), key=_by_value)
+    negative_count = sum(v[0] for v in values)
+    values = dict(zip(range(-K, M + 1), map(mp.make_mpf, values)))
     return LatticeWeight(
         q=ctx.q,
         m_min=-K,
         m_max=M,
         values=values,
         tail_init_index=m_top,
-        residual_max=residual_max,
+        residual_max=mp.make_mpf(residual_max),
         negative_count=negative_count,
     )
 
@@ -311,7 +363,7 @@ def moment_In(
     def term(j: int):
         return q_power(j, ctx) * (q_power(j * n, ctx) * weight.value(j - 2))
 
-    value = _hat_sum(term, K, ctx)[0] / ctx.qm
+    value = _hat_sum(term, K, ctx, "moment_In")[0] / ctx.qm
     closed = ctx.mpf(moment_In_exact(n, ctx.q))
     rel = abs(value - closed) / abs(closed)
     return MomentResult(
@@ -343,7 +395,7 @@ class DiscreteMeasure:
         """sum_k support_k^n * weight_k by the certified hat sum ``_hat_sum``."""
         terms = [s**n * w for s, w in zip(self.support, self.weights)]
         term = dict(zip(self.exponents, terms)).__getitem__
-        return _hat_sum(term, self.branch_split - 1, ctx)[0]
+        return _hat_sum(term, self.branch_split - 1, ctx, "DiscreteMeasure.moment")[0]
 
 
 def build_measure(

@@ -469,12 +469,14 @@ def test_qcalculus_term_budget_payload_pinned(capsys, q):
 # unity suite reads the same moments, so at its default n <= 6 it fails
 # its gates (exit 1), and at n <= 8 it stops with the moments payload,
 # byte for byte.  The moments row was recorded before the hat integral,
-# the moments and the infinite parts residual shared one lattice sum:
-# suite and extra options, exit code, digest.
+# the moments and the infinite parts residual shared one lattice sum,
+# and again when the sum's error began to name its caller (``moment_In:``
+# where it read ``hat_q_integral:``): suite and extra options, exit
+# code, digest.
 _PINNED_SHALLOW_LATTICE_OUTPUT = """
-moments 3 d3ab0868361d7ec1faf0e3cded742bc3091e2f0e900e5affe597b55769cb7446
+moments 3 ef95b53232083c5498016fa379741d483e647259c1d55aa2420bf92d92407812
 unity 1 40d10f7211ede7b0d533a67447a177ea8c91f63d057efdadff7200b1632ff4e4
-unity --n-max=8 3 d3ab0868361d7ec1faf0e3cded742bc3091e2f0e900e5affe597b55769cb7446
+unity --n-max=8 3 ef95b53232083c5498016fa379741d483e647259c1d55aa2420bf92d92407812
 """
 
 

@@ -219,7 +219,7 @@ class TestIntegrationByParts:
         with pytest.raises(NoConvergenceError) as err:
             ibp_residual(lambda t: 1 + t * t, lambda t: t, "ip3", None, ctx_half, K=40)
         assert str(err.value) == (
-            "hat_q_integral: growing-abscissa branch not decaying at K=40 "
+            "ibp_residual ip3: growing-abscissa branch not decaying at K=40 "
             "(last term 1.661535e+35)"
         )
 
@@ -371,7 +371,7 @@ def test_growing_term_resets_the_monitored_streak(ctx_half):
 # shared one enumeration of the lattice, kept here to pin them bitwise.
 
 
-def _ref_hat_q_integral(f, ctx, K, return_diagnostics=False):
+def _ref_hat_q_integral(f, ctx, K, return_diagnostics=False, what="hat_q_integral"):
     mp = ctx.mp
     q = ctx.qm
     tol = ctx.mpf(ctx.series_tol)
@@ -397,7 +397,7 @@ def _ref_hat_q_integral(f, ctx, K, return_diagnostics=False):
             envelope = max(x for x in (prev_grow, prev2_grow) if x is not None)
             if abs(t_grow) > tol * max(abs(total), tol) and abs(t_grow) >= envelope:
                 raise NoConvergenceError(
-                    "hat_q_integral: growing-abscissa branch not decaying "
+                    f"{what}: growing-abscissa branch not decaying "
                     f"at K={K} (last term {mp.nstr(abs(t_grow), 8)})"
                 )
         prev2_grow = prev_grow
@@ -416,7 +416,7 @@ def _ref_moment_In(n, ctx, K, weight):
     lattice_fn = LatticeFunction(
         x0=Fraction(1), values=integrand, m_min=1 - K, m_max=K + 2
     )
-    value = _ref_hat_q_integral(lattice_fn, ctx, K)
+    value = _ref_hat_q_integral(lattice_fn, ctx, K, what="moment_In")
     closed = ctx.mpf(moment_In_exact(n, ctx.q))
     return value, closed, abs(value - closed) / abs(closed)
 

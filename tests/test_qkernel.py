@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from mpmath.libmp import from_man_exp
 
 from qhermite2 import PrecisionContext, qkernel
 from qhermite2.errors import DomainError, NoConvergenceError
@@ -122,6 +123,17 @@ class TestGenExponential:
             total = total + q ** (n * n) * x**n / poch
         got = gen_exponential(x, ctx)
         assert abs(got - total) / total < ctx.mpf("1e-70")
+
+
+class TestPhiRs:
+    def test_balanced_series_above_half_is_uncertifiable(self):
+        # 1phi0 has 1 + s - r = 0: it converges for |z| < 1, but its term
+        # ratio tends to z, so at |z| = 3/5 it never falls below the 1/2
+        # that certifies the tail.
+        spec = HypergeometricSpec((Fraction(2, 3),), (), Fraction(3, 5))
+        ctx = PrecisionContext(Fraction(1, 2), 128)
+        with pytest.raises(NoConvergenceError, match="^phi_rs: no convergence within max_terms=4000$"):
+            phi_rs(spec, ctx)
 
 
 class TestWeightW:
@@ -244,6 +256,17 @@ def _exact_branch(n, ctx):
     return man == 1 or abs(n) <= max(2, 999 // bc)
 
 
+def _run(start, stop, ctx):
+    """q_power_run's pairs as raw mpf values; each mantissa has the
+    working precision's bits, or one more where rounding carried."""
+    prec = ctx.mp.prec
+    out = []
+    for man, exp in q_power_run(start, stop, ctx):
+        assert man >> (prec - 1) == 1 or man == 1 << prec
+        out.append(from_man_exp(man, exp))
+    return out
+
+
 class TestQPowerRun:
     """q_power_run yields q_power_raw(n) for consecutive n, bitwise."""
 
@@ -261,7 +284,7 @@ class TestQPowerRun:
         ctx = PrecisionContext(q, bits)
         for start, stop in self.RANGES:
             want = [q_power_raw(n, ctx) for n in range(start, stop)]
-            assert list(q_power_run(start, stop, ctx)) == want
+            assert _run(start, stop, ctx) == want
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -275,7 +298,7 @@ class TestQPowerRun:
         a = 1 + int(a_frac * (b - 1))
         ctx = PrecisionContext(Fraction(a, b), bits)
         want = [q_power_raw(n, ctx) for n in range(start, start + length)]
-        assert list(q_power_run(start, start + length, ctx)) == want
+        assert _run(start, start + length, ctx) == want
 
     @pytest.mark.parametrize("guard, certified", [(64, True), (2, False)])
     def test_fallback_keeps_the_bits(self, monkeypatch, guard, certified):
@@ -292,7 +315,7 @@ class TestQPowerRun:
 
         monkeypatch.setattr(qkernel, "_RUN_GUARD", guard)
         monkeypatch.setattr(qkernel, "q_power_raw", counted)
-        assert list(q_power_run(ns.start, ns.stop, ctx)) == want
+        assert _run(ns.start, ns.stop, ctx) == want
         exact = [n for n in ns if _exact_branch(n, ctx)]
         assert calls == (exact if certified else list(ns))
         assert len(exact) < len(ns) / 100
@@ -300,7 +323,7 @@ class TestQPowerRun:
     def test_other_precision_delegates(self):
         ctx = PrecisionContext(Fraction(40, 41), 128)
         with ctx.mp.workprec(128 + 77):
-            got = list(q_power_run(-2000, 2000, ctx))
+            got = _run(-2000, 2000, ctx)
             assert got == [q_power_raw(n, ctx) for n in range(-2000, 2000)]
 
 

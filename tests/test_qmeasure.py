@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, round_nearest
 
-from qhermite2 import PrecisionContext, qmeasure
+from qhermite2 import PrecisionContext, qkernel, qmeasure
 from qhermite2.coherent import cs_norm_sq
 from qhermite2.errors import DomainError, InstabilityError, NoConvergenceError
 from qhermite2.exact import bn_squared_exact, moment_In_exact, rho_factorial_exact
@@ -96,7 +96,8 @@ def _ref_sweep(K, M, ctx, buffer):
 def _assert_sweep_reference(K, M, ctx):
     """_sweep, early stop included, returns what the full sweep does."""
     buf = _default_buffer(ctx)
-    assert _sweep(K, M, ctx, buf) == _ref_sweep(K, M, ctx, buf)
+    want = _ref_sweep(K, M, ctx, buf)  # before _sweep fills the q^n memo
+    assert _sweep(K, M, ctx, buf) == want
 
 
 def _assert_bitwise_reference(K, M, ctx):
@@ -178,6 +179,60 @@ class TestTailDoubling:
         monkeypatch.setattr(qmeasure, "q_power_run", run)
         _, (m_top, _), (m_check, _) = _sweep(61, 120, ctx, _default_buffer(ctx))
         assert m_top - 100 < exponents[-1] < m_top + 100 < m_check
+
+
+class TestSweepKernel:
+    """The sweep forms powers, reciprocals, products and sums on integers."""
+
+    @pytest.mark.parametrize("guard, certified", [(64, True), (2, False)])
+    def test_mpf_arithmetic_only_where_the_certificate_fails(
+        self, monkeypatch, guard, certified
+    ):
+        # Where the power certificate decides, the sweep makes no mpf
+        # arithmetic call and asks q_power_raw only for the exponents
+        # that mpf_pow_int treats exactly (|n| <= 999 // 128 here); with
+        # two guard bits it decides nothing, and every power falls back.
+        q, bits = Fraction(29, 30), 128
+        ctx = PrecisionContext(q, bits)
+        buf = _default_buffer(ctx)
+        want = _ref_sweep(61, 120, PrecisionContext(q, bits), buf)
+        exact = range(-7, 8)
+        for n in exact:  # memoized, so the fallbacks below do no arithmetic
+            q_power_raw(n, ctx)
+        arithmetic, calls = [], []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def call(*args):
+                arithmetic.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, call)
+
+        for name in ("mpf_div", "mpf_mul", "mpf_pow_int", "normalize"):
+            counted(qkernel, name)
+        for name in ("mpf_add", "mpf_div", "mpf_mul"):
+            counted(qmeasure, name)
+
+        def powers(n, ctx):
+            calls.append(n)
+            return raw_power(n, ctx)
+
+        raw_power = qkernel.q_power_raw
+        monkeypatch.setattr(qkernel, "_RUN_GUARD", guard)
+        monkeypatch.setattr(qkernel, "q_power_raw", powers)
+        got = _sweep(61, 120, ctx, buf)
+        monkeypatch.undo()
+        assert got == want
+        if certified:
+            assert calls == list(exact)
+            assert arithmetic == []
+        else:
+            assert calls == list(range(-61 - buf, calls[-1] + 1))
+        fresh = PrecisionContext(q, bits)
+        for n, power in ctx.tables["q^n"].items():
+            assert power == q_power_raw(n, fresh), n
 
 
 class TestStreamedSweep:
@@ -387,7 +442,7 @@ class TestBuildMeasure:
         mu = build_measure("y-variable", ctx_half, K=8, M=16)
         with pytest.raises(
             NoConvergenceError,
-            match=r"^hat_q_integral: growing-abscissa branch not decaying "
+            match=r"^DiscreteMeasure\.moment: growing-abscissa branch not decaying "
             r"at K=8 \(last term ",
         ):
             mu.moment(8, ctx_half)
