@@ -42,7 +42,6 @@ state).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Sequence, Tuple
 
 from mpmath.libmp import (
@@ -309,6 +308,7 @@ def _certified_run(start: int, stop: int, ctx: PrecisionContext):
     # with the bit lengths of |n| and of the loss count c.
     shift = _RUN_GUARD - 1
     block = MPZ_ONE << shift
+    mask = block - 1
     t = prec + target + 1
     numerator = MPZ_ONE << t
     n = start
@@ -319,7 +319,7 @@ def _certified_run(start: int, stop: int, ctx: PrecisionContext):
         below = (MPZ_ONE << max(_RUN_GUARD - 3 * bits - 3, 0)) + 2
         limit = block - (MPZ_ONE << (loss.bit_length() + 2)) - 1
         for n in range(n, end):
-            if below <= pm & (block - 1) < limit:
+            if below <= pm & mask < limit:
                 power = ((pm >> shift) + 1) >> 1  # P = power 2^(pe + shift + 1)
                 if invert:
                     # 1/P = (2^t / power) 2^(-t - pe - shift - 1)
