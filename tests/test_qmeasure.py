@@ -215,11 +215,12 @@ class TestSweepKernel:
         for name in ("mpf_add", "mpf_div", "mpf_mul"):
             counted(qmeasure, name)
 
+        raw_power = qkernel.q_power_raw
+
         def powers(n, ctx):
             calls.append(n)
             return raw_power(n, ctx)
 
-        raw_power = qkernel.q_power_raw
         monkeypatch.setattr(qkernel, "_RUN_GUARD", guard)
         monkeypatch.setattr(qkernel, "q_power_raw", powers)
         got = _sweep(61, 120, ctx, buf)
