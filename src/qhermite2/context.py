@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-import mpmath
 from mpmath.ctx_mp import MPContext
 
 from .errors import DomainError
@@ -94,23 +93,31 @@ class PrecisionContext:
     mp : mpmath context
         Private mpmath context at ``precision_bits`` working precision.
     tables : dict
-        Quantities that depend only on q and the precision, filled on
-        demand by :mod:`qhermite2.qkernel`:
+        Quantities that depend only on q and a precision, filled on
+        demand, under one rule: a table of rounded values is keyed by
+        ``(name, prec)``, prec the precision its values were rounded
+        at, which is ``mp.prec`` when they are formed, inside an
+        ``mp.workprec`` block too; an exact table is keyed by its name
+        alone.  No cache lives outside the tables.  Rounded, per prec:
 
-        - ``"b"``: the tuple b_0, b_1, ... of :func:`~qhermite2.qkernel.b_table`;
-        - ``("q", prec)``: q rounded to prec bits, for every precision
-          that asked for a power of q;
-        - ``"q_power"``: the squaring chains q, q^2, q^4, ... of
-          :func:`~qhermite2.qkernel.q_power_raw`, one per working
-          precision of its binary powers;
-        - ``"q^n"``: the memo n -> q^n of ``q_power_raw``;
-        - ``"1-q^(n+1)"``: the list 1 - q^(n+1), n = 0, 1, ..., read by
-          ``gen_exponential`` and ``phi_rs``.
+        - ``("q", prec)``: q as a raw mpf, read by :attr:`qm`;
+        - ``("q^n", prec)``: the memo n -> q^n of
+          :func:`~qhermite2.qkernel.q_power_raw`;
+        - ``("squarings", prec)``: its chains q, q^2, q^4, ... of the
+          q of that precision, one per working precision of its binary
+          powers;
+        - ``("1-q^(n+1)", prec)``: the list 1 - q^(n+1), n = 0, 1, ...,
+          read by ``gen_exponential``, ``phi_rs`` and the formal series;
+        - ``("b", prec)``: the tuple b_0, b_1, ... of
+          :func:`~qhermite2.qkernel.b_table`;
+        - ``("carrier", prec)``: the carrier coefficients S_{2j-1}(0) of
+          :mod:`qhermite2.extremal` with the exact ratio of the last.
 
-        Each value is formed at the context precision only (the rounded
-        q at its own precision), never inside an ``mp.workprec`` block,
-        and never changed once stored; containers only grow.  Not part
-        of equality or hashing.
+        Exact: ``"nested_sum"`` (the extremal alpha and beta sums) and
+        ``"htilde"`` (the polynomials of
+        :func:`~qhermite2.qhermite.hermite2_coeffs`).  A stored value is
+        never changed; containers only grow.  Not part of equality or
+        hashing.
     """
 
     q: Fraction
@@ -145,8 +152,13 @@ class PrecisionContext:
 
     @property
     def qm(self):
-        """q as an mpf in this context's precision."""
-        return self.mp.mpf(self.q.numerator) / self.q.denominator
+        """q as an mpf rounded to the working precision ``mp.prec``,
+        formed once per precision (``tables[("q", prec)]``)."""
+        key = ("q", self.mp.prec)
+        q = self.tables.get(key)
+        if q is None:
+            q = self.tables[key] = (self.mp.mpf(self.q.numerator) / self.q.denominator)._mpf_
+        return self.mp.make_mpf(q)
 
     @property
     def eps(self):

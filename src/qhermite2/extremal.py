@@ -308,12 +308,14 @@ def second_kind_eval(n: int, x, ctx: PrecisionContext):
 def _carrier_coefficients(count: int, ctx: PrecisionContext) -> tuple:
     """S_{2j-1}(0) = (-1)^(j-1) sqrt([2j-2]!!/[2j-1]!!) for j = 1, 2, ...
 
-    At least ``count`` entries.  The table lives in ``ctx.tables`` with
-    the exact ratio of its last entry, so growing it extends that ratio
-    instead of rebuilding the prefix; each entry is the once-rounded
-    square root of its exact ratio either way.
+    At least ``count`` entries, at the working precision.  The table
+    lives in ``ctx.tables`` under that precision with the exact ratio of
+    its last entry, so growing it extends that ratio instead of
+    rebuilding the prefix; each entry is the once-rounded square root of
+    its exact ratio either way.
     """
-    coeffs, ratio = ctx.tables.get("carrier", ((), None))
+    key = ("carrier", ctx.mp.prec)
+    coeffs, ratio = ctx.tables.get(key, ((), None))
     if len(coeffs) < count:
         mp, q = ctx.mp, ctx.q
         grown = list(coeffs)
@@ -327,7 +329,7 @@ def _carrier_coefficients(count: int, ctx: PrecisionContext) -> tuple:
             sign = 1 if j % 2 == 1 else -1
             grown.append(sign * mp.sqrt(ctx.mpf(ratio)))
         coeffs = tuple(grown)
-        ctx.tables["carrier"] = (coeffs, ratio)
+        ctx.tables[key] = (coeffs, ratio)
     return coeffs
 
 

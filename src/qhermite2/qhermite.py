@@ -31,7 +31,7 @@ from .exact import (
     bn_squared_exact,
     qfactorial_exact,
 )
-from .qkernel import HypergeometricSpec, phi_rs, b_coeff, b_table
+from .qkernel import HypergeometricSpec, phi_rs, b_table
 
 __all__ = [
     "hermite2_coeffs",
@@ -44,21 +44,18 @@ __all__ = [
     "qdiff_equation_check",
 ]
 
-# Exact coefficient cache, keyed by q; each entry is the list
-# [htilde_0, htilde_1, ...] grown on demand.
-_COEFF_CACHE: Dict[Fraction, List[Poly]] = {}
-
-
 def hermite2_coeffs(n: int, ctx: PrecisionContext) -> Poly:
     """Exact monic coefficient sequence of htilde_n for ctx.q.
 
     Built by the three-term recurrence with exact rational arithmetic;
     the result is monic and has the parity of n (odd/even powers only).
-    Coefficients never overflow: they are Fractions.
+    Coefficients never overflow: they are Fractions.  The list
+    [htilde_0, htilde_1, ...] lives in ``ctx.tables["htilde"]`` and
+    grows on demand.
     """
     if n < 0:
         raise DomainError(f"polynomial degree must be >= 0, got {n}")
-    cache = _COEFF_CACHE.setdefault(ctx.q, [Poly.one(), Poly.x()])
+    cache = ctx.tables.setdefault("htilde", [Poly.one(), Poly.x()])
     while len(cache) <= n:
         m = len(cache) - 1  # extend from htilde_m to htilde_{m+1}
         c = bn_squared_exact(m - 1, ctx.q)  # q^{-(2m-1)}(1 - q^m)

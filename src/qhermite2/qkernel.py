@@ -12,9 +12,10 @@ lattice layers comes from one kernel, :func:`q_power` (raw tuples:
 ``ctx.qm ** n`` computes, but keeps the chain of truncated squarings
 q, q^2, q^4, ... in the context per working precision, so a first call
 only multiplies the entries for the set bits of n, and a memo of q^n
-at the context precision answers the calls after it.  The series
-read 1 - q^(n+1) from one list per context as well (the tables are
-listed in :class:`~qhermite2.context.PrecisionContext`).  Consecutive powers
+answers the calls after it.  The series read 1 - q^(n+1) from one
+list per context as well.  Each of these tables is kept per precision,
+the working precision ``ctx.mp.prec`` of the call, as every rounded
+table is (:class:`~qhermite2.context.PrecisionContext`).  Consecutive powers
 come from :func:`q_power_run`, which yields the same values as integer
 mantissas and exponents from one running product and a rounding test
 (Ziv), with the reciprocals of the negative powers from one integer
@@ -42,7 +43,7 @@ state).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from mpmath.libmp import (
     MPZ_ONE,
@@ -56,7 +57,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .context import PrecisionContext, default_context
+from .context import PrecisionContext
 from .errors import (
     DomainError,
     FormalSeriesError,
@@ -163,47 +164,29 @@ def q_power_raw(n: int, ctx: PrecisionContext) -> tuple:
 
     a loss delta_n = n 2^(1-wp) that grows with n, not with
     bitcount(n).  Here the
-    chain is built once per working precision and kept in
-    ``ctx.tables``; the first call for n multiplies the chain entries of
-    the set bits of n, least significant first, truncating exactly as
-    ``mpf_pow_int`` does, and the memo of q^n in ``ctx.tables`` answers
-    every later call for n.  n < -1 is the reciprocal of the power at
+    chains of the q of precision prec are built once per working
+    precision and kept in ``ctx.tables[("squarings", prec)]``; the
+    first call for n multiplies the chain entries of the set bits of n,
+    least significant first, truncating exactly as ``mpf_pow_int``
+    does, and the memo ``ctx.tables[("q^n", prec)]`` answers every
+    later call for n.  n < -1 is the reciprocal of the power at
     prec + 5, as there; every other branch (n in -1..2, q a power of
     two, exact small powers) is ``mpf_pow_int`` itself.
-
-    Of the per-context tables (``ctx.tables``: the b_n, q rounded per
-    precision, the squaring chains, the q^n memo and 1 - q^(n+1)) this
-    function fills the middle three.  Like every table, chains and
-    memo hold values formed at the context's own precision only and
-    never changed once stored: inside an ``mp.workprec`` block the call
-    is ``mpf_pow_int`` on ``ctx.qm`` at that precision, and only the
-    rounded q is kept, so that it is rounded once.
     """
     prec = ctx.mp.prec
-    tables = ctx.tables
-    if prec == ctx.precision_bits:
-        memo = tables.get("q^n")
-        if memo is None:
-            memo = tables["q^n"] = {}
-        power = memo.get(n)
-        if power is None:
-            q = _rounded_q(prec, ctx)
-            chains = tables.setdefault("q_power", {})
-            if n < -1:
-                power = mpf_div(fone, _positive_power(q, -n, prec + 5, chains), prec, _RND)
-            else:
-                power = _positive_power(q, n, prec, chains)
-            memo[n] = power
-        return power
-    return mpf_pow_int(_rounded_q(prec, ctx), n, prec, _RND)
-
-
-def _rounded_q(prec: int, ctx: PrecisionContext) -> tuple:
-    """q rounded to ``prec`` bits as a raw mpf, kept per precision."""
-    q = ctx.tables.get(("q", prec))
-    if q is None:
-        q = ctx.tables[("q", prec)] = ctx.qm._mpf_
-    return q
+    memo = ctx.tables.get(("q^n", prec))
+    if memo is None:
+        memo = ctx.tables[("q^n", prec)] = {}
+    power = memo.get(n)
+    if power is None:
+        q = ctx.qm._mpf_
+        chains = ctx.tables.setdefault(("squarings", prec), {})
+        if n < -1:
+            power = mpf_div(fone, _positive_power(q, -n, prec + 5, chains), prec, _RND)
+        else:
+            power = _positive_power(q, n, prec, chains)
+        memo[n] = power
+    return power
 
 
 def q_power(n: int, ctx: PrecisionContext):
@@ -237,13 +220,12 @@ def q_power_run(start: int, stop: int, ctx: PrecisionContext):
     2^-40 ulp to the interval on runs of up to a million steps, and
     delta_n is under 2^(-3 bitcount(n) - 3) ulp), and for every n
     that ``mpf_pow_int`` treats exactly (|n| <= 2, bc |n| < 1000, q a
-    power of two) or inside an ``mp.workprec`` block, the value is
-    ``q_power_raw(n, ctx)``.
+    power of two), the value is ``q_power_raw(n, ctx)``.
     """
     prec = ctx.mp.prec
     _, man, exp, bc = ctx.qm._mpf_
     exact = max(2, 999 // bc)  # |n| <= exact: the exact branches
-    if prec != ctx.precision_bits or man == 1:
+    if man == 1:
         exact = max(-start, stop)  # every n
     low, high = min(stop, -exact), max(start, exact + 1)
     if start < low:
@@ -455,16 +437,17 @@ def b_table(count: int, ctx: PrecisionContext) -> tuple:
     """(b_0, b_1, ...) for this context, at least ``count`` entries long.
 
     Each b_n is sqrt of the exact b_n^2 rounded once (see
-    :func:`b_coeff`).  The tuple lives in ``ctx.tables``, so it goes
-    with its context, and grows by doubling.  Recurrences index it
-    directly.
+    :func:`b_coeff`) at the working precision.  The tuple lives in
+    ``ctx.tables`` under that precision, so it goes with its context,
+    and grows by doubling.  Recurrences index it directly.
     """
-    table = ctx.tables.get("b", ())
+    key = ("b", ctx.mp.prec)
+    table = ctx.tables.get(key, ())
     if len(table) < count:
         stop = max(count, 2 * len(table))
         sqrt, mpf, q = ctx.mp.sqrt, ctx.mpf, ctx.q
         table += tuple(sqrt(mpf(bn_squared_exact(n, q))) for n in range(len(table), stop))
-        ctx.tables["b"] = table
+        ctx.tables[key] = table
     return table
 
 
@@ -482,24 +465,18 @@ def rho_factorial(n: int, ctx: PrecisionContext):
     return (q / (1 - q)) ** n * q_power(-(n * n), ctx) * poch
 
 
-def _q_complement(n: int, table: Optional[list], ctx: PrecisionContext):
+def _q_complement(n: int, table: list, ctx: PrecisionContext):
     """1 - q^(n+1): entry n of ``table``, the context's list of these
-    values (grown here up to n), or, for ``table=None``, formed anew at
-    the working precision."""
-    if table is None:
-        return 1 - q_power(n + 1, ctx)
+    values (grown here up to n)."""
     while len(table) <= n:
         table.append(1 - q_power(len(table) + 1, ctx))
     return table[n]
 
 
-def _q_complements(ctx: PrecisionContext) -> Optional[list]:
-    """The context's list of 1 - q^(n+1), n = 0, 1, ..., grown by the
-    series that read it; None inside an ``mp.workprec`` block, where the
-    values would be rounded elsewhere (see :func:`q_power_raw`)."""
-    if ctx.mp.prec != ctx.precision_bits:
-        return None
-    return ctx.tables.setdefault("1-q^(n+1)", [])
+def _q_complements(ctx: PrecisionContext) -> list:
+    """The context's list of 1 - q^(n+1), n = 0, 1, ..., at the working
+    precision, grown by the series that read it."""
+    return ctx.tables.setdefault(("1-q^(n+1)", ctx.mp.prec), [])
 
 
 def _term_ratios(spec: HypergeometricSpec, ctx: PrecisionContext):
@@ -534,7 +511,7 @@ def _term_ratios(spec: HypergeometricSpec, ctx: PrecisionContext):
                 )
             den = den * factor
         qk = q_power(k + 1, ctx)
-        den = den * (1 - qk if complements is None else _q_complement(k, complements, ctx))
+        den = den * _q_complement(k, complements, ctx)
         r = num / den * z * q_power(e * k, ctx)
         return -r if e % 2 == 1 else r
 

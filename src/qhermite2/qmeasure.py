@@ -136,7 +136,8 @@ def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
     precision.  ``mpf_mul`` and ``mpf_add`` round correctly in that
     mode, so every value is bitwise theirs, and a pair is equal to
     another exactly when their values are.  Only the window [-K, M] is
-    kept, and the powers on it go into the ``q^n`` memo.  Returns
+    kept, and the powers on it go into the ``q^n`` memo of the
+    precision (see :func:`~qhermite2.qkernel.q_power_raw`).  Returns
     (window, (m_top, g_{m_top}), (m_check, g_{m_check})) as raw mpf
     values: the tail normalization index, where 1 - f < 2^-precision,
     and the check index at twice its depth.
@@ -156,7 +157,7 @@ def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
     comes first), at 2 m_top and in the rest of the window are G, bit
     for bit.
     """
-    prec = ctx.precision_bits
+    prec = ctx.mp.prec
     m_top = max(M + 2, math.ceil(prec * math.log(2) / -math.log(float(ctx.q))) + 4)
     m_check = 2 * m_top
     lo = -K - buffer - 2
@@ -185,10 +186,9 @@ def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
             break
         g0, g1 = g1, g2
     window += [g2] * (K + M + 1 - len(window))
-    if ctx.mp.prec == prec:
-        memo = ctx.tables.setdefault("q^n", {})
-        for n, pm, pe in powers:
-            memo.setdefault(n, from_man_exp(pm, pe))
+    memo = ctx.tables.setdefault(("q^n", prec), {})
+    for n, pm, pe in powers:
+        memo.setdefault(n, from_man_exp(pm, pe))
     return (
         [from_man_exp(*g) for g in window],
         (m_top, from_man_exp(*(g2 if g_top is None else g_top))),

@@ -584,9 +584,21 @@ def test_generating_passes_when_several_weights_match(capsys, args, matched):
     assert row[5:] == ["true", f"matched hypotheses: {matched}"]
 
 
+def _module_state():
+    """Sizes of the dict and list attributes of the qhermite2 modules."""
+    return {
+        (name, attr): len(value)
+        for name, module in sorted(sys.modules.items())
+        if name.split(".")[0] == "qhermite2"
+        for attr, value in vars(module).items()
+        if not attr.startswith("__") and isinstance(value, (dict, list))
+    }
+
+
 def test_no_context_outlives_its_job(capsys, monkeypatch):
     # Caches belong in ctx.tables: a module-level cache keyed on the
-    # context keeps it, and its tables, alive after the job.
+    # context keeps it, and its tables, alive after the job, and one
+    # keyed on q grows with every q.
     made = []
 
     def recording_context(**kwargs):
@@ -595,6 +607,7 @@ def test_no_context_outlives_its_job(capsys, monkeypatch):
         return ctx
 
     monkeypatch.setattr(cli, "PrecisionContext", recording_context)
+    state = _module_state()
     jobs = (
         ["poly", "--n", "9", "--x", "1/2"],
         ["table", "--what", "bn", "--n-max", "12"],
@@ -607,6 +620,7 @@ def test_no_context_outlives_its_job(capsys, monkeypatch):
     gc.collect()
     assert len(made) == 24
     assert sum(ref() is not None for ref in made) == 0
+    assert _module_state() == state
 
 
 def _run_module(argv):

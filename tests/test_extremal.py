@@ -32,8 +32,8 @@ from qhermite2.extremal import (
     orthonormality_gram,
     second_kind_eval,
 )
-from qhermite2.qhermite import psi_eval
-from qhermite2.qkernel import b_coeff
+from qhermite2.qhermite import psi_eval, psi_sequence
+from qhermite2.qkernel import b_coeff, b_table
 
 
 POSITIVE_ROOTS_HALF = (
@@ -156,6 +156,22 @@ class TestCarrierFunction:
     def test_k_terms_validation(self, ctx_half):
         with pytest.raises(DomainError):
             carrier_function(Fraction(1), 0, ctx_half)
+
+    def test_call_inside_workprec_leaves_context_values(self):
+        # Tables rounded inside workprec are kept under that precision,
+        # so they never stand in for the context precision's own.
+        def values(ctx):
+            return (
+                [v._mpf_ for v in b_table(8, ctx)],
+                [v._mpf_ for v in _carrier_coefficients(8, ctx)],
+                [v._mpf_ for v in psi_sequence(10, Fraction(7, 3), ctx)],
+                carrier_function(Fraction(7, 3), None, ctx)._mpf_,
+            )
+
+        ctx = PrecisionContext(Fraction(1, 3), 128)
+        with ctx.mp.workprec(300):
+            carrier_function(Fraction(5, 2), None, ctx)
+        assert values(ctx) == values(PrecisionContext(Fraction(1, 3), 128))
 
 
 class TestCarrierRoots:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import fone, from_man_exp, mpf_pow_int, mpf_sub, round_nearest
 
 from qhermite2 import PrecisionContext, qkernel
 from qhermite2.errors import DomainError, NoConvergenceError
@@ -201,39 +201,40 @@ class TestQPower:
             want = (qm**n)._mpf_
             assert q_power_raw(n, ctx) == want, n
             assert q_power(n, ctx)._mpf_ == want, n  # from the memo
-            assert ctx.tables["q^n"][n] == want, n
+            assert ctx.tables[("q^n", bits)][n] == want, n
 
     def test_squaring_chains_only_per_working_precision(self):
         ctx = PrecisionContext(Fraction(40, 41), 256)
         for n in range(-3000, 3001):
             q_power_raw(n, ctx)
-        chains = ctx.tables["q_power"]
+        chains = ctx.tables[("squarings", 256)]
         # one chain per bit length of |n| and sign, none per exponent
         assert len(chains) <= 2 * (3000).bit_length()
         assert all(len(c) <= (3000).bit_length() for c in chains.values())
 
-    def test_other_precision_is_not_cached(self):
-        # Chains, the q^n memo and the 1 - q^(n+1) table hold values at
-        # the context precision only; the series kernels fill none of
-        # them inside workprec.
+    def test_other_precision_has_its_own_tables(self):
+        # Values formed inside workprec go under the key of that
+        # precision, each bitwise what the operators compute there, and
+        # the context precision's tables are filled from its own q.
         ctx = PrecisionContext(Fraction(63, 64), 128)
         spec = HypergeometricSpec((Fraction(1, 3),), (Fraction(1, 5),), Fraction(1, 2))
-        with ctx.mp.workprec(128 + 77):
-            qm = ctx.qm
-            for n in self.EXPONENTS:
-                assert q_power_raw(n, ctx) == (qm**n)._mpf_, n
-            assert gen_exponential(Fraction(3, 2), ctx) == _ref_gen_exponential(Fraction(3, 2), ctx)
-            assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx)
-        for table in ("q_power", "q^n", "1-q^(n+1)"):
-            assert table not in ctx.tables, table
-        qm = ctx.qm
-        for n in self.EXPONENTS:
-            assert q_power_raw(n, ctx) == (qm**n)._mpf_, n
-        assert gen_exponential(Fraction(3, 2), ctx) == _ref_gen_exponential(Fraction(3, 2), ctx)
-        complements = ctx.tables["1-q^(n+1)"]
-        assert complements
-        for n, value in enumerate(complements):
-            assert value._mpf_ == (1 - qm ** (n + 1))._mpf_, n
+        for prec in (128 + 77, 128):
+            with ctx.mp.workprec(prec):
+                q = ctx.qm._mpf_
+                assert q == ctx.tables[("q", prec)]
+                for n in self.EXPONENTS:
+                    want = mpf_pow_int(q, n, prec, round_nearest)
+                    assert q_power_raw(n, ctx) == want, n
+                    assert ctx.tables[("q^n", prec)][n] == want, n
+                assert ctx.tables[("squarings", prec)]
+                x = Fraction(3, 2)
+                assert gen_exponential(x, ctx) == _ref_gen_exponential(x, ctx)
+                assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx)
+                complements = ctx.tables[("1-q^(n+1)", prec)]
+                assert complements
+                for n, value in enumerate(complements):
+                    want = mpf_pow_int(q, n + 1, prec, round_nearest)
+                    assert value._mpf_ == mpf_sub(fone, want, prec, round_nearest), n
 
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -320,11 +321,22 @@ class TestQPowerRun:
         assert calls == (exact if certified else list(ns))
         assert len(exact) < len(ns) / 100
 
-    def test_other_precision_delegates(self):
+    def test_other_precision_certifies(self, monkeypatch):
+        # Inside workprec the run certifies its steps as at the context
+        # precision and calls q_power_raw for the exact branches only.
         ctx = PrecisionContext(Fraction(40, 41), 128)
+        ns = range(-2000, 2000)
+        calls = []
+
+        def counted(n, ctx):
+            calls.append(n)
+            return q_power_raw(n, ctx)
+
         with ctx.mp.workprec(128 + 77):
-            got = _run(-2000, 2000, ctx)
-            assert got == [q_power_raw(n, ctx) for n in range(-2000, 2000)]
+            want = [q_power_raw(n, ctx) for n in ns]
+            monkeypatch.setattr(qkernel, "q_power_raw", counted)
+            assert _run(ns.start, ns.stop, ctx) == want
+            assert calls == [n for n in ns if _exact_branch(n, ctx)]
 
 
 # Test-local copies of the series kernels as they were with the per-call

@@ -232,7 +232,7 @@ class TestSweepKernel:
         else:
             assert calls == list(range(-61 - buf, calls[-1] + 1))
         fresh = PrecisionContext(q, bits)
-        for n, power in ctx.tables["q^n"].items():
+        for n, power in ctx.tables[("q^n", bits)].items():
             assert power == q_power_raw(n, fresh), n
 
 
@@ -396,11 +396,12 @@ def test_formal_series_reads_shared_complements_bitwise(q, bits):
             got = formal_series_partial(y, 400, ctx)
             assert _formal_series_bits(*vars(got).values()) == want, y
             if y:
-                assert len(ctx.tables["1-q^(n+1)"]) >= got.optimal_index
-    with ctx.mp.workprec(bits + 40):  # no list: formed at this precision
+                assert len(ctx.tables[("1-q^(n+1)", bits)]) >= got.optimal_index
+    with ctx.mp.workprec(bits + 40):  # the list of this precision
         want = _formal_series_bits(*_ref_formal_series_partial(Fraction(1, 4), 400, ctx))
         got = formal_series_partial(Fraction(1, 4), 400, ctx)
         assert _formal_series_bits(*vars(got).values()) == want
+        assert len(ctx.tables[("1-q^(n+1)", bits + 40)]) >= got.optimal_index
 
 
 class TestBuildMeasure:
