@@ -42,17 +42,26 @@ loop stops at the package's monitored-decay rule,
 ratio the larger of |Num| and |Den'|, with t the larger of their terms).
 
 Carrier roots are found by a sign scan over a fixed grid (its
-``grid_points`` set the bracket lattice), in two stages:
+``grid_points`` set the bracket lattice) on the positive axis.  D is
+even bit for bit, not only in exact arithmetic: round-to-nearest is
+symmetric in sign, so each recurrence step gives Psi_n(-x) =
+(-1)^n Psi_n(x) exactly, every term x Psi_{2k-1}(x) keeps its value and
+the stop rule sees the same numbers.  The negative roots are therefore
+the mirrored positive ones.  The scan signs each grid point in three
+ways:
 
-- a screen sums D at every grid point in doubles with a running error
-  bound and keeps a sign only where the value clears that bound by a
-  wide margin; it may only exclude a grid cell, as one whose ends have
-  the same sign;
-- every other cell is certified at working precision: D at both of its
-  ends (a screened sign that this value contradicts raises
-  AlgebraViolation), the sign-change test, then safeguarded Newton down
-  to a final bracket of width at most 10^-(precision_bits/4) across
-  which D changes sign.
+- at or below 2 r0 (``_root_free_radius``, compared exactly) the proof
+  D >= 1/2 gives the sign +1 with no evaluation, and a search bound at
+  or below 2 r0 holds no root at all;
+- above it a screen sums D in doubles with a running error bound and
+  keeps a sign only where the value clears that bound by a wide margin;
+  it may only exclude a grid cell, as one whose ends have the same
+  sign;
+- every other cell is certified at working precision: D at each of its
+  ends whose sign is not proven (a screened sign that this value
+  contradicts raises AlgebraViolation), the sign-change test, then
+  safeguarded Newton down to a final bracket of width at most
+  10^-(precision_bits/4) across which D changes sign.
 
 So every sign change and every root rests on working-precision values,
 the same ones a scan of every grid point would use.  At 64 bits the
@@ -71,15 +80,20 @@ from typing import Optional, Sequence, Tuple
 
 from mpmath.libmp import (
     fone,
+    from_rational,
     fzero,
     mpf_abs,
     mpf_add,
     mpf_div,
+    mpf_exp,
     mpf_gt,
+    mpf_log,
     mpf_mul,
     mpf_neg,
+    mpf_pow,
     mpf_sub,
     round_nearest,
+    to_rational,
 )
 
 from .context import PrecisionContext
@@ -231,7 +245,7 @@ def _recurrence(x, ctx: PrecisionContext, seeds, slopes=None):
     n = 1
     while True:
         if n == len(bs):
-            bs = b_table(n + 1, ctx)
+            bs = b_table(n + 32, ctx)
         b = bs[n]._mpf_
         rise = mpf_mul(x, p1, prec, _RND)
         fall = mpf_mul(b_prev, p0, prec, _RND)
@@ -334,10 +348,10 @@ def _carrier_coefficients(count: int, ctx: PrecisionContext) -> tuple:
 
 
 def _coefficient_stream(ctx: PrecisionContext):
-    """S_1(0), S_3(0), ... as raw mpf, from the table grown by doubling."""
+    """S_1(0), S_3(0), ... as raw mpf, from the table grown 32 at a time."""
     j = 0
     while True:
-        block = _carrier_coefficients(max(16, 2 * j), ctx)
+        block = _carrier_coefficients(j + 32, ctx)
         for c in block[j:]:
             yield c._mpf_
         j = len(block)
@@ -416,8 +430,9 @@ def _shrink_bracket(lo, hi, flo, tol_root, ctx: PrecisionContext, k_terms):
 
     Safeguarded Newton: each step evaluates D and D' in one pass and
     moves the bracket end whose sign D shares, so D(lo) keeps the sign
-    of ``flo`` and D(hi) the other one.  The next point is the Newton
-    point when it lies strictly inside the bracket, else the midpoint.
+    of ``flo`` (D(lo) or just its sign) and D(hi) the other one.  The
+    next point is the Newton point when it lies strictly inside the
+    bracket, else the midpoint.
     Once the Newton step is below tol_root/2, D is probed a quarter of
     tol_root either side of the Newton point; a sign change across the
     probes is the final bracket, centred on the root and narrow enough
@@ -567,9 +582,9 @@ def _screen(grid, ctx: PrecisionContext, k_terms: Optional[int]):
             try:
                 pair = _screen_sum(float(g), q, log_tol, cap, k_terms is not None, bs, cs)
             except IndexError:
-                count = max(16, 2 * count)
-                bs = [float(b) for b in b_table(2 * count, ctx)]
-                cs = [float(c) for c in _carrier_coefficients(count, ctx)]
+                count += 32
+                bs += [float(b) for b in b_table(2 * count, ctx)[len(bs):]]
+                cs += [float(c) for c in _carrier_coefficients(count, ctx)[len(cs):]]
                 continue
             except ZeroDivisionError:  # a b_n below the double range
                 pair = 0.0, math.inf
@@ -609,16 +624,42 @@ def _scan_grid(bound, grid_points: int, ctx: PrecisionContext) -> list:
     bound/10^4, the geometric grid goes on down, at the same ratio, to
     its first point at or below r0, so no cell below the grid can hold
     a root.  Otherwise the grid is unchanged.
+
+    A geometric point is lo_edge * s^t with s = bound/lo_edge and
+    t = i/(grid_points - 1).  For a t with a binary exponent below -1,
+    ``mpf_pow`` forms s^t as exp(t log s) from log s at 10 guard bits,
+    and s is the same for every point, so that logarithm is taken once
+    here; the other t stay on ``mpf_pow``.  Every step is the raw
+    operation the mpf operators call, so each point is bitwise the one
+    ``lo_edge * (bound / lo_edge) ** ctx.mpf(Fraction(i, grid_points - 1))``
+    gives.
     """
+    prec = ctx.mp.prec
     lo_edge = bound * ctx.mpf(Fraction(1, 10000))
     first = 0
     r0 = ctx.mpf(_root_free_radius(ctx.q))
     if r0 < lo_edge:
         first = -(math.floor((grid_points - 1) * math.log(lo_edge / r0) / math.log(10000)) + 1)
-    grid = [lo_edge * (bound / lo_edge) ** (ctx.mpf(Fraction(i, grid_points - 1)))
-            for i in range(first, grid_points)]
-    grid += [bound * ctx.mpf(Fraction(i, grid_points)) for i in range(1, grid_points + 1)]
-    return sorted(set(grid))
+    lo, top = lo_edge._mpf_, bound._mpf_
+    span = mpf_div(top, lo, prec, _RND)
+    log_span = mpf_log(span, prec + 10, _RND)
+    grid = []
+    for i in range(first, grid_points):
+        t = from_rational(i, grid_points - 1, prec, _RND)
+        if t[2] < -1:
+            power = mpf_exp(mpf_mul(t, log_span), prec, _RND)
+        else:
+            power = mpf_pow(span, t, prec, _RND)
+        grid.append(mpf_mul(lo, power, prec, _RND))
+    for i in range(1, grid_points + 1):
+        grid.append(mpf_mul(top, from_rational(i, grid_points, prec, _RND), prec, _RND))
+    # Two ascending runs, which the sort merges.
+    return sorted(map(ctx.mp.make_mpf, dict.fromkeys(grid)))
+
+
+def _rational(x) -> Fraction:
+    """The mpf x as an exact Fraction."""
+    return Fraction(*to_rational(x._mpf_))
 
 
 def carrier_roots(
@@ -630,18 +671,22 @@ def carrier_roots(
     """All carrier roots in [-search_bound, search_bound].
 
     Sign-scans a merged geometric + linear grid on (0, search_bound]
-    (``grid_points`` of each).  The double-precision screen
-    (``_screen``) signs the grid points it can; the others are
-    evaluated at working precision.  A cell whose two end signs agree
-    holds no sign change and is skipped.  Every other cell has D
-    evaluated at working precision at both ends, which must agree with
-    any screened sign (else AlgebraViolation); when those values change
-    sign, safeguarded Newton (D and D' from one streamed pass, midpoint
-    steps when Newton leaves the bracket) closes the cell to width at
-    most 10^-(precision_bits/4), with D changing sign across it; the
-    root is its midpoint.  At 64 bits that width is below the
-    evaluation noise, so the last halvings follow rounding.  The
-    function is even (checked on samples), so roots are emitted as
+    (``grid_points`` of each).  Grid points at or below 2 r0, compared
+    exactly, take the sign +1 that ``_root_free_radius`` proves
+    (D >= 1/2 there); a bound at or below 2 r0 holds no root and builds
+    no grid.  The double-precision screen (``_screen``) signs the other
+    grid points it can; the rest are evaluated at working precision.  A
+    cell whose two end signs agree holds no sign change and is skipped.
+    Every other cell has D evaluated at working precision at each end
+    whose sign is not proven, which must agree with any screened sign
+    (else AlgebraViolation); when the signs change, safeguarded Newton
+    (D and D' from one streamed pass, midpoint steps when Newton leaves
+    the bracket) closes the cell to width at most
+    10^-(precision_bits/4), with D changing sign across it; the root is
+    its midpoint.  At 64 bits that width is below the evaluation noise,
+    so the last halvings follow rounding.  D is even bit for bit, since
+    round-to-nearest commutes with negating x in every step of
+    ``_recurrence`` and ``_carrier_value``, so roots are emitted as
     symmetric +- pairs, sorted ascending.  No root sits at 0 (carrier
     value 1).
     """
@@ -651,28 +696,24 @@ def carrier_roots(
         raise DomainError("search_bound must be > 0")
     if grid_points < 16:
         raise DomainError(f"grid_points must be >= 16, got {grid_points}")
+    root_free = 2 * _root_free_radius(ctx.q)
+    if _rational(bound) <= root_free:
+        return ()
 
     grid = _scan_grid(bound, grid_points, ctx)
-
-    for probe in (bound / 3, bound / 7):
-        even_gap = abs(
-            carrier_function(probe, k_terms, ctx)
-            - carrier_function(-probe, k_terms, ctx)
-        )
-        if even_gap > ctx.mpf(ctx.series_tol) * 100:
-            raise AlgebraViolation(
-                "carrier function failed the evenness check at "
-                f"x={ctx.nstr(probe, 8)}"
-            )
+    # The grid ends at or above bound, so some point lies above 2 r0.
+    proven = next(i for i, g in enumerate(grid) if _rational(g) > root_free)
 
     tol_root = mp.mpf(10) ** (-(ctx.precision_bits // 4))
-    signs = [_screened_sign(*pair) for pair in _screen(grid, ctx, k_terms)]
-    values = {}
+    signs = [1] * proven
+    signs += [_screened_sign(*pair) for pair in _screen(grid[proven:], ctx, k_terms)]
+    certified = set(range(proven))
 
-    def certified(i):
-        """D(grid[i]) at working precision, checked against a screened sign."""
-        if i not in values:
-            v = values[i] = _carrier_value(grid[i], ctx, k_terms)[0]
+    def certify(i):
+        """Sign grid[i] by D at working precision, checked against a screened sign."""
+        if i not in certified:
+            certified.add(i)
+            v = _carrier_value(grid[i], ctx, k_terms)[0]
             sign = (v > 0) - (v < 0)
             if signs[i] and sign != signs[i]:
                 raise AlgebraViolation(
@@ -680,19 +721,19 @@ def carrier_roots(
                     f"value at x={ctx.nstr(grid[i], 8)}"
                 )
             signs[i] = sign
-        return values[i]
 
     for i, sign in enumerate(signs):
         if not sign:
-            certified(i)
+            certify(i)
     points = []
     for i in range(len(grid) - 1):
         if signs[i] == signs[i + 1]:
             continue
-        a, b, fa, fb = grid[i], grid[i + 1], certified(i), certified(i + 1)
-        if fa == 0 or fa * fb > 0:
+        certify(i)
+        certify(i + 1)
+        if not signs[i] or signs[i] == signs[i + 1]:
             continue
-        lo, hi = _shrink_bracket(a, b, fa, tol_root, ctx, k_terms)
+        lo, hi = _shrink_bracket(grid[i], grid[i + 1], signs[i], tol_root, ctx, k_terms)
         root = (lo + hi) / 2
         residual, used, tail, _ = _carrier_value(root, ctx, k_terms)
         points.append(

@@ -439,14 +439,15 @@ def b_table(count: int, ctx: PrecisionContext) -> tuple:
     Each b_n is sqrt of the exact b_n^2 rounded once (see
     :func:`b_coeff`) at the working precision.  The tuple lives in
     ``ctx.tables`` under that precision, so it goes with its context,
-    and grows by doubling.  Recurrences index it directly.
+    and grows to exactly the count asked, since each entry costs an
+    exact rational of growing size; streaming readers ask for blocks.
+    Recurrences index it directly.
     """
     key = ("b", ctx.mp.prec)
     table = ctx.tables.get(key, ())
     if len(table) < count:
-        stop = max(count, 2 * len(table))
         sqrt, mpf, q = ctx.mp.sqrt, ctx.mpf, ctx.q
-        table += tuple(sqrt(mpf(bn_squared_exact(n, q))) for n in range(len(table), stop))
+        table += tuple(sqrt(mpf(bn_squared_exact(n, q))) for n in range(len(table), count))
         ctx.tables[key] = table
     return table
 

@@ -102,18 +102,19 @@ def _count_evaluations(monkeypatch):
     return calls
 
 
-def test_root_free_search_makes_only_the_evenness_probes(monkeypatch):
+def test_root_free_search_makes_no_evaluations(monkeypatch):
+    # The bound lies below 2 r0 = 1/4, where D >= 1/2 is proven.
     ctx = PrecisionContext(q=Fraction(1, 2), precision_bits=256)
     calls = _count_evaluations(monkeypatch)
     assert carrier_roots(Fraction(1, 200), ctx) == ()
-    assert len(calls) == 4
+    assert calls == []
 
 
 def test_working_precision_evaluations_stay_few(monkeypatch):
     # The full scan made 1,045 evaluations here: the 1,023 grid points
     # (both grids hold the bound), 4 evenness probes and 18 in the two
-    # Newton closures.  The screened scan makes 26: the probes, both
-    # ends of the two sign-change cells and the same 18.
+    # Newton closures.  The screened scan makes 22: both ends of the
+    # two sign-change cells and the same 18.
     ctx = PrecisionContext(q=Fraction(1, 2), precision_bits=256)
     calls = _count_evaluations(monkeypatch)
     assert len(carrier_roots(Fraction(6), ctx)) == 4
@@ -153,9 +154,9 @@ def test_screen_bound_covers_working_precision_value(q, bits):
 
 
 def test_unconverged_grid_point_raises_as_full_scan():
-    # With a 26-term budget the evenness probes converge but the grid
-    # point 3 * 139/512 does not, so the screen must leave it to the
-    # working-precision pass, which raises there as the full scan did.
+    # With a 26-term budget the grid point 3 * 139/512 does not
+    # converge, so the screen must leave it to the working-precision
+    # pass, which raises there as the full scan did.
     ctx = PrecisionContext(q=Fraction(1, 2), precision_bits=64, max_terms=26)
     with pytest.raises(NoConvergenceError) as want:
         _full_scan_roots(Fraction(3), ctx)
