@@ -20,6 +20,7 @@ from qhermite2 import extremal
 from qhermite2.errors import AlgebraViolation, NoConvergenceError
 from qhermite2.extremal import (
     _carrier_value,
+    _root_free_radius,
     _scan_grid,
     _screen,
     _shrink_bracket,
@@ -107,6 +108,16 @@ def test_root_free_search_makes_no_evaluations(monkeypatch):
     ctx = PrecisionContext(q=Fraction(1, 2), precision_bits=256)
     calls = _count_evaluations(monkeypatch)
     assert carrier_roots(Fraction(1, 200), ctx) == ()
+    assert calls == []
+
+
+@pytest.mark.parametrize("q", (Fraction(1, 64), Fraction(1, 2), Fraction(9, 10)), ids=str)
+def test_bound_up_to_twice_r0_evaluates_nothing(q, monkeypatch):
+    ctx = PrecisionContext(q=q, precision_bits=128)
+    calls = _count_evaluations(monkeypatch)
+    monkeypatch.setattr(extremal, "_scan_grid", None)  # no grid is built
+    assert carrier_roots(2 * _root_free_radius(q), ctx) == ()
+    assert carrier_roots(_root_free_radius(q) / 1000, ctx) == ()
     assert calls == []
 
 

@@ -2,7 +2,8 @@
 
 - D is even bit for bit, so no evenness probe is evaluated;
 - D >= 1/2 at every grid point up to 2 r0, so those points are signed
-  without evaluation, and a bound up to 2 r0 builds no grid;
+  without evaluation (``tests/test_extremal_scan.py`` counts the
+  evaluations);
 - the geometric grid takes log(bound/lo_edge) once, bitwise as ``**``;
 - the b_n and carrier-coefficient tables grow only as far as they are
   read, each entry bitwise its once-rounded exact value.
@@ -108,28 +109,6 @@ def test_grid_points_up_to_twice_r0_are_positive(q, bits):
                 checked.add(g)
                 assert _carrier_value(g, ctx, None)[0] >= 0.5, float(g)
     assert len(checked) > 30
-
-
-def _count_evaluations(monkeypatch):
-    calls = []
-    plain = extremal._carrier_value
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return plain(*args, **kwargs)
-
-    monkeypatch.setattr(extremal, "_carrier_value", counting)
-    return calls
-
-
-@pytest.mark.parametrize("q", (Fraction(1, 64), Fraction(1, 2), Fraction(9, 10)), ids=str)
-def test_bound_up_to_twice_r0_evaluates_nothing(q, monkeypatch):
-    ctx = PrecisionContext(q=q, precision_bits=128)
-    calls = _count_evaluations(monkeypatch)
-    monkeypatch.setattr(extremal, "_scan_grid", None)  # no grid is built
-    assert carrier_roots(2 * _root_free_radius(q), ctx) == ()
-    assert carrier_roots(_root_free_radius(q) / 1000, ctx) == ()
-    assert calls == []
 
 
 def test_root_free_bound_needs_no_term_budget():
