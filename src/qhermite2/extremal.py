@@ -33,11 +33,17 @@ arithmetic.
 Every series here (the carrier D and its derivative D', the loading
 ratio and the kernel mass) is summed in one streamed pass over a single
 three-term recurrence, which yields Psi_n (with Psi_n' when asked) or
-S_n from their seeds and reads the context's b_n table.  It runs on raw
-mpf values with the calls and the operation order of the mpf operators,
-so the values are bitwise those of the reference ``psi_sequence``.  Each
+S_n from their seeds and reads the context's b_n table.  The streams run
+on integer pairs (man, exp), value man 2^exp, read from the raw tuples of
+the b_n and coefficient tables: each product, sum and quotient is the
+exact integer operation rounded once to nearest, ties to even, at
+``precision_bits`` (``qkernel._product``, ``_sum``, ``_quotient``).
+``mpf_mul``, ``mpf_add`` and ``mpf_div`` round their exact results
+correctly in that mode, so with the operations of the mpf operators in
+their order every value is bitwise that of the reference
+``psi_sequence``, and the results go back to mpf unchanged.  Each
 loop stops at the package's monitored-decay rule,
-:class:`~qhermite2.qkernel.Decay`: three terms in a row with
+:class:`~qhermite2.qkernel.Decay` (its pair form): three terms in a row with
 |t| <= series_tol max(S, series_tol), S the running sum (for the loading
 ratio the larger of |Num| and |Den'|, with t the larger of their terms).
 
@@ -79,19 +85,13 @@ from itertools import islice
 from typing import Optional, Sequence, Tuple
 
 from mpmath.libmp import (
-    fone,
+    from_man_exp,
     from_rational,
-    fzero,
-    mpf_abs,
-    mpf_add,
     mpf_div,
     mpf_exp,
-    mpf_gt,
     mpf_log,
     mpf_mul,
-    mpf_neg,
     mpf_pow,
-    mpf_sub,
     round_nearest,
     to_rational,
 )
@@ -105,7 +105,17 @@ from .errors import (
 )
 from .exact import bn_squared_exact, extremal_bracket_exact
 from .qhermite import psi_sequence
-from .qkernel import _STREAK, Decay, b_coeff, b_table
+from .qkernel import (
+    _STREAK,
+    Decay,
+    _less,
+    _product,
+    _quotient,
+    _round_even,
+    _sum,
+    b_coeff,
+    b_table,
+)
 
 __all__ = [
     "bracket_double_factorial",
@@ -122,6 +132,10 @@ __all__ = [
 ]
 
 _RND = round_nearest
+
+# 0 and 1 as integer pairs (man, exp), value man 2^exp.
+_ZERO = (0, 0)
+_ONE = (1, 0)
 
 # The carrier sign screen (``_screen_sum``): a double operation, and
 # float() of an mpf, errs by at most _U relative in the normal range; a
@@ -227,46 +241,87 @@ def first_kind_eval(n: int, x, ctx: PrecisionContext):
 def _recurrence(x, ctx: PrecisionContext, seeds, slopes=None):
     """Stream p_0, p_1, ... of x p_n = b_n p_{n+1} + b_{n-1} p_{n-1}.
 
-    Raw mpf tuples in and out; each step is
-    p_{n+1} = (x p_n - b_{n-1} p_{n-1}) / b_n at working precision with
-    round-to-nearest, the calls and the order the mpf operators of
-    ``psi_sequence`` make, so every value is bitwise the reference one.
-    ``seeds`` are (p_0, p_1): (1, x/b_0) gives Psi_n, (0, 1) gives S_n.
-    With ``slopes`` = (p_0', p_1') it yields pairs (p_n, p_n'), the
-    derivative following b_n p_{n+1}' = p_n + x p_n' - b_{n-1} p_{n-1}'.
+    Integer pairs (man, exp), value man 2^exp, in and out; each step is
+    p_{n+1} = (x p_n - b_{n-1} p_{n-1}) / b_n at working precision, every
+    operation the exact integer one rounded once to nearest, ties to
+    even (``qkernel._product``, ``_sum`` and ``_quotient``; the step's
+    last three in ``_finish_step``).  The mpf
+    operators of ``psi_sequence`` round each exact result correctly in
+    that mode, so with the same operations in the same order every
+    value is bitwise the reference one.  ``seeds`` are (p_0, p_1):
+    (1, x/b_0) gives Psi_n, (0, 1) gives S_n.  With ``slopes`` =
+    (p_0', p_1') it yields pairs (p_n, p_n'), the derivative following
+    b_n p_{n+1}' = p_n + x p_n' - b_{n-1} p_{n-1}'.
     """
     prec = ctx.precision_bits
     p0, p1 = seeds
     d0, d1 = slopes if slopes is not None else (None, None)
     yield p0 if slopes is None else (p0, d0)
     yield p1 if slopes is None else (p1, d1)
+    xm, xe = x
     bs = b_table(32, ctx)
-    b_prev = bs[0]._mpf_
+    bm, be = bs[0]._mpf_[1:3]  # b_0 > 0
     n = 1
     while True:
+        # Rounding to nearest is odd, so the product by -b_{n-1} is minus
+        # the rounded b_{n-1} p_{n-1}, and adding it is mpf_sub's step.
+        dm, de = -bm, be
         if n == len(bs):
             bs = b_table(n + 32, ctx)
-        b = bs[n]._mpf_
-        rise = mpf_mul(x, p1, prec, _RND)
-        fall = mpf_mul(b_prev, p0, prec, _RND)
-        p2 = mpf_div(mpf_sub(rise, fall, prec, _RND), b, prec, _RND)
+        bm, be = bs[n]._mpf_[1:3]
+        rm, shift = _round_even(xm * p1[0], prec)  # x p_n
+        p2 = _finish_step(rm, xe + p1[1] + shift, dm, de, p0, bm, be, prec)
         if slopes is None:
             yield p2
         else:
-            rise = mpf_add(p1, mpf_mul(x, d1, prec, _RND), prec, _RND)
-            fall = mpf_mul(b_prev, d0, prec, _RND)
-            d2 = mpf_div(mpf_sub(rise, fall, prec, _RND), b, prec, _RND)
+            rm, re = _sum(p1, _product(x, d1, prec), prec)  # p_n + x p_n'
+            d2 = _finish_step(rm, re, dm, de, d0, bm, be, prec)
             yield p2, d2
             d0, d1 = d1, d2
-        p0, p1, b_prev = p1, p2, b
+        p0, p1 = p1, p2
         n += 1
 
 
-def _psi_stream(x, ctx: PrecisionContext, slope: bool = False):
-    """Psi_0(x), Psi_1(x), ... (with Psi_n'(x) when ``slope``), raw x in."""
-    b0 = b_table(1, ctx)[0]._mpf_
-    seeds = (fone, mpf_div(x, b0, ctx.precision_bits, _RND))
-    slopes = (fzero, mpf_div(fone, b0, ctx.precision_bits, _RND)) if slope else None
+def _finish_step(rm, re, dm, de, p0, bm, be, prec) -> tuple:
+    """(rise + drop p_0) / b, the end of a ``_recurrence`` step: rise =
+    rm 2^re, drop = dm 2^de, b = bm 2^be > 0 and p_0 a pair.
+
+    ``_product``, ``_sum`` and ``_quotient`` written out on integers,
+    each operation rounded by one ``_round_even``: the helpers' calls
+    and pair tuples took about 8% of a stream's time.  Every operand has
+    at most prec bits, so the exact aligned sum rounded once is
+    ``mpf_add``; a zero addend, or one far below the other, goes to
+    ``_sum`` instead.
+    """
+    fm, shift = _round_even(dm * p0[0], prec)
+    fe = de + p0[1] + shift
+    gap = re - fe
+    if not rm or not fm or not -2 * prec - 4 <= gap <= 2 * prec + 4:
+        sm, se = _sum((rm, re), (fm, fe), prec)
+    elif gap < 0:
+        sm, shift = _round_even(rm + (fm << -gap), prec)
+        se = re + shift
+    else:
+        sm, shift = _round_even((rm << gap) + fm, prec)
+        se = fe + shift
+    negative = sm < 0
+    shift = prec + 1 + bm.bit_length() - sm.bit_length()  # quotient >= 2^prec
+    quot, rem = divmod((-sm if negative else sm) << shift, bm)
+    man, low = _round_even(quot, prec, rem)
+    return (-man if negative else man), se - be - shift + low
+
+
+def _as_pair(value) -> tuple:
+    """The mpf ``value`` as an integer pair (man, exp)."""
+    sign, man, exp, _ = value._mpf_
+    return -man if sign else man, exp
+
+
+def _psi_stream(x: tuple, ctx: PrecisionContext, slope: bool = False):
+    """Psi_0(x), Psi_1(x), ... (with Psi_n'(x) when ``slope``), pair x in."""
+    b0 = _as_pair(b_table(1, ctx)[0])
+    seeds = (_ONE, _quotient(x, b0, ctx.precision_bits))
+    slopes = (_ZERO, _quotient(_ONE, b0, ctx.precision_bits)) if slope else None
     return _recurrence(x, ctx, seeds, slopes)
 
 
@@ -275,15 +330,25 @@ def _odd(stream):
     return islice(stream, 1, None, 2)
 
 
-def _raw_max(a, b):
-    """max(a, b) of raw mpf values, picking as the builtin max does."""
-    return b if mpf_gt(b, a) else a
+def _magnitude(a: tuple) -> tuple:
+    """|a| of an integer pair."""
+    return abs(a[0]), a[1]
+
+
+def _larger(a: tuple, b: tuple) -> tuple:
+    """max(a, b) of nonnegative pairs, picking as the builtin max does."""
+    return b if _less(a, b) else a
+
+
+def _mpf(a: tuple, ctx: PrecisionContext):
+    """The integer pair a as an mpf of ``ctx``."""
+    return ctx.mp.make_mpf(from_man_exp(*a))
 
 
 def _second_kind_value(n: int, x, ctx: PrecisionContext):
     """S_n(x) by the recurrence x S_n = b_n S_{n+1} + b_{n-1} S_{n-1}."""
-    stream = _recurrence(ctx.mpf(x)._mpf_, ctx, (fzero, fone))
-    return ctx.mp.make_mpf(next(islice(stream, n, None)))
+    stream = _recurrence(_as_pair(ctx.mpf(x)), ctx, (_ZERO, _ONE))
+    return _mpf(next(islice(stream, n, None)), ctx)
 
 
 def second_kind_eval(n: int, x, ctx: PrecisionContext):
@@ -348,12 +413,12 @@ def _carrier_coefficients(count: int, ctx: PrecisionContext) -> tuple:
 
 
 def _coefficient_stream(ctx: PrecisionContext):
-    """S_1(0), S_3(0), ... as raw mpf, from the table grown 32 at a time."""
+    """S_1(0), S_3(0), ... as integer pairs, from the table grown 32 at a time."""
     j = 0
     while True:
         block = _carrier_coefficients(j + 32, ctx)
         for c in block[j:]:
-            yield c._mpf_
+            yield _as_pair(c)
         j = len(block)
 
 
@@ -367,25 +432,24 @@ def _carrier_value(
     terms (else the fourth entry is None).  The value does not depend
     on ``slope``.
     """
-    mp = ctx.mp
     xv = ctx.mpf(x)
     cap = k_terms if k_terms is not None else ctx.max_terms
     if cap < 1:
         raise DomainError(f"k_terms must be >= 1, got {cap}")
     prec = ctx.precision_bits
-    x = xv._mpf_
+    x = _as_pair(xv)
     terms = zip(_coefficient_stream(ctx), _odd(_psi_stream(x, ctx, slope)))
-    total, derivative, decay = fone, fzero, Decay(ctx)
-    for k, (c, p) in enumerate(islice(terms, cap), 1):
-        c = mpf_neg(c)
+    total, derivative, decay = _ONE, _ZERO, Decay(ctx)
+    for k, ((cm, ce), p) in enumerate(islice(terms, cap), 1):
+        c = -cm, ce
         if slope:
             p, dp = p
-            dterm = mpf_add(p, mpf_mul(x, dp, prec, _RND), prec, _RND)
-            derivative = mpf_add(derivative, mpf_mul(c, dterm, prec, _RND), prec, _RND)
-        term = mpf_mul(mpf_mul(c, x, prec, _RND), p, prec, _RND)
-        total = mpf_add(total, term, prec, _RND)
-        last = mpf_abs(term)
-        if decay.settled(last, mpf_abs(total)):
+            dterm = _sum(p, _product(x, dp, prec), prec)
+            derivative = _sum(derivative, _product(c, dterm, prec), prec)
+        term = _product(_product(c, x, prec), p, prec)
+        total = _sum(total, term, prec)
+        last = _magnitude(term)
+        if decay.settled_pair(last, _magnitude(total)):
             break
     else:
         if k_terms is None:
@@ -394,10 +458,10 @@ def _carrier_value(
                 f"x={ctx.nstr(xv, 8)}"
             )
     return (
-        mp.make_mpf(total),
+        _mpf(total, ctx),
         k,
-        mp.make_mpf(last),
-        mp.make_mpf(derivative) if slope else None,
+        _mpf(last, ctx),
+        _mpf(derivative, ctx) if slope else None,
     )
 
 
@@ -406,8 +470,10 @@ def carrier_function(x, k_terms: Optional[int], ctx: PrecisionContext):
 
     Psi_0(x) + x sum_{k>=1} (-1)^k sqrt([2k-2]!!/[2k-1]!!) Psi_{2k-1}(x),
     truncated adaptively once terms decay below series_tol (the square
-    summability of (Psi_n(x))_n guarantees decay); pass k_terms to force
-    a fixed truncation depth instead.
+    summability of (Psi_n(x))_n guarantees decay).  ``k_terms`` caps the
+    number of terms: the decay rule may still stop earlier, and a sum
+    that reaches the cap is returned rather than refused (with
+    ``k_terms=None`` that raises NoConvergenceError at ``max_terms``).
     """
     return _carrier_value(x, ctx, k_terms)[0]
 
@@ -753,12 +819,12 @@ def _kernel_mass(x, ctx: PrecisionContext):
     """1 / sum_n Psi_n(x)^2 with monitored decay of the squared terms."""
     prec = ctx.precision_bits
     cap = ctx.max_terms
-    total, decay = fzero, Decay(ctx)
-    for n, p in enumerate(islice(_psi_stream(ctx.mpf(x)._mpf_, ctx), cap), 1):
-        term = mpf_mul(p, p, prec, _RND)
-        total = mpf_add(total, term, prec, _RND)
-        if decay.settled(term, total):
-            return ctx.mp.make_mpf(mpf_div(fone, total, prec, _RND)), n
+    total, decay = _ZERO, Decay(ctx)
+    for n, p in enumerate(islice(_psi_stream(_as_pair(ctx.mpf(x)), ctx), cap), 1):
+        term = _product(p, p, prec)
+        total = _sum(total, term, prec)
+        if decay.settled_pair(term, total):
+            return _mpf(_quotient(_ONE, total, prec), ctx), n
     raise NoConvergenceError(
         f"kernel series failed to decay within {cap} terms at "
         f"x={ctx.nstr(ctx.mpf(x), 8)}"
@@ -767,39 +833,37 @@ def _kernel_mass(x, ctx: PrecisionContext):
 
 def _loading_at(x, ctx: PrecisionContext):
     """(sigma0, terms_used, last_term) via the Num / Den' series ratio."""
-    mp = ctx.mp
     xv = ctx.mpf(x)
     prec = ctx.precision_bits
     cap = ctx.max_terms
-    x = xv._mpf_
+    x = _as_pair(xv)
     terms = zip(
         _coefficient_stream(ctx),
         _odd(_psi_stream(x, ctx, slope=True)),
-        _odd(_recurrence(x, ctx, (fzero, fone))),
+        _odd(_recurrence(x, ctx, (_ZERO, _ONE))),
     )
-    num = den = den_scale = fzero
+    num = den = den_scale = _ZERO
     decay = Decay(ctx)
     for j, (s0, (p, dp), s) in enumerate(islice(terms, cap), 1):
-        num_term = mpf_mul(mpf_mul(s0, x, prec, _RND), s, prec, _RND)
-        den_term = mpf_add(p, mpf_mul(x, dp, prec, _RND), prec, _RND)
-        den_term = mpf_mul(s0, den_term, prec, _RND)
-        num = mpf_add(num, num_term, prec, _RND)
-        den = mpf_add(den, den_term, prec, _RND)
-        den_scale = mpf_add(den_scale, mpf_abs(den_term), prec, _RND)
-        last = _raw_max(mpf_abs(num_term), mpf_abs(den_term))
-        if decay.settled(last, _raw_max(mpf_abs(num), mpf_abs(den))):
+        num_term = _product(_product(s0, x, prec), s, prec)
+        den_term = _product(s0, _sum(p, _product(x, dp, prec), prec), prec)
+        num = _sum(num, num_term, prec)
+        den = _sum(den, den_term, prec)
+        den_scale = _sum(den_scale, _magnitude(den_term), prec)
+        last = _larger(_magnitude(num_term), _magnitude(den_term))
+        if decay.settled_pair(last, _larger(_magnitude(num), _magnitude(den))):
             break
     else:
         raise NoConvergenceError(
             f"loading series failed to decay within {cap} terms at "
             f"x={ctx.nstr(xv, 8)}"
         )
-    num, den, den_scale = mp.make_mpf(num), mp.make_mpf(den), mp.make_mpf(den_scale)
+    num, den, den_scale = _mpf(num, ctx), _mpf(den, ctx), _mpf(den_scale, ctx)
     if abs(den) <= ctx.eps * den_scale * 64:
         raise DegenerateRootError(
             f"loading denominator vanishes at x={ctx.nstr(xv, 8)}"
         )
-    return num / den, j, mp.make_mpf(last)
+    return num / den, j, _mpf(last, ctx)
 
 
 def loadings(

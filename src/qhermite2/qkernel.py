@@ -25,9 +25,15 @@ decide.
 Every adaptive series in the package stops on one rule, kept by
 :class:`Decay`: three terms in a row with |t| <= tol max(|S|, tol), tol
 the context's ``series_tol`` and S the running scale (the partial sum,
-or the larger partial sum of a ratio), compared on raw mpf values at
-the working precision.  The two ratio series here share one loop,
-:func:`_ratio_sum`, which also waits for a term ratio below 1/2.
+or the larger partial sum of a ratio), compared on raw mpf values, or
+on integer pairs in the extremal streams, at the working precision.  The
+two ratio series here share one loop, :func:`_ratio_sum`, which also
+waits for a term ratio below 1/2.
+
+Integer-mantissa loops (the lattice sweep, the extremal streams) share
+one rounding, :func:`_round_even`, and the pair operations built on it,
+:func:`_product`, :func:`_sum` and :func:`_quotient`, each bitwise the
+mpf operation it replaces.
 
 Scalar results are plain mpf/mpc values bound to the calling context's
 precision.  Because mpmath exponents are bignums, partial products like
@@ -98,6 +104,8 @@ class Decay:
     _STREAK-th term in a row with last <= tol max(scale, tol), tol the
     context's ``series_tol``, the product rounded to nearest at the
     working precision; any other term resets the streak.
+    ``settled_pair`` takes the same two values as integer pairs
+    (man, exp) and counts on the same streak.
     """
 
     __slots__ = ("tol", "prec", "streak")
@@ -110,7 +118,32 @@ class Decay:
     def settled(self, last, scale) -> bool:
         tol = self.tol
         bound = mpf_mul(tol, tol if mpf_gt(tol, scale) else scale, self.prec, _RND)
-        if mpf_le(last, bound):
+        return self._count(mpf_le(last, bound))
+
+    def settled_pair(self, last: tuple, scale: tuple) -> bool:
+        """``settled`` on integer pairs (man, exp), bitwise the same test.
+
+        With top(v) the t of 2^(t-1) <= v < 2^t, the bound lies in
+        [2^(s-2), 2^s], s = top(tol) + top(max(scale, tol)), since
+        rounding is monotone and keeps powers of two; so a last term of
+        0 or with top at most s - 2 passes, and one with top at least
+        s + 2 fails, without the bound being formed.
+        """
+        _, man, exp, bc = self.tol
+        lm, le = last
+        sm, se = scale
+        if not lm:
+            return self._count(True)
+        top = bc + exp
+        lead = lm.bit_length() + le - top - (max(sm.bit_length() + se, top) if sm else top)
+        if -2 < lead < 2:
+            tol = man, exp
+            bound = _product(tol, tol if _less(scale, tol) else scale, self.prec)
+            return self._count(not _less(bound, last))
+        return self._count(lead < 0)
+
+    def _count(self, small: bool) -> bool:
+        if small:
             self.streak += 1
             return self.streak >= _STREAK
         self.streak = 0
@@ -243,18 +276,105 @@ def _pair(value: tuple, prec: int) -> tuple:
 
 
 def _round_even(x: int, prec: int, sticky: bool = False) -> tuple:
-    """(man, shift): the integer x >= 2^prec, plus a positive amount
-    below 1 if ``sticky``, rounded to prec bits, ties to even, as
-    man 2^shift."""
+    """(man, shift): the integer x, plus a positive amount below 1 if
+    ``sticky`` (then x >= 2^prec), rounded to prec bits, ties to even,
+    as man 2^shift.  An x of at most prec bits is returned as it is.
+
+    A negative x needs no case of its own: the floor shifts leave a
+    nonnegative remainder, so the halfway test reads the same bits.  A
+    mantissa of prec + 1 bits (a carry to a power of two, or the floor
+    -2^prec of a negative x) is a power of two and is halved.
+    """
     shift = x.bit_length() - prec
+    if shift <= 0:
+        return x, 0
     half = x >> (shift - 1)
     man = half >> 1
     if half & 1 and (sticky or man & 1 or x & ((1 << (shift - 1)) - 1)):
         man += 1
-        if man >> prec:
-            man >>= 1
-            shift += 1
+    if man.bit_length() > prec:
+        man >>= 1
+        shift += 1
     return man, shift
+
+
+# Signed pairs (man, exp), value man 2^exp, with the operations of
+# ``mpf_mul``, ``mpf_add`` and ``mpf_div`` at round_nearest.  Each of
+# those rounds its exact result correctly to nearest, ties to even
+# (``mpf_div`` from a quotient of at least prec + 4 bits with the
+# remainder as a sticky bit), so one exact integer operation and one
+# :func:`_round_even` give the same float.  A result is a value, not a
+# normalized mantissa: its mantissa may end in zero bits.
+
+
+def _product(a: tuple, b: tuple, prec: int) -> tuple:
+    """a b rounded to prec bits: ``mpf_mul``."""
+    man, shift = _round_even(a[0] * b[0], prec)
+    return man, a[1] + b[1] + shift
+
+
+def _sum(a: tuple, b: tuple, prec: int) -> tuple:
+    """a + b rounded to prec bits: ``mpf_add`` (``mpf_sub`` with -b).
+
+    Where the smaller addend lies wholly below the prec + 4 leading
+    bits of the larger one, ``mpf_add`` replaces it by one unit below
+    those bits when the normalized exponents differ by more than 100.
+    A larger addend of at most prec bits rounds to itself either way;
+    a longer one takes that branch here as well.
+    """
+    am, ae = a
+    bm, be = b
+    if not am or not bm:
+        man, shift = _round_even(am or bm, prec)
+        return man, (ae if am else be) + shift
+    lead = am.bit_length() + ae - bm.bit_length() - be
+    if not -4 - prec <= lead <= prec + 4:
+        if lead < 0:
+            am, ae, bm, be = bm, be, am, ae
+        if am.bit_length() <= prec:
+            return am, ae
+        low_a = (am & -am).bit_length() - 1  # the normalized exponents
+        low_b = (bm & -bm).bit_length() - 1
+        if ae + low_a - be - low_b > 100:
+            nudged = ((am >> low_a) << (prec + 4)) + (1 if bm > 0 else -1)
+            man, shift = _round_even(nudged, prec)
+            return man, ae + low_a - prec - 4 + shift
+    if ae < be:
+        man, shift = _round_even(am + (bm << (be - ae)), prec)
+        return man, ae + shift
+    man, shift = _round_even((am << (ae - be)) + bm, prec)
+    return man, be + shift
+
+
+def _quotient(a: tuple, b: tuple, prec: int) -> tuple:
+    """a / b rounded to prec bits, b nonzero: ``mpf_div``."""
+    am, ae = a
+    bm, be = b
+    if not am:
+        return 0, 0
+    negative = (am < 0) != (bm < 0)
+    am, bm = abs(am), abs(bm)
+    shift = prec + 1 + bm.bit_length() - am.bit_length()  # quotient >= 2^prec
+    if shift < 0:
+        quot, rem = divmod(am, bm << -shift)
+    else:
+        quot, rem = divmod(am << shift, bm)
+    man, low = _round_even(quot, prec, rem)
+    return (-man if negative else man), ae - be - shift + low
+
+
+def _less(a: tuple, b: tuple) -> bool:
+    """a < b for pairs of nonnegative values."""
+    am, ae = a
+    bm, be = b
+    if not am or not bm:
+        return bm > 0 and not am
+    top_a, top_b = am.bit_length() + ae, bm.bit_length() + be
+    if top_a != top_b:
+        return top_a < top_b
+    if ae < be:
+        return am < bm << (be - ae)
+    return am << (ae - be) < bm
 
 
 def _certified_run(start: int, stop: int, ctx: PrecisionContext):

@@ -373,7 +373,11 @@ def test_series_output_pinned(capsys, q, bits, job, code, digest):
 # Exit code and SHA-256 of stdout of the extremal measure and the
 # orthonormality suite, recorded from the scan that evaluated every grid
 # point at working precision: q, bits, job, bound, format, exit code,
-# digest.
+# digest.  The last three rows were recorded from the streams on raw mpf
+# values: at 64 bits the last Newton halvings follow rounding, 512 bits
+# runs the widest mantissas, and q = 4/5 sums hundreds of terms per
+# evaluation.  The q = 4/5 roots are those of D, not yet of the paper's
+# carrier, so that row moves with ROADMAP item 1.
 _PINNED_EXTREMAL_OUTPUT = """
 1/2 256 extremal 7/1000 csv 0 737c28655dd1d0de9b5d2349da2133d95a2a9adec87936c8317b7d49a0054f29
 1/2 256 extremal 7/1000 json 0 24803ee4ee827f70e5d68b52ffaead8eaa2c0017972c9bc8a00077e7b8f5dbc9
@@ -387,6 +391,9 @@ _PINNED_EXTREMAL_OUTPUT = """
 1/2 128 orthonormality 40 json 0 7e5fe1057ca1c6dbe2a6031bad13ace6341948c96327e670e82a4284cb91b0c9
 1/2 128 orthonormality 51 csv 0 8c2fd5048ff6a646e4ee32a5c53f57507662ba49f78c15f3bb061dacc49cffd4
 1/2 128 orthonormality 51 json 0 d9e48726ecd1c8236877cff4fe0983e85c935f256acf39e55661932c0cb5caf7
+1/2 64 extremal 30 csv 0 7173507e617c914cfa775f4bb95487a1b2cb4b3e8b211838fcf4a72a7fd671e6
+1/2 512 extremal 25 json 0 2becc244df3f0947b6f0ede04d64c76a4afc0939e7d9318c49739f3985741d84
+4/5 128 extremal 10 csv 0 e7323ab763b15f6755b8f2651e5e62efc63fc3cdc4369fabf57300851f69bbc9
 """
 
 

@@ -45,24 +45,30 @@ def _psi_derivative(nmax, xv, ctx):
     return derivs
 
 
-def _ref_carrier(length, xv, ctx, k_terms):
+def _ref_carrier(length, xv, ctx, k_terms, slope=False):
+    """(D, terms, last term), with D' = -sum_k c_k (Psi_{2k+1} + x Psi_{2k+1}')
+    over the same terms appended when ``slope``."""
     coeffs = _carrier_coefficients(length, ctx)
     psis = psi_sequence(2 * length - 1, xv, ctx)
+    dpsis = _psi_derivative(2 * length - 1, xv, ctx) if slope else None
     tol = ctx.mpf(ctx.series_tol)
     total, streak, last = ctx.mp.mpf(1), 0, ctx.mp.mpf(0)
+    derivative = ctx.mp.mpf(0)
     for k in range(k_terms if k_terms is not None else length):
         term = -coeffs[k] * xv * psis[2 * k + 1]
+        if slope:
+            derivative = derivative + -coeffs[k] * (psis[2 * k + 1] + xv * dpsis[2 * k + 1])
         total = total + term
         last = abs(term)
         if last <= tol * max(abs(total), tol):
             streak += 1
             if streak >= _STREAK:
-                return total, k + 1, last
+                return (total, k + 1, last) + ((derivative,) if slope else ())
         else:
             streak = 0
     if k_terms is None:
         raise IndexError
-    return total, k_terms, last
+    return (total, k_terms, last) + ((derivative,) if slope else ())
 
 
 def _ref_loading(length, xv, ctx):
@@ -141,6 +147,14 @@ class TestBitwiseEqual:
         for k_terms in (1, 4, 9):
             want = _reference(_ref_carrier, x, ctx, k_terms)
             assert _carrier_value(x, ctx, k_terms)[:3] == want
+
+    @pytest.mark.parametrize("x", XS, ids=str)
+    def test_carrier_slope(self, ctx, x):
+        # Every Newton step of the root search, so every printed root,
+        # rests on D'.
+        for k_terms in (None, 1, 4, 9):
+            want = _reference(_ref_carrier, x, ctx, k_terms, True)
+            assert _carrier_value(x, ctx, k_terms, slope=True) == want
 
     def test_carrier_value_independent_of_slope(self, ctx):
         plain = _carrier_value(Fraction(5, 2), ctx, None)

@@ -7,7 +7,16 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
-from mpmath.libmp import fone, from_man_exp, mpf_pow_int, mpf_sub, round_nearest
+from mpmath.libmp import (
+    fone,
+    from_man_exp,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_pow_int,
+    mpf_sub,
+    round_nearest,
+)
 
 from qhermite2 import PrecisionContext, qkernel
 from qhermite2.errors import DomainError, NoConvergenceError
@@ -16,6 +25,9 @@ from qhermite2.qhermite import hermite2_eval_direct
 from qhermite2.qkernel import (
     HypergeometricSpec,
     _is_complexy,
+    _product,
+    _quotient,
+    _sum,
     b_coeff,
     gen_exponential,
     phi_rs,
@@ -249,6 +261,125 @@ class TestQPower:
         qm = ctx.qm
         for n in ns:
             assert q_power_raw(n, ctx) == (qm**n)._mpf_, n
+
+
+def _assert_pair_ops(a, b, prec):
+    """The pair product, sum, difference and quotient of a and b are
+    bitwise mpf_mul, mpf_add, mpf_sub and mpf_div at round_nearest, each
+    with a mantissa of at most prec bits."""
+    fa, fb = from_man_exp(*a), from_man_exp(*b)
+    got = [_product(a, b, prec), _sum(a, b, prec), _sum(a, (-b[0], b[1]), prec)]
+    want = [
+        mpf_mul(fa, fb, prec, round_nearest),
+        mpf_add(fa, fb, prec, round_nearest),
+        mpf_sub(fa, fb, prec, round_nearest),
+    ]
+    if b[0]:
+        got.append(_quotient(a, b, prec))
+        want.append(mpf_div(fa, fb, prec, round_nearest))
+    assert [from_man_exp(*pair) for pair in got] == want
+    assert all(man.bit_length() <= prec for man, _ in got)
+
+
+@st.composite
+def _pair_operands(draw):
+    """prec and two signed pairs with mantissas of up to 2 prec bits."""
+    prec = draw(st.integers(64, 512))
+
+    def pair():
+        bits = draw(st.integers(0, 2 * prec))
+        man = draw(st.integers(0, (1 << bits) - 1)) * draw(st.sampled_from((1, -1)))
+        return man, draw(st.integers(-3 * prec, 3 * prec))
+
+    return prec, pair(), pair()
+
+
+class TestIntegerPairs:
+    """Integer pairs (man, exp) through _product, _sum and _quotient."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pair_operands())
+    def test_property_matches_mpf(self, operands):
+        prec, a, b = operands
+        _assert_pair_ops(a, b, prec)
+        _assert_pair_ops(b, a, prec)
+
+    @pytest.mark.parametrize("prec", [64, 65, 512])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_forced_cases(self, prec, sign):
+        top = 1 << (prec - 1)
+        cases = []
+        for man in (top | 4, top | 5):  # even and odd: exact ties of both kinds
+            cases += [((man << 1, -7), (sign, -7)), ((2 * man + 1, 3), (sign, -1))]
+        # The exact result 2^(prec+1) - 1 rounds with a carry to a power of two.
+        cases += [(((1 << (prec + 1)) - 2, 0), (1, 0)), (((1 << (prec + 1)) - 1, 5), (1, 0))]
+        # Zero operands, with any exponent.
+        cases += [((0, 0), (top | 3, 9)), ((top | 3, 9), (0, 0)), ((0, 40), (0, -40))]
+        # Differences that cancel to exactly 0 from unequal representations.
+        cases += [((top | 3, 9), (-(top | 3), 9)), ((top | 3, 9), (-((top | 3) << 5), 4))]
+        # Exponent gaps above 100 bits: mpf_add's perturbation branch, for
+        # addends of at most prec bits and for 2 prec bits ...
+        cases += [((top | 3, 400), (7, 0)), (((top << prec) | 9, 400), (7, 0))]
+        # ... and gaps above 100 bits that leave the sum exact.
+        cases += [((top | 3, 0), (5, -150)), ((5, -150), (top | 3, 0))]
+        # Exact quotients (no remainder), by powers of two as well.
+        cases += [((top * 12345, 4), (12345, -8)), ((top | 3, 4), (1 << 7, 3)), ((top | 3, 4), (1, -5))]
+        for a, b in cases:
+            a = (sign * a[0], a[1])
+            _assert_pair_ops(a, b, prec)
+            _assert_pair_ops(b, a, prec)
+
+    @pytest.mark.parametrize("prec", [64, 65, 512])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_perturbation_branch_off_correct_rounding(self, prec, sign):
+        # One unit above a midpoint, less a tail longer than that unit but
+        # far below the prec + 4 leading bits: mpf_add rounds as if the
+        # tail were shorter than the unit, away from the correct rounding,
+        # and the pair sum follows it.
+        above = ((((1 << (prec - 1)) | 1) << prec) | (1 << (prec - 1)) | 1, 200)
+        tail = (-((1 << 150) - 1), 60)
+        a, b = (sign * above[0], above[1]), (sign * tail[0], tail[1])
+        exact = Fraction(a[0]) * 2 ** a[1] + Fraction(b[0]) * 2 ** b[1]
+        correct = from_man_exp(exact.numerator, 0, prec, round_nearest)
+        assert mpf_add(from_man_exp(*a), from_man_exp(*b), prec, round_nearest) != correct
+        _assert_pair_ops(a, b, prec)
+        _assert_pair_ops(b, a, prec)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        bits=st.integers(64, 512),
+        terms=st.lists(
+            st.tuples(
+                st.integers(0, 2**70),  # scale mantissa, 0 included
+                st.integers(-80, 80),  # scale exponent
+                st.sampled_from(("at", "above", "below", "far", "zero")),
+                st.integers(1, 2**40),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_decay_pair_form_streaks_as_mpf_form(self, bits, terms):
+        """Decay.settled_pair gives settled's sequence on the same terms,
+        which sit at, next to and away from the rounded bound."""
+        ctx = PrecisionContext(Fraction(1, 2), bits)
+        raw, pair = qkernel.Decay(ctx), qkernel.Decay(ctx)
+        tol = ctx.mp.make_mpf(raw.tol)
+        got, want = [], []
+        for scale_man, scale_exp, where, spread in terms:
+            scale = (scale_man, scale_exp)
+            floor = max(ctx.mp.make_mpf(from_man_exp(*scale)), tol)
+            _, bm, be, _ = mpf_mul(raw.tol, floor._mpf_, raw.prec, round_nearest)
+            last = {
+                "at": (bm, be),
+                "above": ((bm << 40) + spread, be - 40),
+                "below": ((bm << 40) - spread, be - 40),
+                "far": (spread, be + (spread % 9) - 4),
+                "zero": (0, 3),
+            }[where]
+            want.append(raw.settled(from_man_exp(*last), from_man_exp(*scale)))
+            got.append(pair.settled_pair(last, scale))
+        assert got == want
 
 
 def _exact_branch(n, ctx):
