@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coherent import cs_coeffs, cs_eigen_residual
+from .coherent import cs_eigen_residual
 from .context import PrecisionContext, as_fraction
 from .discrepancies import REGISTRY, as_dicts
 from .errors import (
@@ -331,15 +331,14 @@ def _cmd_cs(ns, ctx: PrecisionContext) -> CommandOutput:
     )
     if ns.trunc < 4:
         raise DomainError(f"--trunc must be >= 4, got {ns.trunc}")
-    state = cs_coeffs(z, ns.trunc, ctx)
     res = cs_eigen_residual(z, ns.trunc, ctx)
     columns = ("field", "value")
     rows = [
         ["z_re", ns.z_re],
         ["z_im", ns.z_im],
         ["trunc", str(ns.trunc)],
-        ["norm_sq", _fmt(ctx, state.norm_sq)],
-        ["tail_bound", _fmt(ctx, state.tail_bound)],
+        ["norm_sq", _fmt(ctx, res.state.norm_sq)],
+        ["tail_bound", _fmt(ctx, res.state.tail_bound)],
         ["residual", _fmt(ctx, res.residual)],
         ["bound", _fmt(ctx, res.bound)],
         ["noise_floor", _fmt(ctx, res.noise_floor)],

@@ -132,7 +132,9 @@ class EigenResidual:
     ``bound`` is the computable truncation bound
     |c_trunc| sqrt(q/(1-q)) b_{trunc-1} + tail_bound |z|;
     ``noise_floor`` estimates the smallest residual the literal
-    matrix-apply evaluation could resolve at this precision.
+    matrix-apply evaluation could resolve at this precision;
+    ``state`` is the coherent vector checked, with its ``norm_sq`` and
+    ``tail_bound``.
     """
 
     z: object
@@ -141,6 +143,7 @@ class EigenResidual:
     residual: object
     bound: object
     noise_floor: object
+    state: CoherentStateVector
 
 
 def cs_eigen_residual(
@@ -187,6 +190,7 @@ def cs_eigen_residual(
         residual=residual,
         bound=bound,
         noise_floor=noise_floor,
+        state=state,
     )
 
 

@@ -157,7 +157,7 @@ class PrecisionContext:
         key = ("q", self.mp.prec)
         q = self.tables.get(key)
         if q is None:
-            q = self.tables[key] = (self.mp.mpf(self.q.numerator) / self.q.denominator)._mpf_
+            q = self.tables[key] = self.mpf(self.q)._mpf_
         return self.mp.make_mpf(q)
 
     @property

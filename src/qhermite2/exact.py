@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from mpmath.libmp import fzero, mpf_add, mpf_mul
-
+from ._pairs import _ZERO, _as_pair, _mpf, _product, _sum
 from .errors import DomainError
 
 __all__ = [
@@ -243,10 +242,12 @@ class Poly:
 
         The coefficients are rounded once, here, not on every call.  The
         accumulator is complex when a coefficient or the point is.  Real
-        coefficients at an mpf point run on raw mpf tuples with the
-        rounding of the mpf operators at the caller's precision, the
-        first step 0*x + c included; every other point (int, Fraction,
-        mpc) goes through the mpf/mpc operators.
+        coefficients at an mpf point run on integer pairs
+        (:mod:`qhermite2._pairs`), each step bitwise the mpf operators'
+        at the caller's precision ``mp.prec``, the first step 0*x + c
+        included (it rounds the top coefficient when the call is at a
+        lower precision); every other point (int, Fraction, mpc) goes
+        through the mpf/mpc operators.
         """
         mp = ctx.mp
         complex_coeffs = any(c.im != 0 for c in self.coeffs)
@@ -255,17 +256,14 @@ class Poly:
             for c in reversed(self.coeffs)
         ]
         real = bool(coeffs) and not complex_coeffs
-        if real:
-            top, *rest = [cv._mpf_ for cv in coeffs]
+        pairs = [_as_pair(cv) for cv in coeffs] if real else None
 
         def horner(x):
             if real and hasattr(x, "_mpf_"):
-                prec, rnd = mp._prec_rounding
-                xr = x._mpf_
-                acc = mpf_add(mpf_mul(fzero, xr, prec, rnd), top, prec, rnd)
-                for c in rest:
-                    acc = mpf_add(mpf_mul(acc, xr, prec, rnd), c, prec, rnd)
-                return mp.make_mpf(acc)
+                prec, xp, acc = mp.prec, _as_pair(x), _ZERO
+                for c in pairs:
+                    acc = _sum(_product(acc, xp, prec), c, prec)
+                return _mpf(acc, ctx)
             acc = mp.mpc(0) if complex_coeffs or isinstance(x, mp.mpc) else mp.mpf(0)
             for cv in coeffs:
                 acc = acc * x + cv

@@ -31,21 +31,20 @@ rationals; only square roots and series evaluation use working-precision
 arithmetic.
 
 Every series here (the carrier D and its derivative D', the loading
-ratio and the kernel mass) is summed in one streamed pass over a single
-three-term recurrence, which yields Psi_n (with Psi_n' when asked) or
-S_n from their seeds and reads the context's b_n table.  The streams run
-on integer pairs (man, exp), value man 2^exp, read from the raw tuples of
-the b_n and coefficient tables: each product, sum and quotient is the
-exact integer operation rounded once to nearest, ties to even, at
-``precision_bits`` (``qkernel._product``, ``_sum``, ``_quotient``).
-``mpf_mul``, ``mpf_add`` and ``mpf_div`` round their exact results
-correctly in that mode, so with the operations of the mpf operators in
-their order every value is bitwise that of the reference
-``psi_sequence``, and the results go back to mpf unchanged.  Each
-loop stops at the package's monitored-decay rule,
-:class:`~qhermite2.qkernel.Decay` (its pair form): three terms in a row with
-|t| <= series_tol max(S, series_tol), S the running sum (for the loading
-ratio the larger of |Num| and |Den'|, with t the larger of their terms).
+ratio and the kernel mass) is summed in one streamed pass over the
+package's one Psi_n recurrence, :func:`~qhermite2.qhermite._recurrence`,
+which yields Psi_n (with Psi_n' when asked) or S_n from their seeds and
+reads the context's b_n table; ``psi_sequence`` reads the same stream.
+The sums run on integer pairs (man, exp), value man 2^exp, read from the
+raw tuples of the b_n and coefficient tables: each product, sum and
+quotient is the exact integer operation rounded once to nearest, ties to
+even, at the working precision ``ctx.mp.prec`` (:mod:`qhermite2._pairs`),
+which is bitwise ``mpf_mul``, ``mpf_add`` and ``mpf_div``, and the
+results go back to mpf unchanged.  Each loop stops at the package's
+monitored-decay rule, :class:`~qhermite2.qkernel.Decay`: three terms in
+a row with |t| <= series_tol max(S, series_tol), S the running sum (for
+the loading ratio the larger of |Num| and |Den'|, with t the larger of
+their terms).
 
 Carrier roots are found by a sign scan over a fixed grid (its
 ``grid_points`` set the bracket lattice) on the positive axis.  D is
@@ -85,7 +84,6 @@ from itertools import islice
 from typing import Optional, Sequence, Tuple
 
 from mpmath.libmp import (
-    from_man_exp,
     from_rational,
     mpf_div,
     mpf_exp,
@@ -96,6 +94,17 @@ from mpmath.libmp import (
     to_rational,
 )
 
+from ._pairs import (
+    _ONE,
+    _ZERO,
+    _as_pair,
+    _larger,
+    _magnitude,
+    _mpf,
+    _product,
+    _quotient,
+    _sum,
+)
 from .context import PrecisionContext
 from .errors import (
     AlgebraViolation,
@@ -104,18 +113,8 @@ from .errors import (
     NoConvergenceError,
 )
 from .exact import bn_squared_exact, extremal_bracket_exact
-from .qhermite import psi_sequence
-from .qkernel import (
-    _STREAK,
-    Decay,
-    _less,
-    _product,
-    _quotient,
-    _round_even,
-    _sum,
-    b_coeff,
-    b_table,
-)
+from .qhermite import _psi_stream, _recurrence, psi_sequence
+from .qkernel import _STREAK, Decay, b_coeff, b_table
 
 __all__ = [
     "bracket_double_factorial",
@@ -132,10 +131,6 @@ __all__ = [
 ]
 
 _RND = round_nearest
-
-# 0 and 1 as integer pairs (man, exp), value man 2^exp.
-_ZERO = (0, 0)
-_ONE = (1, 0)
 
 # The carrier sign screen (``_screen_sum``): a double operation, and
 # float() of an mpf, errs by at most _U relative in the normal range; a
@@ -238,111 +233,9 @@ def first_kind_eval(n: int, x, ctx: PrecisionContext):
     return total / mp.sqrt(ctx.mpf(bracket_factorial(n, ctx.q)))
 
 
-def _recurrence(x, ctx: PrecisionContext, seeds, slopes=None):
-    """Stream p_0, p_1, ... of x p_n = b_n p_{n+1} + b_{n-1} p_{n-1}.
-
-    Integer pairs (man, exp), value man 2^exp, in and out; each step is
-    p_{n+1} = (x p_n - b_{n-1} p_{n-1}) / b_n at working precision, every
-    operation the exact integer one rounded once to nearest, ties to
-    even (``qkernel._product``, ``_sum`` and ``_quotient``; the step's
-    last three in ``_finish_step``).  The mpf
-    operators of ``psi_sequence`` round each exact result correctly in
-    that mode, so with the same operations in the same order every
-    value is bitwise the reference one.  ``seeds`` are (p_0, p_1):
-    (1, x/b_0) gives Psi_n, (0, 1) gives S_n.  With ``slopes`` =
-    (p_0', p_1') it yields pairs (p_n, p_n'), the derivative following
-    b_n p_{n+1}' = p_n + x p_n' - b_{n-1} p_{n-1}'.
-    """
-    prec = ctx.precision_bits
-    p0, p1 = seeds
-    d0, d1 = slopes if slopes is not None else (None, None)
-    yield p0 if slopes is None else (p0, d0)
-    yield p1 if slopes is None else (p1, d1)
-    xm, xe = x
-    bs = b_table(32, ctx)
-    bm, be = bs[0]._mpf_[1:3]  # b_0 > 0
-    n = 1
-    while True:
-        # Rounding to nearest is odd, so the product by -b_{n-1} is minus
-        # the rounded b_{n-1} p_{n-1}, and adding it is mpf_sub's step.
-        dm, de = -bm, be
-        if n == len(bs):
-            bs = b_table(n + 32, ctx)
-        bm, be = bs[n]._mpf_[1:3]
-        rm, shift = _round_even(xm * p1[0], prec)  # x p_n
-        p2 = _finish_step(rm, xe + p1[1] + shift, dm, de, p0, bm, be, prec)
-        if slopes is None:
-            yield p2
-        else:
-            rm, re = _sum(p1, _product(x, d1, prec), prec)  # p_n + x p_n'
-            d2 = _finish_step(rm, re, dm, de, d0, bm, be, prec)
-            yield p2, d2
-            d0, d1 = d1, d2
-        p0, p1 = p1, p2
-        n += 1
-
-
-def _finish_step(rm, re, dm, de, p0, bm, be, prec) -> tuple:
-    """(rise + drop p_0) / b, the end of a ``_recurrence`` step: rise =
-    rm 2^re, drop = dm 2^de, b = bm 2^be > 0 and p_0 a pair.
-
-    ``_product``, ``_sum`` and ``_quotient`` written out on integers,
-    each operation rounded by one ``_round_even``: the helpers' calls
-    and pair tuples took about 8% of a stream's time.  Every operand has
-    at most prec bits, so the exact aligned sum rounded once is
-    ``mpf_add``; a zero addend, or one far below the other, goes to
-    ``_sum`` instead.
-    """
-    fm, shift = _round_even(dm * p0[0], prec)
-    fe = de + p0[1] + shift
-    gap = re - fe
-    if not rm or not fm or not -2 * prec - 4 <= gap <= 2 * prec + 4:
-        sm, se = _sum((rm, re), (fm, fe), prec)
-    elif gap < 0:
-        sm, shift = _round_even(rm + (fm << -gap), prec)
-        se = re + shift
-    else:
-        sm, shift = _round_even((rm << gap) + fm, prec)
-        se = fe + shift
-    negative = sm < 0
-    shift = prec + 1 + bm.bit_length() - sm.bit_length()  # quotient >= 2^prec
-    quot, rem = divmod((-sm if negative else sm) << shift, bm)
-    man, low = _round_even(quot, prec, rem)
-    return (-man if negative else man), se - be - shift + low
-
-
-def _as_pair(value) -> tuple:
-    """The mpf ``value`` as an integer pair (man, exp)."""
-    sign, man, exp, _ = value._mpf_
-    return -man if sign else man, exp
-
-
-def _psi_stream(x: tuple, ctx: PrecisionContext, slope: bool = False):
-    """Psi_0(x), Psi_1(x), ... (with Psi_n'(x) when ``slope``), pair x in."""
-    b0 = _as_pair(b_table(1, ctx)[0])
-    seeds = (_ONE, _quotient(x, b0, ctx.precision_bits))
-    slopes = (_ZERO, _quotient(_ONE, b0, ctx.precision_bits)) if slope else None
-    return _recurrence(x, ctx, seeds, slopes)
-
-
 def _odd(stream):
     """Entries 1, 3, 5, ... of a stream."""
     return islice(stream, 1, None, 2)
-
-
-def _magnitude(a: tuple) -> tuple:
-    """|a| of an integer pair."""
-    return abs(a[0]), a[1]
-
-
-def _larger(a: tuple, b: tuple) -> tuple:
-    """max(a, b) of nonnegative pairs, picking as the builtin max does."""
-    return b if _less(a, b) else a
-
-
-def _mpf(a: tuple, ctx: PrecisionContext):
-    """The integer pair a as an mpf of ``ctx``."""
-    return ctx.mp.make_mpf(from_man_exp(*a))
 
 
 def _second_kind_value(n: int, x, ctx: PrecisionContext):
@@ -436,7 +329,7 @@ def _carrier_value(
     cap = k_terms if k_terms is not None else ctx.max_terms
     if cap < 1:
         raise DomainError(f"k_terms must be >= 1, got {cap}")
-    prec = ctx.precision_bits
+    prec = ctx.mp.prec
     x = _as_pair(xv)
     terms = zip(_coefficient_stream(ctx), _odd(_psi_stream(x, ctx, slope)))
     total, derivative, decay = _ONE, _ZERO, Decay(ctx)
@@ -449,7 +342,7 @@ def _carrier_value(
         term = _product(_product(c, x, prec), p, prec)
         total = _sum(total, term, prec)
         last = _magnitude(term)
-        if decay.settled_pair(last, _magnitude(total)):
+        if decay.settled(last, _magnitude(total)):
             break
     else:
         if k_terms is None:
@@ -817,13 +710,13 @@ def carrier_roots(
 
 def _kernel_mass(x, ctx: PrecisionContext):
     """1 / sum_n Psi_n(x)^2 with monitored decay of the squared terms."""
-    prec = ctx.precision_bits
+    prec = ctx.mp.prec
     cap = ctx.max_terms
     total, decay = _ZERO, Decay(ctx)
     for n, p in enumerate(islice(_psi_stream(_as_pair(ctx.mpf(x)), ctx), cap), 1):
         term = _product(p, p, prec)
         total = _sum(total, term, prec)
-        if decay.settled_pair(term, total):
+        if decay.settled(term, total):
             return _mpf(_quotient(_ONE, total, prec), ctx), n
     raise NoConvergenceError(
         f"kernel series failed to decay within {cap} terms at "
@@ -834,7 +727,7 @@ def _kernel_mass(x, ctx: PrecisionContext):
 def _loading_at(x, ctx: PrecisionContext):
     """(sigma0, terms_used, last_term) via the Num / Den' series ratio."""
     xv = ctx.mpf(x)
-    prec = ctx.precision_bits
+    prec = ctx.mp.prec
     cap = ctx.max_terms
     x = _as_pair(xv)
     terms = zip(
@@ -851,7 +744,7 @@ def _loading_at(x, ctx: PrecisionContext):
         den = _sum(den, den_term, prec)
         den_scale = _sum(den_scale, _magnitude(den_term), prec)
         last = _larger(_magnitude(num_term), _magnitude(den_term))
-        if decay.settled_pair(last, _larger(_magnitude(num), _magnitude(den))):
+        if decay.settled(last, _larger(_magnitude(num), _magnitude(den))):
             break
     else:
         raise NoConvergenceError(

@@ -147,7 +147,7 @@ def _monitored_sum(terms, ctx: PrecisionContext, what: str):
         mag = abs(term)
         if prev is not None and mag > prev:
             decay.streak = 0
-        elif decay.settled(mag._mpf_, abs(total)._mpf_):
+        elif decay.settled(mag._mpf_[1:3], abs(total)._mpf_[1:3]):
             return total
         prev = mag
     raise NoConvergenceError(

@@ -14,6 +14,9 @@ The recurrence is the source of truth:
 so htilde_n is monic with parity (-1)^n and exact rational coefficients
 for rational q.  Everything identity-grade here is done over Q(i); the
 working-precision context only enters when a value is finally rendered.
+
+Every floating Psi_n comes from one stream, :func:`_recurrence`, on
+integer pairs: ``psi_sequence`` and the extremal series read it.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
+from ._pairs import _ONE, _ZERO, _as_pair, _finish_step, _mpf, _product, _quotient, _sum
 from .context import PrecisionContext, as_fraction
 from .errors import DomainError
 from .exact import (
@@ -106,25 +111,67 @@ def hermite2_eval_direct(n: int, x, ctx: PrecisionContext):
     return mp.mpc(out)
 
 
-def psi_sequence(nmax: int, x, ctx: PrecisionContext) -> list:
-    """Values [Psi_0(x), ..., Psi_nmax(x)] by the normalized recurrence.
+def _recurrence(x: tuple, ctx: PrecisionContext, seeds, slopes=None):
+    """Stream p_0, p_1, ... of x p_n = b_n p_{n+1} + b_{n-1} p_{n-1}.
 
-    Psi_0 = 1 and x Psi_n = b_n Psi_{n+1} + b_{n-1} Psi_{n-1}, so
-    Psi_{n+1} = (x Psi_n - b_{n-1} Psi_{n-1}) / b_n.  One forward pass;
-    O(nmax) work, no coefficient blow-up.
+    Integer pairs in and out (:mod:`qhermite2._pairs`).  Each step
+    p_{n+1} = (x p_n - b_{n-1} p_{n-1}) / b_n is ``_finish_step`` on the
+    exact x p_n, at ``ctx.mp.prec``: bitwise the mpf operators' step.
+    ``seeds`` are (p_0, p_1): (1, x/b_0) gives Psi_n, (0, 1) gives S_n.
+    With ``slopes`` = (p_0', p_1') it yields pairs (p_n, p_n'), following
+    b_n p_{n+1}' = p_n + x p_n' - b_{n-1} p_{n-1}'.  The b_n table is read
+    as it stands and grown by 32 only past its end.
+    """
+    prec = ctx.mp.prec
+    p0, p1 = seeds
+    d0, d1 = slopes if slopes is not None else (None, None)
+    yield p0 if slopes is None else (p0, d0)
+    yield p1 if slopes is None else (p1, d1)
+    xm, xe = x
+    bs = b_table(1, ctx)
+    b = bs[0]._mpf_[1:3]  # b_0 > 0
+    n = 1
+    while True:
+        # Rounding to nearest is odd, so the product by -b_{n-1} is minus
+        # the rounded b_{n-1} p_{n-1}, and adding it is mpf_sub's step.
+        drop = -b[0], b[1]
+        if n == len(bs):
+            bs = b_table(n + 32, ctx)
+        b = bs[n]._mpf_[1:3]
+        p2 = _finish_step((xm * p1[0], xe + p1[1]), drop, p0, b, prec)
+        if slopes is None:
+            yield p2
+        else:
+            rise = _sum(p1, _product(x, d1, prec), prec)  # p_n + x p_n'
+            d2 = _finish_step(rise, drop, d0, b, prec)
+            yield p2, d2
+            d0, d1 = d1, d2
+        p0, p1 = p1, p2
+        n += 1
+
+
+def _psi_stream(x: tuple, ctx: PrecisionContext, slope: bool = False):
+    """Psi_0(x), Psi_1(x), ... (with Psi_n'(x) when ``slope``), pair x in."""
+    prec = ctx.mp.prec
+    b0 = _as_pair(b_table(1, ctx)[0])
+    seeds = (_ONE, _quotient(x, b0, prec))
+    slopes = (_ZERO, _quotient(_ONE, b0, prec)) if slope else None
+    return _recurrence(x, ctx, seeds, slopes)
+
+
+def psi_sequence(nmax: int, x, ctx: PrecisionContext) -> list:
+    """Values [Psi_0(x), ..., Psi_nmax(x)] at a real x, as mpf.
+
+    Psi_0 = 1 and x Psi_n = b_n Psi_{n+1} + b_{n-1} Psi_{n-1}: the
+    first values of :func:`_psi_stream`, building only the b_n they read.
     """
     if nmax < 0:
         raise DomainError(f"sequence length must be >= 0, got {nmax}")
-    mp = ctx.mp
-    xv = ctx.mpc(x) if isinstance(x, (complex, mp.mpc)) else ctx.mpf(x)
-    values = [1 + xv * 0]
-    if nmax == 0:
-        return values
-    bs = b_table(nmax, ctx)
-    values.append(xv * values[0] / bs[0])
-    for n in range(1, nmax):
-        values.append((xv * values[n] - bs[n - 1] * values[n - 1]) / bs[n])
-    return values
+    if isinstance(x, (complex, ctx.mp.mpc)):
+        raise DomainError("psi_sequence takes a real x")
+    b_table(nmax, ctx)  # the b_n read; the stream grows the table no further
+    stream = _psi_stream(_as_pair(ctx.mpf(x)), ctx)
+    return [_mpf(p, ctx) for p in islice(stream, nmax + 1)]
 
 
 def psi_eval(n: int, x, ctx: PrecisionContext):

@@ -24,7 +24,8 @@ the descending side, come from one certified running product
 each rounded to nearest, ties to even, as ``mpf_mul`` and ``mpf_add``
 round; so every value is bitwise the mpf one.  The sweep stops once
 three values in a row are equal: past that point it provably changes no
-bit (see ``_sweep``).
+bit (see ``_sweep``).  ``lattice_weight`` normalizes and checks the
+swept pairs with the operations of :mod:`qhermite2._pairs`.
 
 Moments of the weight against the hat integral reproduce
 I_n = q^{-n^2} (q; q)_n.  As rho_n! = c^n I_n (c = q/(1-q)), the Gram
@@ -39,23 +40,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from mpmath.libmp import (
-    from_man_exp,
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_cmp,
-    mpf_div,
-    mpf_gt,
-    mpf_mul,
-    mpf_sub,
-    round_nearest,
-)
+from mpmath.libmp import from_man_exp
 
+from ._pairs import (
+    _ZERO,
+    _as_pair,
+    _larger,
+    _less,
+    _magnitude,
+    _mpf,
+    _product,
+    _quotient,
+    _round_even,
+    _sum,
+)
 from .coherent import cs_norm_sq
 from .context import PrecisionContext
 from .errors import DomainError, InstabilityError
@@ -64,7 +65,6 @@ from .qcalculus import _hat_sum
 from .qkernel import (
     _q_complement,
     _q_complements,
-    _round_even,
     q_power,
     q_power_raw,
     q_power_run,
@@ -85,11 +85,6 @@ __all__ = [
 ]
 
 MEASURE_TARGETS = ("y-variable", "x-variable", "z-plane-radial")
-
-_RND = round_nearest
-
-# Orders raw mpf values as max() and min() order mpf objects.
-_by_value = cmp_to_key(mpf_cmp)
 
 
 @dataclass(frozen=True)
@@ -138,9 +133,9 @@ def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
     another exactly when their values are.  Only the window [-K, M] is
     kept, and the powers on it go into the ``q^n`` memo of the
     precision (see :func:`~qhermite2.qkernel.q_power_raw`).  Returns
-    (window, (m_top, g_{m_top}), (m_check, g_{m_check})) as raw mpf
-    values: the tail normalization index, where 1 - f < 2^-precision,
-    and the check index at twice its depth.
+    (window, (m_top, g_{m_top}), (m_check, g_{m_check})) as pairs: the
+    tail normalization index, where 1 - f < 2^-precision, and the check
+    index at twice its depth.
 
     The sweep stops at the first step with m + 1 >= 1 and
     g_m == g_{m+1} == g_{m+2} = G, and every later value is G:
@@ -164,6 +159,10 @@ def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
     window, powers, g_top = [], [], None
     g0 = g1 = (1 << (prec - 1), 1 - prec)
     for m, (pm, pe) in zip(range(lo + 1, m_check - 1), q_power_run(lo + 2, m_check, ctx)):
+        # The step written out on integers, not as _sum(g1, _product(...)):
+        # that call made the q = 63/64, 512-bit jackson measure 7-11%
+        # slower (faster in 5 of 24 interleaved runs), and 18% slower
+        # (3 of 12) once the pair operations had their own module.
         (am, ae), (bm, be) = g0, g1
         tm, shift = _round_even(pm * am, prec)
         te = pe + ae + shift
@@ -189,11 +188,7 @@ def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
     memo = ctx.tables.setdefault(("q^n", prec), {})
     for n, pm, pe in powers:
         memo.setdefault(n, from_man_exp(pm, pe))
-    return (
-        [from_man_exp(*g) for g in window],
-        (m_top, from_man_exp(*(g2 if g_top is None else g_top))),
-        (m_check, from_man_exp(*g2)),
-    )
+    return window, (m_top, g2 if g_top is None else g_top), (m_check, g2)
 
 
 def lattice_weight(
@@ -219,37 +214,38 @@ def lattice_weight(
 
     window, (m_top, g_top), (m_check, g_check) = _sweep(K, M, ctx, buf)
     prec = mp.prec
-    values = [mpf_div(g, g_top, prec, _RND) for g in window]
+    values = [_quotient(g, g_top, prec) for g in window]
 
-    tol = ctx.mpf(ctx.series_tol)._mpf_
+    tol = _as_pair(ctx.mpf(ctx.series_tol))
     # Equal normalizers move no value: the check can only pass.
     if g_check != g_top:
         for m, g, v in zip(range(-K, M + 1), window, values):
-            if v == fzero:
+            if not v[0]:
                 continue
-            moved = mpf_abs(mpf_sub(v, mpf_div(g, g_check, prec, _RND), prec, _RND))
-            if mpf_gt(mpf_div(moved, mpf_abs(v), prec, _RND), tol):
+            other = _quotient(g, g_check, prec)
+            moved = _magnitude(_sum(v, (-other[0], other[1]), prec))
+            if _less(tol, _quotient(moved, _magnitude(v), prec)):
                 raise InstabilityError(
                     f"lattice weight value at m={m} moved by more than "
                     f"series_tol between the tail normalizations at "
                     f"m={m_top} and m={m_check}"
                 )
 
-    residual_max = fzero
+    residual_max = _ZERO
     for m, v0, v1, v2 in zip(range(-K, M - 1), values, values[1:], values[2:]):
-        step = mpf_mul(q_power_raw(m + 1, ctx), v0, prec, _RND)
-        res = mpf_abs(mpf_add(mpf_sub(v1, v2, prec, _RND), step, prec, _RND))
-        scale = max(mpf_abs(v2), mpf_abs(step), tol, key=_by_value)
-        residual_max = max(residual_max, mpf_div(res, scale, prec, _RND), key=_by_value)
-    negative_count = sum(v[0] for v in values)
-    values = dict(zip(range(-K, M + 1), map(mp.make_mpf, values)))
+        step = _product(q_power_raw(m + 1, ctx)[1:3], v0, prec)
+        res = _magnitude(_sum(_sum(v1, (-v2[0], v2[1]), prec), step, prec))
+        scale = _larger(_larger(_magnitude(v2), _magnitude(step)), tol)
+        residual_max = _larger(residual_max, _quotient(res, scale, prec))
+    negative_count = sum(v[0] < 0 for v in values)
+    values = {m: _mpf(v, ctx) for m, v in zip(range(-K, M + 1), values)}
     return LatticeWeight(
         q=ctx.q,
         m_min=-K,
         m_max=M,
         values=values,
         tail_init_index=m_top,
-        residual_max=mp.make_mpf(residual_max),
+        residual_max=_mpf(residual_max, ctx),
         negative_count=negative_count,
     )
 

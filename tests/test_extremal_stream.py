@@ -1,10 +1,12 @@
-"""The streamed carrier, loading and kernel series are bitwise the reference.
+"""The Psi_n stream and the series built on it are bitwise the reference.
 
-The references below evaluate the same series with mpmath's mpf
-operators on precomputed sequences: ``psi_sequence`` for Psi_n and
-few-line recurrences for S_n and Psi_n'; the exact series coefficients
-come from ``_carrier_coefficients`` as before.  Equality is asserted
-with ``==``, not within a tolerance.
+The references below evaluate the same recurrences and series with
+mpmath's mpf operators: few-line loops for Psi_n, S_n and Psi_n', and
+the series on those sequences; the exact series coefficients come from
+``_carrier_coefficients`` as before.  ``psi_sequence``, which reads the
+integer-pair stream, is checked against the Psi_n loop, at the context
+precision and inside ``mp.workprec``.  Equality is asserted with ``==``,
+not within a tolerance.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qhermite2 import PrecisionContext
+from qhermite2.errors import DomainError
 from qhermite2.extremal import (
     _carrier_coefficients,
     _carrier_value,
@@ -23,9 +26,21 @@ from qhermite2.extremal import (
     _second_kind_value,
 )
 from qhermite2.qhermite import psi_sequence
-from qhermite2.qkernel import b_coeff
+from qhermite2.qkernel import b_coeff, b_table
 
 _STREAK = 3
+
+
+def _psi(nmax, xv, ctx):
+    """[Psi_0, ..., Psi_nmax] at the mpf xv by the mpf operators."""
+    values = [1 + xv * 0]
+    if nmax == 0:
+        return values
+    bs = [b_coeff(k, ctx) for k in range(nmax)]
+    values.append(xv * values[0] / bs[0])
+    for n in range(1, nmax):
+        values.append((xv * values[n] - bs[n - 1] * values[n - 1]) / bs[n])
+    return values
 
 
 def _second_kind(nmax, xv, ctx):
@@ -37,7 +52,7 @@ def _second_kind(nmax, xv, ctx):
 
 
 def _psi_derivative(nmax, xv, ctx):
-    psis = psi_sequence(nmax, xv, ctx)
+    psis = _psi(nmax, xv, ctx)
     bs = [b_coeff(k, ctx) for k in range(nmax)]
     derivs = [ctx.mp.mpf(0), 1 / bs[0]]
     for n in range(1, nmax):
@@ -49,7 +64,7 @@ def _ref_carrier(length, xv, ctx, k_terms, slope=False):
     """(D, terms, last term), with D' = -sum_k c_k (Psi_{2k+1} + x Psi_{2k+1}')
     over the same terms appended when ``slope``."""
     coeffs = _carrier_coefficients(length, ctx)
-    psis = psi_sequence(2 * length - 1, xv, ctx)
+    psis = _psi(2 * length - 1, xv, ctx)
     dpsis = _psi_derivative(2 * length - 1, xv, ctx) if slope else None
     tol = ctx.mpf(ctx.series_tol)
     total, streak, last = ctx.mp.mpf(1), 0, ctx.mp.mpf(0)
@@ -73,7 +88,7 @@ def _ref_carrier(length, xv, ctx, k_terms, slope=False):
 
 def _ref_loading(length, xv, ctx):
     coeffs = _carrier_coefficients(length, ctx)
-    psis = psi_sequence(2 * length - 1, xv, ctx)
+    psis = _psi(2 * length - 1, xv, ctx)
     seconds = _second_kind(2 * length - 1, xv, ctx)
     dpsis = _psi_derivative(2 * length - 1, xv, ctx)
     tol = ctx.mpf(ctx.series_tol)
@@ -97,7 +112,7 @@ def _ref_loading(length, xv, ctx):
 def _ref_kernel(length, xv, ctx):
     tol = ctx.mpf(ctx.series_tol)
     total, streak = ctx.mp.mpf(0), 0
-    for n, p in enumerate(psi_sequence(length, xv, ctx)):
+    for n, p in enumerate(_psi(length, xv, ctx)):
         term = p * p
         total = total + term
         if term <= tol * max(total, tol):
@@ -173,6 +188,45 @@ class TestBitwiseEqual:
         x = Fraction(-7, 3)
         ref = _second_kind(20, ctx.mpf(x), ctx)
         assert [_second_kind_value(n, x, ctx) for n in range(21)] == ref
+
+
+class TestPsiSequence:
+    """psi_sequence reads the stream: the mpf loop's values, bit for bit."""
+
+    @pytest.mark.parametrize("x", XS + (Fraction(123, 2), Fraction(1, 10**9)), ids=str)
+    def test_matches_mpf_loop(self, ctx, x):
+        got = psi_sequence(40, x, ctx)
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in _psi(40, ctx.mpf(x), ctx)]
+
+    @pytest.mark.parametrize("q, bits", [(Fraction(3, 10), 64), (Fraction(4, 5), 256)], ids=str)
+    def test_inside_workprec(self, q, bits):
+        # At a working precision above the context's, the values are the
+        # loop's at that precision, and no table of the context precision
+        # is formed, so later calls there match a fresh context.
+        x = Fraction(-7, 3)
+        ctx = PrecisionContext(q=q, precision_bits=bits)
+        with ctx.mp.workprec(bits + 40):
+            got = psi_sequence(40, x, ctx)
+            want = _psi(40, ctx.mpf(x), ctx)
+            assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+            assert max(v._mpf_[3] for v in got) > bits
+        assert not [k for k in ctx.tables if isinstance(k, tuple) and k[1] == bits]
+        fresh = PrecisionContext(q=q, precision_bits=bits)
+        assert [v._mpf_ for v in psi_sequence(40, x, ctx)] == [
+            v._mpf_ for v in psi_sequence(40, x, fresh)
+        ]
+
+    def test_builds_only_the_b_n_it_reads(self):
+        for nmax in (1, 5, 40):
+            ctx = PrecisionContext(q=Fraction(1, 3), precision_bits=128)
+            psi_sequence(nmax, Fraction(5, 2), ctx)
+            assert len(b_table(0, ctx)) == nmax
+
+    def test_complex_x_refused(self):
+        ctx = PrecisionContext(q=Fraction(1, 2), precision_bits=64)
+        for x in (complex(1, 2), ctx.mp.mpc(1, 2)):
+            with pytest.raises(DomainError):
+                psi_sequence(3, x, ctx)
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -12,6 +12,8 @@ from mpmath.libmp import (
     from_man_exp,
     mpf_add,
     mpf_div,
+    mpf_gt,
+    mpf_le,
     mpf_mul,
     mpf_pow_int,
     mpf_sub,
@@ -19,15 +21,13 @@ from mpmath.libmp import (
 )
 
 from qhermite2 import PrecisionContext, qkernel
+from qhermite2._pairs import _finish_step, _product, _quotient, _sum
 from qhermite2.errors import DomainError, NoConvergenceError
 from qhermite2.exact import bn_squared_exact
 from qhermite2.qhermite import hermite2_eval_direct
 from qhermite2.qkernel import (
     HypergeometricSpec,
     _is_complexy,
-    _product,
-    _quotient,
-    _sum,
     b_coeff,
     gen_exponential,
     phi_rs,
@@ -165,13 +165,30 @@ class TestWeightW:
             prev = v
 
 
+def _mpf_rule(ctx):
+    """The stop rule on raw mpf values: True from the third term in a row
+    with last <= tol max(scale, tol), the product by mpf_mul."""
+    tol, prec, streak = ctx.mpf(ctx.series_tol)._mpf_, ctx.mp.prec, 0
+
+    def settled(last, scale):
+        nonlocal streak
+        bound = mpf_mul(tol, tol if mpf_gt(tol, scale) else scale, prec, round_nearest)
+        streak = streak + 1 if mpf_le(last, bound) else 0
+        return streak >= 3
+
+    return settled
+
+
 class TestDecay:
     """The monitored-decay stop rule shared by every adaptive series."""
 
     @staticmethod
     def _run(ctx, lasts, scale):
-        decay = qkernel.Decay(ctx)
-        return [decay.settled(ctx.mpf(last)._mpf_, ctx.mpf(scale)._mpf_) for last in lasts]
+        decay, rule = qkernel.Decay(ctx), _mpf_rule(ctx)
+        raw = [(ctx.mpf(last)._mpf_, ctx.mpf(scale)._mpf_) for last in lasts]
+        got = [decay.settled(last[1:3], top[1:3]) for last, top in raw]
+        assert got == [rule(last, top) for last, top in raw]
+        return got
 
     def test_three_small_terms_in_a_row_settle(self, ctx_half):
         tol = ctx_half.series_tol
@@ -294,6 +311,46 @@ def _pair_operands(draw):
     return prec, pair(), pair()
 
 
+def _assert_step(prec, x, p, drop, p0, b):
+    """_finish_step, handed the exact x p or the rounded one as its rise,
+    is the plain operations' (x p + drop p0) / b bit for bit: the same
+    float, with a mantissa of at most prec bits (a zero may carry any
+    exponent)."""
+    fall = _product(drop, p0, prec)
+    exact = (x[0] * p[0], x[1] + p[1])
+    rounded = _product(x, p, prec)
+    want = from_man_exp(*_quotient(_sum(rounded, fall, prec), b, prec))
+    for rise in (exact, rounded):
+        man, exp = _finish_step(rise, drop, p0, b, prec)
+        assert from_man_exp(man, exp) == want and man.bit_length() <= prec
+    assert want == mpf_div(
+        mpf_add(
+            mpf_mul(from_man_exp(*x), from_man_exp(*p), prec, round_nearest),
+            mpf_mul(from_man_exp(*drop), from_man_exp(*p0), prec, round_nearest),
+            prec,
+            round_nearest,
+        ),
+        from_man_exp(*b),
+        prec,
+        round_nearest,
+    )
+
+
+@st.composite
+def _step_operands(draw):
+    """prec, x, p, drop, p0 with signed mantissas of up to prec bits, and b > 0."""
+    prec = draw(st.integers(64, 512))
+
+    def pair(positive=False):
+        bits = draw(st.integers(0 if not positive else 1, prec))
+        man = draw(st.integers(1 if positive else 0, (1 << bits) - 1 if bits else 0))
+        if not positive:
+            man *= draw(st.sampled_from((1, -1)))
+        return man, draw(st.integers(-3 * prec, 3 * prec))
+
+    return prec, pair(), pair(), pair(), pair(), pair(positive=True)
+
+
 class TestIntegerPairs:
     """Integer pairs (man, exp) through _product, _sum and _quotient."""
 
@@ -360,16 +417,16 @@ class TestIntegerPairs:
         ),
     )
     def test_decay_pair_form_streaks_as_mpf_form(self, bits, terms):
-        """Decay.settled_pair gives settled's sequence on the same terms,
-        which sit at, next to and away from the rounded bound."""
+        """Decay.settled on pairs gives the mpf rule's sequence on the same
+        terms, which sit at, next to and away from the rounded bound."""
         ctx = PrecisionContext(Fraction(1, 2), bits)
-        raw, pair = qkernel.Decay(ctx), qkernel.Decay(ctx)
-        tol = ctx.mp.make_mpf(raw.tol)
+        decay, rule = qkernel.Decay(ctx), _mpf_rule(ctx)
+        tol = ctx.mpf(ctx.series_tol)
         got, want = [], []
         for scale_man, scale_exp, where, spread in terms:
             scale = (scale_man, scale_exp)
             floor = max(ctx.mp.make_mpf(from_man_exp(*scale)), tol)
-            _, bm, be, _ = mpf_mul(raw.tol, floor._mpf_, raw.prec, round_nearest)
+            _, bm, be, _ = mpf_mul(tol._mpf_, floor._mpf_, bits, round_nearest)
             last = {
                 "at": (bm, be),
                 "above": ((bm << 40) + spread, be - 40),
@@ -377,9 +434,48 @@ class TestIntegerPairs:
                 "far": (spread, be + (spread % 9) - 4),
                 "zero": (0, 3),
             }[where]
-            want.append(raw.settled(from_man_exp(*last), from_man_exp(*scale)))
-            got.append(pair.settled_pair(last, scale))
+            want.append(rule(from_man_exp(*last), from_man_exp(*scale)))
+            got.append(decay.settled(last, scale))
         assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(_step_operands())
+    def test_finish_step_matches_plain_operations(self, operands):
+        prec, x, p, drop, p0, b = operands
+        _assert_step(prec, x, p, drop, p0, b)
+
+    @pytest.mark.parametrize("prec", [64, 65, 512])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_finish_step_forced_cases(self, prec, sign):
+        top = 1 << (prec - 1)
+        one, two = (top | 5, 3), (top | 9, -4)
+        b = (top | 3, 2)
+        cases = [
+            # A zero rise (x = 0 or p = 0) and a zero drop (p0 = 0).
+            ((0, 7), one, (-(top | 1), 0), two, b),
+            (one, (0, -9), (-(top | 1), 0), two, b),
+            (one, two, (-(top | 1), 0), (0, 5), b),
+            (one, two, (0, 0), two, b),
+            # x p and drop p0 cancel exactly.
+            ((top | 3, 0), (top | 7, 0), (-(top | 3), 0), (top | 7, 0), b),
+            ((top, 1), (top | 7, 0), (-top, 0), (top | 7, 1), b),
+            # Exponent gaps above 2 prec + 4: the step falls back to _sum.
+            (one, two, (-(top | 1), -3 * prec), two, b),
+            (one, two, (-(top | 1), 3 * prec), two, b),
+            # b a power of two: an exact quotient, and one of mantissa 1.
+            (one, two, (-(top | 1), 0), two, (top, 5)),
+            (one, two, (-(top | 1), 0), two, (1, -7)),
+        ]
+        # Exact ties of both parities, b = 1: in the product, 3 (top + k)
+        # has prec + 1 bits and ends in 1, and its tie rounds up (k = 1)
+        # or down (k = 3); in the sum, man - 1/2 rounds up for an even
+        # man and down for an odd one.
+        for k in (1, 3):
+            cases.append(((top | k, 0), (3, 0), (-1, 0), (0, 0), (1, 0)))
+        for man in (top | 4, top | 5):
+            cases.append(((man, 0), (1, 0), (-1, -1), (1, 0), (1, 0)))
+        for x, p, drop, p0, b in cases:
+            _assert_step(prec, (sign * x[0], x[1]), p, drop, p0, b)
 
 
 def _exact_branch(n, ctx):
