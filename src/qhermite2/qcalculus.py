@@ -147,7 +147,8 @@ def _monitored_sum(terms, ctx: PrecisionContext, what: str):
         mag = abs(term)
         if prev is not None and mag > prev:
             decay.streak = 0
-        elif decay.settled(mag._mpf_[1:3], abs(total)._mpf_[1:3]):
+        # A NaN term reads as a zero pair; mag == mag keeps it unsettled.
+        elif decay.settled(mag._mpf_[1:3], abs(total)._mpf_[1:3]) and mag == mag:
             return total
         prev = mag
     raise NoConvergenceError(

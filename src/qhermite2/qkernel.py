@@ -93,19 +93,18 @@ class Decay:
     """The monitored-decay stop rule of every adaptive series.
 
     ``settled(last, scale)`` takes the magnitude of the latest term and
-    the running scale as nonnegative integer pairs (man, exp) (an mpf v
-    as ``abs(v)._mpf_[1:3]``) and is True from the _STREAK-th term in a
-    row with last <= tol max(scale, tol), tol the context's
+    the running scale as nonnegative integer pairs (man, exp) (a finite
+    mpf v as ``abs(v)._mpf_[1:3]``) and is True from the _STREAK-th term
+    in a row with last <= tol max(scale, tol), tol the context's
     ``series_tol``, the product rounded to nearest at the working
     precision, as ``mpf_mul`` rounds it; any other term resets the
     streak.
     """
 
-    __slots__ = ("tol", "top", "prec", "streak")
+    __slots__ = ("tol", "prec", "streak")
 
     def __init__(self, ctx: PrecisionContext) -> None:
         self.tol = _as_pair(ctx.mpf(ctx.series_tol))
-        self.top = self.tol[0].bit_length() + self.tol[1]  # top(tol), below
         self.prec = ctx.mp.prec
         self.streak = 0
 
@@ -118,14 +117,14 @@ class Decay:
         0 or with top at most s - 2 passes, and one with top at least
         s + 2 fails, without the bound being formed.
         """
+        tm, te = tol = self.tol
         lm, le = last
         sm, se = scale
         if not lm:
             return self._count(True)
-        top = self.top
+        top = tm.bit_length() + te
         lead = lm.bit_length() + le - top - (max(sm.bit_length() + se, top) if sm else top)
         if -2 < lead < 2:
-            tol = self.tol
             bound = _product(tol, tol if _less(scale, tol) else scale, self.prec)
             return self._count(not _less(bound, last))
         return self._count(lead < 0)
@@ -236,7 +235,7 @@ def q_power_run(start: int, stop: int, ctx: PrecisionContext):
     The target is prec for n > 2 and prec + 5 for n < -1, whose power P
     ``mpf_pow_int`` then inverts by a correctly rounded ``mpf_div(1, P)``;
     here one integer division 2^t // P, its remainder as the sticky bit
-    and a round-half-even (:func:`~qhermite2._pairs._round_even`) give the same float.
+    and a round-half-even (``_pairs._round_even``) give the same float.
     Where the ends differ (rare: the running product adds under
     2^-40 ulp to the interval on runs of up to a million steps, and
     delta_n is under 2^(-3 bitcount(n) - 3) ulp), and for every n

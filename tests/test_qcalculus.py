@@ -366,6 +366,13 @@ def test_growing_term_resets_the_monitored_streak(ctx_half):
     assert total == want
 
 
+def test_nan_terms_never_settle(ctx_half):
+    # A NaN is not a small term: the sum runs to its budget and refuses.
+    nan = ctx_half.mp.nan
+    with pytest.raises(NoConvergenceError):
+        _monitored_sum(iter([ctx_half.mpf(1)] + [nan] * 5000), ctx_half, "test")
+
+
 # Reference hat-lattice sums: the hat integral, the lattice moment and the
 # infinite integration-by-parts residual as they were written before they
 # shared one enumeration of the lattice, kept here to pin them bitwise.
