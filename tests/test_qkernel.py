@@ -186,8 +186,8 @@ class TestDecay:
     def _run(ctx, lasts, scale):
         decay, rule = qkernel.Decay(ctx), _mpf_rule(ctx)
         raw = [(ctx.mpf(last)._mpf_, ctx.mpf(scale)._mpf_) for last in lasts]
-        got = [decay.settled(last[1:3], top[1:3]) for last, top in raw]
-        assert got == [rule(last, top) for last, top in raw]
+        got = [decay.settled(last[1:3], size[1:3]) for last, size in raw]
+        assert got == [rule(last, size) for last, size in raw]
         return got
 
     def test_three_small_terms_in_a_row_settle(self, ctx_half):
