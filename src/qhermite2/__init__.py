@@ -4,225 +4,42 @@ q-Hermite polynomials of type II.
 Exact rational/Q(i) polynomial arithmetic wherever an identity is
 algebraic, arbitrary-precision floating point (mpmath) wherever it is
 analytic, and machine-checkable reports for every identity the package
-claims.  See the discrepancy registry for formula variants that
-verification rejected.
+claims.  The generating function of the htilde_n is checked order by
+order in exact arithmetic: its closed form is expanded in tau in one
+pass, each factor 1/(1 - i tau q^j) as a running sum and the Euler
+product as one polynomial product.  See the discrepancy registry for
+formula variants that verification rejected.
+
+The package API is the union of the ``__all__`` lists of its modules,
+each declared once, in that module.  A layer module's ``__all__`` is
+also the list of functions the benchmark tracer wraps.
 """
 
 from __future__ import annotations
 
-from .coherent import (
-    ClosedFormReport,
-    CoherentStateVector,
-    EigenResidual,
-    cs_closed_form_report,
-    cs_coeffs,
-    cs_eigen_residual,
-    cs_norm_sq,
-    overlap,
+from . import (
+    coherent, context, discrepancies, errors, exact, extremal, qcalculus,
+    qhermite, qkernel, qmeasure, qoscillator,
 )
-from .context import ENV_PRECISION, PrecisionContext, as_fraction, default_context
-from .discrepancies import REGISTRY, DiscrepancyEntry, entry
-from .errors import (
-    AlgebraViolation,
-    DegenerateRootError,
-    DomainError,
-    FormalSeriesError,
-    InstabilityError,
-    NoConvergenceError,
-    QHermiteError,
-    TruncationError,
-)
-from .exact import (
-    GaussianRational,
-    Poly,
-    bn_squared_exact,
-    extremal_bracket_exact,
-    jackson_monomial_exact,
-    lambda_exact,
-    moment_In_exact,
-    qbracket,
-    qfactorial_exact,
-    qpochhammer_exact,
-    rho_factorial_exact,
-)
-from .extremal import (
-    CarrierPoint,
-    alpha_coeff,
-    beta_coeff,
-    bracket_double_factorial,
-    bracket_factorial,
-    carrier_function,
-    carrier_roots,
-    first_kind_eval,
-    loadings,
-    orthonormality_gram,
-    second_kind_eval,
-)
-from .qcalculus import (
-    LatticeFunction,
-    deformed_derivative,
-    deformed_derivative_poly,
-    hat_q_integral,
-    hat_q_integral_finite,
-    ibp_residual,
-    jackson_integral,
-    jackson_integral_poly,
-    leibniz_residual,
-    q_derivative,
-    q_derivative_poly,
-)
-from .qhermite import (
-    WEIGHT_HYPOTHESES,
-    GenFnReport,
-    generating_fn_report,
-    hermite2_coeffs,
-    hermite2_eval_direct,
-    psi_eval,
-    psi_sequence,
-    qdiff_equation_check,
-)
-from .qkernel import (
-    HypergeometricSpec,
-    b_coeff,
-    gen_exponential,
-    phi_rs,
-    q_number,
-    q_pochhammer,
-    q_pochhammer_inf,
-    rho_factorial,
-    weight_W,
-)
-from .qmeasure import (
-    MEASURE_TARGETS,
-    DiscreteMeasure,
-    FormalSeriesPartial,
-    GramReport,
-    LatticeWeight,
-    MomentResult,
-    build_measure,
-    formal_series_partial,
-    lattice_weight,
-    moment_In,
-    unity_check,
-)
-from .qoscillator import (
-    AlgebraReport,
-    SpectrumTable,
-    TruncatedOperator,
-    build_hamiltonian,
-    build_ladder,
-    build_momentum,
-    build_position,
-    spectrum,
-    verify_algebra,
-)
+from .coherent import *  # noqa: F401,F403
+from .context import *  # noqa: F401,F403
+from .discrepancies import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .exact import *  # noqa: F401,F403
+from .extremal import *  # noqa: F401,F403
+from .qcalculus import *  # noqa: F401,F403
+from .qhermite import *  # noqa: F401,F403
+from .qkernel import *  # noqa: F401,F403
+from .qmeasure import *  # noqa: F401,F403
+from .qoscillator import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # context
-    "PrecisionContext",
-    "default_context",
-    "as_fraction",
-    "ENV_PRECISION",
-    # errors
-    "QHermiteError",
-    "DomainError",
-    "FormalSeriesError",
-    "NoConvergenceError",
-    "TruncationError",
-    "InstabilityError",
-    "AlgebraViolation",
-    "DegenerateRootError",
-    # exact
-    "GaussianRational",
-    "Poly",
-    "qbracket",
-    "qpochhammer_exact",
-    "qfactorial_exact",
-    "bn_squared_exact",
-    "moment_In_exact",
-    "rho_factorial_exact",
-    "lambda_exact",
-    "extremal_bracket_exact",
-    "jackson_monomial_exact",
-    # qkernel
-    "HypergeometricSpec",
-    "q_number",
-    "q_pochhammer",
-    "q_pochhammer_inf",
-    "b_coeff",
-    "rho_factorial",
-    "phi_rs",
-    "gen_exponential",
-    "weight_W",
-    # qhermite
-    "hermite2_coeffs",
-    "hermite2_eval_direct",
-    "psi_eval",
-    "psi_sequence",
-    "GenFnReport",
-    "generating_fn_report",
-    "WEIGHT_HYPOTHESES",
-    "qdiff_equation_check",
-    # qoscillator
-    "TruncatedOperator",
-    "SpectrumTable",
-    "AlgebraReport",
-    "build_position",
-    "build_momentum",
-    "build_ladder",
-    "build_hamiltonian",
-    "spectrum",
-    "verify_algebra",
-    # qcalculus
-    "LatticeFunction",
-    "q_derivative",
-    "deformed_derivative",
-    "jackson_integral",
-    "hat_q_integral",
-    "hat_q_integral_finite",
-    "ibp_residual",
-    "q_derivative_poly",
-    "deformed_derivative_poly",
-    "jackson_integral_poly",
-    "leibniz_residual",
-    # coherent
-    "CoherentStateVector",
-    "EigenResidual",
-    "ClosedFormReport",
-    "cs_norm_sq",
-    "cs_coeffs",
-    "cs_eigen_residual",
-    "overlap",
-    "cs_closed_form_report",
-    # qmeasure
-    "LatticeWeight",
-    "lattice_weight",
-    "FormalSeriesPartial",
-    "formal_series_partial",
-    "MomentResult",
-    "moment_In",
-    "DiscreteMeasure",
-    "build_measure",
-    "GramReport",
-    "unity_check",
-    "MEASURE_TARGETS",
-    # extremal
-    "bracket_factorial",
-    "bracket_double_factorial",
-    "alpha_coeff",
-    "beta_coeff",
-    "first_kind_eval",
-    "second_kind_eval",
-    "carrier_function",
-    "CarrierPoint",
-    "carrier_roots",
-    "loadings",
-    "orthonormality_gram",
-    # discrepancies
-    "DiscrepancyEntry",
-    "REGISTRY",
-    "entry",
+__all__ = ["__version__"] + [
+    name
+    for module in (
+        context, errors, exact, qkernel, qhermite, qoscillator, qcalculus,
+        coherent, qmeasure, extremal, discrepancies,
+    )
+    for name in module.__all__
 ]

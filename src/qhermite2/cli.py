@@ -52,9 +52,10 @@ from .errors import (
 from . import suites
 from .exact import GaussianRational, lambda_exact, moment_In_exact
 from .extremal import carrier_roots, loadings
+from .qcalculus import HAT_DEPTH
 from .qhermite import hermite2_coeffs, psi_eval
 from .qkernel import b_coeff
-from .qmeasure import build_measure
+from .qmeasure import TAIL_INDEX, build_measure
 
 __all__ = ["main", "SUITES", "SCHEMA_VERSION"]
 
@@ -458,8 +459,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--dim", type=int, default=16)
     verify.add_argument("--order", type=int, default=10)
     verify.add_argument("--x", default="1/2")
-    verify.add_argument("--k-depth", type=int, default=60, dest="k_depth")
-    verify.add_argument("--tail", type=int, default=120)
+    verify.add_argument("--k-depth", type=int, default=HAT_DEPTH, dest="k_depth")
+    verify.add_argument("--tail", type=int, default=TAIL_INDEX)
     verify.add_argument("--bound", default="40")
 
     table = sub.add_parser("table", help="tabulate derived quantities")
@@ -474,8 +475,8 @@ def _build_parser() -> argparse.ArgumentParser:
     measure.add_argument(
         "--type", required=True, choices=("jackson", "extremal"), dest="mtype"
     )
-    measure.add_argument("--k-depth", type=int, default=60, dest="k_depth")
-    measure.add_argument("--tail", type=int, default=120)
+    measure.add_argument("--k-depth", type=int, default=HAT_DEPTH, dest="k_depth")
+    measure.add_argument("--tail", type=int, default=TAIL_INDEX)
     measure.add_argument(
         "--variable", choices=("y", "x", "z-radial"), default="y"
     )

@@ -25,7 +25,7 @@ from mpmath.ctx_mp import MPContext
 
 from .errors import DomainError
 
-__all__ = ["PrecisionContext", "default_context", "as_fraction"]
+__all__ = ["PrecisionContext", "default_context", "as_fraction", "ENV_PRECISION"]
 
 ENV_PRECISION = "QH_PRECISION_BITS"
 
@@ -191,5 +191,5 @@ class PrecisionContext:
 
 
 def default_context(q: Rational = Fraction(1, 2), **kwargs) -> PrecisionContext:
-    """Convenience constructor used by the CLI and docstrings."""
+    """PrecisionContext at ``q`` (1/2 by default), for interactive use."""
     return PrecisionContext(q=as_fraction(q), **kwargs)

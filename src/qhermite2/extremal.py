@@ -534,7 +534,8 @@ def _screen(grid, ctx: PrecisionContext, k_terms: Optional[int]):
     """``_screen_sum`` at every grid point: (sum, bound) pairs."""
     cap = k_terms if k_terms is not None else ctx.max_terms
     q = float(ctx.q)
-    log_tol = 20 - ctx.precision_bits  # series_tol = 2^log_tol
+    tol = ctx.series_tol  # a power of two: the bit lengths give its log2
+    log_tol = tol.numerator.bit_length() - tol.denominator.bit_length()
     count, bs, cs = 0, [], []
     for g in grid:
         while True:

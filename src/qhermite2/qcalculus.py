@@ -206,6 +206,11 @@ def jackson_integral(f: Evaluatable, kind: str, x, ctx: PrecisionContext):
     return (1 - q) * xv * (up + down)
 
 
+# Default depth K of the hat lattice (exponents 1 - K .. K + 2) for
+# every hat sum, lattice moment and measure that is not given one.
+HAT_DEPTH = 60
+
+
 def _hat_sum(term: Callable[[int], object], K: int, ctx: PrecisionContext, what: str):
     """sum_j term(j) over the hat lattice at depth K: for k = 0..K the
     growing-abscissa term j = 1 - k, then the shrinking one j = k + 2.
@@ -245,7 +250,7 @@ def _hat_sum(term: Callable[[int], object], K: int, ctx: PrecisionContext, what:
 def hat_q_integral(
     f: Union[Evaluatable, LatticeFunction],
     ctx: PrecisionContext,
-    K: int = 60,
+    K: int = HAT_DEPTH,
     return_diagnostics: bool = False,
 ):
     """Hat q-integral over (0, inf): q^{-1} sum over the lattice {q^j}.
@@ -309,7 +314,7 @@ def ibp_residual(
     variant: str,
     a,
     ctx: PrecisionContext,
-    K: int = 60,
+    K: int = HAT_DEPTH,
 ):
     """|LHS - RHS| of an integration-by-parts identity for the hat integral.
 

@@ -34,7 +34,6 @@ from .exact import (
     GaussianRational,
     Poly,
     bn_squared_exact,
-    qfactorial_exact,
 )
 from .qkernel import HypergeometricSpec, phi_rs, b_table
 
@@ -195,8 +194,8 @@ WEIGHT_HYPOTHESES: Tuple[str, ...] = (
 )
 
 
-def _hypothesis_weight(tag: str, n: int, q: Fraction) -> Fraction:
-    poch = qfactorial_exact(n, q)
+def _hypothesis_weight(tag: str, n: int, q: Fraction, poch: Fraction) -> Fraction:
+    """w_n of hypothesis ``tag``, given poch = (q;q)_n."""
     if tag == "as-printed":
         return Fraction(1)
     if tag == "divided-by-qpochhammer":
@@ -208,58 +207,51 @@ def _hypothesis_weight(tag: str, n: int, q: Fraction) -> Fraction:
     raise DomainError(f"unknown weight hypothesis {tag!r}")
 
 
-def _ps_mul(a: List[GaussianRational], b: List[GaussianRational], L: int):
-    out = [GaussianRational.ZERO] * L
-    for i, ai in enumerate(a):
-        if ai.is_zero() or i >= L:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= L:
-                break
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 def _closed_form_tau_coeffs(x: Fraction, q: Fraction, order: int):
     """Exact tau-Taylor coefficients of (i tau; q)_inf 1phi1(ix; i tau; q, -i tau).
 
-    Both factors are expanded over Q(i): the infinite product by Euler's
-    q-exponential sum, each 1phi1 term by geometric expansion of its
-    1/(i tau; q)_k denominators.  Truncation at tau^order is exact
-    (higher terms cannot feed back down).
+    Both factors are expanded over Q(i) in one pass: the infinite
+    product by Euler's q-exponential sum, the 1phi1 sum term by term.
+    Term k carries 1/(i tau; q)_k, and each of its factors
+    1/(1 - c tau), c = i q^j, divides a series a by the running sum
+    s_m = a_m + c s_{m-1}.  The two series meet in one ``Poly``
+    product.  Truncation at tau^order is exact (higher terms cannot
+    feed back down).
     """
     L = order + 1
     I = GaussianRational.I
     one = GaussianRational.ONE
+    zero = GaussianRational.ZERO
 
-    # (i tau; q)_inf = sum_m (-i)^m q^{m(m-1)/2} tau^m / (q;q)_m
-    euler = [
-        ((-I) ** m) * (q ** (m * (m - 1) // 2) / qfactorial_exact(m, q))
-        for m in range(L)
-    ]
+    # base[k] = q^{binom(k,2)} / (q;q)_k, the running product of (q;q)_k
+    base = []
+    poch = Fraction(1)
+    for k in range(L):
+        base.append(q ** (k * (k - 1) // 2) / poch)
+        poch *= 1 - q ** (k + 1)
+
+    # (i tau; q)_inf = sum_m (-i)^m q^{binom(m,2)} tau^m / (q;q)_m
+    euler = Poly([((-I) ** m) * base[m] for m in range(L)])
 
     # 1phi1(ix; i tau; q, -i tau): term_k = q^{binom(k,2)} (ix;q)_k /(q;q)_k
-    #   * (i tau)^k * prod_{j<k} 1/(1 - i tau q^j)
-    total = [GaussianRational.ZERO] * L
-    running = [GaussianRational.ZERO] * L  # prod_{j<k} geometric factors
-    running[0] = one
+    #   * (i tau)^k / (i tau; q)_k
+    total = [zero] * L
+    running = [one] + [zero] * (L - 1)  # 1/(i tau; q)_k, first L - k terms
     ix = I * x
     poch_ix = one  # (ix; q)_k
     ik = one  # i^k
     for k in range(L):
-        ck = poch_ix * (q ** (k * (k - 1) // 2) / qfactorial_exact(k, q))
-        scaled = [ck * ik * c for c in running]
+        ck = poch_ix * base[k] * ik
         for m in range(L - k):
-            total[m + k] = total[m + k] + scaled[m]
-        if k + 1 < L:
-            base = I * (q**k)
-            geo = [one]
-            for _ in range(L - 1):
-                geo.append(geo[-1] * base)
-            running = _ps_mul(running, geo, L)
-            poch_ix = poch_ix * (one - ix * (q**k))
-            ik = ik * I
-    return _ps_mul(euler, total, L)
+            total[m + k] = total[m + k] + ck * running[m]
+        c = I * q**k
+        s = zero
+        for m in range(L - k - 1):
+            s = running[m] = running[m] + c * s
+        poch_ix = poch_ix * (one - ix * q**k)
+        ik = ik * I
+    product = euler * Poly(total)
+    return [product.coefficient(m) for m in range(L)]
 
 
 @dataclass(frozen=True)
@@ -318,15 +310,20 @@ def generating_fn_report(x, tau_bound, order: int, ctx: PrecisionContext) -> Gen
     q = ctx.q
     closed = _closed_form_tau_coeffs(xf, q, order)
 
+    values = []  # (htilde_n(x), (q;q)_n) per order
+    poch = Fraction(1)
+    for n in range(order + 1):
+        values.append((hermite2_coeffs(n, ctx)(xf), poch))
+        poch *= 1 - q ** (n + 1)
+
     residuals: Dict[str, Tuple[GaussianRational, ...]] = {}
     ratios: Dict[str, Tuple[Optional[Fraction], ...]] = {}
     matched = None
     for tag in WEIGHT_HYPOTHESES:
         res: List[GaussianRational] = []
         rat: List[Optional[Fraction]] = []
-        for n in range(order + 1):
-            hn = hermite2_coeffs(n, ctx)(xf)
-            side = hn * _hypothesis_weight(tag, n, q)
+        for n, (hn, poch) in enumerate(values):
+            side = hn * _hypothesis_weight(tag, n, q, poch)
             diff = side - closed[n]
             res.append(diff)
             c = closed[n]

@@ -61,7 +61,7 @@ from .coherent import cs_norm_sq
 from .context import PrecisionContext
 from .errors import DomainError, InstabilityError
 from .exact import moment_In_exact
-from .qcalculus import _hat_sum
+from .qcalculus import HAT_DEPTH, _hat_sum
 from .qkernel import (
     _q_complement,
     _q_complements,
@@ -317,6 +317,10 @@ class MomentResult:
     rel_deviation: object
 
 
+# Default tail index M of the weight behind a hat sum (M >= K + 2).
+TAIL_INDEX = 120
+
+
 def _hat_weight(
     K: int, M: int, ctx: PrecisionContext, weight: Optional[LatticeWeight] = None
 ) -> LatticeWeight:
@@ -341,8 +345,8 @@ def _hat_weight(
 def moment_In(
     n: int,
     ctx: PrecisionContext,
-    K: int = 60,
-    M: int = 120,
+    K: int = HAT_DEPTH,
+    M: int = TAIL_INDEX,
     weight: Optional[LatticeWeight] = None,
 ) -> MomentResult:
     """n-th weight moment via the hat integral on the lattice.
@@ -397,8 +401,8 @@ class DiscreteMeasure:
 def build_measure(
     target: str,
     ctx: PrecisionContext,
-    K: int = 60,
-    M: int = 120,
+    K: int = HAT_DEPTH,
+    M: int = TAIL_INDEX,
     weight: Optional[LatticeWeight] = None,
 ) -> DiscreteMeasure:
     """Point-mass measure solving the moment conditions.
@@ -490,8 +494,8 @@ class GramReport:
 def unity_check(
     n_max: int,
     ctx: PrecisionContext,
-    K: int = 60,
-    M: int = 120,
+    K: int = HAT_DEPTH,
+    M: int = TAIL_INDEX,
 ) -> GramReport:
     """Fock-basis Gram diagnostics of the coherent resolution of unity.
 

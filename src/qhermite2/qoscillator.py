@@ -41,6 +41,10 @@ __all__ = [
     "AlgebraReport",
 ]
 
+# Default entrywise budget of verify_algebra, in units in the last place
+# of each identity's comparison scale.
+ULP_BUDGET = 4
+
 
 @dataclass(frozen=True)
 class TruncatedOperator:
@@ -279,7 +283,7 @@ def _block_max_abs(op: TruncatedOperator, block: int):
     return max((abs(v) for _, _, v in _block_entries(op, block)), default=abs(op.zero))
 
 
-def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = 4) -> AlgebraReport:
+def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = ULP_BUDGET) -> AlgebraReport:
     """Check the four ladder identities and the Hamiltonian diagonal.
 
     On the valid block (dim-1):

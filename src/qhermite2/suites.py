@@ -22,6 +22,7 @@ from .errors import AlgebraViolation, DomainError
 from .exact import GaussianRational, Poly, bn_squared_exact, lambda_exact
 from .extremal import carrier_roots, loadings, orthonormality_gram
 from .qcalculus import (
+    HAT_DEPTH,
     deformed_derivative,
     ibp_residual,
     jackson_integral_poly,
@@ -36,8 +37,8 @@ from .qhermite import (
     qdiff_equation_check,
 )
 from .qkernel import gen_exponential
-from .qmeasure import _hat_weight, moment_In, unity_check
-from .qoscillator import verify_algebra
+from .qmeasure import TAIL_INDEX, _hat_weight, moment_In, unity_check
+from .qoscillator import ULP_BUDGET, verify_algebra
 
 __all__ = [
     "Check",
@@ -229,7 +230,7 @@ def commutators(ctx: PrecisionContext, dim: int = 16) -> List[Check]:
                 "operator-algebra",
                 f"q={q}; dim={dim}",
                 "violation",
-                "4 ulp",
+                f"{ULP_BUDGET} ulp",
                 False,
                 str(exc),
             )
@@ -360,8 +361,8 @@ def moments(
     ctx: PrecisionContext,
     n_max: int = 8,
     tol: Fraction = Fraction(1, 10**8),
-    k_depth: int = 60,
-    tail: int = 120,
+    k_depth: int = HAT_DEPTH,
+    tail: int = TAIL_INDEX,
 ) -> List[Check]:
     """Lattice moments I_n (depth K = k_depth, tail index M = tail)
     against the closed form, and the telescoping I_n = b_{n-1}^2 I_{n-1}
@@ -400,8 +401,8 @@ def unity(
     ctx: PrecisionContext,
     n_max: int = 6,
     tol: Fraction = Fraction(1, 10**6),
-    k_depth: int = 60,
-    tail: int = 120,
+    k_depth: int = HAT_DEPTH,
+    tail: int = TAIL_INDEX,
 ) -> List[Check]:
     """Resolution of unity: each Gram diagonal entry I_n(lattice)/I_n,
     n <= n_max, within tol of 1 (lattice depth k_depth, tail index

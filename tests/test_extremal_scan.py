@@ -164,6 +164,25 @@ def test_screen_bound_covers_working_precision_value(q, bits):
             assert abs(ctx.mpf(total) - value) <= limit, float(g)
 
 
+@pytest.mark.parametrize("log_tol", [-30, -60])
+def test_screen_reads_series_tol_from_context(log_tol, monkeypatch):
+    # The screen's stop allowance and cap prediction use the context's
+    # series_tol, whatever power of two it holds, not a copy of its rule.
+    ctx = PrecisionContext(q=Fraction(1, 2), precision_bits=64)
+    object.__setattr__(ctx, "series_tol", Fraction(2) ** log_tol)
+    seen = []
+    screen_sum = extremal._screen_sum
+
+    def spy(x, q, tol, *rest):
+        seen.append(tol)
+        return screen_sum(x, q, tol, *rest)
+
+    monkeypatch.setattr(extremal, "_screen_sum", spy)
+    grid = _scan_grid(ctx.mpf(3), 8, ctx)
+    list(_screen(grid, ctx, None))
+    assert seen and set(seen) == {log_tol}
+
+
 def test_unconverged_grid_point_raises_as_full_scan():
     # With a 26-term budget the grid point 3 * 139/512 does not
     # converge, so the screen must leave it to the working-precision

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from qhermite2.errors import DomainError
-from qhermite2.exact import GaussianRational, Poly, bn_squared_exact
+from qhermite2.exact import GaussianRational, Poly, bn_squared_exact, qfactorial_exact
 from qhermite2.qhermite import (
     WEIGHT_HYPOTHESES,
+    _closed_form_tau_coeffs,
     generating_fn_report,
     hermite2_coeffs,
     hermite2_eval_direct,
@@ -140,6 +141,72 @@ class TestGeneratingFunction:
             "divided-with-qpower",
             "divided-with-qpower-squared",
         )
+
+
+def _ps_mul(a, b, L):
+    out = [GaussianRational.ZERO] * L
+    for i, ai in enumerate(a):
+        if ai.is_zero() or i >= L:
+            continue
+        for j, bj in enumerate(b):
+            if i + j >= L:
+                break
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _reference_tau_coeffs(x, q, order):
+    """The tau-series expansion by truncated series products: each
+    1/(1 - i tau q^k) as an L-term geometric series multiplied through."""
+    L = order + 1
+    I = GaussianRational.I
+    one = GaussianRational.ONE
+    euler = [
+        ((-I) ** m) * (q ** (m * (m - 1) // 2) / qfactorial_exact(m, q))
+        for m in range(L)
+    ]
+    total = [GaussianRational.ZERO] * L
+    running = [GaussianRational.ZERO] * L
+    running[0] = one
+    ix = I * x
+    poch_ix = one
+    ik = one
+    for k in range(L):
+        ck = poch_ix * (q ** (k * (k - 1) // 2) / qfactorial_exact(k, q))
+        scaled = [ck * ik * c for c in running]
+        for m in range(L - k):
+            total[m + k] = total[m + k] + scaled[m]
+        if k + 1 < L:
+            base = I * (q**k)
+            geo = [one]
+            for _ in range(L - 1):
+                geo.append(geo[-1] * base)
+            running = _ps_mul(running, geo, L)
+            poch_ix = poch_ix * (one - ix * (q**k))
+            ik = ik * I
+    return _ps_mul(euler, total, L)
+
+
+TAU_Q = [Fraction(1, 64), Fraction(3, 10), Fraction(1, 2), Fraction(37, 64),
+         Fraction(4, 5), Fraction(99, 100), Fraction(63, 64)]
+TAU_X = [Fraction(0), Fraction(1, 2), Fraction(-7, 8), Fraction(2), Fraction(-5), Fraction(7)]
+
+
+class TestTauSeries:
+    """The one-pass expansion equals the series-product one exactly."""
+
+    @pytest.mark.parametrize("q", TAU_Q, ids=str)
+    def test_matches_series_products(self, q):
+        for x in TAU_X:
+            for order in (0, 1, 2, 6, 12):
+                got = _closed_form_tau_coeffs(x, q, order)
+                assert got == _reference_tau_coeffs(x, q, order), (x, order)
+
+    @pytest.mark.parametrize(
+        "q, x", [(Fraction(3, 10), Fraction(-7, 8)), (Fraction(63, 64), Fraction(7))], ids=str
+    )
+    def test_matches_series_products_at_order_20(self, q, x):
+        assert _closed_form_tau_coeffs(x, q, 20) == _reference_tau_coeffs(x, q, 20)
 
 
 class TestDifferenceEquation:
