@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coherent import cs_eigen_residual
+from .coherent import CS_TRUNC, cs_eigen_residual
 from .context import PrecisionContext, as_fraction
 from .discrepancies import REGISTRY, as_dicts
 from .errors import (
@@ -486,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(cs)
     cs.add_argument("--z-re", default="1/2", dest="z_re")
     cs.add_argument("--z-im", default="0", dest="z_im")
-    cs.add_argument("--trunc", type=int, default=60)
+    cs.add_argument("--trunc", type=int, default=CS_TRUNC)
     return parser
 
 

@@ -47,6 +47,10 @@ __all__ = [
     "cs_closed_form_report",
 ]
 
+# Default truncation index of the coherent vector for the closed-form
+# report and the ``cs`` command.
+CS_TRUNC = 60
+
 
 def cs_norm_sq(t, ctx: PrecisionContext):
     """Squared normalizer N^2(t) = sum_n ((1-q)/q * t)^n q^{n^2} / (q;q)_n.
@@ -233,7 +237,7 @@ class ClosedFormReport:
 
 
 def cs_closed_form_report(
-    z, x, ctx: PrecisionContext, trunc: int = 60, genfn_order: int = 8
+    z, x, ctx: PrecisionContext, trunc: int = CS_TRUNC, genfn_order: int = 8
 ) -> ClosedFormReport:
     """Compare sum_n c_n Psi_n(x) against the hypergeometric closed form.
 

@@ -58,10 +58,11 @@ ways:
 - at or below 2 r0 (``_root_free_radius``, compared exactly) the proof
   D >= 1/2 gives the sign +1 with no evaluation, and a search bound at
   or below 2 r0 holds no root at all;
-- above it a screen sums D in doubles with a running error bound and
-  keeps a sign only where the value clears that bound by a wide margin;
-  it may only exclude a grid cell, as one whose ends have the same
-  sign;
+- above it a screen sums D in doubles with a running error bound,
+  which also covers the terms not yet summed, and stops at the first
+  term where the sum clears that bound by a wide margin; it keeps a
+  sign only there, and may only exclude a grid cell, as one whose ends
+  have the same sign;
 - every other cell is certified at working precision: D at each of its
   ends whose sign is not proven (a screened sign that this value
   contradicts raises AlgebraViolation), the sign-change test, then
@@ -463,14 +464,23 @@ def _screen_sum(x: float, q: float, log_tol: int, cap: int, forced: bool, bs, cs
       head = x |c_k| max(|Psi_n|, |Psi_{n-1}|) and r = q rho, and the
       unsummed terms add up to at most head r / (1 - r).
 
-    The loop stops once that tail bound falls below ``err``.  The bound
+    Neither allowance needs k to be the last term: at every k with
+    rho < 1, ``tail`` covers the terms the working-precision sum adds
+    after k and ``spare`` those it stopped short of, so
+    err + spare + tail bounds the distance at every such k.  The loop
+    therefore stops at the first such k where either the tail bound
+    falls below ``err`` or the sum exceeds _SCREEN_MARGIN times that
+    bound, which settles the sign ``_screened_sign`` reads.  The bound
     is first order; the caller's margin covers the rest and the
     working-precision rounding (2^(52 - bits) times the double one).
     It is infinite, and the point undecided, for x at or below
     _SCREEN_LOW, after an overflow, and where ``_carrier_value`` may
     raise: unforced, it raises unless its stop test passes three times
-    running within ``cap`` terms, which the head r^i bound must show.
-    When the loop runs past ``bs`` or ``cs`` the IndexError reaches the
+    running within ``cap`` terms, which the head r^i bound must show
+    (``_stops_within``).  Unforced, the loop stops only where it shows
+    that; where it does not, the first kind of stop leaves the point
+    undecided and the second sums on, so every point that the first
+    kind of stop alone would sign still gets a sign.  When the loop runs past ``bs`` or ``cs`` the IndexError reaches the
     caller, which grows them and calls again.
     """
     if not _SCREEN_LOW < x:
@@ -511,23 +521,32 @@ def _screen_sum(x: float, q: float, log_tol: int, cap: int, forced: bool, bs, cs
         if r < q:
             head = x * abs(c) * max(abs(p1) + e1, abs(p0) + e0)
             tail = head * r / (1 - r)
-            if tail <= err:
-                break
-    else:
-        return total, err + spare if forced else math.inf
-    bound = err + spare + tail
-    if not forced and bound < math.inf:
-        # Later sums stay above |total| - bound, so a term passes the
-        # stop test once below 2^log_tol max(|total| - bound, 2^log_tol),
-        # halved for slack; terms k + i, k + i + 1, k + i + 2 then pass.
-        gap = abs(total) - bound
-        floor = log_tol - 1 + (max(math.log2(gap), log_tol) if gap > 0 else log_tol)
-        i = 1
-        if head > 0 and r > 0:
-            i = max(1, math.ceil((floor - math.log2(head)) / math.log2(r)))
-        if k + i + 2 > cap:
-            return total, math.inf
-    return total, bound
+            bound = err + spare + tail
+            if tail <= err or abs(total) > _SCREEN_MARGIN * bound:
+                if forced or _stops_within(cap - k, total, bound, head, r, log_tol):
+                    return total, bound
+                if tail <= err:
+                    return total, math.inf
+    return total, err + spare if forced else math.inf
+
+
+def _stops_within(
+    room: int, total: float, bound: float, head: float, r: float, log_tol: int
+) -> bool:
+    """Whether the working-precision stop test of ``_screen_sum`` surely
+    passes three times running within ``room`` more terms.
+
+    Later sums stay above |total| - bound, so a term passes the stop
+    test once below 2^log_tol max(|total| - bound, 2^log_tol), halved
+    for slack; term i past the last one summed is at most head r^i, so
+    terms i, i + 1 and i + 2 then pass.
+    """
+    gap = abs(total) - bound
+    floor = log_tol - 1 + (max(math.log2(gap), log_tol) if gap > 0 else log_tol)
+    i = 1
+    if head > 0 and r > 0:
+        i = max(1, math.ceil((floor - math.log2(head)) / math.log2(r)))
+    return i + 2 <= room
 
 
 def _screen(grid, ctx: PrecisionContext, k_terms: Optional[int]):

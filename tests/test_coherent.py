@@ -119,3 +119,17 @@ class TestClosedFormReport:
         assert rep.normalizer_sq != rep.normalizer_sq_alt_reading
         assert rep.matched_hypothesis is not None
         assert rep.rel_residual >= 0
+
+
+def test_truncation_default_is_declared_once():
+    # The report's default and the ``cs --trunc`` default are both
+    # coherent.CS_TRUNC, which the ``cs`` config echoes as 60.
+    import inspect
+
+    from qhermite2 import cli, coherent
+
+    assert coherent.CS_TRUNC == 60
+    trunc = inspect.signature(cs_closed_form_report).parameters["trunc"]
+    assert trunc.default == coherent.CS_TRUNC
+    assert cli.CS_TRUNC is coherent.CS_TRUNC
+    assert cli._build_parser().parse_args(["cs"]).trunc == coherent.CS_TRUNC

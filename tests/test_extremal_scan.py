@@ -19,13 +19,18 @@ from qhermite2 import PrecisionContext
 from qhermite2 import extremal
 from qhermite2.errors import AlgebraViolation, NoConvergenceError
 from qhermite2.extremal import (
+    _carrier_coefficients,
     _carrier_value,
+    _rational,
     _root_free_radius,
     _scan_grid,
     _screen,
+    _screen_sum,
+    _screened_sign,
     _shrink_bracket,
     carrier_roots,
 )
+from qhermite2.qkernel import b_table
 
 
 def _full_scan_roots(bound, ctx, k_terms=None):
@@ -146,22 +151,93 @@ def test_contradicted_screen_raises(monkeypatch):
         carrier_roots(Fraction(1, 2), ctx)
 
 
+def _sign(value) -> int:
+    return (value > 0) - (value < 0)
+
+
+# (q, bits, k_terms): each shape unforced and with 20 and 40 forced terms.
+BOUND_CASES = [
+    (q, bits, k_terms)
+    for k_terms in (None, 20, 40)
+    for q, bits in ((Fraction(1, 64), 64), (Fraction(3, 10), 64), (Fraction(1, 2), 64),
+                    (Fraction(4, 5), 64), (Fraction(3, 10), 256), (Fraction(1, 2), 256))
+]
+
+
 @pytest.mark.parametrize(
-    "q, bits",
-    [(Fraction(1, 64), 64), (Fraction(3, 10), 64), (Fraction(1, 2), 64), (Fraction(4, 5), 64),
-     (Fraction(3, 10), 256), (Fraction(1, 2), 256)],
-    ids=str,
+    "q, bits, k_terms",
+    BOUND_CASES,
+    ids=[f"{q}-{bits}" + (f"-k_terms={k}" if k else "") for q, bits, k in BOUND_CASES],
 )
-def test_screen_bound_covers_working_precision_value(q, bits):
+def test_screen_bound_covers_working_precision_value(q, bits, k_terms):
     # The bound alone, without the margin the sign test adds, must cover
-    # the distance of the double sum from the working-precision value.
+    # the distance of the double sum from the working-precision value,
+    # wherever the screen stops; a screened sign is that value's sign.
     ctx = PrecisionContext(q=q, precision_bits=bits)
     for bound in (Fraction(1, 100), Fraction(3), Fraction(40)):
         grid = _scan_grid(ctx.mpf(bound), 24, ctx)
-        for g, (total, limit) in zip(grid, _screen(grid, ctx, None)):
-            value = _carrier_value(g, ctx, None)[0]
+        for g, (total, limit) in zip(grid, _screen(grid, ctx, k_terms)):
+            value = _carrier_value(g, ctx, k_terms)[0]
             assert math.isfinite(limit), float(g)
             assert abs(ctx.mpf(total) - value) <= limit, float(g)
+            sign = _screened_sign(total, limit)
+            assert sign in (0, _sign(value)), float(g)
+
+
+class _Reads:
+    """A sequence read through, counting its reads."""
+
+    def __init__(self, items):
+        self.items, self.count = items, 0
+
+    def __getitem__(self, i):
+        self.count += 1
+        return self.items[i]
+
+
+# The benchmark's extremal searches at q = 1/2: one root at 192 bits and
+# four roots at 128 bits, on the 512 + 512 point grid of carrier_roots.
+@pytest.mark.parametrize("bound, bits", [(Fraction(9, 2), 192), (Fraction(97), 128)], ids=str)
+def test_screen_decides_benchmark_grids_in_few_terms(bound, bits, monkeypatch):
+    # The screen reads c_k once per term k, so the reads of the
+    # coefficients count its terms.  Every point above 2 r0 gets the sign
+    # of its working-precision value, and the screen stops at the first
+    # term that settles it; summing on until the tail bound falls below
+    # the rounding error takes about 25 terms a point here.
+    ctx = PrecisionContext(q=Fraction(1, 2), precision_bits=bits)
+    terms = []
+    screen_sum = extremal._screen_sum
+
+    def counting(x, q, log_tol, cap, forced, bs, cs):
+        reads = _Reads(cs)
+        pair = screen_sum(x, q, log_tol, cap, forced, bs, reads)
+        terms.append(reads.count)
+        return pair
+
+    monkeypatch.setattr(extremal, "_screen_sum", counting)
+    root_free = 2 * _root_free_radius(ctx.q)
+    grid = [g for g in _scan_grid(ctx.mpf(bound), 512, ctx) if _rational(g) > root_free]
+    for g, (total, limit) in zip(grid, _screen(grid, ctx, None)):
+        value = _carrier_value(g, ctx, None)[0]
+        assert abs(ctx.mpf(total) - value) <= limit, float(g)
+        assert _screened_sign(total, limit) == _sign(value), float(g)
+    assert len(terms) == len(grid) > 500
+    assert sum(terms) / len(terms) <= 10
+
+
+@pytest.mark.parametrize("x", (Fraction(1, 2), Fraction(3), Fraction(12), Fraction(50)), ids=str)
+def test_screen_stops_once_the_sign_is_settled(x):
+    # Given 24 b_n and 12 coefficients, the screen must settle the sign
+    # within those 12 terms; summing on until the tail bound falls below
+    # the rounding error would take about 25 and read past the tables.
+    ctx = PrecisionContext(q=Fraction(1, 2), precision_bits=128)
+    bs = [float(b) for b in b_table(24, ctx)[:24]]
+    cs = [float(c) for c in _carrier_coefficients(12, ctx)[:12]]
+    tol = ctx.series_tol
+    log_tol = tol.numerator.bit_length() - tol.denominator.bit_length()
+    total, limit = _screen_sum(float(x), 0.5, log_tol, ctx.max_terms, False, bs, cs)
+    value = _carrier_value(ctx.mpf(x), ctx, None)[0]
+    assert _screened_sign(total, limit) == _sign(value) != 0
 
 
 @pytest.mark.parametrize("log_tol", [-30, -60])
