@@ -8,6 +8,13 @@ table    tabulate spectra, recurrence coefficients, or closed-form moments
 measure  export lattice or extremal measures (supports and masses)
 cs       coherent-state diagnostics for one z
 
+Every subcommand takes ``--q``, ``--precision-bits``, ``--format`` and
+``--out``; ``--tol`` is a ``verify`` option.  ``verify`` passes a suite
+only the options it reads and refuses ``--tol`` or ``--n-max`` for a
+suite that does not read it.  A default the parser shares with the
+library is read from the library's constant (``suites.OPERATOR_DIM``,
+``qcalculus.HAT_DEPTH``, ...), so each is declared once.
+
 Conventions
 -----------
 Exit codes: 0 pass, 1 verification failure, 2 usage error (a
@@ -241,24 +248,18 @@ def _error_payload(ns, exc: Exception) -> str:
 def _cmd_poly(ns, ctx: PrecisionContext) -> CommandOutput:
     if ns.n < 0:
         raise DomainError(f"--n must be >= 0, got {ns.n}")
-    x_frac: Optional[Fraction]
     try:
         x_frac = as_fraction(ns.x)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"could not parse --x value {ns.x!r}")
-    poly = hermite2_coeffs(ns.n, ctx)
-    h_exact = poly(x_frac)
-    h_str = _fmt(ctx, h_exact)
-    psi_str = _fmt(ctx, psi_eval(ns.n, ctx.mpf(x_frac), ctx))
-    if ns.kind == "h":
-        columns = ("n", "x", "h_tilde")
-        row = [str(ns.n), ns.x, h_str]
-    elif ns.kind == "psi":
-        columns = ("n", "x", "psi")
-        row = [str(ns.n), ns.x, psi_str]
-    else:
-        columns = ("n", "x", "h_tilde", "psi")
-        row = [str(ns.n), ns.x, h_str, psi_str]
+    columns = ("n", "x")
+    row = [str(ns.n), ns.x]
+    if ns.kind != "psi":
+        columns += ("h_tilde",)
+        row.append(_fmt(ctx, hermite2_coeffs(ns.n, ctx)(x_frac)))
+    if ns.kind != "h":
+        columns += ("psi",)
+        row.append(_fmt(ctx, psi_eval(ns.n, ctx.mpf(x_frac), ctx)))
     return CommandOutput("poly", columns, [row], {}, _EXIT_PASS)
 
 
@@ -354,7 +355,8 @@ def _cmd_cs(ns, ctx: PrecisionContext) -> CommandOutput:
 
 
 # Suite name -> (suite, the verify options it reads); an option left
-# unset keeps the suite's own default.
+# unset keeps the suite's own default.  --tol and --n-max have no parser
+# default, so one set for a suite that does not read it is refused.
 _SUITES = {
     "recurrence": (suites.recurrence, ("n_max", "tol")),
     "qcalculus": (suites.qcalculus, ("tol",)),
@@ -370,6 +372,9 @@ SUITES = tuple(_SUITES)
 
 def _suite_inputs(ns, options) -> Dict[str, object]:
     """Keyword inputs for a suite: the options set, rationals parsed."""
+    for key in ("tol", "n_max"):
+        if getattr(ns, key) is not None and key not in options:
+            raise DomainError(f"suite {ns.suite} does not read --{key.replace('_', '-')}")
     inputs: Dict[str, object] = {}
     for key in options:
         value = getattr(ns, key)
@@ -425,7 +430,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
         default=None,
         help="working precision (default: env QH_PRECISION_BITS or 256)",
     )
-    sp.add_argument("--tol", default=None, help="override gate tolerance")
     sp.add_argument(
         "--format", choices=("csv", "json"), default="csv", dest="fmt"
     )
@@ -455,13 +459,14 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite")
     _add_common(verify)
     verify.add_argument("--suite", required=True, choices=SUITES)
+    verify.add_argument("--tol", default=None, help="override gate tolerance")
     verify.add_argument("--n-max", type=int, default=None, dest="n_max")
-    verify.add_argument("--dim", type=int, default=16)
-    verify.add_argument("--order", type=int, default=10)
-    verify.add_argument("--x", default="1/2")
+    verify.add_argument("--dim", type=int, default=suites.OPERATOR_DIM)
+    verify.add_argument("--order", type=int, default=suites.GENFN_ORDER)
+    verify.add_argument("--x", default=suites.GENFN_X)
     verify.add_argument("--k-depth", type=int, default=HAT_DEPTH, dest="k_depth")
     verify.add_argument("--tail", type=int, default=TAIL_INDEX)
-    verify.add_argument("--bound", default="40")
+    verify.add_argument("--bound", default=suites.SEARCH_BOUND)
 
     table = sub.add_parser("table", help="tabulate derived quantities")
     _add_common(table)
@@ -480,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     measure.add_argument(
         "--variable", choices=("y", "x", "z-radial"), default="y"
     )
-    measure.add_argument("--bound", default="40")
+    measure.add_argument("--bound", default=suites.SEARCH_BOUND)
 
     cs = sub.add_parser("cs", help="coherent-state diagnostics")
     _add_common(cs)

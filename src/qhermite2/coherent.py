@@ -22,7 +22,7 @@ discrepancy registry entry ``eigen_residual_rounding_floor``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .context import PrecisionContext, as_fraction
 from .errors import DomainError, TruncationError
@@ -237,7 +237,7 @@ class ClosedFormReport:
 
 
 def cs_closed_form_report(
-    z, x, ctx: PrecisionContext, trunc: int = CS_TRUNC, genfn_order: int = 8
+    z, x, ctx: PrecisionContext, trunc: int = CS_TRUNC
 ) -> ClosedFormReport:
     """Compare sum_n c_n Psi_n(x) against the hypergeometric closed form.
 
@@ -246,9 +246,9 @@ def cs_closed_form_report(
               tau = z sqrt(q(1-q)).
 
     The per-weight-hypothesis diagnosis is inherited from the exact
-    generating-function report at the same (x, q) (the naive readings
-    produce violently divergent n-sums, so only the exact order-by-
-    order comparison is meaningful for them).
+    generating-function report at the same (x, q), to order 8 (the
+    naive readings produce violently divergent n-sums, so only the
+    exact order-by-order comparison is meaningful for them).
     """
     mp = ctx.mp
     q = ctx.qm
@@ -281,9 +281,7 @@ def cs_closed_form_report(
     zabs2 = abs(zv) ** 2
     alt_norm_sq = gen_exponential((1 - q) * zabs2, ctx)
 
-    genfn = generating_fn_report(
-        as_fraction(x), ctx.mpf("0.5"), genfn_order, ctx
-    )
+    genfn = generating_fn_report(as_fraction(x), 8, ctx)
     return ClosedFormReport(
         z=zv,
         x=xv,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from ._pairs import _ZERO, _as_pair, _mpf, _product, _sum
 from .errors import DomainError
@@ -232,10 +232,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def eval_mp(self, ctx, x):
-        """Evaluate at an mpf/mpc point by Horner in ctx's precision."""
-        return self.mp_evaluator(ctx)(x)
 
     def mp_evaluator(self, ctx):
         """Horner evaluator at mpf/mpc points in ctx's precision.

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Union
 
 from .context import PrecisionContext, as_fraction
 from .errors import DomainError, NoConvergenceError
@@ -125,9 +125,7 @@ def deformed_derivative(f: Evaluatable, x, ctx: PrecisionContext):
     xv = ctx.mpf(x)
     if xv == 0:
         raise DomainError("deformed_derivative is undefined at x = 0")
-    func = _as_callable(f, ctx)
-    qi = 1 / ctx.qm
-    return (func(qi * qi * xv) - func(qi * xv)) / (qi * xv)
+    return _dhat_callable(_as_callable(f, ctx), ctx)(xv)
 
 
 def _monitored_sum(terms, ctx: PrecisionContext, what: str):

@@ -284,28 +284,15 @@ class GenFnReport:
     ratios: Dict[str, Tuple[Optional[Fraction], ...]]
     matched_hypothesis: Optional[str]
 
-    def max_abs_residual(self, tag: str, ctx: PrecisionContext):
-        """Largest |residual| over all orders for one hypothesis."""
-        mp = ctx.mp
-        worst = mp.mpf(0)
-        for r in self.residuals[tag]:
-            val = abs(mp.mpc(ctx.mpf(r.re), ctx.mpf(r.im)))
-            worst = max(worst, val)
-        return worst
 
-
-def generating_fn_report(x, tau_bound, order: int, ctx: PrecisionContext) -> GenFnReport:
+def generating_fn_report(x, order: int, ctx: PrecisionContext) -> GenFnReport:
     """Compare sum_n w_n htilde_n(x) tau^n against the closed form.
 
     The comparison is per tau-order and exact (rational x, rational q),
-    so no tolerance enters the verdict; ``tau_bound`` only documents the
-    disc |tau| < tau_bound <= 1 on which the closed form converges and
-    the order-by-order comparison is meaningful.
+    so no tolerance enters the verdict.
     """
     if order < 0 or order > 20:
         raise DomainError(f"order must be in 0..20, got {order}")
-    if not (0 < abs(tau_bound) < 1):
-        raise DomainError("tau bound must satisfy 0 < |tau| < 1")
     xf = as_fraction(x)
     q = ctx.q
     closed = _closed_form_tau_coeffs(xf, q, order)

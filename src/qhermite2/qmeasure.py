@@ -12,7 +12,7 @@ toward the dominant side, normalizing at the top where f -> 1; naive
 recursion from the f -> 1 end amplifies the seed error by q^{-m} per
 step and collapses in two steps (see discrepancy registry entry
 ``lattice_weight_scheme``).  The seed contamination of the deep end
-decays like q^{buffer/2}, so the default buffer is sized to push it
+decays like q^{buffer/2}, so the buffer is sized to push it
 below working precision.  ``lattice_weight`` makes one streamed sweep
 from the deep seeds toward twice the tail depth and retains only the
 requested window and the two tail values it normalizes and checks
@@ -191,9 +191,7 @@ def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
     return window, (m_top, g2 if g_top is None else g_top), (m_check, g2)
 
 
-def lattice_weight(
-    K: int, M: int, ctx: PrecisionContext, buffer: Optional[int] = None
-) -> LatticeWeight:
+def lattice_weight(K: int, M: int, ctx: PrecisionContext) -> LatticeWeight:
     """Weight values f(q^m) for m in [-K, M], tail-normalized to f(0+)=1.
 
     One stable deep-seeded sweep (``_sweep``) keeps the window [-K, M]
@@ -208,11 +206,7 @@ def lattice_weight(
     if K < 4 or M < 4:
         raise DomainError(f"K and M must be >= 4, got K={K}, M={M}")
     mp = ctx.mp
-    buf = _default_buffer(ctx) if buffer is None else buffer
-    if buf < 8:
-        raise DomainError(f"buffer must be >= 8, got {buf}")
-
-    window, (m_top, g_top), (m_check, g_check) = _sweep(K, M, ctx, buf)
+    window, (m_top, g_top), (m_check, g_check) = _sweep(K, M, ctx, _default_buffer(ctx))
     prec = mp.prec
     values = [_quotient(g, g_top, prec) for g in window]
 

@@ -53,13 +53,12 @@ class TruncatedOperator:
     ``bands`` maps an offset d to the diagonal (i, i + d) as a tuple
     indexed by min(i, i + d).  Only structurally nonzero offsets are
     stored; every entry off them is the exact mpc ``zero``.
-    ``valid_block`` is the size of the top-left block unaffected by the
-    finite section; identity checks must not look past it.
+    Identity checks look only at the top-left dim - 1 block, the one
+    the finite section leaves intact (see :func:`verify_algebra`).
     """
 
     dim: int
     bands: Dict[int, Tuple[object, ...]]
-    valid_block: int
     zero: object
 
     def entry(self, i: int, j: int):
@@ -120,7 +119,7 @@ def build_position(dim: int, ctx: PrecisionContext) -> TruncatedOperator:
     _check_dim(dim, 2)
     mp = ctx.mp
     b = tuple(mp.mpc(b_coeff(n, ctx)) for n in range(dim - 1))
-    return TruncatedOperator(dim, {-1: b, 1: b}, dim - 1, mp.mpc(0))
+    return TruncatedOperator(dim, {-1: b, 1: b}, mp.mpc(0))
 
 
 def build_momentum(dim: int, ctx: PrecisionContext) -> TruncatedOperator:
@@ -133,7 +132,7 @@ def build_momentum(dim: int, ctx: PrecisionContext) -> TruncatedOperator:
         -1: tuple(mp.mpc(0, 1) * x for x in b),
         1: tuple(mp.mpc(0, -1) * x for x in b),
     }
-    return TruncatedOperator(dim, bands, dim - 1, mp.mpc(0))
+    return TruncatedOperator(dim, bands, mp.mpc(0))
 
 
 def build_ladder(
@@ -160,8 +159,8 @@ def _ladder(X: TruncatedOperator, P: TruncatedOperator, ctx: PrecisionContext):
     lowering = tuple(half_root * (x + i * p) for x, p in zip(X.bands[1], P.bands[1]))
     raising = tuple(half_root * (x - i * p) for x, p in zip(X.bands[-1], P.bands[-1]))
     return (
-        TruncatedOperator(X.dim, {1: lowering}, X.dim - 1, X.zero),
-        TruncatedOperator(X.dim, {-1: raising}, X.dim - 1, X.zero),
+        TruncatedOperator(X.dim, {1: lowering}, X.zero),
+        TruncatedOperator(X.dim, {-1: raising}, X.zero),
     )
 
 
@@ -170,11 +169,6 @@ def mat_mul(a: TruncatedOperator, b: TruncatedOperator, ctx: PrecisionContext) -
 
     Each entry sums only the terms whose factors are both stored (see
     ``_ascending_sum``), in O(dim * bandwidth^2).
-
-    The product of operators valid to blocks va, vb is valid to
-    min(va, vb) - 1 when both factors have tridiagonal bandwidth; for
-    the degree-2 products used here valid_block = dim - 1 stays the
-    binding contract, so we keep min(va, vb) - 1 capped below it.
     """
     if a.dim != b.dim:
         raise DomainError("operator dimensions differ")
@@ -189,7 +183,7 @@ def mat_mul(a: TruncatedOperator, b: TruncatedOperator, ctx: PrecisionContext) -
         )
         for d in sorted({da + db for da in a.bands for db in b.bands})
     }
-    return TruncatedOperator(dim, bands, min(a.valid_block, b.valid_block, dim - 1), a.zero)
+    return TruncatedOperator(dim, bands, a.zero)
 
 
 def _combine(a: TruncatedOperator, b: TruncatedOperator, op) -> TruncatedOperator:
@@ -200,7 +194,7 @@ def _combine(a: TruncatedOperator, b: TruncatedOperator, op) -> TruncatedOperato
     for d in sorted(set(a.bands) | set(b.bands)):
         absent = (a.zero,) * (a.dim - abs(d))
         bands[d] = tuple(map(op, a.bands.get(d, absent), b.bands.get(d, absent)))
-    return TruncatedOperator(a.dim, bands, min(a.valid_block, b.valid_block), a.zero)
+    return TruncatedOperator(a.dim, bands, a.zero)
 
 
 def mat_sub(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
@@ -209,7 +203,7 @@ def mat_sub(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
 
 def mat_scale(a: TruncatedOperator, s) -> TruncatedOperator:
     bands = {d: tuple(s * x for x in band) for d, band in a.bands.items()}
-    return TruncatedOperator(a.dim, bands, a.valid_block, a.zero)
+    return TruncatedOperator(a.dim, bands, a.zero)
 
 
 def build_hamiltonian(dim: int, ctx: PrecisionContext) -> TruncatedOperator:
@@ -267,7 +261,7 @@ def _diag_operator(exact_values, ctx: PrecisionContext) -> TruncatedOperator:
     powers of an inexact q would drift by about n/2 ulp at exponent n."""
     mp = ctx.mp
     diag = tuple(mp.mpc(ctx.mpf(v)) for v in exact_values)
-    return TruncatedOperator(len(diag), {0: diag}, len(diag) - 1, mp.mpc(0))
+    return TruncatedOperator(len(diag), {0: diag}, mp.mpc(0))
 
 
 def _block_entries(op: TruncatedOperator, block: int):

@@ -53,6 +53,14 @@ __all__ = [
     "orthonormality",
 ]
 
+# Defaults of suite inputs that ``qhermite2 verify`` also takes as
+# options (``measure --type extremal`` shares the search bound); the
+# parser reads them from here.
+OPERATOR_DIM = 16
+GENFN_X = Fraction(1, 2)
+GENFN_ORDER = 10
+SEARCH_BOUND = Fraction(40)
+
 
 class Check(NamedTuple):
     """One row of a suite report; ``passed`` is None for a diagnostic."""
@@ -205,7 +213,7 @@ def qcalculus(ctx: PrecisionContext, tol: Fraction = Fraction(1, 10**20)) -> Lis
     return checks
 
 
-def commutators(ctx: PrecisionContext, dim: int = 16) -> List[Check]:
+def commutators(ctx: PrecisionContext, dim: int = OPERATOR_DIM) -> List[Check]:
     """Operator algebra of the dim x dim sections within the ulp budget
     of :func:`verify_algebra`, and the spectrum by two exact paths."""
     q = ctx.q
@@ -256,12 +264,12 @@ def commutators(ctx: PrecisionContext, dim: int = 16) -> List[Check]:
 
 
 def generating(
-    ctx: PrecisionContext, x: Fraction = Fraction(1, 2), order: int = 10
+    ctx: PrecisionContext, x: Fraction = GENFN_X, order: int = GENFN_ORDER
 ) -> List[Check]:
     """The resolved generating-function weight matches every order up
     to ``order`` at x; one diagnostic per weight hypothesis.  At low
     order other hypotheses may match too; the note names every match."""
-    rep = generating_fn_report(x, ctx.mpf(Fraction(1, 2)), order, ctx)
+    rep = generating_fn_report(x, order, ctx)
     matched = [
         tag for tag in WEIGHT_HYPOTHESES if all(r.is_zero() for r in rep.residuals[tag])
     ]
@@ -436,7 +444,7 @@ def unity(
 
 
 def orthonormality(
-    ctx: PrecisionContext, bound: Fraction = Fraction(40), tol: Fraction = Fraction(1, 10**3)
+    ctx: PrecisionContext, bound: Fraction = SEARCH_BOUND, tol: Fraction = Fraction(1, 10**3)
 ) -> List[Check]:
     """Extremal measure on the carrier roots in [-bound, bound]: the Gram
     identity for m, n <= 3 and the loading symmetry are gated; the total

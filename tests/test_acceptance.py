@@ -190,7 +190,7 @@ def test_criterion_7_difference_equation_and_generating_function():
                 c for c in checks if c.identity == "weight-divided-with-qpower-squared"
             )
             assert resolved.residual == "0", q  # at every order
-            rep = generating_fn_report(Fraction(1, 2), ctx.mpf("0.5"), 10, ctx)
+            rep = generating_fn_report(Fraction(1, 2), 10, ctx)
             assert rep.ratios["as-printed"][1] == one_minus_q, q
     crit.assert_budget()
 

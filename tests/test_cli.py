@@ -504,8 +504,11 @@ def test_shallow_lattice_output_pinned(capsys, args, code, digest):
 # Refusals with exit 2 and the stderr line: a tail index below K + 2
 # (unity and the jackson measure used to widen it silently, where the
 # moments suite refused it), a negative n_max (these suites used to pass
-# with nothing checked) and a tolerance <= 0 (qcalculus used to exit 4
-# from math.log, the others 1).
+# with nothing checked), a tolerance <= 0 (qcalculus used to exit 4
+# from math.log, the others 1), and a --tol or --n-max that the suite or
+# subcommand does not read (these used to exit 0 and echo the value in
+# the config).  argparse refuses the last kind on a subcommand without
+# the option, after its usage line.
 _REFUSALS = """
 verify --suite unity --k-depth=10 --tail=8 | tail depth M=8 too small for K=10
 measure --type jackson --k-depth=10 --tail=8 | tail depth M=8 too small for K=10
@@ -515,6 +518,17 @@ verify --suite qdiff --n-max=-2 | n_max must be >= 0, got -2
 verify --suite qcalculus --tol=0 | --tol must be > 0, got 0
 verify --suite qcalculus --tol=-1/10 | --tol must be > 0, got -1/10
 verify --suite unity --tol=0 | --tol must be > 0, got 0
+verify --suite commutators --tol=1e-40 --n-max=3 --format=json | suite commutators does not read --tol
+verify --suite generating --tol=1/10 | suite generating does not read --tol
+verify --suite qdiff --tol=1/10 | suite qdiff does not read --tol
+verify --suite qcalculus --n-max=3 | suite qcalculus does not read --n-max
+verify --suite commutators --n-max=3 | suite commutators does not read --n-max
+verify --suite generating --n-max=3 | suite generating does not read --n-max
+verify --suite orthonormality --n-max=3 | suite orthonormality does not read --n-max
+poly --n 3 --x 1/2 --tol=abc | unrecognized arguments: --tol=abc
+table --what bn --tol=1/10 | unrecognized arguments: --tol=1/10
+measure --type jackson --tol=1/10 | unrecognized arguments: --tol=1/10
+cs --tol=1/10 | unrecognized arguments: --tol=1/10
 """
 
 
@@ -528,7 +542,52 @@ verify --suite unity --tol=0 | --tol must be > 0, got 0
     ],
 )
 def test_refusal_exits_two(capsys, argv, message):
-    assert run_cli(capsys, argv) == (2, "", f"usage error: {message}\n")
+    if message.startswith("unrecognized arguments"):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: qhermite2 ")
+        assert error == f"qhermite2: error: {message}"
+    else:
+        assert run_cli(capsys, argv) == (2, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize("kind, unprinted", [("h", "psi_eval"), ("psi", "hermite2_coeffs")])
+def test_poly_evaluates_only_the_printed_kind(capsys, monkeypatch, kind, unprinted):
+    argv = ["poly", "--n", "7", "--x=-13/5", "--q=26/27", f"--kind={kind}"]
+    printed = run_cli(capsys, argv)
+    assert printed[0] == 0
+
+    def unused(*args):
+        raise AssertionError(f"--kind={kind} called {unprinted}")
+
+    monkeypatch.setattr(cli, unprinted, unused)
+    assert run_cli(capsys, argv) == printed
+
+
+def test_suite_defaults_are_declared_once():
+    # verify --dim, --order, --x and --bound and measure --bound read the
+    # suites' constants; the config echo prints them as 16, 10, 1/2, 40.
+    import inspect
+
+    from qhermite2 import suites
+
+    def default(suite, name):
+        return inspect.signature(suite).parameters[name].default
+
+    assert (suites.OPERATOR_DIM, suites.GENFN_ORDER) == (16, 10)
+    assert (str(suites.GENFN_X), str(suites.SEARCH_BOUND)) == ("1/2", "40")
+    assert default(suites.commutators, "dim") is suites.OPERATOR_DIM
+    assert default(suites.generating, "order") is suites.GENFN_ORDER
+    assert default(suites.generating, "x") is suites.GENFN_X
+    assert default(suites.orthonormality, "bound") is suites.SEARCH_BOUND
+    parse = cli._build_parser().parse_args
+    verify = parse(["verify", "--suite", "generating"])
+    assert verify.dim is suites.OPERATOR_DIM
+    assert verify.order is suites.GENFN_ORDER
+    assert verify.x is suites.GENFN_X
+    assert verify.bound is suites.SEARCH_BOUND
+    assert parse(["measure", "--type", "extremal"]).bound is suites.SEARCH_BOUND
 
 
 def test_tolerance_below_double_range(capsys):

@@ -80,7 +80,7 @@ class TestPoly:
         x = Fraction(9, 4)
         exact = p(x)
         assert exact.im == 0
-        approx = p.eval_mp(ctx, ctx.mpf(x))
+        approx = p.mp_evaluator(ctx)(ctx.mpf(x))
         assert abs(approx - ctx.mpf(exact.re)) <= 8 * ctx.eps * max(
             1, abs(ctx.mpf(exact.re))
         )
@@ -139,7 +139,6 @@ class TestMpEvaluatorBitwise:
                 got, want = horner(x), _ref_horner(poly, ctx, x)
                 assert type(got) is type(want), (poly, x)
                 assert _raw(got) == _raw(want), (poly, x)
-                assert _raw(poly.eval_mp(ctx, x)) == _raw(want), (poly, x)
 
     def test_call_at_another_precision(self):
         # Coefficients are rounded when the evaluator is built; a call

@@ -1,8 +1,11 @@
-"""The package API is the union of its modules' ``__all__`` lists."""
+"""The package API is the union of its modules' ``__all__`` lists, and
+every module reads each name it imports."""
 
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import qhermite2
 
@@ -40,3 +43,28 @@ def test_names_added_to_the_package():
     # Exported by their modules before, missing from the package list.
     for attr in ("ENV_PRECISION", "as_dicts", "mat_mul", "mat_scale", "mat_sub"):
         assert attr in qhermite2.__all__
+
+
+def test_every_import_is_used():
+    # A name a module imports and never reads, outside its __all__.
+    src = Path(qhermite2.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    if alias.name != "*":
+                        imported[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert unused == []

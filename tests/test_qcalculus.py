@@ -64,10 +64,10 @@ class TestExactDerivatives:
             q = ctx.q
             for x in (Fraction(1, 3), Fraction(2), Fraction(-5, 4)):
                 num = q_derivative(POLY_B, x, ctx)
-                sym = q_derivative_poly(POLY_B, q).eval_mp(ctx, x)
+                sym = q_derivative_poly(POLY_B, q).mp_evaluator(ctx)(x)
                 assert abs(num - sym) <= 64 * ctx.eps * max(abs(sym), ctx.mpf(1))
                 num = deformed_derivative(POLY_B, x, ctx)
-                sym = deformed_derivative_poly(POLY_B, q).eval_mp(ctx, x)
+                sym = deformed_derivative_poly(POLY_B, q).mp_evaluator(ctx)(x)
                 assert abs(num - sym) <= 64 * ctx.eps * max(abs(sym), ctx.mpf(1))
 
     def test_zero_argument_rejected(self, ctx_half):

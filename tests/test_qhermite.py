@@ -79,7 +79,7 @@ class TestCrossRepresentation:
                 for x in X_GRID:
                     xv = ctx.mpf(x)
                     direct = hermite2_eval_direct(n, xv, ctx)
-                    via = poly.eval_mp(ctx, xv)
+                    via = poly.mp_evaluator(ctx)(xv)
                     scale = max(abs(via), ctx.mpf(1))
                     assert abs(direct - via) / scale < tol
 
@@ -112,25 +112,19 @@ class TestOrthonormalValues:
 
 class TestGeneratingFunction:
     def test_resolved_weight_matches(self, ctx_half):
-        rep = generating_fn_report(
-            Fraction(1, 2), ctx_half.mpf(Fraction(1, 2)), 10, ctx_half
-        )
+        rep = generating_fn_report(Fraction(1, 2), 10, ctx_half)
         assert rep.matched_hypothesis == "divided-with-qpower-squared"
         for r in rep.residuals["divided-with-qpower-squared"]:
             assert r.is_zero()
 
     def test_as_printed_fails_first_order_by_one_minus_q(self, all_ctx):
         for ctx in all_ctx:
-            rep = generating_fn_report(
-                Fraction(1, 3), ctx.mpf(Fraction(1, 2)), 4, ctx
-            )
+            rep = generating_fn_report(Fraction(1, 3), 4, ctx)
             assert not rep.residuals["as-printed"][1].is_zero()
             assert rep.ratios["as-printed"][1] == 1 - ctx.q
 
     def test_single_qpower_fails_second_order(self, ctx_half):
-        rep = generating_fn_report(
-            Fraction(1, 3), ctx_half.mpf(Fraction(1, 2)), 4, ctx_half
-        )
+        rep = generating_fn_report(Fraction(1, 3), 4, ctx_half)
         assert rep.residuals["divided-with-qpower"][1].is_zero()
         assert not rep.residuals["divided-with-qpower"][2].is_zero()
 

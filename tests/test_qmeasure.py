@@ -158,8 +158,6 @@ class TestLatticeWeight:
             lattice_weight(3, 40, ctx_half)
         with pytest.raises(DomainError):
             lattice_weight(12, 3, ctx_half)
-        with pytest.raises(DomainError):
-            lattice_weight(12, 40, ctx_half, buffer=4)
 
 
 class TestTailDoubling:
