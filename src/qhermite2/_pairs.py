@@ -6,9 +6,20 @@ once to prec bits, to nearest, ties to even (:func:`_round_even`).
 correctly in that mode, so each operation here gives their float.  A
 result is a value, not a normalized mantissa; :func:`_mpf` normalizes.
 This module imports only ``mpmath.libmp``, so every layer can use it.
+
+A complex value is a pair of pairs (re, im).  The complex operations
+follow ``mpmath.libmp.libmpc`` step by step, intermediate roundings
+included: those are at the default ``round_fast``, which truncates
+(:func:`_truncated_sum`).  :func:`_times`, :func:`_over`, :func:`_plus`
+and :func:`_size` are the mpf/mpc operators ``*``, ``/``, ``+`` and
+``abs`` on real or complex values: like the operators, they pick the
+mpmath routine by the types of their operands, which a complex value
+with a zero imaginary part does not change.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 from mpmath.libmp import from_man_exp
 
@@ -168,3 +179,150 @@ def _as_pair(value) -> tuple:
 def _mpf(a: tuple, ctx):
     """The pair a as an mpf of the context ``ctx``."""
     return ctx.mp.make_mpf(from_man_exp(*a))
+
+
+def _raw_pair(raw: tuple) -> tuple:
+    """The raw mpf tuple ``raw`` as a pair."""
+    sign, man, exp, _ = raw
+    return -man if sign else man, exp
+
+
+def _truncated_sum(a: tuple, b: tuple, prec: int) -> tuple:
+    """a + b truncated toward zero to prec bits: ``mpf_add`` at
+    ``round_down``, its shortcut for an addend more than 100 bits below
+    the other included (see :func:`_sum`), which truncation does not
+    make idle for a short larger addend."""
+    am, ae = a
+    bm, be = b
+    if am and bm:
+        lead = am.bit_length() + ae - bm.bit_length() - be
+        if not -4 - prec <= lead <= prec + 4:
+            if lead < 0:
+                am, ae, bm, be = bm, be, am, ae
+            low_a = (am & -am).bit_length() - 1
+            low_b = (bm & -bm).bit_length() - 1
+            if ae + low_a - be - low_b > 100:
+                am = ((am >> low_a) << (prec + 4)) + (1 if bm > 0 else -1)
+                ae += low_a - prec - 4
+                bm = 0
+        if bm:
+            if ae < be:
+                am, be = am + (bm << (be - ae)), ae
+            else:
+                am, ae = (am << (ae - be)) + bm, be
+    elif not am:
+        am, ae = bm, be
+    shift = abs(am).bit_length() - prec
+    if shift <= 0:
+        return am, ae
+    return (am >> shift if am > 0 else -(-am >> shift)), ae + shift
+
+
+def _root(a: tuple, prec: int) -> tuple:
+    """sqrt(a) rounded to prec bits, a > 0: ``mpf_sqrt``, the floor root
+    of at least prec + 2 bits with its remainder as the sticky bit."""
+    man, exp = a
+    if exp & 1:
+        man, exp = man << 1, exp - 1
+    shift = max(4, 2 * prec - man.bit_length() + 4)
+    shift += shift & 1
+    root = isqrt(man << shift)
+    man, low = _round_even(root, prec, root * root != man << shift)
+    return man, (exp - shift) // 2 + low
+
+
+def _hypot(a: tuple, prec: int) -> tuple:
+    """|a| of a complex value, rounded to prec bits: ``mpc_abs``, that
+    is ``mpf_hypot``, whose sum of the exact squares is truncated at
+    prec + 4 bits before :func:`_root`."""
+    (xm, xe), (ym, ye) = a
+    if not xm or not ym:
+        man, shift = _round_even(abs(xm or ym), prec)
+        return man, (xe if xm else ye) + shift
+    return _root(_truncated_sum((xm * xm, 2 * xe), (ym * ym, 2 * ye), prec + 4), prec)
+
+
+def _complex_product(a: tuple, b: tuple, prec: int) -> tuple:
+    """a b of complex values: ``mpc_mul``, each part rounded once from
+    the exact products."""
+    (am, ae), (bm, be) = a
+    (cm, ce), (dm, de) = b
+    return (
+        _sum((am * cm, ae + ce), (-bm * dm, be + de), prec),
+        _sum((am * dm, ae + de), (bm * cm, be + ce), prec),
+    )
+
+
+def _complex_quotient(a: tuple, b: tuple, prec: int) -> tuple:
+    """a / b of complex values, b nonzero: ``mpc_div``, which truncates
+    |b|^2 and the two numerators at prec + 10 bits from the exact
+    products and divides them."""
+    (am, ae), (bm, be) = a
+    (cm, ce), (dm, de) = b
+    wp = prec + 10
+    mag = _truncated_sum((cm * cm, 2 * ce), (dm * dm, 2 * de), wp)
+    re = _truncated_sum((am * cm, ae + ce), (bm * dm, be + de), wp)
+    im = _truncated_sum((bm * cm, be + ce), (-am * dm, ae + de), wp)
+    return _quotient(re, mag, prec), _quotient(im, mag, prec)
+
+
+def _real_over_complex(x: tuple, b: tuple, prec: int) -> tuple:
+    """x / b for a real x and a nonzero complex b: ``mpc_mpf_div``, which
+    truncates |b|^2 at prec + 10 bits and divides the exact products."""
+    xm, xe = x
+    (cm, ce), (dm, de) = b
+    mag = _truncated_sum((cm * cm, 2 * ce), (dm * dm, 2 * de), prec + 10)
+    return _quotient((xm * cm, xe + ce), mag, prec), _quotient((-xm * dm, xe + de), mag, prec)
+
+
+def _times(a: tuple, b: tuple, prec: int) -> tuple:
+    """a b: ``mpf_mul``, ``mpc_mul_mpf`` (a real factor scales each part)
+    or ``mpc_mul``."""
+    if type(a[0]) is tuple:
+        if type(b[0]) is tuple:
+            return _complex_product(a, b, prec)
+        return _product(a[0], b, prec), _product(a[1], b, prec)
+    if type(b[0]) is tuple:
+        return _product(b[0], a, prec), _product(b[1], a, prec)
+    return _product(a, b, prec)
+
+
+def _over(a: tuple, b: tuple, prec: int) -> tuple:
+    """a / b, b nonzero: ``mpf_div``, ``mpc_div_mpf`` (each part over a
+    real b), ``mpc_mpf_div`` or ``mpc_div``."""
+    if type(b[0]) is tuple:
+        if type(a[0]) is tuple:
+            return _complex_quotient(a, b, prec)
+        return _real_over_complex(a, b, prec)
+    if type(a[0]) is tuple:
+        return _quotient(a[0], b, prec), _quotient(a[1], b, prec)
+    return _quotient(a, b, prec)
+
+
+def _plus(a: tuple, b: tuple, prec: int) -> tuple:
+    """a + b of two real or two complex values: ``mpf_add`` or ``mpc_add``."""
+    if type(a[0]) is tuple:
+        return _sum(a[0], b[0], prec), _sum(a[1], b[1], prec)
+    return _sum(a, b, prec)
+
+
+def _size(a: tuple, prec: int) -> tuple:
+    """|a| as a nonnegative pair: ``mpf_abs`` of a real value of at most
+    prec bits, :func:`_hypot` of a complex one."""
+    if type(a[0]) is tuple:
+        return _hypot(a, prec)
+    return _magnitude(a)
+
+
+def _is_zero(a: tuple) -> bool:
+    """Whether the real or complex value a is 0."""
+    if type(a[0]) is tuple:
+        return not (a[0][0] or a[1][0])
+    return not a[0]
+
+
+def _mp(a: tuple, ctx):
+    """The real or complex value a as an mpf or mpc of ``ctx``."""
+    if type(a[0]) is tuple:
+        return ctx.mp.make_mpc((from_man_exp(*a[0]), from_man_exp(*a[1])))
+    return _mpf(a, ctx)

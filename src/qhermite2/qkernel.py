@@ -30,6 +30,14 @@ or the larger partial sum of a ratio), compared as integer pairs
 series here share one loop, :func:`_ratio_sum`, which also waits for a
 term ratio below 1/2.
 
+The q-series, :func:`gen_exponential` and :func:`phi_rs` (terminating
+or not), run on integer pairs as well: each term ratio, term, partial
+sum and magnitude is a real or complex pair value, formed by the
+:mod:`~qhermite2._pairs` operation that gives the same float as the
+mpf/mpc operator on the same values, intermediate roundings of
+``mpc_div`` and ``mpc_abs`` included.  Only the conversions of the
+arguments and of the result go through mpf/mpc objects.
+
 Scalar results are plain mpf/mpc values bound to the calling context's
 precision.  Because mpmath exponents are bignums, partial products like
 q^(-n^2) never overflow; the overflow failure mode that a fixed-exponent
@@ -55,7 +63,24 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from ._pairs import _as_pair, _less, _pair, _product, _round_even
+from ._pairs import (
+    _ONE,
+    _ZERO,
+    _as_pair,
+    _is_zero,
+    _less,
+    _mp,
+    _mpf,
+    _over,
+    _pair,
+    _plus,
+    _product,
+    _raw_pair,
+    _round_even,
+    _size,
+    _sum,
+    _times,
+)
 from .context import PrecisionContext
 from .errors import (
     DomainError,
@@ -87,6 +112,9 @@ _RUN_GUARD = 64
 _STREAK = 3
 
 _RND = round_nearest
+
+# 1/2 as an integer pair: the ratio bound of the ratio series.
+_HALF = (1, -1)
 
 
 class Decay:
@@ -471,9 +499,12 @@ def rho_factorial(n: int, ctx: PrecisionContext):
 
 def _q_complement(n: int, table: list, ctx: PrecisionContext):
     """1 - q^(n+1): entry n of ``table``, the context's list of these
-    values (grown here up to n)."""
+    values (grown here up to n, each the mpf ``1 - q_power(n + 1, ctx)``
+    formed on pairs)."""
+    prec = ctx.mp.prec
     while len(table) <= n:
-        table.append(1 - q_power(len(table) + 1, ctx))
+        power = q_power_raw(len(table) + 1, ctx)
+        table.append(_mpf(_sum(_ONE, (-power[1], power[2]), prec), ctx))
     return table[n]
 
 
@@ -483,41 +514,69 @@ def _q_complements(ctx: PrecisionContext) -> list:
     return ctx.tables.setdefault(("1-q^(n+1)", ctx.mp.prec), [])
 
 
+def _convert(value, ctx: PrecisionContext) -> tuple:
+    """``value`` as a real or complex pair value (:mod:`qhermite2._pairs`):
+    complex if it is a complex or an mpc, as the series convert it."""
+    if isinstance(value, (complex, ctx.mp.mpc)):
+        re, im = ctx.mpc(value)._mpc_
+        return _raw_pair(re), _raw_pair(im)
+    return _as_pair(ctx.mpf(value))
+
+
+def _one_less(a: tuple, qk: tuple, prec: int) -> tuple:
+    """1 - a q^k: ``mpf_sub`` from 1, or for a complex a ``mpc_sub`` from
+    (1, 0), of the rounded product (a q^k has at most prec bits, so
+    0 - its imaginary part is its negation)."""
+    if type(a[0]) is tuple:
+        (rm, re), (im, ie) = _product(a[0], qk, prec), _product(a[1], qk, prec)
+        return _sum(_ONE, (-rm, re), prec), (-im, ie)
+    man, exp = _product(a, qk, prec)
+    return _sum(_ONE, (-man, exp), prec)
+
+
 def _term_ratios(spec: HypergeometricSpec, ctx: PrecisionContext):
     """k -> T_{k+1}/T_k for the basic hypergeometric series, to be called
-    for k = 0, 1, 2, ... in turn: the parameters and z are converted
-    once, and q^(k+1) of one call is the q^k of the next."""
-    mp = ctx.mp
+    for k = 0, 1, 2, ... in turn.
+
+    The ratio is num / den z q^(e k), negated for odd e, with num the
+    product of the 1 - a q^k from 1 (complex if some a is) and den that
+    of the 1 - b q^k and 1 - q^(k+1) from the real 1: a real or complex
+    pair value (:mod:`qhermite2._pairs`), each operation bitwise that of
+    the mpf/mpc operators on the same values, at the precision of the
+    call.  The parameters and z are converted once, and q^(k+1) of one
+    call is the q^k of the next.  The sign rides on z: every rounding
+    here is to nearest, which commutes with negation, so num / den (-z)
+    q^(e k) is the negated ratio bit for bit.
+    """
+    prec = ctx.mp.prec
     e = 1 + len(spec.lower) - len(spec.upper)
-
-    def convert(v):
-        return ctx.mpc(v) if isinstance(v, (complex, mp.mpc)) else ctx.mpf(v)
-
-    upper = [convert(a) for a in spec.upper]
-    lower = [convert(b) for b in spec.lower]
-    z = convert(spec.z)
-    one = mp.mpc(1) if any(isinstance(a, (complex, mp.mpc)) for a in spec.upper) else mp.mpf(1)
+    upper = [_convert(a, ctx) for a in spec.upper]
+    lower = [_convert(b, ctx) for b in spec.lower]
+    z = _convert(spec.z, ctx)
+    if e % 2:
+        z = _times(z, (-1, 0), prec)
+    one = (_ONE, _ZERO) if any(type(a[0]) is tuple for a in upper) else _ONE
     complements = _q_complements(ctx)
-    qk = q_power(0, ctx)
+    qk = _ONE  # q^0
 
-    def ratio(k: int):
+    def ratio(k: int) -> tuple:
         nonlocal qk
         num = one
-        for av in upper:
-            num = num * (1 - av * qk)
-        den = mp.mpf(1)
-        for bv in lower:
-            factor = 1 - bv * qk
-            if factor == 0:
+        for a in upper:
+            num = _times(num, _one_less(a, qk, prec), prec)
+        den = _ONE
+        for b in lower:
+            factor = _one_less(b, qk, prec)
+            if _is_zero(factor):
                 raise DomainError(
                     "phi_rs: lower parameter hits q^{-m}; series must terminate "
                     "before the zero denominator (set terminating_at)"
                 )
-            den = den * factor
-        qk = q_power(k + 1, ctx)
-        den = den * _q_complement(k, complements, ctx)
-        r = num / den * z * q_power(e * k, ctx)
-        return -r if e % 2 == 1 else r
+            den = _times(den, factor, prec)
+        qk = _raw_pair(q_power_raw(k + 1, ctx))
+        den = _times(den, _as_pair(_q_complement(k, complements, ctx)), prec)
+        r = _times(_over(num, den, prec), z, prec)
+        return _times(r, _raw_pair(q_power_raw(e * k, ctx)), prec)
 
     return ratio
 
@@ -529,19 +588,19 @@ def phi_rs(spec: HypergeometricSpec, ctx: PrecisionContext):
              / [(b_1;q)_k ... (b_s;q)_k] * z^k / (q;q)_k,   e = 1+s-r.
 
     Terminating series (``terminating_at=n``) are summed exactly through
-    the z^n term.  A non-terminating series stops at the monitored-decay
-    rule (:class:`Decay`) once the term ratio is also below 1/2, which
-    certifies a geometric tail.  For e > 0 the ratio tends to 0, so
+    the z^n term; one that needs more than ``max_terms`` terms raises
+    NoConvergenceError before any term is formed.  A non-terminating
+    series stops at the monitored-decay rule (:class:`Decay`) once the
+    term ratio is also below 1/2, which certifies a geometric tail.  For e > 0 the ratio tends to 0, so
     every z qualifies.  For e = 0 the series converges for |z| < 1, but
     its ratio tends to z: below |z| = 1/2 the sum is certified; for
     1/2 < |z| < 1 it is not, nor at |z| = 1/2 unless the ratio
     approaches z from below, and NoConvergenceError is raised at the
     term budget (exit 3, uncertifiable).  e < 0, or e = 0 with
-    |z| >= 1, raises FormalSeriesError.
+    |z| >= 1, raises FormalSeriesError.  The value is an mpc if a
+    parameter or z is complex.
     """
-    mp = ctx.mp
     e = 1 + len(spec.lower) - len(spec.upper)
-    zabs = abs(ctx.mpc(spec.z))
     n = spec.terminating_at
     if n is None:
         if e < 0:
@@ -550,35 +609,42 @@ def phi_rs(spec: HypergeometricSpec, ctx: PrecisionContext):
                 "convergence; pass terminating_at or use the lattice "
                 "measure treatment"
             )
-        if e == 0 and zabs >= 1:
+        if e == 0 and abs(ctx.mpc(spec.z)) >= 1:
             raise FormalSeriesError(
                 "phi_rs: 1+s-r = 0 series diverges for |z| >= 1"
             )
+    elif n >= ctx.max_terms:
+        raise NoConvergenceError(
+            f"phi_rs: the terminating series needs {n + 1} terms, "
+            f"more than max_terms={ctx.max_terms}"
+        )
 
-    term = mp.mpc(1) if _is_complexy(spec, ctx) else mp.mpf(1)
+    term = (_ONE, _ZERO) if _is_complexy(spec, ctx) else _ONE
     ratio = _term_ratios(spec, ctx)
     if n is None:
         return _ratio_sum(term, ratio, ctx, "phi_rs")
-    total = term * 0
-    for k in range(min(n, ctx.max_terms)):
-        total = total + term
-        term = term * ratio(k)
-    if n < ctx.max_terms:
-        return total + term
-    raise NoConvergenceError(f"phi_rs: no convergence within max_terms={ctx.max_terms}")
+    prec = ctx.mp.prec
+    total = term
+    for k in range(n):
+        term = _times(term, ratio(k), prec)
+        total = _plus(total, term, prec)
+    return _mp(total, ctx)
 
 
-def _ratio_sum(term, ratio, ctx: PrecisionContext, what: str):
+def _ratio_sum(term: tuple, ratio, ctx: PrecisionContext, what: str):
     """Sum T_0 = ``term``, T_{k+1} = T_k ratio(k) until :class:`Decay`
     settles on |T_{k+1}| against the partial sum through T_k and
-    |ratio(k)| < 1/2; NoConvergenceError after max_terms terms."""
-    total, decay = term * 0, Decay(ctx)
+    |ratio(k)| < 1/2; NoConvergenceError after max_terms terms.  Terms,
+    ratios and sums are real or complex pair values, each operation the
+    mpf/mpc operator's, and the sum is returned as an mpf or mpc."""
+    prec = ctx.mp.prec
+    total, decay = _times(term, _ZERO, prec), Decay(ctx)
     for k in range(ctx.max_terms):
-        total = total + term
+        total = _plus(total, term, prec)
         r = ratio(k)
-        term = term * r
-        if decay.settled(abs(term)._mpf_[1:3], abs(total)._mpf_[1:3]) and abs(r) < 0.5:
-            return total
+        term = _times(term, r, prec)
+        if decay.settled(_size(term, prec), _size(total, prec)) and _less(_size(r, prec), _HALF):
+            return _mp(total, ctx)
     raise NoConvergenceError(f"{what}: no convergence within max_terms={ctx.max_terms}")
 
 
@@ -596,14 +662,15 @@ def gen_exponential(x, ctx: PrecisionContext):
     T_0 = 1, T_{n+1} = T_n * q^{2n+1} x / (1 - q^{n+1}).
     Equivalently gex(x) = 0phi1(; 0; q, qx).
     """
-    mp = ctx.mp
-    xv = ctx.mpc(x) if isinstance(x, (complex, mp.mpc)) else ctx.mpf(x)
+    prec = ctx.mp.prec
+    xv = _convert(x, ctx)
     complements = _q_complements(ctx)
 
-    def ratio(n):
-        return q_power(2 * n + 1, ctx) * xv / _q_complement(n, complements, ctx)
+    def ratio(n: int) -> tuple:
+        power = _raw_pair(q_power_raw(2 * n + 1, ctx))
+        return _over(_times(xv, power, prec), _as_pair(_q_complement(n, complements, ctx)), prec)
 
-    return _ratio_sum(1 + xv * 0, ratio, ctx, "gen_exponential")
+    return _ratio_sum((_ONE, _ZERO) if type(xv[0]) is tuple else _ONE, ratio, ctx, "gen_exponential")
 
 
 def weight_W(x, ctx: PrecisionContext):

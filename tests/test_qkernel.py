@@ -10,20 +10,42 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath.libmp import (
     fone,
     from_man_exp,
+    mpc_abs,
+    mpc_div,
+    mpc_div_mpf,
+    mpc_mpf_div,
+    mpc_mul,
+    mpc_mul_mpf,
     mpf_add,
     mpf_div,
     mpf_gt,
     mpf_le,
     mpf_mul,
     mpf_pow_int,
+    mpf_sqrt,
     mpf_sub,
+    round_down,
     round_nearest,
 )
 
 from qhermite2 import PrecisionContext, qkernel
-from qhermite2._pairs import _finish_step, _product, _quotient, _sum
-from qhermite2.errors import DomainError, NoConvergenceError
+from qhermite2._pairs import (
+    _complex_product,
+    _complex_quotient,
+    _finish_step,
+    _hypot,
+    _over,
+    _product,
+    _quotient,
+    _real_over_complex,
+    _root,
+    _sum,
+    _times,
+    _truncated_sum,
+)
+from qhermite2.errors import DomainError, FormalSeriesError, NoConvergenceError
 from qhermite2.exact import bn_squared_exact
+from qhermite2.qcalculus import HAT_DEPTH
 from qhermite2.qhermite import hermite2_eval_direct
 from qhermite2.qkernel import (
     HypergeometricSpec,
@@ -146,6 +168,49 @@ class TestPhiRs:
         ctx = PrecisionContext(Fraction(1, 2), 128)
         with pytest.raises(NoConvergenceError, match="^phi_rs: no convergence within max_terms=4000$"):
             phi_rs(spec, ctx)
+
+    @pytest.mark.parametrize("b", [4, complex(4, 0)], ids=["real", "complex"])
+    def test_lower_parameter_at_a_pole(self, b):
+        # b = 4 = q^-2 at q = 1/2: the factor 1 - b q^k vanishes at k = 2,
+        # which the term ratio T_3/T_2 reads and T_2/T_1 does not.
+        ctx = PrecisionContext(Fraction(1, 2), 128)
+        spec = HypergeometricSpec((Fraction(1, 3),), (b,), Fraction(1, 2), terminating_at=2)
+        value = phi_rs(spec, ctx)
+        assert abs(value - ctx.mpf(Fraction(104, 81))) < ctx.mpf("1e-36")
+        assert ctx.nstr(abs(value), 6) == "1.28395"
+        spec = HypergeometricSpec((Fraction(1, 3),), (b,), Fraction(1, 2), terminating_at=3)
+        with pytest.raises(DomainError, match="lower parameter hits q"):
+            phi_rs(spec, ctx)
+
+    def test_negative_excess_needs_termination(self):
+        # 2phi0 has 1 + s - r = -1: a formal series unless it terminates.
+        ctx = PrecisionContext(Fraction(1, 2), 128)
+        upper = (Fraction(1, 4), Fraction(1, 3))
+        with pytest.raises(FormalSeriesError, match="1\\+s-r < 0"):
+            phi_rs(HypergeometricSpec(upper, (), Fraction(1, 5)), ctx)
+        assert phi_rs(HypergeometricSpec(upper, (), Fraction(1, 5), terminating_at=4), ctx) > 0
+
+    @pytest.mark.parametrize("z", [1, -1, Fraction(3, 2), complex(0, 1), complex(-3, 4) / 5])
+    def test_balanced_series_diverges_outside_unit_disc(self, z):
+        ctx = PrecisionContext(Fraction(1, 2), 128)
+        with pytest.raises(FormalSeriesError, match="diverges for \\|z\\| >= 1"):
+            phi_rs(HypergeometricSpec((Fraction(2, 3),), (), z), ctx)
+
+    def test_terminating_series_beyond_the_term_budget_is_refused(self, monkeypatch):
+        # terminating_at = n needs n + 1 terms: max_terms = 16 allows
+        # n = 15 and refuses n = 16 before any term ratio is formed.
+        ctx = PrecisionContext(Fraction(1, 2), 128, max_terms=16)
+        upper = (Fraction(1, 3), Fraction(1, 5))
+        spec = HypergeometricSpec(upper, (), -1, terminating_at=15)
+        assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx)
+        monkeypatch.setattr(qkernel, "_term_ratios", None)
+        for n in (16, 17, 4000):
+            spec = HypergeometricSpec(upper, (), -1, terminating_at=n)
+            with pytest.raises(
+                NoConvergenceError,
+                match=f"^phi_rs: the terminating series needs {n + 1} terms, more than max_terms=16$",
+            ):
+                phi_rs(spec, ctx)
 
 
 class TestWeightW:
@@ -478,6 +543,123 @@ class TestIntegerPairs:
             _assert_step(prec, (sign * x[0], x[1]), p, drop, p0, b)
 
 
+def _raw(pair):
+    return from_man_exp(*pair)
+
+
+def _assert_complex_ops(a, b, prec):
+    """The complex pair operations on a and b, and a's real part over b,
+    are bitwise mpc_mul, mpc_div, mpc_mpf_div and mpc_abs at
+    round_nearest; the truncated sum of the parts is mpf_add at
+    round_down, its root mpf_sqrt."""
+    za, zb = (_raw(a[0]), _raw(a[1])), (_raw(b[0]), _raw(b[1]))
+    got = [_complex_product(a, b, prec), _times(a, b, prec), _times(a[0], b, prec)]
+    want = [mpc_mul(za, zb, prec, round_nearest)] * 2 + [mpc_mul_mpf(zb, za[0], prec, round_nearest)]
+    if b[0][0] or b[1][0]:
+        got += [_complex_quotient(a, b, prec), _real_over_complex(a[0], b, prec)]
+        want += [mpc_div(za, zb, prec, round_nearest), mpc_mpf_div(za[0], zb, prec, round_nearest)]
+    if b[0][0]:
+        got.append(_over(a, b[0], prec))
+        want.append(mpc_div_mpf(za, zb[0], prec, round_nearest))
+    assert [(_raw(re), _raw(im)) for re, im in got] == want
+    assert _raw(_hypot(a, prec)) == mpc_abs(za, prec, round_nearest)
+    assert _raw(_truncated_sum(a[0], a[1], prec)) == mpf_add(za[0], za[1], prec, round_down)
+    assert _raw(_truncated_sum(a[0], b[1], prec)) == mpf_add(za[0], zb[1], prec, round_down)
+    for part in (a[0], a[1], b[0]):
+        if part[0] > 0:
+            assert _raw(_root(part, prec)) == mpf_sqrt(_raw(part), prec, round_nearest)
+
+
+@st.composite
+def _complex_operands(draw):
+    """prec and two complex values whose parts have up to prec bits, or
+    up to 2 prec bits in a wide draw."""
+    prec = draw(st.integers(64, 512))
+    wide = draw(st.booleans())
+
+    def part():
+        bits = draw(st.integers(0, 2 * prec if wide else prec))
+        man = draw(st.integers(0, (1 << bits) - 1)) * draw(st.sampled_from((1, -1)))
+        return man, draw(st.integers(-3 * prec, 3 * prec))
+
+    return prec, (part(), part()), (part(), part())
+
+
+class TestComplexPairs:
+    """Complex values as pairs of integer pairs, and the truncated sum
+    and root their division and modulus use."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_complex_operands())
+    def test_property_matches_mpc(self, operands):
+        prec, a, b = operands
+        _assert_complex_ops(a, b, prec)
+        _assert_complex_ops(b, a, prec)
+
+    @pytest.mark.parametrize("prec", [64, 65, 512])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_forced_cases(self, prec, sign):
+        top = 1 << (prec - 1)
+        one = (top | 5, 3)
+        cases = [
+            # Zero parts: a real or an imaginary value, and zero.
+            ((one, (0, 0)), ((top | 3, -2), (0, 9))),
+            (((0, 4), one), ((0, 0), (top | 3, -2))),
+            ((one, (top | 9, 1)), ((0, 0), (0, 0))),
+            # Parts more than 100 bits apart: the truncated shortcut of
+            # mpf_add, with a short larger part and a long one.
+            ((one, (7, -200)), ((top | 3, 0), (-5, -300))),
+            ((((top << prec) | 9, 400), (7, 0)), ((top | 3, 0), (-(top | 1), -150))),
+            # Parts that cancel in the product and the quotient.
+            (((top | 3, 0), (top | 3, 0)), ((top | 3, 0), (-(top | 3), 0))),
+            # A power of two and exact squares.
+            (((1, 0), (1, 0)), ((3, 0), (4, 0))),
+        ]
+        for a, b in cases:
+            a = ((sign * a[0][0], a[0][1]), a[1])
+            _assert_complex_ops(a, b, prec)
+            _assert_complex_ops(b, a, prec)
+
+    def test_division_intermediates(self):
+        # Found by a random search at 64 bits: rounding |b|^2 or the two
+        # numerators of mpc_div, or the |b|^2 of mpc_mpf_div, to nearest
+        # instead of truncating them, or forming them at prec + 8 or
+        # prec + 12 bits instead of prec + 10, changes the quotient.
+        quotients = (
+            (((-7763478140771780560, -1), (-4791979854294950323, -3)),
+             ((1170713156280938258, 3), (-4897839338904714732, 1))),
+            (((-3929686852997363475, 0), (-10923454586666718505, -3)),
+             ((13325228199746372073, -2), (-1340699641446110265, 2))),
+        )
+        for a, b in quotients:
+            _assert_complex_ops(a, b, 64)
+        real_over_complex = (
+            ((4273281819871564349, -2), ((-13168530585649637340, -3), (1483657102989929222, 1))),
+            ((8130245837406991366, -1), ((2582700801479055601, 1), (-5684893323576096605, 3))),
+        )
+        for x, b in real_over_complex:
+            _assert_complex_ops((x, (0, 0)), b, 64)
+
+    @pytest.mark.parametrize("prec", [64, 65, 512])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_truncated_shortcut_off_truncation(self, prec, sign):
+        # A larger addend of 2 prec bits whose low half sits one unit
+        # below a truncation boundary, and a same-signed addend whose
+        # normalized exponent lies 150 bits lower but which exceeds that
+        # unit: the exact sum truncates across the boundary; mpf_add's
+        # shortcut, which puts one unit far below in place of the smaller
+        # addend, does not.
+        big = ((1 << (2 * prec)) - 1, 300)
+        small = ((1 << 200) - 1, 150)
+        a, b = (sign * big[0], big[1]), (sign * small[0], small[1])
+        exact = Fraction(a[0]) * 2 ** a[1] + Fraction(b[0]) * 2 ** b[1]
+        truncated = from_man_exp(exact.numerator, 0, prec, round_down)
+        got = mpf_add(_raw(a), _raw(b), prec, round_down)
+        assert got != truncated
+        assert _raw(_truncated_sum(a, b, prec)) == got
+        assert _raw(_truncated_sum(b, a, prec)) == got
+
+
 def _exact_branch(n, ctx):
     """Whether mpf_pow_int computes q^|n| without its squaring chain."""
     _, man, _, bc = ctx.qm._mpf_
@@ -702,3 +884,120 @@ class TestSeriesKernelsBitwise:
             for x in (Fraction(1, 2), Fraction(-13, 5)):
                 got = hermite2_eval_direct(n, x, ctx)
                 assert got == _ref_hermite2_eval_direct(n, x, ctx), (n, x)
+
+    def test_gen_exponential_at_caller_arguments(self, q, bits):
+        _check_gen_exponential_at_caller_arguments(PrecisionContext(q, bits))
+
+    def test_phi_rs_complex_parameters(self, q, bits):
+        ctx = PrecisionContext(q, bits)
+        for spec in COMPLEX_SPECS:
+            assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx), spec
+
+    def test_hermite2_eval_direct_at_recurrence_points(self, q, bits):
+        _check_hermite2_eval_direct_at_recurrence_points(PrecisionContext(q, bits), range(13))
+
+
+# phi_rs with complex values that PHI_SPECS lacks: a complex lower
+# parameter under a real numerator (mpc_mpf_div) and under a complex one
+# (mpc_div), the 1phi1 of the coherent-state closed form, a terminating
+# series, and a complex z whose imaginary part is 0 (still the mpc
+# operations).
+COMPLEX_SPECS = (
+    HypergeometricSpec((Fraction(1, 3),), (complex(1, 1) / 4,), Fraction(1, 2)),
+    HypergeometricSpec((), (complex(-2, 3),), Fraction(-5, 2)),
+    HypergeometricSpec((complex(0, 1),), (complex(1, -2) / 3,), complex(1, 1) / 4),
+    HypergeometricSpec((complex(0, 3) / 2,), (complex(0, 7) / 10,), complex(0, -7) / 10),
+    HypergeometricSpec((Fraction(1, 8), complex(0, 2)), (complex(0, 3),), 2, terminating_at=7),
+    HypergeometricSpec((Fraction(1, 3),), (Fraction(1, 5),), complex(0.25, 0)),
+)
+
+
+def _gen_exponential_caller_arguments(ctx):
+    """Arguments with which the package calls gen_exponential: 0; N^2 at
+    rings |z|^2 = (q/(1-q)) q^m of the z-radial measure, formed as
+    ``build_measure`` and ``cs_norm_sq`` form them, for exponents 1 - k
+    and k + 2 at some k <= HAT_DEPTH; and the complex w of ``overlap``,
+    real-valued for z1 = z2."""
+    q = ctx.qm
+    c = q / (1 - q)
+    args = [0, ctx.mpf(0), ctx.mpc(0)]
+    for k in (0, 1, 2, HAT_DEPTH // 2, HAT_DEPTH):
+        for m in (1 - k, k + 2):
+            args.append((1 - q) / q * (c * q_power(m, ctx)))
+    for z1, z2 in ((complex(1, 2), complex(-0.5, 0.75)), (complex(3, -1), complex(3, -1)), (2, complex(0, 1))):
+        args.append((1 - q) / q * ctx.mp.conj(ctx.mpc(z1)) * ctx.mpc(z2))
+    return args
+
+
+def _check_gen_exponential_at_caller_arguments(ctx):
+    for x in _gen_exponential_caller_arguments(ctx):
+        assert gen_exponential(x, ctx) == _ref_gen_exponential(x, ctx), x
+
+
+def _check_hermite2_eval_direct_at_recurrence_points(ctx, degrees):
+    # As suites.recurrence passes them: mpf points of the context.
+    for n in degrees:
+        for x in (0, Fraction(1, 2), Fraction(-1, 2), 1, -1, 2, -2):
+            xv = ctx.mpf(x)
+            assert hermite2_eval_direct(n, xv, ctx) == _ref_hermite2_eval_direct(n, xv, ctx), (n, x)
+
+
+@pytest.mark.parametrize("bits", [128, 512])
+@pytest.mark.parametrize("q", [Fraction(3, 10), Fraction(63, 64)], ids=str)
+def test_series_kernels_bitwise_at_128_and_512_bits(q, bits):
+    ctx = PrecisionContext(q, bits)
+    _check_gen_exponential_at_caller_arguments(ctx)
+    _check_hermite2_eval_direct_at_recurrence_points(ctx, (0, 1, 7, 12))
+    for spec in PHI_SPECS + COMPLEX_SPECS:
+        assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx), spec
+
+
+# The mpf/mpc operators of a context; the series kernels call them only
+# for conversions outside their loops.
+_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__", "__abs__",
+    "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+class TestOperatorCalls:
+    """The series run on integer pairs: the operator calls of one call
+    do not grow with its number of terms."""
+
+    @staticmethod
+    def _counter(monkeypatch, ctx):
+        calls = []
+        for cls in (ctx.mp.mpf, ctx.mp.mpc):
+            for name in _OPERATORS:
+                method = getattr(cls, name)
+
+                def counted(*args, _method=method):
+                    calls.append(1)
+                    return _method(*args)
+
+                monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def test_gen_exponential(self, monkeypatch):
+        ctx = PrecisionContext(Fraction(19, 20), 256)
+        calls = self._counter(monkeypatch, ctx)
+        terms = {}
+        for x in (Fraction(1, 1000), Fraction(3, 2), Fraction(3, 2)):
+            before = len(calls)
+            assert gen_exponential(x, ctx) > 1
+            terms[x] = len(ctx.tables[("1-q^(n+1)", 256)])
+            assert len(calls) - before <= 4, (x, len(calls) - before)
+        # The table of 1 - q^(n+1) grows to the longest series so far:
+        # 26 terms at x = 1/1000, 65 at x = 3/2.
+        assert terms[Fraction(1, 1000)] < 30 and terms[Fraction(3, 2)] > 60
+
+    def test_hermite2_eval_direct(self, monkeypatch):
+        ctx = PrecisionContext(Fraction(3, 10), 256)
+        calls = self._counter(monkeypatch, ctx)
+        counts = []
+        for n in (1, 12):
+            before = len(calls)
+            hermite2_eval_direct(n, Fraction(-1, 2), ctx)
+            counts.append(len(calls) - before)
+        assert counts[0] == counts[1] <= 12, counts
