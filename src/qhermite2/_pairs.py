@@ -14,14 +14,15 @@ included: those are at the default ``round_fast``, which truncates
 and :func:`_size` are the mpf/mpc operators ``*``, ``/``, ``+`` and
 ``abs`` on real or complex values: like the operators, they pick the
 mpmath routine by the types of their operands, which a complex value
-with a zero imaginary part does not change.
+with a zero imaginary part does not change.  :func:`_operand` converts
+an operand as the operators do.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, to_str
 
 # 0 and 1 as integer pairs.
 _ZERO = (0, 0)
@@ -300,10 +301,24 @@ def _over(a: tuple, b: tuple, prec: int) -> tuple:
 
 
 def _plus(a: tuple, b: tuple, prec: int) -> tuple:
-    """a + b of two real or two complex values: ``mpf_add`` or ``mpc_add``."""
+    """a + b: ``mpf_add``, ``mpc_add_mpf`` (a real addend joins the real
+    part; the imaginary part is kept as it is) or ``mpc_add``."""
     if type(a[0]) is tuple:
-        return _sum(a[0], b[0], prec), _sum(a[1], b[1], prec)
+        if type(b[0]) is tuple:
+            return _sum(a[0], b[0], prec), _sum(a[1], b[1], prec)
+        return _sum(a[0], b, prec), a[1]
+    if type(b[0]) is tuple:
+        return _sum(a, b[0], prec), b[1]
     return _sum(a, b, prec)
+
+
+def _negative(a: tuple) -> tuple:
+    """-a, exactly: a - b is ``_plus(a, _negative(b))``, as ``mpf_sub``
+    and ``mpc_sub`` add the negated subtrahend (``mpf - mpc`` rounds the
+    negated imaginary part, which changes nothing at most prec bits)."""
+    if type(a[0]) is tuple:
+        return (-a[0][0], a[0][1]), (-a[1][0], a[1][1])
+    return -a[0], a[1]
 
 
 def _size(a: tuple, prec: int) -> tuple:
@@ -319,6 +334,33 @@ def _is_zero(a: tuple) -> bool:
     if type(a[0]) is tuple:
         return not (a[0][0] or a[1][0])
     return not a[0]
+
+
+def _finite(raw: tuple) -> tuple:
+    """The raw mpf tuple ``raw`` as a pair; ValueError for a NaN or an
+    infinity, which no pair holds."""
+    sign, man, exp, bc = raw
+    if not man and (exp or bc):
+        raise ValueError(f"{to_str(raw, 8)} is not finite")
+    return -man if sign else man, exp
+
+
+def _operand(x, ctx) -> tuple:
+    """x as a real or complex value, as the mpf/mpc operators take an
+    operand: an int exactly, as (n, 0), an mpf or mpc as it is, anything
+    else as ``ctx.mp.convert`` makes it (a Fraction rounded to the
+    working precision); ValueError for a NaN or an infinity.  A value
+    (a tuple) is returned as it is."""
+    if type(x) is tuple:
+        return x
+    if type(x) is int:
+        return x, 0
+    if not hasattr(x, "_mpf_") and not hasattr(x, "_mpc_"):
+        x = ctx.mp.convert(x, strings=False)
+    if hasattr(x, "_mpc_"):
+        re, im = x._mpc_
+        return _finite(re), _finite(im)
+    return _finite(x._mpf_)
 
 
 def _mp(a: tuple, ctx):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from ._pairs import _ZERO, _as_pair, _mpf, _product, _sum
+from ._pairs import _ONE, _ZERO, _as_pair, _mp, _operand, _plus, _product, _sum, _times
 from .errors import DomainError
 
 __all__ = [
@@ -234,35 +234,46 @@ class Poly:
         return acc
 
     def mp_evaluator(self, ctx):
-        """Horner evaluator at mpf/mpc points in ctx's precision.
+        """Horner evaluator at points of any kind the mpf/mpc operators
+        take (mpf, mpc, int, Fraction, ...), in ctx's precision: the
+        point is converted as they convert it, and :meth:`pair_evaluator`
+        evaluates; the value is an mpf, or an mpc when a coefficient or
+        the point is complex."""
+        horner = self.pair_evaluator(ctx)
+        return lambda x: _mp(horner(_operand(x, ctx)), ctx)
 
-        The coefficients are rounded once, here, not on every call.  The
-        accumulator is complex when a coefficient or the point is.  Real
-        coefficients at an mpf point run on integer pairs
-        (:mod:`qhermite2._pairs`), each step bitwise the mpf operators'
-        at the caller's precision ``mp.prec``, the first step 0*x + c
-        included (it rounds the top coefficient when the call is at a
-        lower precision); every other point (int, Fraction, mpc) goes
-        through the mpf/mpc operators.
+    def pair_evaluator(self, ctx):
+        """Horner evaluator at a real or complex pair value x
+        (:mod:`qhermite2._pairs`), returning a pair value.
+
+        The coefficients are rounded once, here, not on every call.  Each
+        step ``acc * x + c`` is bitwise the mpf/mpc operators' at the
+        caller's precision ``mp.prec``; the accumulator is complex when a
+        coefficient or the point is.  Steps that are exact are skipped:
+        0 x (the top coefficient is rounded at the caller's precision),
+        1 x for a real x of at most prec bits, and + 0.
         """
-        mp = ctx.mp
         complex_coeffs = any(c.im != 0 for c in self.coeffs)
         coeffs = [
-            ctx.mpf(c.re) if c.im == 0 else mp.mpc(ctx.mpf(c.re), ctx.mpf(c.im))
+            _as_pair(ctx.mpf(c.re)) if c.im == 0
+            else (_as_pair(ctx.mpf(c.re)), _as_pair(ctx.mpf(c.im)))
             for c in reversed(self.coeffs)
         ]
-        real = bool(coeffs) and not complex_coeffs
-        pairs = [_as_pair(cv) for cv in coeffs] if real else None
+        mp = ctx.mp
 
-        def horner(x):
-            if real and hasattr(x, "_mpf_"):
-                prec, xp, acc = mp.prec, _as_pair(x), _ZERO
-                for c in pairs:
-                    acc = _sum(_product(acc, xp, prec), c, prec)
-                return _mpf(acc, ctx)
-            acc = mp.mpc(0) if complex_coeffs or isinstance(x, mp.mpc) else mp.mpf(0)
-            for cv in coeffs:
-                acc = acc * x + cv
+        def horner(x: tuple) -> tuple:
+            prec = mp.prec
+            if complex_coeffs or type(x[0]) is tuple:
+                acc = zero = (_ZERO, _ZERO)
+                times, plus, short = _times, _plus, False
+            else:
+                acc = zero = _ZERO
+                times, plus, short = _product, _sum, x[0].bit_length() <= prec
+            for c in coeffs:
+                if acc is not zero:
+                    acc = x if short and acc == _ONE else times(acc, x, prec)
+                if c != _ZERO:
+                    acc = plus(acc, c, prec)
             return acc
 
         return horner

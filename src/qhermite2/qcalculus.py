@@ -4,7 +4,12 @@ integrals, and integration-by-parts validators.
 Two evaluation regimes coexist:
 
 * numeric: callables evaluated on geometric lattices at working
-  precision with monitored tails (never assumed convergent);
+  precision with monitored tails (never assumed convergent).  The
+  lattice runs on integer pairs (:mod:`qhermite2._pairs`): every
+  lattice point, derivative quotient, product, term and sum is the pair
+  operation that gives the mpf/mpc operator's float, a polynomial is
+  evaluated by Horner on pairs, and any other callable is called at an
+  mpf point with its result converted once;
 * exact: polynomial identities (Leibniz rule, derivative/antiderivative
   round trips) proved over the rationals via :class:`~qhermite2.exact.Poly`.
 
@@ -30,9 +35,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 from typing import Callable, Dict, Union
 
+from ._pairs import (
+    _ONE,
+    _ZERO,
+    _as_pair,
+    _larger,
+    _less,
+    _mp,
+    _mpf,
+    _negative,
+    _operand,
+    _over,
+    _plus,
+    _product,
+    _quotient,
+    _raw_pair,
+    _size,
+    _sum,
+    _times,
+)
 from .context import PrecisionContext, as_fraction
 from .errors import DomainError, NoConvergenceError
 from .exact import (
@@ -42,7 +67,7 @@ from .exact import (
     jackson_monomial_exact,
     qbracket,
 )
-from .qkernel import Decay, q_power
+from .qkernel import Decay, q_power_raw
 
 __all__ = [
     "LatticeFunction",
@@ -99,11 +124,65 @@ class LatticeFunction:
 
 Evaluatable = Union[Callable, Poly]
 
+# A lattice value is a real or complex pair value (:mod:`qhermite2._pairs`),
+# or a callable's result that is not an mpf or mpc (an int, float, Fraction
+# or complex), kept raw: two raw values combine by their own operators (an
+# int difference stays exact), and a raw value meets a pair converted as the
+# mpf operators convert it (:func:`~qhermite2._pairs._operand`).  Lattice
+# points are real pairs, each the product, quotient or sum the mpf
+# operators form, at the precision of the call.
 
-def _as_callable(f: Evaluatable, ctx: PrecisionContext) -> Callable:
+
+def _lattice_value(x, ctx: PrecisionContext):
+    """The callable result x as a lattice value."""
+    return _operand(x, ctx) if hasattr(x, "_mpf_") or hasattr(x, "_mpc_") else x
+
+
+def _mul(a, b, ctx: PrecisionContext, prec: int):
+    """a b of two lattice values."""
+    if type(a) is tuple and type(b) is tuple:
+        return _times(a, b, prec)
+    if type(a) is not tuple and type(b) is not tuple:
+        return a * b
+    return _times(_operand(a, ctx), _operand(b, ctx), prec)
+
+
+def _add(a, b, ctx: PrecisionContext, prec: int):
+    """a + b of two lattice values."""
+    if type(a) is tuple and type(b) is tuple:
+        return _plus(a, b, prec)
+    if type(a) is not tuple and type(b) is not tuple:
+        return a + b
+    return _plus(_operand(a, ctx), _operand(b, ctx), prec)
+
+
+def _sub(a, b, ctx: PrecisionContext, prec: int):
+    """a - b of two lattice values."""
+    if type(a) is tuple and type(b) is tuple:
+        return _plus(a, _negative(b), prec)
+    if type(a) is not tuple and type(b) is not tuple:
+        return a - b
+    return _plus(_operand(a, ctx), _negative(_operand(b, ctx)), prec)
+
+
+def _q_pair(m: int, ctx: PrecisionContext) -> tuple:
+    """q^m as a pair, bitwise ``ctx.qm ** m``."""
+    return _raw_pair(q_power_raw(m, ctx))
+
+
+def _on_pairs(f: Evaluatable, ctx: PrecisionContext) -> Callable:
+    """f on the lattice: a function of a real pair point returning a
+    lattice value.  A :class:`Poly` runs Horner on pairs
+    (:meth:`Poly.pair_evaluator`); any other callable is called at the
+    mpf of the point, and its result converted once
+    (:func:`_lattice_value`)."""
     if isinstance(f, Poly):
-        return f.mp_evaluator(ctx)
-    return f
+        return f.pair_evaluator(ctx)
+
+    def value(t: tuple):
+        return _lattice_value(f(_mpf(t, ctx)), ctx)
+
+    return value
 
 
 def q_derivative(f: Evaluatable, x, ctx: PrecisionContext):
@@ -111,9 +190,11 @@ def q_derivative(f: Evaluatable, x, ctx: PrecisionContext):
     xv = ctx.mpf(x)
     if xv == 0:
         raise DomainError("q_derivative is undefined at x = 0")
-    func = _as_callable(f, ctx)
-    q = ctx.qm
-    return (func(xv) - func(q * xv)) / (xv * (1 - q))
+    value = _on_pairs(f, ctx)
+    prec = ctx.mp.prec
+    q, xp = _as_pair(ctx.qm), _as_pair(xv)
+    rise = _operand(_sub(value(xp), value(_product(q, xp, prec)), ctx, prec), ctx)
+    return _mp(_over(rise, _product(xp, _sum(_ONE, _negative(q), prec), prec), prec), ctx)
 
 
 def deformed_derivative(f: Evaluatable, x, ctx: PrecisionContext):
@@ -125,7 +206,7 @@ def deformed_derivative(f: Evaluatable, x, ctx: PrecisionContext):
     xv = ctx.mpf(x)
     if xv == 0:
         raise DomainError("deformed_derivative is undefined at x = 0")
-    return _dhat_callable(_as_callable(f, ctx), ctx)(xv)
+    return _mp(_dhat(_on_pairs(f, ctx), ctx)(_as_pair(xv)), ctx)
 
 
 def _monitored_sum(terms, ctx: PrecisionContext, what: str):
@@ -135,32 +216,40 @@ def _monitored_sum(terms, ctx: PrecisionContext, what: str):
     magnitudes against the running sum, counting only terms that are
     not growing (a growing term resets the streak), so geometric
     q-lattice tails contribute at most a small multiple of the
-    tolerance.  Raises NoConvergenceError at the term budget.
+    tolerance.  Raises NoConvergenceError at the term budget.  Terms
+    and the running sum are pair values (an mpf term, as a caller may
+    pass, is converted; after a NaN term the sum never settles), and the
+    sum is returned as an mpf or mpc.
     """
-    total = ctx.mp.mpf(0)
-    decay = Decay(ctx)
-    prev = None
+    prec = ctx.mp.prec
+    total, decay, prev, nan = _ZERO, Decay(ctx), None, False
     for term in islice(terms, ctx.max_terms):
-        total = total + term
-        mag = abs(term)
-        if prev is not None and mag > prev:
+        if type(term) is not tuple:
+            if term != term:
+                nan = True
+                continue
+            term = _operand(term, ctx)
+        total = _plus(total, term, prec)
+        mag = _size(term, prec)
+        if prev is not None and _less(prev, mag):
             decay.streak = 0
-        # A NaN term reads as a zero pair; mag == mag keeps it unsettled.
-        elif decay.settled(mag._mpf_[1:3], abs(total)._mpf_[1:3]) and mag == mag:
-            return total
+        elif decay.settled(mag, _size(total, prec)) and not nan:
+            return _mp(total, ctx)
         prev = mag
     raise NoConvergenceError(
-        f"{what}: lattice terms still {mag} after {ctx.max_terms} terms"
+        f"{what}: lattice terms still {ctx.mp.nan if nan else _mp(mag, ctx)} "
+        f"after {ctx.max_terms} terms"
     )
 
 
-def _walk(value, x, first, step):
-    """Yield q^j value(q^j x) along a lattice, q^j running from ``first``
-    through step(q^j)."""
-    qj = first
+def _walk(value, x: tuple, qj: tuple, step, ctx: PrecisionContext):
+    """Yield q^j value(q^j x) along a lattice, q^j running from ``qj``
+    through step(q^j, q) (:func:`_product` or :func:`_quotient`)."""
+    prec = ctx.mp.prec
+    q = _as_pair(ctx.qm)
     while True:
-        yield qj * value(qj * x)
-        qj = step(qj)
+        yield _mul(qj, value(_product(qj, x, prec)), ctx, prec)
+        qj = step(qj, q, prec)
 
 
 def jackson_integral(f: Evaluatable, kind: str, x, ctx: PrecisionContext):
@@ -178,30 +267,31 @@ def jackson_integral(f: Evaluatable, kind: str, x, ctx: PrecisionContext):
     xv = ctx.mpf(x)
     if xv <= 0:
         raise DomainError(f"base point must be positive, got {x}")
-    func = _as_callable(f, ctx)
-    q = ctx.qm
+    value = _on_pairs(f, ctx)
+    prec = ctx.mp.prec
+    q, xp = _as_pair(ctx.qm), _as_pair(xv)
+    scale = _product(xp, _sum(_ONE, _negative(q), prec), prec)
 
     if kind == "zero_to_x":
-        small_terms = _walk(func, xv, ctx.mp.mpf(1), lambda qj: qj * q)
-        return xv * (1 - q) * _monitored_sum(small_terms, ctx, "jackson")
+        small_terms = _walk(value, xp, _ONE, _product, ctx)
+        total = _operand(_monitored_sum(small_terms, ctx, "jackson"), ctx)
+        return _mp(_times(scale, total, prec), ctx)
 
     if kind not in ("zero_to_inf", "minus_inf_to_inf"):
         raise DomainError(f"unknown jackson integral kind {kind!r}")
 
-    mirrored = kind == "minus_inf_to_inf"
+    if kind == "minus_inf_to_inf":
+        half = value
 
-    def value_at(t):
-        v = func(t)
-        if mirrored:
-            v = v + func(-t)
-        return v
+        def value(t: tuple):
+            return _add(half(t), half(_negative(t)), ctx, prec)
 
     # j = 0, 1, 2, ... (abscissa shrinks) and j = -1, -2, ... (it grows)
-    upward_terms = _walk(value_at, xv, ctx.mp.mpf(1), lambda qj: qj * q)
-    downward_terms = _walk(value_at, xv, 1 / q, lambda qj: qj / q)
-    up = _monitored_sum(upward_terms, ctx, "jackson upward branch")
-    down = _monitored_sum(downward_terms, ctx, "jackson downward branch")
-    return (1 - q) * xv * (up + down)
+    upward_terms = _walk(value, xp, _ONE, _product, ctx)
+    downward_terms = _walk(value, xp, _quotient(_ONE, q, prec), _quotient, ctx)
+    up = _operand(_monitored_sum(upward_terms, ctx, "jackson upward branch"), ctx)
+    down = _operand(_monitored_sum(downward_terms, ctx, "jackson downward branch"), ctx)
+    return _mp(_times(scale, _plus(up, down, prec), prec), ctx)
 
 
 # Default depth K of the hat lattice (exponents 1 - K .. K + 2) for
@@ -209,38 +299,39 @@ def jackson_integral(f: Evaluatable, kind: str, x, ctx: PrecisionContext):
 HAT_DEPTH = 60
 
 
-def _hat_sum(term: Callable[[int], object], K: int, ctx: PrecisionContext, what: str):
+def _hat_sum(term: Callable[[int], tuple], K: int, ctx: PrecisionContext, what: str):
     """sum_j term(j) over the hat lattice at depth K: for k = 0..K the
     growing-abscissa term j = 1 - k, then the shrinking one j = k + 2.
-    The caller forms each whole term, such as q^j g(q^j), and names
-    itself in ``what``, which opens the error message.
+    The caller forms each whole term, such as q^j g(q^j), as a pair
+    value, and names itself in ``what``, which opens the error message.
 
-    Returns (total, max |growing term|, max |shrinking term|).  Raises
-    NoConvergenceError if the last growing term is not negligible and
-    not below both terms before it: weights obeying g_m ~ g_{m+2}/q^{m+1}
-    decay on the growing side as two interleaved parity subsequences, so
-    adjacent terms may zigzag while the envelope falls.
+    Returns (total, max |growing term|, max |shrinking term|) as pair
+    values.  Raises NoConvergenceError if the last growing term is not
+    negligible and not below both terms before it: weights obeying
+    g_m ~ g_{m+2}/q^{m+1} decay on the growing side as two interleaved
+    parity subsequences, so adjacent terms may zigzag while the envelope
+    falls.
     """
     if K < 1:
         raise DomainError(f"K must be >= 1, got {K}")
-    mp = ctx.mp
-    tol = ctx.mpf(ctx.series_tol)
-    total = mp.mpf(0)
-    max_grow = mp.mpf(0)
-    max_shrink = mp.mpf(0)
+    prec = ctx.mp.prec
+    tol = _as_pair(ctx.mpf(ctx.series_tol))
+    total = max_grow = max_shrink = _ZERO
     recent = []  # growing-branch magnitudes of the last three steps
     for k in range(K + 1):
         t_grow = term(1 - k)
         t_shrink = term(k + 2)
-        total = total + t_grow + t_shrink
-        max_grow = max(max_grow, abs(t_grow))
-        max_shrink = max(max_shrink, abs(t_shrink))
-        recent = recent[-2:] + [abs(t_grow)]
+        total = _plus(_plus(total, t_grow, prec), t_shrink, prec)
+        grow = _size(t_grow, prec)
+        max_grow = _larger(max_grow, grow)
+        max_shrink = _larger(max_shrink, _size(t_shrink, prec))
+        recent = recent[-2:] + [grow]
     *before, last = recent  # K >= 1, so one or two terms come before
-    if last > tol * max(abs(total), tol) and last >= max(before):
+    bound = _product(tol, _larger(_size(total, prec), tol), prec)
+    if _less(bound, last) and not _less(last, reduce(_larger, before)):
         raise NoConvergenceError(
             f"{what}: growing-abscissa branch not decaying "
-            f"at K={K} (last term {mp.nstr(last, 8)})"
+            f"at K={K} (last term {ctx.mp.nstr(_mp(last, ctx), 8)})"
         )
     return total, max_grow, max_shrink
 
@@ -269,39 +360,54 @@ def hat_q_integral(
                 f"lattice range [{f.m_min}, {f.m_max}] does not cover "
                 f"exponents [{1 - K}, {K + 2}] needed at K={K}"
             )
-        sample = f.at_exponent
-    else:
-        func = _as_callable(f, ctx)
-        def sample(m: int):
-            return func(q_power(m, ctx))
 
+        def sample(m: int):
+            return _lattice_value(f.at_exponent(m), ctx)
+    else:
+        value = _on_pairs(f, ctx)
+
+        def sample(m: int):
+            return value(_q_pair(m, ctx))
+
+    prec = ctx.mp.prec
     total, max_grow, max_shrink = _hat_sum(
-        lambda j: q_power(j, ctx) * sample(j), K, ctx, "hat_q_integral"
+        lambda j: _mul(_q_pair(j, ctx), sample(j), ctx, prec), K, ctx, "hat_q_integral"
     )
-    value = total / ctx.qm
+    value = _mp(_over(total, _as_pair(ctx.qm), prec), ctx)
     if return_diagnostics:
-        return value, max_grow, max_shrink
+        return value, _mp(max_grow, ctx), _mp(max_shrink, ctx)
     return value
 
 
 def hat_q_integral_finite(f: Evaluatable, a, ctx: PrecisionContext):
     """Finite hat q-integral: q^{-1} a sum_{j>=0} q^j f(a q^j)."""
+    return _mp(_hat_finite(_on_pairs(f, ctx), a, ctx), ctx)
+
+
+def _hat_finite(value, a, ctx: PrecisionContext) -> tuple:
+    """q^{-1} a sum_{j>=0} q^j value(a q^j) for the lattice function
+    ``value`` and a > 0, as a pair value."""
     av = ctx.mpf(a)
     if av <= 0:
         raise DomainError(f"upper limit must be positive, got {a}")
-    func = _as_callable(f, ctx)
-    q = ctx.qm
-    terms = _walk(func, av, ctx.mp.mpf(1), lambda qj: qj * q)
-    return av / q * _monitored_sum(terms, ctx, "hat_q_integral_finite")
+    prec = ctx.mp.prec
+    q, ap = _as_pair(ctx.qm), _as_pair(av)
+    terms = _walk(value, ap, _ONE, _product, ctx)
+    total = _operand(_monitored_sum(terms, ctx, "hat_q_integral_finite"), ctx)
+    return _times(_quotient(ap, q, prec), total, prec)
 
 
-def _dhat_callable(f: Callable, ctx: PrecisionContext) -> Callable:
-    qi = 1 / ctx.qm
-    qi2 = qi * qi
+def _dhat(value, ctx: PrecisionContext):
+    """d-hat of the lattice function ``value``: the lattice function
+    t -> (value(q^{-2} t) - value(q^{-1} t)) / (q^{-1} t)."""
+    prec = ctx.mp.prec
+    qi = _quotient(_ONE, _as_pair(ctx.qm), prec)
+    qi2 = _product(qi, qi, prec)
 
-    def dhat(t):
-        qit = qi * t
-        return (f(qi2 * t) - f(qit)) / qit
+    def dhat(t: tuple) -> tuple:
+        qit = _product(qi, t, prec)
+        rise = _sub(value(_product(qi2, t, prec)), value(qit), ctx, prec)
+        return _over(_operand(rise, ctx), qit, prec)
 
     return dhat
 
@@ -333,36 +439,41 @@ def ibp_residual(
     and the inf-end uses the deepest retained lattice point (negligible
     for decaying integrands).  Both ip3 sums carry the growing-branch
     certificate of :func:`hat_q_integral` (NoConvergenceError; K >= 1).
+    Every lattice sum, derivative and product runs on pairs.
     """
-    mp = ctx.mp
-    q = ctx.qm
-    uf = _as_callable(u, ctx)
+    prec = ctx.mp.prec
+    q = _as_pair(ctx.qm)
+    uf = _on_pairs(u, ctx)
 
     if variant in ("ip1", "ip2"):
         if a is None:
             raise DomainError(f"{variant} needs a finite upper limit")
         if not callable(v) and not isinstance(v, Poly):
             raise DomainError(f"{variant} needs an evaluatable v")
-        vf = _as_callable(v, ctx)
+        vf = _on_pairs(v, ctx)
         av = ctx.mpf(a)
-        du = _dhat_callable(uf, ctx)
-        dv = _dhat_callable(vf, ctx)
-        q2 = q**2
-        boundary = uf(av / q2) * vf(av / q2) - uf(mp.mpf(0)) * vf(mp.mpf(0))
-        if variant == "ip1":
-            lhs = hat_q_integral_finite(lambda t: uf(t / q) * dv(t), av, ctx)
-            rhs = boundary - hat_q_integral_finite(
-                lambda t: vf(t / q2) * du(t), av, ctx
-            )
-        else:
-            lhs = hat_q_integral_finite(lambda t: uf(t / q2) * dv(t), av, ctx)
-            rhs = boundary - hat_q_integral_finite(
-                lambda t: vf(t / q) * du(t), av, ctx
-            )
-        return abs(lhs - rhs)
+        du = _dhat(uf, ctx)
+        dv = _dhat(vf, ctx)
+        q2 = _product(q, q, prec)
+        top = _quotient(_as_pair(av), q2, prec)
+        rim = _mul(uf(top), vf(top), ctx, prec)
+        boundary = _sub(rim, _mul(uf(_ZERO), vf(_ZERO), ctx, prec), ctx, prec)
+        u_shift, v_shift = (q, q2) if variant == "ip1" else (q2, q)
+
+        def left(t: tuple):
+            return _mul(uf(_quotient(t, u_shift, prec)), dv(t), ctx, prec)
+
+        def right(t: tuple):
+            return _mul(vf(_quotient(t, v_shift, prec)), du(t), ctx, prec)
+
+        lhs = _hat_finite(left, av, ctx)
+        rhs = _sub(boundary, _hat_finite(right, av, ctx), ctx, prec)
+        return _mp(_size(_sub(lhs, rhs, ctx, prec), prec), ctx)
 
     if variant != "ip3":
         raise DomainError(f"unknown integration-by-parts variant {variant!r}")
+    if a is not None:
+        raise DomainError("ip3 takes a=None")
 
     # ip3 on the doubly infinite base-1 lattice, v sampled at q^m.
     if isinstance(v, LatticeFunction):
@@ -374,36 +485,41 @@ def ibp_residual(
                 f"lattice range [{v.m_min}, {v.m_max}] does not cover "
                 f"[{needed_lo}, {needed_hi}] needed at K={K}"
             )
-        v_at = v.at_exponent
+
+        def v_at(m: int):
+            return _lattice_value(v.at_exponent(m), ctx)
     else:
-        vf = _as_callable(v, ctx)
+        vf = _on_pairs(v, ctx)
         v_values = {}  # each lattice index is read up to three times
 
         def v_at(m: int):
             if m not in v_values:
-                v_values[m] = vf(q_power(m, ctx))
+                v_values[m] = vf(_q_pair(m, ctx))
             return v_values[m]
 
     def dv_at(m: int):
         # (dhat v)(q^m) = q^{1-m} (v(q^{m-2}) - v(q^{m-1}))
-        return q_power(1 - m, ctx) * (v_at(m - 2) - v_at(m - 1))
+        return _mul(_q_pair(1 - m, ctx), _sub(v_at(m - 2), v_at(m - 1), ctx, prec), ctx, prec)
 
-    du = _dhat_callable(uf, ctx)
+    du = _dhat(uf, ctx)
 
     def lhs_term(m: int):
         # q^m u(q^m) (dhat v)(q * q^m) on the hat lattice
-        return q_power(m, ctx) * (uf(q_power(m, ctx)) * dv_at(m + 1))
+        qm = _q_pair(m, ctx)
+        return _mul(qm, _mul(uf(qm), dv_at(m + 1), ctx, prec), ctx, prec)
 
     def rhs_term(m: int):
-        return q_power(m, ctx) * (v_at(m - 2) * du(q_power(m, ctx)))
+        qm = _q_pair(m, ctx)
+        return _mul(qm, _mul(v_at(m - 2), du(qm), ctx, prec), ctx, prec)
 
     # the Jacobian q cancels the measure's q^{-1} prefactor
     lhs = _hat_sum(lhs_term, K, ctx, "ibp_residual ip3")[0]
     # boundary [uv]_0^inf: deep end ~ 0 for decaying v, 0-end -> u(0) v(0+)
-    deep = uf(q_power(-K, ctx)) * v_at(-K)
-    zero_end = uf(mp.mpf(0)) * v_at(K + 4)
-    rhs = (deep - zero_end) - _hat_sum(rhs_term, K, ctx, "ibp_residual ip3")[0] / q
-    return abs(lhs - rhs)
+    deep = _mul(uf(_q_pair(-K, ctx)), v_at(-K), ctx, prec)
+    zero_end = _mul(uf(_ZERO), v_at(K + 4), ctx, prec)
+    rim = _sub(deep, zero_end, ctx, prec)
+    rhs = _sub(rim, _over(_hat_sum(rhs_term, K, ctx, "ibp_residual ip3")[0], q, prec), ctx, prec)
+    return _mp(_size(_sub(lhs, rhs, ctx, prec), prec), ctx)
 
 
 # --------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
 
 from ._pairs import (
     _ZERO,
@@ -54,6 +54,7 @@ from ._pairs import (
     _mpf,
     _product,
     _quotient,
+    _raw_pair,
     _round_even,
     _sum,
 )
@@ -354,10 +355,13 @@ def moment_In(
         raise DomainError(f"moment order must be >= 0, got {n}")
     weight = _hat_weight(K, M, ctx, weight)
 
-    def term(j: int):
-        return q_power(j, ctx) * (q_power(j * n, ctx) * weight.value(j - 2))
+    prec = ctx.mp.prec
 
-    value = _hat_sum(term, K, ctx, "moment_In")[0] / ctx.qm
+    def term(j: int) -> tuple:
+        weighted = _product(_raw_pair(q_power_raw(j * n, ctx)), _as_pair(weight.value(j - 2)), prec)
+        return _product(_raw_pair(q_power_raw(j, ctx)), weighted, prec)
+
+    value = _mpf(_quotient(_hat_sum(term, K, ctx, "moment_In")[0], _as_pair(ctx.qm), prec), ctx)
     closed = ctx.mpf(moment_In_exact(n, ctx.q))
     rel = abs(value - closed) / abs(closed)
     return MomentResult(
@@ -386,10 +390,15 @@ class DiscreteMeasure:
     total_mass: object
 
     def moment(self, n: int, ctx: PrecisionContext):
-        """sum_k support_k^n * weight_k by the certified hat sum ``_hat_sum``."""
-        terms = [s**n * w for s, w in zip(self.support, self.weights)]
-        term = dict(zip(self.exponents, terms)).__getitem__
-        return _hat_sum(term, self.branch_split - 1, ctx, "DiscreteMeasure.moment")[0]
+        """sum_k support_k^n * weight_k by the certified hat sum ``_hat_sum``,
+        each term formed on pairs as the mpf operators form it."""
+        prec = ctx.mp.prec
+        terms = {
+            m: _product(_raw_pair(mpf_pow_int(s._mpf_, n, prec, round_nearest)), _as_pair(w), prec)
+            for m, s, w in zip(self.exponents, self.support, self.weights)
+        }
+        total = _hat_sum(terms.__getitem__, self.branch_split - 1, ctx, "DiscreteMeasure.moment")[0]
+        return _mpf(total, ctx)
 
 
 def build_measure(

@@ -161,6 +161,15 @@ class TestMpEvaluatorBitwise:
                         want = want * x + cv
                 assert _raw(got) == _raw(want), (poly, prec)
 
+    def test_non_finite_point_refused(self):
+        # A pair holds no NaN or infinity; read as a zero pair, such a
+        # point gave p(0).
+        ctx = PrecisionContext(q=Q3, precision_bits=64)
+        horner = Poly((5, 0, 1)).mp_evaluator(ctx)
+        for x in (ctx.mp.nan, ctx.mp.inf, ctx.mpc(complex(1, float("nan")))):
+            with pytest.raises(ValueError, match="is not finite"):
+                horner(x)
+
 
 class TestClosedForms:
     def test_qbracket_values(self):
