@@ -108,6 +108,13 @@ def _quotient(a: tuple, b: tuple, prec: int) -> tuple:
     return (-man if negative else man), ae - be - shift + low
 
 
+def _rational(num: int, den: int, prec: int) -> tuple:
+    """num / den, den > 0, as ``PrecisionContext.mpf`` rounds the Fraction
+    num/den in lowest terms: num rounded to prec bits (``from_int``),
+    then the quotient rounded (``mpf_div``)."""
+    return _quotient(_round_even(num, prec), (den, 0), prec)
+
+
 def _finish_step(rise: tuple, drop: tuple, p0: tuple, b: tuple, prec: int) -> tuple:
     """(round(rise) + drop p0) / b, b > 0: the end of a recurrence step,
     ``_quotient(_sum(_product(x, p), _product(drop, p0)), b)`` for a rise

@@ -42,6 +42,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coherent import CS_TRUNC, cs_eigen_residual
@@ -57,7 +58,7 @@ from .errors import (
     TruncationError,
 )
 from . import suites
-from .exact import GaussianRational, lambda_exact, moment_In_exact
+from .exact import GaussianRational, _oscillator_rows, moment_In_exact
 from .extremal import carrier_roots, loadings
 from .qcalculus import HAT_DEPTH
 from .qhermite import hermite2_coeffs, psi_eval
@@ -269,8 +270,9 @@ def _cmd_table(ns, ctx: PrecisionContext) -> CommandOutput:
     rows: List[List[str]] = []
     if ns.what == "spectrum":
         columns = ("n", "lambda_n")
-        for n in range(ns.n_max + 1):
-            rows.append([str(n), _fmt(ctx, lambda_exact(n, ctx.q))])
+        levels = islice(_oscillator_rows(ctx.q), ns.n_max + 1)
+        for n, (_, _, _, level, _) in enumerate(levels):
+            rows.append([str(n), _fmt(ctx, Fraction(*level))])
     elif ns.what == "bn":
         columns = ("n", "b_n")
         for n in range(ns.n_max + 1):

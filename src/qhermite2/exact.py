@@ -386,6 +386,33 @@ def lambda_exact(n: int, q: Fraction) -> Fraction:
     return first + second
 
 
+def _oscillator_rows(q: Fraction, start: int = 0):
+    """The exact diagonals of the oscillator at n = start, start + 1, ...
+
+    Yields, per n, (q^-n, q^-2n, q^-2n [n+1]_q, lambda_n, b_n^2), each
+    as a pair (numerator, denominator), from one pass over the running
+    integer powers a^n, b^n of q = a/b and t = b^n [n+1]_q, which is
+    the integer (b^(n+1) - a^(n+1))/(b - a) and steps to b t + a^(n+1).
+    t is prime to a and to b, so every pair is in lowest terms: it is
+    the numerator and denominator of the Fraction :func:`lambda_exact`,
+    :func:`bn_squared_exact` or the powers and :func:`qbracket` give.
+    lambda_n = q^-2n [n+1]_q + q^-2(n-1) [n]_q adds the product of the
+    row before, brought to the denominator a^2n.
+    """
+    a, b = q.numerator, q.denominator
+    an, bn = a**start, b**start
+    t = (b * bn - a * an) // (b - a)
+    below = a * a * (bn // b) * ((bn - an) // (b - a))  # 0 at n = 0
+    while True:
+        den = an * an
+        top = bn * t
+        yield (bn, an), (bn * bn, den), (top, den), (top + below, den), (top * (b - a), den * a)
+        below = a * a * top
+        t = b * t + a * an
+        an *= a
+        bn *= b
+
+
 def extremal_bracket_exact(s: int, q: Fraction) -> Fraction:
     """Rescaled bracket [s] = q^{-2(s-1)} (1 - q^s)/(1 - q) = b_{s-1}^2 / b_0^2."""
     if s < 1:

@@ -52,6 +52,7 @@ state).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Tuple
 
 from mpmath.libmp import (
@@ -75,7 +76,9 @@ from ._pairs import (
     _pair,
     _plus,
     _product,
+    _rational,
     _raw_pair,
+    _root,
     _round_even,
     _size,
     _sum,
@@ -87,7 +90,7 @@ from .errors import (
     FormalSeriesError,
     NoConvergenceError,
 )
-from .exact import bn_squared_exact
+from .exact import _oscillator_rows
 
 __all__ = [
     "HypergeometricSpec",
@@ -468,7 +471,10 @@ def b_table(count: int, ctx: PrecisionContext) -> tuple:
     """(b_0, b_1, ...) for this context, at least ``count`` entries long.
 
     Each b_n is sqrt of the exact b_n^2 rounded once (see
-    :func:`b_coeff`) at the working precision.  The tuple lives in
+    :func:`b_coeff`) at the working precision; the b_n^2 come from the
+    running integer powers of :func:`~qhermite2.exact._oscillator_rows`,
+    and the roundings and the root are formed on integer pairs, as
+    ``ctx.mpf`` and ``mp.sqrt`` round them.  The tuple lives in
     ``ctx.tables`` under that precision, so it goes with its context,
     and grows to exactly the count asked, since each entry costs an
     exact rational of growing size; streaming readers ask for blocks.
@@ -477,8 +483,9 @@ def b_table(count: int, ctx: PrecisionContext) -> tuple:
     key = ("b", ctx.mp.prec)
     table = ctx.tables.get(key, ())
     if len(table) < count:
-        sqrt, mpf, q = ctx.mp.sqrt, ctx.mpf, ctx.q
-        table += tuple(sqrt(mpf(bn_squared_exact(n, q))) for n in range(len(table), count))
+        prec = ctx.mp.prec
+        rows = islice(_oscillator_rows(ctx.q, len(table)), count - len(table))
+        table += tuple(_mpf(_root(_rational(*row[4], prec), prec), ctx) for row in rows)
         ctx.tables[key] = table
     return table
 

@@ -7,6 +7,15 @@ product of two, so each is stored by its structurally nonzero
 diagonals and all operator arithmetic costs O(dim * bandwidth^2); the
 results are bitwise those of dense ascending-index sums.
 
+The diagonals hold complex integer pairs (:mod:`qhermite2._pairs`), and
+each entry is formed by the pair operation that gives the mpc
+operator's float: ``mpc_mul`` for products, ``mpc_add``/``mpc_sub``
+for sums, ``mpc_mul_mpf`` for a real factor and ``mpc_abs`` for the
+residuals.  Entries leave as mpc values only at the boundary:
+:meth:`TruncatedOperator.entry`, ``row`` and ``apply``.  The exact
+diagonals of the identities and the spectrum come from one pass over
+the running integer powers of q (:func:`~qhermite2.exact._oscillator_rows`).
+
 Finite sections of infinite Jacobi matrices satisfy the operator
 identities exactly only away from the truncation boundary, so every
 check runs on the top-left ``valid_block = dim - 1`` block (products of
@@ -17,14 +26,31 @@ summation order, no normalization by dim anywhere).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice
 from typing import Dict, Tuple
 
+from ._pairs import (
+    _ONE,
+    _ZERO,
+    _as_pair,
+    _complex_product,
+    _hypot,
+    _larger,
+    _less,
+    _mp,
+    _mpf,
+    _negative,
+    _operand,
+    _plus,
+    _rational,
+    _times,
+)
 from .context import PrecisionContext
 from .errors import AlgebraViolation, DomainError
-from .exact import lambda_exact, qbracket
-from .qkernel import b_coeff
+from .exact import _oscillator_rows
+from .qkernel import b_table
 
 __all__ = [
     "TruncatedOperator",
@@ -45,42 +71,58 @@ __all__ = [
 # of each identity's comparison scale.
 ULP_BUDGET = 4
 
+# 0 and the imaginary unit as complex pair values.
+_CZERO = (_ZERO, _ZERO)
+_I = (_ZERO, _ONE)
+
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """dim x dim section over mpc stored by diagonals, with truncation metadata.
+    """dim x dim complex section stored by diagonals, with its context.
 
     ``bands`` maps an offset d to the diagonal (i, i + d) as a tuple
-    indexed by min(i, i + d).  Only structurally nonzero offsets are
-    stored; every entry off them is the exact mpc ``zero``.
+    indexed by min(i, i + d) of complex pair values (re, im), each a
+    pair (man, exp) of :mod:`qhermite2._pairs`.  Only structurally
+    nonzero offsets are stored; every entry off them is an exact zero.
+    :meth:`entry`, :meth:`row` and :meth:`apply` give mpc values of
+    ``ctx``, and the arithmetic runs at its working precision.
     Identity checks look only at the top-left dim - 1 block, the one
     the finite section leaves intact (see :func:`verify_algebra`).
     """
 
     dim: int
-    bands: Dict[int, Tuple[object, ...]]
-    zero: object
+    bands: Dict[int, Tuple[tuple, ...]]
+    ctx: PrecisionContext
 
     def entry(self, i: int, j: int):
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise IndexError(f"entry ({i},{j}) outside dim {self.dim}")
         band = self.bands.get(j - i)
-        return self.zero if band is None else band[min(i, j)]
+        return _mp(_CZERO if band is None else band[min(i, j)], self.ctx)
 
     def row(self, i: int):
         """Stored entries (j, value) of row i, in ascending j."""
+        for j, value in self._row(i):
+            yield j, _mp(value, self.ctx)
+
+    def _row(self, i: int):
+        """Stored entries (j, pair value) of row i, in ascending j."""
         for d in sorted(self.bands):
             if 0 <= i + d < self.dim:
                 yield i + d, self.bands[d][min(i, i + d)]
 
     def apply(self, vector):
-        """Matrix-vector product, each row summed over ascending j."""
+        """Matrix-vector product, each row summed over ascending j; the
+        vector's entries are taken as the mpc operator ``*`` takes them."""
         if len(vector) != self.dim:
             raise DomainError(
                 f"vector length {len(vector)} != operator dim {self.dim}"
             )
+        ctx = self.ctx
+        prec = ctx.mp.prec
+        xs = [_operand(x, ctx) for x in vector]
         return [
-            _ascending_sum((x * vector[j] for j, x in self.row(i)), self.zero)
+            _mp(_ascending_sum((_times(x, xs[j], prec) for j, x in self._row(i)), prec), ctx)
             for i in range(self.dim)
         ]
 
@@ -95,8 +137,8 @@ class SpectrumTable:
         return self.levels[n][1]
 
 
-def _ascending_sum(terms, zero):
-    """Sum ``terms`` in order, starting from the first; ``zero`` if none.
+def _ascending_sum(terms, prec: int) -> tuple:
+    """Sum the complex ``terms`` in order, starting from the first; 0 if none.
 
     The terms left out of a banded sum are exact zeros, and adding an
     exact zero to a value already rounded at the working precision is a
@@ -104,8 +146,13 @@ def _ascending_sum(terms, zero):
     """
     acc = None
     for term in terms:
-        acc = term if acc is None else acc + term
-    return zero if acc is None else acc
+        acc = term if acc is None else _plus(acc, term, prec)
+    return _CZERO if acc is None else acc
+
+
+def _difference(a: tuple, b: tuple, prec: int) -> tuple:
+    """a - b of complex values: ``mpc_sub``."""
+    return _plus(a, _negative(b), prec)
 
 
 def _check_dim(dim: int, minimum: int) -> None:
@@ -117,22 +164,21 @@ def build_position(dim: int, ctx: PrecisionContext) -> TruncatedOperator:
     """Position operator section: column n gets b_n at row n+1 and
     b_{n-1} at row n-1 (symmetric tridiagonal, zero diagonal)."""
     _check_dim(dim, 2)
-    mp = ctx.mp
-    b = tuple(mp.mpc(b_coeff(n, ctx)) for n in range(dim - 1))
-    return TruncatedOperator(dim, {-1: b, 1: b}, mp.mpc(0))
+    b = tuple((_as_pair(x), _ZERO) for x in b_table(dim - 1, ctx)[: dim - 1])
+    return TruncatedOperator(dim, {-1: b, 1: b}, ctx)
 
 
 def build_momentum(dim: int, ctx: PrecisionContext) -> TruncatedOperator:
     """Momentum operator section: column n gets +i b_n at row n+1 and
     -i b_{n-1} at row n-1 (Hermitian, purely imaginary entries)."""
     _check_dim(dim, 2)
-    mp = ctx.mp
-    b = [b_coeff(n, ctx) for n in range(dim - 1)]
+    prec = ctx.mp.prec
+    b = [_as_pair(x) for x in b_table(dim - 1, ctx)[: dim - 1]]
     bands = {
-        -1: tuple(mp.mpc(0, 1) * x for x in b),
-        1: tuple(mp.mpc(0, -1) * x for x in b),
+        -1: tuple(_times(_I, x, prec) for x in b),
+        1: tuple(_times(_negative(_I), x, prec) for x in b),
     }
-    return TruncatedOperator(dim, bands, mp.mpc(0))
+    return TruncatedOperator(dim, bands, ctx)
 
 
 def build_ladder(
@@ -153,14 +199,19 @@ def _ladder(X: TruncatedOperator, P: TruncatedOperator, ctx: PrecisionContext):
     (b - b = 0, not to rounding), so lowering stores only the
     superdiagonal and raising only the subdiagonal.
     """
-    mp = ctx.mp
-    half_root = mp.sqrt(ctx.mpf(ctx.q / (1 - ctx.q))) / 2
-    i = mp.mpc(0, 1)
-    lowering = tuple(half_root * (x + i * p) for x, p in zip(X.bands[1], P.bands[1]))
-    raising = tuple(half_root * (x - i * p) for x, p in zip(X.bands[-1], P.bands[-1]))
+    prec = ctx.mp.prec
+    half_root = _as_pair(ctx.mp.sqrt(ctx.mpf(ctx.q / (1 - ctx.q))) / 2)
+    lowering = tuple(
+        _times(half_root, _plus(x, _times(_I, p, prec), prec), prec)
+        for x, p in zip(X.bands[1], P.bands[1])
+    )
+    raising = tuple(
+        _times(half_root, _difference(x, _times(_I, p, prec), prec), prec)
+        for x, p in zip(X.bands[-1], P.bands[-1])
+    )
     return (
-        TruncatedOperator(X.dim, {1: lowering}, X.zero),
-        TruncatedOperator(X.dim, {-1: raising}, X.zero),
+        TruncatedOperator(X.dim, {1: lowering}, ctx),
+        TruncatedOperator(X.dim, {-1: raising}, ctx),
     )
 
 
@@ -172,63 +223,75 @@ def mat_mul(a: TruncatedOperator, b: TruncatedOperator, ctx: PrecisionContext) -
     """
     if a.dim != b.dim:
         raise DomainError("operator dimensions differ")
-    dim = a.dim
-    bands = {
-        d: tuple(
+    dim, prec = a.dim, ctx.mp.prec
+    bands = {}
+    for d in sorted({da + db for da in a.bands for db in b.bands}):
+        # (offset of k from i, a's band, b's band) for each stored term
+        factors = [(da, a.bands[da], b.bands[d - da]) for da in sorted(a.bands) if d - da in b.bands]
+        bands[d] = tuple(
             _ascending_sum(
-                (x * b.entry(k, i + d) for k, x in a.row(i) if i + d - k in b.bands),
-                a.zero,
+                (
+                    _complex_product(x[min(i, i + da)], y[min(i + da, i + d)], prec)
+                    for da, x, y in factors
+                    if 0 <= i + da < dim
+                ),
+                prec,
             )
             for i in range(max(0, -d), dim - max(0, d))
         )
-        for d in sorted({da + db for da in a.bands for db in b.bands})
-    }
-    return TruncatedOperator(dim, bands, a.zero)
+    return TruncatedOperator(dim, bands, ctx)
 
 
 def _combine(a: TruncatedOperator, b: TruncatedOperator, op) -> TruncatedOperator:
-    """Entrywise ``op(a, b)`` over the union of the stored offsets."""
+    """Entrywise ``op(a, b, prec)`` over the union of the stored offsets."""
     if a.dim != b.dim:
         raise DomainError("operator dimensions differ")
+    prec = a.ctx.mp.prec
     bands = {}
     for d in sorted(set(a.bands) | set(b.bands)):
-        absent = (a.zero,) * (a.dim - abs(d))
-        bands[d] = tuple(map(op, a.bands.get(d, absent), b.bands.get(d, absent)))
-    return TruncatedOperator(a.dim, bands, a.zero)
+        absent = (_CZERO,) * (a.dim - abs(d))
+        bands[d] = tuple(
+            op(x, y, prec) for x, y in zip(a.bands.get(d, absent), b.bands.get(d, absent))
+        )
+    return TruncatedOperator(a.dim, bands, a.ctx)
 
 
 def mat_sub(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
-    return _combine(a, b, operator.sub)
+    return _combine(a, b, _difference)
 
 
 def mat_scale(a: TruncatedOperator, s) -> TruncatedOperator:
-    bands = {d: tuple(s * x for x in band) for d, band in a.bands.items()}
-    return TruncatedOperator(a.dim, bands, a.zero)
+    """s a, s taken as the mpc operator ``*`` takes it (an mpf scales
+    each part: ``mpc_mul_mpf``)."""
+    prec = a.ctx.mp.prec
+    s = _operand(s, a.ctx)
+    bands = {d: tuple(_times(s, x, prec) for x in band) for d, band in a.bands.items()}
+    return TruncatedOperator(a.dim, bands, a.ctx)
 
 
 def build_hamiltonian(dim: int, ctx: PrecisionContext) -> TruncatedOperator:
     """H = a+ a- + a- a+ (diagonal with entries lambda_n on the valid block)."""
     lowering, raising = build_ladder(dim, ctx)
-    return _combine(
-        mat_mul(raising, lowering, ctx),
-        mat_mul(lowering, raising, ctx),
-        operator.add,
-    )
+    return _combine(mat_mul(raising, lowering, ctx), mat_mul(lowering, raising, ctx), _plus)
 
 
 def spectrum(n_max: int, ctx: PrecisionContext) -> SpectrumTable:
     """Eigenvalue table lambda_n = q^{-2n}[n+1]_q + q^{-2(n-1)}[n]_q.
 
-    Each level is computed exactly over rationals and rounded once;
-    the equivalent path (q/(1-q))(b_{n-1}^2 + b_n^2) is exercised by
-    the test suite.  Levels are strictly increasing for 0 < q < 1.
+    Each level is computed exactly over rationals, from the running
+    sequence of :func:`~qhermite2.exact._oscillator_rows` that the
+    Hamiltonian check reads, and rounded as ``ctx.mpf`` rounds it; the
+    closed form :func:`~qhermite2.exact.lambda_exact` and the path
+    (q/(1-q))(b_{n-1}^2 + b_n^2) are exercised by the test suite.
+    Levels are strictly increasing for 0 < q < 1.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
+    prec = ctx.mp.prec
     levels = []
     prev = None
-    for n in range(n_max + 1):
-        lam = ctx.mpf(lambda_exact(n, ctx.q))
+    for n, (_, _, _, level, _) in enumerate(islice(_oscillator_rows(ctx.q), n_max + 1)):
+        lam = _mpf(_rational(*level, prec), ctx)
         if prev is not None and not lam > prev:
             raise AlgebraViolation(
                 f"spectrum not strictly increasing at n={n}: {lam} <= {prev}"
@@ -257,24 +320,27 @@ class AlgebraReport:
 
 
 def _diag_operator(exact_values, ctx: PrecisionContext) -> TruncatedOperator:
-    """Diagonal section of exact rationals, each rounded once: floating
-    powers of an inexact q would drift by about n/2 ulp at exponent n."""
-    mp = ctx.mp
-    diag = tuple(mp.mpc(ctx.mpf(v)) for v in exact_values)
-    return TruncatedOperator(len(diag), {0: diag}, mp.mpc(0))
+    """Diagonal section of exact rationals (numerator, denominator) in
+    lowest terms, each rounded as ``ctx.mpf`` rounds it: floating powers
+    of an inexact q would drift by about n/2 ulp at exponent n."""
+    prec = ctx.mp.prec
+    diag = tuple((_rational(num, den, prec), _ZERO) for num, den in exact_values)
+    return TruncatedOperator(len(diag), {0: diag}, ctx)
 
 
 def _block_entries(op: TruncatedOperator, block: int):
-    """Stored entries (i, j, value) inside the block, in row-major order;
-    every other block entry is an exact zero."""
+    """Stored entries (i, j, pair value) inside the block, in row-major
+    order; every other block entry is an exact zero."""
     for i in range(block):
-        for j, value in op.row(i):
+        for j, value in op._row(i):
             if j < block:
                 yield i, j, value
 
 
-def _block_max_abs(op: TruncatedOperator, block: int):
-    return max((abs(v) for _, _, v in _block_entries(op, block)), default=abs(op.zero))
+def _block_max_abs(op: TruncatedOperator, block: int) -> tuple:
+    """The largest |entry| in the block, as a pair: ``max`` of ``abs``."""
+    prec = op.ctx.mp.prec
+    return reduce(_larger, (_hypot(v, prec) for _, _, v in _block_entries(op, block)), _ZERO)
 
 
 def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = ULP_BUDGET) -> AlgebraReport:
@@ -296,10 +362,14 @@ def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = ULP_BUDGET)
     q^{-n}, so measuring ulp against the reference alone would demand
     accuracy beyond what any finite precision can represent after the
     cancellation; the operand scale is where rounding actually occurs.
-    Raises AlgebraViolation with the first offending entry otherwise.
+    Raises AlgebraViolation with the first offending entry otherwise,
+    and DomainError for a ``ulp_bound`` that is not an int >= 0.
     """
     _check_dim(dim, 3)
+    if type(ulp_bound) is not int or ulp_bound < 0:
+        raise DomainError(f"ulp_bound must be an int >= 0, got {ulp_bound!r}")
     mp = ctx.mp
+    prec = mp.prec
     block = dim - 1
 
     X = build_position(dim, ctx)
@@ -308,65 +378,60 @@ def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = ULP_BUDGET)
     minus_plus = mat_mul(lowering, raising, ctx)
     plus_minus = mat_mul(raising, lowering, ctx)
 
-    h_direct = _combine(plus_minus, minus_plus, operator.add)
+    h_direct = _combine(plus_minus, minus_plus, _plus)
     h_quadrature = mat_scale(
-        _combine(mat_mul(X, X, ctx), mat_mul(P, P, ctx), operator.add),
+        _combine(mat_mul(X, X, ctx), mat_mul(P, P, ctx), _plus),
         ctx.mpf(ctx.q / (1 - ctx.q)) / 2,
     )
-    qx, ns = ctx.q, range(dim)
     scaled_pm1 = mat_scale(plus_minus, ctx.mpf(1 / ctx.q))
     scaled_pm2 = mat_scale(plus_minus, ctx.mpf(ctx.q**-2))
+    inverse, inverse_sq, product, level, _ = zip(*islice(_oscillator_rows(ctx.q), dim))
     checks = {
-        "lowering-raising-product": (
-            minus_plus,
-            _diag_operator((qx ** (-2 * n) * qbracket(n + 1, qx) for n in ns), ctx),
-            (minus_plus,),
-        ),
+        "lowering-raising-product": (minus_plus, _diag_operator(product, ctx), (minus_plus,)),
         "raising-lowering-product": (
             plus_minus,
-            _diag_operator((qx ** (2 - 2 * n) * qbracket(n, qx) for n in ns), ctx),
+            _diag_operator(((0, 1),) + product[:-1], ctx),
             (plus_minus,),
         ),
         "q-commutator-inverse-q": (
             mat_sub(minus_plus, scaled_pm1),
-            _diag_operator((qx ** (-2 * n) for n in ns), ctx),
+            _diag_operator(inverse_sq, ctx),
             (minus_plus, scaled_pm1),
         ),
         "q-commutator-inverse-q2": (
             mat_sub(minus_plus, scaled_pm2),
-            _diag_operator((qx ** (-n) for n in ns), ctx),
+            _diag_operator(inverse, ctx),
             (minus_plus, scaled_pm2),
         ),
         "hamiltonian-quadrature": (h_direct, h_quadrature, (h_direct,)),
-        "hamiltonian-diagonal": (
-            h_direct,
-            _diag_operator((lambda_exact(n, qx) for n in ns), ctx),
-            (h_direct,),
-        ),
+        "hamiltonian-diagonal": (h_direct, _diag_operator(level, ctx), (h_direct,)),
     }
 
-    eps = mp.mpf(2) ** (-ctx.precision_bits)
+    eps = (1, -ctx.precision_bits)
     max_residuals: Dict[str, object] = {}
     scales: Dict[str, object] = {}
     for name, (lhs, rhs, operands) in checks.items():
-        scale = max(
-            _block_max_abs(rhs, block),
-            max(_block_max_abs(m, block) for m in operands),
-            mp.mpf(1),
+        scale = reduce(
+            _larger,
+            (
+                _block_max_abs(rhs, block),
+                reduce(_larger, (_block_max_abs(m, block) for m in operands)),
+                _ONE,
+            ),
         )
-        tol = ulp_bound * scale * eps
-        worst = mp.mpf(0)
+        tol = _times(_times((ulp_bound, 0), scale, prec), eps, prec)
+        worst = _ZERO
         for i, j, value in _block_entries(mat_sub(lhs, rhs), block):
-            diff = abs(value)
-            if diff > tol:
+            diff = _hypot(value, prec)
+            if _less(tol, diff):
                 raise AlgebraViolation(
-                    f"{name}: entry ({i},{j}) residual {mp.nstr(diff, 8)} "
-                    f"exceeds {ulp_bound} ulp of scale {mp.nstr(scale, 8)} "
+                    f"{name}: entry ({i},{j}) residual {mp.nstr(_mpf(diff, ctx), 8)} "
+                    f"exceeds {ulp_bound} ulp of scale {mp.nstr(_mpf(scale, ctx), 8)} "
                     f"at dim={dim}"
                 )
-            worst = max(worst, diff)
-        max_residuals[name] = worst
-        scales[name] = scale
+            worst = _larger(worst, diff)
+        max_residuals[name] = _mpf(worst, ctx)
+        scales[name] = _mpf(scale, ctx)
     return AlgebraReport(
         dim=dim,
         valid_block=block,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 
 import pytest
 
@@ -11,6 +13,7 @@ from qhermite2.errors import DomainError
 from qhermite2.exact import (
     GaussianRational,
     Poly,
+    _oscillator_rows,
     bn_squared_exact,
     extremal_bracket_exact,
     lambda_exact,
@@ -212,6 +215,34 @@ class TestClosedForms:
                     bn_squared_exact(n - 1, q) + bn_squared_exact(n, q)
                 )
                 assert direct == via_b
+
+    @pytest.mark.parametrize(
+        "q",
+        [Fraction(1, 64), Q3, HALF, Fraction(37, 64), Fraction(4, 5), Fraction(99, 100)],
+        ids=str,
+    )
+    def test_running_rows_equal_closed_forms(self, q):
+        # One pass over a^n, b^n gives the Fractions of the closed forms,
+        # each (numerator, denominator) already in lowest terms: the
+        # rounding of a Fraction reads its reduced numerator.
+        for n, row in enumerate(islice(_oscillator_rows(q), 201)):
+            want = (
+                q**-n,
+                q ** (-2 * n),
+                q ** (-2 * n) * qbracket(n + 1, q),
+                lambda_exact(n, q),
+                bn_squared_exact(n, q),
+            )
+            for (num, den), value in zip(row, want):
+                assert den > 0 and gcd(num, den) == 1, (n, num, den)
+                assert Fraction(num, den) == value, n
+
+    @pytest.mark.parametrize("start", [1, 2, 17, 64])
+    def test_running_rows_from_any_start(self, start):
+        for q in (Q3, Fraction(37, 64)):
+            assert list(islice(_oscillator_rows(q, start), 20)) == list(
+                islice(_oscillator_rows(q), start, start + 20)
+            )
 
     def test_moment_closed_form(self):
         assert moment_In_exact(0, HALF) == 1
