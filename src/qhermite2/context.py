@@ -3,10 +3,15 @@ precision.
 
 Every numeric routine in the package takes a :class:`PrecisionContext`
 (or builds a default one) instead of touching mpmath's global state.
-Each context owns a private mpmath context object, so two computations
-at different precisions never interfere, and results are reproducible:
-the same ``PrecisionContext`` inputs always give bitwise-identical
-outputs.
+Each context owns a private mpmath context object while it is alive, so
+two computations never interfere, and results are reproducible: the
+same ``PrecisionContext`` inputs always give bitwise-identical outputs.
+
+Building an mpmath context costs about a millisecond (mpmath wraps its
+special functions again for each one), so a collected context hands its
+mpmath context to a free list, and the next context takes it and sets
+its precision instead of building one.  The list holds no computed
+value, only idle mpmath contexts: as many as were ever alive at once.
 
 q is stored as an exact :class:`fractions.Fraction`.  All q-dependent
 prefactors (q-brackets, q-Pochhammer start values, lattice ratios) are
@@ -16,7 +21,9 @@ from a double-rounded float.
 
 from __future__ import annotations
 
+import math
 import os
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -48,13 +55,22 @@ def as_fraction(value: Rational) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot parse rational from {value!r}") from exc
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DomainError(f"cannot interpret {value!r} as a rational")
         return Fraction(value)
     if hasattr(value, "_mpf_"):  # mpmath mpf: exact binary rational
-        from mpmath.libmp import to_rational
+        from mpmath.libmp import finf, fnan, fninf, to_rational
 
+        if value._mpf_ in (fnan, finf, fninf):
+            raise DomainError(f"cannot interpret {value} as a rational")
         p, d = to_rational(value._mpf_)
         return Fraction(p, d)
     raise DomainError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+# idle mpmath contexts, handed back by collected contexts; one list for
+# every precision, so it never holds more than were ever alive at once
+_IDLE: list = []
 
 
 def _resolve_precision(precision_bits: int | None) -> int:
@@ -91,7 +107,11 @@ class PrecisionContext:
     series_tol : Fraction
         Default series stopping tolerance, 2**-(precision_bits - 20).
     mp : mpmath context
-        Private mpmath context at ``precision_bits`` working precision.
+        mpmath context at ``precision_bits`` working precision, private
+        to this context while it is alive.  It is taken from the free
+        list (or built) and handed back when this context is collected,
+        so mpf values or closures that outlive this context compute at
+        the precision of its next owner.
     tables : dict
         Quantities that depend only on q and a precision, filled on
         demand, under one rule: a table of rounded values is keyed by
@@ -143,8 +163,13 @@ class PrecisionContext:
 
         object.__setattr__(self, "series_tol", Fraction(1, 2 ** (bits - 20)))
 
-        ctx = MPContext()
+        # list.pop and list.append are atomic, so threads need no lock
+        try:
+            ctx = _IDLE.pop()
+        except IndexError:
+            ctx = MPContext()
         ctx.prec = bits
+        weakref.finalize(self, _IDLE.append, ctx)
         object.__setattr__(self, "mp", ctx)
         object.__setattr__(self, "tables", {})
 

@@ -281,11 +281,13 @@ class Poly:
     def shift(self, c: ScalarLike) -> "Poly":
         """Compose with x + c, returning p(x + c), exactly."""
         cc = GaussianRational.coerce(c)
-        result = Poly.zero()
-        # Horner on the shifted variable: p(x+c) built from the top down.
-        for coeff in reversed(self.coeffs):
-            result = result * Poly((cc, GaussianRational.ONE)) + Poly((coeff,))
-        return result
+        a = list(self.coeffs)
+        # Taylor shift in place: pass k divides a[k:] by (x - c) and
+        # leaves the remainder, the k-th Taylor coefficient at c, in a[k].
+        for k in range(len(a) - 1):
+            for j in range(len(a) - 2, k - 1, -1):
+                a[j] = a[j] + cc * a[j + 1]
+        return Poly(a)
 
     def scale_argument(self, s: ScalarLike) -> "Poly":
         """Return p(s*x), exactly."""

@@ -386,39 +386,37 @@ def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = ULP_BUDGET)
     scaled_pm1 = mat_scale(plus_minus, ctx.mpf(1 / ctx.q))
     scaled_pm2 = mat_scale(plus_minus, ctx.mpf(ctx.q**-2))
     inverse, inverse_sq, product, level, _ = zip(*islice(_oscillator_rows(ctx.q), dim))
+    # block maxima of the operands, each operator measured once
+    minus_plus_max, plus_minus_max, pm1_max, pm2_max, h_max = (
+        _block_max_abs(m, block)
+        for m in (minus_plus, plus_minus, scaled_pm1, scaled_pm2, h_direct)
+    )
     checks = {
-        "lowering-raising-product": (minus_plus, _diag_operator(product, ctx), (minus_plus,)),
+        "lowering-raising-product": (minus_plus, _diag_operator(product, ctx), minus_plus_max),
         "raising-lowering-product": (
             plus_minus,
             _diag_operator(((0, 1),) + product[:-1], ctx),
-            (plus_minus,),
+            plus_minus_max,
         ),
         "q-commutator-inverse-q": (
             mat_sub(minus_plus, scaled_pm1),
             _diag_operator(inverse_sq, ctx),
-            (minus_plus, scaled_pm1),
+            _larger(minus_plus_max, pm1_max),
         ),
         "q-commutator-inverse-q2": (
             mat_sub(minus_plus, scaled_pm2),
             _diag_operator(inverse, ctx),
-            (minus_plus, scaled_pm2),
+            _larger(minus_plus_max, pm2_max),
         ),
-        "hamiltonian-quadrature": (h_direct, h_quadrature, (h_direct,)),
-        "hamiltonian-diagonal": (h_direct, _diag_operator(level, ctx), (h_direct,)),
+        "hamiltonian-quadrature": (h_direct, h_quadrature, h_max),
+        "hamiltonian-diagonal": (h_direct, _diag_operator(level, ctx), h_max),
     }
 
     eps = (1, -ctx.precision_bits)
     max_residuals: Dict[str, object] = {}
     scales: Dict[str, object] = {}
-    for name, (lhs, rhs, operands) in checks.items():
-        scale = reduce(
-            _larger,
-            (
-                _block_max_abs(rhs, block),
-                reduce(_larger, (_block_max_abs(m, block) for m in operands)),
-                _ONE,
-            ),
-        )
+    for name, (lhs, rhs, operand_max) in checks.items():
+        scale = reduce(_larger, (_block_max_abs(rhs, block), operand_max, _ONE))
         tol = _times(_times((ulp_bound, 0), scale, prec), eps, prec)
         worst = _ZERO
         for i, j, value in _block_entries(mat_sub(lhs, rhs), block):

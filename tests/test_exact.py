@@ -22,6 +22,7 @@ from qhermite2.exact import (
     qfactorial_exact,
     rho_factorial_exact,
 )
+from qhermite2.qhermite import hermite2_coeffs
 
 HALF = Fraction(1, 2)
 Q3 = Fraction(3, 10)
@@ -94,6 +95,36 @@ class TestPoly:
         assert shifted == Poly(
             (GaussianRational(Fraction(-1)), 2 * GaussianRational.I, 1)
         )
+
+
+def _ref_shift(poly, c):
+    """Test-local copy of the Horner composition ``Poly.shift`` used:
+    p(x + c) built from the top down by n polynomial products."""
+    linear = Poly((c, GaussianRational.ONE))
+    result = Poly.zero()
+    for coeff in reversed(poly.coeffs):
+        result = result * linear + Poly((coeff,))
+    return result
+
+
+class TestShift:
+    @pytest.mark.parametrize(
+        "c",
+        [
+            GaussianRational.ZERO,
+            GaussianRational.I,
+            -GaussianRational.I,
+            GaussianRational(Fraction(3, 7), Fraction(-2, 5)),
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("q", [Fraction(1, 64), Fraction(1, 2), Fraction(26, 27)], ids=str)
+    def test_taylor_shift_equals_horner_composition(self, q, c):
+        ctx = PrecisionContext(q=q)
+        for n in range(13):
+            h = hermite2_coeffs(n, ctx)
+            assert h.shift(c) == _ref_shift(h, c)
+        assert Poly.zero().shift(c) == Poly.zero()
 
 
 def _ref_horner(poly, ctx, x):

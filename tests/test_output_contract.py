@@ -17,10 +17,12 @@ all three.
 from __future__ import annotations
 
 import hashlib
+import re
 import shlex
 
 import pytest
 
+from qhermite2 import context
 from qhermite2.cli import main
 
 # argv, exit code, SHA-256 of stdout, last stderr line
@@ -120,3 +122,20 @@ def test_output_contract(capsys, argv, code, digest, last_err):
     assert got == code
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
     assert (err_lines[-1] if err_lines else "") == last_err
+
+
+def test_contract_rows_after_a_reused_context(capsys):
+    """The quick rows once more, last first, each after a recurrence job
+    (which computes inside ``mp.workprec``) at its precision: the row's
+    job takes the mpmath context that job handed back, and its bytes
+    stay the pinned ones."""
+    for argv, code, digest, _ in reversed(_CONTRACT):
+        match = re.search(r"--precision-bits=(\d+)", argv)
+        bits = int(match[1]) if match else 256
+        main(["verify", "--suite", "recurrence", f"--precision-bits={bits}"])
+        idle = context._IDLE
+        reused, count = idle[-1], len(idle)
+        capsys.readouterr()
+        assert main(shlex.split(argv)) == code, argv
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest, argv
+        assert (idle[-1], len(idle)) == (reused, count), argv

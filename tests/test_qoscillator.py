@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qhermite2 import PrecisionContext
+from qhermite2 import PrecisionContext, qoscillator
 from qhermite2.errors import AlgebraViolation, DomainError
 from qhermite2._pairs import _plus
 from qhermite2.exact import bn_squared_exact, lambda_exact, qbracket
@@ -99,6 +99,21 @@ class TestAlgebraIdentities:
         # An invalid budget is a usage error, not a failed gate.
         with pytest.raises(DomainError, match="ulp_bound must be an int >= 0"):
             verify_algebra(4, ctx_half, ulp_bound=bound)
+
+    def test_block_maxima_formed_once_per_operator(self, ctx_half, monkeypatch):
+        # six reference operators and five distinct operands: a- a+,
+        # a+ a-, the two scalings of a+ a-, and H
+        calls = []
+        measure = qoscillator._block_max_abs
+
+        def spy(op, block):
+            calls.append(id(op))
+            return measure(op, block)
+
+        monkeypatch.setattr(qoscillator, "_block_max_abs", spy)
+        verify_algebra(8, ctx_half)
+        assert len(calls) == 11
+        assert len(set(calls)) == 11
 
     def test_hamiltonian_diagonal_matches_exact_levels(self, ctx_half):
         dim = 10
