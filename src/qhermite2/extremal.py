@@ -52,7 +52,9 @@ even bit for bit, not only in exact arithmetic: round-to-nearest is
 symmetric in sign, so each recurrence step gives Psi_n(-x) =
 (-1)^n Psi_n(x) exactly, every term x Psi_{2k-1}(x) keeps its value and
 the stop rule sees the same numbers.  The negative roots are therefore
-the mirrored positive ones.  The scan signs each grid point in three
+the mirrored positive ones; and as Num and Den' are odd and each
+Psi_n(x)^2 even, bit for bit, ``loadings`` evaluates sigma_0 and the
+kernel mass once per +- pair.  The scan signs each grid point in three
 ways:
 
 - at or below 2 r0 (``_root_free_radius``, compared exactly) the proof
@@ -95,6 +97,7 @@ from mpmath.libmp import (
     to_rational,
 )
 
+from . import _pairs
 from ._pairs import (
     _ONE,
     _ZERO,
@@ -104,6 +107,7 @@ from ._pairs import (
     _mpf,
     _product,
     _quotient,
+    _root,
     _sum,
 )
 from .context import PrecisionContext
@@ -113,7 +117,7 @@ from .errors import (
     DomainError,
     NoConvergenceError,
 )
-from .exact import bn_squared_exact, extremal_bracket_exact
+from .exact import _oscillator_rows, bn_squared_exact, extremal_bracket_exact
 from .qhermite import _psi_stream, _recurrence, psi_sequence
 from .qkernel import _STREAK, Decay, b_coeff, b_table
 
@@ -284,23 +288,24 @@ def _carrier_coefficients(count: int, ctx: PrecisionContext) -> tuple:
     At least ``count`` entries, at the working precision.  The table
     lives in ``ctx.tables`` under that precision with the exact ratio of
     its last entry, so growing it extends that ratio instead of
-    rebuilding the prefix; each entry is the once-rounded square root of
-    its exact ratio either way.
+    rebuilding the prefix; step j multiplies it by [2j-2]/[2j-1] =
+    b_{2j-3}^2/b_{2j-2}^2, from :func:`~qhermite2.exact._oscillator_rows`.
+    Each entry is sqrt(ctx.mpf(ratio)), formed on integer pairs as
+    ``b_table`` forms the b_n; ``ctx.mpf`` rounds the numerator and then
+    the quotient, so twice when the denominator is not a power of two.
     """
     key = ("carrier", ctx.mp.prec)
-    coeffs, ratio = ctx.tables.get(key, ((), None))
+    coeffs, ratio = ctx.tables.get(key, ((), Fraction(1)))
     if len(coeffs) < count:
-        mp, q = ctx.mp, ctx.q
+        prec = ctx.mp.prec
         grown = list(coeffs)
+        rows = (row[4] for row in _oscillator_rows(ctx.q, max(2 * len(coeffs) - 1, 1)))
         for j in range(len(coeffs) + 1, count + 1):
-            if j == 1:
-                ratio = Fraction(1) / extremal_bracket_exact(1, q)
-            else:
-                ratio *= extremal_bracket_exact(2 * j - 2, q) / (
-                    extremal_bracket_exact(2 * j - 1, q)
-                )
-            sign = 1 if j % 2 == 1 else -1
-            grown.append(sign * mp.sqrt(ctx.mpf(ratio)))
+            if j > 1:  # [1] = 1
+                (n1, d1), (n2, d2) = next(rows), next(rows)
+                ratio *= Fraction(n1 * d2, d1 * n2)
+            man, exp = _root(_pairs._rational(ratio.numerator, ratio.denominator, prec), prec)
+            grown.append(_mpf((man if j % 2 else -man, exp), ctx))
         coeffs = tuple(grown)
         ctx.tables[key] = (coeffs, ratio)
     return coeffs
@@ -337,9 +342,8 @@ def _carrier_value(
     for k, ((cm, ce), p) in enumerate(islice(terms, cap), 1):
         c = -cm, ce
         if slope:
-            p, dp = p
-            dterm = _sum(p, _product(x, dp, prec), prec)
-            derivative = _sum(derivative, _product(c, dterm, prec), prec)
+            p, _, rise = p  # rise = Psi_{2k-1} + x Psi_{2k-1}'
+            derivative = _sum(derivative, _product(c, rise, prec), prec)
         term = _product(_product(c, x, prec), p, prec)
         total = _sum(total, term, prec)
         last = _magnitude(term)
@@ -632,8 +636,10 @@ def _scan_grid(bound, grid_points: int, ctx: PrecisionContext) -> list:
         grid.append(mpf_mul(lo, power, prec, _RND))
     for i in range(1, grid_points + 1):
         grid.append(mpf_mul(top, from_rational(i, grid_points, prec, _RND), prec, _RND))
-    # Two ascending runs, which the sort merges.
-    return sorted(map(ctx.mp.make_mpf, dict.fromkeys(grid)))
+    # Two ascending runs of positive normalized points, which the sort
+    # merges by (exp + bc, mantissa at prec bits): the order of values.
+    merged = sorted(dict.fromkeys(grid), key=lambda g: (g[2] + g[3], g[1] << (prec - g[3])))
+    return list(map(ctx.mp.make_mpf, merged))
 
 
 def _rational(x) -> Fraction:
@@ -757,9 +763,9 @@ def _loading_at(x, ctx: PrecisionContext):
     )
     num = den = den_scale = _ZERO
     decay = Decay(ctx)
-    for j, (s0, (p, dp), s) in enumerate(islice(terms, cap), 1):
+    for j, (s0, (_, _, rise), s) in enumerate(islice(terms, cap), 1):
         num_term = _product(_product(s0, x, prec), s, prec)
-        den_term = _product(s0, _sum(p, _product(x, dp, prec), prec), prec)
+        den_term = _product(s0, rise, prec)
         num = _sum(num, num_term, prec)
         den = _sum(den, den_term, prec)
         den_scale = _sum(den_scale, _magnitude(den_term), prec)
@@ -788,13 +794,17 @@ def loadings(
     x sum_j S_{2j-1}(0) S_{2j-1}(x) to the x-derivative of the negated
     carrier series at x_k, each truncated with monitored decay; the
     reproducing-kernel mass 1 / sum_n Psi_n(x_k)^2 rides along as a
-    convention-free cross-check.  Each root is evaluated independently
-    (no parity shortcut), so sigma_0(x) = sigma_0(-x) is measurable.
+    convention-free cross-check.  Both are even in x bit for bit (see the
+    module docstring), so each +- pair is evaluated once, at its first
+    root, and the other root takes the same values.
     """
+    seen = {}
     out = []
     for point in roots:
-        sigma, used, last = _loading_at(point.x, ctx)
-        kern, _ = _kernel_mass(point.x, ctx)
+        key = ctx.mpf(point.x)._mpf_[1:]  # |x|
+        if key not in seen:
+            seen[key] = _loading_at(point.x, ctx), _kernel_mass(point.x, ctx)[0]
+        (sigma, used, last), kern = seen[key]
         out.append(
             replace(
                 point,

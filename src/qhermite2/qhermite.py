@@ -117,15 +117,21 @@ def _recurrence(x: tuple, ctx: PrecisionContext, seeds, slopes=None):
     p_{n+1} = (x p_n - b_{n-1} p_{n-1}) / b_n is ``_finish_step`` on the
     exact x p_n, at ``ctx.mp.prec``: bitwise the mpf operators' step.
     ``seeds`` are (p_0, p_1): (1, x/b_0) gives Psi_n, (0, 1) gives S_n.
-    With ``slopes`` = (p_0', p_1') it yields pairs (p_n, p_n'), following
-    b_n p_{n+1}' = p_n + x p_n' - b_{n-1} p_{n-1}'.  The b_n table is read
-    as it stands and grown by 32 only past its end.
+    With ``slopes`` = (p_0', p_1') it yields triples (p_n, p_n', r_n),
+    r_n = p_n + x p_n' (``_sum(p_n, _product(x, p_n'))``), following
+    b_n p_{n+1}' = r_n - b_{n-1} p_{n-1}'.  The b_n table is read as it
+    stands and grown by 32 only past its end.
     """
     prec = ctx.mp.prec
     p0, p1 = seeds
-    d0, d1 = slopes if slopes is not None else (None, None)
-    yield p0 if slopes is None else (p0, d0)
-    yield p1 if slopes is None else (p1, d1)
+    if slopes is None:
+        yield p0
+        yield p1
+    else:
+        d0, d1 = slopes
+        yield p0, d0, _sum(p0, _product(x, d0, prec), prec)
+        rise = _sum(p1, _product(x, d1, prec), prec)
+        yield p1, d1, rise
     xm, xe = x
     bs = b_table(1, ctx)
     b = bs[0]._mpf_[1:3]  # b_0 > 0
@@ -141,16 +147,17 @@ def _recurrence(x: tuple, ctx: PrecisionContext, seeds, slopes=None):
         if slopes is None:
             yield p2
         else:
-            rise = _sum(p1, _product(x, d1, prec), prec)  # p_n + x p_n'
             d2 = _finish_step(rise, drop, d0, b, prec)
-            yield p2, d2
+            rise = _sum(p2, _product(x, d2, prec), prec)
+            yield p2, d2, rise
             d0, d1 = d1, d2
         p0, p1 = p1, p2
         n += 1
 
 
 def _psi_stream(x: tuple, ctx: PrecisionContext, slope: bool = False):
-    """Psi_0(x), Psi_1(x), ... (with Psi_n'(x) when ``slope``), pair x in."""
+    """Psi_0(x), Psi_1(x), ..., pair x in; with ``slope``, the triples of
+    :func:`_recurrence` (Psi_n, Psi_n', Psi_n + x Psi_n')."""
     prec = ctx.mp.prec
     b0 = _as_pair(b_table(1, ctx)[0])
     seeds = (_ONE, _quotient(x, b0, prec))

@@ -20,7 +20,7 @@ from typing import List, NamedTuple, Optional
 from .context import PrecisionContext
 from .errors import AlgebraViolation, DomainError
 from .exact import GaussianRational, Poly, bn_squared_exact, lambda_exact
-from .extremal import carrier_roots, loadings, orthonormality_gram
+from .extremal import _loading_at, carrier_roots, loadings, orthonormality_gram
 from .qcalculus import (
     HAT_DEPTH,
     deformed_derivative,
@@ -447,18 +447,20 @@ def orthonormality(
     ctx: PrecisionContext, bound: Fraction = SEARCH_BOUND, tol: Fraction = Fraction(1, 10**3)
 ) -> List[Check]:
     """Extremal measure on the carrier roots in [-bound, bound]: the Gram
-    identity for m, n <= 3 and the loading symmetry are gated; the total
-    mass and the loading/kernel-mass agreement are diagnostics."""
+    identity for m, n <= 3 and the loading symmetry (the outermost root
+    pair evaluated at both signs) are gated; the total mass and the
+    loading/kernel-mass agreement are diagnostics."""
     tol_mp = ctx.mpf(tol)
     points = loadings(carrier_roots(bound, ctx), ctx)
     params = f"q={ctx.q}; bound={bound}"
 
     _, worst = orthonormality_gram(points, 3, ctx)
+    # loadings evaluates each +- pair once, at its first root, so the
+    # outermost negative root is checked against an evaluation at -x.
     sym_worst = ctx.mp.mpf(0)
-    for p, pm in zip(points, reversed(points)):
-        sym_worst = max(
-            sym_worst, abs(p.sigma0 - pm.sigma0) / max(abs(p.sigma0), ctx.eps)
-        )
+    if points:
+        sigma = points[0].sigma0
+        sym_worst = abs(sigma - _loading_at(-points[0].x, ctx)[0]) / max(abs(sigma), ctx.eps)
     total = ctx.mp.mpf(0)
     for p in points:
         total = total + p.sigma0

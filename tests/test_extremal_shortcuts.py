@@ -5,8 +5,10 @@
   without evaluation (``tests/test_extremal_scan.py`` counts the
   evaluations);
 - the geometric grid takes log(bound/lo_edge) once, bitwise as ``**``;
+- sigma_0 and the kernel mass are even bit for bit, so ``loadings``
+  evaluates them once per +- root pair;
 - the b_n and carrier-coefficient tables grow only as far as they are
-  read, each entry bitwise its once-rounded exact value.
+  read, each entry bitwise the value built from its exact rational.
 """
 
 from __future__ import annotations
@@ -19,12 +21,16 @@ from mpmath.libmp import mpf_neg
 
 from qhermite2 import PrecisionContext
 from qhermite2 import extremal
+from qhermite2.exact import extremal_bracket_exact
 from qhermite2.extremal import (
     _carrier_coefficients,
     _carrier_value,
+    _kernel_mass,
+    _loading_at,
     _root_free_radius,
     _scan_grid,
     carrier_roots,
+    loadings,
 )
 from qhermite2.qkernel import b_table
 
@@ -54,6 +60,73 @@ def test_carrier_is_even_bit_for_bit(q, bits):
             minus = _bits(_carrier_value(-x, ctx, k_terms, slope=True))
             assert minus[:3] == plus[:3], (x, k_terms)
             assert minus[3] == mpf_neg(plus[3]), (x, k_terms)
+        # Num and Den' negate and each Psi_n^2 keeps its value, so the
+        # loading, its term count and last term, and the kernel mass do
+        # not change: ``loadings`` relies on this.
+        assert _loading_bits(-x, ctx) == _loading_bits(x, ctx), x
+
+
+def _loading_bits(x, ctx):
+    """(sigma0, terms, last) of ``_loading_at`` and the kernel mass with
+    its term count, as raw tuples."""
+    sigma, terms, last = _loading_at(x, ctx)
+    mass, mass_terms = _kernel_mass(x, ctx)
+    return _raw(sigma), terms, _raw(last), _raw(mass), mass_terms
+
+
+@pytest.fixture(scope="module")
+def roots_97():
+    """The 8 carrier roots in [-97, 97] at q = 1/2 and 128 bits."""
+    ctx = PrecisionContext(q=Fraction(1, 2), precision_bits=128)
+    roots = carrier_roots(Fraction(97), ctx)
+    assert len(roots) == 8
+    return ctx, roots
+
+
+def _point_bits(point):
+    return (
+        _raw(point.sigma0),
+        _raw(point.kernel_mass),
+        point.terms_used,
+        _raw(point.tail_estimate),
+    )
+
+
+def _separately(points, ctx):
+    """What ``loadings`` attaches to each point, from calls of its own."""
+    out = []
+    for point in points:
+        sigma, used, last = _loading_at(point.x, ctx)
+        mass, _ = _kernel_mass(point.x, ctx)
+        out.append((_raw(sigma), _raw(mass), max(point.terms_used, used), _raw(last)))
+    return out
+
+
+def test_loadings_evaluate_each_root_pair_once(roots_97, monkeypatch):
+    ctx, roots = roots_97
+    calls = {"loading": 0, "mass": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(extremal, "_loading_at", counted("loading", _loading_at))
+    monkeypatch.setattr(extremal, "_kernel_mass", counted("mass", _kernel_mass))
+    points = loadings(roots, ctx)
+    assert calls == {"loading": 4, "mass": 4}
+    monkeypatch.undo()
+    assert [_point_bits(p) for p in points] == _separately(roots, ctx)
+
+
+def test_loadings_of_unpaired_points_match_separate_calls(roots_97):
+    ctx, roots = roots_97
+    positive = [p for p in roots if p.x > 0]
+    mixed = [roots[0], extremal.CarrierPoint(x=ctx.mpf(Fraction(7, 3)))]
+    for points in (positive, mixed):
+        got = [_point_bits(p) for p in loadings(points, ctx)]
+        assert got == _separately(points, ctx)
 
 
 def _grid_by_powers(bound, grid_points, ctx):
@@ -138,3 +211,31 @@ def test_one_root_search_grows_tables_only_as_read():
     assert len(carrier_roots(Fraction(9, 2), ctx)) == 2
     assert len(b_table(0, ctx)) < 512
     assert len(_carrier_coefficients(0, ctx)) < 256
+
+
+def _coefficients_by_brackets(count, ctx):
+    """The carrier coefficients from the ratio of bracket double
+    factorials, each bracket formed from powers of q."""
+    q, out = ctx.q, []
+    ratio = Fraction(1) / extremal_bracket_exact(1, q)
+    for j in range(1, count + 1):
+        if j > 1:
+            ratio *= extremal_bracket_exact(2 * j - 2, q) / extremal_bracket_exact(2 * j - 1, q)
+        sign = 1 if j % 2 == 1 else -1
+        out.append(sign * ctx.mp.sqrt(ctx.mpf(ratio)))
+    return out
+
+
+@pytest.mark.parametrize("bits", (64, 128, 256, 512))
+@pytest.mark.parametrize(
+    "q",
+    (Fraction(1, 64), Fraction(3, 10), Fraction(1, 2), Fraction(4, 5), Fraction(9, 10),
+     Fraction(99, 100)),
+    ids=str,
+)
+def test_coefficients_match_bracket_ratios(q, bits):
+    ctx = PrecisionContext(q=q, precision_bits=bits)
+    want = [v._mpf_ for v in _coefficients_by_brackets(97, ctx)]
+    for count in (1, 33, 97):
+        got = [v._mpf_ for v in _carrier_coefficients(count, ctx)]
+        assert got == want[:count], count
