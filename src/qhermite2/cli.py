@@ -62,7 +62,7 @@ from .exact import GaussianRational, _oscillator_rows, moment_In_exact
 from .extremal import carrier_roots, loadings
 from .qcalculus import HAT_DEPTH
 from .qhermite import hermite2_coeffs, psi_eval
-from .qkernel import b_coeff
+from .qkernel import b_table
 from .qmeasure import TAIL_INDEX, build_measure
 
 __all__ = ["main", "SUITES", "SCHEMA_VERSION"]
@@ -275,8 +275,8 @@ def _cmd_table(ns, ctx: PrecisionContext) -> CommandOutput:
             rows.append([str(n), _fmt(ctx, Fraction(*level))])
     elif ns.what == "bn":
         columns = ("n", "b_n")
-        for n in range(ns.n_max + 1):
-            rows.append([str(n), _fmt(ctx, b_coeff(n, ctx))])
+        for n, b in enumerate(b_table(ns.n_max + 1, ctx)[: ns.n_max + 1]):
+            rows.append([str(n), _fmt(ctx, b)])
     else:
         columns = ("n", "I_n")
         for n in range(ns.n_max + 1):

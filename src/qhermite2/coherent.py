@@ -17,6 +17,12 @@ is kept for diagnostics; it cannot see below the rounding floor
 ~2^-precision of the working arithmetic, which sits many orders of
 magnitude above the true boundary residual at useful truncations (see
 discrepancy registry entry ``eigen_residual_rounding_floor``).
+
+The coefficients, their tail certificate and the eigen-residual's
+scalars run on integer pairs (:mod:`qhermite2._pairs`), each step
+bitwise the mpf/mpc operator it replaces (see :func:`cs_coeffs`); the
+normalizer's argument, the matrix diagnostic, the overlap and the
+closed-form report still use mpf/mpc operators.
 """
 
 from __future__ import annotations
@@ -24,13 +30,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
+
+from ._pairs import (
+    _ONE, _ZERO, _as_pair, _complex_product, _hypot, _less, _mp, _mpf,
+    _negative, _operand, _over, _product, _quotient, _raw_pair, _root, _sum,
+)
 from .context import PrecisionContext, as_fraction
 from .errors import DomainError, TruncationError
 from .qkernel import (
     HypergeometricSpec,
     b_coeff,
+    b_table,
     gen_exponential,
     phi_rs,
+    q_power_raw,
     q_pochhammer_inf,
 )
 from .qhermite import GenFnReport, generating_fn_report, psi_sequence
@@ -85,44 +99,61 @@ def cs_coeffs(z, trunc: int, ctx: PrecisionContext) -> CoherentStateVector:
     """Normalized coherent-state coefficients up to ``trunc``.
 
     Raises TruncationError when the geometric tail certificate cannot
-    push the missing mass below series_tol (choose a larger trunc).
+    push the missing mass below series_tol (choose a larger trunc), and
+    ValueError for a z that is not finite.
+
+    Each step on integer pairs is bitwise the mpf/mpc operator it
+    replaces: |z| is ``mpc_abs`` (``_hypot``), |z|^2 ``mpf_mul``; 1 - q,
+    q/(1-q) and the roots ``mpf_sub``, ``mpf_div``, ``mpf_sqrt``; c_n z
+    ``mpc_mul`` (``_complex_product``) and its division by the real
+    sqrt(q/(1-q)) b_n ``mpc_div_mpf`` (``_over``); |z|^(2 trunc + 2) is
+    ``mpf_pow_int`` itself and q^n is ``q_power_raw``.  The b_n are one
+    read of ``b_table``; q/(1-q) and its root are formed once.
     """
     if trunc < 1:
         raise DomainError(f"trunc must be >= 1, got {trunc}")
-    mp = ctx.mp
-    q = ctx.qm
+    prec = ctx.mp.prec
     zv = ctx.mpc(z)
-    zabs2 = abs(zv) ** 2
-    norm_sq = cs_norm_sq(zabs2, ctx)
-    norm = mp.sqrt(norm_sq)
-    root_c = mp.sqrt(q / (1 - q))
+    zp = _operand(zv, ctx)
+    size = _hypot(zp, prec)
+    zabs2 = _product(size, size, prec)
+    norm_sq = cs_norm_sq(_mpf(zabs2, ctx), ctx)
+    q = _as_pair(ctx.qm)
+    one_less_q = _sum(_ONE, _negative(q), prec)
+    ratio = _quotient(q, one_less_q, prec)
+    root_c = _root(ratio, prec)
+    bs = [_as_pair(b) for b in b_table(trunc + 1, ctx)[: trunc + 1]]
 
-    coeffs = [1 / norm + mp.mpc(0)]
-    for n in range(trunc):
-        coeffs.append(coeffs[n] * zv / (root_c * b_coeff(n, ctx)))
+    c = (_quotient(_ONE, _root(_as_pair(norm_sq), prec), prec), _ZERO)  # 1/N + mpc(0)
+    coeffs = [c]
+    for b in bs[:trunc]:
+        c = _over(_complex_product(c, zp, prec), _product(root_c, b, prec), prec)
+        coeffs.append(c)
 
     # Geometric tail certificate on t_n = |z|^{2n} / rho_n!:
     # t_{n+1}/t_n = |z|^2 (1-q) q^{2n} / (1 - q^{n+1}), decreasing in n.
-    t = zabs2 ** (trunc + 1)
-    for n in range(trunc + 1):
-        t = t / ((q / (1 - q)) * b_coeff(n, ctx) ** 2)
-    r = zabs2 * (1 - q) * q ** (2 * (trunc + 1)) / (1 - q ** (trunc + 2))
-    if r >= 1:
+    t = _raw_pair(mpf_pow_int(from_man_exp(*zabs2), trunc + 1, prec, round_nearest))
+    for b in bs:
+        t = _quotient(t, _product(ratio, _product(b, b, prec), prec), prec)
+    r = _product(zabs2, one_less_q, prec)
+    r = _product(r, _raw_pair(q_power_raw(2 * trunc + 2, ctx)), prec)
+    r = _quotient(r, _sum(_ONE, _negative(_raw_pair(q_power_raw(trunc + 2, ctx))), prec), prec)
+    if not _less(r, _ONE):
         raise TruncationError(
-            f"tail ratio {mp.nstr(r, 6)} >= 1 at trunc={trunc}; "
+            f"tail ratio {ctx.mp.nstr(_mpf(r, ctx), 6)} >= 1 at trunc={trunc}; "
             "increase trunc for this |z|"
         )
-    raw_tail = t / (1 - r)
-    tail_bound = raw_tail / norm_sq
+    raw_tail = _quotient(t, _sum(_ONE, _negative(r), prec), prec)
+    tail_bound = _mpf(_quotient(raw_tail, _as_pair(norm_sq), prec), ctx)
     if tail_bound >= ctx.mpf(ctx.series_tol):
         raise TruncationError(
-            f"tail bound {mp.nstr(tail_bound, 6)} exceeds series_tol at "
+            f"tail bound {ctx.mp.nstr(tail_bound, 6)} exceeds series_tol at "
             f"trunc={trunc}; increase trunc"
         )
     return CoherentStateVector(
         z=zv,
         trunc=trunc,
-        coeffs=tuple(coeffs),
+        coeffs=tuple(_mp(c, ctx) for c in coeffs),
         tail_bound=tail_bound,
         norm_sq=norm_sq,
     )
@@ -165,18 +196,21 @@ def cs_eigen_residual(
     if trunc < 4:
         raise DomainError(f"trunc must be >= 4, got {trunc}")
     mp = ctx.mp
-    q = ctx.qm
+    prec = mp.prec
     state = cs_coeffs(z, trunc, ctx)
     zv = state.z
-    root_c = mp.sqrt(q / (1 - q))
-    c_last = abs(state.coeffs[trunc])
-    bound = c_last * root_c * b_coeff(trunc - 1, ctx) + state.tail_bound * abs(zv)
-    noise_floor = (
-        ctx.eps * (1 + abs(zv)) * mp.sqrt(mp.mpf(trunc + 1))
-    )
+    # On pairs, each step the mpf/mpc operator it replaces (cs_coeffs).
+    q = _as_pair(ctx.qm)
+    root_c = _root(_quotient(q, _sum(_ONE, _negative(q), prec), prec), prec)
+    size = _hypot(_operand(zv, ctx), prec)
+    c_last = _hypot(_operand(state.coeffs[trunc], ctx), prec)
+    step = _product(_product(c_last, root_c, prec), _as_pair(b_coeff(trunc - 1, ctx)), prec)
+    bound = _mpf(_sum(step, _product(_as_pair(state.tail_bound), size, prec), prec), ctx)
+    noise_floor = _product(_as_pair(ctx.eps), _sum(_ONE, size, prec), prec)
+    noise_floor = _mpf(_product(noise_floor, _root((trunc + 1, 0), prec), prec), ctx)
 
     if method == "analytic":
-        residual = abs(zv) * c_last
+        residual = _mpf(_product(size, c_last, prec), ctx)
     elif method == "matrix":
         lowering, _ = build_ladder(trunc + 1, ctx)
         image = lowering.apply(list(state.coeffs))

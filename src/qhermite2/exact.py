@@ -45,7 +45,14 @@ def _as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Exact element of Q(i): ``re + im*i`` with Fraction parts."""
+    """Exact element of Q(i): ``re + im*i`` with Fraction parts.
+
+    The constructor validates its parts.  Internal results skip that
+    re-validation: they are built by :func:`_gaussian`, since Fraction
+    arithmetic already returns Fractions.  +, - and * also skip the sums
+    and products of an exact-zero imaginary part, so a product of real
+    values costs one Fraction product, not four products and two sums.
+    """
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
@@ -60,29 +67,31 @@ class GaussianRational:
     def coerce(value: ScalarLike) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        return GaussianRational(_as_fraction(value), Fraction(0))
+        return _gaussian(_as_fraction(value), _FRACTION_ZERO)
 
     # -- ring/field operations ---------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
         o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _gaussian(self.re + o.re, self.im + o.im if o.im else self.im)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
         o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _gaussian(self.re - o.re, self.im - o.im if o.im else self.im)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
         o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if not b:
+            return _gaussian(a * c, a * d if d else b)
+        if not d:
+            return _gaussian(a * c, b * c)
+        return _gaussian(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -91,7 +100,7 @@ class GaussianRational:
         denom = o.re * o.re + o.im * o.im
         if denom == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
+        return _gaussian(
             (self.re * o.re + self.im * o.im) / denom,
             (self.im * o.re - self.re * o.im) / denom,
         )
@@ -100,12 +109,12 @@ class GaussianRational:
         return GaussianRational.coerce(other) / self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.re, -self.im)
 
     def __pow__(self, n: int) -> "GaussianRational":
         if not isinstance(n, int) or n < 0:
             raise TypeError("GaussianRational powers must be nonnegative ints")
-        out = GaussianRational(Fraction(1))
+        out = GaussianRational.ONE
         base = self
         while n:
             if n & 1:
@@ -115,7 +124,7 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self.re, -self.im)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -127,6 +136,18 @@ class GaussianRational:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"({self.re} {sign} {abs(self.im)}*i)"
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
+    """re + im*i from Fraction parts, without the constructor's checks."""
+    out = object.__new__(GaussianRational)
+    fields = out.__dict__
+    fields["re"] = re
+    fields["im"] = im
+    return out
 
 
 GaussianRational.ZERO = GaussianRational()

@@ -452,13 +452,15 @@ def b_coeff(n: int, ctx: PrecisionContext):
     b_{-1} = 0 by convention.  For fixed q the sequence is strictly
     increasing in n (the q^{-(2n+1)/2} factor dominates).
 
-    The square b_n^2 is formed over exact rationals and rounded once
-    before the square root, so the result is accurate to about one ulp
-    uniformly in n.  Computing q^{-(2n+1)} in floating point instead
-    would amplify the representation error of q by the exponent (powers
-    of an inexact base lose about k/2 ulp at exponent k), which is
-    invisible at binary-exact q = 1/2 but dominates everywhere else.
-    The value is the entry of :func:`b_table`, rounded once per context.
+    The square b_n^2 is formed over exact rationals and rounded as
+    ``ctx.mpf`` rounds it, numerator then quotient (twice when the
+    denominator is not a power of two), before the square root, so the
+    result is accurate to about one ulp uniformly in n.  Computing
+    q^{-(2n+1)} in floating point instead would amplify the
+    representation error of q by the exponent (powers of an inexact
+    base lose about k/2 ulp at exponent k), which is invisible at
+    binary-exact q = 1/2 but dominates everywhere else.  The value is
+    the entry of :func:`b_table`, formed once per context.
     """
     if n < -1:
         raise DomainError(f"b_coeff needs n >= -1, got {n}")
@@ -470,14 +472,15 @@ def b_coeff(n: int, ctx: PrecisionContext):
 def b_table(count: int, ctx: PrecisionContext) -> tuple:
     """(b_0, b_1, ...) for this context, at least ``count`` entries long.
 
-    Each b_n is sqrt of the exact b_n^2 rounded once (see
-    :func:`b_coeff`) at the working precision; the b_n^2 come from the
-    running integer powers of :func:`~qhermite2.exact._oscillator_rows`,
-    and the roundings and the root are formed on integer pairs, as
-    ``ctx.mpf`` and ``mp.sqrt`` round them.  The tuple lives in
-    ``ctx.tables`` under that precision, so it goes with its context,
-    and grows to exactly the count asked, since each entry costs an
-    exact rational of growing size; streaming readers ask for blocks.
+    Each b_n is sqrt of the exact b_n^2 rounded as :func:`b_coeff`
+    says; the b_n^2 come from the running integer powers of
+    :func:`~qhermite2.exact._oscillator_rows`, and the roundings and the
+    root are formed on integer pairs, as ``ctx.mpf`` and ``mp.sqrt``
+    round them.  The tuple lives in ``ctx.tables`` under that precision,
+    so it goes with its context, and grows to exactly the count asked,
+    since each entry costs an exact rational of growing size; streaming
+    readers ask for blocks, and others once for all they read: each
+    growth restarts the rows from the powers of q.
     Recurrences index it directly.
     """
     key = ("b", ctx.mp.prec)

@@ -89,6 +89,24 @@ class TestTable:
         assert lines[1].startswith("0,1.0000000000")
         assert lines[2].startswith("1,2.4494897427831780981972840747")
 
+    def test_bn_table_built_in_one_pass(self, capsys, monkeypatch):
+        # One read of the b_n table, not one b_coeff call per row, each
+        # of which restarted the exact rows from the powers of q.
+        from qhermite2 import qkernel
+
+        starts = []
+        rows = qkernel._oscillator_rows
+
+        def spy(q, start=0):
+            starts.append(start)
+            return rows(q, start)
+
+        monkeypatch.setattr(qkernel, "_oscillator_rows", spy)
+        code, out, _ = run_cli(capsys, ["table", "--what=bn", "--q=1/3", "--n-max=60"])
+        assert code == 0
+        assert len(out.splitlines()) == 62
+        assert starts == [0]
+
 
 class TestMeasure:
     def test_jackson_branches_labeled(self, capsys):
@@ -366,6 +384,106 @@ def test_series_output_pinned(capsys, q, bits, job, code, digest):
     else:
         argv = ["verify", "--suite", job]
     got, out, _ = run_cli(capsys, argv + [f"--q={q}", f"--precision-bits={bits}"])
+    assert got == int(code)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Exit code and SHA-256 of stdout of the coherent-state command, recorded
+# from the coefficients computed with mpf/mpc operators and one b_coeff
+# call per index: q, bits, z, format, exit code, digest.  "large" is
+# --z-re=40 --trunc=4, past the tail certificate where the exit is 3.
+_CS_POINTS = {
+    "zero": ["--z-re=0"],
+    "real": ["--z-re=3/2"],
+    "imag": ["--z-re=0", "--z-im=-5/4"],
+    "complex": ["--z-re=-7/8", "--z-im=5/4"],
+    "large": ["--z-re=40", "--trunc=4"],
+}
+_PINNED_CS_OUTPUT = """
+1/64 64 zero csv 0 2ff6e67572b14db884a662707963259676db2c77b829e47e3fae46f8c1586095
+1/64 64 zero json 0 1d2f76150e395e148fec8b6fd254c2bdbcdd9ef57337b1a1bb69a0559bc9da92
+1/64 64 real csv 0 96755fac4c8578b049f4b6be16de020d7f75fbad2e423d63c5cdcc1e54051ba4
+1/64 64 real json 0 821c31fe70a8dd1cdf48107dd14bb23df8fe3dda8e678026e421bb6229ea0314
+1/64 64 imag csv 0 12263228d0ba74525dc57a9022b9df8d0a983a542f82e2658748820feeec308e
+1/64 64 imag json 0 b9dee70e93c457aa1c052b5786a9e33cfc6f59e609b935df57b7cf95ff61593a
+1/64 64 complex csv 0 a05b713378076c043b36098e55874ad28b3b85124785f613de7f337c50d9496d
+1/64 64 complex json 0 6329a6f767ca83d23f006ae486151bc9de6a52ccd3c6c987f366c4e9e705fb89
+1/64 64 large csv 0 66e8a0f116cb89d3ca98b799e6767e61d129bcc1e4e28792c8670a6463553584
+1/64 64 large json 0 fec82fd8a9821166b3c8bc6e83903357af4166be4f21b1873fcccac93e57108f
+1/64 512 zero csv 0 a0fdcdb1bdf4480a133ac844eec201494a6b2e80f7c61e2927a2928d0b46555f
+1/64 512 zero json 0 e066bf73b4bef8119c8da445b895aaa1e1ac4f2cd28e781b0c091fa463301438
+1/64 512 real csv 0 8348240cf213f362375a71c6be97188329dae53af2c94ff75d6365616cf3cc4d
+1/64 512 real json 0 73aeecf9ad0153438d309035179c6035ae6587cbbbde0d132f263dedce02123a
+1/64 512 imag csv 0 3ea9aa83d777756059827eea1d72f74f9a8d4ee507e6f3cd67adac033e2f9cbe
+1/64 512 imag json 0 007b35c47198efa740e720fcccc9316cb908dc066cf483e135a4c72a67607867
+1/64 512 complex csv 0 8206ac0dbd23e218200de10209a3201e9513b3a0cc17f0fd143e966d028440cc
+1/64 512 complex json 0 50617c06da3122049569983117832b5a2e0d664a8a862489e92f4bd7050718ae
+1/64 512 large csv 3 5ecad5cf14e6f4c16d6930a181c3f0b153e1385ee401dde053780a77dc87b7cd
+1/64 512 large json 3 5ecad5cf14e6f4c16d6930a181c3f0b153e1385ee401dde053780a77dc87b7cd
+26/27 64 zero csv 0 2ff6e67572b14db884a662707963259676db2c77b829e47e3fae46f8c1586095
+26/27 64 zero json 0 2172f2709b71de0dd1ba021310ca786dcd5c749d84ed055a69d0a7051b6d81dd
+26/27 64 real csv 0 575779941a55262ccdc98793b546876357192872a9cc3a4fcbdb5cf08d690268
+26/27 64 real json 0 3474c970469c9ff164ed696e011000aff279f1081579cc54a8a5fb43a3a82ed2
+26/27 64 imag csv 0 ab5ddc75401776319a7edcac8bef07e84f27c9145cd93d618c4dd1291edf8a19
+26/27 64 imag json 0 1d7f634a46b633c7f91c8500a6872ccc8beec43c89cc85ab617ca4e4a8e0dba6
+26/27 64 complex csv 0 c797d72315e24c3173da6bff698f3afa4d155cdce119b56e457936ea71fe4991
+26/27 64 complex json 0 4e046c37686bd4d01f9784400f216f9164417f8c026b301533a23a50694f628f
+26/27 64 large csv 3 748c6331940afa81599fbe277270e0b242491ce15d0d7974f6ee659cae501617
+26/27 64 large json 3 748c6331940afa81599fbe277270e0b242491ce15d0d7974f6ee659cae501617
+26/27 512 zero csv 0 a0fdcdb1bdf4480a133ac844eec201494a6b2e80f7c61e2927a2928d0b46555f
+26/27 512 zero json 0 30df553b68919335dd2c81092a5b3b8c93c2ecfccbb9f33bf20918ca6e0db40d
+26/27 512 real csv 3 5af3db6128a9c720ce8c29ad2edca00e250ef135ac3463dbfbf411ed98b82dc2
+26/27 512 real json 3 5af3db6128a9c720ce8c29ad2edca00e250ef135ac3463dbfbf411ed98b82dc2
+26/27 512 imag csv 3 841b9fc7cb23d024d8737cf966d5796048e7ef74d4d826f0d531c65964f6dc49
+26/27 512 imag json 3 841b9fc7cb23d024d8737cf966d5796048e7ef74d4d826f0d531c65964f6dc49
+26/27 512 complex csv 3 e9942025af160fa9dc1e57a602ed53b602fdcd56faa3da93f58206779910cc6d
+26/27 512 complex json 3 e9942025af160fa9dc1e57a602ed53b602fdcd56faa3da93f58206779910cc6d
+26/27 512 large csv 3 748c6331940afa81599fbe277270e0b242491ce15d0d7974f6ee659cae501617
+26/27 512 large json 3 748c6331940afa81599fbe277270e0b242491ce15d0d7974f6ee659cae501617
+"""
+
+
+@pytest.mark.parametrize(
+    "q, bits, z, fmt, code, digest",
+    [
+        pytest.param(*fields, id="-".join(fields[:4]))
+        for fields in map(str.split, _PINNED_CS_OUTPUT.strip().splitlines())
+    ],
+)
+def test_cs_output_pinned(capsys, q, bits, z, fmt, code, digest):
+    got, out, _ = run_cli(
+        capsys, ["cs", *_CS_POINTS[z], f"--q={q}", f"--precision-bits={bits}", f"--format={fmt}"]
+    )
+    assert got == int(code)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Exit code and SHA-256 of stdout of the commands that run on Poly and
+# Q(i) arithmetic, and of the b_n table, recorded from the Q(i) products
+# that re-validated every result and from one b_coeff call per row:
+# q, the command, exit code, digest.
+_PINNED_EXACT_OUTPUT = """
+1/3 | verify --suite qdiff --n-max=8 | 0 df0611c74db6670d1a48ab8c4aafe30b18e021b581113871d85a4d73be76d446
+1/3 | verify --suite generating --x=-3/4 --order=10 | 0 0332122d04a82a4374851030016b7b79bfd703b242aeb46dab2ac40b79eb2bb6
+1/3 | table --what=bn --n-max=40 | 0 c67f560bc1b24d14de4ba4850d8320f8fb51b199997fbfac9af79adbe6e99580
+26/27 | verify --suite qdiff --n-max=8 | 0 397c9e67c050ad8b33a97a4a2690f8cfae5371b2265450822e31a436781bf69a
+26/27 | verify --suite generating --x=-3/4 --order=10 | 0 d7809b91000ad7f76b5a27726bfc45a12885c878559b098618e24e50f4bf847a
+26/27 | table --what=bn --n-max=40 | 0 98aacb3523e381543feaf039121b4b5a910a24598255d80650479c8cfec6b738
+1/2 | poly --n 12 --kind both --x=-13/5 | 0 d0e48d65cc4f3cadb22e14361d0f50d1a834f905aa2d0f5c071fe5eb5894faf8
+"""
+
+
+@pytest.mark.parametrize(
+    "q, argv, code, digest",
+    [
+        pytest.param(q, argv, *rest.split(), id=f"{q} {argv}")
+        for q, argv, rest in (
+            line.split(" | ") for line in _PINNED_EXACT_OUTPUT.strip().splitlines()
+        )
+    ],
+)
+def test_exact_layer_output_pinned(capsys, q, argv, code, digest):
+    got, out, _ = run_cli(capsys, argv.split() + [f"--q={q}"])
     assert got == int(code)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhermite2.context import PrecisionContext, as_fraction
 from qhermite2.errors import DomainError
@@ -95,6 +96,96 @@ class TestPoly:
         assert shifted == Poly(
             (GaussianRational(Fraction(-1)), 2 * GaussianRational.I, 1)
         )
+
+
+# -- Q(i) arithmetic against the textbook formulas on Fraction pairs -------
+
+# Rationals that are often exactly 0, so the zero-part paths are taken.
+_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=40),
+)
+_gaussians = st.tuples(_parts, _parts)
+
+
+def _t_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _t_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _t_div(a, b):
+    den = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / den, (a[1] * b[0] - a[0] * b[1]) / den)
+
+
+def _t_pow(a, n):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        out = _t_mul(out, a)
+    return out
+
+
+def _assert_is(got, want):
+    """got is the Q(i) value want, with Fraction parts, and compares and
+    hashes as the validated GaussianRational(re, im)."""
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert (got.re, got.im) == want
+    built = GaussianRational(*want)
+    assert got == built and hash(got) == hash(built)
+
+
+class TestGaussianFastPaths:
+    @settings(max_examples=200, deadline=None)
+    @given(_gaussians, _gaussians, st.integers(0, 6))
+    def test_operations_match_textbook(self, a, b, n):
+        x, y = GaussianRational(*a), GaussianRational(*b)
+        _assert_is(x + y, _t_add(a, b))
+        _assert_is(x - y, _t_add(a, (-b[0], -b[1])))
+        _assert_is(x * y, _t_mul(a, b))
+        _assert_is(-x, (-a[0], -a[1]))
+        _assert_is(x.conjugate(), (a[0], -a[1]))
+        _assert_is(x**n, _t_pow(a, n))
+        if b != (0, 0):
+            _assert_is(x / y, _t_div(a, b))
+        # Mixed with plain rationals and ints, on either side.
+        _assert_is(GaussianRational.coerce(n), (Fraction(n), Fraction(0)))
+        _assert_is(x * b[0], _t_mul(a, (b[0], Fraction(0))))
+        _assert_is(b[0] + x, _t_add(a, (b[0], Fraction(0))))
+        _assert_is(3 - x, _t_add((Fraction(3), Fraction(0)), (-a[0], -a[1])))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(_gaussians, max_size=7),
+        st.lists(_gaussians, max_size=7),
+        _gaussians,
+    )
+    def test_poly_operations_match_naive(self, a, b, c):
+        p, r = Poly([GaussianRational(*t) for t in a]), Poly([GaussianRational(*t) for t in b])
+        zero = (Fraction(0), Fraction(0))
+
+        def poly(coeffs):
+            return Poly([GaussianRational(*t) for t in coeffs])
+
+        product = [zero] * max(len(a) + len(b) - 1, 0)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                product[i + j] = _t_add(product[i + j], _t_mul(u, v))
+        assert p * r == poly(product)
+        shifted = [zero] * len(a)
+        for k, u in enumerate(a):
+            for j in range(k + 1):
+                term = _t_mul(u, _t_pow(c, k - j))
+                shifted[j] = _t_add(shifted[j], (comb(k, j) * term[0], comb(k, j) * term[1]))
+        assert p.shift(GaussianRational(*c)) == poly(shifted)
+        assert p.scale(GaussianRational(*c)) == poly([_t_mul(c, u) for u in a])
+        assert p.scale_argument(GaussianRational(*c)) == poly(
+            [_t_mul(u, _t_pow(c, k)) for k, u in enumerate(a)]
+        )
+        for coeff in (p * r).coeffs + p.shift(GaussianRational(*c)).coeffs:
+            assert type(coeff.re) is Fraction and type(coeff.im) is Fraction
 
 
 def _ref_shift(poly, c):
