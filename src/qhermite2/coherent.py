@@ -20,9 +20,9 @@ discrepancy registry entry ``eigen_residual_rounding_floor``).
 
 The coefficients, their tail certificate and the eigen-residual's
 scalars run on integer pairs (:mod:`qhermite2._pairs`), each step
-bitwise the mpf/mpc operator it replaces (see :func:`cs_coeffs`); the
-normalizer's argument, the matrix diagnostic, the overlap and the
-closed-form report still use mpf/mpc operators.
+correctly rounded (see :func:`cs_coeffs`); the normalizer's argument,
+the matrix diagnostic, the overlap and the closed-form report still use
+mpf/mpc operators.
 """
 
 from __future__ import annotations
@@ -102,11 +102,10 @@ def cs_coeffs(z, trunc: int, ctx: PrecisionContext) -> CoherentStateVector:
     push the missing mass below series_tol (choose a larger trunc), and
     ValueError for a z that is not finite.
 
-    Each step on integer pairs is bitwise the mpf/mpc operator it
-    replaces: |z| is ``mpc_abs`` (``_hypot``), |z|^2 ``mpf_mul``; 1 - q,
-    q/(1-q) and the roots ``mpf_sub``, ``mpf_div``, ``mpf_sqrt``; c_n z
-    ``mpc_mul`` (``_complex_product``) and its division by the real
-    sqrt(q/(1-q)) b_n ``mpc_div_mpf`` (``_over``); |z|^(2 trunc + 2) is
+    Each step on integer pairs is the exact result rounded once, each
+    part: |z| (``_hypot``, the root of the exact |z|^2), |z|^2, 1 - q,
+    q/(1-q) and the roots; c_n z (``_complex_product``) and its division
+    by the real sqrt(q/(1-q)) b_n (``_over``).  |z|^(2 trunc + 2) is
     ``mpf_pow_int`` itself and q^n is ``q_power_raw``.  The b_n are one
     read of ``b_table``; q/(1-q) and its root are formed once.
     """
@@ -199,7 +198,7 @@ def cs_eigen_residual(
     prec = mp.prec
     state = cs_coeffs(z, trunc, ctx)
     zv = state.z
-    # On pairs, each step the mpf/mpc operator it replaces (cs_coeffs).
+    # On pairs, each step correctly rounded (cs_coeffs).
     q = _as_pair(ctx.qm)
     root_c = _root(_quotient(q, _sum(_ONE, _negative(q), prec), prec), prec)
     size = _hypot(_operand(zv, ctx), prec)

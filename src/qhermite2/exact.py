@@ -268,11 +268,11 @@ class Poly:
         (:mod:`qhermite2._pairs`), returning a pair value.
 
         The coefficients are rounded once, here, not on every call.  Each
-        step ``acc * x + c`` is bitwise the mpf/mpc operators' at the
-        caller's precision ``mp.prec``; the accumulator is complex when a
-        coefficient or the point is.  Steps that are exact are skipped:
-        0 x (the top coefficient is rounded at the caller's precision),
-        1 x for a real x of at most prec bits, and + 0.
+        step ``acc * x + c`` rounds its product and its sum correctly at
+        the caller's precision ``mp.prec``; the accumulator is complex
+        when a coefficient or the point is.  Steps that are exact are
+        skipped: 0 x (the top coefficient is rounded at the caller's
+        precision), 1 x for a real x of at most prec bits, and + 0.
         """
         complex_coeffs = any(c.im != 0 for c in self.coeffs)
         coeffs = [

@@ -6,8 +6,8 @@ Two evaluation regimes coexist:
 * numeric: callables evaluated on geometric lattices at working
   precision with monitored tails (never assumed convergent).  The
   lattice runs on integer pairs (:mod:`qhermite2._pairs`): every
-  lattice point, derivative quotient, product, term and sum is the pair
-  operation that gives the mpf/mpc operator's float, a polynomial is
+  lattice point, derivative quotient, product, term and sum is a
+  correctly rounded pair operation, a polynomial is
   evaluated by Horner on pairs, and any other callable is called at an
   mpf point with its result converted once;
 * exact: polynomial identities (Leibniz rule, derivative/antiderivative

@@ -32,11 +32,10 @@ term ratio below 1/2.
 
 The q-series, :func:`gen_exponential` and :func:`phi_rs` (terminating
 or not), run on integer pairs as well: each term ratio, term, partial
-sum and magnitude is a real or complex pair value, formed by the
-:mod:`~qhermite2._pairs` operation that gives the same float as the
-mpf/mpc operator on the same values, intermediate roundings of
-``mpc_div`` and ``mpc_abs`` included.  Only the conversions of the
-arguments and of the result go through mpf/mpc objects.
+sum and magnitude is a real or complex pair value, each part of each
+operation the exact result rounded once (:mod:`~qhermite2._pairs`).
+Only the conversions of the arguments and of the result go through
+mpf/mpc objects.
 
 Scalar results are plain mpf/mpc values bound to the calling context's
 precision.  Because mpmath exponents are bignums, partial products like
@@ -534,9 +533,9 @@ def _convert(value, ctx: PrecisionContext) -> tuple:
 
 
 def _one_less(a: tuple, qk: tuple, prec: int) -> tuple:
-    """1 - a q^k: ``mpf_sub`` from 1, or for a complex a ``mpc_sub`` from
-    (1, 0), of the rounded product (a q^k has at most prec bits, so
-    0 - its imaginary part is its negation)."""
+    """1 - a q^k, from the rounded product a q^k; for a complex a, 1 is
+    subtracted from the real part only (0 - the imaginary part, of at
+    most prec bits, is its negation)."""
     if type(a[0]) is tuple:
         (rm, re), (im, ie) = _product(a[0], qk, prec), _product(a[1], qk, prec)
         return _sum(_ONE, (-rm, re), prec), (-im, ie)
@@ -551,10 +550,9 @@ def _term_ratios(spec: HypergeometricSpec, ctx: PrecisionContext):
     The ratio is num / den z q^(e k), negated for odd e, with num the
     product of the 1 - a q^k from 1 (complex if some a is) and den that
     of the 1 - b q^k and 1 - q^(k+1) from the real 1: a real or complex
-    pair value (:mod:`qhermite2._pairs`), each operation bitwise that of
-    the mpf/mpc operators on the same values, at the precision of the
-    call.  The parameters and z are converted once, and q^(k+1) of one
-    call is the q^k of the next.  The sign rides on z: every rounding
+    pair value (:mod:`qhermite2._pairs`), each operation correctly
+    rounded at the precision of the call.  The parameters and z are
+    converted once, and q^(k+1) of one call is the q^k of the next.  The sign rides on z: every rounding
     here is to nearest, which commutes with negation, so num / den (-z)
     q^(e k) is the negated ratio bit for bit.
     """
@@ -645,8 +643,8 @@ def _ratio_sum(term: tuple, ratio, ctx: PrecisionContext, what: str):
     """Sum T_0 = ``term``, T_{k+1} = T_k ratio(k) until :class:`Decay`
     settles on |T_{k+1}| against the partial sum through T_k and
     |ratio(k)| < 1/2; NoConvergenceError after max_terms terms.  Terms,
-    ratios and sums are real or complex pair values, each operation the
-    mpf/mpc operator's, and the sum is returned as an mpf or mpc."""
+    ratios and sums are real or complex pair values, each operation
+    correctly rounded, and the sum is returned as an mpf or mpc."""
     prec = ctx.mp.prec
     total, decay = _times(term, _ZERO, prec), Decay(ctx)
     for k in range(ctx.max_terms):

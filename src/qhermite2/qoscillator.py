@@ -8,10 +8,10 @@ diagonals and all operator arithmetic costs O(dim * bandwidth^2); the
 results are bitwise those of dense ascending-index sums.
 
 The diagonals hold complex integer pairs (:mod:`qhermite2._pairs`), and
-each entry is formed by the pair operation that gives the mpc
-operator's float: ``mpc_mul`` for products, ``mpc_add``/``mpc_sub``
-for sums, ``mpc_mul_mpf`` for a real factor and ``mpc_abs`` for the
-residuals.  Entries leave as mpc values only at the boundary:
+each entry is formed by pair operations, each part of each result the
+exact value rounded once: the products, the sums and differences, the
+scalings by a real factor and the moduli of the residuals.  Entries
+leave as mpc values only at the boundary:
 :meth:`TruncatedOperator.entry`, ``row`` and ``apply``.  The exact
 diagonals of the identities and the spectrum come from one pass over
 the running integer powers of q (:func:`~qhermite2.exact._oscillator_rows`).

@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from correctly_rounded import mul, size
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qhermite2.coherent import (
@@ -146,17 +147,17 @@ def test_truncation_default_is_declared_once():
 
 def _ref_cs_coeffs(z, trunc, ctx):
     """cs_coeffs as computed with mpf/mpc operators and one b_coeff call
-    per index."""
+    per index, the complex products and moduli correctly rounded."""
     mp = ctx.mp
     q = ctx.qm
     zv = ctx.mpc(z)
-    zabs2 = abs(zv) ** 2
+    zabs2 = size(zv) ** 2
     norm_sq = cs_norm_sq(zabs2, ctx)
     norm = mp.sqrt(norm_sq)
     root_c = mp.sqrt(q / (1 - q))
     coeffs = [1 / norm + mp.mpc(0)]
     for n in range(trunc):
-        coeffs.append(coeffs[n] * zv / (root_c * b_coeff(n, ctx)))
+        coeffs.append(mul(coeffs[n], zv) / (root_c * b_coeff(n, ctx)))
     t = zabs2 ** (trunc + 1)
     for n in range(trunc + 1):
         t = t / ((q / (1 - q)) * b_coeff(n, ctx) ** 2)
@@ -181,11 +182,11 @@ def _ref_cs_eigen_residual(z, trunc, ctx, method):
     state = _ref_cs_coeffs(z, trunc, ctx)
     zv = state.z
     root_c = mp.sqrt(q / (1 - q))
-    c_last = abs(state.coeffs[trunc])
-    bound = c_last * root_c * b_coeff(trunc - 1, ctx) + state.tail_bound * abs(zv)
-    noise_floor = ctx.eps * (1 + abs(zv)) * mp.sqrt(mp.mpf(trunc + 1))
+    c_last = size(state.coeffs[trunc])
+    bound = c_last * root_c * b_coeff(trunc - 1, ctx) + state.tail_bound * size(zv)
+    noise_floor = ctx.eps * (1 + size(zv)) * mp.sqrt(mp.mpf(trunc + 1))
     if method == "analytic":
-        residual = abs(zv) * c_last
+        residual = size(zv) * c_last
     else:
         lowering, _ = build_ladder(trunc + 1, ctx)
         image = lowering.apply(list(state.coeffs))

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from correctly_rounded import mul, size
 
 from qhermite2 import PrecisionContext
 from qhermite2.errors import DomainError, NoConvergenceError
@@ -234,7 +235,8 @@ class TestIntegrationByParts:
 
 # Reference lattice sums: the monitored sum and the lattice generators as
 # they were written before the stop rule and the walk were shared, kept
-# here to pin the numeric Jackson and finite hat integrals bitwise.
+# here to pin the numeric Jackson and finite hat integrals bitwise; the
+# modulus of a complex value is correctly rounded, as the pairs round it.
 
 
 def _ref_monitored_sum(terms, ctx, what):
@@ -245,8 +247,8 @@ def _ref_monitored_sum(terms, ctx, what):
     streak = 0
     for k, term in enumerate(terms):
         total = total + term
-        mag = abs(term)
-        scale = max(abs(total), tol)
+        mag = size(term)
+        scale = max(size(total), tol)
         if mag <= tol * scale and (prev is None or mag <= prev):
             streak += 1
             if streak >= 3:
@@ -375,7 +377,8 @@ def test_nan_terms_never_settle(ctx_half):
 
 # Reference hat-lattice sums: the hat integral, the lattice moment and the
 # infinite integration-by-parts residual as they were written before they
-# shared one enumeration of the lattice, kept here to pin them bitwise.
+# shared one enumeration of the lattice, kept here to pin them bitwise; a
+# product of complex values and a complex modulus are correctly rounded.
 
 
 def _ref_hat_q_integral(f, ctx, K, return_diagnostics=False, what="hat_q_integral"):
@@ -398,17 +401,17 @@ def _ref_hat_q_integral(f, ctx, K, return_diagnostics=False, what="hat_q_integra
         t_grow = q_power(m_down, ctx) * sample(m_down)
         t_shrink = q_power(m_up, ctx) * sample(m_up)
         total = total + t_grow + t_shrink
-        max_grow = max(max_grow, abs(t_grow))
-        max_shrink = max(max_shrink, abs(t_shrink))
+        max_grow = max(max_grow, size(t_grow))
+        max_shrink = max(max_shrink, size(t_shrink))
         if k == K:
             envelope = max(x for x in (prev_grow, prev2_grow) if x is not None)
-            if abs(t_grow) > tol * max(abs(total), tol) and abs(t_grow) >= envelope:
+            if size(t_grow) > tol * max(size(total), tol) and size(t_grow) >= envelope:
                 raise NoConvergenceError(
                     f"{what}: growing-abscissa branch not decaying "
-                    f"at K={K} (last term {mp.nstr(abs(t_grow), 8)})"
+                    f"at K={K} (last term {mp.nstr(size(t_grow), 8)})"
                 )
         prev2_grow = prev_grow
-        prev_grow = abs(t_grow)
+        prev_grow = size(t_grow)
     value = total / q
     if return_diagnostics:
         return value, max_grow, max_shrink
@@ -446,10 +449,10 @@ def _ref_ip3(u, v, ctx, K):
         return (u(qi * qi * t) - u(qi * t)) / (qi * t)
 
     def lhs_sample(m):
-        return u(q_power(m, ctx)) * dv_at(m + 1)
+        return mul(u(q_power(m, ctx)), dv_at(m + 1))
 
     def rhs_sample(m):
-        return v_at(m - 2) * du(q_power(m, ctx))
+        return mul(v_at(m - 2), du(q_power(m, ctx)))
 
     lhs_total = mp.mpf(0)
     rhs_total = mp.mpf(0)
@@ -458,10 +461,10 @@ def _ref_ip3(u, v, ctx, K):
             qm = q_power(m, ctx)
             lhs_total = lhs_total + qm * lhs_sample(m)
             rhs_total = rhs_total + qm * rhs_sample(m)
-    deep = u(q_power(-K, ctx)) * v_at(-K)
-    zero_end = u(mp.mpf(0)) * v_at(K + 4)
+    deep = mul(u(q_power(-K, ctx)), v_at(-K))
+    zero_end = mul(u(mp.mpf(0)), v_at(K + 4))
     rhs = (deep - zero_end) - rhs_total / q
-    return abs(lhs_total - rhs)
+    return size(lhs_total - rhs)
 
 
 def _lattice(f, ctx, m_min, m_max):

@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from correctly_rounded import div, modulus, mul, product, quotient, rounded, size
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from mpmath.libmp import (
     fone,
     from_man_exp,
-    mpc_abs,
+    from_rational,
+    fzero,
     mpc_div,
     mpc_div_mpf,
     mpc_mpf_div,
-    mpc_mul,
     mpc_mul_mpf,
     mpf_add,
     mpf_div,
@@ -24,24 +26,25 @@ from mpmath.libmp import (
     mpf_pow_int,
     mpf_sqrt,
     mpf_sub,
-    round_down,
     round_nearest,
 )
 
 from qhermite2 import PrecisionContext, qkernel
 from qhermite2._pairs import (
+    _ZERO,
     _complex_product,
     _complex_quotient,
     _finish_step,
     _hypot,
+    _is_zero,
     _over,
+    _plus,
     _product,
     _quotient,
-    _real_over_complex,
     _root,
+    _size,
     _sum,
     _times,
-    _truncated_sum,
 )
 from qhermite2.errors import DomainError, FormalSeriesError, NoConvergenceError
 from qhermite2.exact import bn_squared_exact
@@ -346,15 +349,15 @@ class TestQPower:
 
 
 def _assert_pair_ops(a, b, prec):
-    """The pair product, sum, difference and quotient of a and b are
-    bitwise mpf_mul, mpf_add, mpf_sub and mpf_div at round_nearest, each
-    with a mantissa of at most prec bits."""
+    """The pair product and quotient of a and b are bitwise mpf_mul and
+    mpf_div at round_nearest, the sum and difference the exact ones
+    rounded once, each with a mantissa of at most prec bits."""
     fa, fb = from_man_exp(*a), from_man_exp(*b)
     got = [_product(a, b, prec), _sum(a, b, prec), _sum(a, (-b[0], b[1]), prec)]
     want = [
         mpf_mul(fa, fb, prec, round_nearest),
-        mpf_add(fa, fb, prec, round_nearest),
-        mpf_sub(fa, fb, prec, round_nearest),
+        rounded(mpf_add(fa, fb), prec),
+        rounded(mpf_sub(fa, fb), prec),
     ]
     if b[0]:
         got.append(_quotient(a, b, prec))
@@ -439,10 +442,10 @@ class TestIntegerPairs:
         cases += [((0, 0), (top | 3, 9)), ((top | 3, 9), (0, 0)), ((0, 40), (0, -40))]
         # Differences that cancel to exactly 0 from unequal representations.
         cases += [((top | 3, 9), (-(top | 3), 9)), ((top | 3, 9), (-((top | 3) << 5), 4))]
-        # Exponent gaps above 100 bits: mpf_add's perturbation branch, for
-        # addends of at most prec bits and for 2 prec bits ...
+        # Addends far apart: the smaller one below the larger one's
+        # lowest set bit, for a larger addend of at most prec bits and of
+        # 2 prec bits, and one that leaves the sum exact.
         cases += [((top | 3, 400), (7, 0)), (((top << prec) | 9, 400), (7, 0))]
-        # ... and gaps above 100 bits that leave the sum exact.
         cases += [((top | 3, 0), (5, -150)), ((5, -150), (top | 3, 0))]
         # Exact quotients (no remainder), by powers of two as well.
         cases += [((top * 12345, 4), (12345, -8)), ((top | 3, 4), (1 << 7, 3)), ((top | 3, 4), (1, -5))]
@@ -455,15 +458,16 @@ class TestIntegerPairs:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_perturbation_branch_off_correct_rounding(self, prec, sign):
         # One unit above a midpoint, less a tail longer than that unit but
-        # far below the prec + 4 leading bits: mpf_add rounds as if the
-        # tail were shorter than the unit, away from the correct rounding,
-        # and the pair sum follows it.
+        # far below the leading bits: mpf_add's perturbation branch rounds
+        # as if the tail were shorter than the unit, away from the correct
+        # rounding; the pair sum rounds correctly.
         above = ((((1 << (prec - 1)) | 1) << prec) | (1 << (prec - 1)) | 1, 200)
         tail = (-((1 << 150) - 1), 60)
         a, b = (sign * above[0], above[1]), (sign * tail[0], tail[1])
         exact = Fraction(a[0]) * 2 ** a[1] + Fraction(b[0]) * 2 ** b[1]
         correct = from_man_exp(exact.numerator, 0, prec, round_nearest)
         assert mpf_add(from_man_exp(*a), from_man_exp(*b), prec, round_nearest) != correct
+        assert _raw(_sum(a, b, prec)) == _raw(_sum(b, a, prec)) == correct
         _assert_pair_ops(a, b, prec)
         _assert_pair_ops(b, a, prec)
 
@@ -524,7 +528,7 @@ class TestIntegerPairs:
             # x p and drop p0 cancel exactly.
             ((top | 3, 0), (top | 7, 0), (-(top | 3), 0), (top | 7, 0), b),
             ((top, 1), (top | 7, 0), (-top, 0), (top | 7, 1), b),
-            # Exponent gaps above 2 prec + 4: the step falls back to _sum.
+            # Exponent gaps above 2 prec: the step falls back to _sum.
             (one, two, (-(top | 1), -3 * prec), two, b),
             (one, two, (-(top | 1), 3 * prec), two, b),
             # b a power of two: an exact quotient, and one of mantissa 1.
@@ -549,22 +553,20 @@ def _raw(pair):
 
 def _assert_complex_ops(a, b, prec):
     """The complex pair operations on a and b, and a's real part over b,
-    are bitwise mpc_mul, mpc_div, mpc_mpf_div and mpc_abs at
-    round_nearest; the truncated sum of the parts is mpf_add at
-    round_down, its root mpf_sqrt."""
+    are the exact results rounded once (``correctly_rounded``), each part;
+    a real factor or divisor is bitwise mpc_mul_mpf or mpc_div_mpf at
+    round_nearest, a root of a part mpf_sqrt."""
     za, zb = (_raw(a[0]), _raw(a[1])), (_raw(b[0]), _raw(b[1]))
     got = [_complex_product(a, b, prec), _times(a, b, prec), _times(a[0], b, prec)]
-    want = [mpc_mul(za, zb, prec, round_nearest)] * 2 + [mpc_mul_mpf(zb, za[0], prec, round_nearest)]
+    want = [product(za, zb, prec)] * 2 + [mpc_mul_mpf(zb, za[0], prec, round_nearest)]
     if b[0][0] or b[1][0]:
-        got += [_complex_quotient(a, b, prec), _real_over_complex(a[0], b, prec)]
-        want += [mpc_div(za, zb, prec, round_nearest), mpc_mpf_div(za[0], zb, prec, round_nearest)]
+        got += [_complex_quotient(a, b, prec), _over(a[0], b, prec)]
+        want += [quotient(za, zb, prec), quotient((za[0], fzero), zb, prec)]
     if b[0][0]:
         got.append(_over(a, b[0], prec))
         want.append(mpc_div_mpf(za, zb[0], prec, round_nearest))
     assert [(_raw(re), _raw(im)) for re, im in got] == want
-    assert _raw(_hypot(a, prec)) == mpc_abs(za, prec, round_nearest)
-    assert _raw(_truncated_sum(a[0], a[1], prec)) == mpf_add(za[0], za[1], prec, round_down)
-    assert _raw(_truncated_sum(a[0], b[1], prec)) == mpf_add(za[0], zb[1], prec, round_down)
+    assert _raw(_hypot(a, prec)) == modulus(za, prec)
     for part in (a[0], a[1], b[0]):
         if part[0] > 0:
             assert _raw(_root(part, prec)) == mpf_sqrt(_raw(part), prec, round_nearest)
@@ -586,8 +588,8 @@ def _complex_operands(draw):
 
 
 class TestComplexPairs:
-    """Complex values as pairs of integer pairs, and the truncated sum
-    and root their division and modulus use."""
+    """Complex values as pairs of integer pairs, and the root their
+    modulus uses."""
 
     @settings(max_examples=300, deadline=None)
     @given(_complex_operands())
@@ -606,8 +608,7 @@ class TestComplexPairs:
             ((one, (0, 0)), ((top | 3, -2), (0, 9))),
             (((0, 4), one), ((0, 0), (top | 3, -2))),
             ((one, (top | 9, 1)), ((0, 0), (0, 0))),
-            # Parts more than 100 bits apart: the truncated shortcut of
-            # mpf_add, with a short larger part and a long one.
+            # Parts far apart, with a short larger part and a long one.
             ((one, (7, -200)), ((top | 3, 0), (-5, -300))),
             ((((top << prec) | 9, 400), (7, 0)), ((top | 3, 0), (-(top | 1), -150))),
             # Parts that cancel in the product and the quotient.
@@ -621,10 +622,12 @@ class TestComplexPairs:
             _assert_complex_ops(b, a, prec)
 
     def test_division_intermediates(self):
-        # Found by a random search at 64 bits: rounding |b|^2 or the two
-        # numerators of mpc_div, or the |b|^2 of mpc_mpf_div, to nearest
-        # instead of truncating them, or forming them at prec + 8 or
-        # prec + 12 bits instead of prec + 10, changes the quotient.
+        # Found by a random search at 64 bits, as inputs whose quotient
+        # depends on how |b|^2 and the numerators are rounded: libmpc's
+        # mpc_div and mpc_mpf_div truncate them at prec + 10 bits, and
+        # rounding them to nearest, or at prec + 8 or prec + 12 bits,
+        # changed the quotient.  On the first of each, libmpc misses the
+        # exact quotient rounded once.
         quotients = (
             (((-7763478140771780560, -1), (-4791979854294950323, -3)),
              ((1170713156280938258, 3), (-4897839338904714732, 1))),
@@ -634,30 +637,164 @@ class TestComplexPairs:
         for a, b in quotients:
             _assert_complex_ops(a, b, 64)
         real_over_complex = (
-            ((4273281819871564349, -2), ((-13168530585649637340, -3), (1483657102989929222, 1))),
             ((8130245837406991366, -1), ((2582700801479055601, 1), (-5684893323576096605, 3))),
+            ((4273281819871564349, -2), ((-13168530585649637340, -3), (1483657102989929222, 1))),
         )
         for x, b in real_over_complex:
             _assert_complex_ops((x, (0, 0)), b, 64)
+        (a, b), (x, c) = quotients[0], real_over_complex[0]
+        za, zb, zc = (_raw(a[0]), _raw(a[1])), (_raw(b[0]), _raw(b[1])), (_raw(c[0]), _raw(c[1]))
+        assert mpc_div(za, zb, 64, round_nearest) != quotient(za, zb, 64)
+        assert mpc_mpf_div(_raw(x), zc, 64, round_nearest) != quotient((_raw(x), fzero), zc, 64)
 
-    @pytest.mark.parametrize("prec", [64, 65, 512])
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_truncated_shortcut_off_truncation(self, prec, sign):
-        # A larger addend of 2 prec bits whose low half sits one unit
-        # below a truncation boundary, and a same-signed addend whose
-        # normalized exponent lies 150 bits lower but which exceeds that
-        # unit: the exact sum truncates across the boundary; mpf_add's
-        # shortcut, which puts one unit far below in place of the smaller
-        # addend, does not.
-        big = ((1 << (2 * prec)) - 1, 300)
-        small = ((1 << 200) - 1, 150)
-        a, b = (sign * big[0], big[1]), (sign * small[0], small[1])
-        exact = Fraction(a[0]) * 2 ** a[1] + Fraction(b[0]) * 2 ** b[1]
-        truncated = from_man_exp(exact.numerator, 0, prec, round_down)
-        got = mpf_add(_raw(a), _raw(b), prec, round_down)
-        assert got != truncated
-        assert _raw(_truncated_sum(a, b, prec)) == got
-        assert _raw(_truncated_sum(b, a, prec)) == got
+
+def _dyadic(a):
+    """The exact value of a pair, or (re, im) of a complex value."""
+    if type(a[0]) is tuple:
+        return _dyadic(a[0]), _dyadic(a[1])
+    return Fraction(a[0]) * Fraction(2) ** a[1]
+
+
+def _nearest(x, prec):
+    """The rational x rounded once to prec bits, to nearest, ties to even."""
+    return from_rational(x.numerator, x.denominator, prec, round_nearest)
+
+
+def _nearest_root(x, prec):
+    """sqrt(x) of a dyadic x >= 0 rounded once to prec bits."""
+    return mpf_sqrt(from_man_exp(x.numerator, 1 - x.denominator.bit_length()), prec, round_nearest)
+
+
+def _want(op, x, y, prec):
+    """x * y, x / y or x + y of real or complex pairs, the exact value
+    rounded once: a raw mpf, or raw (re, im) if an operand is complex."""
+    (a, b), (c, d) = (_dyadic(v) if type(v[0]) is tuple else (_dyadic(v), 0) for v in (x, y))
+    if op == "*":
+        re, im = a * c - b * d, a * d + b * c
+    elif op == "/":
+        mag = c * c + d * d
+        re, im = (a * c + b * d) / mag, (b * c - a * d) / mag
+    else:
+        re, im = a + c, b + d
+    if type(x[0]) is tuple or type(y[0]) is tuple:
+        return _nearest(re, prec), _nearest(im, prec)
+    return _nearest(re, prec)
+
+
+def _value(a):
+    """A real or complex pair value as a raw mpf or (re, im)."""
+    if type(a[0]) is tuple:
+        return _raw(a[0]), _raw(a[1])
+    return _raw(a)
+
+
+def _narrow(a, prec):
+    """A real or complex value with each part rounded to prec bits."""
+    if type(a[0]) is tuple:
+        return _narrow(a[0], prec), _narrow(a[1], prec)
+    sign, man, exp, _ = from_man_exp(a[0], a[1], prec, round_nearest)
+    return -man if sign else man, exp
+
+
+def _assert_correctly_rounded(prec, a, b, z, w):
+    """Every pair operation on the reals a, b and the complex z, w is the
+    exact result rounded once, each part.  A real addend keeps the other
+    part of a complex one, and |a| of a real a is exact: those take
+    operands of at most prec bits."""
+    A, B, Z = _dyadic(a), _dyadic(b), _dyadic(z)
+    assert _raw(_product(a, b, prec)) == _nearest(A * B, prec)
+    assert _raw(_sum(a, b, prec)) == _raw(_sum(b, a, prec)) == _nearest(A + B, prec)
+    if B:
+        assert _raw(_quotient(a, b, prec)) == _nearest(A / B, prec)
+    if A:
+        assert _raw(_root((abs(a[0]), a[1]), prec)) == _nearest_root(abs(A), prec)
+    assert _value(_complex_product(z, w, prec)) == _want("*", z, w, prec)
+    if not _is_zero(w):
+        assert _value(_complex_quotient(z, w, prec)) == _want("/", z, w, prec)
+    assert _raw(_hypot(z, prec)) == _raw(_size(z, prec)) == _nearest_root(Z[0] ** 2 + Z[1] ** 2, prec)
+    for x, y in ((a, b), (a, w), (z, b), (z, w)):
+        assert _value(_times(x, y, prec)) == _want("*", x, y, prec)
+        if not _is_zero(y):
+            assert _value(_over(x, y, prec)) == _want("/", x, y, prec)
+        if type(x[0]) is not type(y[0]):
+            x, y = _narrow(x, prec), _narrow(y, prec)
+        assert _value(_plus(x, y, prec)) == _want("+", x, y, prec)
+    a = _narrow(a, prec)
+    assert _raw(_size(a, prec)) == _nearest(abs(_dyadic(a)), prec)
+
+
+@st.composite
+def _mixed_operands(draw):
+    """prec in 53-512, two reals and two complex values whose parts have
+    mantissas of up to 2 prec bits and exponents up to 3 prec apart."""
+    prec = draw(st.integers(53, 512))
+
+    def part():
+        bits = draw(st.integers(0, 2 * prec))
+        man = draw(st.integers(0, (1 << bits) - 1)) * draw(st.sampled_from((1, -1)))
+        return man, draw(st.integers(-3 * prec, 3 * prec))
+
+    return prec, part(), part(), (part(), part()), (part(), part())
+
+
+def _complexed(a):
+    """a as a complex value: a real one with a zero imaginary part."""
+    return a if type(a[0]) is tuple else (a, _ZERO)
+
+
+class TestCorrectRounding:
+    """Every pair operation, real, complex or mixed, is the exact result
+    rounded once to nearest, ties to even."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mixed_operands())
+    # The larger addend has 2 prec bits, and the smaller one lies 150 bits
+    # below its normalized exponent but reaches above its lowest set bit:
+    # mpf_add's perturbation branch misrounds this sum.
+    @example((64, (2**127 + 2**63 - 1, 0), (2**200 - 1, -150), ((1, 0), (0, 0)), ((0, 0), (1, 0))))
+    @example((64, (-(2**127 + 2**63 - 1), 0), (1 - 2**200, -150), ((1, 0), (0, 0)), ((0, 0), (1, 0))))
+    def test_property_every_operation(self, operands):
+        _assert_correctly_rounded(*operands)
+
+    @pytest.mark.parametrize("prec", [53, 64, 65, 512])
+    def test_far_exponent_gaps(self, prec):
+        # Parts 20,000 bits apart in exponent: the exact |b|^2, numerators
+        # and sum of squares are 40,000 bits wide, which takes milliseconds.
+        # The larger part, of prec + 1 bits, is a midpoint, which the
+        # smaller one decides: truncating the sums at prec + 4 or prec + 10
+        # bits, as libmpc does, drops it.
+        big, tiny = ((1 << prec) + 1, 0), (-((1 << (prec - 1)) | 3), -20000)
+        z, w = (big, tiny), (tiny, big)
+        start = time.perf_counter()
+        _hypot(z, prec)
+        _hypot(w, prec)
+        _complex_quotient(z, w, prec)
+        _complex_quotient(w, z, prec)
+        assert time.perf_counter() - start < 0.25
+        _assert_correctly_rounded(prec, big, tiny, z, w)
+        _assert_correctly_rounded(prec, tiny, big, w, z)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mixed_operands())
+    # A real over a complex value: truncating |b|^2 at prec + 10 bits, as
+    # mpc_mpf_div does, and also the numerators, as mpc_div does, gave two
+    # different quotients.
+    @example((64, (8130245837406991366, -1), (1, 0), ((1, 0), (0, 0)),
+              ((2582700801479055601, 1), (-5684893323576096605, 3))))
+    def test_property_real_is_complex_with_zero_imaginary_part(self, operands):
+        # Since every operation rounds correctly, the type of an operand
+        # changes only the cost: _times and _over of real operands, or of
+        # a real and a complex one, give the values of the complex
+        # operations on the operands made complex.
+        prec, a, b, z, w = operands
+        for x, y in ((a, b), (a, w), (z, b)):
+            ops = (_times, _over) if not _is_zero(y) else (_times,)
+            for op in ops:
+                want = _value(op(_complexed(x), _complexed(y), prec))
+                for u, v in ((x, y), (_complexed(x), y), (x, _complexed(y))):
+                    assert _value(_complexed(op(u, v, prec))) == want, (op, u, v)
+        a = _narrow(a, prec)
+        assert _raw(_size(a, prec)) == _raw(_size(_complexed(a), prec))
 
 
 def _exact_branch(n, ctx):
@@ -749,7 +886,9 @@ class TestQPowerRun:
 
 
 # Test-local copies of the series kernels as they were with the per-call
-# operator power ``q ** n``; the kernel-routed versions must equal them.
+# operator power ``q ** n``, a product or quotient of complex values and a
+# complex modulus correctly rounded (``correctly_rounded``); the
+# kernel-routed versions must equal them.
 
 
 def _ref_term_ratio(spec, k, ctx):
@@ -761,14 +900,14 @@ def _ref_term_ratio(spec, k, ctx):
     num = mp.mpc(1) if cplx else mp.mpf(1)
     for a in spec.upper:
         av = ctx.mpc(a) if isinstance(a, (complex, mp.mpc)) else ctx.mpf(a)
-        num = num * (1 - av * qk)
+        num = mul(num, 1 - av * qk)
     den = mp.mpf(1)
     for b in spec.lower:
         bv = ctx.mpc(b) if isinstance(b, (complex, mp.mpc)) else ctx.mpf(b)
-        den = den * (1 - bv * qk)
+        den = mul(den, 1 - bv * qk)
     den = den * (1 - q ** (k + 1))
     z = ctx.mpc(spec.z) if isinstance(spec.z, (complex, mp.mpc)) else ctx.mpf(spec.z)
-    ratio = num / den * z * q ** (e * k)
+    ratio = mul(div(num, den), z) * q ** (e * k)
     return -ratio if e % 2 == 1 else ratio
 
 
@@ -783,11 +922,11 @@ def _ref_phi_rs(spec, ctx):
         if spec.terminating_at is not None and k == spec.terminating_at:
             return total
         ratio = _ref_term_ratio(spec, k, ctx)
-        term = term * ratio
+        term = mul(term, ratio)
         if spec.terminating_at is None:
-            if abs(term) <= tol * abs(total):
+            if size(term) <= tol * size(total):
                 streak += 1
-                if streak >= 3 and abs(ratio) < 0.5:
+                if streak >= 3 and size(ratio) < 0.5:
                     return total
             else:
                 streak = 0
@@ -805,10 +944,10 @@ def _ref_gen_exponential(x, ctx):
     for n in range(ctx.max_terms):
         total = total + term
         ratio = q ** (2 * n + 1) * xv / (1 - q ** (n + 1))
-        term = term * ratio
-        if abs(term) <= tol * abs(total):
+        term = mul(term, ratio)
+        if size(term) <= tol * size(total):
             streak += 1
-            if streak >= 3 and abs(ratio) < 0.5:
+            if streak >= 3 and size(ratio) < 0.5:
                 return total
         else:
             streak = 0
@@ -898,10 +1037,10 @@ class TestSeriesKernelsBitwise:
 
 
 # phi_rs with complex values that PHI_SPECS lacks: a complex lower
-# parameter under a real numerator (mpc_mpf_div) and under a complex one
-# (mpc_div), the 1phi1 of the coherent-state closed form, a terminating
-# series, and a complex z whose imaginary part is 0 (still the mpc
-# operations).
+# parameter under a real numerator and under a complex one (a quotient
+# with a complex divisor), the 1phi1 of the coherent-state closed form, a
+# terminating series, and a complex z whose imaginary part is 0 (still
+# the complex operations).
 COMPLEX_SPECS = (
     HypergeometricSpec((Fraction(1, 3),), (complex(1, 1) / 4,), Fraction(1, 2)),
     HypergeometricSpec((), (complex(-2, 3),), Fraction(-5, 2)),
