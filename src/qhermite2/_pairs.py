@@ -135,6 +135,16 @@ def _rational(num: int, den: int, prec: int) -> tuple:
     return _quotient(_round_even(num, prec), (den, 0), prec)
 
 
+def _power(a: tuple, n: int, prec: int) -> tuple:
+    """a^n rounded to prec bits, a nonzero if n < 0: the exact integer
+    power rounded once, and for n < 0 one quotient of 1 by it."""
+    man, exp = a
+    if n < 0:
+        return _quotient(_ONE, (man**-n, -exp * n), prec)
+    man, shift = _round_even(man**n, prec)
+    return man, exp * n + shift
+
+
 def _finish_step(rise: tuple, drop: tuple, p0: tuple, b: tuple, prec: int) -> tuple:
     """(round(rise) + drop p0) / b, b > 0: the end of a recurrence step,
     ``_quotient(_sum(_product(x, p), _product(drop, p0)), b)`` for a rise

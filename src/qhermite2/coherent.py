@@ -30,11 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
-
 from ._pairs import (
     _ONE, _ZERO, _as_pair, _complex_product, _hypot, _less, _mp, _mpf,
-    _negative, _operand, _over, _product, _quotient, _raw_pair, _root, _sum,
+    _negative, _operand, _over, _power, _product, _quotient, _raw_pair, _root, _sum,
 )
 from .context import PrecisionContext, as_fraction
 from .errors import DomainError, TruncationError
@@ -105,8 +103,8 @@ def cs_coeffs(z, trunc: int, ctx: PrecisionContext) -> CoherentStateVector:
     Each step on integer pairs is the exact result rounded once, each
     part: |z| (``_hypot``, the root of the exact |z|^2), |z|^2, 1 - q,
     q/(1-q) and the roots; c_n z (``_complex_product``) and its division
-    by the real sqrt(q/(1-q)) b_n (``_over``).  |z|^(2 trunc + 2) is
-    ``mpf_pow_int`` itself and q^n is ``q_power_raw``.  The b_n are one
+    by the real sqrt(q/(1-q)) b_n (``_over``), |z|^(2 trunc + 2)
+    (``_power``) and q^n (``q_power_raw``).  The b_n are one
     read of ``b_table``; q/(1-q) and its root are formed once.
     """
     if trunc < 1:
@@ -131,7 +129,7 @@ def cs_coeffs(z, trunc: int, ctx: PrecisionContext) -> CoherentStateVector:
 
     # Geometric tail certificate on t_n = |z|^{2n} / rho_n!:
     # t_{n+1}/t_n = |z|^2 (1-q) q^{2n} / (1 - q^{n+1}), decreasing in n.
-    t = _raw_pair(mpf_pow_int(from_man_exp(*zabs2), trunc + 1, prec, round_nearest))
+    t = _power(zabs2, trunc + 1, prec)
     for b in bs:
         t = _quotient(t, _product(ratio, _product(b, b, prec), prec), prec)
     r = _product(zabs2, one_less_q, prec)

@@ -123,9 +123,8 @@ class PrecisionContext:
         - ``("q", prec)``: q as a raw mpf, read by :attr:`qm`;
         - ``("q^n", prec)``: the memo n -> q^n of
           :func:`~qhermite2.qkernel.q_power_raw`;
-        - ``("squarings", prec)``: its chains q, q^2, q^4, ... of the
-          q of that precision, one per working precision of its binary
-          powers;
+        - ``("squarings", prec)``: its chain q, q^2, q^4, ... of the
+          q of that precision, each square truncated to prec + 64 bits;
         - ``("1-q^(n+1)", prec)``: the list 1 - q^(n+1), n = 0, 1, ...,
           read by ``gen_exponential``, ``phi_rs`` and the formal series;
         - ``("b", prec)``: the tuple b_0, b_1, ... of

@@ -39,8 +39,7 @@ The sums run on integer pairs (man, exp), value man 2^exp, read from the
 raw tuples of the b_n and coefficient tables: each product, sum and
 quotient is the exact integer operation rounded once to nearest, ties to
 even, at the working precision ``ctx.mp.prec`` (:mod:`qhermite2._pairs`),
-which is bitwise ``mpf_mul``, ``mpf_add`` and ``mpf_div``, and the
-results go back to mpf unchanged.  Each loop stops at the package's
+and the results go back to mpf unchanged.  Each loop stops at the package's
 monitored-decay rule, :class:`~qhermite2.qkernel.Decay`: three terms in
 a row with |t| <= series_tol max(S, series_tol), S the running sum (for
 the loading ratio the larger of |Num| and |Den'|, with t the larger of

@@ -166,7 +166,7 @@ def _sub(a, b, ctx: PrecisionContext, prec: int):
 
 
 def _q_pair(m: int, ctx: PrecisionContext) -> tuple:
-    """q^m as a pair, bitwise ``ctx.qm ** m``."""
+    """q^m as a pair, the exact power rounded once (``q_power_raw``)."""
     return _raw_pair(q_power_raw(m, ctx))
 
 

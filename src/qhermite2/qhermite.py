@@ -115,7 +115,8 @@ def _recurrence(x: tuple, ctx: PrecisionContext, seeds, slopes=None):
 
     Integer pairs in and out (:mod:`qhermite2._pairs`).  Each step
     p_{n+1} = (x p_n - b_{n-1} p_{n-1}) / b_n is ``_finish_step`` on the
-    exact x p_n, at ``ctx.mp.prec``: bitwise the mpf operators' step.
+    exact x p_n, at ``ctx.mp.prec``: the product, the sum and the
+    quotient each rounded once, to nearest, ties to even.
     ``seeds`` are (p_0, p_1): (1, x/b_0) gives Psi_n, (0, 1) gives S_n.
     With ``slopes`` = (p_0', p_1') it yields triples (p_n, p_n', r_n),
     r_n = p_n + x p_n' (``_sum(p_n, _product(x, p_n'))``), following
@@ -138,7 +139,7 @@ def _recurrence(x: tuple, ctx: PrecisionContext, seeds, slopes=None):
     n = 1
     while True:
         # Rounding to nearest is odd, so the product by -b_{n-1} is minus
-        # the rounded b_{n-1} p_{n-1}, and adding it is mpf_sub's step.
+        # the rounded b_{n-1} p_{n-1}, and adding it is the difference.
         drop = -b[0], b[1]
         if n == len(bs):
             bs = b_table(n + 32, ctx)

@@ -8,19 +8,18 @@ and the continuous orthogonality weight W.
 
 Every integer power q^n of the rounded q in the series, calculus and
 lattice layers comes from one kernel, :func:`q_power` (raw tuples:
-:func:`q_power_raw`).  It is bitwise ``mpf_pow_int``, which is what
-``ctx.qm ** n`` computes, but keeps the chain of truncated squarings
-q, q^2, q^4, ... in the context per working precision, so a first call
-only multiplies the entries for the set bits of n, and a memo of q^n
-answers the calls after it.  The series read 1 - q^(n+1) from one
-list per context as well.  Each of these tables is kept per precision,
-the working precision ``ctx.mp.prec`` of the call, as every rounded
-table is (:class:`~qhermite2.context.PrecisionContext`).  Consecutive powers
-come from :func:`q_power_run`, which yields the same values as integer
-mantissas and exponents from one running product and a rounding test
-(Ziv), with the reciprocals of the negative powers from one integer
-division each, and calls ``q_power_raw`` only where that test cannot
-decide.
+:func:`q_power_raw`): the exact power of ``ctx.qm`` rounded once, to
+nearest, ties to even, like every operation of :mod:`qhermite2._pairs`.
+A value 64 bits wider than the precision, from the context's chain of
+truncated squarings q, q^2, q^4, ... and a count of its truncations,
+decides the rounding where the count allows (Ziv's test), and the exact
+power where it does not; a memo of q^n answers the calls after the
+first.  The series read 1 - q^(n+1) from one list per context as well.
+Each of these tables is kept per precision, the working precision
+``ctx.mp.prec`` of the call, as every rounded table is
+(:class:`~qhermite2.context.PrecisionContext`).  Consecutive powers come
+from :func:`q_power_run`, which yields the same values as integer
+mantissas and exponents from one running product and the same test.
 
 Every adaptive series in the package stops on one rule, kept by
 :class:`Decay`: three terms in a row with |t| <= tol max(|S|, tol), tol
@@ -54,14 +53,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Tuple
 
-from mpmath.libmp import (
-    MPZ_ONE,
-    fone,
-    mpf_div,
-    mpf_pow_int,
-    normalize,
-    round_nearest,
-)
+from mpmath.libmp import MPZ_ONE, from_man_exp
 
 from ._pairs import (
     _ONE,
@@ -74,11 +66,11 @@ from ._pairs import (
     _over,
     _pair,
     _plus,
+    _power,
     _product,
     _rational,
     _raw_pair,
     _root,
-    _round_even,
     _size,
     _sum,
     _times,
@@ -103,8 +95,8 @@ __all__ = [
     "weight_W",
 ]
 
-# Guard bits of the running product in q_power_run above the precision
-# its values are rounded to.
+# Guard bits of the values of q^n that q_power_raw and q_power_run round,
+# above the precision they are rounded to.
 _RUN_GUARD = 64
 
 # Number of consecutive sub-tolerance terms required before a series is
@@ -112,8 +104,6 @@ _RUN_GUARD = 64
 # beats x^n only eventually), so a single small term is not evidence of
 # convergence.
 _STREAK = 3
-
-_RND = round_nearest
 
 # 1/2 as an integer pair: the ratio bound of the ratio series.
 _HALF = (1, -1)
@@ -198,30 +188,16 @@ class HypergeometricSpec:
 
 
 def q_power_raw(n: int, ctx: PrecisionContext) -> tuple:
-    """q^n as a raw mpf tuple, bitwise ``ctx.qm ** n``.
+    """q^n as a raw mpf tuple: the exact power of ``ctx.qm`` rounded once
+    to ``ctx.mp.prec`` bits, to nearest, ties to even.
 
-    ``ctx.qm ** n`` is ``mpf_pow_int(q, n, prec, round_nearest)`` at the
-    current ``ctx.mp.prec``.  For n > 2 with bc*n >= 1000 (bc the
-    mantissa bit count of q, q not a power of two) that is a binary
-    exponentiation whose chain of truncated squarings q, q^2, q^4, ...
-    depends only on q and the working precision
-    wp = prec + 4 bitcount(n) + 4, not on n; its product T is rounded
-    once to prec.  Every truncation there rounds down and loses less
-    than 2^(1-wp) relative; chain entry k carries 2^k - 1 of them and
-    the product one per set bit of n, so
-
-        q^n (1 - 2^(1-wp))^n <= T <= q^n,
-
-    a loss delta_n = n 2^(1-wp) that grows with n, not with
-    bitcount(n).  Here the
-    chains of the q of precision prec are built once per working
-    precision and kept in ``ctx.tables[("squarings", prec)]``; the
-    first call for n multiplies the chain entries of the set bits of n,
-    least significant first, truncating exactly as ``mpf_pow_int``
-    does, and the memo ``ctx.tables[("q^n", prec)]`` answers every
-    later call for n.  n < -1 is the reciprocal of the power at
-    prec + 5, as there; every other branch (n in -1..2, q a power of
-    two, exact small powers) is ``mpf_pow_int`` itself.
+    The first call for n rounds a value of q^n of prec + _RUN_GUARD
+    bits, from the context's chain of squarings (:func:`_start`), where
+    the test of :func:`q_power_run` decides; it tries once more with a
+    guard of prec + _RUN_GUARD bits, then rounds the exact power
+    (:func:`~qhermite2._pairs._power`), which it also does where that
+    power is short or q a power of two.  The memo
+    ``ctx.tables[("q^n", prec)]`` answers every later call for n.
     """
     prec = ctx.mp.prec
     memo = ctx.tables.get(("q^n", prec))
@@ -229,142 +205,110 @@ def q_power_raw(n: int, ctx: PrecisionContext) -> tuple:
         memo = ctx.tables[("q^n", prec)] = {}
     power = memo.get(n)
     if power is None:
-        q = ctx.qm._mpf_
-        chains = ctx.tables.setdefault(("squarings", prec), {})
-        if n < -1:
-            power = mpf_div(fone, _positive_power(q, -n, prec + 5, chains), prec, _RND)
-        else:
-            power = _positive_power(q, n, prec, chains)
-        memo[n] = power
+        power = memo[n] = from_man_exp(*_rounded_power(n, ctx))
     return power
 
 
 def q_power(n: int, ctx: PrecisionContext):
-    """q^n as an mpf, bitwise ``ctx.qm ** n`` (see :func:`q_power_raw`)."""
+    """q^n as an mpf, the exact power rounded once (see :func:`q_power_raw`)."""
     return ctx.mp.make_mpf(q_power_raw(n, ctx))
+
+
+def _rounded_power(n: int, ctx: PrecisionContext) -> tuple:
+    """:func:`q_power_raw`'s value of q^n as an integer pair."""
+    prec = ctx.mp.prec
+    _, man, exp, bc = ctx.qm._mpf_
+    if man > 1 and abs(n) * bc > 2 * prec:
+        error, bits = 4 * (abs(n) + 3), abs(n).bit_length()
+        for guard in (_RUN_GUARD, prec + _RUN_GUARD):
+            width = prec + guard
+            chain = _chain(bits, ctx) if guard == _RUN_GUARD else _squarings(man, exp, bits, width)
+            pm, pe = _start(n, chain, width)
+            block = 1 << (guard - 1)
+            if error < pm & (block - 1) < block - error:
+                return ((pm >> (guard - 1)) + 1) >> 1, pe + guard
+    return _power((man, exp), n, prec)
 
 
 def q_power_run(start: int, stop: int, ctx: PrecisionContext):
     """Yield q^n for n in range(start, stop) as an integer pair (man, exp),
-    man 2^exp bitwise the value of ``q_power_raw(n, ctx)``.
+    man 2^exp the value of ``q_power_raw(n, ctx)``.
 
     The mantissa has ``ctx.mp.prec`` bits (one more only where rounding
     carries to a power of two), so the caller can round products of it
     on integers.  A running product A = pm 2^pe of W = prec + _RUN_GUARD
-    bits follows q^|n|: one multiply by the mantissa of q per step for
-    n > 2, one by a W-bit 1/q (rounded down) for n < -1, where |n|
-    falls.  It starts from a truncated binary power and every truncation
-    rounds down, so A <= q^|n| <= A (1 - 2^(1-W))^-c, c counting those
-    truncations.  With the loss delta_n = |n| 2^(1-wp) of
-    ``mpf_pow_int``'s product T (see :func:`q_power_raw`),
+    bits follows q^n, one multiply by the mantissa of q per step, as
+    q^(n+1) = q^n q for every n.  It starts from :func:`_start` and
+    every truncation rounds down, so with c the truncations in A (at
+    most |start| + 3 in the start value, and one per step) and
+    u = 2^(1-W),
 
-        A (1 - delta_n) <= T <= A (1 + 2c 2^(1-W))     (c 2^(1-W) <= 1/2).
+        A (1 - u)^c <= q^n <= A (1 - u)^-c,   |A - q^n| < 4c 2^pe,
 
-    When both ends round to the same float at the target precision, so
-    does T, rounding being monotone: that float is ``mpf_pow_int``'s.
-    The target is prec for n > 2 and prec + 5 for n < -1, whose power P
-    ``mpf_pow_int`` then inverts by a correctly rounded ``mpf_div(1, P)``;
-    here one integer division 2^t // P, its remainder as the sticky bit
-    and a round-half-even (``_pairs._round_even``) give the same float.
-    Where the ends differ (rare: the running product adds under
-    2^-40 ulp to the interval on runs of up to a million steps, and
-    delta_n is under 2^(-3 bitcount(n) - 3) ulp), and for every n
-    that ``mpf_pow_int`` treats exactly (|n| <= 2, bc |n| < 1000, q a
-    power of two), the value is ``q_power_raw(n, ctx)``.
+    as A < 2^(W + pe) and c u <= 1/2 for any run that fits in memory.
+    Where that interval lies strictly between two neighbouring
+    boundaries of the rounding to prec bits (a float and a midpoint),
+    all of it rounds to one float, which is q^n rounded once (Ziv's
+    test); elsewhere (rare: the interval covers under 2^-40 of the
+    rounding cell on runs of up to a million steps, but every exactly
+    representable power lands there) the value is ``q_power_raw``'s.
+    For q a power of two every power is exact.
     """
     prec = ctx.mp.prec
-    _, man, exp, bc = ctx.qm._mpf_
-    exact = max(2, 999 // bc)  # |n| <= exact: the exact branches
+    _, man, exp, _ = ctx.qm._mpf_
     if man == 1:
-        exact = max(-start, stop)  # every n
-    low, high = min(stop, -exact), max(start, exact + 1)
-    if start < low:
-        yield from _certified_run(start, low, ctx)
-    for n in range(max(start, low), min(stop, high)):
-        yield _pair(q_power_raw(n, ctx), prec)
-    if high < stop:
-        yield from _certified_run(high, stop, ctx)
-
-
-def _certified_run(start: int, stop: int, ctx: PrecisionContext):
-    """:func:`q_power_run` on range(start, stop), which lies above 2 or
-    below -2 and where ``mpf_pow_int`` forms q^|n| from its squaring
-    chain."""
-    prec = ctx.mp.prec
-    _, man, exp, bc = ctx.qm._mpf_
-    invert = start < 0
-    first = -start if invert else start
-    target = prec + 5 if invert else prec
-    width = target + _RUN_GUARD
-    pm, pe = _chain_power(first, _squarings(man, exp, first.bit_length(), width), width)
-    loss = first  # truncations in pm, as for T in q_power_raw
-    pad = width - pm.bit_length()  # from here on pm has width bits
-    pm, pe = pm << pad, pe - pad
-    if invert:
-        step = (MPZ_ONE << (width + bc - 1)) // man
-        step_exp, step_loss = -(width + bc - 1) - exp, 2
-    else:
-        step, step_exp, step_loss = man, exp, 1
-    if (loss + step_loss * (stop - start)) >> (width - 2):  # c 2^(1-W) could pass 1/2
+        top = 1 << (prec - 1)
         for n in range(start, stop):
-            yield _pair(q_power_raw(n, ctx), prec)
+            yield top, exp * n + 1 - prec
         return
-    # The top target + 1 bits of pm, r = pm >> shift, bracket A between
-    # r 2^shift and (r + 1) 2^shift: a float of target bits and the
-    # midpoint above it (r even) or a midpoint and the float above it
-    # (r odd).  When the interval [A (1 - delta), A (1 + 2c 2^(1-W))]
-    # lies strictly inside, all of it rounds to (r + 1) >> 1.  As pm <
-    # 2^width, the two ends lie below pm by less than below - 1 and
-    # above it by less than block - limit, bounds that change only
-    # with the bit lengths of |n| and of the loss count c.
+    width = prec + _RUN_GUARD
+    pm, pe = _start(start, _chain(abs(start).bit_length(), ctx), width)
+    # The top prec + 1 bits of pm, r = pm >> shift, bracket A between
+    # r 2^shift and (r + 1) 2^shift: a float and the midpoint above it
+    # (r even) or a midpoint and the float above it (r odd).  An
+    # interval A +- error strictly inside rounds to (r + 1) >> 1.
     shift = _RUN_GUARD - 1
-    block = MPZ_ONE << shift
+    block = 1 << shift
     mask = block - 1
-    t = prec + target + 1
-    numerator = MPZ_ONE << t
-    n = start
-    while n < stop:
-        bits = abs(n).bit_length()
-        end = min(stop, 1 - (1 << (bits - 1)) if invert else 1 << bits)
-        loss += step_loss * (end - n - 1)
-        below = (MPZ_ONE << max(_RUN_GUARD - 3 * bits - 3, 0)) + 2
-        limit = block - (MPZ_ONE << (loss.bit_length() + 2)) - 1
-        for n in range(n, end):
-            if below <= pm & mask < limit:
-                power = ((pm >> shift) + 1) >> 1  # P = power 2^(pe + shift + 1)
-                if invert:
-                    # 1/P = (2^t / power) 2^(-t - pe - shift - 1), written
-                    # out instead of _quotient(_ONE, P): that call made the
-                    # q = 63/64, 512-bit jackson measure, whose sweep reads
-                    # these reciprocals, 6-7% slower (faster in 4 of 24
-                    # interleaved runs).
-                    quot, rem = divmod(numerator, power)
-                    man, low = _round_even(quot, prec, rem)
-                    yield man, low - t - pe - shift - 1
-                else:
-                    yield power, pe + shift + 1
-            else:
-                yield _pair(q_power_raw(n, ctx), prec)
-            pm *= step
-            pe += step_exp
-            excess = pm.bit_length() - width
-            pm >>= excess
-            pe += excess
-        n = end
-        loss += step_loss
+    error = 4 * (abs(start) + 3 + stop - start)
+    limit = block - error
+    for n in range(start, stop):
+        if error < pm & mask < limit:
+            yield ((pm >> shift) + 1) >> 1, pe + _RUN_GUARD
+        else:
+            yield _pair(q_power_raw(n, ctx), prec)
+        pm *= man
+        pe += exp
+        excess = pm.bit_length() - width
+        pm >>= excess
+        pe += excess
 
 
-def _positive_power(q: tuple, n: int, prec: int, chains: dict) -> tuple:
-    """``mpf_pow_int(q, n, prec, round_nearest)`` for q > 0 and n >= -1."""
-    _, man, exp, bc = q
-    if n <= 2 or man == 1 or bc * n < 1000:
-        return mpf_pow_int(q, n, prec, _RND)
-    workprec = prec + 4 * n.bit_length() + 4
-    chain = chains.get(workprec)
-    if chain is None:
-        chain = chains[workprec] = _squarings(man, exp, n.bit_length(), workprec)
-    pm, pe = _chain_power(n, chain, workprec)
-    return normalize(0, pm, pe, pm.bit_length(), prec, _RND)
+def _start(n: int, chain: tuple, width: int) -> tuple:
+    """(pm, pe), pm of ``width`` bits: q^n within a factor (1 - u)^(+-c),
+    u = 2^(1-width), from the ``chain`` of q at width bits.  Entry k of
+    the chain carries 2^k - 1 truncations and the product one per set bit
+    of |n|, so c <= |n|; for n < 0, one floored integer division of a
+    quotient above 2^(width-2) adds a loss under 2u <= 1 - (1 - u)^3, so
+    c <= |n| + 3."""
+    pm, pe = _chain_power(abs(n), chain, width)
+    if n < 0:  # 2^t / A floored, of width - 1 or width bits
+        t = width + pm.bit_length() - 2
+        pm, pe = (MPZ_ONE << t) // pm, -t - pe
+    pad = width - pm.bit_length()
+    return pm << pad, pe - pad
+
+
+def _chain(count: int, ctx: PrecisionContext) -> tuple:
+    """The context's chain of q at prec + _RUN_GUARD bits, at least
+    ``count`` entries long, kept per working precision in
+    ``ctx.tables[("squarings", prec)]``."""
+    key = ("squarings", ctx.mp.prec)
+    chain = ctx.tables.get(key, ())
+    if len(chain) < count:
+        _, man, exp, _ = ctx.qm._mpf_
+        chain = ctx.tables[key] = _squarings(man, exp, count, ctx.mp.prec + _RUN_GUARD)
+    return chain
 
 
 def _chain_power(n: int, chain: tuple, workprec: int) -> tuple:

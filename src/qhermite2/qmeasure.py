@@ -18,13 +18,12 @@ from the deep seeds toward twice the tail depth and retains only the
 requested window and the two tail values it normalizes and checks
 against (the standard one-pass evaluation of a minimal solution;
 W. Gautschi, SIAM Rev. 9 (1967) 24-82).  The sweep runs on integer
-mantissas and exponents: the powers q^(m+1), with the reciprocals on
-the descending side, come from one certified running product
-(``q_power_run``), and each step is an exact integer product and sum,
-each rounded to nearest, ties to even, as ``mpf_mul`` and ``mpf_add``
-round; so every value is bitwise the mpf one.  The sweep stops once
-three values in a row are equal: past that point it provably changes no
-bit (see ``_sweep``).  ``lattice_weight`` normalizes and checks the
+mantissas and exponents: the powers q^(m+1), each the exact power
+rounded once, come from one certified running product
+(``q_power_run``), and each step rounds the exact integer product and
+sum once, to nearest, ties to even.  The sweep stops once three values
+in a row are equal: past that point it provably changes no bit (see
+``_sweep``).  ``lattice_weight`` normalizes and checks the
 swept pairs with the operations of :mod:`qhermite2._pairs`.
 
 Moments of the weight against the hat integral reproduce
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
+from mpmath.libmp import from_man_exp
 
 from ._pairs import (
     _ZERO,
@@ -52,6 +51,7 @@ from ._pairs import (
     _less,
     _magnitude,
     _mpf,
+    _power,
     _product,
     _quotient,
     _raw_pair,
@@ -126,32 +126,24 @@ def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
     Seeds g = 0, 1 at exponents lo = -K - buffer - 2 and lo + 1 (so
     g_{lo+2} = 1 exactly) and runs toward the check index 2 m_top on
     integer pairs (man, exp), man of prec bits.  Each step takes
-    p_{m+1} from ``q_power_run`` (bitwise ``q ** (m + 1)``) and forms
+    p_{m+1} = q^(m+1) from ``q_power_run`` and forms
     round(g_{m+1} + round(p_{m+1} g_m)) with the exact integer product
     and sum, each rounded to nearest, ties to even, at the working
-    precision.  ``mpf_mul`` and ``mpf_add`` round correctly in that
-    mode, so every value is bitwise theirs, and a pair is equal to
-    another exactly when their values are.  Only the window [-K, M] is
-    kept, and the powers on it go into the ``q^n`` memo of the
-    precision (see :func:`~qhermite2.qkernel.q_power_raw`).  Returns
+    precision, so a pair is equal to another exactly when their values
+    are.  Only the window [-K, M] is kept, and the powers on it go into
+    the ``q^n`` memo of the precision (see
+    :func:`~qhermite2.qkernel.q_power_raw`).  Returns
     (window, (m_top, g_{m_top}), (m_check, g_{m_check})) as pairs: the
     tail normalization index, where 1 - f < 2^-precision, and the check
     index at twice its depth.
 
-    The sweep stops at the first step with m + 1 >= 1 and
-    g_m == g_{m+1} == g_{m+2} = G, and every later value is G:
-
-    - p_n does not increase for n >= 1: ``mpf_pow_int`` forms q^n within
-      a factor 1 - n 2^(1-wp) >= 1 - 2^(-prec-3) below (see
-      ``q_power_raw``), and q <= 1 - 2^-prec, so its product for n + 1
-      lies below the one for n, and rounding keeps that order;
-    - all g are >= 0 and both roundings are monotone, so
-      G <= round(G + round(p_{n+1} G)) <= round(G + round(p_n G)) = G,
-      and the pair (G, G) repeats with the next, smaller power.
-
-    So the values the full sweep would reach at m_top (when the stop
-    comes first), at 2 m_top and in the rest of the window are G, bit
-    for bit.
+    The sweep stops at the first step with g_m == g_{m+1} == g_{m+2} = G,
+    and every later value is G: each p_n is the exact q^n rounded once,
+    so p_{n+1} <= p_n, rounding being monotone; all g are >= 0, so
+    G <= round(G + round(p_{n+1} G)) <= round(G + round(p_n G)) = G, and
+    the pair (G, G) repeats with the next power.  So the values the full
+    sweep would reach at m_top (when the stop comes first), at 2 m_top
+    and in the rest of the window are G, bit for bit.
     """
     prec = ctx.mp.prec
     m_top = max(M + 2, math.ceil(prec * math.log(2) / -math.log(float(ctx.q))) + 4)
@@ -182,7 +174,7 @@ def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
             powers.append((m + 1, pm, pe))
         elif m + 2 == m_top:
             g_top = g2
-        if m >= 0 and g0 == g1 == g2:
+        if g0 == g1 == g2:
             break
         g0, g1 = g1, g2
     window += [g2] * (K + M + 1 - len(window))
@@ -391,10 +383,11 @@ class DiscreteMeasure:
 
     def moment(self, n: int, ctx: PrecisionContext):
         """sum_k support_k^n * weight_k by the certified hat sum ``_hat_sum``,
-        each term formed on pairs as the mpf operators form it."""
+        each term on pairs: the exact power, then the product, each
+        rounded once (a negative n too, as one quotient)."""
         prec = ctx.mp.prec
         terms = {
-            m: _product(_raw_pair(mpf_pow_int(s._mpf_, n, prec, round_nearest)), _as_pair(w), prec)
+            m: _product(_power(_as_pair(s), n, prec), _as_pair(w), prec)
             for m, s, w in zip(self.exponents, self.support, self.weights)
         }
         total = _hat_sum(terms.__getitem__, self.branch_split - 1, ctx, "DiscreteMeasure.moment")[0]

@@ -11,7 +11,9 @@ commands that run the series and lattice hot paths at q and precisions
 the first list does not reach.  The three unity rows were recorded again
 when the Gram diagonal became I_n(lattice)/I_n from the shared hat-lattice
 sum, which moved the last bits of the 4/5 and 1/2 rows and the note of
-all three.
+all three.  The jackson rows at 63/64 (64 bits), 32/33 and 3/7 (512
+bits), and the qcalculus 9/10, recurrence 7/61 and moments 11/12 rows
+were recorded again when every q^n became the exact power rounded once.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from qhermite2.cli import main
 
 # argv, exit code, SHA-256 of stdout, last stderr line
 _CONTRACT = [
-    ('measure --type jackson --variable y --q=63/64 --precision-bits=64', 0, "3380145b5ec1adad6ab4bf665d4a6be665e43630f96bbfe7de56a41addc94cf9", ''),
-    ('measure --type jackson --variable x --q=63/64 --precision-bits=64', 0, "215b4dca673649be440f50ccc0126087d7d11ca79e93bb0dff1c6d37fcd98d2f", ''),
-    ('measure --type jackson --variable z-radial --q=63/64 --precision-bits=64', 0, "f8a29424d1294b77896786ae0526863fb1df507aa43b402fc8266810185c0d59", ''),
+    ('measure --type jackson --variable y --q=63/64 --precision-bits=64', 0, "b40e1208aaf25a706297a0aaf6132b48d56b61c1b533d05d0be33e02fd5b0526", ''),
+    ('measure --type jackson --variable x --q=63/64 --precision-bits=64', 0, "853f69e765ca101c72f642570d79b0b7c60aaaa9169298ef0c7d8447e3348af1", ''),
+    ('measure --type jackson --variable z-radial --q=63/64 --precision-bits=64', 0, "2a780837faa8c882306fc8b9716cefbc325eeb32f5be4f1fccc55b98fcf73698", ''),
     ('verify --suite moments --q=63/64 --precision-bits=64', 1, "59fd498aaaf8ded0c304dbe72523b53ad5d8b6d13dba59339e9232f80e8e3419", ''),
     ('verify --suite unity --q=63/64 --precision-bits=64', 1, "024321cf96a545f204064d4500db140ce577f58a69e9ecdfe861ab8269b404e7", ''),
     ('cs --q=1/3 --precision-bits=128', 0, "5eb47609e9ef5782ea80f9d20c98482ebca94c3d641f83c5ed1132d29974a608", ''),
@@ -98,11 +100,11 @@ _CONTRACT = [
 # lattice-weight sweeps near q = 1 at 512 bits.
 _HOT_PATH_CONTRACT = [
     ('verify --suite qcalculus --q=26/27 --precision-bits=128', 0, "9452d5a44c9649fbc4251e168eb327f2ae030381b30d9e5d4278e09ce0173a04", ''),
-    ('verify --suite qcalculus --q=9/10 --precision-bits=512', 0, "ff5113549ac0608083ffd69a029081e71000a699a1dc06fb3046cb1749be95e9", ''),
-    ('measure --type jackson --variable z-radial --q=32/33', 0, "3378543a772b4307c5c3b958816da5726c85de625b83e79fff8885c8867f2e1e", ''),
-    ('measure --type jackson --variable z-radial --q=3/7 --precision-bits=512 --format=json', 0, "da9be76b30afd956adf4ecda57f8a77ce7270704ba56964e521da85180117a49", ''),
-    ('verify --suite recurrence --q=7/61 --precision-bits=512', 0, "8e22f9e6f2acc42f2de44b7532b5da7335b55ecd19cd541c6880e581273efeb6", ''),
-    ('verify --suite moments --q=11/12 --k-depth=300 --tail=400 --precision-bits=128', 0, "547fc16f6b094afb21af1bd40b0cfe9590f4a7a17065250a7aab8613544a47e9", ''),
+    ('verify --suite qcalculus --q=9/10 --precision-bits=512', 0, "bc076ede688ce228290a89a2754c6c837c3ca36c1680c1e1876bf08c97e368d7", ''),
+    ('measure --type jackson --variable z-radial --q=32/33', 0, "abbc4fae639663cd77385eac756ac4fc1f714816dd9707712ab3c145758a8a55", ''),
+    ('measure --type jackson --variable z-radial --q=3/7 --precision-bits=512 --format=json', 0, "f14ebedaec604013f044e319b4f37d12d6e734c80367ab8dfe040497f9aebfdc", ''),
+    ('verify --suite recurrence --q=7/61 --precision-bits=512', 0, "bcf533586076dbffdb23cd458a18f0b4e254bdbbcafe690e4bd35be791377460", ''),
+    ('verify --suite moments --q=11/12 --k-depth=300 --tail=400 --precision-bits=128', 0, "fe3f2ade4a491b28acc1db75f035589520d742973e291cee591b42d3ccbd6ba9", ''),
     ('cs --q=19/28 --precision-bits=512', 0, "df92cbdc95a4cb9f10728d3c0b904711c30139b1ad9305b7feb452cd3d8a90a4", ''),
     ('cs --z-re=3 --z-im=-2 --q=7/8 --format=json', 0, "667cf93f01dc488cdbc31369378c283fc490b98a2a7439c05e7bfee0048ec5d2", ''),
     ('poly --n 12 --x=-13/5 --q=5/6 --precision-bits=512', 0, "4ea3f7a33ef80f45fca54961fa34fadd8581f62bd6af18fdd0ac6c093822e397", ''),

@@ -68,3 +68,23 @@ def test_every_import_is_used():
                 read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
     assert unused == []
+
+
+def test_no_module_uses_a_retired_mpmath_routine():
+    # Powers of q, complex quotients and moduli are the exact results
+    # rounded once (qhermite2._pairs, qhermite2.qkernel); these mpmath
+    # routines truncate intermediates or round twice, and the copies of
+    # them are gone, so no module imports or reads them.
+    retired = {"mpf_pow_int", "mpc_div", "mpc_abs", "mpc_mpf_div"}
+    src = Path(qhermite2.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in retired]
+    assert found == []

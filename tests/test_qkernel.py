@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from correctly_rounded import div, modulus, mul, product, quotient, rounded, size
+from correctly_rounded import div, modulus, mul, power, power_of_q, powers, product, quotient, rounded, size
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from mpmath.libmp import (
     fone,
@@ -23,7 +23,6 @@ from mpmath.libmp import (
     mpf_gt,
     mpf_le,
     mpf_mul,
-    mpf_pow_int,
     mpf_sqrt,
     mpf_sub,
     round_nearest,
@@ -39,6 +38,7 @@ from qhermite2._pairs import (
     _is_zero,
     _over,
     _plus,
+    _power,
     _product,
     _quotient,
     _root,
@@ -275,16 +275,60 @@ class TestDecay:
         assert self._run(ctx_half, [tol**2, tol**2, 2 * tol**2], 0) == [False, False, False]
 
 
-class TestQPower:
-    """q_power_raw is bitwise ``ctx.qm ** n``, the per-call binary power."""
+@st.composite
+def _mantissas(draw, bits: int, full: bool = False):
+    """A mantissa of up to ``bits`` bits; with ``full``, of exactly
+    ``bits`` bits, each bit below the top one random.  Those long random
+    mantissas are where a misrounding shows, and an integer strategy
+    rarely draws them."""
+    if full and bits:
+        return 1 << (bits - 1) | draw(st.randoms(use_true_random=True)).getrandbits(bits - 1)
+    return draw(st.integers(0, (1 << bits) - 1))
 
-    # Every branch of mpf_pow_int: n in -1..2, the power at prec + 5 for
-    # n < -1, q = 1/2 (mantissa 1), q = 63/64 on both sides of the exact
-    # bc*n < 1000 path (bc = 6: n = 166 exact, n = 167 binary), and the
-    # binary exponentiation up to |n| = 2^17.
+
+@st.composite
+def _power_bases(draw):
+    """q in (0, 1): a rational a/b, a power of two, or a dyadic with a
+    full-length random mantissa of 32-600 bits."""
+    kind = draw(st.sampled_from(("rational", "dyadic", "random")))
+    if kind == "rational":
+        b = draw(st.integers(2, 1000))
+        return Fraction(draw(st.integers(1, b - 1)), b)
+    if kind == "dyadic":
+        return Fraction(1, 2 ** draw(st.integers(1, 12)))
+    bits = draw(st.integers(32, 600))
+    return Fraction(draw(_mantissas(bits, full=True)) | 1, 2**bits)
+
+
+def _counted(monkeypatch, module, name, index=1) -> list:
+    """Record argument ``index`` of each call of ``module.name``: the
+    exponent of ``_power`` (1) or of ``q_power_raw`` (0)."""
+    calls = []
+    original = getattr(module, name)
+
+    def call(*args):
+        calls.append(args[index])
+        return original(*args)
+
+    monkeypatch.setattr(module, name, call)
+    return calls
+
+
+def _cleared(man, exp):
+    """(man, exp) with every bit of man below the top one cleared."""
+    return 1 << (man.bit_length() - 1), exp
+
+
+class TestQPower:
+    """q_power_raw is the exact power of ``ctx.qm`` rounded once."""
+
+    # Powers that are short enough to be formed exactly (|n| bc <= 2
+    # prec, q = 63/64 up to n = 21 at 64 bits), the powers of q = 1/2
+    # (mantissa 1), and the ones rounded from the chain of squarings up
+    # to |n| = 2^17.
     EXPONENTS = (
-        0, 1, -1, 2, -2, 3, -3, 166, 167, -166, -167, 1000, -1000, 12345,
-        -54321, 2**17 - 1, 2**17, -(2**17),
+        0, 1, -1, 2, -2, 3, -3, 21, 22, -21, -22, 166, 167, -166, -167, 1000,
+        -1000, 12345, -54321, 2**17 - 1, 2**17, -(2**17),
     )
 
     @pytest.mark.parametrize("bits", [64, 128, 512])
@@ -292,27 +336,39 @@ class TestQPower:
         "q", [Fraction(1, 2), Fraction(63, 64), Fraction(3, 10), Fraction(40, 41)]
     )
     def test_matches_operator_power(self, q, bits):
+        # The exact power rounded once everywhere; for n >= 0 that is also
+        # ``ctx.qm ** n`` here, whose truncations are too small to move
+        # these roundings (it rounds the reciprocal of n < 0 twice).
         ctx = PrecisionContext(q, bits)
         qm = ctx.qm
         for n in self.EXPONENTS + tuple(range(-300, 301)):
-            want = (qm**n)._mpf_
+            want = power(qm._mpf_, n, bits)
             assert q_power_raw(n, ctx) == want, n
             assert q_power(n, ctx)._mpf_ == want, n  # from the memo
             assert ctx.tables[("q^n", bits)][n] == want, n
+            if n >= 0:
+                assert want == (qm**n)._mpf_, n
+
+    def test_differs_from_the_operator_power(self):
+        # x ** n is mpf_pow_int, which rounds 1/q^|n| twice: at 64 bits it
+        # misses the exact power rounded once at these n of q = 3/10.
+        ctx = PrecisionContext(Fraction(3, 10), 64)
+        qm = ctx.qm
+        missed = [n for n in range(-400, 0) if (qm**n)._mpf_ != power(qm._mpf_, n, 64)]
+        assert missed
+        assert all(q_power_raw(n, ctx) == power(qm._mpf_, n, 64) for n in missed)
 
     def test_squaring_chains_only_per_working_precision(self):
         ctx = PrecisionContext(Fraction(40, 41), 256)
         for n in range(-3000, 3001):
             q_power_raw(n, ctx)
-        chains = ctx.tables[("squarings", 256)]
-        # one chain per bit length of |n| and sign, none per exponent
-        assert len(chains) <= 2 * (3000).bit_length()
-        assert all(len(c) <= (3000).bit_length() for c in chains.values())
+        chain = ctx.tables[("squarings", 256)]
+        assert len(chain) == (3000).bit_length()
+        assert all(man.bit_length() <= 256 + qkernel._RUN_GUARD for man, _ in chain)
 
     def test_other_precision_has_its_own_tables(self):
         # Values formed inside workprec go under the key of that
-        # precision, each bitwise what the operators compute there, and
-        # the context precision's tables are filled from its own q.
+        # precision, each the exact power of the q of that precision.
         ctx = PrecisionContext(Fraction(63, 64), 128)
         spec = HypergeometricSpec((Fraction(1, 3),), (Fraction(1, 5),), Fraction(1, 2))
         for prec in (128 + 77, 128):
@@ -320,7 +376,7 @@ class TestQPower:
                 q = ctx.qm._mpf_
                 assert q == ctx.tables[("q", prec)]
                 for n in self.EXPONENTS:
-                    want = mpf_pow_int(q, n, prec, round_nearest)
+                    want = power(q, n, prec)
                     assert q_power_raw(n, ctx) == want, n
                     assert ctx.tables[("q^n", prec)][n] == want, n
                 assert ctx.tables[("squarings", prec)]
@@ -330,22 +386,48 @@ class TestQPower:
                 complements = ctx.tables[("1-q^(n+1)", prec)]
                 assert complements
                 for n, value in enumerate(complements):
-                    want = mpf_pow_int(q, n + 1, prec, round_nearest)
+                    want = power(q, n + 1, prec)
                     assert value._mpf_ == mpf_sub(fone, want, prec, round_nearest), n
 
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
-        b=st.integers(2, 1000),
-        a_frac=st.floats(0, 1, exclude_max=True),
+        q=_power_bases(),
         bits=st.integers(64, 512),
-        ns=st.lists(st.integers(-(10**5), 10**5), min_size=1, max_size=30),
+        ns=st.lists(
+            st.one_of(st.integers(-(10**5), 10**5), st.integers(-300, 300)),
+            min_size=1,
+            max_size=30,
+        ),
     )
-    def test_property_rational_q(self, b, a_frac, bits, ns):
-        a = 1 + int(a_frac * (b - 1))
-        ctx = PrecisionContext(Fraction(a, b), bits)
-        qm = ctx.qm
+    def test_property_rational_q(self, q, bits, ns):
+        ctx = PrecisionContext(q, bits)
         for n in ns:
-            assert q_power_raw(n, ctx) == (qm**n)._mpf_, n
+            assert q_power_raw(n, ctx) == power(ctx.qm._mpf_, n, bits), n
+
+    @pytest.mark.parametrize("q", [Fraction(29, 30), Fraction(1, 3)], ids=str)
+    def test_narrow_guard_keeps_the_rounding(self, monkeypatch, q):
+        # With two guard bits the first test decides nothing; the retry
+        # at prec + 2 guard bits decides, and only short powers are
+        # formed exactly.
+        monkeypatch.setattr(qkernel, "_RUN_GUARD", 2)
+        exact = _counted(monkeypatch, qkernel, "_power")
+        ctx = PrecisionContext(q, 256)
+        ns = list(range(-200, 200)) + [-54321, 12345, 2**17]
+        for n in ns:
+            assert q_power_raw(n, ctx) == power(ctx.qm._mpf_, n, 256), n
+        assert exact == _short(ns, ctx)
+
+    def test_undecided_powers_are_exact(self, monkeypatch):
+        # A value that neither test decides is the exact power rounded
+        # once: here every value, cut to its top bit, fails the test.
+        start = qkernel._start
+        monkeypatch.setattr(qkernel, "_start", lambda *args: _cleared(*start(*args)))
+        exact = _counted(monkeypatch, qkernel, "_power")
+        ctx = PrecisionContext(Fraction(40, 41), 128)
+        ns = [-3000, -77, -3, 0, 2, 5, 1000]
+        for n in ns:
+            assert q_power_raw(n, ctx) == power(ctx.qm._mpf_, n, 128), n
+        assert exact == ns
 
 
 def _assert_pair_ops(a, b, prec):
@@ -551,6 +633,30 @@ def _raw(pair):
     return from_man_exp(*pair)
 
 
+class TestPairPower:
+    """``_pairs._power``: the exact integer power, rounded once."""
+
+    @pytest.mark.parametrize("prec", [53, 64, 512])
+    def test_small_exponents_of_either_sign(self, prec):
+        bases = ((3, -2), (-3, -2), ((1 << prec) + 1, -prec), (1 - (1 << prec), 5), (1, -7))
+        for man, exp in bases:
+            for n in range(-6, 7):
+                want = _nearest(Fraction(man) ** n * Fraction(2) ** (exp * n), prec)
+                assert _raw(_power((man, exp), n, prec)) == want, (man, n)
+
+    def test_zero_exponent_and_zero_base(self):
+        assert _power((12345, -7), 0, 64) == (1, 0)
+        assert _power((0, 5), 0, 64) == (1, 0)
+        assert _power((0, 5), 3, 64)[0] == 0
+
+    @pytest.mark.parametrize("prec", [64, 256])
+    def test_far_exponents(self, prec):
+        # A 128-bit mantissa to the 5000th: 640,000 bits, rounded once.
+        base = ((1 << 127) | 0x5DEECE66D2B3F1A9, -128)
+        for n in (5000, -5000, 4999, -4999):
+            assert _raw(_power(base, n, prec)) == power(_raw(base), n, prec), n
+
+
 def _assert_complex_ops(a, b, prec):
     """The complex pair operations on a and b, and a's real part over b,
     are the exact results rounded once (``correctly_rounded``), each part;
@@ -575,13 +681,15 @@ def _assert_complex_ops(a, b, prec):
 @st.composite
 def _complex_operands(draw):
     """prec and two complex values whose parts have up to prec bits, or
-    up to 2 prec bits in a wide draw."""
+    up to 2 prec bits in a wide draw; about half of the parts have
+    exactly that many, each random (:func:`_mantissas`)."""
     prec = draw(st.integers(64, 512))
     wide = draw(st.booleans())
 
     def part():
-        bits = draw(st.integers(0, 2 * prec if wide else prec))
-        man = draw(st.integers(0, (1 << bits) - 1)) * draw(st.sampled_from((1, -1)))
+        full, longest = draw(st.booleans()), 2 * prec if wide else prec
+        bits = longest if full else draw(st.integers(0, longest))
+        man = draw(_mantissas(bits, full)) * draw(st.sampled_from((1, -1)))
         return man, draw(st.integers(-3 * prec, 3 * prec))
 
     return prec, (part(), part()), (part(), part())
@@ -726,12 +834,15 @@ def _assert_correctly_rounded(prec, a, b, z, w):
 @st.composite
 def _mixed_operands(draw):
     """prec in 53-512, two reals and two complex values whose parts have
-    mantissas of up to 2 prec bits and exponents up to 3 prec apart."""
+    mantissas of up to 2 prec bits, about half of them exactly 2 prec
+    bits, each random (:func:`_mantissas`), and exponents up to 3 prec
+    apart."""
     prec = draw(st.integers(53, 512))
 
     def part():
-        bits = draw(st.integers(0, 2 * prec))
-        man = draw(st.integers(0, (1 << bits) - 1)) * draw(st.sampled_from((1, -1)))
+        full = draw(st.booleans())
+        bits = 2 * prec if full else draw(st.integers(0, 2 * prec))
+        man = draw(_mantissas(bits, full)) * draw(st.sampled_from((1, -1)))
         return man, draw(st.integers(-3 * prec, 3 * prec))
 
     return prec, part(), part(), (part(), part()), (part(), part())
@@ -797,10 +908,20 @@ class TestCorrectRounding:
         assert _raw(_size(a, prec)) == _raw(_size(_complexed(a), prec))
 
 
-def _exact_branch(n, ctx):
-    """Whether mpf_pow_int computes q^|n| without its squaring chain."""
-    _, man, _, bc = ctx.qm._mpf_
-    return man == 1 or abs(n) <= max(2, 999 // bc)
+def _short(ns, ctx):
+    """The n whose power q^n is formed exactly: a q of mantissa m with
+    |n| bit_length(m) <= 2 prec."""
+    _, _, _, bc = ctx.qm._mpf_
+    return [n for n in ns if abs(n) * bc <= 2 * ctx.mp.prec]
+
+
+def _representable(ns, ctx):
+    """The n whose power q^n has at most prec bits, for q not a power of
+    two: those the run's test cannot decide."""
+    man, count, exact = ctx.qm._mpf_[1], 0, 1
+    while exact.bit_length() <= ctx.mp.prec:
+        count, exact = count + 1, exact * man
+    return [n for n in ns if 0 <= n < count]
 
 
 def _run(start, stop, ctx):
@@ -814,11 +935,15 @@ def _run(start, stop, ctx):
     return out
 
 
+def _exact_run(start, stop, ctx):
+    return powers(ctx.qm._mpf_, start, stop, ctx.mp.prec)
+
+
 class TestQPowerRun:
-    """q_power_run yields q_power_raw(n) for consecutive n, bitwise."""
+    """q_power_run yields the exact q^n rounded once for consecutive n."""
 
     # Ranges across zero, and runs that start deep on either side.
-    RANGES = ((-1500, 1500), (-40000, -39000), (39000, 40000))
+    RANGES = ((-1500, 1500), (-40000, -39900), (39900, 40000))
 
     @pytest.mark.parametrize("bits", [64, 128, 256, 512])
     @pytest.mark.parametrize(
@@ -830,72 +955,63 @@ class TestQPowerRun:
     def test_matches_q_power_raw(self, q, bits):
         ctx = PrecisionContext(q, bits)
         for start, stop in self.RANGES:
-            want = [q_power_raw(n, ctx) for n in range(start, stop)]
+            want = _exact_run(start, stop, ctx)
             assert _run(start, stop, ctx) == want
+            assert [q_power_raw(n, ctx) for n in range(start, stop)] == want
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
-        b=st.integers(2, 1000),
-        a_frac=st.floats(0, 1, exclude_max=True),
+        q=_power_bases(),
         bits=st.integers(64, 512),
-        start=st.integers(-(10**4), 10**4),
-        length=st.integers(0, 300),
+        start=st.one_of(
+            st.integers(-(10**4), 10**4),
+            st.integers(-40000, -39800),
+            st.integers(39800, 40000),
+        ),
+        length=st.integers(0, 200),
     )
-    def test_property_rational_q(self, b, a_frac, bits, start, length):
-        a = 1 + int(a_frac * (b - 1))
-        ctx = PrecisionContext(Fraction(a, b), bits)
-        want = [q_power_raw(n, ctx) for n in range(start, start + length)]
+    def test_property_rational_q(self, q, bits, start, length):
+        ctx = PrecisionContext(q, bits)
+        want = _exact_run(start, start + length, ctx)
         assert _run(start, start + length, ctx) == want
+        assert [q_power_raw(n, ctx) for n in range(start, start + length)] == want
 
     @pytest.mark.parametrize("guard, certified", [(64, True), (2, False)])
     def test_fallback_keeps_the_bits(self, monkeypatch, guard, certified):
-        # The rounding test decides every step at the default guard; with
-        # two guard bits it decides none, and each step falls back.
+        # The rounding test decides every step at the default guard but
+        # the exactly representable powers; with two guard bits it
+        # decides none, each step falls back to q_power_raw, and that
+        # retries with prec + 2 guard bits.
         ctx = PrecisionContext(Fraction(29, 30), 256)
         ns = range(-1500, 1500)
-        want = [q_power_raw(n, ctx) for n in ns]
-        calls = []
-
-        def counted(n, ctx):
-            calls.append(n)
-            return q_power_raw(n, ctx)
-
         monkeypatch.setattr(qkernel, "_RUN_GUARD", guard)
-        monkeypatch.setattr(qkernel, "q_power_raw", counted)
-        assert _run(ns.start, ns.stop, ctx) == want
-        exact = [n for n in ns if _exact_branch(n, ctx)]
-        assert calls == (exact if certified else list(ns))
-        assert len(exact) < len(ns) / 100
+        calls = _counted(monkeypatch, qkernel, "q_power_raw", 0)
+        assert _run(ns.start, ns.stop, ctx) == _exact_run(ns.start, ns.stop, ctx)
+        assert calls == (_representable(ns, ctx) if certified else list(ns))
+        assert _representable(ns, ctx) == [0, 1]
 
     def test_other_precision_certifies(self, monkeypatch):
         # Inside workprec the run certifies its steps as at the context
-        # precision and calls q_power_raw for the exact branches only.
-        ctx = PrecisionContext(Fraction(40, 41), 128)
+        # precision and calls q_power_raw for the representable powers
+        # only.
+        ctx = PrecisionContext(Fraction(3, 4), 128)
         ns = range(-2000, 2000)
-        calls = []
-
-        def counted(n, ctx):
-            calls.append(n)
-            return q_power_raw(n, ctx)
-
+        calls = _counted(monkeypatch, qkernel, "q_power_raw", 0)
         with ctx.mp.workprec(128 + 77):
-            want = [q_power_raw(n, ctx) for n in ns]
-            monkeypatch.setattr(qkernel, "q_power_raw", counted)
-            assert _run(ns.start, ns.stop, ctx) == want
-            assert calls == [n for n in ns if _exact_branch(n, ctx)]
+            assert _run(ns.start, ns.stop, ctx) == _exact_run(ns.start, ns.stop, ctx)
+            assert calls == _representable(ns, ctx) == list(range(0, 130))
 
 
-# Test-local copies of the series kernels as they were with the per-call
-# operator power ``q ** n``, a product or quotient of complex values and a
-# complex modulus correctly rounded (``correctly_rounded``); the
+# Test-local copies of the series kernels on mpf/mpc values, with each
+# power q^n, product or quotient of complex values and complex modulus
+# the exact result rounded once (``correctly_rounded``); the
 # kernel-routed versions must equal them.
 
 
 def _ref_term_ratio(spec, k, ctx):
     mp = ctx.mp
-    q = ctx.qm
     e = 1 + len(spec.lower) - len(spec.upper)
-    qk = q**k
+    qk = power_of_q(ctx, k)
     cplx = any(isinstance(a, (complex, mp.mpc)) for a in spec.upper)
     num = mp.mpc(1) if cplx else mp.mpf(1)
     for a in spec.upper:
@@ -905,9 +1021,9 @@ def _ref_term_ratio(spec, k, ctx):
     for b in spec.lower:
         bv = ctx.mpc(b) if isinstance(b, (complex, mp.mpc)) else ctx.mpf(b)
         den = mul(den, 1 - bv * qk)
-    den = den * (1 - q ** (k + 1))
+    den = den * (1 - power_of_q(ctx, k + 1))
     z = ctx.mpc(spec.z) if isinstance(spec.z, (complex, mp.mpc)) else ctx.mpf(spec.z)
-    ratio = mul(div(num, den), z) * q ** (e * k)
+    ratio = mul(div(num, den), z) * power_of_q(ctx, e * k)
     return -ratio if e % 2 == 1 else ratio
 
 
@@ -936,14 +1052,13 @@ def _ref_phi_rs(spec, ctx):
 def _ref_gen_exponential(x, ctx):
     mp = ctx.mp
     xv = ctx.mpc(x) if isinstance(x, (complex, mp.mpc)) else ctx.mpf(x)
-    q = ctx.qm
     tol = ctx.mpf(ctx.series_tol)
     total = xv * 0
     term = 1 + xv * 0
     streak = 0
     for n in range(ctx.max_terms):
         total = total + term
-        ratio = q ** (2 * n + 1) * xv / (1 - q ** (n + 1))
+        ratio = power_of_q(ctx, 2 * n + 1) * xv / (1 - power_of_q(ctx, n + 1))
         term = mul(term, ratio)
         if size(term) <= tol * size(total):
             streak += 1
@@ -962,6 +1077,7 @@ def _ref_hermite2_eval_direct(n, x, ctx):
         + 64
     )
     with mp.workprec(ctx.precision_bits + guard):
+        # The operator powers of hermite2_eval_direct, inside its guard.
         q = ctx.qm
         xv = ctx.mpc(x)
         spec = HypergeometricSpec(

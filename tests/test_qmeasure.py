@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from correctly_rounded import power_of_q, powers
 from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath.libmp import fone, from_man_exp, fzero, mpf_add, mpf_mul, round_nearest
 
@@ -32,9 +33,9 @@ def weight_half(ctx_half):
 
 
 def _ref_raw_lattice(K, M, ctx, buffer):
-    """The two-pass reference: one full sweep held as mpf objects."""
+    """The two-pass reference: one full sweep held as mpf objects, each
+    q^(m+1) the exact power rounded once."""
     mp = ctx.mp
-    q = ctx.qm
     ln_inv_q = -math.log(float(ctx.q))
     m_top = max(
         M + 2, math.ceil(ctx.precision_bits * math.log(2) / ln_inv_q) + 4
@@ -43,9 +44,9 @@ def _ref_raw_lattice(K, M, ctx, buffer):
     n_points = m_top - lo + 1
     g = [mp.mpf(0)] * n_points
     g[1] = mp.mpf(1)
+    qs = powers(ctx.qm._mpf_, lo + 1, m_top, mp.prec)  # q^(m+1), m = lo + i
     for i in range(n_points - 2):
-        m = lo + i
-        g[i + 2] = g[i + 1] + q ** (m + 1) * g[i]
+        g[i + 2] = g[i + 1] + mp.make_mpf(qs[i]) * g[i]
     return g, lo, m_top
 
 
@@ -64,10 +65,9 @@ def _ref_lattice_weight(K, M, ctx):
         ref = abs(values[m])
         if ref != 0 and abs(values[m] - v2) / ref > tol:
             raise InstabilityError(f"moved at m={m}")
-    q = ctx.qm
     residual_max = mp.mpf(0)
     for m in range(-K, M - 1):
-        step = q ** (m + 1) * values[m]
+        step = power_of_q(ctx, m + 1) * values[m]
         res = abs(values[m + 1] - values[m + 2] + step)
         scale = max(abs(values[m + 2]), abs(step), tol)
         residual_max = max(residual_max, res / scale)
@@ -77,14 +77,16 @@ def _ref_lattice_weight(K, M, ctx):
 
 def _ref_sweep(K, M, ctx, buffer):
     """The sweep without its early stop: every step up to 2 m_top, each
-    power from q_power_raw."""
+    power the exact one rounded once."""
     prec = ctx.precision_bits
     m_top = max(M + 2, math.ceil(prec * math.log(2) / -math.log(float(ctx.q))) + 4)
     m_check = 2 * m_top
     window = []
     g0, g1 = fzero, fone
-    for m in range(-K - buffer - 2, m_check - 1):
-        step = mpf_mul(q_power_raw(m + 1, ctx), g0, prec, round_nearest)
+    lo = -K - buffer - 2
+    qs = powers(ctx.qm._mpf_, lo + 1, m_check, prec)
+    for m, p in zip(range(lo, m_check - 1), qs):
+        step = mpf_mul(p, g0, prec, round_nearest)
         g0, g1 = g1, mpf_add(g1, step, prec, round_nearest)
         if -K <= m + 2 <= M:
             window.append(g1)
@@ -193,60 +195,52 @@ class TestTailDoubling:
 
 
 class TestSweepKernel:
-    """The sweep forms powers, reciprocals, products and sums on integers."""
+    """The sweep forms powers, products and sums on integers."""
 
     @pytest.mark.parametrize("guard, certified", [(64, True), (2, False)])
     def test_mpf_arithmetic_only_where_the_certificate_fails(
         self, monkeypatch, guard, certified
     ):
-        # Where the power certificate decides, the sweep makes no mpf
-        # arithmetic call and asks q_power_raw only for the exponents
-        # that mpf_pow_int treats exactly (|n| <= 999 // 128 here); with
-        # two guard bits it decides nothing, and every power falls back.
+        # Where the power certificate decides, the sweep asks q_power_raw,
+        # which forms the exact power and an mpf of it, only for the
+        # powers with at most prec bits (n = 0 and 1 here); with two
+        # guard bits it decides nothing, every power falls back to
+        # q_power_raw, and that retries with prec + 2 guard bits.
         q, bits = Fraction(29, 30), 128
         ctx = PrecisionContext(q, bits)
         buf = _default_buffer(ctx)
         want = _ref_sweep(61, 120, PrecisionContext(q, bits), buf)
-        exact = range(-7, 8)
-        for n in exact:  # memoized, so the fallbacks below do no arithmetic
-            q_power_raw(n, ctx)
-        arithmetic, calls = [], []
+        exact, calls, mpf = [], [], []
 
-        def counted(module, name):
-            original = getattr(module, name)
+        def counted(record, name):
+            original = getattr(qkernel, name)
 
             def call(*args):
-                arithmetic.append(name)
+                record.append(args[0] if name == "q_power_raw" else args[1])
                 return original(*args)
 
-            monkeypatch.setattr(module, name, call)
+            monkeypatch.setattr(qkernel, name, call)
 
-        for name in ("mpf_div", "mpf_pow_int", "normalize"):
-            counted(qkernel, name)
-
-        raw_power = qkernel.q_power_raw
-
-        def powers(n, ctx):
-            calls.append(n)
-            return raw_power(n, ctx)
-
+        counted(calls, "q_power_raw")
+        counted(exact, "_power")
+        counted(mpf, "from_man_exp")
         monkeypatch.setattr(qkernel, "_RUN_GUARD", guard)
-        monkeypatch.setattr(qkernel, "q_power_raw", powers)
         got = _raw_sweep(61, 120, ctx, buf)
         monkeypatch.undo()
         assert got == want
+        assert len(mpf) == len(calls)
         if certified:
-            assert calls == list(exact)
-            assert arithmetic == []
+            assert calls == exact == [0, 1]
         else:
             assert calls == list(range(-61 - buf, calls[-1] + 1))
+            assert exact == [n for n in calls if abs(n) * ctx.qm._mpf_[3] <= 2 * bits]
         fresh = PrecisionContext(q, bits)
-        for n, power in ctx.tables[("q^n", bits)].items():
-            assert power == q_power_raw(n, fresh), n
+        for n, value in ctx.tables[("q^n", bits)].items():
+            assert value == q_power_raw(n, fresh), n
 
 
 class TestStreamedSweep:
-    """The one-sweep weight is bitwise the two-pass mpf-operator reference."""
+    """The one-sweep weight is bitwise the two-pass mpf reference."""
 
     @pytest.mark.parametrize(
         "q, bits",
@@ -457,6 +451,26 @@ class TestBuildMeasure:
             r"at K=8 \(last term ",
         ):
             mu.moment(8, ctx_half)
+
+    @pytest.mark.parametrize(
+        "q, want",
+        [
+            (Fraction(1, 2), "38.786613509863448344535766995523299128"),
+            (Fraction(3, 10), "68.110447217750246983494868015555705768"),
+        ],
+        ids=str,
+    )
+    def test_moment_of_negative_order(self, q, want):
+        # s^-1 is the exact 1/s rounded once, so the moment adds the terms
+        # (1 / s) w; the digits are those of the binary power it replaced.
+        ctx = PrecisionContext(q, 128)
+        mu = build_measure("y-variable", ctx, K=20, M=60)
+        got = mu.moment(-1, ctx)
+        assert str(got) == want
+        plain = ctx.mpf(0)
+        for s, w in zip(mu.support, mu.weights):
+            plain += (1 / s) * w
+        assert abs(got - plain) <= ctx.mpf(2) ** -100 * plain
 
     def test_radial_masses_absorb_normalizer(self, ctx_half, weight_half):
         flat = build_measure("x-variable", ctx_half, K=60, M=120, weight=weight_half)
