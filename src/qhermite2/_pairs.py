@@ -3,16 +3,19 @@
 Each operation forms its exact result on Python integers and rounds it
 once to prec bits, to nearest, ties to even (:func:`_round_even`); a
 square root, the one result that is not a dyadic, rounds from its
-floor root with the remainder as the sticky bit.  That is the module's
-one rounding rule, real and complex alike: every part of every result
-is within half an ulp of the exact value, and a real operand gives the
-value of a complex one with a zero imaginary part.  ``mpf_mul``,
-``mpf_div`` and ``mpf_sqrt`` round the same way, so those operations
-give their floats; ``mpf_add``, which shortcuts an addend far below a
-longer one, and the libmpc routines, which truncate intermediates, can
-differ in the last bit.  A result is a value, not a normalized
-mantissa; :func:`_mpf` normalizes.  This module imports only
-``mpmath.libmp``, so every layer can use it.
+floor root with the remainder as the sticky bit, and a long integer
+power (:func:`_power`) from a truncated power whose error bound lies
+inside one rounding cell, the exact power only where it does not.
+That is the module's one rounding rule, real and complex alike: every
+part of every result is within half an ulp of the exact value, and a
+real operand gives the value of a complex one with a zero imaginary
+part.  ``mpf_mul``, ``mpf_div`` and ``mpf_sqrt`` round the same way, so
+those operations give their floats; ``mpf_add``, which shortcuts an
+addend far below a longer one, ``mpf_pow_int``, which truncates its
+squarings and rounds a negative power twice, and the libmpc routines,
+which truncate intermediates, can differ in the last bit.  A result is
+a value, not a normalized mantissa; :func:`_mpf` normalizes.  This
+module imports only ``mpmath.libmp``, so every layer can use it.
 
 A complex value is a pair of pairs (re, im).  :func:`_times`,
 :func:`_over`, :func:`_plus` and :func:`_size` are ``*``, ``/``, ``+``
@@ -25,11 +28,15 @@ from __future__ import annotations
 
 from math import isqrt
 
-from mpmath.libmp import from_man_exp, to_str
+from mpmath.libmp import MPZ_ONE, from_man_exp, to_str
 
 # 0 and 1 as integer pairs.
 _ZERO = (0, 0)
 _ONE = (1, 0)
+
+# Guard bits of the truncated powers that _power tests, above the
+# precision it rounds to.
+_GUARD = 64
 
 
 def _round_even(x: int, prec: int, sticky: bool = False) -> tuple:
@@ -135,14 +142,94 @@ def _rational(num: int, den: int, prec: int) -> tuple:
     return _quotient(_round_even(num, prec), (den, 0), prec)
 
 
-def _power(a: tuple, n: int, prec: int) -> tuple:
-    """a^n rounded to prec bits, a nonzero if n < 0: the exact integer
-    power rounded once, and for n < 0 one quotient of 1 by it."""
+def _power(a: tuple, n: int, prec: int, chain: tuple = ()) -> tuple:
+    """a^n rounded to prec bits, a nonzero if n < 0: the exact power
+    rounded once, to nearest, ties to even (a mantissa of prec + 1 bits
+    where that carries to a power of two).
+
+    A power of at most 2 prec bits, or of a power of two, is formed
+    exactly (:func:`_exact_power`).  For a longer one, a value of
+    W = prec + _GUARD bits from a chain of squarings at W bits
+    (:func:`_start`; ``chain``, where the caller keeps one, of |a| at W
+    bits with at least bit_length(|n|) entries) lies within 4 (|n| + 3)
+    units of its last bit of |a|^n.  Where that interval lies strictly
+    between two neighbouring boundaries of the rounding to prec bits (a
+    float and a midpoint), all of it rounds to one float, which is a^n
+    rounded once (Ziv's test).  Elsewhere a value with prec + _GUARD
+    guard bits is tried, then the exact power: for a power that is not
+    exactly representable the test fails with a chance under 2^-40 for
+    |n| up to a million.
+    """
+    man, exp = a
+    mag, count = abs(man), abs(n)
+    if mag > 1 and count * mag.bit_length() > 2 * prec:
+        error = 4 * (count + 3)
+        for guard in (_GUARD, prec + _GUARD):
+            width = prec + guard
+            if guard != _GUARD or len(chain) < count.bit_length():
+                chain = _squarings(mag, exp, count.bit_length(), width)
+            pm, pe = _start(n, chain, width)
+            block = 1 << (guard - 1)
+            if error < pm & (block - 1) < block - error:
+                pm = ((pm >> (guard - 1)) + 1) >> 1
+                return (-pm if man < 0 and n & 1 else pm), pe + guard
+    return _exact_power(a, n, prec)
+
+
+def _exact_power(a: tuple, n: int, prec: int) -> tuple:
+    """a^n rounded to prec bits from the exact integer power, and for
+    n < 0 one quotient of 1 by it."""
     man, exp = a
     if n < 0:
         return _quotient(_ONE, (man**-n, -exp * n), prec)
     man, shift = _round_even(man**n, prec)
     return man, exp * n + shift
+
+
+def _start(n: int, chain: tuple, width: int) -> tuple:
+    """(pm, pe), pm of ``width`` bits: x^n within a factor (1 - u)^(+-c),
+    u = 2^(1-width), from the ``chain`` of x > 0 at width bits.  Entry k
+    of the chain carries 2^k - 1 truncations and the product one per set
+    bit of |n|, so c <= |n|; for n < 0, one floored integer division of
+    a quotient above 2^(width-2) adds a loss under 2u <= 1 - (1 - u)^3,
+    so c <= |n| + 3.  As pm < 2^width and c u <= 1/2 for any |n| that
+    fits in memory, |pm 2^pe - x^n| < 4c 2^pe."""
+    pm, pe = _chain_power(abs(n), chain, width)
+    if n < 0:  # 2^t / A floored, of width - 1 or width bits
+        t = width + pm.bit_length() - 2
+        pm, pe = (MPZ_ONE << t) // pm, -t - pe
+    pad = width - pm.bit_length()
+    return pm << pad, pe - pad
+
+
+def _chain_power(n: int, chain: tuple, workprec: int) -> tuple:
+    """(man, exp) of the product of the ``chain`` entries of the set bits
+    of n, truncated to workprec after each multiply."""
+    pm, pe = MPZ_ONE, 0
+    for bit, (cm, ce) in zip(bin(n)[:1:-1], chain):  # least significant bit first
+        if bit == "1":
+            pm *= cm
+            pe += ce
+            excess = pm.bit_length() - workprec
+            if excess > 0:
+                pm >>= excess
+                pe += excess
+    return pm, pe
+
+
+def _squarings(man, exp: int, count: int, workprec: int) -> tuple:
+    """(man, exp) of x^(2^k), k < count, x = man 2^exp > 0, each square
+    truncated to workprec."""
+    chain = [(man, exp)]
+    for _ in range(count - 1):
+        man *= man
+        exp += exp
+        excess = man.bit_length() - workprec
+        if excess > 0:
+            man >>= excess
+            exp += excess
+        chain.append((man, exp))
+    return tuple(chain)
 
 
 def _finish_step(rise: tuple, drop: tuple, p0: tuple, b: tuple, prec: int) -> tuple:

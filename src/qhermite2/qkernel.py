@@ -10,7 +10,8 @@ Every integer power q^n of the rounded q in the series, calculus and
 lattice layers comes from one kernel, :func:`q_power` (raw tuples:
 :func:`q_power_raw`): the exact power of ``ctx.qm`` rounded once, to
 nearest, ties to even, like every operation of :mod:`qhermite2._pairs`.
-A value 64 bits wider than the precision, from the context's chain of
+The one power kernel, :func:`~qhermite2._pairs._power`, rounds it: a
+value 64 bits wider than the precision, from the context's chain of
 truncated squarings q, q^2, q^4, ... and a count of its truncations,
 decides the rounding where the count allows (Ziv's test), and the exact
 power where it does not; a memo of q^n answers the calls after the
@@ -53,8 +54,9 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Tuple
 
-from mpmath.libmp import MPZ_ONE, from_man_exp
+from mpmath.libmp import from_man_exp
 
+from . import _pairs
 from ._pairs import (
     _ONE,
     _ZERO,
@@ -72,6 +74,8 @@ from ._pairs import (
     _raw_pair,
     _root,
     _size,
+    _squarings,
+    _start,
     _sum,
     _times,
 )
@@ -94,10 +98,6 @@ __all__ = [
     "gen_exponential",
     "weight_W",
 ]
-
-# Guard bits of the values of q^n that q_power_raw and q_power_run round,
-# above the precision they are rounded to.
-_RUN_GUARD = 64
 
 # Number of consecutive sub-tolerance terms required before a series is
 # considered converged (see Decay).  q-series can plateau (q^{n^2}
@@ -191,12 +191,8 @@ def q_power_raw(n: int, ctx: PrecisionContext) -> tuple:
     """q^n as a raw mpf tuple: the exact power of ``ctx.qm`` rounded once
     to ``ctx.mp.prec`` bits, to nearest, ties to even.
 
-    The first call for n rounds a value of q^n of prec + _RUN_GUARD
-    bits, from the context's chain of squarings (:func:`_start`), where
-    the test of :func:`q_power_run` decides; it tries once more with a
-    guard of prec + _RUN_GUARD bits, then rounds the exact power
-    (:func:`~qhermite2._pairs._power`), which it also does where that
-    power is short or q a power of two.  The memo
+    The first call for n rounds it with :func:`~qhermite2._pairs._power`
+    from the context's chain of squarings (:func:`_chain`); the memo
     ``ctx.tables[("q^n", prec)]`` answers every later call for n.
     """
     prec = ctx.mp.prec
@@ -205,7 +201,9 @@ def q_power_raw(n: int, ctx: PrecisionContext) -> tuple:
         memo = ctx.tables[("q^n", prec)] = {}
     power = memo.get(n)
     if power is None:
-        power = memo[n] = from_man_exp(*_rounded_power(n, ctx))
+        _, man, exp, _ = ctx.qm._mpf_
+        chain = _chain(abs(n).bit_length(), ctx)
+        power = memo[n] = from_man_exp(*_power((man, exp), n, prec, chain))
     return power
 
 
@@ -214,34 +212,18 @@ def q_power(n: int, ctx: PrecisionContext):
     return ctx.mp.make_mpf(q_power_raw(n, ctx))
 
 
-def _rounded_power(n: int, ctx: PrecisionContext) -> tuple:
-    """:func:`q_power_raw`'s value of q^n as an integer pair."""
-    prec = ctx.mp.prec
-    _, man, exp, bc = ctx.qm._mpf_
-    if man > 1 and abs(n) * bc > 2 * prec:
-        error, bits = 4 * (abs(n) + 3), abs(n).bit_length()
-        for guard in (_RUN_GUARD, prec + _RUN_GUARD):
-            width = prec + guard
-            chain = _chain(bits, ctx) if guard == _RUN_GUARD else _squarings(man, exp, bits, width)
-            pm, pe = _start(n, chain, width)
-            block = 1 << (guard - 1)
-            if error < pm & (block - 1) < block - error:
-                return ((pm >> (guard - 1)) + 1) >> 1, pe + guard
-    return _power((man, exp), n, prec)
-
-
 def q_power_run(start: int, stop: int, ctx: PrecisionContext):
     """Yield q^n for n in range(start, stop) as an integer pair (man, exp),
     man 2^exp the value of ``q_power_raw(n, ctx)``.
 
     The mantissa has ``ctx.mp.prec`` bits (one more only where rounding
     carries to a power of two), so the caller can round products of it
-    on integers.  A running product A = pm 2^pe of W = prec + _RUN_GUARD
-    bits follows q^n, one multiply by the mantissa of q per step, as
-    q^(n+1) = q^n q for every n.  It starts from :func:`_start` and
-    every truncation rounds down, so with c the truncations in A (at
-    most |start| + 3 in the start value, and one per step) and
-    u = 2^(1-W),
+    on integers.  A running product A = pm 2^pe of W = prec + _GUARD
+    bits (``_pairs._GUARD``) follows q^n, one multiply by the mantissa
+    of q per step, as q^(n+1) = q^n q for every n.  It starts where
+    :func:`~qhermite2._pairs._power` does (``_pairs._start``), and every
+    truncation rounds down, so with c the truncations in A (at most
+    |start| + 3 in the start value, and one per step) and u = 2^(1-W),
 
         A (1 - u)^c <= q^n <= A (1 - u)^-c,   |A - q^n| < 4c 2^pe,
 
@@ -261,20 +243,21 @@ def q_power_run(start: int, stop: int, ctx: PrecisionContext):
         for n in range(start, stop):
             yield top, exp * n + 1 - prec
         return
-    width = prec + _RUN_GUARD
+    guard = _pairs._GUARD
+    width = prec + guard
     pm, pe = _start(start, _chain(abs(start).bit_length(), ctx), width)
     # The top prec + 1 bits of pm, r = pm >> shift, bracket A between
     # r 2^shift and (r + 1) 2^shift: a float and the midpoint above it
     # (r even) or a midpoint and the float above it (r odd).  An
     # interval A +- error strictly inside rounds to (r + 1) >> 1.
-    shift = _RUN_GUARD - 1
+    shift = guard - 1
     block = 1 << shift
     mask = block - 1
     error = 4 * (abs(start) + 3 + stop - start)
     limit = block - error
     for n in range(start, stop):
         if error < pm & mask < limit:
-            yield ((pm >> shift) + 1) >> 1, pe + _RUN_GUARD
+            yield ((pm >> shift) + 1) >> 1, pe + guard
         else:
             yield _pair(q_power_raw(n, ctx), prec)
         pm *= man
@@ -284,60 +267,16 @@ def q_power_run(start: int, stop: int, ctx: PrecisionContext):
         pe += excess
 
 
-def _start(n: int, chain: tuple, width: int) -> tuple:
-    """(pm, pe), pm of ``width`` bits: q^n within a factor (1 - u)^(+-c),
-    u = 2^(1-width), from the ``chain`` of q at width bits.  Entry k of
-    the chain carries 2^k - 1 truncations and the product one per set bit
-    of |n|, so c <= |n|; for n < 0, one floored integer division of a
-    quotient above 2^(width-2) adds a loss under 2u <= 1 - (1 - u)^3, so
-    c <= |n| + 3."""
-    pm, pe = _chain_power(abs(n), chain, width)
-    if n < 0:  # 2^t / A floored, of width - 1 or width bits
-        t = width + pm.bit_length() - 2
-        pm, pe = (MPZ_ONE << t) // pm, -t - pe
-    pad = width - pm.bit_length()
-    return pm << pad, pe - pad
-
-
 def _chain(count: int, ctx: PrecisionContext) -> tuple:
-    """The context's chain of q at prec + _RUN_GUARD bits, at least
+    """The context's chain of q at prec + _GUARD bits, at least
     ``count`` entries long, kept per working precision in
     ``ctx.tables[("squarings", prec)]``."""
     key = ("squarings", ctx.mp.prec)
     chain = ctx.tables.get(key, ())
     if len(chain) < count:
         _, man, exp, _ = ctx.qm._mpf_
-        chain = ctx.tables[key] = _squarings(man, exp, count, ctx.mp.prec + _RUN_GUARD)
+        chain = ctx.tables[key] = _squarings(man, exp, count, ctx.mp.prec + _pairs._GUARD)
     return chain
-
-
-def _chain_power(n: int, chain: tuple, workprec: int) -> tuple:
-    """(man, exp) of the product of the ``chain`` entries of the set bits
-    of n, truncated to workprec after each multiply."""
-    pm, pe = MPZ_ONE, 0
-    for bit, (cm, ce) in zip(bin(n)[:1:-1], chain):  # least significant bit first
-        if bit == "1":
-            pm *= cm
-            pe += ce
-            excess = pm.bit_length() - workprec
-            if excess > 0:
-                pm >>= excess
-                pe += excess
-    return pm, pe
-
-
-def _squarings(man, exp: int, count: int, workprec: int) -> tuple:
-    """(man, exp) of q^(2^k), k < count, each square truncated to workprec."""
-    chain = [(man, exp)]
-    for _ in range(count - 1):
-        man *= man
-        exp += exp
-        excess = man.bit_length() - workprec
-        if excess > 0:
-            man >>= excess
-            exp += excess
-        chain.append((man, exp))
-    return tuple(chain)
 
 
 def q_number(n: int, ctx: PrecisionContext):

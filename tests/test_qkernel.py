@@ -28,7 +28,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from qhermite2 import PrecisionContext, qkernel
+from qhermite2 import PrecisionContext, _pairs, qkernel
 from qhermite2._pairs import (
     _ZERO,
     _complex_product,
@@ -302,7 +302,7 @@ def _power_bases(draw):
 
 def _counted(monkeypatch, module, name, index=1) -> list:
     """Record argument ``index`` of each call of ``module.name``: the
-    exponent of ``_power`` (1) or of ``q_power_raw`` (0)."""
+    exponent of ``_exact_power`` (1) or of ``q_power_raw`` (0)."""
     calls = []
     original = getattr(module, name)
 
@@ -364,7 +364,7 @@ class TestQPower:
             q_power_raw(n, ctx)
         chain = ctx.tables[("squarings", 256)]
         assert len(chain) == (3000).bit_length()
-        assert all(man.bit_length() <= 256 + qkernel._RUN_GUARD for man, _ in chain)
+        assert all(man.bit_length() <= 256 + _pairs._GUARD for man, _ in chain)
 
     def test_other_precision_has_its_own_tables(self):
         # Values formed inside workprec go under the key of that
@@ -409,8 +409,8 @@ class TestQPower:
         # With two guard bits the first test decides nothing; the retry
         # at prec + 2 guard bits decides, and only short powers are
         # formed exactly.
-        monkeypatch.setattr(qkernel, "_RUN_GUARD", 2)
-        exact = _counted(monkeypatch, qkernel, "_power")
+        monkeypatch.setattr(_pairs, "_GUARD", 2)
+        exact = _counted(monkeypatch, _pairs, "_exact_power")
         ctx = PrecisionContext(q, 256)
         ns = list(range(-200, 200)) + [-54321, 12345, 2**17]
         for n in ns:
@@ -420,9 +420,9 @@ class TestQPower:
     def test_undecided_powers_are_exact(self, monkeypatch):
         # A value that neither test decides is the exact power rounded
         # once: here every value, cut to its top bit, fails the test.
-        start = qkernel._start
-        monkeypatch.setattr(qkernel, "_start", lambda *args: _cleared(*start(*args)))
-        exact = _counted(monkeypatch, qkernel, "_power")
+        start = _pairs._start
+        monkeypatch.setattr(_pairs, "_start", lambda *args: _cleared(*start(*args)))
+        exact = _counted(monkeypatch, _pairs, "_exact_power")
         ctx = PrecisionContext(Fraction(40, 41), 128)
         ns = [-3000, -77, -3, 0, 2, 5, 1000]
         for n in ns:
@@ -655,6 +655,29 @@ class TestPairPower:
         base = ((1 << 127) | 0x5DEECE66D2B3F1A9, -128)
         for n in (5000, -5000, 4999, -4999):
             assert _raw(_power(base, n, prec)) == power(_raw(base), n, prec), n
+
+    def test_long_powers_are_not_formed_exactly(self, monkeypatch):
+        # |z|^(2 trunc + 2) of cs_coeffs at trunc = 10000 and 512 bits: the
+        # truncated power decides, not a power of five million bits.
+        exact = _counted(monkeypatch, _pairs, "_exact_power")
+        base = ((1 << 511) | 0x5DEECE66D2B3F1A9 << 300 | 0xB, -512)
+        for n in (10001, -10001, 12345, -3):
+            assert _raw(_power(base, n, 512)) == power(_raw(base), n, 512), n
+        assert exact == []
+
+    @pytest.mark.parametrize("prec", [64, 256])
+    def test_narrow_guard_keeps_the_rounding(self, monkeypatch, prec):
+        # With two guard bits the first test decides nothing, and the
+        # retry at prec + 2 guard bits decides every long power.
+        monkeypatch.setattr(_pairs, "_GUARD", 2)
+        exact = _counted(monkeypatch, _pairs, "_exact_power")
+        base = ((1 << (prec - 1)) | 0x5DEECE66D2B3F1A9, -prec - 3)
+        ns = (-1000, -7, 7, 5000)
+        for n in ns:
+            assert _raw(_power(base, n, prec)) == power(_raw(base), n, prec), n
+            man, exp = _power((-base[0], base[1]), n, prec)
+            assert _raw((-man if n & 1 else man, exp)) == power(_raw(base), n, prec), n
+        assert exact == []
 
 
 def _assert_complex_ops(a, b, prec):
@@ -943,7 +966,7 @@ class TestQPowerRun:
     """q_power_run yields the exact q^n rounded once for consecutive n."""
 
     # Ranges across zero, and runs that start deep on either side.
-    RANGES = ((-1500, 1500), (-40000, -39900), (39900, 40000))
+    RANGES = ((-1500, 1500), (-40000, -39000), (39000, 40000))
 
     @pytest.mark.parametrize("bits", [64, 128, 256, 512])
     @pytest.mark.parametrize(
@@ -968,7 +991,7 @@ class TestQPowerRun:
             st.integers(-40000, -39800),
             st.integers(39800, 40000),
         ),
-        length=st.integers(0, 200),
+        length=st.integers(0, 300),
     )
     def test_property_rational_q(self, q, bits, start, length):
         ctx = PrecisionContext(q, bits)
@@ -984,7 +1007,7 @@ class TestQPowerRun:
         # retries with prec + 2 guard bits.
         ctx = PrecisionContext(Fraction(29, 30), 256)
         ns = range(-1500, 1500)
-        monkeypatch.setattr(qkernel, "_RUN_GUARD", guard)
+        monkeypatch.setattr(_pairs, "_GUARD", guard)
         calls = _counted(monkeypatch, qkernel, "q_power_raw", 0)
         assert _run(ns.start, ns.stop, ctx) == _exact_run(ns.start, ns.stop, ctx)
         assert calls == (_representable(ns, ctx) if certified else list(ns))
@@ -993,13 +1016,22 @@ class TestQPowerRun:
     def test_other_precision_certifies(self, monkeypatch):
         # Inside workprec the run certifies its steps as at the context
         # precision and calls q_power_raw for the representable powers
-        # only.
-        ctx = PrecisionContext(Fraction(3, 4), 128)
+        # only: q^0 and q^1 of the long mantissa of 40/41.
+        self._certifies_inside_workprec(monkeypatch, Fraction(40, 41), [0, 1])
+
+    def test_other_precision_certifies_short_mantissa(self, monkeypatch):
+        # The powers 3^n 2^(-2n) of q = 3/4 are representable in 205 bits
+        # up to n = 129.
+        self._certifies_inside_workprec(monkeypatch, Fraction(3, 4), list(range(130)))
+
+    @staticmethod
+    def _certifies_inside_workprec(monkeypatch, q, representable):
+        ctx = PrecisionContext(q, 128)
         ns = range(-2000, 2000)
         calls = _counted(monkeypatch, qkernel, "q_power_raw", 0)
         with ctx.mp.workprec(128 + 77):
             assert _run(ns.start, ns.stop, ctx) == _exact_run(ns.start, ns.stop, ctx)
-            assert calls == _representable(ns, ctx) == list(range(0, 130))
+            assert calls == _representable(ns, ctx) == representable
 
 
 # Test-local copies of the series kernels on mpf/mpc values, with each

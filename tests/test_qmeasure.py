@@ -10,7 +10,7 @@ from correctly_rounded import power_of_q, powers
 from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath.libmp import fone, from_man_exp, fzero, mpf_add, mpf_mul, round_nearest
 
-from qhermite2 import PrecisionContext, qkernel, qmeasure
+from qhermite2 import PrecisionContext, _pairs, qkernel, qmeasure
 from qhermite2.coherent import cs_norm_sq
 from qhermite2.errors import DomainError, InstabilityError, NoConvergenceError
 from qhermite2.exact import bn_squared_exact, moment_In_exact, rho_factorial_exact
@@ -212,19 +212,19 @@ class TestSweepKernel:
         want = _ref_sweep(61, 120, PrecisionContext(q, bits), buf)
         exact, calls, mpf = [], [], []
 
-        def counted(record, name):
-            original = getattr(qkernel, name)
+        def counted(record, module, name):
+            original = getattr(module, name)
 
             def call(*args):
                 record.append(args[0] if name == "q_power_raw" else args[1])
                 return original(*args)
 
-            monkeypatch.setattr(qkernel, name, call)
+            monkeypatch.setattr(module, name, call)
 
-        counted(calls, "q_power_raw")
-        counted(exact, "_power")
-        counted(mpf, "from_man_exp")
-        monkeypatch.setattr(qkernel, "_RUN_GUARD", guard)
+        counted(calls, qkernel, "q_power_raw")
+        counted(exact, _pairs, "_exact_power")
+        counted(mpf, qkernel, "from_man_exp")
+        monkeypatch.setattr(_pairs, "_GUARD", guard)
         got = _raw_sweep(61, 120, ctx, buf)
         monkeypatch.undo()
         assert got == want
