@@ -307,10 +307,11 @@ def q_pochhammer(a, k: int, ctx: PrecisionContext):
 def q_pochhammer_inf(a, ctx: PrecisionContext):
     """Infinite shifted q-factorial (a; q)_inf = prod_{s>=0} (1 - a q^s).
 
-    The product is truncated at the first s with |a| q^s < series_tol;
-    the neglected factors multiply to exp(O(|a| q^s / (1-q))), so the
-    relative truncation error is below series_tol/(1-q), far inside the
-    working precision for the default tolerance.
+    The product is truncated at the first s with |a| q^s < series_tol
+    = 2^-(bits-20); the neglected factors multiply to exp(O(|a| q^s /
+    (1-q))), so the relative truncation error is up to about 2^20/(1-q) ulp,
+    not inside the working precision: for a = q about 1.05e6 ulp at
+    q = 1/2 and 1.0e7 at q = 9/10, the same at 64, 128 and 256 bits.
     """
     mp = ctx.mp
     a = ctx.mpc(a) if isinstance(a, (complex, mp.mpc)) else ctx.mpf(a)

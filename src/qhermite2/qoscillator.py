@@ -7,12 +7,12 @@ product of two, so each is stored by its structurally nonzero
 diagonals and all operator arithmetic costs O(dim * bandwidth^2); the
 results are bitwise those of dense ascending-index sums.
 
-The diagonals hold complex integer pairs (:mod:`qhermite2._pairs`), and
-each entry is formed by pair operations, each part of each result the
-exact value rounded once: the products, the sums and differences, the
-scalings by a real factor and the moduli of the residuals.  Entries
-leave as mpc values only at the boundary:
-:meth:`TruncatedOperator.entry`, ``row`` and ``apply``.  The exact
+The diagonals hold integer pairs (:mod:`qhermite2._pairs`): complex
+pairs for P, whose entries are purely imaginary, and real pairs for X,
+a-/a+ and every product or sum whose imaginary part comes out exactly 0.
+Each entry is formed by pair operations, each part of each result the
+exact value rounded once; entries leave as mpc values only at the
+boundary: :meth:`TruncatedOperator.entry`, ``row`` and ``apply``.  The exact
 diagonals of the identities and the spectrum come from one pass over
 the running integer powers of q (:func:`~qhermite2.exact._oscillator_rows`).
 
@@ -35,8 +35,6 @@ from ._pairs import (
     _ONE,
     _ZERO,
     _as_pair,
-    _complex_product,
-    _hypot,
     _larger,
     _less,
     _mp,
@@ -45,6 +43,7 @@ from ._pairs import (
     _operand,
     _plus,
     _rational,
+    _size,
     _times,
 )
 from .context import PrecisionContext
@@ -71,8 +70,7 @@ __all__ = [
 # of each identity's comparison scale.
 ULP_BUDGET = 4
 
-# 0 and the imaginary unit as complex pair values.
-_CZERO = (_ZERO, _ZERO)
+# The imaginary unit as a complex pair value.
 _I = (_ZERO, _ONE)
 
 
@@ -81,11 +79,12 @@ class TruncatedOperator:
     """dim x dim complex section stored by diagonals, with its context.
 
     ``bands`` maps an offset d to the diagonal (i, i + d) as a tuple
-    indexed by min(i, i + d) of complex pair values (re, im), each a
-    pair (man, exp) of :mod:`qhermite2._pairs`.  Only structurally
-    nonzero offsets are stored; every entry off them is an exact zero.
-    :meth:`entry`, :meth:`row` and :meth:`apply` give mpc values of
-    ``ctx``, and the arithmetic runs at its working precision.
+    indexed by min(i, i + d) of real pairs (man, exp) of
+    :mod:`qhermite2._pairs`, or complex pairs (re, im) where the
+    imaginary part is not exactly 0.  Only structurally nonzero offsets
+    are stored; every entry off them is an exact zero.  :meth:`entry`,
+    :meth:`row` and :meth:`apply` give mpc values of ``ctx``, and the
+    arithmetic runs at its working precision.
     Identity checks look only at the top-left dim - 1 block, the one
     the finite section leaves intact (see :func:`verify_algebra`).
     """
@@ -98,33 +97,26 @@ class TruncatedOperator:
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise IndexError(f"entry ({i},{j}) outside dim {self.dim}")
         band = self.bands.get(j - i)
-        return _mp(_CZERO if band is None else band[min(i, j)], self.ctx)
+        return _mpc(_ZERO if band is None else band[min(i, j)], self.ctx)
 
     def row(self, i: int):
         """Stored entries (j, value) of row i, in ascending j."""
-        for j, value in self._row(i):
-            yield j, _mp(value, self.ctx)
-
-    def _row(self, i: int):
-        """Stored entries (j, pair value) of row i, in ascending j."""
         for d in sorted(self.bands):
             if 0 <= i + d < self.dim:
-                yield i + d, self.bands[d][min(i, i + d)]
+                yield i + d, _mpc(self.bands[d][min(i, i + d)], self.ctx)
 
     def apply(self, vector):
         """Matrix-vector product, each row summed over ascending j; the
         vector's entries are taken as the mpc operator ``*`` takes them."""
         if len(vector) != self.dim:
-            raise DomainError(
-                f"vector length {len(vector)} != operator dim {self.dim}"
-            )
-        ctx = self.ctx
-        prec = ctx.mp.prec
+            raise DomainError(f"vector length {len(vector)} != operator dim {self.dim}")
+        ctx, dim, prec = self.ctx, self.dim, self.ctx.mp.prec
         xs = [_operand(x, ctx) for x in vector]
-        return [
-            _mp(_ascending_sum((_times(x, xs[j], prec) for j, x in self._row(i)), prec), ctx)
-            for i in range(self.dim)
-        ]
+        out = [None] * dim
+        for d in sorted(self.bands):  # row i meets xs[i + d], from row max(0, -d) on
+            terms = zip(self.bands[d], xs[max(0, d) : dim + min(0, d)])
+            _fold(out, max(0, -d), (_times(x, y, prec) for x, y in terms), prec)
+        return [_mpc(_ZERO if v is None else v, ctx) for v in out]
 
 
 @dataclass(frozen=True)
@@ -137,21 +129,31 @@ class SpectrumTable:
         return self.levels[n][1]
 
 
-def _ascending_sum(terms, prec: int) -> tuple:
-    """Sum the complex ``terms`` in order, starting from the first; 0 if none.
+def _mpc(a: tuple, ctx):
+    """The real or complex value a as an mpc of ``ctx``."""
+    return _mp(a if type(a[0]) is tuple else (a, _ZERO), ctx)
+
+
+def _real(a: tuple) -> tuple:
+    """a as a real value if its imaginary part is exactly 0."""
+    return a[0] if type(a[0]) is tuple and not a[1][0] else a
+
+
+def _fold(out: list, start: int, terms, prec: int) -> None:
+    """Add the ``terms`` in order to out[start], out[start + 1], ...,
+    an entry still None taking its first term as it is.
 
     The terms left out of a banded sum are exact zeros, and adding an
     exact zero to a value already rounded at the working precision is a
     no-op under round-to-nearest, so this is bitwise the dense sum.
     """
-    acc = None
-    for term in terms:
-        acc = term if acc is None else _plus(acc, term, prec)
-    return _CZERO if acc is None else acc
+    for k, term in enumerate(terms, start):
+        acc = out[k]
+        out[k] = term if acc is None else _plus(acc, term, prec)
 
 
 def _difference(a: tuple, b: tuple, prec: int) -> tuple:
-    """a - b of complex values: ``mpc_sub``."""
+    """a - b of real or complex values: ``mpc_sub``."""
     return _plus(a, _negative(b), prec)
 
 
@@ -164,7 +166,7 @@ def build_position(dim: int, ctx: PrecisionContext) -> TruncatedOperator:
     """Position operator section: column n gets b_n at row n+1 and
     b_{n-1} at row n-1 (symmetric tridiagonal, zero diagonal)."""
     _check_dim(dim, 2)
-    b = tuple((_as_pair(x), _ZERO) for x in b_table(dim - 1, ctx)[: dim - 1])
+    b = tuple(_as_pair(x) for x in b_table(dim - 1, ctx)[: dim - 1])
     return TruncatedOperator(dim, {-1: b, 1: b}, ctx)
 
 
@@ -197,16 +199,16 @@ def _ladder(X: TruncatedOperator, P: TruncatedOperator, ctx: PrecisionContext):
 
     On the other diagonal the X and iP contributions cancel exactly
     (b - b = 0, not to rounding), so lowering stores only the
-    superdiagonal and raising only the subdiagonal.
+    superdiagonal and raising only the subdiagonal, as real pairs.
     """
     prec = ctx.mp.prec
     half_root = _as_pair(ctx.mp.sqrt(ctx.mpf(ctx.q / (1 - ctx.q))) / 2)
     lowering = tuple(
-        _times(half_root, _plus(x, _times(_I, p, prec), prec), prec)
+        _times(half_root, _real(_plus(x, _times(_I, p, prec), prec)), prec)
         for x, p in zip(X.bands[1], P.bands[1])
     )
     raising = tuple(
-        _times(half_root, _difference(x, _times(_I, p, prec), prec), prec)
+        _times(half_root, _real(_difference(x, _times(_I, p, prec), prec)), prec)
         for x, p in zip(X.bands[-1], P.bands[-1])
     )
     return (
@@ -218,27 +220,24 @@ def _ladder(X: TruncatedOperator, P: TruncatedOperator, ctx: PrecisionContext):
 def mat_mul(a: TruncatedOperator, b: TruncatedOperator, ctx: PrecisionContext) -> TruncatedOperator:
     """Product with fixed (i, j, ascending-k) summation order.
 
-    Each entry sums only the terms whose factors are both stored (see
-    ``_ascending_sum``), in O(dim * bandwidth^2).
+    Each band d of the product folds in (``_fold``) the overlap of a's
+    band da with b's band d - da, in ascending da (ascending k = i + da),
+    in O(dim * bandwidth^2).
     """
     if a.dim != b.dim:
         raise DomainError("operator dimensions differ")
     dim, prec = a.dim, ctx.mp.prec
     bands = {}
     for d in sorted({da + db for da in a.bands for db in b.bands}):
-        # (offset of k from i, a's band, b's band) for each stored term
-        factors = [(da, a.bands[da], b.bands[d - da]) for da in sorted(a.bands) if d - da in b.bands]
-        bands[d] = tuple(
-            _ascending_sum(
-                (
-                    _complex_product(x[min(i, i + da)], y[min(i + da, i + d)], prec)
-                    for da, x, y in factors
-                    if 0 <= i + da < dim
-                ),
-                prec,
-            )
-            for i in range(max(0, -d), dim - max(0, d))
-        )
+        band = [None] * (dim - abs(d))
+        for da in sorted(a.bands):
+            # rows i with i, k = i + da and j = i + d inside the section
+            lo, hi = max(0, -d, -da), dim - max(0, d, da)
+            if d - da in b.bands and lo < hi:
+                x = a.bands[da][lo + min(0, da) : hi + min(0, da)]
+                y = b.bands[d - da][lo + min(da, d) : hi + min(da, d)]
+                _fold(band, lo + min(0, d), (_times(u, v, prec) for u, v in zip(x, y)), prec)
+        bands[d] = tuple(_ZERO if v is None else _real(v) for v in band)
     return TruncatedOperator(dim, bands, ctx)
 
 
@@ -249,9 +248,9 @@ def _combine(a: TruncatedOperator, b: TruncatedOperator, op) -> TruncatedOperato
     prec = a.ctx.mp.prec
     bands = {}
     for d in sorted(set(a.bands) | set(b.bands)):
-        absent = (_CZERO,) * (a.dim - abs(d))
+        absent = (_ZERO,) * (a.dim - abs(d))
         bands[d] = tuple(
-            op(x, y, prec) for x, y in zip(a.bands.get(d, absent), b.bands.get(d, absent))
+            _real(op(x, y, prec)) for x, y in zip(a.bands.get(d, absent), b.bands.get(d, absent))
         )
     return TruncatedOperator(a.dim, bands, a.ctx)
 
@@ -264,7 +263,7 @@ def mat_scale(a: TruncatedOperator, s) -> TruncatedOperator:
     """s a, s taken as the mpc operator ``*`` takes it (an mpf scales
     each part: ``mpc_mul_mpf``)."""
     prec = a.ctx.mp.prec
-    s = _operand(s, a.ctx)
+    s = _real(_operand(s, a.ctx))
     bands = {d: tuple(_times(s, x, prec) for x in band) for d, band in a.bands.items()}
     return TruncatedOperator(a.dim, bands, a.ctx)
 
@@ -324,23 +323,22 @@ def _diag_operator(exact_values, ctx: PrecisionContext) -> TruncatedOperator:
     lowest terms, each rounded as ``ctx.mpf`` rounds it: floating powers
     of an inexact q would drift by about n/2 ulp at exponent n."""
     prec = ctx.mp.prec
-    diag = tuple((_rational(num, den, prec), _ZERO) for num, den in exact_values)
+    diag = tuple(_rational(num, den, prec) for num, den in exact_values)
     return TruncatedOperator(len(diag), {0: diag}, ctx)
 
 
-def _block_entries(op: TruncatedOperator, block: int):
-    """Stored entries (i, j, pair value) inside the block, in row-major
-    order; every other block entry is an exact zero."""
-    for i in range(block):
-        for j, value in op._row(i):
-            if j < block:
-                yield i, j, value
+def _block_sizes(op: TruncatedOperator, block: int):
+    """(i, j, |entry|) of the stored entries inside the block, band by
+    band; every other block entry is an exact zero."""
+    prec = op.ctx.mp.prec
+    for d, band in op.bands.items():
+        for k, value in enumerate(band[: max(0, block - abs(d))]):
+            yield k + max(0, -d), k + max(0, d), _size(value, prec)
 
 
 def _block_max_abs(op: TruncatedOperator, block: int) -> tuple:
     """The largest |entry| in the block, as a pair: ``max`` of ``abs``."""
-    prec = op.ctx.mp.prec
-    return reduce(_larger, (_hypot(v, prec) for _, _, v in _block_entries(op, block)), _ZERO)
+    return reduce(_larger, (size for _, _, size in _block_sizes(op, block)), _ZERO)
 
 
 def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = ULP_BUDGET) -> AlgebraReport:
@@ -418,16 +416,15 @@ def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = ULP_BUDGET)
     for name, (lhs, rhs, operand_max) in checks.items():
         scale = reduce(_larger, (_block_max_abs(rhs, block), operand_max, _ONE))
         tol = _times(_times((ulp_bound, 0), scale, prec), eps, prec)
-        worst = _ZERO
-        for i, j, value in _block_entries(mat_sub(lhs, rhs), block):
-            diff = _hypot(value, prec)
-            if _less(tol, diff):
-                raise AlgebraViolation(
-                    f"{name}: entry ({i},{j}) residual {mp.nstr(_mpf(diff, ctx), 8)} "
-                    f"exceeds {ulp_bound} ulp of scale {mp.nstr(_mpf(scale, ctx), 8)} "
-                    f"at dim={dim}"
-                )
-            worst = _larger(worst, diff)
+        sizes = list(_block_sizes(mat_sub(lhs, rhs), block))
+        worst = reduce(_larger, (size for _, _, size in sizes), _ZERO)
+        if _less(tol, worst):  # name the row-major first offender
+            i, j, diff = min(entry for entry in sizes if _less(tol, entry[2]))
+            raise AlgebraViolation(
+                f"{name}: entry ({i},{j}) residual {mp.nstr(_mpf(diff, ctx), 8)} "
+                f"exceeds {ulp_bound} ulp of scale {mp.nstr(_mpf(scale, ctx), 8)} "
+                f"at dim={dim}"
+            )
         max_residuals[name] = _mpf(worst, ctx)
         scales[name] = _mpf(scale, ctx)
     return AlgebraReport(

@@ -244,11 +244,10 @@ def commutators(ctx: PrecisionContext, dim: int = OPERATOR_DIM) -> List[Check]:
             )
         )
 
-    worst_n = -1
-    for n in range(0, 9):
-        lhs = lambda_exact(n, q)
-        rhs = (q / (1 - q)) * (bn_squared_exact(n - 1, q) + bn_squared_exact(n, q))
-        if lhs != rhs:
+    worst_n, b_sq = -1, bn_squared_exact(-1, q)
+    for n in range(0, 9):  # b_{n-1}^2 carried from the step before
+        b_prev_sq, b_sq = b_sq, bn_squared_exact(n, q)
+        if lambda_exact(n, q) != (q / (1 - q)) * (b_prev_sq + b_sq):
             worst_n = n
     ok = worst_n < 0
     checks.append(

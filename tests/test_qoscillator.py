@@ -11,11 +11,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qhermite2 import PrecisionContext, qoscillator
 from qhermite2.errors import AlgebraViolation, DomainError
-from qhermite2._pairs import _plus
+from qhermite2._pairs import _as_pair, _plus
 from qhermite2.exact import bn_squared_exact, lambda_exact, qbracket
 from qhermite2.qkernel import b_coeff
 from qhermite2.qoscillator import (
+    TruncatedOperator,
     _combine,
+    _diag_operator,
     build_hamiltonian,
     build_ladder,
     build_momentum,
@@ -315,6 +317,144 @@ class TestBandedLayer:
             X.entry(4, 3)
         with pytest.raises(IndexError):
             X.entry(-1, 0)
+
+
+def _sections(dim, ctx):
+    """(name, section) of every section verify_algebra forms or compares."""
+    X = build_position(dim, ctx)
+    P = build_momentum(dim, ctx)
+    lowering, raising = build_ladder(dim, ctx)
+    return [
+        ("X", X),
+        ("P", P),
+        ("a-", lowering),
+        ("a+", raising),
+        ("a-a+", mat_mul(lowering, raising, ctx)),
+        ("a+a-", mat_mul(raising, lowering, ctx)),
+        ("X^2", mat_mul(X, X, ctx)),
+        ("P^2", mat_mul(P, P, ctx)),
+        ("H", build_hamiltonian(dim, ctx)),
+        ("diag", _diag_operator([(n + 1, 3) for n in range(dim)], ctx)),
+    ]
+
+
+def _is_real_pair(value):
+    return type(value[0]) is int
+
+
+class TestRealBands:
+    """Sections whose imaginary parts are exactly 0 store real pairs, and
+    the mpc boundary (entry, row, apply) hides the difference."""
+
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_storage_kind_of_each_section(self, ctx_half, dim):
+        for name, op in _sections(dim, ctx_half):
+            values = [v for band in op.bands.values() for v in band]
+            assert values, name
+            if name == "P":
+                assert not any(map(_is_real_pair, values)), name
+                assert all(v[0][0] == 0 for v in values), name  # purely imaginary
+            else:
+                assert all(map(_is_real_pair, values)), name
+
+    def test_boundary_hands_out_mpc(self, ctx_half):
+        mpc = ctx_half.mp.mpc
+        vector = [ctx_half.mpf(n + 1) / 3 for n in range(6)]
+        for name, op in _sections(6, ctx_half):
+            for i in range(op.dim):
+                assert all(type(op.entry(i, j)) is mpc for j in range(op.dim)), name
+                assert all(type(value) is mpc for _, value in op.row(i)), name
+            assert all(type(value) is mpc for value in op.apply(vector)), name
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_apply_takes_real_int_and_complex_vectors(self, bits):
+        ctx = PrecisionContext(q=Fraction(2, 7), precision_bits=bits)
+        mp = ctx.mp
+        rnd = random.Random(bits)
+        vectors = [
+            [mp.mpf(rnd.uniform(-3, 3)) for _ in range(7)],
+            [rnd.randint(-(2**90), 2**90) for _ in range(7)],
+            [mp.mpc(rnd.uniform(-1, 1), rnd.uniform(-1, 1)) for _ in range(7)],
+        ]
+        for name, op in _sections(7, ctx):
+            for vector in vectors:
+                assert op.apply(vector) == _dense_apply(_dense(op), vector), name
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_mixed_real_and_complex_operations_match_dense(self, bits):
+        ctx = PrecisionContext(q=Fraction(5, 8), precision_bits=bits)
+        mp = ctx.mp
+        X = build_position(6, ctx)
+        P = build_momentum(6, ctx)
+        for s in (mp.mpc(ctx.mpf(1) / 3, -ctx.mpf(2) / 7), mp.mpc(ctx.mpf(3) / 5, 0)):
+            _assert_matches_dense(mat_scale(X, s), _dense_scale(s, _dense(X)))
+        _assert_matches_dense(
+            _combine(X, P, _plus), _dense_entrywise(operator.add, _dense(X), _dense(P))
+        )
+        _assert_matches_dense(mat_mul(X, P, ctx), _dense_mul(_dense(X), _dense(P)))
+        _assert_matches_dense(mat_mul(P, X, ctx), _dense_mul(_dense(P), _dense(X)))
+
+
+class TestResidualScan:
+    """verify_algebra names the row-major first entry over its tolerance,
+    whatever band the sweep meets first."""
+
+    @pytest.mark.parametrize("bands_first", [(1, 0, -1), (-1, 0, 1), (0, 1, -1)], ids=str)
+    def test_names_row_major_first_offender(self, ctx_half, monkeypatch, bands_first):
+        dim = 8
+        block = dim - 1
+        mp = ctx_half.mp
+        scale = verify_algebra(dim, ctx_half).scales["lowering-raising-product"]
+        tol = qoscillator.ULP_BUDGET * scale * ctx_half.eps
+        small = _as_pair(tol / 2)
+        values = {
+            # offenders: (2,2) in band 0, (2,3) and (4,5) in band +1, (3,2)
+            # in band -1; the largest at (4,5); entries past the block
+            # (row or column 7) are ignored however large
+            0: {0: small, 2: (3, 0), 7: (1, 80)},
+            1: {0: small, 2: ((5, 0), (-1, -1)), 4: (7, 0), 6: (1, 90)},
+            -1: {0: small, 2: (-11, -2), 6: (1, 70)},
+        }
+        residual = TruncatedOperator(
+            dim,
+            {d: tuple(values[d].get(k, (0, 0)) for k in range(dim - abs(d))) for d in bands_first},
+            ctx_half,
+        )
+        monkeypatch.setattr(qoscillator, "mat_sub", lambda a, b: residual)
+        # the dense row-major scan of the block
+        first = next(
+            (i, j)
+            for i in range(block)
+            for j in range(block)
+            if abs(residual.entry(i, j)) > tol
+        )
+        assert first == (2, 2)
+        i, j = first
+        message = (
+            f"lowering-raising-product: entry ({i},{j}) residual "
+            f"{mp.nstr(abs(residual.entry(i, j)), 8)} exceeds 4 ulp of scale "
+            f"{mp.nstr(scale, 8)} at dim={dim}"
+        )
+        with pytest.raises(AlgebraViolation) as excinfo:
+            verify_algebra(dim, ctx_half)
+        assert str(excinfo.value) == message
+
+    def test_worst_residual_is_the_dense_block_maximum(self, ctx_half, monkeypatch):
+        dim = 6
+        tiny = _as_pair(ctx_half.mpf(2) ** -400)
+        residual = TruncatedOperator(
+            dim,
+            {
+                -1: ((0, 0), tiny, (3, -410), (0, 0), (9, -380)),
+                0: ((5, -405), (0, 0), (-7, -402), (0, 0), (1, -404), (0, 0)),
+                1: (((1, -401), (-3, -401)), (0, 0), (0, 0), (0, 0), (1, -300)),
+            },
+            ctx_half,
+        )
+        monkeypatch.setattr(qoscillator, "mat_sub", lambda a, b: residual)
+        worst = max(abs(residual.entry(i, j)) for i in range(dim - 1) for j in range(dim - 1))
+        report = verify_algebra(dim, ctx_half)
+        assert set(report.max_residuals.values()) == {worst}
 
 
 # Reference: verify_algebra on mpc values, bands as dicts offset ->
