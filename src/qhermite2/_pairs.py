@@ -337,9 +337,11 @@ def _hypot(a: tuple, prec: int) -> tuple:
 
 def _complex_product(a: tuple, b: tuple, prec: int) -> tuple:
     """a b of complex values, each part rounded once from the exact
-    products."""
+    products (of two imaginary values, the one product -b d)."""
     (am, ae), (bm, be) = a
     (cm, ce), (dm, de) = b
+    if not am and not cm:
+        return _product((-bm, be), (dm, de), prec), _ZERO
     return (
         _sum((am * cm, ae + ce), (-bm * dm, be + de), prec),
         _sum((am * dm, ae + de), (bm * cm, be + ce), prec),

@@ -174,7 +174,7 @@ def _render(out: CommandOutput, ns: argparse.Namespace) -> str:
 
 
 def _csv_cell(cell: str) -> str:
-    if any(c in cell for c in (",", '"', "\n")):
+    if "," in cell or '"' in cell or "\n" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
 

@@ -15,7 +15,7 @@ iterate ``REGISTRY``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Tuple
 
 __all__ = ["DiscrepancyEntry", "REGISTRY", "entry", "as_dicts"]
@@ -269,4 +269,5 @@ def entry(identifier: str) -> DiscrepancyEntry:
 
 def as_dicts() -> Tuple[Dict[str, str], ...]:
     """All entries as plain dictionaries (stable order, for reports)."""
-    return tuple(asdict(e) for e in REGISTRY)
+    names = [f.name for f in fields(DiscrepancyEntry)]
+    return tuple({name: getattr(e, name) for name in names} for e in REGISTRY)

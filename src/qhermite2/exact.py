@@ -436,6 +436,26 @@ def _oscillator_rows(q: Fraction, start: int = 0):
         bn *= b
 
 
+def _spectrum_mismatch(a_pow, b_pow) -> int:
+    """The largest n < len(a_pow) // 2 at which two exact paths to lambda_n
+    disagree, or -1, from a_pow[k] = a^k and b_pow[k] = b^k of q = a/b:
+    the closed form q^-2n [n+1]_q + q^-2(n-1) [n]_q, which is
+    (b^(n+1) (b^(n+1) - a^(n+1)) + a^2 b^n (b^n - a^n)) / (a^2n b (b - a)),
+    and (q/(1-q))(b_{n-1}^2 + b_n^2) with b_{-1}^2 = 0 and
+    b_n^2 = q^-(2n+1) (1 - q^(n+1)) = b^n (b^(n+1) - a^(n+1)) / a^(2n+1),
+    compared cross-multiplied, the common factor 1/(b - a) taken out.
+    """
+    a, b = a_pow[1], b_pow[1]
+    worst, prev_num, prev_den = -1, 0, 1
+    for n in range(len(a_pow) // 2):
+        closed = b_pow[n + 1] * (b_pow[n + 1] - a_pow[n + 1]) + a * a * b_pow[n] * (b_pow[n] - a_pow[n])
+        num, den = b_pow[n] * (b_pow[n + 1] - a_pow[n + 1]), a_pow[2 * n + 1]
+        if closed * prev_den * den != a * (prev_num * den + num * prev_den) * a_pow[2 * n] * b:
+            worst = n
+        prev_num, prev_den = num, den
+    return worst
+
+
 def extremal_bracket_exact(s: int, q: Fraction) -> Fraction:
     """Rescaled bracket [s] = q^{-2(s-1)} (1 - q^s)/(1 - q) = b_{s-1}^2 / b_0^2."""
     if s < 1:

@@ -11,7 +11,8 @@ The diagonals hold integer pairs (:mod:`qhermite2._pairs`): complex
 pairs for P, whose entries are purely imaginary, and real pairs for X,
 a-/a+ and every product or sum whose imaginary part comes out exactly 0.
 Each entry is formed by pair operations, each part of each result the
-exact value rounded once; entries leave as mpc values only at the
+exact value rounded once; real operands go straight to ``_product`` and
+``_sum``.  Entries leave as mpc values only at the
 boundary: :meth:`TruncatedOperator.entry`, ``row`` and ``apply``.  The exact
 diagonals of the identities and the spectrum come from one pass over
 the running integer powers of q (:func:`~qhermite2.exact._oscillator_rows`).
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
+from itertools import islice, repeat
 from typing import Dict, Tuple
 
 from ._pairs import (
@@ -42,8 +43,10 @@ from ._pairs import (
     _negative,
     _operand,
     _plus,
+    _product,
     _rational,
     _size,
+    _sum,
     _times,
 )
 from .context import PrecisionContext
@@ -139,9 +142,14 @@ def _real(a: tuple) -> tuple:
     return a[0] if type(a[0]) is tuple and not a[1][0] else a
 
 
-def _fold(out: list, start: int, terms, prec: int) -> None:
-    """Add the ``terms`` in order to out[start], out[start + 1], ...,
-    an entry still None taking its first term as it is.
+def _is_real(op: TruncatedOperator) -> bool:
+    """Whether every stored entry of op is a real pair."""
+    return all(type(v[0]) is int for band in op.bands.values() for v in band)
+
+
+def _fold(out: list, start: int, terms, prec: int, add=_plus) -> None:
+    """Add (``add``) the ``terms`` in order to out[start], out[start + 1],
+    ..., an entry still None taking its first term as it is.
 
     The terms left out of a banded sum are exact zeros, and adding an
     exact zero to a value already rounded at the working precision is a
@@ -149,7 +157,7 @@ def _fold(out: list, start: int, terms, prec: int) -> None:
     """
     for k, term in enumerate(terms, start):
         acc = out[k]
-        out[k] = term if acc is None else _plus(acc, term, prec)
+        out[k] = term if acc is None else add(acc, term, prec)
 
 
 def _difference(a: tuple, b: tuple, prec: int) -> tuple:
@@ -222,11 +230,12 @@ def mat_mul(a: TruncatedOperator, b: TruncatedOperator, ctx: PrecisionContext) -
 
     Each band d of the product folds in (``_fold``) the overlap of a's
     band da with b's band d - da, in ascending da (ascending k = i + da),
-    in O(dim * bandwidth^2).
+    in O(dim * bandwidth^2); of real sections, by ``_product`` and ``_sum``.
     """
     if a.dim != b.dim:
         raise DomainError("operator dimensions differ")
     dim, prec = a.dim, ctx.mp.prec
+    times, add = (_product, _sum) if _is_real(a) and _is_real(b) else (_times, _plus)
     bands = {}
     for d in sorted({da + db for da in a.bands for db in b.bands}):
         band = [None] * (dim - abs(d))
@@ -236,21 +245,25 @@ def mat_mul(a: TruncatedOperator, b: TruncatedOperator, ctx: PrecisionContext) -
             if d - da in b.bands and lo < hi:
                 x = a.bands[da][lo + min(0, da) : hi + min(0, da)]
                 y = b.bands[d - da][lo + min(da, d) : hi + min(da, d)]
-                _fold(band, lo + min(0, d), (_times(u, v, prec) for u, v in zip(x, y)), prec)
+                _fold(band, lo + min(0, d), map(times, x, y, repeat(prec)), prec, add)
         bands[d] = tuple(_ZERO if v is None else _real(v) for v in band)
     return TruncatedOperator(dim, bands, ctx)
 
 
 def _combine(a: TruncatedOperator, b: TruncatedOperator, op) -> TruncatedOperator:
-    """Entrywise ``op(a, b, prec)`` over the union of the stored offsets."""
+    """Entrywise ``op(a, b, prec)``, op _plus or _difference, over both offset sets."""
     if a.dim != b.dim:
         raise DomainError("operator dimensions differ")
     prec = a.ctx.mp.prec
     bands = {}
     for d in sorted(set(a.bands) | set(b.bands)):
         absent = (_ZERO,) * (a.dim - abs(d))
+        x, y = a.bands.get(d, absent), b.bands.get(d, absent)
+        if op is _difference:
+            y = map(_negative, y)
         bands[d] = tuple(
-            _real(op(x, y, prec)) for x, y in zip(a.bands.get(d, absent), b.bands.get(d, absent))
+            _sum(u, v, prec) if type(u[0]) is int and type(v[0]) is int else _real(_plus(u, v, prec))
+            for u, v in zip(x, y)
         )
     return TruncatedOperator(a.dim, bands, a.ctx)
 
@@ -327,18 +340,16 @@ def _diag_operator(exact_values, ctx: PrecisionContext) -> TruncatedOperator:
     return TruncatedOperator(len(diag), {0: diag}, ctx)
 
 
-def _block_sizes(op: TruncatedOperator, block: int):
-    """(i, j, |entry|) of the stored entries inside the block, band by
-    band; every other block entry is an exact zero."""
-    prec = op.ctx.mp.prec
-    for d, band in op.bands.items():
-        for k, value in enumerate(band[: max(0, block - abs(d))]):
-            yield k + max(0, -d), k + max(0, d), _size(value, prec)
-
-
 def _block_max_abs(op: TruncatedOperator, block: int) -> tuple:
     """The largest |entry| in the block, as a pair: ``max`` of ``abs``."""
-    return reduce(_larger, (size for _, _, size in _block_sizes(op, block)), _ZERO)
+    prec = op.ctx.mp.prec
+    worst = _ZERO
+    for d, band in op.bands.items():
+        for value in band[: max(0, block - abs(d))]:
+            size = _size(value, prec)
+            if _less(worst, size):
+                worst = size
+    return worst
 
 
 def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = ULP_BUDGET) -> AlgebraReport:
@@ -384,18 +395,17 @@ def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = ULP_BUDGET)
     scaled_pm1 = mat_scale(plus_minus, ctx.mpf(1 / ctx.q))
     scaled_pm2 = mat_scale(plus_minus, ctx.mpf(ctx.q**-2))
     inverse, inverse_sq, product, level, _ = zip(*islice(_oscillator_rows(ctx.q), dim))
+    minus_plus_ref = _diag_operator(product, ctx)
+    # a+ a- = diag(q^{-2(n-1)} [n]_q): the a- a+ diagonal shifted by one
+    plus_minus_ref = TruncatedOperator(dim, {0: (_ZERO,) + minus_plus_ref.bands[0][:-1]}, ctx)
     # block maxima of the operands, each operator measured once
     minus_plus_max, plus_minus_max, pm1_max, pm2_max, h_max = (
         _block_max_abs(m, block)
         for m in (minus_plus, plus_minus, scaled_pm1, scaled_pm2, h_direct)
     )
     checks = {
-        "lowering-raising-product": (minus_plus, _diag_operator(product, ctx), minus_plus_max),
-        "raising-lowering-product": (
-            plus_minus,
-            _diag_operator(((0, 1),) + product[:-1], ctx),
-            plus_minus_max,
-        ),
+        "lowering-raising-product": (minus_plus, minus_plus_ref, minus_plus_max),
+        "raising-lowering-product": (plus_minus, plus_minus_ref, plus_minus_max),
         "q-commutator-inverse-q": (
             mat_sub(minus_plus, scaled_pm1),
             _diag_operator(inverse_sq, ctx),
@@ -415,11 +425,21 @@ def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = ULP_BUDGET)
     scales: Dict[str, object] = {}
     for name, (lhs, rhs, operand_max) in checks.items():
         scale = reduce(_larger, (_block_max_abs(rhs, block), operand_max, _ONE))
-        tol = _times(_times((ulp_bound, 0), scale, prec), eps, prec)
-        sizes = list(_block_sizes(mat_sub(lhs, rhs), block))
-        worst = reduce(_larger, (size for _, _, size in sizes), _ZERO)
+        tol = _product(_product((ulp_bound, 0), scale, prec), eps, prec)
+        residual = mat_sub(lhs, rhs)
+        worst = _ZERO  # the residual's block maximum, as _block_max_abs finds it
+        for d, band in residual.bands.items():
+            for value in band[: max(0, block - abs(d))]:
+                size = _size(value, prec)
+                if _less(worst, size):
+                    worst = size
         if _less(tol, worst):  # name the row-major first offender
-            i, j, diff = min(entry for entry in sizes if _less(tol, entry[2]))
+            i, j, diff = min(
+                (k + max(0, -d), k + max(0, d), size)
+                for d, band in residual.bands.items()
+                for k, size in enumerate(_size(v, prec) for v in band[: max(0, block - abs(d))])
+                if _less(tol, size)
+            )
             raise AlgebraViolation(
                 f"{name}: entry ({i},{j}) residual {mp.nstr(_mpf(diff, ctx), 8)} "
                 f"exceeds {ulp_bound} ulp of scale {mp.nstr(_mpf(scale, ctx), 8)} "

@@ -19,7 +19,7 @@ from typing import List, NamedTuple, Optional
 
 from .context import PrecisionContext
 from .errors import AlgebraViolation, DomainError
-from .exact import GaussianRational, Poly, bn_squared_exact, lambda_exact
+from .exact import GaussianRational, Poly, _spectrum_mismatch, bn_squared_exact
 from .extremal import _loading_at, carrier_roots, loadings, orthonormality_gram
 from .qcalculus import (
     HAT_DEPTH,
@@ -244,11 +244,8 @@ def commutators(ctx: PrecisionContext, dim: int = OPERATOR_DIM) -> List[Check]:
             )
         )
 
-    worst_n, b_sq = -1, bn_squared_exact(-1, q)
-    for n in range(0, 9):  # b_{n-1}^2 carried from the step before
-        b_prev_sq, b_sq = b_sq, bn_squared_exact(n, q)
-        if lambda_exact(n, q) != (q / (1 - q)) * (b_prev_sq + b_sq):
-            worst_n = n
+    a, b = q.numerator, q.denominator  # powers up to a^17 reach n = 8
+    worst_n = _spectrum_mismatch([a**k for k in range(18)], [b**k for k in range(18)])
     ok = worst_n < 0
     checks.append(
         Check(

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
-from qhermite2.discrepancies import REGISTRY, as_dicts, entry
+from qhermite2.discrepancies import REGISTRY, DiscrepancyEntry, as_dicts, entry
 
 
 def test_identifiers_unique_and_complete():
@@ -34,6 +36,15 @@ def test_as_dicts_mirrors_registry():
     for d, e in zip(dicts, REGISTRY):
         assert d["identifier"] == e.identifier
         assert set(d) == {"identifier", "topic", "rejected", "resolved", "evidence"}
+
+
+def test_as_dicts_keys_in_field_order():
+    # JSON output writes the keys in this order.
+    names = [f.name for f in fields(DiscrepancyEntry)]
+    assert names == ["identifier", "topic", "rejected", "resolved", "evidence"]
+    for d, e in zip(as_dicts(), REGISTRY):
+        assert list(d) == names
+        assert list(d.values()) == [getattr(e, name) for name in names]
 
 
 def test_bracket_arithmetic_entry_matches_code():

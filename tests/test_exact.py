@@ -15,6 +15,7 @@ from qhermite2.exact import (
     GaussianRational,
     Poly,
     _oscillator_rows,
+    _spectrum_mismatch,
     bn_squared_exact,
     extremal_bracket_exact,
     lambda_exact,
@@ -365,6 +366,35 @@ class TestClosedForms:
             assert list(islice(_oscillator_rows(q, start), 20)) == list(
                 islice(_oscillator_rows(q), start, start + 20)
             )
+
+    @pytest.mark.parametrize(
+        "q",
+        [Fraction(1, 64), Fraction(7, 1024), Fraction(2, 17), HALF, Fraction(63, 64), Fraction(999, 1000)],
+        ids=str,
+    )
+    def test_spectrum_mismatch_agrees_with_fractions(self, q):
+        # The two paths of lambda_n as Fractions, and as cross-multiplied
+        # integers over tables of every length up to n = 8.
+        for n in range(9):
+            paths = (q / (1 - q)) * (bn_squared_exact(n - 1, q) + bn_squared_exact(n, q))
+            assert lambda_exact(n, q) == paths, n
+            a_pow, b_pow = ([p**k for k in range(2 * n + 2)] for p in (q.numerator, q.denominator))
+            assert _spectrum_mismatch(a_pow, b_pow) == -1, n
+
+    @pytest.mark.parametrize("q", [Fraction(7, 1024), Fraction(2, 17), Fraction(63, 64)], ids=str)
+    def test_spectrum_mismatch_names_a_power_one_exponent_off(self, q):
+        # a^k with k = 2n or 2n + 1 enters only one path at that n, and
+        # b^(n+1) enters the closed form's first term, so a wrong power
+        # shows at the last n that reads it.
+        a, b = q.numerator, q.denominator
+        a_pow, b_pow = [a**k for k in range(18)], [b**k for k in range(18)]
+        assert _spectrum_mismatch(a_pow, b_pow) == -1
+        for k in range(3, 18):
+            wrong = a_pow[:k] + [a ** (k + 1)] + a_pow[k + 1 :]
+            assert _spectrum_mismatch(wrong, b_pow) == min((k + 1) // 2, 8), k
+        for k in range(2, 10):
+            wrong = b_pow[:k] + [b ** (k + 1)] + b_pow[k + 1 :]
+            assert _spectrum_mismatch(a_pow, wrong) == min(k + 1, 8), k
 
     def test_moment_closed_form(self):
         assert moment_In_exact(0, HALF) == 1

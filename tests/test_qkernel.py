@@ -705,7 +705,9 @@ def _assert_complex_ops(a, b, prec):
 def _complex_operands(draw):
     """prec and two complex values whose parts have up to prec bits, or
     up to 2 prec bits in a wide draw; about half of the parts have
-    exactly that many, each random (:func:`_mantissas`)."""
+    exactly that many, each random (:func:`_mantissas`), and about half
+    of the real parts are exact zeros, so that two imaginary values
+    meet in about a quarter of the draws."""
     prec = draw(st.integers(64, 512))
     wide = draw(st.booleans())
 
@@ -715,7 +717,10 @@ def _complex_operands(draw):
         man = draw(_mantissas(bits, full)) * draw(st.sampled_from((1, -1)))
         return man, draw(st.integers(-3 * prec, 3 * prec))
 
-    return prec, (part(), part()), (part(), part())
+    def real_part():
+        return (0, draw(st.integers(-3 * prec, 3 * prec))) if draw(st.booleans()) else part()
+
+    return prec, (real_part(), part()), (real_part(), part())
 
 
 class TestComplexPairs:
@@ -734,11 +739,17 @@ class TestComplexPairs:
     def test_forced_cases(self, prec, sign):
         top = 1 << (prec - 1)
         one = (top | 5, 3)
+        wide = (1 << (2 * prec - 1)) | (1 << (2 * prec - 1)) // 3  # 2 prec bits, 1010...
         cases = [
             # Zero parts: a real or an imaginary value, and zero.
             ((one, (0, 0)), ((top | 3, -2), (0, 9))),
             (((0, 4), one), ((0, 0), (top | 3, -2))),
             ((one, (top | 9, 1)), ((0, 0), (0, 0))),
+            # Two imaginary values with 2 prec-bit parts, of either sign.
+            (((0, 4), (wide | 1, -prec)), ((0, -9), (wide + 7, 2))),
+            (((0, 0), (-(wide | 3), 5)), ((0, 0), (wide + 11, -3 * prec))),
+            (((0, 7), (wide + 5, 0)), ((0, 1), (-(wide | 9), prec))),
+            (((0, -2), (-(wide + 13), -1)), ((0, 0), (-(wide | 5), 1))),
             # Parts far apart, with a short larger part and a long one.
             ((one, (7, -200)), ((top | 3, 0), (-5, -300))),
             ((((top << prec) | 9, 400), (7, 0)), ((top | 3, 0), (-(top | 1), -150))),

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from correctly_rounded import mul
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qhermite2 import PrecisionContext, qoscillator
@@ -176,15 +177,15 @@ def _dense_ladder(X, P, ctx):
     return lowering, raising
 
 
-def _dense_mul(a, b):
+def _dense_mul(a, b, times=operator.mul):
     """Dense product, each entry summed over ascending k from k = 0."""
     n = len(a)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            acc = a[i][0] * b[0][j]
+            acc = times(a[i][0], b[0][j])
             for k in range(1, n):
-                acc = acc + a[i][k] * b[k][j]
+                acc = acc + times(a[i][k], b[k][j])
             out[i][j] = acc
     return out
 
@@ -393,6 +394,53 @@ class TestRealBands:
         )
         _assert_matches_dense(mat_mul(X, P, ctx), _dense_mul(_dense(X), _dense(P)))
         _assert_matches_dense(mat_mul(P, X, ctx), _dense_mul(_dense(P), _dense(X)))
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_real_and_mixed_bands_match_dense(self, bits):
+        # Real sections take the real-pair paths of _combine, mat_sub,
+        # mat_scale and mat_mul; bands mixing real and complex entries
+        # the general ones.  Each is the dense result, rounded once a part.
+        ctx = PrecisionContext(q=Fraction(3, 7), precision_bits=bits)
+        mp = ctx.mp
+        rnd = random.Random(bits)
+        dim = 7
+        sections = [
+            _synthetic(dim, ctx, rnd, (-1, 0, 2), 1 / 2),
+            _synthetic(dim, ctx, rnd, (-2, 0, 1), 1 / 2),
+            _synthetic(dim, ctx, rnd, (-1, 0, 1), 0),
+            _synthetic(dim, ctx, rnd, (0, 2), 0),
+        ]
+        assert sum(map(_is_real_pair, [v for op in sections[:2] for b in op.bands.values() for v in b])) > 5
+        for a in sections:
+            dense_a = _dense(a)
+            for b in sections:
+                dense_b = _dense(b)
+                _assert_matches_dense(_combine(a, b, _plus), _dense_entrywise(operator.add, dense_a, dense_b))
+                _assert_matches_dense(mat_sub(a, b), _dense_entrywise(operator.sub, dense_a, dense_b))
+                _assert_matches_dense(mat_mul(a, b, ctx), _dense_mul(dense_a, dense_b, mul))
+            for s in (ctx.mpf(3) / 7, -5, mp.mpc(ctx.mpf(1) / 3, -ctx.mpf(2) / 5), mp.mpc(0, ctx.mpf(2) / 3)):
+                _assert_matches_dense(mat_scale(a, s), [[mul(s, x) for x in row] for row in dense_a])
+
+
+def _synthetic(dim, ctx, rnd, offsets, complex_share):
+    """A section with random entries of at most prec bits on ``offsets``,
+    each complex (a nonzero imaginary part, the real part 0 in a third of
+    them) with probability ``complex_share``, else real; exponents spread
+    so that some addends lie far below others."""
+    prec = ctx.mp.prec
+
+    def part():
+        man = rnd.getrandbits(prec) | 1 << (prec - 1) if rnd.random() < 0.8 else rnd.getrandbits(9)
+        return rnd.choice((1, -1)) * man, rnd.choice((-prec, -prec - 3, -prec + 5, -3 * prec))
+
+    def value():
+        if rnd.random() >= complex_share:
+            return part()
+        re = (0, rnd.randint(-9, 9)) if rnd.random() < 1 / 3 else part()
+        im = part()
+        return re, (im[0] or 1, im[1])
+
+    return TruncatedOperator(dim, {d: tuple(value() for _ in range(dim - abs(d))) for d in offsets}, ctx)
 
 
 class TestResidualScan:
