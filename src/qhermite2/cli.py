@@ -271,7 +271,7 @@ def _cmd_table(ns, ctx: PrecisionContext) -> CommandOutput:
     if ns.what == "spectrum":
         columns = ("n", "lambda_n")
         levels = islice(_oscillator_rows(ctx.q), ns.n_max + 1)
-        for n, (_, _, _, level, _) in enumerate(levels):
+        for n, (_, _, _, level) in enumerate(levels):
             rows.append([str(n), _fmt(ctx, Fraction(*level))])
     elif ns.what == "bn":
         columns = ("n", "b_n")

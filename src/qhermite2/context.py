@@ -133,7 +133,7 @@ class PrecisionContext:
           :mod:`qhermite2.extremal` with the exact ratio of the last.
 
         Exact: ``"nested_sum"`` (the extremal alpha and beta sums) and
-        ``"htilde"`` (the polynomials of
+        ``"htilde"`` (the integer-form Polys of
         :func:`~qhermite2.qhermite.hermite2_coeffs`).  A stored value is
         never changed; containers only grow.  Not part of equality or
         hashing.

@@ -116,7 +116,7 @@ from .errors import (
     DomainError,
     NoConvergenceError,
 )
-from .exact import _oscillator_rows, bn_squared_exact, extremal_bracket_exact
+from .exact import _bn_squared_rows, bn_squared_exact, extremal_bracket_exact
 from .qhermite import _psi_stream, _recurrence, psi_sequence
 from .qkernel import _STREAK, Decay, b_coeff, b_table
 
@@ -288,7 +288,7 @@ def _carrier_coefficients(count: int, ctx: PrecisionContext) -> tuple:
     lives in ``ctx.tables`` under that precision with the exact ratio of
     its last entry, so growing it extends that ratio instead of
     rebuilding the prefix; step j multiplies it by [2j-2]/[2j-1] =
-    b_{2j-3}^2/b_{2j-2}^2, from :func:`~qhermite2.exact._oscillator_rows`.
+    b_{2j-3}^2/b_{2j-2}^2, from :func:`~qhermite2.exact._bn_squared_rows`.
     Each entry is sqrt(ctx.mpf(ratio)), formed on integer pairs as
     ``b_table`` forms the b_n; ``ctx.mpf`` rounds the numerator and then
     the quotient, so twice when the denominator is not a power of two.
@@ -298,7 +298,7 @@ def _carrier_coefficients(count: int, ctx: PrecisionContext) -> tuple:
     if len(coeffs) < count:
         prec = ctx.mp.prec
         grown = list(coeffs)
-        rows = (row[4] for row in _oscillator_rows(ctx.q, max(2 * len(coeffs) - 1, 1)))
+        rows = _bn_squared_rows(ctx.q, max(2 * len(coeffs) - 1, 1))
         for j in range(len(coeffs) + 1, count + 1):
             if j > 1:  # [1] = 1
                 (n1, d1), (n2, d2) = next(rows), next(rows)

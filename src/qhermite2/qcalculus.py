@@ -63,9 +63,8 @@ from .errors import DomainError, NoConvergenceError
 from .exact import (
     GaussianRational,
     Poly,
-    bn_squared_exact,
+    _over_x,
     jackson_monomial_exact,
-    qbracket,
 )
 from .qkernel import Decay, q_power_raw
 
@@ -528,21 +527,21 @@ def ibp_residual(
 
 
 def q_derivative_poly(p: Poly, q: Fraction) -> Poly:
-    """Exact q-derivative of a polynomial: x^k -> [k]_q x^{k-1}."""
-    out = [
-        p.coefficient(k) * qbracket(k, q)
-        for k in range(1, p.degree + 1)
-    ]
-    return Poly(out)
+    """Exact q-derivative of a polynomial: x^k -> [k]_q x^{k-1}, formed
+    as (p(qx) - p(x)) / ((q - 1) x)."""
+    if p.degree < 1:
+        return Poly.zero()
+    q = as_fraction(q)
+    return _over_x(p.scale_argument(q) - p).scale(1 / (q - 1))
 
 
 def deformed_derivative_poly(p: Poly, q: Fraction) -> Poly:
-    """Exact deformed derivative: x^k -> b_{k-1}^2 x^{k-1}."""
-    out = [
-        p.coefficient(k) * bn_squared_exact(k - 1, q)
-        for k in range(1, p.degree + 1)
-    ]
-    return Poly(out)
+    """Exact deformed derivative: x^k -> b_{k-1}^2 x^{k-1}, formed as
+    q (p(q^{-2} x) - p(q^{-1} x)) / x, since b_{k-1}^2 = q^{1-2k} - q^{1-k}."""
+    if p.degree < 1:
+        return Poly.zero()
+    q = as_fraction(q)
+    return _over_x(p.scale_argument(1 / (q * q)) - p.scale_argument(1 / q)).scale(q)
 
 
 def jackson_integral_poly(p: Poly, x: Fraction, q: Fraction) -> GaussianRational:

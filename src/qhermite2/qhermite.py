@@ -51,11 +51,10 @@ __all__ = [
 def hermite2_coeffs(n: int, ctx: PrecisionContext) -> Poly:
     """Exact monic coefficient sequence of htilde_n for ctx.q.
 
-    Built by the three-term recurrence with exact rational arithmetic;
-    the result is monic and has the parity of n (odd/even powers only).
-    Coefficients never overflow: they are Fractions.  The list
-    [htilde_0, htilde_1, ...] lives in ``ctx.tables["htilde"]`` and
-    grows on demand.
+    Built by the three-term recurrence in :class:`Poly` arithmetic on
+    integers: x htilde_m minus htilde_{m-1} scaled by b_{m-1}^2.  The
+    result is monic and has the parity of n (odd/even powers only).  The
+    list [htilde_0, ...] lives in ``ctx.tables["htilde"]``, grown on demand.
     """
     if n < 0:
         raise DomainError(f"polynomial degree must be >= 0, got {n}")

@@ -85,7 +85,7 @@ from .errors import (
     FormalSeriesError,
     NoConvergenceError,
 )
-from .exact import _oscillator_rows
+from .exact import _bn_squared_rows
 
 __all__ = [
     "HypergeometricSpec",
@@ -356,22 +356,22 @@ def b_table(count: int, ctx: PrecisionContext) -> tuple:
     """(b_0, b_1, ...) for this context, at least ``count`` entries long.
 
     Each b_n is sqrt of the exact b_n^2 rounded as :func:`b_coeff`
-    says; the b_n^2 come from the running integer powers of
-    :func:`~qhermite2.exact._oscillator_rows`, and the roundings and the
+    says; the b_n^2 come in one pass from the running integer powers of
+    :func:`~qhermite2.exact._bn_squared_rows`, and the roundings and the
     root are formed on integer pairs, as ``ctx.mpf`` and ``mp.sqrt``
     round them.  The tuple lives in ``ctx.tables`` under that precision,
     so it goes with its context, and grows to exactly the count asked,
     since each entry costs an exact rational of growing size; streaming
     readers ask for blocks, and others once for all they read: each
-    growth restarts the rows from the powers of q.
+    growth starts the b_n^2 from a^n and b^n of q = a/b at its first new n.
     Recurrences index it directly.
     """
     key = ("b", ctx.mp.prec)
     table = ctx.tables.get(key, ())
     if len(table) < count:
         prec = ctx.mp.prec
-        rows = islice(_oscillator_rows(ctx.q, len(table)), count - len(table))
-        table += tuple(_mpf(_root(_rational(*row[4], prec), prec), ctx) for row in rows)
+        rows = islice(_bn_squared_rows(ctx.q, len(table)), count - len(table))
+        table += tuple(_mpf(_root(_rational(num, den, prec), prec), ctx) for num, den in rows)
         ctx.tables[key] = table
     return table
 

@@ -302,7 +302,7 @@ def spectrum(n_max: int, ctx: PrecisionContext) -> SpectrumTable:
     prec = ctx.mp.prec
     levels = []
     prev = None
-    for n, (_, _, _, level, _) in enumerate(islice(_oscillator_rows(ctx.q), n_max + 1)):
+    for n, (_, _, _, level) in enumerate(islice(_oscillator_rows(ctx.q), n_max + 1)):
         lam = _mpf(_rational(*level, prec), ctx)
         if prev is not None and not lam > prev:
             raise AlgebraViolation(
@@ -394,7 +394,7 @@ def verify_algebra(dim: int, ctx: PrecisionContext, ulp_bound: int = ULP_BUDGET)
     )
     scaled_pm1 = mat_scale(plus_minus, ctx.mpf(1 / ctx.q))
     scaled_pm2 = mat_scale(plus_minus, ctx.mpf(ctx.q**-2))
-    inverse, inverse_sq, product, level, _ = zip(*islice(_oscillator_rows(ctx.q), dim))
+    inverse, inverse_sq, product, level = zip(*islice(_oscillator_rows(ctx.q), dim))
     minus_plus_ref = _diag_operator(product, ctx)
     # a+ a- = diag(q^{-2(n-1)} [n]_q): the a- a+ diagonal shifted by one
     plus_minus_ref = TruncatedOperator(dim, {0: (_ZERO,) + minus_plus_ref.bands[0][:-1]}, ctx)

@@ -91,17 +91,17 @@ class TestTable:
 
     def test_bn_table_built_in_one_pass(self, capsys, monkeypatch):
         # One read of the b_n table, not one b_coeff call per row, each
-        # of which restarted the exact rows from the powers of q.
+        # of which restarted the exact b_n^2 from the powers of q.
         from qhermite2 import qkernel
 
         starts = []
-        rows = qkernel._oscillator_rows
+        rows = qkernel._bn_squared_rows
 
         def spy(q, start=0):
             starts.append(start)
             return rows(q, start)
 
-        monkeypatch.setattr(qkernel, "_oscillator_rows", spy)
+        monkeypatch.setattr(qkernel, "_bn_squared_rows", spy)
         code, out, _ = run_cli(capsys, ["table", "--what=bn", "--q=1/3", "--n-max=60"])
         assert code == 0
         assert len(out.splitlines()) == 62

@@ -14,6 +14,7 @@ from qhermite2.errors import DomainError
 from qhermite2.exact import (
     GaussianRational,
     Poly,
+    _bn_squared_rows,
     _oscillator_rows,
     _spectrum_mismatch,
     bn_squared_exact,
@@ -22,6 +23,7 @@ from qhermite2.exact import (
     moment_In_exact,
     qbracket,
     qfactorial_exact,
+    qpochhammer_exact,
     rho_factorial_exact,
 )
 from qhermite2.qhermite import hermite2_coeffs
@@ -91,6 +93,26 @@ class TestPoly:
             1, abs(ctx.mpf(exact.re))
         )
 
+    def test_canonical_form(self):
+        # One polynomial from unreduced Fractions, from ints and from
+        # GaussianRationals, and from operations whose denominators
+        # cancel: equal, with equal hashes and equal strings.
+        built = (
+            Poly((Fraction(4, 2), Fraction(0, 5), Fraction(-9, 3), Fraction(0, 7))),
+            Poly((2, 0, -3)),
+            Poly((GaussianRational(Fraction(2)), GaussianRational.ZERO, GaussianRational(Fraction(-3)))),
+            Poly((Fraction(2, 3), 0, -1)).scale(3),
+            Poly((Fraction(1, 6), 0, Fraction(-1, 4))) * Poly((12,)),
+            Poly((2, GaussianRational(Fraction(1, 3), Fraction(-1, 3)), -3))
+            - Poly((0, GaussianRational(Fraction(1, 3), Fraction(-1, 3)))),
+        )
+        for p in built:
+            assert p == built[0] and hash(p) == hash(built[0]) and str(p) == str(built[0]) == "2 + -3*x^2"
+        assert (Poly((Fraction(1, 3),)) * Poly((3,)), Poly.zero() * Poly((5,))) == (Poly.one(), Poly(()))
+        complex_poly = Poly((GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(0), Fraction(2, 2))))
+        assert Poly((Fraction(5, 10), GaussianRational.I)) == complex_poly
+        assert hash(Poly((Fraction(5, 10), GaussianRational.I))) == hash(complex_poly)
+
     def test_imaginary_shift_is_exact_composition(self):
         p = Poly((0, 0, 1))
         shifted = p.shift(GaussianRational.I)
@@ -107,6 +129,17 @@ _parts = st.one_of(
     st.fractions(min_value=-50, max_value=50, max_denominator=40),
 )
 _gaussians = st.tuples(_parts, _parts)
+
+
+# Coefficients over one large shared denominator, with exactly-zero parts.
+@st.composite
+def _shared_gaussians(draw):
+    den = draw(st.sampled_from((3**40, 2**70 * 5**9, 47**19, 10**30 + 7)))
+    part = st.one_of(st.just(0), st.integers(-(10**45), 10**45))
+    return [(Fraction(draw(part), den), Fraction(draw(part), den)) for _ in range(draw(st.integers(0, 7)))]
+
+
+_coefficient_lists = st.one_of(st.lists(_gaussians, max_size=7), _shared_gaussians())
 
 
 def _t_mul(a, b):
@@ -157,12 +190,8 @@ class TestGaussianFastPaths:
         _assert_is(b[0] + x, _t_add(a, (b[0], Fraction(0))))
         _assert_is(3 - x, _t_add((Fraction(3), Fraction(0)), (-a[0], -a[1])))
 
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.lists(_gaussians, max_size=7),
-        st.lists(_gaussians, max_size=7),
-        _gaussians,
-    )
+    @settings(max_examples=120, deadline=None)
+    @given(_coefficient_lists, _coefficient_lists, _gaussians)
     def test_poly_operations_match_naive(self, a, b, c):
         p, r = Poly([GaussianRational(*t) for t in a]), Poly([GaussianRational(*t) for t in b])
         zero = (Fraction(0), Fraction(0))
@@ -175,6 +204,14 @@ class TestGaussianFastPaths:
             for j, v in enumerate(b):
                 product[i + j] = _t_add(product[i + j], _t_mul(u, v))
         assert p * r == poly(product)
+        size = max(len(a), len(b))
+        pad = [zero] * size
+        assert p + r == poly([_t_add(u, v) for u, v in zip(a + pad, b + pad)][:size])
+        assert p - r == poly([_t_add(u, (-v[0], -v[1])) for u, v in zip(a + pad, b + pad)][:size])
+        value = zero
+        for u in reversed(a):
+            value = _t_add(_t_mul(value, c), u)
+        _assert_is(p(GaussianRational(*c)), value)
         shifted = [zero] * len(a)
         for k, u in enumerate(a):
             for j in range(k + 1):
@@ -241,15 +278,23 @@ def _raw(value):
 class TestMpEvaluatorBitwise:
     """``Poly.mp_evaluator`` equals the object-level Horner bit for bit."""
 
+    # h~_15 at q = 38/47 and its shift by a Gaussian rational have
+    # numerators and denominators far wider than 64 or 256 bits.
+    WIDE = hermite2_coeffs(15, PrecisionContext(q=Fraction(38, 47)))
     POLYS = (
         Poly.zero(),
         Poly((Fraction(7, 3),)),
         Poly((Fraction(1, 3), 0, Fraction(-2, 7), 5, Fraction(-11, 13))),
         Poly((GaussianRational(Fraction(1, 5), Fraction(-3)), Fraction(2, 9), GaussianRational.I)),
+        WIDE,
+        WIDE.shift(GaussianRational(Fraction(1, 3), Fraction(-2, 7))),
     )
 
     @pytest.mark.parametrize("bits", [64, 256])
     def test_points_of_every_kind(self, bits):
+        parts = [f for c in self.WIDE.coeffs for f in (c.re, c.im)]
+        assert max(abs(f.numerator).bit_length() for f in parts) > 256
+        assert max(f.denominator.bit_length() for f in parts) > 64
         ctx = PrecisionContext(q=Q3, precision_bits=bits)
         points = (
             3,
@@ -345,18 +390,23 @@ class TestClosedForms:
         ids=str,
     )
     def test_running_rows_equal_closed_forms(self, q):
-        # One pass over a^n, b^n gives the Fractions of the closed forms,
-        # each (numerator, denominator) already in lowest terms: the
-        # rounding of a Fraction reads its reduced numerator.
-        for n, row in enumerate(islice(_oscillator_rows(q), 201)):
+        # One pass over a^n, b^n gives the Fractions of the definitions in
+        # powers of q, each (numerator, denominator) already in lowest
+        # terms: the rounding of a Fraction reads its reduced numerator.
+        bracket = Fraction(0)  # [n]_q = 1 + q + ... + q^(n-1)
+        rows = zip(islice(_oscillator_rows(q), 201), _bn_squared_rows(q))
+        for n, (row, bn_squared) in enumerate(rows):
+            below = q ** (-2 * (n - 1)) * bracket
+            bracket += q**n
             want = (
                 q**-n,
                 q ** (-2 * n),
-                q ** (-2 * n) * qbracket(n + 1, q),
-                lambda_exact(n, q),
-                bn_squared_exact(n, q),
+                q ** (-2 * n) * bracket,
+                q ** (-2 * n) * bracket + below,
+                q ** -(2 * n + 1) * (1 - q ** (n + 1)),
             )
-            for (num, den), value in zip(row, want):
+            assert len(row) == 4
+            for (num, den), value in zip(row + (bn_squared,), want):
                 assert den > 0 and gcd(num, den) == 1, (n, num, den)
                 assert Fraction(num, den) == value, n
 
@@ -365,6 +415,9 @@ class TestClosedForms:
         for q in (Q3, Fraction(37, 64)):
             assert list(islice(_oscillator_rows(q, start), 20)) == list(
                 islice(_oscillator_rows(q), start, start + 20)
+            )
+            assert list(islice(_bn_squared_rows(q, start), 20)) == list(
+                islice(_bn_squared_rows(q), start, start + 20)
             )
 
     @pytest.mark.parametrize(
@@ -395,6 +448,38 @@ class TestClosedForms:
         for k in range(2, 10):
             wrong = b_pow[:k] + [b ** (k + 1)] + b_pow[k + 1 :]
             assert _spectrum_mismatch(a_pow, wrong) == min(k + 1, 8), k
+
+    @pytest.mark.parametrize(
+        "q",
+        [Fraction(1, 64), Fraction(2, 17), HALF, Fraction(26, 27), Fraction(999, 1000)],
+        ids=str,
+    )
+    def test_integer_closed_forms_equal_product_definitions(self, q):
+        # The closed forms of integer powers give the Fractions of the
+        # products and powers of q that define them.
+        def same(got, want):
+            assert type(got) is Fraction and (got.numerator, got.denominator) == (
+                want.numerator,
+                want.denominator,
+            )
+
+        def bracket(n):
+            return sum((q**k for k in range(n)), Fraction(0))
+
+        poch = Fraction(1)  # (q; q)_n
+        for n in range(25):
+            same(qbracket(n, q), bracket(n))
+            same(qfactorial_exact(n, q), poch)
+            for a in (q, Fraction(-3, 7), Fraction(5, 2), Fraction(0), Fraction(4)):
+                want = Fraction(1)
+                for j in range(n):
+                    want *= 1 - a * q**j
+                same(qpochhammer_exact(a, q, n), want)
+            same(moment_In_exact(n, q), q ** -(n * n) * poch)
+            same(rho_factorial_exact(n, q), (q / (1 - q)) ** n * q ** -(n * n) * poch)
+            same(bn_squared_exact(n, q), q ** -(2 * n + 1) * (1 - q ** (n + 1)))
+            same(lambda_exact(n, q), q ** (-2 * n) * bracket(n + 1) + q ** (-2 * (n - 1)) * bracket(n))
+            poch *= 1 - q ** (n + 1)
 
     def test_moment_closed_form(self):
         assert moment_In_exact(0, HALF) == 1

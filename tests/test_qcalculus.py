@@ -60,6 +60,14 @@ class TestExactDerivatives:
         assert deformed_derivative_poly(Poly((gr(7),)), q).is_zero()
         assert q_derivative_poly(Poly((gr(7),)), q).is_zero()
 
+    @pytest.mark.parametrize("q", [Fraction(0), Fraction(1), Fraction(4, 5)], ids=str)
+    def test_constants_annihilated_at_any_q(self, q):
+        # A constant has no x^k, k >= 1, to differentiate: the result is 0
+        # without q entering, also where [k]_q or b_k^2 is undefined.
+        for p in (Poly.zero(), Poly((gr(7),)), Poly((GaussianRational(Fraction(2, 3), Fraction(-1, 5)),))):
+            assert q_derivative_poly(p, q) == Poly.zero()
+            assert deformed_derivative_poly(p, q) == Poly.zero()
+
     def test_numeric_matches_exact(self, all_ctx):
         for ctx in all_ctx:
             q = ctx.q

@@ -41,6 +41,7 @@ from qhermite2._pairs import (
     _power,
     _product,
     _quotient,
+    _rational,
     _root,
     _size,
     _sum,
@@ -54,6 +55,7 @@ from qhermite2.qkernel import (
     HypergeometricSpec,
     _is_complexy,
     b_coeff,
+    b_table,
     gen_exponential,
     phi_rs,
     q_number,
@@ -125,6 +127,24 @@ class TestBCoeff:
     def test_domain(self, ctx_half):
         with pytest.raises(DomainError):
             b_coeff(-2, ctx_half)
+
+    @pytest.mark.parametrize("bits", [64, 128, 256, 512])
+    @pytest.mark.parametrize(
+        "q",
+        [Fraction(1, 64), Fraction(2, 17), Fraction(1, 2), Fraction(38, 47), Fraction(63, 64), Fraction(999, 1000)],
+        ids=str,
+    )
+    def test_table_grown_in_steps_is_root_of_rounded_rows(self, q, bits):
+        # Grown in steps, the table holds the root of each b_n^2 =
+        # q^-(2n+1) (1 - q^(n+1)) with its numerator and quotient rounded first.
+        ctx = PrecisionContext(q=q, precision_bits=bits)
+        prec = ctx.mp.prec
+        squares = (q ** -(2 * n + 1) * (1 - q ** (n + 1)) for n in range(300))
+        want = [from_man_exp(*_root(_rational(b2.numerator, b2.denominator, prec), prec)) for b2 in squares]
+        for count in (1, 7, 40, 61, 300):
+            table = b_table(count, ctx)
+            assert len(table) == count
+            assert [v._mpf_ for v in table] == want[:count], count
 
 
 class TestRhoFactorial:
