@@ -126,7 +126,7 @@ class PrecisionContext:
         - ``("squarings", prec)``: its chain q, q^2, q^4, ... of the
           q of that precision, each square truncated to prec + 64 bits;
         - ``("1-q^(n+1)", prec)``: the list 1 - q^(n+1), n = 0, 1, ...,
-          read by ``gen_exponential``, ``phi_rs`` and the formal series;
+          read by ``gen_exponential`` and the formal series;
         - ``("b", prec)``: the tuple b_0, b_1, ... of
           :func:`~qhermite2.qkernel.b_table`;
         - ``("carrier", prec)``: the carrier coefficients S_{2j-1}(0) of

@@ -66,7 +66,7 @@ from .exact import (
     _over_x,
     jackson_monomial_exact,
 )
-from .qkernel import Decay, q_power_raw
+from .qkernel import Decay, q_power_raw, q_power_run
 
 __all__ = [
     "LatticeFunction",
@@ -208,6 +208,31 @@ def deformed_derivative(f: Evaluatable, x, ctx: PrecisionContext):
     return _mp(_dhat(_on_pairs(f, ctx), ctx)(_as_pair(xv)), ctx)
 
 
+class _Monitored:
+    """One running sum under the stop rule of :func:`_monitored_sum`:
+    ``add`` takes the next term, a pair value, and says whether the sum
+    has settled.  ``last`` is the size of the latest term."""
+
+    __slots__ = ("total", "last", "decay")
+
+    def __init__(self, ctx: PrecisionContext) -> None:
+        self.total, self.last, self.decay = _ZERO, None, Decay(ctx)
+
+    def add(self, term: tuple) -> bool:
+        prec, total = self.decay.prec, self.total
+        if type(term[0]) is int and type(total[0]) is int:
+            self.total = total = _sum(total, term, prec)
+            mag = abs(term[0]), term[1]
+        else:
+            self.total = total = _plus(total, term, prec)
+            mag = _size(term, prec)
+        last, self.last = self.last, mag
+        if last is not None and _less(last, mag):
+            self.decay.streak = 0
+            return False
+        return self.decay.settled(mag, _size(total, prec))
+
+
 def _monitored_sum(terms, ctx: PrecisionContext, what: str):
     """Ascending-k summation with a monitored stopping rule.
 
@@ -220,25 +245,49 @@ def _monitored_sum(terms, ctx: PrecisionContext, what: str):
     pass, is converted; after a NaN term the sum never settles), and the
     sum is returned as an mpf or mpc.
     """
-    prec = ctx.mp.prec
-    total, decay, prev, nan = _ZERO, Decay(ctx), None, False
+    total, nan = _Monitored(ctx), False
     for term in islice(terms, ctx.max_terms):
         if type(term) is not tuple:
             if term != term:
                 nan = True
                 continue
             term = _operand(term, ctx)
-        total = _plus(total, term, prec)
-        mag = _size(term, prec)
-        if prev is not None and _less(prev, mag):
-            decay.streak = 0
-        elif decay.settled(mag, _size(total, prec)) and not nan:
-            return _mp(total, ctx)
-        prev = mag
-    raise NoConvergenceError(
-        f"{what}: lattice terms still {ctx.mp.nan if nan else _mp(mag, ctx)} "
-        f"after {ctx.max_terms} terms"
-    )
+        if total.add(term) and not nan:
+            return _mp(total.total, ctx)
+    raise _budget_error(ctx.mp.nan if nan else _mp(total.last, ctx), what, ctx)
+
+
+def _budget_error(last, what: str, ctx: PrecisionContext) -> NoConvergenceError:
+    return NoConvergenceError(f"{what}: lattice terms still {last} after {ctx.max_terms} terms")
+
+
+# Values :func:`_recent` keeps per integrand: a walk step reads an
+# integrand at no more than six points (ip3: q^m and the two points of
+# (d-hat u)(q^m) on each of its two branches; ip1 and ip2: four), and a
+# shifted point repeats a point of its own step or of the two before it.
+_WINDOW = 18
+
+
+def _recent(value):
+    """The lattice function ``value``, called once per distinct point
+    value among the last :data:`_WINDOW` points it was called at: a
+    point that equals one of those as a value, whatever its pair
+    representation (``q_power_run`` mantissas keep trailing zero bits),
+    gets the value already formed.  The oldest point is dropped first."""
+    memo = {}
+
+    def at(t: tuple):
+        man, exp = t
+        low = (man & -man).bit_length() - 1 if man else 0
+        key = man >> low, exp + low
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = value(t)
+            if len(memo) > _WINDOW:
+                del memo[next(iter(memo))]
+        return found
+
+    return at
 
 
 def _walk(value, x: tuple, qj: tuple, step, ctx: PrecisionContext):
@@ -314,7 +363,6 @@ def _hat_sum(term: Callable[[int], tuple], K: int, ctx: PrecisionContext, what: 
     if K < 1:
         raise DomainError(f"K must be >= 1, got {K}")
     prec = ctx.mp.prec
-    tol = _as_pair(ctx.mpf(ctx.series_tol))
     total = max_grow = max_shrink = _ZERO
     recent = []  # growing-branch magnitudes of the last three steps
     for k in range(K + 1):
@@ -325,6 +373,15 @@ def _hat_sum(term: Callable[[int], tuple], K: int, ctx: PrecisionContext, what: 
         max_grow = _larger(max_grow, grow)
         max_shrink = _larger(max_shrink, _size(t_shrink, prec))
         recent = recent[-2:] + [grow]
+    _hat_check(total, recent, K, ctx, what)
+    return total, max_grow, max_shrink
+
+
+def _hat_check(total: tuple, recent: list, K: int, ctx: PrecisionContext, what: str) -> None:
+    """The growing-branch check of :func:`_hat_sum` on a hat sum's total
+    and the sizes of its last two or three growing terms."""
+    prec = ctx.mp.prec
+    tol = _as_pair(ctx.mpf(ctx.series_tol))
     *before, last = recent  # K >= 1, so one or two terms come before
     bound = _product(tol, _larger(_size(total, prec), tol), prec)
     if _less(bound, last) and not _less(last, reduce(_larger, before)):
@@ -332,7 +389,6 @@ def _hat_sum(term: Callable[[int], tuple], K: int, ctx: PrecisionContext, what: 
             f"{what}: growing-abscissa branch not decaying "
             f"at K={K} (last term {ctx.mp.nstr(_mp(last, ctx), 8)})"
         )
-    return total, max_grow, max_shrink
 
 
 def hat_q_integral(
@@ -380,12 +436,7 @@ def hat_q_integral(
 
 def hat_q_integral_finite(f: Evaluatable, a, ctx: PrecisionContext):
     """Finite hat q-integral: q^{-1} a sum_{j>=0} q^j f(a q^j)."""
-    return _mp(_hat_finite(_on_pairs(f, ctx), a, ctx), ctx)
-
-
-def _hat_finite(value, a, ctx: PrecisionContext) -> tuple:
-    """q^{-1} a sum_{j>=0} q^j value(a q^j) for the lattice function
-    ``value`` and a > 0, as a pair value."""
+    value = _on_pairs(f, ctx)
     av = ctx.mpf(a)
     if av <= 0:
         raise DomainError(f"upper limit must be positive, got {a}")
@@ -393,7 +444,7 @@ def _hat_finite(value, a, ctx: PrecisionContext) -> tuple:
     q, ap = _as_pair(ctx.qm), _as_pair(av)
     terms = _walk(value, ap, _ONE, _product, ctx)
     total = _operand(_monitored_sum(terms, ctx, "hat_q_integral_finite"), ctx)
-    return _times(_quotient(ap, q, prec), total, prec)
+    return _mp(_times(_quotient(ap, q, prec), total, prec), ctx)
 
 
 def _dhat(value, ctx: PrecisionContext):
@@ -404,11 +455,20 @@ def _dhat(value, ctx: PrecisionContext):
     qi2 = _product(qi, qi, prec)
 
     def dhat(t: tuple) -> tuple:
-        qit = _product(qi, t, prec)
-        rise = _sub(value(_product(qi2, t, prec)), value(qit), ctx, prec)
-        return _over(_operand(rise, ctx), qit, prec)
+        return _slope(value, _product(qi2, t, prec), _product(qi, t, prec), ctx)
 
     return dhat
+
+
+def _slope(value, t2: tuple, qit: tuple, ctx: PrecisionContext) -> tuple:
+    """(value(t2) - value(qit)) / qit, d-hat at t from its points
+    t2 = q^{-2} t and qit = q^{-1} t; a real difference goes straight
+    to ``_quotient``."""
+    prec = ctx.mp.prec
+    rise = _sub(value(t2), value(qit), ctx, prec)
+    if type(rise) is tuple and type(rise[0]) is int:
+        return _quotient(rise, qit, prec)
+    return _over(_operand(rise, ctx), qit, prec)
 
 
 def ibp_residual(
@@ -439,40 +499,32 @@ def ibp_residual(
     for decaying integrands).  Both ip3 sums carry the growing-branch
     certificate of :func:`hat_q_integral` (NoConvergenceError; K >= 1).
     Every lattice sum, derivative and product runs on pairs.
+
+    Both sums of ip1 and ip2 come from one walk over the lattice, which
+    forms each deformed difference once per point (:func:`_ibp_finite`),
+    and ip3 sums its right side in the pass over its left one.  Each
+    integrand is called once per distinct point value in a call, the
+    value reused wherever a shifted point equals a recent one: u and v
+    must be pure functions.  Errors come in the order of a left sum
+    finished before its right one: an error the right side meets (an
+    integrand that raises, a value that is not finite) is raised only
+    once the left sum has settled and passed its checks, and the left
+    side's own error, NoConvergenceError included, comes first.
     """
-    prec = ctx.mp.prec
-    q = _as_pair(ctx.qm)
-    uf = _on_pairs(u, ctx)
-
     if variant in ("ip1", "ip2"):
-        if a is None:
-            raise DomainError(f"{variant} needs a finite upper limit")
-        if not callable(v) and not isinstance(v, Poly):
-            raise DomainError(f"{variant} needs an evaluatable v")
-        vf = _on_pairs(v, ctx)
-        av = ctx.mpf(a)
-        du = _dhat(uf, ctx)
-        dv = _dhat(vf, ctx)
-        q2 = _product(q, q, prec)
-        top = _quotient(_as_pair(av), q2, prec)
-        rim = _mul(uf(top), vf(top), ctx, prec)
-        boundary = _sub(rim, _mul(uf(_ZERO), vf(_ZERO), ctx, prec), ctx, prec)
-        u_shift, v_shift = (q, q2) if variant == "ip1" else (q2, q)
-
-        def left(t: tuple):
-            return _mul(uf(_quotient(t, u_shift, prec)), dv(t), ctx, prec)
-
-        def right(t: tuple):
-            return _mul(vf(_quotient(t, v_shift, prec)), du(t), ctx, prec)
-
-        lhs = _hat_finite(left, av, ctx)
-        rhs = _sub(boundary, _hat_finite(right, av, ctx), ctx, prec)
-        return _mp(_size(_sub(lhs, rhs, ctx, prec), prec), ctx)
-
+        return _ibp_finite(u, v, a, ctx, (variant,))[0]
     if variant != "ip3":
         raise DomainError(f"unknown integration-by-parts variant {variant!r}")
     if a is not None:
         raise DomainError("ip3 takes a=None")
+
+    prec = ctx.mp.prec
+    q = _as_pair(ctx.qm)
+    uf = _recent(_on_pairs(u, ctx))
+    powers = list(q_power_run(-K - 2, K + 5, ctx))
+
+    def q_at(m: int) -> tuple:
+        return powers[m + K + 2]
 
     # ip3 on the doubly infinite base-1 lattice, v sampled at q^m.
     if isinstance(v, LatticeFunction):
@@ -493,32 +545,117 @@ def ibp_residual(
 
         def v_at(m: int):
             if m not in v_values:
-                v_values[m] = vf(_q_pair(m, ctx))
+                v_values[m] = vf(q_at(m))
             return v_values[m]
 
-    def dv_at(m: int):
-        # (dhat v)(q^m) = q^{1-m} (v(q^{m-2}) - v(q^{m-1}))
-        return _mul(_q_pair(1 - m, ctx), _sub(v_at(m - 2), v_at(m - 1), ctx, prec), ctx, prec)
-
     du = _dhat(uf, ctx)
+    right, grows, failed = _ZERO, [], None  # the right side's hat sum, beside the left one
 
     def lhs_term(m: int):
-        # q^m u(q^m) (dhat v)(q * q^m) on the hat lattice
-        qm = _q_pair(m, ctx)
-        return _mul(qm, _mul(uf(qm), dv_at(m + 1), ctx, prec), ctx, prec)
-
-    def rhs_term(m: int):
-        qm = _q_pair(m, ctx)
-        return _mul(qm, _mul(v_at(m - 2), du(qm), ctx, prec), ctx, prec)
+        # q^m u(q^m) (dhat v)(q * q^m), (dhat v)(q^m) = q^{1-m} (v(q^{m-2}) - v(q^{m-1}));
+        # the right side's q^m v(q^{m-2}) (dhat u)(q^m) joins its sum in the same order
+        nonlocal right, grows, failed
+        qm = q_at(m)
+        value = uf(qm)
+        dv = _mul(q_at(-m), _sub(v_at(m - 1), v_at(m), ctx, prec), ctx, prec)
+        term = _mul(qm, _mul(value, dv, ctx, prec), ctx, prec)
+        if failed is None:
+            try:
+                other = _mul(qm, _mul(v_at(m - 2), du(qm), ctx, prec), ctx, prec)
+            except Exception as exc:  # raised after the left side and the boundary
+                failed = exc
+            else:
+                right = _plus(right, other, prec)
+                if m <= 1:
+                    grows = grows[-2:] + [_size(other, prec)]
+        return term
 
     # the Jacobian q cancels the measure's q^{-1} prefactor
     lhs = _hat_sum(lhs_term, K, ctx, "ibp_residual ip3")[0]
     # boundary [uv]_0^inf: deep end ~ 0 for decaying v, 0-end -> u(0) v(0+)
-    deep = _mul(uf(_q_pair(-K, ctx)), v_at(-K), ctx, prec)
+    deep = _mul(uf(q_at(-K)), v_at(-K), ctx, prec)
     zero_end = _mul(uf(_ZERO), v_at(K + 4), ctx, prec)
+    if failed is not None:
+        raise failed
+    _hat_check(right, grows, K, ctx, "ibp_residual ip3")
     rim = _sub(deep, zero_end, ctx, prec)
-    rhs = _sub(rim, _over(_hat_sum(rhs_term, K, ctx, "ibp_residual ip3")[0], q, prec), ctx, prec)
+    rhs = _sub(rim, _over(right, q, prec), ctx, prec)
     return _mp(_size(_sub(lhs, rhs, ctx, prec), prec), ctx)
+
+
+def _ibp_finite(u: Evaluatable, v: Evaluatable, a, ctx: PrecisionContext, variants) -> list:
+    """The residuals of the finite ``variants`` ("ip1", "ip2") of
+    :func:`ibp_residual`, in that order, from one walk over the points
+    t_j = q^j a of the finite hat integral.
+
+    Each point's deformed differences (d-hat v)(t_j), which every left
+    sum reads, and (d-hat u)(t_j), which every right sum reads, are
+    formed once.  The four sums (left and right of each variant) keep
+    their own :class:`_Monitored` stop rule and term cap.  A sum that
+    meets an error stops, and its error is raised once every sum before
+    it in the order ip1 left, ip1 right, ip2 left, ip2 right has
+    settled; at the cap the first sum still open raises.  So the call
+    raises what separate calls, each summing its left side before its
+    right one, would raise first.
+    """
+    prec = ctx.mp.prec
+    q = _as_pair(ctx.qm)
+    uf = _on_pairs(u, ctx)
+    if a is None:
+        raise DomainError(f"{variants[0]} needs a finite upper limit")
+    if not callable(v) and not isinstance(v, Poly):
+        raise DomainError(f"{variants[0]} needs an evaluatable v")
+    uf, vf = _recent(uf), _recent(_on_pairs(v, ctx))
+    av = ctx.mpf(a)
+    qi = _quotient(_ONE, q, prec)
+    qi2 = _product(qi, qi, prec)
+    q2 = _product(q, q, prec)
+    top = _quotient(_as_pair(av), q2, prec)
+    rim = _mul(uf(top), vf(top), ctx, prec)
+    boundary = _sub(rim, _mul(uf(_ZERO), vf(_ZERO), ctx, prec), ctx, prec)
+    if av <= 0:
+        raise DomainError(f"upper limit must be positive, got {av}")
+
+    # per sum: the integrand read at a shifted point, the shift (0 for
+    # t/q, 1 for t/q^2) and the function whose d-hat it multiplies; ip1
+    # reads u(t/q) and v(t/q^2), ip2 u(t/q^2) and v(t/q)
+    sides = []
+    for variant in variants:
+        far = int(variant != "ip1")
+        sides += [(uf, far, vf), (vf, 1 - far, uf)]
+    sums = [_Monitored(ctx) for _ in sides]
+    open_, failed = list(range(len(sums))), {}
+    ap, qj = _as_pair(av), _ONE
+    for _ in range(ctx.max_terms):
+        t = _product(qj, ap, prec)
+        qit, t2 = _product(qi, t, prec), _product(qi2, t, prec)
+        points = _quotient(t, q, prec), _quotient(t, q2, prec)
+        slopes = {}
+        for i in open_:
+            f, shift, g = sides[i]
+            try:
+                value = f(points[shift])
+                if g not in slopes:
+                    slopes[g] = _slope(g, t2, qit, ctx)
+                done = sums[i].add(_times(qj, _mul(value, slopes[g], ctx, prec), prec))
+            except Exception as exc:  # raised once the sums before it have settled
+                failed[i], done = exc, True
+            if done:
+                open_ = [j for j in open_ if j != i]
+        first = min(open_ + list(failed), default=None)
+        if first in failed:
+            raise failed[first]
+        if not open_:
+            break
+        qj = _product(qj, q, prec)
+    else:
+        raise _budget_error(_mp(sums[open_[0]].last, ctx), "hat_q_integral_finite", ctx)
+    scale = _quotient(ap, q, prec)
+    out = []
+    for lhs, rhs in zip(sums[::2], sums[1::2]):
+        rhs = _sub(boundary, _times(scale, rhs.total, prec), ctx, prec)
+        out.append(_mp(_size(_sub(_times(scale, lhs.total, prec), rhs, ctx, prec), prec), ctx))
+    return out
 
 
 # --------------------------------------------------------------------------

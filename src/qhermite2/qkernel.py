@@ -15,7 +15,8 @@ value 64 bits wider than the precision, from the context's chain of
 truncated squarings q, q^2, q^4, ... and a count of its truncations,
 decides the rounding where the count allows (Ziv's test), and the exact
 power where it does not; a memo of q^n answers the calls after the
-first.  The series read 1 - q^(n+1) from one list per context as well.
+first.  ``gen_exponential`` reads 1 - q^(n+1) from one list per context
+as well.
 Each of these tables is kept per precision, the working precision
 ``ctx.mp.prec`` of the call, as every rounded table is
 (:class:`~qhermite2.context.PrecisionContext`).  Consecutive powers come
@@ -70,6 +71,7 @@ from ._pairs import (
     _plus,
     _power,
     _product,
+    _quotient,
     _rational,
     _raw_pair,
     _root,
@@ -427,18 +429,25 @@ def _one_less(a: tuple, qk: tuple, prec: int) -> tuple:
     return _sum(_ONE, (-man, exp), prec)
 
 
-def _term_ratios(spec: HypergeometricSpec, ctx: PrecisionContext):
+def _term_ratios(spec: HypergeometricSpec, ctx: PrecisionContext, run: tuple = None):
     """k -> T_{k+1}/T_k for the basic hypergeometric series, to be called
     for k = 0, 1, 2, ... in turn.
 
     The ratio is num / den z q^(e k), negated for odd e, with num the
-    product of the 1 - a q^k from 1 (complex if some a is) and den that
-    of the 1 - b q^k and 1 - q^(k+1) from the real 1: a real or complex
-    pair value (:mod:`qhermite2._pairs`), each operation correctly
-    rounded at the precision of the call.  The parameters and z are
-    converted once, and q^(k+1) of one call is the q^k of the next.  The sign rides on z: every rounding
-    here is to nearest, which commutes with negation, so num / den (-z)
-    q^(e k) is the negated ratio bit for bit.
+    product of the 1 - a q^k and den that of the 1 - b q^k and
+    1 - q^(k+1), each product started at its first factor (num is 1 for
+    no a): a real or complex pair value (:mod:`qhermite2._pairs`), each
+    operation correctly rounded at the precision of the call.  A real
+    value stands for a complex one with a zero imaginary part, whose
+    products round to the same values, and the operations are the real
+    ones when no parameter and not z is complex.  The parameters and z
+    are converted once, and q^(k+1) of one call is the q^k of the next.
+    The powers come from ``q_power_raw``, or, given ``run`` =
+    (lo, powers) with powers[i] = q^(lo + i), from that list, and
+    1 - q^(k+1) is formed from q^(k+1), rounded once.  The sign
+    rides on z: every rounding here is to nearest, which commutes with
+    negation, so num / den (-z) q^(e k) is the negated ratio bit for
+    bit.
     """
     prec = ctx.mp.prec
     e = 1 + len(spec.lower) - len(spec.upper)
@@ -447,28 +456,39 @@ def _term_ratios(spec: HypergeometricSpec, ctx: PrecisionContext):
     z = _convert(spec.z, ctx)
     if e % 2:
         z = _times(z, (-1, 0), prec)
-    one = (_ONE, _ZERO) if any(type(a[0]) is tuple for a in upper) else _ONE
-    complements = _q_complements(ctx)
+    mul, div = (_times, _over) if _is_complexy(spec, ctx) else (_product, _quotient)
+    if run is None:
+
+        def power(n: int) -> tuple:
+            return _raw_pair(q_power_raw(n, ctx))
+    else:
+        lo, powers = run
+
+        def power(n: int) -> tuple:
+            return powers[n - lo]
+
     qk = _ONE  # q^0
 
     def ratio(k: int) -> tuple:
         nonlocal qk
-        num = one
-        for a in upper:
-            num = _times(num, _one_less(a, qk, prec), prec)
+        num = _ONE
+        for i, a in enumerate(upper):
+            factor = _one_less(a, qk, prec)
+            num = mul(num, factor, prec) if i else factor
         den = _ONE
-        for b in lower:
+        for i, b in enumerate(lower):
             factor = _one_less(b, qk, prec)
             if _is_zero(factor):
                 raise DomainError(
                     "phi_rs: lower parameter hits q^{-m}; series must terminate "
                     "before the zero denominator (set terminating_at)"
                 )
-            den = _times(den, factor, prec)
-        qk = _raw_pair(q_power_raw(k + 1, ctx))
-        den = _times(den, _as_pair(_q_complement(k, complements, ctx)), prec)
-        r = _times(_over(num, den, prec), z, prec)
-        return _times(r, _raw_pair(q_power_raw(e * k, ctx)), prec)
+            den = mul(den, factor, prec) if i else factor
+        qk = power(k + 1)
+        complement = _sum(_ONE, (-qk[0], qk[1]), prec)
+        den = mul(den, complement, prec) if lower else complement
+        r = mul(div(num, den, prec), z, prec)
+        return mul(r, power(e * k), prec)
 
     return ratio
 
@@ -481,9 +501,13 @@ def phi_rs(spec: HypergeometricSpec, ctx: PrecisionContext):
 
     Terminating series (``terminating_at=n``) are summed exactly through
     the z^n term; one that needs more than ``max_terms`` terms raises
-    NoConvergenceError before any term is formed.  A non-terminating
-    series stops at the monitored-decay rule (:class:`Decay`) once the
-    term ratio is also below 1/2, which certifies a geometric tail.  For e > 0 the ratio tends to 0, so
+    NoConvergenceError before any term is formed.  Their powers q^(k+1)
+    and q^(e k), k < n, come from one :func:`q_power_run` pass at the
+    precision of the call, and 1 - q^(k+1) from those, so a call at a
+    fresh precision (``hermite2_eval_direct``'s guard) fills no power
+    memo; the real or complex operations are chosen once per call.
+    A non-terminating series stops at the monitored-decay rule
+    (:class:`Decay`) once the term ratio is also below 1/2, which certifies a geometric tail.  For e > 0 the ratio tends to 0, so
     every z qualifies.  For e = 0 the series converges for |z| < 1, but
     its ratio tends to z: below |z| = 1/2 the sum is certified; for
     1/2 < |z| < 1 it is not, nor at |z| = 1/2 unless the ratio
@@ -511,15 +535,18 @@ def phi_rs(spec: HypergeometricSpec, ctx: PrecisionContext):
             f"more than max_terms={ctx.max_terms}"
         )
 
-    term = (_ONE, _ZERO) if _is_complexy(spec, ctx) else _ONE
-    ratio = _term_ratios(spec, ctx)
+    complex_ = _is_complexy(spec, ctx)
+    term = (_ONE, _ZERO) if complex_ else _ONE
     if n is None:
-        return _ratio_sum(term, ratio, ctx, "phi_rs")
+        return _ratio_sum(term, _term_ratios(spec, ctx), ctx, "phi_rs")
+    lo = min(0, e * (n - 1))
+    ratio = _term_ratios(spec, ctx, (lo, list(q_power_run(lo, max(n, e * (n - 1)) + 1, ctx))))
+    mul, add = (_times, _plus) if complex_ else (_product, _sum)
     prec = ctx.mp.prec
     total = term
     for k in range(n):
-        term = _times(term, ratio(k), prec)
-        total = _plus(total, term, prec)
+        term = mul(term, ratio(k), prec)
+        total = add(total, term, prec)
     return _mp(total, ctx)
 
 

@@ -58,7 +58,6 @@ from ._pairs import (
     _round_even,
     _sum,
 )
-from .coherent import cs_norm_sq
 from .context import PrecisionContext
 from .errors import DomainError, InstabilityError
 from .exact import moment_In_exact
@@ -66,6 +65,7 @@ from .qcalculus import HAT_DEPTH, _hat_sum
 from .qkernel import (
     _q_complement,
     _q_complements,
+    gen_exponential,
     q_power,
     q_power_raw,
     q_power_run,
@@ -394,6 +394,36 @@ class DiscreteMeasure:
         return _mpf(total, ctx)
 
 
+def _ring_normalizers(K: int, ctx: PrecisionContext) -> list:
+    """N^2(x_m) for the ring exponents m = K + 2, K + 1, ..., 1 - K, as
+    pairs, in that order.
+
+    At x_m = (q/(1-q)) q^m the coherent-state normalizer N^2(x) =
+    gex((1-q)/q x) (registry entry ``normalizer_base``) is E_m = E(q^m),
+    E = :func:`~qhermite2.qkernel.gen_exponential`, which obeys the
+    q-difference equation E(y) = E(qy) + qy E(q^2 y) (G. Gasper and
+    M. Rahman, Basic Hypergeometric Series, 2nd ed., 2004, ch. 1):
+    E_m = E_{m+1} + q^{m+1} E_{m+2}, with q the rounded ``ctx.qm``
+    throughout.  The two deepest rings are seeded by ``gen_exponential``
+    at ``q_power(m)``; every other ring is that step on pairs, the
+    product of q^{m+1} (``q_power_raw``) and E_{m+2} and then the sum
+    each rounded once, two roundings a ring instead of a series.
+
+    Every term is positive, so nothing cancels.  With u = 2^-prec, s
+    the larger relative error of the two seeds and e_m that of E_m,
+    each rounding adds at most u: e_m <= max(e_{m+1}, e_{m+2} + 2u) + u
+    to first order, so the ring j steps above the seeds (j = K + 1 - m)
+    is within s + (3j + 3) u / 2 <= s + 2 (j + 1) u of E(q^m) at the
+    exact power of ``ctx.qm``.
+    """
+    prec = ctx.mp.prec
+    norms = [_as_pair(gen_exponential(q_power(m, ctx), ctx)) for m in (K + 2, K + 1)]
+    for m in range(K, -K, -1):
+        step = _product(_raw_pair(q_power_raw(m + 1, ctx)), norms[-2], prec)
+        norms.append(_sum(norms[-1], step, prec))
+    return norms
+
+
 def build_measure(
     target: str,
     ctx: PrecisionContext,
@@ -411,7 +441,8 @@ def build_measure(
         pi / rho_n! tends to 1.
     target="z-plane-radial": ring masses pi N^2(x_m) nu_m on |z|^2 = x_m,
         absorbing the coherent-state normalizer so that the Fock-basis
-        Gram matrix of the resolution of unity is the identity.
+        Gram matrix of the resolution of unity is the identity; N^2 at
+        the exact ring points comes from :func:`_ring_normalizers`.
 
     Support points are enumerated by the two-branch index split
     (exponents 1-k and k+2, k = 0..K); the branches are separately
@@ -448,9 +479,8 @@ def build_measure(
                 "angular_factor": "1/pi",
             }
         else:
-            masses = [
-                mp.pi * cs_norm_sq(x, ctx) * v for x, v in zip(support, nu)
-            ]
+            norms = _ring_normalizers(K, ctx)
+            masses = [mp.pi * _mpf(norms[K + 2 - m], ctx) * v for m, v in zip(exponents, nu)]
             constants = {
                 "mass_formula": "pi * N^2(x_m) * nu_m on rings |z|^2 = x_m",
                 "variable_scale": "|z|^2 = q/(1-q) * y",

@@ -23,6 +23,7 @@ from .exact import GaussianRational, Poly, _spectrum_mismatch, bn_squared_exact
 from .extremal import _loading_at, carrier_roots, loadings, orthonormality_gram
 from .qcalculus import (
     HAT_DEPTH,
+    _ibp_finite,
     deformed_derivative,
     ibp_residual,
     jackson_integral_poly,
@@ -159,8 +160,7 @@ def qcalculus(ctx: PrecisionContext, tol: Fraction = Fraction(1, 10**20)) -> Lis
             )
         )
 
-    for variant in ("ip1", "ip2"):
-        residual = ibp_residual(u, v, variant, Fraction(1), ctx)
+    for variant, residual in zip(("ip1", "ip2"), _ibp_finite(u, v, Fraction(1), ctx, ("ip1", "ip2"))):
         checks.append(
             Check(
                 f"integration-by-parts-{variant}",

@@ -304,31 +304,34 @@ class TestExitCodes:
 # The 3/4, 1/5, 29/30 and 40/41 rows were recorded again when every q^n
 # became the exact power rounded once, in place of mpmath's binary
 # power, which truncates its squarings and rounds a reciprocal twice.
+# The z-radial rows were recorded again when N^2 came from its
+# q-difference equation at the exact ring points, which moved the last
+# digits of the masses and their total.
 # q, bits, job, exit code, digest.
 _PINNED_LATTICE_OUTPUT = """
 1/2 256 jackson-y 0 848322c6183617109c19773c00b4bf81987e8301dae8d3b8ebb238a20b74aa1e
 1/2 256 jackson-x 0 da090c5a47dbf99a21e600290ab1dd563ed687114328b1d4f09bade29ba31202
-1/2 256 jackson-z-radial 0 9af7757e84041faf52105e09bcf4edab4d0dde9cdfc2f2d042e58add160c925d
+1/2 256 jackson-z-radial 0 c0fd23422fdba734d50f6c50bee9d693e498fb0d72ea5880551f8cc21f888a0c
 1/2 256 moments 0 dbe0b0923fc24cf01571c28046d0bdeb3ba2a6f405d8a364d16ee0c4ec7fad22
 1/2 256 unity 0 b8d69e27c63eda96eca2f25218a4bd3587c0e560808c7cfe175fa6a7c0136497
 3/4 128 jackson-y 0 6b907a55ff48cfcc526decf8f7535b8ca29484ea1957dc320a479d4c915d3912
 3/4 128 jackson-x 0 1f76f7c0f1bb5a6a0850be0125207c4c3806679befbb9ee0d050959b5931fca6
-3/4 128 jackson-z-radial 0 6bdbe65f360890209ef91013a6c88fd79a65c81256d54cf66b251aa0e4734524
+3/4 128 jackson-z-radial 0 e0afbaececf0aec5dbf25e48ec255c0bbb5e40d5cb9fd1195e11265b2da1993c
 3/4 128 moments 1 90f2fbe4b0531987feb99c13e11b75132093970ad11b2224169693d70d199a7d
 3/4 128 unity 0 3ccac9aa5538062ac141d5bd3c36608a571193f5a56d0b0727f756729c4fee55
 1/5 64 jackson-y 0 ee38e0e8eda8da144d50de8a4f34aff0608a2287e512cb0753d0c931eb8e6469
 1/5 64 jackson-x 0 90f1568bd06b902655e437dd6bf54b0915fc0061f65f7dbbe497dbb9a563423f
-1/5 64 jackson-z-radial 0 33c1c9bb844fe916b65da53827c32425d2103c5024165793207a8ccdf295aa14
+1/5 64 jackson-z-radial 0 d8d29807f2f44193e883ee456c7269945e8932386191aaaa31b9b78a1fa7fcb5
 1/5 64 moments 0 ee6cffe5c8e02678100458f2077075e37e58b1a9d200d2f18e78cf80b5f92888
 1/5 64 unity 0 7ba30e00862453ad821bc9e24b8e60275cdc7df88527f2f0f8083ab37e28b985
 29/30 256 jackson-y 0 100cad5dc44bf747c2fbe2a3e99221f5af00f779212c5f2c26ce1017357abe48
 29/30 256 jackson-x 0 e82b37cd4da06e3acda20ee674903d617870384f0056991e8e3004a977625469
-29/30 256 jackson-z-radial 0 4eefa5b889cc9d91cde4a2ad8f5fc1fe5dad25e695f04cbdae9dcd7dea5d3325
+29/30 256 jackson-z-radial 0 837e2d112215974f651fb39a9ba636b72d8a7efadd59891f957749a234da4ff0
 29/30 256 moments 1 1bb2c10fec9ca9a47f9647b16e595ec0651a3f889c21e5ecd6f92d1e17940ef3
 29/30 256 unity 1 68fc3fec7a511ff6df9f0ccae8e8e3e5c49bef59c5da74e6a7278041154e7f4d
 40/41 128 jackson-y 0 01b7e6eab02a0d7d2c40282bdf5adcaa24f3cae0ef806f2a109ea56cc102a728
 40/41 128 jackson-x 0 c682ce1eb555eaffb895f9360e20959b7a64cac8dfb6e1e3011e331e473dda77
-40/41 128 jackson-z-radial 0 023ce302cd5fc8bc94f7487c21261c185d93b4980d32418f84d94ab3dac548ec
+40/41 128 jackson-z-radial 0 08bda28e66425579039c6dd36da3d8bf1c5f3c414acdfc9a73410454bd8c933c
 40/41 128 moments 1 0a6e14e7c27a5c41507935fb08232247f74433c49dbaf5d5f6628af2a47ca27c
 40/41 128 unity 1 ced14c22773d7316db3ecb3638172855437f5ba30a80deb8cececf3da2c4fd66
 """
@@ -354,8 +357,8 @@ def test_lattice_output_pinned(capsys, q, bits, job, code, digest):
 # Exit code and SHA-256 of stdout of the series-layer subcommands,
 # recorded from the per-call q ** n that the cached q-power kernel
 # replaced (q = 1/2, 256 bits, z-radial is pinned above); the 40/41
-# z-radial row was recorded again with the lattice rows above.  q, bits,
-# job, exit code, digest.
+# z-radial row was recorded again with the z-radial rows above, twice.
+# q, bits, job, exit code, digest.
 _PINNED_SERIES_OUTPUT = """
 1/2 256 cs 0 7a69f2f4b4bd94b1e3b9ef17bdce2d82737bc56630a432da71bce7f0fb91b0d2
 1/2 256 generating 0 13dda2aab459ecdfd8b26100477bcc4139ec092481a77a9fe9ed675ccb9b9d80
@@ -367,7 +370,7 @@ _PINNED_SERIES_OUTPUT = """
 40/41 128 qdiff 0 c9c497a9bacc083ca1a67dba4e26cd21155a0b06e004975f26a402733915fb28
 40/41 128 recurrence 0 ad4550b4d5b5fb876955ddeeff5432d8107e507edd5b58ffb95371953a99bc4e
 40/41 128 qcalculus 0 1c93a59a6e9540259d691fc20d0a58d3809f75e8b2f02c54e37587fc5085bb7b
-40/41 128 jackson-z-radial 0 023ce302cd5fc8bc94f7487c21261c185d93b4980d32418f84d94ab3dac548ec
+40/41 128 jackson-z-radial 0 08bda28e66425579039c6dd36da3d8bf1c5f3c414acdfc9a73410454bd8c933c
 """
 
 

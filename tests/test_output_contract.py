@@ -14,6 +14,11 @@ sum, which moved the last bits of the 4/5 and 1/2 rows and the note of
 all three.  The jackson rows at 63/64 (64 bits), 32/33 and 3/7 (512
 bits), and the qcalculus 9/10, recurrence 7/61 and moments 11/12 rows
 were recorded again when every q^n became the exact power rounded once.
+The three z-radial rows were recorded again when N^2 came from its
+q-difference equation at the exact ring points, which moved the last
+digits of the masses and their total.  The last six hot-path rows were
+recorded before the finite integration-by-parts walk and the 2phi0
+power pass were rewritten, to pin them.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from qhermite2.cli import main
 _CONTRACT = [
     ('measure --type jackson --variable y --q=63/64 --precision-bits=64', 0, "b40e1208aaf25a706297a0aaf6132b48d56b61c1b533d05d0be33e02fd5b0526", ''),
     ('measure --type jackson --variable x --q=63/64 --precision-bits=64', 0, "853f69e765ca101c72f642570d79b0b7c60aaaa9169298ef0c7d8447e3348af1", ''),
-    ('measure --type jackson --variable z-radial --q=63/64 --precision-bits=64', 0, "2a780837faa8c882306fc8b9716cefbc325eeb32f5be4f1fccc55b98fcf73698", ''),
+    ('measure --type jackson --variable z-radial --q=63/64 --precision-bits=64', 0, "be4cc55513411276b2e7e7ca2b961e67879ef972991dcaf56e19cddd00912274", ''),
     ('verify --suite moments --q=63/64 --precision-bits=64', 1, "59fd498aaaf8ded0c304dbe72523b53ad5d8b6d13dba59339e9232f80e8e3419", ''),
     ('verify --suite unity --q=63/64 --precision-bits=64', 1, "024321cf96a545f204064d4500db140ce577f58a69e9ecdfe861ab8269b404e7", ''),
     ('cs --q=1/3 --precision-bits=128', 0, "5eb47609e9ef5782ea80f9d20c98482ebca94c3d641f83c5ed1132d29974a608", ''),
@@ -101,8 +106,8 @@ _CONTRACT = [
 _HOT_PATH_CONTRACT = [
     ('verify --suite qcalculus --q=26/27 --precision-bits=128', 0, "9452d5a44c9649fbc4251e168eb327f2ae030381b30d9e5d4278e09ce0173a04", ''),
     ('verify --suite qcalculus --q=9/10 --precision-bits=512', 0, "bc076ede688ce228290a89a2754c6c837c3ca36c1680c1e1876bf08c97e368d7", ''),
-    ('measure --type jackson --variable z-radial --q=32/33', 0, "abbc4fae639663cd77385eac756ac4fc1f714816dd9707712ab3c145758a8a55", ''),
-    ('measure --type jackson --variable z-radial --q=3/7 --precision-bits=512 --format=json', 0, "f14ebedaec604013f044e319b4f37d12d6e734c80367ab8dfe040497f9aebfdc", ''),
+    ('measure --type jackson --variable z-radial --q=32/33', 0, "e497b79ade6897035af67532647f62e93c36b65eb616f3f5a078fd4d69915001", ''),
+    ('measure --type jackson --variable z-radial --q=3/7 --precision-bits=512 --format=json', 0, "aead4880e15b96d869d5c92bd49fc100a9f26edce77cbde92b1d16de2fd69313", ''),
     ('verify --suite recurrence --q=7/61 --precision-bits=512', 0, "bcf533586076dbffdb23cd458a18f0b4e254bdbbcafe690e4bd35be791377460", ''),
     ('verify --suite moments --q=11/12 --k-depth=300 --tail=400 --precision-bits=128', 0, "fe3f2ade4a491b28acc1db75f035589520d742973e291cee591b42d3ccbd6ba9", ''),
     ('cs --q=19/28 --precision-bits=512', 0, "df92cbdc95a4cb9f10728d3c0b904711c30139b1ad9305b7feb452cd3d8a90a4", ''),
@@ -110,6 +115,12 @@ _HOT_PATH_CONTRACT = [
     ('poly --n 12 --x=-13/5 --q=5/6 --precision-bits=512', 0, "4ea3f7a33ef80f45fca54961fa34fadd8581f62bd6af18fdd0ac6c093822e397", ''),
     ('measure --type jackson --variable y --q=63/64 --precision-bits=512', 0, "92d8b6ed5edd2589bbb6c4034dd237c0bdfd4f7273bdbdcfbdba68ed2a77c5d4", ''),
     ('verify --suite unity --q=45/46 --precision-bits=512', 1, "0804d48d79529387f5cf3a71d5177ac1992360ad1fa27d8e3adb70ef87ab3699", ''),
+    ('verify --suite qcalculus --q=49/58 --precision-bits=512', 0, "5c1afa67c3e71ebbabf809b989d177e505601e765a8380dc9d361c06c6b69184", ''),
+    ('verify --suite qcalculus --q=56/61 --precision-bits=256', 0, "8e994642e4663a4543cf47ba1036202df72d7f2c1b27299a77057962e380a3ac", ''),
+    ('verify --suite qcalculus --q=40/41 --precision-bits=512 --format=json', 3, "d3ce0b810b848ede81e603fb56bf2b2f3a961b97b0d3fdfc3e8e24410d540262", ''),
+    ('verify --suite recurrence --q=1/62 --precision-bits=256', 0, "3864cd8316fdf515cf35bbb030dbd931bedfc8d91b6a3b9dbd5a8f82654e0c6a", ''),
+    ('verify --suite recurrence --q=5/56 --precision-bits=128', 0, "541e79e013df5926c6f2f46c8074759f52de8aba81f13aff173ecc79589b5209", ''),
+    ('verify --suite recurrence --q=8/17 --precision-bits=256', 0, "6b490232099d7bf20a210d281ed5bd4ca630a67a8b2c2610c9593179639fb7ce", ''),
 ]
 
 

@@ -19,6 +19,7 @@ from qhermite2.exact import (
 )
 from qhermite2.qcalculus import (
     LatticeFunction,
+    _ibp_finite,
     _monitored_sum,
     deformed_derivative,
     deformed_derivative_poly,
@@ -605,6 +606,138 @@ def test_ibp_residual_finite_bitwise(q, bits, variant):
         for a in (Fraction(1), Fraction(5, 3)):
             got = _outcome(ibp_residual, u, v, variant, a, ctx)
             assert _bits(got) == _bits(_outcome(_ref_ibp_finite, u, v, variant, a, ctx)), (name, a)
+
+
+def _first_raise_or_values(outcomes):
+    """Separate calls' outcomes as one call of both gives them: the
+    first error raised, else the values."""
+    for outcome in outcomes:
+        if isinstance(outcome, tuple):
+            return outcome
+    return list(outcomes)
+
+
+@pytest.mark.parametrize(
+    "q, bits, max_terms",
+    [
+        pytest.param(Fraction(q), bits, terms, id=f"{q}-{bits}-{terms}")
+        for q, bits, terms in (
+            ("3/10", 64, 4000), ("1/2", 256, 4000), ("49/58", 128, 4000), ("40/41", 64, 4000),
+            ("40/41", 256, 16), ("7/9", 128, 40),
+        )
+    ],
+)
+def test_two_variant_walk_equals_single_calls(q, bits, max_terms):
+    """ip1 and ip2 from one walk equal two single-variant calls and the
+    reference bit for bit; at the term cap (max_terms 16 and 40) both
+    raise the error of the first sum still open, left before right and
+    ip1 before ip2 (a constant u or v settles one side at once)."""
+    ctx = PrecisionContext(q, bits, max_terms=max_terms)
+    seven = Poly((gr(7),))
+    pairs = {
+        "poly": (POLY_A, POLY_B),
+        "callable": (lambda t: 3 * t * t + 2 * t + 1, lambda t: 2 * t**3 - t),
+        "mixed": (POLY_B, lambda t: t / (1 + t * t)),
+        "constant-u": (seven, POLY_B),
+        "constant-v": (POLY_A, seven),
+    }
+    for name, (u, v) in pairs.items():
+        for a in (Fraction(1), Fraction(5, 3)):
+            both = _outcome(_ibp_finite, u, v, a, ctx, ("ip1", "ip2"))
+            for single in (ibp_residual, _ref_ibp_finite):
+                want = _first_raise_or_values([_outcome(single, u, v, variant, a, ctx) for variant in ("ip1", "ip2")])
+                assert _bits(both) == _bits(want), (name, a, single.__name__)
+
+
+class _Refused(Exception):
+    pass
+
+
+def _refusing(f, name, lo, hi):
+    """f, except that it raises _Refused at every point in (lo, hi)."""
+
+    def refusing(t):
+        if lo < t < hi:
+            raise _Refused(f"{name} refuses a point in ({lo}, {hi})")
+        return f(t)
+
+    return refusing
+
+
+def _raised_or_value(call, *args):
+    try:
+        return call(*args)
+    except (NoConvergenceError, _Refused) as exc:
+        return type(exc), str(exc)
+
+
+def test_errors_come_in_the_order_of_the_separate_sums():
+    """A call raises what the sums, each left side before its right one
+    and ip1 before ip2, would raise first: an integrand error that only
+    the right side meets waits for the left side, which may settle (the
+    right side's error is raised), hit the term cap or fail its
+    growing-branch check (the left side's NoConvergenceError is)."""
+    # at 40/41 and 16 terms no finite sum settles; ip2's right side reads
+    # u(q^{j-1} a) and its left side u(q^{j-2} a), so only the right one
+    # reaches q^14 before the cap, while ip1's left side reads u(q^{j-1} a)
+    ctx = PrecisionContext(Fraction(40, 41), 64, max_terms=16)
+    q = ctx.qm
+    u = _refusing(lambda t: 3 * t * t + 1, "u", q**14.5, q**13.5)
+
+    def v(t):
+        return 2 * t**3 - t
+
+    want = {variant: _raised_or_value(_ref_ibp_finite, u, v, variant, Fraction(1), ctx) for variant in ("ip1", "ip2")}
+    assert want["ip1"][0] is _Refused and want["ip2"][0] is NoConvergenceError
+    for variant in ("ip1", "ip2"):
+        assert _raised_or_value(ibp_residual, u, v, variant, Fraction(1), ctx) == want[variant]
+    for variants in (("ip1", "ip2"), ("ip2",)):
+        got = _raised_or_value(_ibp_finite, u, v, Fraction(1), ctx, variants)
+        assert got == want[variants[0]], variants
+
+    # ip3 at K = 8: only the right side's (d-hat u)(q^{1-K}) reads u near
+    # q^{-K-1}; the left side settles with u_dec and does not with 1 + t^4
+    ctx = PrecisionContext(Fraction(1, 2), 64)
+    deep = (2**8.5, 2**9.5)
+    settles = _raised_or_value(ibp_residual, _refusing(_u_dec, "u", *deep), _v_dec, "ip3", None, ctx, 8)
+    assert settles == (_Refused, f"u refuses a point in {deep}")
+    grows = _raised_or_value(ibp_residual, _refusing(lambda t: 1 + t**4, "u", *deep), _v_dec, "ip3", None, ctx, 8)
+    assert grows[0] is NoConvergenceError
+    assert grows[1].startswith("ibp_residual ip3: growing-abscissa branch not decaying at K=8")
+
+
+def _counted(f, seen):
+    def counted(t):
+        seen.append(t._mpf_)
+        return f(t)
+
+    return counted
+
+
+@pytest.mark.parametrize(
+    "q, bits",
+    [
+        pytest.param(Fraction(q), bits, id=f"{q}-{bits}")
+        for q, bits in (("3/10", 64), ("3/10", 256), ("5/9", 64), ("5/9", 256), ("7/8", 256), ("40/41", 64))
+    ],
+)
+def test_integrands_called_once_per_distinct_point(q, bits):
+    """Within one call each integrand is called once per distinct point
+    value (raw mpf tuples are normalized, so equal values are equal
+    tuples), and the residuals are those of the uncounted functions."""
+    ctx = PrecisionContext(q, bits)
+    calls = {
+        "ip1-and-ip2": lambda u, v: _ibp_finite(u, v, Fraction(1), ctx, ("ip1", "ip2")),
+        "ip2": lambda u, v: ibp_residual(u, v, "ip2", Fraction(5, 3), ctx),
+        "ip3": lambda u, v: ibp_residual(u, v, "ip3", None, ctx, K=80),
+    }
+    for name, call in calls.items():
+        u, v = (_u_dec, _v_dec) if name == "ip3" else (lambda t: 3 * t * t + 1, lambda t: t / (1 + t * t))
+        seen_u, seen_v = [], []
+        got = call(_counted(u, seen_u), _counted(v, seen_v))
+        assert _bits(got) == _bits(call(u, v)), name
+        assert len(seen_u) == len(set(seen_u)) > 0, name
+        assert len(seen_v) == len(set(seen_v)) > 0, name
 
 
 _WIDE = 3**200  # wider than every working precision below

@@ -1232,16 +1232,20 @@ COMPLEX_SPECS = (
 
 def _gen_exponential_caller_arguments(ctx):
     """Arguments with which the package calls gen_exponential: 0; N^2 at
-    rings |z|^2 = (q/(1-q)) q^m of the z-radial measure, formed as
-    ``build_measure`` and ``cs_norm_sq`` form them, for exponents 1 - k
-    and k + 2 at some k <= HAT_DEPTH; and the complex w of ``overlap``,
-    real-valued for z1 = z2."""
+    rings |z|^2 = (q/(1-q)) q^m, formed as ``cs_norm_sq`` forms them, for
+    exponents 1 - k and k + 2 at some k <= HAT_DEPTH; the exact ring
+    points q^(K+1) and q^(K+2) at which ``build_measure`` seeds the
+    z-radial normalizers (the other rings come from the q-difference
+    equation); and the complex w of ``overlap``, real-valued for
+    z1 = z2."""
     q = ctx.qm
     c = q / (1 - q)
     args = [0, ctx.mpf(0), ctx.mpc(0)]
     for k in (0, 1, 2, HAT_DEPTH // 2, HAT_DEPTH):
         for m in (1 - k, k + 2):
             args.append((1 - q) / q * (c * q_power(m, ctx)))
+    for K in (8, HAT_DEPTH):
+        args += [q_power(K + 1, ctx), q_power(K + 2, ctx)]
     for z1, z2 in ((complex(1, 2), complex(-0.5, 0.75)), (complex(3, -1), complex(3, -1)), (2, complex(0, 1))):
         args.append((1 - q) / q * ctx.mp.conj(ctx.mpc(z1)) * ctx.mpc(z2))
     return args
@@ -1319,3 +1323,25 @@ class TestOperatorCalls:
             hermite2_eval_direct(n, Fraction(-1, 2), ctx)
             counts.append(len(calls) - before)
         assert counts[0] == counts[1] <= 12, counts
+
+
+# The 2phi0 of H~_n and other terminating sums, each at a precision its
+# context has not used before, so its one pass of powers starts from an
+# empty table: real specs (the real operations) and complex ones, with
+# e = 1 + s - r from -2 to 2.
+@pytest.mark.parametrize("q", [Fraction(1, 62), Fraction(5, 56), Fraction(49, 58), Fraction(26, 27)], ids=str)
+@pytest.mark.parametrize("bits", [64, 512])
+def test_terminating_sums_at_fresh_guard_precisions(q, bits):
+    ctx = PrecisionContext(q, bits)
+    for n in range(13):
+        with ctx.mp.workprec(bits + 7 * n + 3):
+            qm = ctx.qm
+            specs = (
+                HypergeometricSpec((qm ** (-n), Fraction(1, 3)), (), -(qm**n), terminating_at=n),
+                HypergeometricSpec((qm ** (-n),), (Fraction(1, 5),), Fraction(1, 2), terminating_at=n),
+                HypergeometricSpec((qm ** (-n),), (Fraction(-2, 7), complex(0, 1) / 3), Fraction(3, 4), terminating_at=n),
+                HypergeometricSpec((qm ** (-n), complex(1, -1), Fraction(1, 9)), (), Fraction(1, 4), terminating_at=n),
+            )
+            for spec in specs:
+                assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx), (n, spec)
+    _check_hermite2_eval_direct_at_recurrence_points(PrecisionContext(q, bits), range(13))

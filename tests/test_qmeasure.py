@@ -8,16 +8,18 @@ from fractions import Fraction
 import pytest
 from correctly_rounded import power_of_q, powers
 from hypothesis import HealthCheck, given, settings, strategies as st
-from mpmath.libmp import fone, from_man_exp, fzero, mpf_add, mpf_mul, round_nearest
+from mpmath.libmp import fone, from_man_exp, fzero, mpf_add, mpf_mul, round_nearest, to_rational
 
 from qhermite2 import PrecisionContext, _pairs, qkernel, qmeasure
 from qhermite2.coherent import cs_norm_sq
 from qhermite2.errors import DomainError, InstabilityError, NoConvergenceError
 from qhermite2.exact import bn_squared_exact, moment_In_exact, rho_factorial_exact
-from qhermite2.qkernel import q_power, q_power_raw, q_power_run, rho_factorial
+from qhermite2.qcalculus import HAT_DEPTH
+from qhermite2.qkernel import gen_exponential, q_power, q_power_raw, q_power_run, rho_factorial
 from qhermite2.qmeasure import (
     MEASURE_TARGETS,
     _default_buffer,
+    _ring_normalizers,
     _sweep,
     build_measure,
     formal_series_partial,
@@ -486,6 +488,13 @@ class TestBuildMeasure:
             )
             assert abs(ring.weights[k] - want) <= 16 * ctx_half.eps * want
 
+    def test_radial_masses_take_the_ring_normalizers(self, ctx_half, weight_half):
+        flat = build_measure("x-variable", ctx_half, K=60, M=120, weight=weight_half)
+        ring = build_measure("z-plane-radial", ctx_half, K=60, M=120, weight=weight_half)
+        norms = dict(zip(range(62, -60, -1), _ring_normalizers(60, ctx_half)))
+        for m, nu, mass in zip(ring.exponents, flat.weights, ring.weights):
+            assert mass == ctx_half.mp.pi * _pairs._mpf(norms[m], ctx_half) * nu, m
+
     def test_constants_documented(self, ctx_half, weight_half):
         for target in MEASURE_TARGETS:
             mu = build_measure(target, ctx_half, K=60, M=120, weight=weight_half)
@@ -539,3 +548,27 @@ class TestUnityCheck:
             unity_check(-1, ctx_half)
         with pytest.raises(DomainError, match="tail depth M=8 too small for K=10"):
             unity_check(3, ctx_half, K=10, M=8)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+@pytest.mark.parametrize(
+    "q", [Fraction(1, 64), Fraction(1, 3), Fraction(3, 4), Fraction(29, 30), Fraction(40, 41), Fraction(63, 64)], ids=str
+)
+def test_ring_normalizers_within_their_bound(q, bits):
+    """Each ring normalizer E(q^m) of the q-difference recurrence lies
+    within the bound of ``_ring_normalizers``: the larger relative error
+    s of its two seeds plus 2 (j + 1) 2^-bits, j steps above them, against
+    gen_exponential at three times the precision, at the exact powers
+    of the rounded q."""
+    ctx = PrecisionContext(q, bits)
+    K = HAT_DEPTH
+    norms = _ring_normalizers(K, ctx)
+    ref_ctx = PrecisionContext(Fraction(*to_rational(ctx.qm._mpf_)), 3 * bits)
+    errors = []
+    for m, norm in zip(range(K + 2, -K, -1), norms):
+        want = gen_exponential(q_power(m, ref_ctx), ref_ctx)
+        errors.append(abs(ref_ctx.mpf(_pairs._mpf(norm, ctx)) - want) / want)
+    seeds = max(errors[:2])
+    unit = ref_ctx.mpf(2) ** -bits
+    for j, error in enumerate(errors[2:], 1):
+        assert error <= seeds + 2 * (j + 1) * unit, (K + 1 - j, error / unit, seeds / unit)
