@@ -32,7 +32,7 @@ from mpmath.ctx_mp import MPContext
 
 from .errors import DomainError
 
-__all__ = ["PrecisionContext", "default_context", "as_fraction", "ENV_PRECISION"]
+__all__ = ["PrecisionContext", "as_fraction", "ENV_PRECISION"]
 
 ENV_PRECISION = "QH_PRECISION_BITS"
 
@@ -212,8 +212,3 @@ class PrecisionContext:
         """Deterministic decimal rendering used by reports and the CLI."""
         d = self.decimal_digits if digits is None else digits
         return self.mp.nstr(x, d, strip_zeros=False)
-
-
-def default_context(q: Rational = Fraction(1, 2), **kwargs) -> PrecisionContext:
-    """PrecisionContext at ``q`` (1/2 by default), for interactive use."""
-    return PrecisionContext(q=as_fraction(q), **kwargs)

@@ -127,7 +127,6 @@ __all__ = [
     "beta_coeff",
     "first_kind_eval",
     "second_kind_eval",
-    "carrier_function",
     "CarrierPoint",
     "carrier_roots",
     "loadings",
@@ -328,12 +327,13 @@ def _carrier_value(
     One streamed pass over Psi_1, Psi_3, ...; with ``slope`` it also
     sums D'(x) = -sum_k c_k (Psi_{2k+1} + x Psi_{2k+1}') over the same
     terms (else the fourth entry is None).  The value does not depend
-    on ``slope``.
+    on ``slope``.  ``k_terms`` (>= 1, checked by :func:`carrier_roots`)
+    caps the number of terms: the decay rule may still stop earlier, and
+    a sum that reaches the cap is returned rather than refused (with
+    ``k_terms=None`` that raises NoConvergenceError at ``max_terms``).
     """
     xv = ctx.mpf(x)
     cap = k_terms if k_terms is not None else ctx.max_terms
-    if cap < 1:
-        raise DomainError(f"k_terms must be >= 1, got {cap}")
     prec = ctx.mp.prec
     x = _as_pair(xv)
     terms = zip(_coefficient_stream(ctx), _odd(_psi_stream(x, ctx, slope)))
@@ -360,19 +360,6 @@ def _carrier_value(
         _mpf(last, ctx),
         _mpf(derivative, ctx) if slope else None,
     )
-
-
-def carrier_function(x, k_terms: Optional[int], ctx: PrecisionContext):
-    """Even transcendental function whose roots carry the extremal measure.
-
-    Psi_0(x) + x sum_{k>=1} (-1)^k sqrt([2k-2]!!/[2k-1]!!) Psi_{2k-1}(x),
-    truncated adaptively once terms decay below series_tol (the square
-    summability of (Psi_n(x))_n guarantees decay).  ``k_terms`` caps the
-    number of terms: the decay rule may still stop earlier, and a sum
-    that reaches the cap is returned rather than refused (with
-    ``k_terms=None`` that raises NoConvergenceError at ``max_terms``).
-    """
-    return _carrier_value(x, ctx, k_terms)[0]
 
 
 @dataclass(frozen=True)
@@ -672,8 +659,11 @@ def carrier_roots(
     round-to-nearest commutes with negating x in every step of
     ``_recurrence`` and ``_carrier_value``, so roots are emitted as
     symmetric +- pairs, sorted ascending.  No root sits at 0 (carrier
-    value 1).
+    value 1).  ``k_terms``, None or an int >= 1 (else DomainError),
+    caps every carrier sum (:func:`_carrier_value`).
     """
+    if k_terms is not None and (type(k_terms) is not int or k_terms < 1):
+        raise DomainError(f"k_terms must be None or an int >= 1, got {k_terms!r}")
     mp = ctx.mp
     bound = ctx.mpf(search_bound)
     if bound <= 0:

@@ -91,7 +91,6 @@ from .exact import _bn_squared_rows
 
 __all__ = [
     "HypergeometricSpec",
-    "q_number",
     "q_pochhammer",
     "q_pochhammer_inf",
     "b_coeff",
@@ -279,16 +278,6 @@ def _chain(count: int, ctx: PrecisionContext) -> tuple:
         _, man, exp, _ = ctx.qm._mpf_
         chain = ctx.tables[key] = _squarings(man, exp, count, ctx.mp.prec + _pairs._GUARD)
     return chain
-
-
-def q_number(n: int, ctx: PrecisionContext):
-    """q-number [n]_q = (1 - q^n)/(1 - q).
-
-    Examples: [0] = 0, [1] = 1, [2] = 1 + q.
-    """
-    if n < 0:
-        raise DomainError(f"q_number needs n >= 0, got {n}")
-    return (1 - q_power(n, ctx)) / (1 - ctx.qm)
 
 
 def q_pochhammer(a, k: int, ctx: PrecisionContext):

@@ -18,6 +18,7 @@ from qhermite2.exact import extremal_bracket_exact
 from qhermite2.cli import main
 from qhermite2.extremal import (
     _carrier_coefficients,
+    _carrier_value,
     _kernel_mass,
     _root_free_radius,
     _scan_grid,
@@ -25,7 +26,6 @@ from qhermite2.extremal import (
     beta_coeff,
     bracket_double_factorial,
     bracket_factorial,
-    carrier_function,
     carrier_roots,
     first_kind_eval,
     loadings,
@@ -145,17 +145,20 @@ class TestPolynomialFamilies:
 class TestCarrierFunction:
     def test_value_one_at_origin(self, all_ctx):
         for ctx in all_ctx:
-            assert carrier_function(0, None, ctx) == 1
+            assert _carrier_value(0, ctx, None)[0] == 1
 
     def test_even(self, ctx_half):
         for x in (Fraction(1, 3), Fraction(2), Fraction(11)):
-            plus = carrier_function(x, None, ctx_half)
-            minus = carrier_function(-x, None, ctx_half)
+            plus = _carrier_value(x, ctx_half, None)[0]
+            minus = _carrier_value(-x, ctx_half, None)[0]
             assert abs(plus - minus) <= ctx_half.mpf("1e-70")
 
     def test_k_terms_validation(self, ctx_half):
-        with pytest.raises(DomainError):
-            carrier_function(Fraction(1), 0, ctx_half)
+        # A cap below one term used to sum nothing: D read 1 everywhere
+        # and the search returned no roots.
+        for k_terms in (0, -1):
+            with pytest.raises(DomainError, match="k_terms"):
+                carrier_roots(Fraction(30), ctx_half, k_terms=k_terms)
 
     def test_call_inside_workprec_leaves_context_values(self):
         # Tables rounded inside workprec are kept under that precision,
@@ -165,12 +168,12 @@ class TestCarrierFunction:
                 [v._mpf_ for v in b_table(8, ctx)],
                 [v._mpf_ for v in _carrier_coefficients(8, ctx)],
                 [v._mpf_ for v in psi_sequence(10, Fraction(7, 3), ctx)],
-                carrier_function(Fraction(7, 3), None, ctx)._mpf_,
+                _carrier_value(Fraction(7, 3), ctx, None)[0]._mpf_,
             )
 
         ctx = PrecisionContext(Fraction(1, 3), 128)
         with ctx.mp.workprec(300):
-            carrier_function(Fraction(5, 2), None, ctx)
+            _carrier_value(Fraction(5, 2), ctx, None)[0]
         assert values(ctx) == values(PrecisionContext(Fraction(1, 3), 128))
 
 
@@ -213,8 +216,8 @@ class TestCarrierRoots:
             assert p.bracket_width <= tol_root
             if bits >= 128:
                 half = p.bracket_width / 2
-                lo = carrier_function(p.x - half, None, ctx)
-                hi = carrier_function(p.x + half, None, ctx)
+                lo = _carrier_value(p.x - half, ctx, None)[0]
+                hi = _carrier_value(p.x + half, ctx, None)[0]
                 assert lo * hi < 0
 
     def test_bracket_stops_at_one_ulp_above_tolerance(self):
@@ -265,7 +268,7 @@ class TestCarrierRoots:
         for k in range(1, 40):
             assert extremal_bracket_exact(2 * k, q) < q**2 * extremal_bracket_exact(2 * k + 1, q)
         for k in range(1, 33):
-            assert carrier_function(r0 * k / 16, None, ctx) >= 0.5
+            assert _carrier_value(r0 * k / 16, ctx, None)[0] >= 0.5
         # The grid reaches down to r0 where r0 < bound/10^4 ...
         grid = _scan_grid(ctx.mpf(10 ** 6), 64, ctx)
         assert grid[0] <= ctx.mpf(r0) < grid[1]

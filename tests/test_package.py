@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import qhermite2
@@ -68,6 +69,40 @@ def test_every_import_is_used():
                 read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
     assert unused == []
+
+
+def _reads(node) -> list:
+    """Names node reads: Name loads and attribute names."""
+    return [
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)
+    ]
+
+
+def test_every_private_definition_is_read():
+    # A top-level private function, class or constant that nothing in the
+    # package reads outside its own definition.
+    src = Path(qhermite2.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    unread = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = Counter(_reads(node))
+            unread += [
+                f"{file}:{node.lineno} {name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and reads[name] <= own[name]
+            ]
+    assert unread == []
 
 
 def test_no_module_uses_a_retired_mpmath_routine():

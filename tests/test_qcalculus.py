@@ -9,6 +9,7 @@ import pytest
 from correctly_rounded import mul, size
 
 from qhermite2 import PrecisionContext
+from qhermite2._pairs import _as_pair, _mpf
 from qhermite2.errors import DomainError, NoConvergenceError
 from qhermite2.exact import (
     GaussianRational,
@@ -19,14 +20,12 @@ from qhermite2.exact import (
 )
 from qhermite2.qcalculus import (
     LatticeFunction,
+    _Monitored,
     _ibp_finite,
-    _monitored_sum,
     deformed_derivative,
     deformed_derivative_poly,
     hat_q_integral,
-    hat_q_integral_finite,
     ibp_residual,
-    jackson_integral,
     jackson_integral_poly,
     leibniz_residual,
     q_derivative,
@@ -122,20 +121,6 @@ class TestJacksonIntegral:
                 direct = POLY_B(x) - POLY_B(Fraction(0))
                 assert recovered == direct
 
-    def test_numeric_endpoint_matches_exact(self, all_ctx):
-        for ctx in all_ctx:
-            x = Fraction(3, 4)
-            num = jackson_integral(POLY_A, "zero_to_x", x, ctx)
-            sym = jackson_integral_poly(POLY_A, x, ctx.q)
-            assert sym.im == 0
-            assert abs(num - ctx.mpf(sym.re)) <= ctx.mpf("1e-60")
-
-    def test_kind_and_domain_validation(self, ctx_half):
-        with pytest.raises(DomainError):
-            jackson_integral(POLY_A, "zero_to_x", Fraction(0), ctx_half)
-        with pytest.raises(DomainError):
-            jackson_integral(POLY_A, "sideways", Fraction(1), ctx_half)
-
 
 def _decaying(t):
     return 1 / (1 + t * t) ** 3
@@ -148,14 +133,6 @@ class TestHatIntegral:
             [1 - k for k in range(K + 1)] + [k + 2 for k in range(K + 1)]
         )
         assert exponents == list(range(1 - K, K + 3))
-
-    def test_finite_agrees_with_geometric_closed_form(self, all_ctx):
-        # f == 1 gives q^{-1} a sum q^j = a / (q (1 - q)).
-        for ctx in all_ctx:
-            a = Fraction(2, 3)
-            got = hat_q_integral_finite(lambda t: ctx.mpf(1), a, ctx)
-            want = ctx.mpf(a / (ctx.q * (1 - ctx.q)))
-            assert abs(got - want) <= ctx.mpf("1e-70")
 
     def test_lattice_function_path_matches_callable_path(self, ctx_half):
         K = 40
@@ -191,8 +168,6 @@ class TestHatIntegral:
     def test_domain_validation(self, ctx_half):
         with pytest.raises(DomainError):
             hat_q_integral(_decaying, ctx_half, K=0)
-        with pytest.raises(DomainError):
-            hat_q_integral_finite(_decaying, Fraction(-1), ctx_half)
         short = LatticeFunction(
             x0=Fraction(1), values={0: 1.0, 1: 0.5}, m_min=0, m_max=1
         )
@@ -242,10 +217,10 @@ class TestIntegrationByParts:
             ibp_residual(_u_dec, _v_dec, "ip3", None, ctx_half, K=0)
 
 
-# Reference lattice sums: the monitored sum and the lattice generators as
+# Reference lattice sums: the monitored sum and the finite hat integral as
 # they were written before the stop rule and the walk were shared, kept
-# here to pin the numeric Jackson and finite hat integrals bitwise; the
-# modulus of a complex value is correctly rounded, as the pairs round it.
+# here to pin the ip1/ip2 residuals bitwise; the modulus of a complex
+# value is correctly rounded, as the pairs round it.
 
 
 def _ref_monitored_sum(terms, ctx, what):
@@ -272,42 +247,6 @@ def _ref_monitored_sum(terms, ctx, what):
     return total
 
 
-def _ref_jackson_integral(func, kind, x, ctx):
-    xv = ctx.mpf(x)
-    q = ctx.qm
-    if kind == "zero_to_x":
-        def small_terms():
-            qn = ctx.mp.mpf(1)
-            for _ in range(ctx.max_terms):
-                yield qn * func(qn * xv)
-                qn = qn * q
-        return xv * (1 - q) * _ref_monitored_sum(small_terms(), ctx, "jackson")
-
-    mirrored = kind == "minus_inf_to_inf"
-
-    def value_at(t):
-        v = func(t)
-        if mirrored:
-            v = v + func(-t)
-        return v
-
-    def downward_terms():
-        qj = 1 / q
-        for _ in range(ctx.max_terms):
-            yield qj * value_at(qj * xv)
-            qj = qj / q
-
-    def upward_terms():
-        qj = ctx.mp.mpf(1)
-        for _ in range(ctx.max_terms):
-            yield qj * value_at(qj * xv)
-            qj = qj * q
-
-    up = _ref_monitored_sum(upward_terms(), ctx, "jackson upward branch")
-    down = _ref_monitored_sum(downward_terms(), ctx, "jackson downward branch")
-    return (1 - q) * xv * (up + down)
-
-
 def _ref_hat_q_integral_finite(func, a, ctx):
     av = ctx.mpf(a)
     q = ctx.qm
@@ -329,59 +268,18 @@ def _outcome(call, *args):
         return type(exc), str(exc)
 
 
-def _integrands(ctx):
-    mp = ctx.mp
-    return {
-        "constant": lambda t: 1,
-        "gaussian": lambda t: t * t * mp.exp(-t * t),
-        "wiggle": lambda t: t * mp.cos(1 / t),
-    }
-
-
-@pytest.mark.parametrize(
-    "q, bits",
-    [
-        pytest.param(Fraction(q), bits, id=f"{q}-{bits}")
-        for q in ("3/10", "1/2", "40/41")
-        for bits in (64, 256)
-    ],
-)
-class TestLatticeSumsBitwise:
-    def test_jackson_integral(self, q, bits):
-        ctx = PrecisionContext(q, bits)
-        x = Fraction(3, 4)
-        for name, f in _integrands(ctx).items():
-            for kind in ("zero_to_x", "zero_to_inf", "minus_inf_to_inf"):
-                got = _outcome(jackson_integral, f, kind, x, ctx)
-                assert got == _outcome(_ref_jackson_integral, f, kind, x, ctx), (name, kind)
-
-    def test_hat_q_integral_finite(self, q, bits):
-        ctx = PrecisionContext(q, bits)
-        a = Fraction(2, 3)
-        for name, f in _integrands(ctx).items():
-            got = _outcome(hat_q_integral_finite, f, a, ctx)
-            assert got == _outcome(_ref_hat_q_integral_finite, f, a, ctx), name
-
-
 def test_growing_term_resets_the_monitored_streak(ctx_half):
     # Every term after the first is below tol times the sum; the fourth
-    # grows, so the count restarts and the sum stops at the seventh.
+    # grows, so the count restarts and the sum settles on the seventh.
     tol = ctx_half.series_tol
     terms = [ctx_half.mpf(t) for t in (1, tol / 8, tol / 16, tol / 4, tol / 32, tol / 64, tol / 128, 5)]
-    stream = iter(terms)
-    total = _monitored_sum(stream, ctx_half, "test")
-    assert next(stream) == 5
+    total = _Monitored(ctx_half)
+    settled = next(k for k, t in enumerate(terms, 1) if total.add(_as_pair(t)))
+    assert settled == 7
     want = ctx_half.mp.mpf(0)
     for t in terms[:7]:
         want = want + t
-    assert total == want
-
-
-def test_nan_terms_never_settle(ctx_half):
-    # A NaN is not a small term: the sum runs to its budget and refuses.
-    nan = ctx_half.mp.nan
-    with pytest.raises(NoConvergenceError):
-        _monitored_sum(iter([ctx_half.mpf(1)] + [nan] * 5000), ctx_half, "test")
+    assert _mpf(total.total, ctx_half) == want
 
 
 # Reference hat-lattice sums: the hat integral, the lattice moment and the
@@ -769,16 +667,16 @@ class TestCallableBoundaryBitwise:
     """Results of a callable that are not mpf values enter the pair
     arithmetic as the mpf operators took them."""
 
-    def test_jackson_and_finite_hat(self, q, bits):
+    def test_finite_ibp(self, q, bits):
         ctx = PrecisionContext(q, bits)
-        x = Fraction(3, 4)
         for name, f in _boundary_integrands(ctx).items():
-            for kind in ("zero_to_x", "zero_to_inf", "minus_inf_to_inf"):
-                got = _outcome(jackson_integral, f, kind, x, ctx)
-                want = _outcome(_ref_jackson_integral, f, kind, x, ctx)
-                assert _bits(got) == _bits(want), (name, kind)
-            got = _outcome(hat_q_integral_finite, f, x, ctx)
-            assert _bits(got) == _bits(_outcome(_ref_hat_q_integral_finite, f, x, ctx)), name
+            if name == "fraction":
+                continue  # the mpf operators refuse Fraction / mpf in d-hat
+            for u, v in ((f, f), (_u_dec, f), (f, _v_dec)):
+                for variant in ("ip1", "ip2"):
+                    got = _outcome(ibp_residual, u, v, variant, Fraction(3, 4), ctx)
+                    want = _outcome(_ref_ibp_finite, u, v, variant, Fraction(3, 4), ctx)
+                    assert _bits(got) == _bits(want), (name, variant)
 
     def test_hat_integral_and_ip3(self, q, bits):
         ctx = PrecisionContext(q, bits)
@@ -796,13 +694,6 @@ class TestCallableBoundaryBitwise:
             # u's values meet v's in the boundary products and their difference
             got = _outcome(ibp_residual, f, f, "ip3", None, ctx, K)
             assert _bits(got) == _bits(_outcome(_ref_ip3, f, f, ctx, K)), name
-
-    def test_complex_jackson_stays_complex(self, q, bits):
-        ctx = PrecisionContext(q, bits)
-        f = lambda t: ctx.mp.mpc(1, 2) * t  # noqa: E731
-        got = jackson_integral(f, "zero_to_x", Fraction(3, 4), ctx)
-        assert isinstance(got, ctx.mp.mpc)
-        assert _bits(got) == _bits(_ref_jackson_integral(f, "zero_to_x", Fraction(3, 4), ctx))
 
 
 def test_ip3_refuses_a_finite_limit(ctx_half):

@@ -58,7 +58,6 @@ from qhermite2.qkernel import (
     b_table,
     gen_exponential,
     phi_rs,
-    q_number,
     q_pochhammer,
     q_pochhammer_inf,
     q_power,
@@ -71,17 +70,6 @@ from qhermite2.qkernel import (
 POCH_INF_HALF = "0.2887880950866024212788997219292307800889"
 GEX_ONE_HALF = "2.172668750849663656016913609859312820656"
 W_ONE_HALF = "0.3687561270769005627508456722808199154823"
-
-
-class TestQNumber:
-    def test_small_values(self, ctx_half):
-        assert q_number(0, ctx_half) == 0
-        assert q_number(1, ctx_half) == 1
-        assert abs(q_number(2, ctx_half) - ctx_half.mpf(Fraction(3, 2))) == 0
-
-    def test_negative_index_rejected(self, ctx_half):
-        with pytest.raises(DomainError):
-            q_number(-1, ctx_half)
 
 
 class TestPochhammer:
