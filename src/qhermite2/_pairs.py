@@ -202,29 +202,29 @@ def _start(n: int, chain: tuple, width: int) -> tuple:
     return pm << pad, pe - pad
 
 
-def _chain_power(n: int, chain: tuple, workprec: int) -> tuple:
+def _chain_power(n: int, chain: tuple, width: int) -> tuple:
     """(man, exp) of the product of the ``chain`` entries of the set bits
-    of n, truncated to workprec after each multiply."""
+    of n, truncated to ``width`` bits after each multiply."""
     pm, pe = MPZ_ONE, 0
     for bit, (cm, ce) in zip(bin(n)[:1:-1], chain):  # least significant bit first
         if bit == "1":
             pm *= cm
             pe += ce
-            excess = pm.bit_length() - workprec
+            excess = pm.bit_length() - width
             if excess > 0:
                 pm >>= excess
                 pe += excess
     return pm, pe
 
 
-def _squarings(man, exp: int, count: int, workprec: int) -> tuple:
+def _squarings(man, exp: int, count: int, width: int) -> tuple:
     """(man, exp) of x^(2^k), k < count, x = man 2^exp > 0, each square
-    truncated to workprec."""
+    truncated to ``width`` bits."""
     chain = [(man, exp)]
     for _ in range(count - 1):
         man *= man
         exp += exp
-        excess = man.bit_length() - workprec
+        excess = man.bit_length() - width
         if excess > 0:
             man >>= excess
             exp += excess

@@ -116,8 +116,8 @@ class PrecisionContext:
         Quantities that depend only on q and a precision, filled on
         demand, under one rule: a table of rounded values is keyed by
         ``(name, prec)``, prec the precision its values were rounded
-        at, which is ``mp.prec`` when they are formed, inside an
-        ``mp.workprec`` block too; an exact table is keyed by its name
+        at, which is ``mp.prec`` when they are formed, also where a
+        caller has raised it; an exact table is keyed by its name
         alone.  No cache lives outside the tables.  Rounded, per prec:
 
         - ``("q", prec)``: q as a raw mpf, read by :attr:`qm`;
@@ -132,10 +132,14 @@ class PrecisionContext:
         - ``("carrier", prec)``: the carrier coefficients S_{2j-1}(0) of
           :mod:`qhermite2.extremal` with the exact ratio of the last.
 
-        Exact: ``"nested_sum"`` (the extremal alpha and beta sums) and
+        Exact: ``"nested_sum"`` (the extremal alpha and beta sums),
         ``"htilde"`` (the integer-form Polys of
-        :func:`~qhermite2.qhermite.hermite2_coeffs`).  A stored value is
-        never changed; containers only grow.  Not part of equality or
+        :func:`~qhermite2.qhermite.hermite2_coeffs`), ``"2phi0"`` (the
+        map n -> the exact 2phi0 expansion of htilde_n that
+        :func:`~qhermite2.qhermite.hermite2_eval_direct` evaluates) and
+        ``"(ix;q)_k"`` (the Gaussian-integer rows of b^binom(k,2)
+        (ix; q)_k, q = a/b, that the expansions share).  A stored value
+        is never changed; containers only grow.  Not part of equality or
         hashing.
     """
 

@@ -1,10 +1,10 @@
 """Discrete q-Hermite polynomials of type II and their normalized family.
 
 Provides exact monic coefficient sequences (three-term recurrence),
-direct terminating-hypergeometric evaluation, the orthonormal family
-Psi_n, a generating-function diagnostic that tests a menu of weight
-hypotheses order by order in exact arithmetic, and an exact
-q-difference-equation residual checker.
+direct evaluation through the exact expansion of the terminating 2phi0
+form, the orthonormal family Psi_n, a generating-function diagnostic
+that tests a menu of weight hypotheses order by order in exact
+arithmetic, and an exact q-difference-equation residual checker.
 
 The recurrence is the source of truth:
 
@@ -21,21 +21,21 @@ integer pairs: ``psi_sequence`` and the extremal series read it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
-from ._pairs import _ONE, _ZERO, _as_pair, _finish_step, _mpf, _product, _quotient, _sum
+from ._pairs import _ONE, _ZERO, _as_pair, _finish_step, _mp, _mpf, _product, _quotient, _sum
 from .context import PrecisionContext, as_fraction
 from .errors import DomainError
 from .exact import (
     GaussianRational,
     Poly,
+    _poly,
     bn_squared_exact,
 )
-from .qkernel import HypergeometricSpec, phi_rs, b_table
+from .qkernel import b_table
 
 __all__ = [
     "hermite2_coeffs",
@@ -67,46 +67,86 @@ def hermite2_coeffs(n: int, ctx: PrecisionContext) -> Poly:
     return cache[n]
 
 
+def _two_phi_zero(n: int, ctx: PrecisionContext) -> Poly:
+    """i^{-n} q^{-binom(n,2)} 2phi0(q^{-n}, ix; -; q, -q^n), expanded
+    exactly in x: a Poly over Q(i), equal to htilde_n when the closed
+    form holds.
+
+    Term k of the 2phi0 is (q^{-n}; q)_k (ix; q)_k q^{nk - binom(k,2)}
+    / (q; q)_k = (-1)^k [n choose k]_q (ix; q)_k.  For q = a/b, the
+    Gaussian-integer polynomial R_k = b^binom(k,2) (ix; q)_k is the
+    product of b^j - i a^j x, j < k, and G_k = b^(k(n-k)) [n choose k]_q
+    the integer prod_{j<k} (b^(n-j) - a^(n-j)) / (b^(j+1) - a^(j+1)),
+    each quotient exact.  So
+
+        htilde_n = i^{-n} a^{-binom(n,2)} sum_k (-1)^k G_k b^binom(n-k,2) R_k,
+
+    summed on integers and reduced once.  The R_k, shared by every n,
+    are the rows of ``ctx.tables["(ix;q)_k"]``, grown on demand; the
+    expansions are kept in ``ctx.tables["2phi0"]`` by n.
+    """
+    cache = ctx.tables.setdefault("2phi0", {})
+    poly = cache.get(n)
+    if poly is not None:
+        return poly
+    a, b = ctx.q.numerator, ctx.q.denominator
+    rows = ctx.tables.setdefault("(ix;q)_k", [((1, 0),)])
+    while len(rows) <= n:  # R_(k+1) = R_k (b^k - i a^k x)
+        k, last = len(rows) - 1, rows[-1]
+        ak, bk = a**k, b**k
+        low, row = (0, 0), []
+        for re, im in last + ((0, 0),):
+            row.append((bk * re + ak * low[1], bk * im - ak * low[0]))
+            low = (re, im)
+        rows.append(tuple(row))
+    re, im = [0] * (n + 1), [0] * (n + 1)
+    g = 1  # G_k
+    for k in range(n + 1):
+        c = (-g if k & 1 else g) * b ** ((n - k) * (n - k - 1) // 2)
+        for j, (u, v) in enumerate(rows[k]):
+            re[j] += c * u
+            im[j] += c * v
+        g = g * (b ** (n - k) - a ** (n - k)) // (b ** (k + 1) - a ** (k + 1))
+    # times i^{-n}: 1, -i, -1, i
+    num = [((u, v), (v, -u), (-u, -v), (-v, u))[n % 4] for u, v in zip(re, im)]
+    poly = cache[n] = _poly(num, a ** (n * (n - 1) // 2))
+    return poly
+
+
+def _exact_point(x):
+    """x as an exact scalar: a GaussianRational as it is, a complex or
+    mpc value as the GaussianRational of its parts, anything else as
+    :func:`~qhermite2.context.as_fraction` reads it (an mpf or float at
+    its exact binary value); DomainError for a NaN or an infinity."""
+    if isinstance(x, GaussianRational):
+        return x
+    if isinstance(x, complex) or hasattr(x, "_mpc_"):
+        return GaussianRational(as_fraction(x.real), as_fraction(x.imag))
+    return as_fraction(x)
+
+
 def hermite2_eval_direct(n: int, x, ctx: PrecisionContext):
     """Evaluate htilde_n(x) through its terminating hypergeometric form.
 
     htilde_n(x) = i^{-n} q^{-binom(n,2)} 2phi0(q^{-n}, ix; -; q, -q^n).
 
-    Returns an mpc rounded to working precision; for real x its
-    imaginary part is at rounding level.  This is the independent
-    cross-check of the recurrence coefficients.
-
-    Near zeros of the polynomial the hypergeometric sum cancels to a
-    value exponentially smaller than the q^{-binom(n,2)} prefactor, so
-    the sum is accumulated with guard bits covering the prefactor
-    magnitude (plus growth from |x|); otherwise the amplified rounding
-    of the cancellation would dominate small polynomial values.
+    The 2phi0 is expanded exactly in x (:func:`_two_phi_zero`) and
+    evaluated exactly at x: an int, Fraction or GaussianRational as it
+    is, an mpf, mpc, float or complex at its exact binary value, a
+    string as ``as_fraction`` parses it.  Each
+    part of the exact value is rounded once, to nearest at the working
+    precision ``ctx.mp.prec``, and returned as an mpc; the expansion
+    has real coefficients, so for a real x the imaginary part is 0.
+    This is the independent cross-check of the recurrence coefficients.
+    A NaN or infinite x raises DomainError, before any table is read.
     """
     if n < 0:
         raise DomainError(f"polynomial degree must be >= 0, got {n}")
-    mp = ctx.mp
-    guard = (
-        int(math.ceil((n * (n - 1) / 2) * math.log2(1 / float(ctx.q))))
-        + int(math.ceil(n * math.log2(2 + abs(complex(x)))))
-        + 64
-    )
-    # ctx.qm is used throughout (also inside phi_rs term ratios): the
-    # sum cancels identically in whatever q-value is used, provided it
-    # is the same value everywhere, so the base-precision rounding of q
-    # never gets amplified by the cancellation.
-    with mp.workprec(ctx.precision_bits + guard):
-        q = ctx.qm
-        xv = ctx.mpc(x)
-        spec = HypergeometricSpec(
-            upper=(q ** (-n), mp.mpc(0, 1) * xv),
-            lower=(),
-            z=-(q**n),
-            terminating_at=n,
-        )
-        value = phi_rs(spec, ctx)
-        prefactor = mp.mpc(0, 1) ** (-n) * q ** (-(n * (n - 1)) // 2)
-        out = prefactor * mp.mpc(value)
-    return mp.mpc(out)
+    point = _exact_point(x)
+    value = _two_phi_zero(n, ctx)(point)
+    prec = ctx.mp.prec
+    parts = [_quotient((p.numerator, 0), (p.denominator, 0), prec) for p in (value.re, value.im)]
+    return _mp(tuple(parts), ctx)
 
 
 def _recurrence(x: tuple, ctx: PrecisionContext, seeds, slopes=None):

@@ -493,8 +493,8 @@ def phi_rs(spec: HypergeometricSpec, ctx: PrecisionContext):
     NoConvergenceError before any term is formed.  Their powers q^(k+1)
     and q^(e k), k < n, come from one :func:`q_power_run` pass at the
     precision of the call, and 1 - q^(k+1) from those, so a call at a
-    fresh precision (``hermite2_eval_direct``'s guard) fills no power
-    memo; the real or complex operations are chosen once per call.
+    precision the context has not used fills no power memo; the real
+    or complex operations are chosen once per call.
     A non-terminating series stops at the monitored-decay rule
     (:class:`Decay`) once the term ratio is also below 1/2, which certifies a geometric tail.  For e > 0 the ratio tends to 0, so
     every z qualifies.  For e = 0 the series converges for |z| < 1, but

@@ -32,6 +32,7 @@ from .qcalculus import (
 )
 from .qhermite import (
     WEIGHT_HYPOTHESES,
+    _two_phi_zero,
     generating_fn_report,
     hermite2_coeffs,
     hermite2_eval_direct,
@@ -89,8 +90,10 @@ def recurrence(
 ) -> List[Check]:
     """H~_n from the terminating 2phi0 against its exact coefficients.
 
-    One check per n <= n_max: the worst gap over x in {0, +-1/2, +-1,
-    +-2}, relative to max(|H~_n(x)|, 1).
+    One check per n <= n_max: the exact 2phi0 expansion equals the
+    recurrence polynomial, and the worst gap over x in {0, +-1/2, +-1,
+    +-2} between Horner on that polynomial and the 2phi0 value rounded
+    once, relative to max(|H~_n(x)|, 1), is within ``tol``.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
@@ -98,7 +101,9 @@ def recurrence(
     xs = [Fraction(x) for x in (0, "1/2", "-1/2", 1, -1, 2, -2)]
     checks = []
     for n in range(n_max + 1):
-        evaluate = hermite2_coeffs(n, ctx).mp_evaluator(ctx)
+        coeffs = hermite2_coeffs(n, ctx)
+        exact = _two_phi_zero(n, ctx) == coeffs
+        evaluate = coeffs.mp_evaluator(ctx)
         worst = ctx.mp.mpf(0)
         for x in xs:
             xv = ctx.mpf(x)
@@ -112,7 +117,7 @@ def recurrence(
                 f"q={ctx.q}; x in {{0,+-1/2,+-1,+-2}}",
                 worst,
                 tol,
-                worst <= tol_mp,
+                exact and worst <= tol_mp,
             )
         )
     return checks

@@ -357,18 +357,20 @@ def test_lattice_output_pinned(capsys, q, bits, job, code, digest):
 # Exit code and SHA-256 of stdout of the series-layer subcommands,
 # recorded from the per-call q ** n that the cached q-power kernel
 # replaced (q = 1/2, 256 bits, z-radial is pinned above); the 40/41
-# z-radial row was recorded again with the z-radial rows above, twice.
+# z-radial row was recorded again with the z-radial rows above, twice;
+# the recurrence rows when the direct value became the exact 2phi0
+# rounded once.
 # q, bits, job, exit code, digest.
 _PINNED_SERIES_OUTPUT = """
 1/2 256 cs 0 7a69f2f4b4bd94b1e3b9ef17bdce2d82737bc56630a432da71bce7f0fb91b0d2
 1/2 256 generating 0 13dda2aab459ecdfd8b26100477bcc4139ec092481a77a9fe9ed675ccb9b9d80
 1/2 256 qdiff 0 06168546fd3057b6ff844856dfcb6f6013910d1871cb118d0fc3f6b1b7e25632
-1/2 256 recurrence 0 2fd14423b00dbc8e7f7ca10b471b8b2ac623920ce9d8d7008564a35a0bcde972
+1/2 256 recurrence 0 8015d84dbbf6c38a3e070e98b0926d538ec69077421d877ddd238612488ce196
 1/2 256 qcalculus 0 f689993336970683af5d4609f1b1bbd47ed4fd079770d951321a385d3e37b758
 40/41 128 cs 0 ae9106474f257256001b90f1ce8ddf7caa37847ea2949a38eeca6787014185b3
 40/41 128 generating 0 12bb9807fa47ed3f48f37dd992b3923e5a1c68defbd48f622e05c2d1b1374c50
 40/41 128 qdiff 0 c9c497a9bacc083ca1a67dba4e26cd21155a0b06e004975f26a402733915fb28
-40/41 128 recurrence 0 ad4550b4d5b5fb876955ddeeff5432d8107e507edd5b58ffb95371953a99bc4e
+40/41 128 recurrence 0 597329416c5b7b35b3fa7d46c0a68f984399da4c788cb05aadc35d30d7096a79
 40/41 128 qcalculus 0 1c93a59a6e9540259d691fc20d0a58d3809f75e8b2f02c54e37587fc5085bb7b
 40/41 128 jackson-z-radial 0 08bda28e66425579039c6dd36da3d8bf1c5f3c414acdfc9a73410454bd8c933c
 """

@@ -18,7 +18,9 @@ The three z-radial rows were recorded again when N^2 came from its
 q-difference equation at the exact ring points, which moved the last
 digits of the masses and their total.  The last six hot-path rows were
 recorded before the finite integration-by-parts walk and the 2phi0
-power pass were rewritten, to pin them.
+power pass were rewritten, to pin them.  The eleven recurrence rows were
+recorded again when the direct value became the exact 2phi0 rounded
+once: its imaginary part is 0 for a real x, so most residuals read 0.
 """
 
 from __future__ import annotations
@@ -43,25 +45,25 @@ _CONTRACT = [
     ('cs --z-re=-3/2 --z-im=1/4 --trunc=30 --q=1/3 --precision-bits=128', 0, "cbb642c00c608e73f98bbd68cb2d539e61031db3cef6d304505f47e6b40a2af2", ''),
     ('verify --suite generating --q=1/3 --precision-bits=128', 0, "b9e90101959a4d22796809e0d16dec639a47d8016ad94b8ba23e907f9b644547", ''),
     ('verify --suite qdiff --q=1/3 --precision-bits=128', 0, "8ccd91c918634aa4d9a7dd0a7d0ec0417af8498f75fe8292018cfd5c70ec9e72", ''),
-    ('verify --suite recurrence --q=1/3 --precision-bits=128', 0, "70b278347242ef010f9197dd87927bdb916d874252e8ad4a23a474a9de45bea8", ''),
+    ('verify --suite recurrence --q=1/3 --precision-bits=128', 0, "71124527abd0aa1d194e17e349c14425c21afbba162d88b5b63ea22ba14afae6", ''),
     ('verify --suite qcalculus --q=1/3 --precision-bits=128', 0, "642244d70268f8a4ed24220eb3299fbccafad9cfe2ced0771c9943a7315efb2f", ''),
     ('cs --q=1/3 --precision-bits=256', 0, "c60067587f138a8e4ff8b43d68380facad1390760d96806fbb407283cc6270b4", ''),
     ('cs --z-re=-3/2 --z-im=1/4 --trunc=30 --q=1/3 --precision-bits=256', 0, "d258f842599bd6e2e95745d03229034efa224ca465e0d13b592c2319e97f179b", ''),
     ('verify --suite generating --q=1/3 --precision-bits=256', 0, "b9e90101959a4d22796809e0d16dec639a47d8016ad94b8ba23e907f9b644547", ''),
     ('verify --suite qdiff --q=1/3 --precision-bits=256', 0, "8ccd91c918634aa4d9a7dd0a7d0ec0417af8498f75fe8292018cfd5c70ec9e72", ''),
-    ('verify --suite recurrence --q=1/3 --precision-bits=256', 0, "8865c9efc3f7a5aea9f7c341319380e2ae4a34c4d2383c2511f26f49ae2a7503", ''),
+    ('verify --suite recurrence --q=1/3 --precision-bits=256', 0, "71124527abd0aa1d194e17e349c14425c21afbba162d88b5b63ea22ba14afae6", ''),
     ('verify --suite qcalculus --q=1/3 --precision-bits=256', 0, "fe1615f9c769e3952df060e4bd283fc434482d4052018d378cfb1ead819730bf", ''),
     ('cs --q=26/27 --precision-bits=128', 0, "542747c7796d32efae0d3dcaf0e58f393798e0e5419449cf2023b9d702d99a52", ''),
     ('cs --z-re=-3/2 --z-im=1/4 --trunc=30 --q=26/27 --precision-bits=128', 0, "080ff8ed7ab1938494f61069f1f02f845aa541156aad04be7506dd803ce1e2ab", ''),
     ('verify --suite generating --q=26/27 --precision-bits=128', 0, "2c3602e6a3636ff3d93f4396ea8c6b401aab4871e35937142c8127f833b84269", ''),
     ('verify --suite qdiff --q=26/27 --precision-bits=128', 0, "b9e2c7d2c44f9cc752b1ae6009c51a521a0f7df966b6644d547fa93fd5ee6cc1", ''),
-    ('verify --suite recurrence --q=26/27 --precision-bits=128', 0, "1b1bb49ac43cc511c37347283ffb0a59b918ecc4ba358a61680aee38659a47d5", ''),
+    ('verify --suite recurrence --q=26/27 --precision-bits=128', 0, "70c902a32ec9db00c7badef0c8c59e79444044f2a2e7c76f1d1a6115ae3efac8", ''),
     ('cs --q=26/27 --precision-bits=256', 0, "17b3495373e398588bf0da2a914eb80ca344a184d096112a90962166d25e4dde", ''),
     ('cs --z-re=-3/2 --z-im=1/4 --trunc=30 --q=26/27 --precision-bits=256', 3, "77e02c65496b79daa6b614d6106898835c7b2ca2013c707f52eb4e8e6acaa606", ''),
     ('verify --suite generating --q=26/27 --precision-bits=256', 0, "2c3602e6a3636ff3d93f4396ea8c6b401aab4871e35937142c8127f833b84269", ''),
     ('verify --suite qdiff --q=26/27 --precision-bits=256', 0, "b9e2c7d2c44f9cc752b1ae6009c51a521a0f7df966b6644d547fa93fd5ee6cc1", ''),
-    ('verify --suite recurrence --q=26/27 --precision-bits=256', 0, "0ffdf1dac31347d65aeb3bc07c01349dd99a13a5da7f9d872d059bb4d6564f11", ''),
-    ('verify --suite recurrence --format=json', 0, "684dbf80a3cab6f4a9b879c9d38ed08c2c79f168a978a82d761f8612acf7114d", ''),
+    ('verify --suite recurrence --q=26/27 --precision-bits=256', 0, "01056493b0e0fa129046288028f1253f2d7d70a72fe0909ef60b021d16e04372", ''),
+    ('verify --suite recurrence --format=json', 0, "1ec5d4ca1a7f28cb163aa77b5ed6fcad22c649dff5c7e48a2490cedbaf83868d", ''),
     ('verify --suite generating --x=-3/4 --order=6 --format=json', 0, "7ba59dda8c98d80a9f4813e7323ebb3e386254d9ae9fe05ab888d93d546f88e9", ''),
     ('cs --format=json', 0, "69398cec35c4629585be0559a57e9eac57d9a6a01c7f108d18ad481ff6571ba6", ''),
     ('table --what spectrum --q=3/10', 0, "b78c22614120d963ddb08bcdb12cf475221394268c58040b09403430dd15ba6f", ''),
@@ -70,8 +72,8 @@ _CONTRACT = [
     ('verify --suite commutators --q=2/3 --dim=24 --format=json', 0, "57a612c793f7fb29aa9bd4c3cb4a16d70c9a4908d3abaa20156547d9a3039dc0", ''),
     ('measure --type extremal --bound=1/1000 --precision-bits=128', 0, "737c28655dd1d0de9b5d2349da2133d95a2a9adec87936c8317b7d49a0054f29", ''),
     ('measure --type extremal --q=1/64 --bound=200', 0, "d18d2e943b3f0a4cc45b3eb69f2b9e6c677d82ff551ab41139102225d617f5d2", ''),
-    ('verify --suite recurrence --n-max=5 --tol=1e-30 --q=3/10', 0, "c1a260273d93288be9e262a6e799e5bc4ad07dcd187f6153fa103e6505a74e05", ''),
-    ('verify --suite recurrence --precision-bits=64', 1, "ed259cd8676a0bd2cafa1982a19050e4a64212070a135483a643a8cec7379f75", ''),
+    ('verify --suite recurrence --n-max=5 --tol=1e-30 --q=3/10', 0, "a72163108594abe5251c1516beed8e0eced7d1cc66acc00409d92df47238bcc5", ''),
+    ('verify --suite recurrence --precision-bits=64', 1, "dcf08275c0f9491945d7bd3802cdf285f187704ad1f7ca469f78d0c7979eea03", ''),
     ('verify --suite qcalculus --tol=1/10000000000 --q=4/5', 0, "ca319f53d82092345c534bb7570dd52fb14633156994b630ed4032e16408a5ea", ''),
     ('verify --suite qdiff --n-max=6 --format=json', 0, "b107af320d6758c479ff8df6c88868a7ee7694e9839354bc799df8e84092ea1c", ''),
     ('verify --suite moments --n-max=4 --k-depth=30 --tail=60 --tol=1e-6', 0, "c8e960c026f11666e65074aa05ecb1f6cbea7d14e3cbadc1be9ad7fa09a6a48f", ''),
@@ -100,7 +102,7 @@ _CONTRACT = [
 
 # Slower commands (about 0.1-1 s each) that load the series and lattice
 # hot paths: the generalized q-exponential of the coherent-state
-# normalizer, the terminating 2phi0 of H~_n at guard precision, the
+# normalizer, the exact 2phi0 of H~_n rounded once, the
 # polynomial evaluators, the finite, infinite and ip3 hat sums, and deep
 # lattice-weight sweeps near q = 1 at 512 bits.
 _HOT_PATH_CONTRACT = [
@@ -108,7 +110,7 @@ _HOT_PATH_CONTRACT = [
     ('verify --suite qcalculus --q=9/10 --precision-bits=512', 0, "bc076ede688ce228290a89a2754c6c837c3ca36c1680c1e1876bf08c97e368d7", ''),
     ('measure --type jackson --variable z-radial --q=32/33', 0, "e497b79ade6897035af67532647f62e93c36b65eb616f3f5a078fd4d69915001", ''),
     ('measure --type jackson --variable z-radial --q=3/7 --precision-bits=512 --format=json', 0, "aead4880e15b96d869d5c92bd49fc100a9f26edce77cbde92b1d16de2fd69313", ''),
-    ('verify --suite recurrence --q=7/61 --precision-bits=512', 0, "bcf533586076dbffdb23cd458a18f0b4e254bdbbcafe690e4bd35be791377460", ''),
+    ('verify --suite recurrence --q=7/61 --precision-bits=512', 0, "9d19e00c44dbcbf5b5acb7ca24b131f2fec2836bda06c1c48448149d84d0cebd", ''),
     ('verify --suite moments --q=11/12 --k-depth=300 --tail=400 --precision-bits=128', 0, "fe3f2ade4a491b28acc1db75f035589520d742973e291cee591b42d3ccbd6ba9", ''),
     ('cs --q=19/28 --precision-bits=512', 0, "df92cbdc95a4cb9f10728d3c0b904711c30139b1ad9305b7feb452cd3d8a90a4", ''),
     ('cs --z-re=3 --z-im=-2 --q=7/8 --format=json', 0, "667cf93f01dc488cdbc31369378c283fc490b98a2a7439c05e7bfee0048ec5d2", ''),
@@ -118,9 +120,9 @@ _HOT_PATH_CONTRACT = [
     ('verify --suite qcalculus --q=49/58 --precision-bits=512', 0, "5c1afa67c3e71ebbabf809b989d177e505601e765a8380dc9d361c06c6b69184", ''),
     ('verify --suite qcalculus --q=56/61 --precision-bits=256', 0, "8e994642e4663a4543cf47ba1036202df72d7f2c1b27299a77057962e380a3ac", ''),
     ('verify --suite qcalculus --q=40/41 --precision-bits=512 --format=json', 3, "d3ce0b810b848ede81e603fb56bf2b2f3a961b97b0d3fdfc3e8e24410d540262", ''),
-    ('verify --suite recurrence --q=1/62 --precision-bits=256', 0, "3864cd8316fdf515cf35bbb030dbd931bedfc8d91b6a3b9dbd5a8f82654e0c6a", ''),
-    ('verify --suite recurrence --q=5/56 --precision-bits=128', 0, "541e79e013df5926c6f2f46c8074759f52de8aba81f13aff173ecc79589b5209", ''),
-    ('verify --suite recurrence --q=8/17 --precision-bits=256', 0, "6b490232099d7bf20a210d281ed5bd4ca630a67a8b2c2610c9593179639fb7ce", ''),
+    ('verify --suite recurrence --q=1/62 --precision-bits=256', 0, "ec7970c9c183fbde0011007e5e8ffec88f5e8110b7ea8454beca3f71fff292f5", ''),
+    ('verify --suite recurrence --q=5/56 --precision-bits=128', 0, "314875c1fa7c975b417659c20098ba03451c9b95744f5dec001f77ed0f1f6e20", ''),
+    ('verify --suite recurrence --q=8/17 --precision-bits=256', 0, "478577fd2e38e735eae073b9c8126faf03e70eaf5435c274bfe30b2e929b3dbf", ''),
 ]
 
 
@@ -139,9 +141,8 @@ def test_output_contract(capsys, argv, code, digest, last_err):
 
 def test_contract_rows_after_a_reused_context(capsys):
     """The quick rows once more, last first, each after a recurrence job
-    (which computes inside ``mp.workprec``) at its precision: the row's
-    job takes the mpmath context that job handed back, and its bytes
-    stay the pinned ones."""
+    at its precision: the row's job takes the mpmath context that job
+    handed back, and its bytes stay the pinned ones."""
     for argv, code, digest, _ in reversed(_CONTRACT):
         match = re.search(r"--precision-bits=(\d+)", argv)
         bits = int(match[1]) if match else 256

@@ -123,3 +123,19 @@ def test_no_module_uses_a_retired_mpmath_routine():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name in retired]
     assert found == []
+
+
+def test_no_module_raises_a_working_precision():
+    # No module calls an mpmath context's workprec: every rounded value
+    # is formed at the precision of the call, so a value a caller holds
+    # never comes from a context whose precision the package changed.
+    src = Path(qhermite2.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "workprec":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -5,12 +5,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from mpmath import inf, mpc, mpf, nan
 
+from qhermite2 import PrecisionContext, qhermite, suites
 from qhermite2.errors import DomainError
 from qhermite2.exact import GaussianRational, Poly, bn_squared_exact, qfactorial_exact
 from qhermite2.qhermite import (
     WEIGHT_HYPOTHESES,
     _closed_form_tau_coeffs,
+    _two_phi_zero,
     generating_fn_report,
     hermite2_coeffs,
     hermite2_eval_direct,
@@ -82,6 +85,54 @@ class TestCrossRepresentation:
                     via = poly.mp_evaluator(ctx)(xv)
                     scale = max(abs(via), ctx.mpf(1))
                     assert abs(direct - via) / scale < tol
+
+    @pytest.mark.parametrize("q", ["1/64", "3/10", "1/2", "4/5", "99/100"])
+    def test_two_phi_zero_expansion_is_the_recurrence_polynomial(self, q):
+        ctx = PrecisionContext(Fraction(q), 64)
+        for n in range(17):
+            assert _two_phi_zero(n, ctx) == hermite2_coeffs(n, ctx), n
+
+    def test_expansion_with_one_coefficient_changed_fails_its_row(self, monkeypatch):
+        # Far below the floating gate: only the exact comparison sees it.
+        def changed(n, ctx):
+            poly = _two_phi_zero(n, ctx)
+            if n != 7:
+                return poly
+            coeffs = list(poly.coeffs)
+            coeffs[1] = coeffs[1] + Fraction(1, 2**400)
+            return Poly(coeffs)
+
+        monkeypatch.setattr(suites, "_two_phi_zero", changed)
+        checks = suites.recurrence(PrecisionContext(Fraction(1, 3), 128))
+        assert [c.passed for c in checks] == [n != 7 for n in range(13)]
+
+    def test_changed_recurrence_coefficient_fails_the_rows_it_reaches(self, monkeypatch):
+        # b_3^2 enters htilde_5 and every later htilde_n.
+        def changed(m, q):
+            value = bn_squared_exact(m, q)
+            return value * (1 + Fraction(1, 2**400)) if m == 3 else value
+
+        monkeypatch.setattr(qhermite, "bn_squared_exact", changed)
+        checks = suites.recurrence(PrecisionContext(Fraction(1, 3), 128))
+        assert [c.passed for c in checks] == [n < 5 for n in range(13)]
+
+    def test_recurrence_rounds_at_the_working_precision_only(self):
+        ctx = PrecisionContext(Fraction(1, 3), 256)
+        suites.recurrence(ctx)
+        assert {key[1] for key in ctx.tables if isinstance(key, tuple)} <= {ctx.mp.prec}
+        assert sorted(ctx.tables["2phi0"]) == list(range(13))
+
+    @pytest.mark.parametrize(
+        "x",
+        [mpf(inf), mpf(-inf), mpf(nan), mpc(1, inf), mpc(nan, 0), float("inf"), complex(0, float("nan"))],
+        ids=str,
+    )
+    def test_non_finite_x_is_refused(self, x):
+        ctx = PrecisionContext(Fraction(1, 3), 128)
+        for n in (0, 5):
+            with pytest.raises(DomainError, match="cannot interpret"):
+                hermite2_eval_direct(n, x, ctx)
+        assert ctx.tables == {}
 
 
 class TestOrthonormalValues:

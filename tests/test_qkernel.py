@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import time
 from fractions import Fraction
 
@@ -26,6 +25,7 @@ from mpmath.libmp import (
     mpf_sqrt,
     mpf_sub,
     round_nearest,
+    to_rational,
 )
 
 from qhermite2 import PrecisionContext, _pairs, qkernel
@@ -48,7 +48,7 @@ from qhermite2._pairs import (
     _times,
 )
 from qhermite2.errors import DomainError, FormalSeriesError, NoConvergenceError
-from qhermite2.exact import bn_squared_exact
+from qhermite2.exact import GaussianRational, bn_squared_exact
 from qhermite2.qcalculus import HAT_DEPTH
 from qhermite2.qhermite import hermite2_eval_direct
 from qhermite2.qkernel import (
@@ -1120,27 +1120,35 @@ def _ref_gen_exponential(x, ctx):
     raise NoConvergenceError("reference gen_exponential did not converge")
 
 
+def _exact_point(x):
+    """The exact value of x (int, Fraction, complex, mpf or mpc) as a
+    GaussianRational."""
+    if isinstance(x, complex):
+        return GaussianRational(Fraction(x.real), Fraction(x.imag))
+    if hasattr(x, "_mpc_"):
+        return GaussianRational(*(Fraction(*to_rational(part)) for part in x._mpc_))
+    if hasattr(x, "_mpf_"):
+        return GaussianRational(Fraction(*to_rational(x._mpf_)))
+    return GaussianRational(Fraction(x))
+
+
 def _ref_hermite2_eval_direct(n, x, ctx):
-    mp = ctx.mp
-    guard = (
-        int(math.ceil((n * (n - 1) / 2) * math.log2(1 / float(ctx.q))))
-        + int(math.ceil(n * math.log2(2 + abs(complex(x)))))
-        + 64
-    )
-    with mp.workprec(ctx.precision_bits + guard):
-        # The operator powers of hermite2_eval_direct, inside its guard.
-        q = ctx.qm
-        xv = ctx.mpc(x)
-        spec = HypergeometricSpec(
-            upper=(q ** (-n), mp.mpc(0, 1) * xv),
-            lower=(),
-            z=-(q**n),
-            terminating_at=n,
-        )
-        value = _ref_phi_rs(spec, ctx)
-        prefactor = mp.mpc(0, 1) ** (-n) * q ** (-(n * (n - 1)) // 2)
-        out = prefactor * mp.mpc(value)
-    return mp.mpc(out)
+    # i^{-n} q^{-binom(n,2)} 2phi0(q^{-n}, ix; -; q, -q^n) at the exact x,
+    # term by term from the definition of rphi_s (r = 2, s = 0) in
+    # Fractions, each part of the sum rounded once.
+    q, I = ctx.q, GaussianRational.I
+    a, b, z = q**-n, I * _exact_point(x), -(q**n)
+    total = GaussianRational.ZERO
+    poch_a, poch_b, poch_q = Fraction(1), GaussianRational.ONE, Fraction(1)
+    for k in range(n + 1):
+        total = total + poch_b * (poch_a / poch_q * z**k / ((-1) ** k * q ** (k * (k - 1) // 2)))
+        poch_a *= 1 - a * q**k
+        poch_b = poch_b * (1 - b * q**k)
+        poch_q *= 1 - q ** (k + 1)
+    value = (-I) ** n * total * q ** -(n * (n - 1) // 2)
+    prec = ctx.mp.prec
+    parts = (from_rational(p.numerator, p.denominator, prec, round_nearest) for p in (value.re, value.im))
+    return ctx.mp.make_mpc(tuple(parts))
 
 
 SERIES_CONTEXTS = [
@@ -1173,8 +1181,8 @@ class TestSeriesKernelsBitwise:
             assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx), spec
 
     def test_terminating_phi_rs_at_guard_precision(self, q, bits):
-        # The 2phi0 of H~_n runs inside workprec, with q^n arguments
-        # rounded there.
+        # A terminating 2phi0 inside workprec, with q^n arguments rounded
+        # there.
         ctx = PrecisionContext(q, bits)
         for n in (1, 6, 13):
             with ctx.mp.workprec(bits + 11 * n):
@@ -1245,11 +1253,15 @@ def _check_gen_exponential_at_caller_arguments(ctx):
 
 
 def _check_hermite2_eval_direct_at_recurrence_points(ctx, degrees):
-    # As suites.recurrence passes them: mpf points of the context.
+    # As suites.recurrence passes them: mpf points of the context; and a
+    # complex dyadic point.  H~_n has the parity of n, bit for bit.
+    points = [ctx.mpf(x) for x in (0, Fraction(1, 2), Fraction(-1, 2), 1, -1, 2, -2)]
+    points.append(ctx.mpc(complex(0.75, -1.5)) + ctx.mpf(Fraction(1, 3)))
     for n in degrees:
-        for x in (0, Fraction(1, 2), Fraction(-1, 2), 1, -1, 2, -2):
-            xv = ctx.mpf(x)
-            assert hermite2_eval_direct(n, xv, ctx) == _ref_hermite2_eval_direct(n, xv, ctx), (n, x)
+        for xv in points:
+            got = hermite2_eval_direct(n, xv, ctx)
+            assert got == _ref_hermite2_eval_direct(n, xv, ctx), (n, xv)
+            assert hermite2_eval_direct(n, -xv, ctx) == (-1) ** n * got, (n, xv)
 
 
 @pytest.mark.parametrize("bits", [128, 512])
@@ -1313,10 +1325,10 @@ class TestOperatorCalls:
         assert counts[0] == counts[1] <= 12, counts
 
 
-# The 2phi0 of H~_n and other terminating sums, each at a precision its
-# context has not used before, so its one pass of powers starts from an
-# empty table: real specs (the real operations) and complex ones, with
-# e = 1 + s - r from -2 to 2.
+# Terminating sums, each at a precision its context has not used before,
+# so its one pass of powers starts from an empty table: real specs (the
+# real operations) and complex ones, with e = 1 + s - r from -2 to 2;
+# then the exact 2phi0 of H~_n at the recurrence points.
 @pytest.mark.parametrize("q", [Fraction(1, 62), Fraction(5, 56), Fraction(49, 58), Fraction(26, 27)], ids=str)
 @pytest.mark.parametrize("bits", [64, 512])
 def test_terminating_sums_at_fresh_guard_precisions(q, bits):
