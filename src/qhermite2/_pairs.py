@@ -408,13 +408,6 @@ def _size(a: tuple, prec: int) -> tuple:
     return _magnitude(a)
 
 
-def _is_zero(a: tuple) -> bool:
-    """Whether the real or complex value a is 0."""
-    if type(a[0]) is tuple:
-        return not (a[0][0] or a[1][0])
-    return not a[0]
-
-
 def _finite(raw: tuple) -> tuple:
     """The raw mpf tuple ``raw`` as a pair; ValueError for a NaN or an
     infinity, which no pair holds."""

@@ -52,7 +52,6 @@ from .errors import (
     AlgebraViolation,
     DegenerateRootError,
     DomainError,
-    FormalSeriesError,
     InstabilityError,
     NoConvergenceError,
     TruncationError,
@@ -547,7 +546,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         NoConvergenceError,
         TruncationError,
         InstabilityError,
-        FormalSeriesError,
         DegenerateRootError,
     ) as exc:
         return _emit(ns, _error_payload(ns, exc), _EXIT_NUMERIC)

@@ -4,9 +4,9 @@ The canonical representation of |z> is the truncated coefficient vector
 
     c_n = N^{-1}(|z|^2) z^n / sqrt(rho_n!),    n = 0..trunc,
 
-built by the ratio law c_{n+1} = c_n z / (sqrt(q/(1-q)) b_n).  All
-closed-form displays are diagnostics compared against this vector,
-never definitions.
+built by the ratio law c_{n+1} = c_n z / (sqrt(q/(1-q)) b_n).  The
+``cs`` command gates |z> by the eigen-residual of this vector; no closed
+form of |z> is evaluated.
 
 Eigen-residual evaluation: for the ratio-law vector the components of
 a^- v - z v vanish identically for n < trunc (the ratio law is exactly
@@ -20,32 +20,22 @@ discrepancy registry entry ``eigen_residual_rounding_floor``).
 
 The coefficients, their tail certificate and the eigen-residual's
 scalars run on integer pairs (:mod:`qhermite2._pairs`), each step
-correctly rounded (see :func:`cs_coeffs`); the normalizer's argument,
-the matrix diagnostic, the overlap and the closed-form report still use
-mpf/mpc operators.
+correctly rounded (see :func:`cs_coeffs`); the normalizer's argument
+and the matrix diagnostic still use mpf/mpc operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ._pairs import (
     _ONE, _ZERO, _as_pair, _complex_product, _hypot, _less, _mp, _mpf,
     _negative, _operand, _over, _power, _product, _quotient, _raw_pair, _root, _sum,
 )
-from .context import PrecisionContext, as_fraction
+from .context import PrecisionContext
 from .errors import DomainError, TruncationError
-from .qkernel import (
-    HypergeometricSpec,
-    b_coeff,
-    b_table,
-    gen_exponential,
-    phi_rs,
-    q_power_raw,
-    q_pochhammer_inf,
-)
-from .qhermite import GenFnReport, generating_fn_report, psi_sequence
+from .qkernel import b_coeff, b_table, gen_exponential, q_power_raw
 from .qoscillator import build_ladder
 
 __all__ = [
@@ -54,13 +44,9 @@ __all__ = [
     "cs_coeffs",
     "EigenResidual",
     "cs_eigen_residual",
-    "overlap",
-    "ClosedFormReport",
-    "cs_closed_form_report",
 ]
 
-# Default truncation index of the coherent vector for the closed-form
-# report and the ``cs`` command.
+# Default truncation index of the coherent vector for the ``cs`` command.
 CS_TRUNC = 60
 
 
@@ -226,103 +212,4 @@ def cs_eigen_residual(
         bound=bound,
         noise_floor=noise_floor,
         state=state,
-    )
-
-
-def overlap(z1, z2, ctx: PrecisionContext):
-    """Unnormalized reproducing kernel
-    K(z1, z2) = sum_n ((1-q)/q conj(z1) z2)^n q^{n^2} / (q;q)_n.
-
-    The normalized overlap divides by N(|z1|^2) N(|z2|^2); the kernel
-    itself is what the resolution-of-unity integrals consume.
-    K(z, z) = N^2(|z|^2) and K(z1, z2) = conj(K(z2, z1)).
-    """
-    q = ctx.qm
-    w = (1 - q) / q * ctx.mp.conj(ctx.mpc(z1)) * ctx.mpc(z2)
-    return gen_exponential(w, ctx)
-
-
-@dataclass(frozen=True)
-class ClosedFormReport:
-    """Direct-sum vs closed-form comparison for a coherent state.
-
-    ``closed_value`` uses the corrected reading: argument
-    tau = z sqrt(q(1-q)), normalizer base q.  The printed alternative
-    normalizer reading (squared value ``normalizer_sq_alt_reading``) is
-    surfaced without being used.  ``genfn`` carries the exact
-    order-by-order weight-hypothesis verdict that this display
-    inherits.
-    """
-
-    z: object
-    x: object
-    trunc: int
-    direct_value: object
-    closed_value: object
-    abs_residual: object
-    rel_residual: object
-    normalizer_sq: object
-    normalizer_sq_alt_reading: object
-    genfn: GenFnReport
-    matched_hypothesis: Optional[str]
-
-
-def cs_closed_form_report(
-    z, x, ctx: PrecisionContext, trunc: int = CS_TRUNC
-) -> ClosedFormReport:
-    """Compare sum_n c_n Psi_n(x) against the hypergeometric closed form.
-
-    direct  = sum_{n<=trunc} c_n Psi_n(x)
-    closed  = N^{-1} (i tau; q)_inf 1phi1(ix; i tau; q, -i tau),
-              tau = z sqrt(q(1-q)).
-
-    The per-weight-hypothesis diagnosis is inherited from the exact
-    generating-function report at the same (x, q), to order 8 (the
-    naive readings produce violently divergent n-sums, so only the
-    exact order-by-order comparison is meaningful for them).
-    """
-    mp = ctx.mp
-    q = ctx.qm
-    zv = ctx.mpc(z)
-    xv = ctx.mpf(x)
-    state = cs_coeffs(zv, trunc, ctx)
-    psis = psi_sequence(trunc, xv, ctx)
-    direct = mp.mpc(0)
-    for n in range(trunc + 1):
-        direct = direct + state.coeffs[n] * psis[n]
-
-    tau = zv * mp.sqrt(q * (1 - q))
-    itau = mp.mpc(0, 1) * tau
-    prefactor = q_pochhammer_inf(itau, ctx)
-    series = phi_rs(
-        HypergeometricSpec(
-            upper=(mp.mpc(0, 1) * xv,),
-            lower=(itau,),
-            z=-itau,
-        ),
-        ctx,
-    )
-    norm = mp.sqrt(state.norm_sq)
-    closed = prefactor * series / norm
-
-    abs_residual = abs(direct - closed)
-    scale = max(abs(direct), abs(closed))
-    rel_residual = abs_residual / scale if scale > 0 else abs_residual
-
-    zabs2 = abs(zv) ** 2
-    alt_norm_sq = gen_exponential((1 - q) * zabs2, ctx)
-
-    genfn = generating_fn_report(as_fraction(x), 8, ctx)
-    return ClosedFormReport(
-        z=zv,
-        x=xv,
-        trunc=trunc,
-        direct_value=direct,
-        closed_value=closed,
-        abs_residual=abs_residual,
-        rel_residual=rel_residual,
-        normalizer_sq=state.norm_sq,
-        normalizer_sq_alt_reading=alt_norm_sq,
-        genfn=genfn,
-        matched_hypothesis=genfn.matched_hypothesis,
     )

@@ -9,8 +9,8 @@ the measured evidence separating the two.  Verification reports embed
 these entries so a documented formula defect is never mistaken for an
 implementation bug.
 
-Entries are frozen data; look them up by identifier with ``entry`` or
-iterate ``REGISTRY``.
+Entries are frozen data; iterate ``REGISTRY``, or ``as_dicts`` for plain
+dictionaries.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, Tuple
 
-__all__ = ["DiscrepancyEntry", "REGISTRY", "entry", "as_dicts"]
+__all__ = ["DiscrepancyEntry", "REGISTRY", "as_dicts"]
 
 
 @dataclass(frozen=True)
@@ -252,20 +252,6 @@ REGISTRY: Tuple[DiscrepancyEntry, ...] = (
         ),
     ),
 )
-
-_BY_ID: Dict[str, DiscrepancyEntry] = {e.identifier: e for e in REGISTRY}
-
-
-def entry(identifier: str) -> DiscrepancyEntry:
-    """Look up a registry entry by its identifier."""
-    try:
-        return _BY_ID[identifier]
-    except KeyError:
-        raise KeyError(
-            f"no discrepancy entry {identifier!r}; known: "
-            f"{sorted(_BY_ID)}"
-        ) from None
-
 
 def as_dicts() -> Tuple[Dict[str, str], ...]:
     """All entries as plain dictionaries (stable order, for reports)."""

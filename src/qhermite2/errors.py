@@ -8,7 +8,6 @@ could not certify its own output".
 __all__ = [
     "QHermiteError",
     "DomainError",
-    "FormalSeriesError",
     "NoConvergenceError",
     "TruncationError",
     "InstabilityError",
@@ -28,11 +27,6 @@ class DomainError(QHermiteError, ValueError):
     orders below 1, and similar contract breaches.  Subclasses ValueError
     so generic validation code keeps working.
     """
-
-
-class FormalSeriesError(QHermiteError):
-    """A formal (zero radius of convergence) series was used numerically
-    outside its documented asymptotic regime."""
 
 
 class NoConvergenceError(QHermiteError):

@@ -1,4 +1,4 @@
-"""q-derivatives, the deformed lattice derivative, Jackson-type
+"""The deformed lattice derivative, exact q-derivatives, Jackson-type
 integrals, and integration-by-parts validators.
 
 Two evaluation regimes coexist:
@@ -34,10 +34,9 @@ b_{n-1}^2 x^{n-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Dict, Union
+from typing import Callable, Union
 
 from ._pairs import (
     _ONE,
@@ -69,8 +68,6 @@ from .exact import (
 from .qkernel import Decay, q_power_raw, q_power_run
 
 __all__ = [
-    "LatticeFunction",
-    "q_derivative",
     "deformed_derivative",
     "hat_q_integral",
     "ibp_residual",
@@ -79,44 +76,6 @@ __all__ = [
     "jackson_integral_poly",
     "leibniz_residual",
 ]
-
-
-@dataclass(frozen=True)
-class LatticeFunction:
-    """Function known only on a geometric lattice {q^m * x0}.
-
-    ``values[m]`` holds f(q^m x0) for every integer m in
-    [m_min, m_max]; construction rejects gaps.  Instances are callable
-    through :meth:`at_exponent`; there is deliberately no off-lattice
-    interpolation.
-    """
-
-    x0: Fraction
-    values: Dict[int, object]
-    m_min: int
-    m_max: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x0", as_fraction(self.x0))
-        if self.x0 <= 0:
-            raise DomainError(f"lattice base must be positive, got {self.x0}")
-        if self.m_min > self.m_max:
-            raise DomainError("empty lattice range")
-        missing = [
-            m for m in range(self.m_min, self.m_max + 1) if m not in self.values
-        ]
-        if missing:
-            raise DomainError(f"lattice exponents missing values: {missing[:5]}...")
-
-    def at_exponent(self, m: int):
-        if m < self.m_min or m > self.m_max:
-            raise DomainError(
-                f"lattice exponent {m} outside [{self.m_min}, {self.m_max}]"
-            )
-        return self.values[m]
-
-    def covers(self, m_lo: int, m_hi: int) -> bool:
-        return self.m_min <= m_lo and self.m_max >= m_hi
 
 
 Evaluatable = Union[Callable, Poly]
@@ -171,18 +130,6 @@ def _on_pairs(f: Evaluatable, ctx: PrecisionContext) -> Callable:
         return _lattice_value(f(_mpf(t, ctx)), ctx)
 
     return value
-
-
-def q_derivative(f: Evaluatable, x, ctx: PrecisionContext):
-    """Plain q-derivative (F(x) - F(qx)) / (x (1 - q)); x must be nonzero."""
-    xv = ctx.mpf(x)
-    if xv == 0:
-        raise DomainError("q_derivative is undefined at x = 0")
-    value = _on_pairs(f, ctx)
-    prec = ctx.mp.prec
-    q, xp = _as_pair(ctx.qm), _as_pair(xv)
-    rise = _operand(_sub(value(xp), value(_product(q, xp, prec)), ctx, prec), ctx)
-    return _mp(_over(rise, _product(xp, _sum(_ONE, _negative(q), prec), prec), prec), ctx)
 
 
 def deformed_derivative(f: Evaluatable, x, ctx: PrecisionContext):
@@ -305,7 +252,7 @@ def _hat_check(total: tuple, recent: list, K: int, ctx: PrecisionContext, what: 
 
 
 def hat_q_integral(
-    f: Union[Evaluatable, LatticeFunction],
+    f: Evaluatable,
     ctx: PrecisionContext,
     K: int = HAT_DEPTH,
     return_diagnostics: bool = False,
@@ -320,27 +267,14 @@ def hat_q_integral(
     With ``return_diagnostics=True`` returns
     (value, max_term_growing_branch, max_term_shrinking_branch).
     """
-    if isinstance(f, LatticeFunction):
-        if f.x0 != 1:
-            raise DomainError("hat_q_integral expects a base-1 lattice")
-        if not f.covers(1 - K, K + 2):
-            raise DomainError(
-                f"lattice range [{f.m_min}, {f.m_max}] does not cover "
-                f"exponents [{1 - K}, {K + 2}] needed at K={K}"
-            )
-
-        def sample(m: int):
-            return _lattice_value(f.at_exponent(m), ctx)
-    else:
-        value = _on_pairs(f, ctx)
-
-        def sample(m: int):
-            return value(_q_pair(m, ctx))
-
+    value = _on_pairs(f, ctx)
     prec = ctx.mp.prec
-    total, max_grow, max_shrink = _hat_sum(
-        lambda j: _mul(_q_pair(j, ctx), sample(j), ctx, prec), K, ctx, "hat_q_integral"
-    )
+
+    def term(j: int):
+        qj = _q_pair(j, ctx)
+        return _mul(qj, value(qj), ctx, prec)
+
+    total, max_grow, max_shrink = _hat_sum(term, K, ctx, "hat_q_integral")
     value = _mp(_over(total, _as_pair(ctx.qm), prec), ctx)
     if return_diagnostics:
         return value, _mp(max_grow, ctx), _mp(max_shrink, ctx)
@@ -373,7 +307,7 @@ def _slope(value, t2: tuple, qit: tuple, ctx: PrecisionContext) -> tuple:
 
 def ibp_residual(
     u: Evaluatable,
-    v: Union[Evaluatable, LatticeFunction],
+    v: Evaluatable,
     variant: str,
     a,
     ctx: PrecisionContext,
@@ -427,26 +361,13 @@ def ibp_residual(
         return powers[m + K + 2]
 
     # ip3 on the doubly infinite base-1 lattice, v sampled at q^m.
-    if isinstance(v, LatticeFunction):
-        if v.x0 != 1:
-            raise DomainError("ip3 expects a base-1 lattice for v")
-        needed_lo, needed_hi = -K - 1, K + 4
-        if not v.covers(needed_lo, needed_hi):
-            raise DomainError(
-                f"lattice range [{v.m_min}, {v.m_max}] does not cover "
-                f"[{needed_lo}, {needed_hi}] needed at K={K}"
-            )
+    vf = _on_pairs(v, ctx)
+    v_values = {}  # each lattice index is read up to three times
 
-        def v_at(m: int):
-            return _lattice_value(v.at_exponent(m), ctx)
-    else:
-        vf = _on_pairs(v, ctx)
-        v_values = {}  # each lattice index is read up to three times
-
-        def v_at(m: int):
-            if m not in v_values:
-                v_values[m] = vf(q_at(m))
-            return v_values[m]
+    def v_at(m: int):
+        if m not in v_values:
+            v_values[m] = vf(q_at(m))
+        return v_values[m]
 
     du = _dhat(uf, ctx)
     right, grows, failed = _ZERO, [], None  # the right side's hat sum, beside the left one

@@ -1,10 +1,9 @@
-"""q-arithmetic primitives and basic hypergeometric series.
+"""q-arithmetic primitives and the generalized q-exponential.
 
-This is the numeric substrate of the package: integer powers of q,
-q-numbers, q-Pochhammer symbols (finite and infinite), the three-term
-recurrence coefficients b_n, the generalized ladder factorial, a generic
-terminating/convergent rphi_s evaluator, the generalized q-exponential,
-and the continuous orthogonality weight W.
+This is the numeric substrate of the package: integer powers of q, the
+finite q-Pochhammer symbol, the three-term recurrence coefficients b_n,
+the generalized ladder factorial, the generalized q-exponential, and the
+continuous orthogonality weight W.
 
 Every integer power q^n of the rounded q in the series, calculus and
 lattice layers comes from one kernel, :func:`q_power` (raw tuples:
@@ -27,16 +26,14 @@ Every adaptive series in the package stops on one rule, kept by
 :class:`Decay`: three terms in a row with |t| <= tol max(|S|, tol), tol
 the context's ``series_tol`` and S the running scale (the partial sum,
 or the larger partial sum of a ratio), compared as integer pairs
-(:mod:`qhermite2._pairs`) at the working precision.  The two ratio
-series here share one loop, :func:`_ratio_sum`, which also waits for a
-term ratio below 1/2.
+(:mod:`qhermite2._pairs`) at the working precision.  The ratio series
+:func:`gen_exponential` also waits for a term ratio below 1/2.
 
-The q-series, :func:`gen_exponential` and :func:`phi_rs` (terminating
-or not), run on integer pairs as well: each term ratio, term, partial
-sum and magnitude is a real or complex pair value, each part of each
-operation the exact result rounded once (:mod:`~qhermite2._pairs`).
-Only the conversions of the arguments and of the result go through
-mpf/mpc objects.
+:func:`gen_exponential` runs on integer pairs as well: each term ratio,
+term, partial sum and magnitude is a real or complex pair value, each
+part of each operation the exact result rounded once
+(:mod:`~qhermite2._pairs`).  Only the conversions of the argument and of
+the result go through mpf/mpc objects.
 
 Scalar results are plain mpf/mpc values bound to the calling context's
 precision.  Because mpmath exponents are bignums, partial products like
@@ -51,9 +48,7 @@ state).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Optional, Tuple
 
 from mpmath.libmp import from_man_exp
 
@@ -62,7 +57,6 @@ from ._pairs import (
     _ONE,
     _ZERO,
     _as_pair,
-    _is_zero,
     _less,
     _mp,
     _mpf,
@@ -71,7 +65,6 @@ from ._pairs import (
     _plus,
     _power,
     _product,
-    _quotient,
     _rational,
     _raw_pair,
     _root,
@@ -82,20 +75,13 @@ from ._pairs import (
     _times,
 )
 from .context import PrecisionContext
-from .errors import (
-    DomainError,
-    FormalSeriesError,
-    NoConvergenceError,
-)
+from .errors import DomainError, NoConvergenceError
 from .exact import _bn_squared_rows
 
 __all__ = [
-    "HypergeometricSpec",
     "q_pochhammer",
-    "q_pochhammer_inf",
     "b_coeff",
     "rho_factorial",
-    "phi_rs",
     "gen_exponential",
     "weight_W",
 ]
@@ -106,7 +92,7 @@ __all__ = [
 # convergence.
 _STREAK = 3
 
-# 1/2 as an integer pair: the ratio bound of the ratio series.
+# 1/2 as an integer pair: the ratio bound of gen_exponential.
 _HALF = (1, -1)
 
 
@@ -156,36 +142,6 @@ class Decay:
             return self.streak >= _STREAK
         self.streak = 0
         return False
-
-
-@dataclass(frozen=True)
-class HypergeometricSpec:
-    """Parameters of a basic hypergeometric series rphi_s.
-
-    Attributes
-    ----------
-    upper : tuple of complex
-        Numerator parameters a_1..a_r.
-    lower : tuple of complex
-        Denominator parameters b_1..b_s.
-    z : complex
-        Series argument.
-    terminating_at : int or None
-        When some upper parameter equals q**-n (n >= 0), the series
-        terminates after the z**n term; set this to n to request the
-        exact finite sum.
-    """
-
-    upper: Tuple[complex, ...]
-    lower: Tuple[complex, ...]
-    z: complex
-    terminating_at: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "upper", tuple(self.upper))
-        object.__setattr__(self, "lower", tuple(self.lower))
-        if self.terminating_at is not None and self.terminating_at < 0:
-            raise DomainError("terminating_at must be a nonnegative integer")
 
 
 def q_power_raw(n: int, ctx: PrecisionContext) -> tuple:
@@ -295,31 +251,6 @@ def q_pochhammer(a, k: int, ctx: PrecisionContext):
     return out
 
 
-def q_pochhammer_inf(a, ctx: PrecisionContext):
-    """Infinite shifted q-factorial (a; q)_inf = prod_{s>=0} (1 - a q^s).
-
-    The product is truncated at the first s with |a| q^s < series_tol
-    = 2^-(bits-20); the neglected factors multiply to exp(O(|a| q^s /
-    (1-q))), so the relative truncation error is up to about 2^20/(1-q) ulp,
-    not inside the working precision: for a = q about 1.05e6 ulp at
-    q = 1/2 and 1.0e7 at q = 9/10, the same at 64, 128 and 256 bits.
-    """
-    mp = ctx.mp
-    a = ctx.mpc(a) if isinstance(a, (complex, mp.mpc)) else ctx.mpf(a)
-    q = ctx.qm
-    tol = ctx.mpf(ctx.series_tol)
-    out = mp.mpf(1)
-    aqs = a
-    for _ in range(ctx.max_terms):
-        if abs(aqs) < tol:
-            return out
-        out = out * (1 - aqs)
-        aqs = aqs * q
-    raise NoConvergenceError(
-        f"q_pochhammer_inf: tail still {abs(aqs)} after {ctx.max_terms} factors"
-    )
-
-
 def b_coeff(n: int, ctx: PrecisionContext):
     """Recurrence coefficient b_n = q^{-(2n+1)/2} sqrt(1 - q^{n+1}).
 
@@ -398,196 +329,45 @@ def _q_complements(ctx: PrecisionContext) -> list:
     return ctx.tables.setdefault(("1-q^(n+1)", ctx.mp.prec), [])
 
 
-def _convert(value, ctx: PrecisionContext) -> tuple:
-    """``value`` as a real or complex pair value (:mod:`qhermite2._pairs`):
-    complex if it is a complex or an mpc, as the series convert it."""
-    if isinstance(value, (complex, ctx.mp.mpc)):
-        re, im = ctx.mpc(value)._mpc_
-        return _raw_pair(re), _raw_pair(im)
-    return _as_pair(ctx.mpf(value))
-
-
-def _one_less(a: tuple, qk: tuple, prec: int) -> tuple:
-    """1 - a q^k, from the rounded product a q^k; for a complex a, 1 is
-    subtracted from the real part only (0 - the imaginary part, of at
-    most prec bits, is its negation)."""
-    if type(a[0]) is tuple:
-        (rm, re), (im, ie) = _product(a[0], qk, prec), _product(a[1], qk, prec)
-        return _sum(_ONE, (-rm, re), prec), (-im, ie)
-    man, exp = _product(a, qk, prec)
-    return _sum(_ONE, (-man, exp), prec)
-
-
-def _term_ratios(spec: HypergeometricSpec, ctx: PrecisionContext, run: tuple = None):
-    """k -> T_{k+1}/T_k for the basic hypergeometric series, to be called
-    for k = 0, 1, 2, ... in turn.
-
-    The ratio is num / den z q^(e k), negated for odd e, with num the
-    product of the 1 - a q^k and den that of the 1 - b q^k and
-    1 - q^(k+1), each product started at its first factor (num is 1 for
-    no a): a real or complex pair value (:mod:`qhermite2._pairs`), each
-    operation correctly rounded at the precision of the call.  A real
-    value stands for a complex one with a zero imaginary part, whose
-    products round to the same values, and the operations are the real
-    ones when no parameter and not z is complex.  The parameters and z
-    are converted once, and q^(k+1) of one call is the q^k of the next.
-    The powers come from ``q_power_raw``, or, given ``run`` =
-    (lo, powers) with powers[i] = q^(lo + i), from that list, and
-    1 - q^(k+1) is formed from q^(k+1), rounded once.  The sign
-    rides on z: every rounding here is to nearest, which commutes with
-    negation, so num / den (-z) q^(e k) is the negated ratio bit for
-    bit.
-    """
-    prec = ctx.mp.prec
-    e = 1 + len(spec.lower) - len(spec.upper)
-    upper = [_convert(a, ctx) for a in spec.upper]
-    lower = [_convert(b, ctx) for b in spec.lower]
-    z = _convert(spec.z, ctx)
-    if e % 2:
-        z = _times(z, (-1, 0), prec)
-    mul, div = (_times, _over) if _is_complexy(spec, ctx) else (_product, _quotient)
-    if run is None:
-
-        def power(n: int) -> tuple:
-            return _raw_pair(q_power_raw(n, ctx))
-    else:
-        lo, powers = run
-
-        def power(n: int) -> tuple:
-            return powers[n - lo]
-
-    qk = _ONE  # q^0
-
-    def ratio(k: int) -> tuple:
-        nonlocal qk
-        num = _ONE
-        for i, a in enumerate(upper):
-            factor = _one_less(a, qk, prec)
-            num = mul(num, factor, prec) if i else factor
-        den = _ONE
-        for i, b in enumerate(lower):
-            factor = _one_less(b, qk, prec)
-            if _is_zero(factor):
-                raise DomainError(
-                    "phi_rs: lower parameter hits q^{-m}; series must terminate "
-                    "before the zero denominator (set terminating_at)"
-                )
-            den = mul(den, factor, prec) if i else factor
-        qk = power(k + 1)
-        complement = _sum(_ONE, (-qk[0], qk[1]), prec)
-        den = mul(den, complement, prec) if lower else complement
-        r = mul(div(num, den, prec), z, prec)
-        return mul(r, power(e * k), prec)
-
-    return ratio
-
-
-def phi_rs(spec: HypergeometricSpec, ctx: PrecisionContext):
-    """Basic hypergeometric series rphi_s(a_1..a_r; b_1..b_s; q, z).
-
-    term_k = (-1)^{k e} q^{e binom(k,2)} (a_1;q)_k ... (a_r;q)_k
-             / [(b_1;q)_k ... (b_s;q)_k] * z^k / (q;q)_k,   e = 1+s-r.
-
-    Terminating series (``terminating_at=n``) are summed exactly through
-    the z^n term; one that needs more than ``max_terms`` terms raises
-    NoConvergenceError before any term is formed.  Their powers q^(k+1)
-    and q^(e k), k < n, come from one :func:`q_power_run` pass at the
-    precision of the call, and 1 - q^(k+1) from those, so a call at a
-    precision the context has not used fills no power memo; the real
-    or complex operations are chosen once per call.
-    A non-terminating series stops at the monitored-decay rule
-    (:class:`Decay`) once the term ratio is also below 1/2, which certifies a geometric tail.  For e > 0 the ratio tends to 0, so
-    every z qualifies.  For e = 0 the series converges for |z| < 1, but
-    its ratio tends to z: below |z| = 1/2 the sum is certified; for
-    1/2 < |z| < 1 it is not, nor at |z| = 1/2 unless the ratio
-    approaches z from below, and NoConvergenceError is raised at the
-    term budget (exit 3, uncertifiable).  e < 0, or e = 0 with
-    |z| >= 1, raises FormalSeriesError.  The value is an mpc if a
-    parameter or z is complex.
-    """
-    e = 1 + len(spec.lower) - len(spec.upper)
-    n = spec.terminating_at
-    if n is None:
-        if e < 0:
-            raise FormalSeriesError(
-                "phi_rs: series with 1+s-r < 0 has zero radius of "
-                "convergence; pass terminating_at or use the lattice "
-                "measure treatment"
-            )
-        if e == 0 and abs(ctx.mpc(spec.z)) >= 1:
-            raise FormalSeriesError(
-                "phi_rs: 1+s-r = 0 series diverges for |z| >= 1"
-            )
-    elif n >= ctx.max_terms:
-        raise NoConvergenceError(
-            f"phi_rs: the terminating series needs {n + 1} terms, "
-            f"more than max_terms={ctx.max_terms}"
-        )
-
-    complex_ = _is_complexy(spec, ctx)
-    term = (_ONE, _ZERO) if complex_ else _ONE
-    if n is None:
-        return _ratio_sum(term, _term_ratios(spec, ctx), ctx, "phi_rs")
-    lo = min(0, e * (n - 1))
-    ratio = _term_ratios(spec, ctx, (lo, list(q_power_run(lo, max(n, e * (n - 1)) + 1, ctx))))
-    mul, add = (_times, _plus) if complex_ else (_product, _sum)
-    prec = ctx.mp.prec
-    total = term
-    for k in range(n):
-        term = mul(term, ratio(k), prec)
-        total = add(total, term, prec)
-    return _mp(total, ctx)
-
-
-def _ratio_sum(term: tuple, ratio, ctx: PrecisionContext, what: str):
-    """Sum T_0 = ``term``, T_{k+1} = T_k ratio(k) until :class:`Decay`
-    settles on |T_{k+1}| against the partial sum through T_k and
-    |ratio(k)| < 1/2; NoConvergenceError after max_terms terms.  Terms,
-    ratios and sums are real or complex pair values, each operation
-    correctly rounded, and the sum is returned as an mpf or mpc."""
-    prec = ctx.mp.prec
-    total, decay = _times(term, _ZERO, prec), Decay(ctx)
-    for k in range(ctx.max_terms):
-        total = _plus(total, term, prec)
-        r = ratio(k)
-        term = _times(term, r, prec)
-        if decay.settled(_size(term, prec), _size(total, prec)) and _less(_size(r, prec), _HALF):
-            return _mp(total, ctx)
-    raise NoConvergenceError(f"{what}: no convergence within max_terms={ctx.max_terms}")
-
-
-def _is_complexy(spec: HypergeometricSpec, ctx: PrecisionContext) -> bool:
-    mp = ctx.mp
-    vals = list(spec.upper) + list(spec.lower) + [spec.z]
-    return any(isinstance(v, (complex, mp.mpc)) for v in vals)
-
-
 def gen_exponential(x, ctx: PrecisionContext):
     """Generalized q-exponential gex(x) = sum_n q^{n^2} x^n / (q; q)_n.
 
     Entire in x (the q^{n^2} decay dominates any power), so the argument
-    may be real or complex.  Term update:
+    may be real or complex (a complex or an mpc).  Term update:
     T_0 = 1, T_{n+1} = T_n * q^{2n+1} x / (1 - q^{n+1}).
     Equivalently gex(x) = 0phi1(; 0; q, qx).
+
+    Summed until :class:`Decay` settles on |T_{n+1}| against the partial
+    sum through T_n and the term ratio is below 1/2, which certifies a
+    geometric tail; NoConvergenceError after max_terms terms.  Terms,
+    ratios and sums are real or complex pair values, each operation
+    correctly rounded, and the sum is returned as an mpf or mpc.
     """
     prec = ctx.mp.prec
-    xv = _convert(x, ctx)
+    if isinstance(x, (complex, ctx.mp.mpc)):
+        re, im = ctx.mpc(x)._mpc_
+        xv, term = (_raw_pair(re), _raw_pair(im)), (_ONE, _ZERO)
+    else:
+        xv, term = _as_pair(ctx.mpf(x)), _ONE
     complements = _q_complements(ctx)
-
-    def ratio(n: int) -> tuple:
+    total, decay = _times(term, _ZERO, prec), Decay(ctx)
+    for n in range(ctx.max_terms):
+        total = _plus(total, term, prec)
         power = _raw_pair(q_power_raw(2 * n + 1, ctx))
-        return _over(_times(xv, power, prec), _as_pair(_q_complement(n, complements, ctx)), prec)
-
-    return _ratio_sum((_ONE, _ZERO) if type(xv[0]) is tuple else _ONE, ratio, ctx, "gen_exponential")
+        ratio = _over(_times(xv, power, prec), _as_pair(_q_complement(n, complements, ctx)), prec)
+        term = _times(term, ratio, prec)
+        if decay.settled(_size(term, prec), _size(total, prec)) and _less(_size(ratio, prec), _HALF):
+            return _mp(total, ctx)
+    raise NoConvergenceError(f"gen_exponential: no convergence within max_terms={ctx.max_terms}")
 
 
 def weight_W(x, ctx: PrecisionContext):
     """Continuous orthogonality weight W(x) = 1 / prod_{s>=0} (1 + x^2 q^{2s}).
 
     Computed through the real product (each factor exceeds 1, so W lies
-    in (0, 1] for real x and W(x) = W(-x)).  The complex-product
-    identity W(x) * (ix; q)_inf * (-ix; q)_inf = 1 is exercised in the
-    test suite as a cross-check of this shortcut.
+    in (0, 1] for real x and W(x) = W(-x)); the product is
+    (ix; q)_inf (-ix; q)_inf, factor by factor.  It stops at the first
+    x^2 q^{2s} below series_tol.  No suite or command reads W yet.
     """
     mp = ctx.mp
     xv = ctx.mpf(x)

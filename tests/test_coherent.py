@@ -1,4 +1,4 @@
-"""Coherent states: normalizer, ratio law, eigen-residual, overlaps."""
+"""Coherent states: normalizer, ratio law, eigen-residual."""
 
 from __future__ import annotations
 
@@ -12,11 +12,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qhermite2.coherent import (
     CoherentStateVector,
     EigenResidual,
-    cs_closed_form_report,
     cs_coeffs,
     cs_eigen_residual,
     cs_norm_sq,
-    overlap,
 )
 from qhermite2.context import PrecisionContext
 from qhermite2.errors import DomainError, TruncationError
@@ -102,42 +100,12 @@ class TestEigenResidual:
             cs_eigen_residual(ctx_half.mpc(1), 2, ctx_half)
 
 
-class TestOverlap:
-    def test_diagonal_recovers_normalizer(self, all_ctx):
-        for ctx in all_ctx:
-            z = ctx.mpc(complex(0.8, 0.6))
-            k = overlap(z, z, ctx)
-            n2 = cs_norm_sq(abs(z) ** 2, ctx)
-            assert abs(k - n2) <= 16 * ctx.eps * abs(n2)
-
-    def test_conjugate_symmetry(self, ctx_half):
-        z1 = ctx_half.mpc(complex(0.3, 0.9))
-        z2 = ctx_half.mpc(complex(-0.5, 0.2))
-        k12 = overlap(z1, z2, ctx_half)
-        k21 = overlap(z2, z1, ctx_half)
-        assert abs(k12 - ctx_half.mp.conj(k21)) <= 16 * ctx_half.eps * abs(k12)
-
-
-class TestClosedFormReport:
-    def test_report_surfaces_both_readings(self, ctx_half):
-        rep = cs_closed_form_report(
-            ctx_half.mpc(complex(0.4, 0.1)), Fraction(1, 2), ctx_half, trunc=60
-        )
-        assert rep.normalizer_sq != rep.normalizer_sq_alt_reading
-        assert rep.matched_hypothesis is not None
-        assert rep.rel_residual >= 0
-
-
 def test_truncation_default_is_declared_once():
-    # The report's default and the ``cs --trunc`` default are both
-    # coherent.CS_TRUNC, which the ``cs`` config echoes as 60.
-    import inspect
-
+    # The ``cs --trunc`` default is coherent.CS_TRUNC, which the ``cs``
+    # config echoes as 60.
     from qhermite2 import cli, coherent
 
     assert coherent.CS_TRUNC == 60
-    trunc = inspect.signature(cs_closed_form_report).parameters["trunc"]
-    assert trunc.default == coherent.CS_TRUNC
     assert cli.CS_TRUNC is coherent.CS_TRUNC
     assert cli._build_parser().parse_args(["cs"]).trunc == coherent.CS_TRUNC
 

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 
-import pytest
-
-from qhermite2.discrepancies import REGISTRY, DiscrepancyEntry, as_dicts, entry
+from qhermite2.discrepancies import REGISTRY, DiscrepancyEntry, as_dicts
 
 
 def test_identifiers_unique_and_complete():
@@ -18,16 +16,6 @@ def test_every_entry_fully_populated():
     for e in REGISTRY:
         for field in (e.identifier, e.topic, e.rejected, e.resolved, e.evidence):
             assert isinstance(field, str) and field.strip()
-
-
-def test_lookup_round_trip():
-    for e in REGISTRY:
-        assert entry(e.identifier) is e
-
-
-def test_unknown_identifier_lists_known_ones():
-    with pytest.raises(KeyError, match="qdiff_n1"):
-        entry("no_such_entry")
 
 
 def test_as_dicts_mirrors_registry():

@@ -19,7 +19,6 @@ from qhermite2.exact import (
     qbracket,
 )
 from qhermite2.qcalculus import (
-    LatticeFunction,
     _Monitored,
     _ibp_finite,
     deformed_derivative,
@@ -28,7 +27,6 @@ from qhermite2.qcalculus import (
     ibp_residual,
     jackson_integral_poly,
     leibniz_residual,
-    q_derivative,
     q_derivative_poly,
 )
 from qhermite2.qkernel import gen_exponential, q_power
@@ -72,16 +70,11 @@ class TestExactDerivatives:
         for ctx in all_ctx:
             q = ctx.q
             for x in (Fraction(1, 3), Fraction(2), Fraction(-5, 4)):
-                num = q_derivative(POLY_B, x, ctx)
-                sym = q_derivative_poly(POLY_B, q).mp_evaluator(ctx)(x)
-                assert abs(num - sym) <= 64 * ctx.eps * max(abs(sym), ctx.mpf(1))
                 num = deformed_derivative(POLY_B, x, ctx)
                 sym = deformed_derivative_poly(POLY_B, q).mp_evaluator(ctx)(x)
                 assert abs(num - sym) <= 64 * ctx.eps * max(abs(sym), ctx.mpf(1))
 
     def test_zero_argument_rejected(self, ctx_half):
-        with pytest.raises(DomainError):
-            q_derivative(POLY_A, 0, ctx_half)
         with pytest.raises(DomainError):
             deformed_derivative(POLY_A, 0, ctx_half)
 
@@ -134,19 +127,6 @@ class TestHatIntegral:
         )
         assert exponents == list(range(1 - K, K + 3))
 
-    def test_lattice_function_path_matches_callable_path(self, ctx_half):
-        K = 40
-        q = ctx_half.qm
-        values = {
-            m: _decaying(q**m) for m in range(1 - K, K + 3)
-        }
-        lattice = LatticeFunction(
-            x0=Fraction(1), values=values, m_min=1 - K, m_max=K + 2
-        )
-        via_lattice = hat_q_integral(lattice, ctx_half, K=K)
-        via_callable = hat_q_integral(_decaying, ctx_half, K=K)
-        assert via_lattice == via_callable
-
     def test_diagnostics_returned_on_request(self, ctx_half):
         value, max_grow, max_shrink = hat_q_integral(
             _decaying, ctx_half, K=40, return_diagnostics=True
@@ -168,11 +148,6 @@ class TestHatIntegral:
     def test_domain_validation(self, ctx_half):
         with pytest.raises(DomainError):
             hat_q_integral(_decaying, ctx_half, K=0)
-        short = LatticeFunction(
-            x0=Fraction(1), values={0: 1.0, 1: 0.5}, m_min=0, m_max=1
-        )
-        with pytest.raises(DomainError):
-            hat_q_integral(short, ctx_half, K=10)
 
 
 def _u_dec(t):
@@ -289,11 +264,12 @@ def test_growing_term_resets_the_monitored_streak(ctx_half):
 
 
 def _ref_hat_q_integral(f, ctx, K, return_diagnostics=False, what="hat_q_integral"):
+    # f is a callable, or a dict of its values at the exponents m of q^m
     mp = ctx.mp
     q = ctx.qm
     tol = ctx.mpf(ctx.series_tol)
-    if isinstance(f, LatticeFunction):
-        sample = f.at_exponent
+    if isinstance(f, dict):
+        sample = f.__getitem__
     else:
         def sample(m):
             return f(q_power(m, ctx))
@@ -330,10 +306,7 @@ def _ref_moment_In(n, ctx, K, weight):
         j: q_power(j * n, ctx) * weight.value(j - 2)
         for j in range(1 - K, K + 3)
     }
-    lattice_fn = LatticeFunction(
-        x0=Fraction(1), values=integrand, m_min=1 - K, m_max=K + 2
-    )
-    value = _ref_hat_q_integral(lattice_fn, ctx, K, what="moment_In")
+    value = _ref_hat_q_integral(integrand, ctx, K, what="moment_In")
     closed = ctx.mpf(moment_In_exact(n, ctx.q))
     return value, closed, abs(value - closed) / abs(closed)
 
@@ -341,11 +314,9 @@ def _ref_moment_In(n, ctx, K, weight):
 def _ref_ip3(u, v, ctx, K):
     mp = ctx.mp
     q = ctx.qm
-    if isinstance(v, LatticeFunction):
-        v_at = v.at_exponent
-    else:
-        def v_at(m):
-            return v(q_power(m, ctx))
+
+    def v_at(m):
+        return v(q_power(m, ctx))
 
     def dv_at(m):
         return q_power(1 - m, ctx) * (v_at(m - 2) - v_at(m - 1))
@@ -374,11 +345,6 @@ def _ref_ip3(u, v, ctx, K):
     return size(lhs_total - rhs)
 
 
-def _lattice(f, ctx, m_min, m_max):
-    values = {m: f(q_power(m, ctx)) for m in range(m_min, m_max + 1)}
-    return LatticeFunction(x0=Fraction(1), values=values, m_min=m_min, m_max=m_max)
-
-
 @pytest.mark.parametrize(
     "q, bits",
     [
@@ -397,11 +363,10 @@ class TestHatSumsBitwise:
         }
         for K in (20, 60):
             for name, f in integrands.items():
-                for g in (f, _lattice(f, ctx, 1 - K, K + 2)):
-                    for diagnostics in (False, True):
-                        got = _outcome(hat_q_integral, g, ctx, K, diagnostics)
-                        want = _outcome(_ref_hat_q_integral, g, ctx, K, diagnostics)
-                        assert got == want, (name, K, diagnostics)
+                for diagnostics in (False, True):
+                    got = _outcome(hat_q_integral, f, ctx, K, diagnostics)
+                    want = _outcome(_ref_hat_q_integral, f, ctx, K, diagnostics)
+                    assert got == want, (name, K, diagnostics)
 
     def test_moment_In(self, q, bits):
         ctx = PrecisionContext(q, bits)
@@ -422,9 +387,8 @@ class TestHatSumsBitwise:
     def test_ibp_residual_ip3(self, q, bits):
         ctx = PrecisionContext(q, bits)
         K = 80
-        for v in (_v_dec, _lattice(_v_dec, ctx, -K - 1, K + 4)):
-            got = _outcome(ibp_residual, _u_dec, v, "ip3", None, ctx, K)
-            assert got == _outcome(_ref_ip3, _u_dec, v, ctx, K)
+        got = _outcome(ibp_residual, _u_dec, _v_dec, "ip3", None, ctx, K)
+        assert got == _outcome(_ref_ip3, _u_dec, _v_dec, ctx, K)
 
 
 # Reference finite integration-by-parts residual: ip1/ip2 as they were
@@ -682,13 +646,12 @@ class TestCallableBoundaryBitwise:
         ctx = PrecisionContext(q, bits)
         K = 40
         for name, f in _boundary_integrands(ctx).items():
-            for g in (f, _lattice(f, ctx, -K - 1, K + 4)):
-                for diagnostics in (False, True):
-                    got = _outcome(hat_q_integral, g, ctx, K, diagnostics)
-                    want = _outcome(_ref_hat_q_integral, g, ctx, K, diagnostics)
-                    assert _bits(got) == _bits(want), (name, diagnostics)
-                got = _outcome(ibp_residual, _u_dec, g, "ip3", None, ctx, K)
-                assert _bits(got) == _bits(_outcome(_ref_ip3, _u_dec, g, ctx, K)), name
+            for diagnostics in (False, True):
+                got = _outcome(hat_q_integral, f, ctx, K, diagnostics)
+                want = _outcome(_ref_hat_q_integral, f, ctx, K, diagnostics)
+                assert _bits(got) == _bits(want), (name, diagnostics)
+            got = _outcome(ibp_residual, _u_dec, f, "ip3", None, ctx, K)
+            assert _bits(got) == _bits(_outcome(_ref_ip3, _u_dec, f, ctx, K)), name
             if name == "fraction":
                 continue  # the mpf operators refuse Fraction / mpf in d-hat u
             # u's values meet v's in the boundary products and their difference

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from correctly_rounded import div, modulus, mul, power, power_of_q, powers, product, quotient, rounded, size
+from correctly_rounded import modulus, mul, power, power_of_q, powers, product, quotient, rounded, size
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from mpmath.libmp import (
     fone,
@@ -35,7 +35,6 @@ from qhermite2._pairs import (
     _complex_quotient,
     _finish_step,
     _hypot,
-    _is_zero,
     _over,
     _plus,
     _power,
@@ -47,19 +46,15 @@ from qhermite2._pairs import (
     _sum,
     _times,
 )
-from qhermite2.errors import DomainError, FormalSeriesError, NoConvergenceError
+from qhermite2.errors import DomainError, NoConvergenceError
 from qhermite2.exact import GaussianRational, bn_squared_exact
 from qhermite2.qcalculus import HAT_DEPTH
 from qhermite2.qhermite import hermite2_eval_direct
 from qhermite2.qkernel import (
-    HypergeometricSpec,
-    _is_complexy,
     b_coeff,
     b_table,
     gen_exponential,
-    phi_rs,
     q_pochhammer,
-    q_pochhammer_inf,
     q_power,
     q_power_raw,
     q_power_run,
@@ -67,7 +62,6 @@ from qhermite2.qkernel import (
     weight_W,
 )
 
-POCH_INF_HALF = "0.2887880950866024212788997219292307800889"
 GEX_ONE_HALF = "2.172668750849663656016913609859312820656"
 W_ONE_HALF = "0.3687561270769005627508456722808199154823"
 
@@ -78,17 +72,6 @@ class TestPochhammer:
         got = q_pochhammer(q, 3, ctx_half)
         want = ctx_half.mpf(Fraction(1, 2) * Fraction(3, 4) * Fraction(7, 8))
         assert abs(got - want) <= 4 * ctx_half.eps
-
-    def test_infinite_product_reference_value(self, ctx_half):
-        got = q_pochhammer_inf(ctx_half.mpf(Fraction(1, 2)), ctx_half)
-        want = ctx_half.mpf(POCH_INF_HALF)
-        assert abs(got - want) / want < ctx_half.mpf("1e-39")
-
-    def test_infinite_product_telescopes(self, ctx_q3):
-        q = ctx_q3.mpf(Fraction(3, 10))
-        full = q_pochhammer_inf(q, ctx_q3)
-        shifted = q_pochhammer_inf(q * q, ctx_q3)
-        assert abs(full / shifted - (1 - q)) < ctx_q3.mpf("1e-70")
 
 
 class TestBCoeff:
@@ -168,60 +151,6 @@ class TestGenExponential:
             total = total + q ** (n * n) * x**n / poch
         got = gen_exponential(x, ctx)
         assert abs(got - total) / total < ctx.mpf("1e-70")
-
-
-class TestPhiRs:
-    def test_balanced_series_above_half_is_uncertifiable(self):
-        # 1phi0 has 1 + s - r = 0: it converges for |z| < 1, but its term
-        # ratio tends to z, so at |z| = 3/5 it never falls below the 1/2
-        # that certifies the tail.
-        spec = HypergeometricSpec((Fraction(2, 3),), (), Fraction(3, 5))
-        ctx = PrecisionContext(Fraction(1, 2), 128)
-        with pytest.raises(NoConvergenceError, match="^phi_rs: no convergence within max_terms=4000$"):
-            phi_rs(spec, ctx)
-
-    @pytest.mark.parametrize("b", [4, complex(4, 0)], ids=["real", "complex"])
-    def test_lower_parameter_at_a_pole(self, b):
-        # b = 4 = q^-2 at q = 1/2: the factor 1 - b q^k vanishes at k = 2,
-        # which the term ratio T_3/T_2 reads and T_2/T_1 does not.
-        ctx = PrecisionContext(Fraction(1, 2), 128)
-        spec = HypergeometricSpec((Fraction(1, 3),), (b,), Fraction(1, 2), terminating_at=2)
-        value = phi_rs(spec, ctx)
-        assert abs(value - ctx.mpf(Fraction(104, 81))) < ctx.mpf("1e-36")
-        assert ctx.nstr(abs(value), 6) == "1.28395"
-        spec = HypergeometricSpec((Fraction(1, 3),), (b,), Fraction(1, 2), terminating_at=3)
-        with pytest.raises(DomainError, match="lower parameter hits q"):
-            phi_rs(spec, ctx)
-
-    def test_negative_excess_needs_termination(self):
-        # 2phi0 has 1 + s - r = -1: a formal series unless it terminates.
-        ctx = PrecisionContext(Fraction(1, 2), 128)
-        upper = (Fraction(1, 4), Fraction(1, 3))
-        with pytest.raises(FormalSeriesError, match="1\\+s-r < 0"):
-            phi_rs(HypergeometricSpec(upper, (), Fraction(1, 5)), ctx)
-        assert phi_rs(HypergeometricSpec(upper, (), Fraction(1, 5), terminating_at=4), ctx) > 0
-
-    @pytest.mark.parametrize("z", [1, -1, Fraction(3, 2), complex(0, 1), complex(-3, 4) / 5])
-    def test_balanced_series_diverges_outside_unit_disc(self, z):
-        ctx = PrecisionContext(Fraction(1, 2), 128)
-        with pytest.raises(FormalSeriesError, match="diverges for \\|z\\| >= 1"):
-            phi_rs(HypergeometricSpec((Fraction(2, 3),), (), z), ctx)
-
-    def test_terminating_series_beyond_the_term_budget_is_refused(self, monkeypatch):
-        # terminating_at = n needs n + 1 terms: max_terms = 16 allows
-        # n = 15 and refuses n = 16 before any term ratio is formed.
-        ctx = PrecisionContext(Fraction(1, 2), 128, max_terms=16)
-        upper = (Fraction(1, 3), Fraction(1, 5))
-        spec = HypergeometricSpec(upper, (), -1, terminating_at=15)
-        assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx)
-        monkeypatch.setattr(qkernel, "_term_ratios", None)
-        for n in (16, 17, 4000):
-            spec = HypergeometricSpec(upper, (), -1, terminating_at=n)
-            with pytest.raises(
-                NoConvergenceError,
-                match=f"^phi_rs: the terminating series needs {n + 1} terms, more than max_terms=16$",
-            ):
-                phi_rs(spec, ctx)
 
 
 class TestWeightW:
@@ -378,7 +307,6 @@ class TestQPower:
         # Values formed inside workprec go under the key of that
         # precision, each the exact power of the q of that precision.
         ctx = PrecisionContext(Fraction(63, 64), 128)
-        spec = HypergeometricSpec((Fraction(1, 3),), (Fraction(1, 5),), Fraction(1, 2))
         for prec in (128 + 77, 128):
             with ctx.mp.workprec(prec):
                 q = ctx.qm._mpf_
@@ -390,7 +318,6 @@ class TestQPower:
                 assert ctx.tables[("squarings", prec)]
                 x = Fraction(3, 2)
                 assert gen_exponential(x, ctx) == _ref_gen_exponential(x, ctx)
-                assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx)
                 complements = ctx.tables[("1-q^(n+1)", prec)]
                 assert complements
                 for n, value in enumerate(complements):
@@ -846,6 +773,13 @@ def _narrow(a, prec):
     return -man if sign else man, exp
 
 
+def _is_zero(a):
+    """Whether the real or complex pair value a is 0."""
+    if type(a[0]) is tuple:
+        return not (a[0][0] or a[1][0])
+    return not a[0]
+
+
 def _assert_correctly_rounded(prec, a, b, z, w):
     """Every pair operation on the reals a, b and the complex z, w is the
     exact result rounded once, each part.  A real addend keeps the other
@@ -1059,47 +993,6 @@ class TestQPowerRun:
 # kernel-routed versions must equal them.
 
 
-def _ref_term_ratio(spec, k, ctx):
-    mp = ctx.mp
-    e = 1 + len(spec.lower) - len(spec.upper)
-    qk = power_of_q(ctx, k)
-    cplx = any(isinstance(a, (complex, mp.mpc)) for a in spec.upper)
-    num = mp.mpc(1) if cplx else mp.mpf(1)
-    for a in spec.upper:
-        av = ctx.mpc(a) if isinstance(a, (complex, mp.mpc)) else ctx.mpf(a)
-        num = mul(num, 1 - av * qk)
-    den = mp.mpf(1)
-    for b in spec.lower:
-        bv = ctx.mpc(b) if isinstance(b, (complex, mp.mpc)) else ctx.mpf(b)
-        den = mul(den, 1 - bv * qk)
-    den = den * (1 - power_of_q(ctx, k + 1))
-    z = ctx.mpc(spec.z) if isinstance(spec.z, (complex, mp.mpc)) else ctx.mpf(spec.z)
-    ratio = mul(div(num, den), z) * power_of_q(ctx, e * k)
-    return -ratio if e % 2 == 1 else ratio
-
-
-def _ref_phi_rs(spec, ctx):
-    mp = ctx.mp
-    total = mp.mpc(0) if _is_complexy(spec, ctx) else mp.mpf(0)
-    term = mp.mpf(1) + total * 0
-    tol = ctx.mpf(ctx.series_tol)
-    streak = 0
-    for k in range(ctx.max_terms):
-        total = total + term
-        if spec.terminating_at is not None and k == spec.terminating_at:
-            return total
-        ratio = _ref_term_ratio(spec, k, ctx)
-        term = mul(term, ratio)
-        if spec.terminating_at is None:
-            if size(term) <= tol * size(total):
-                streak += 1
-                if streak >= 3 and size(ratio) < 0.5:
-                    return total
-            else:
-                streak = 0
-    raise NoConvergenceError("reference phi_rs did not converge")
-
-
 def _ref_gen_exponential(x, ctx):
     mp = ctx.mp
     xv = ctx.mpc(x) if isinstance(x, (complex, mp.mpc)) else ctx.mpf(x)
@@ -1157,15 +1050,6 @@ SERIES_CONTEXTS = [
     for bits in (64, 256)
 ]
 
-PHI_SPECS = (
-    HypergeometricSpec((Fraction(1, 3),), (Fraction(1, 5),), Fraction(1, 2)),
-    HypergeometricSpec((), (Fraction(-1, 4),), Fraction(3, 2)),
-    HypergeometricSpec((Fraction(1, 7), complex(0, 1)), (), -1, terminating_at=9),
-    HypergeometricSpec((Fraction(2, 3),), (), Fraction(1, 4)),
-    HypergeometricSpec((Fraction(1, 3), complex(1, -1)), (Fraction(-1, 2),), complex(-1, 2) / 8),
-)
-
-
 @pytest.mark.parametrize("q, bits", SERIES_CONTEXTS)
 class TestSeriesKernelsBitwise:
     def test_gen_exponential(self, q, bits):
@@ -1174,23 +1058,6 @@ class TestSeriesKernelsBitwise:
         ctx = PrecisionContext(q, bits)
         for x in (Fraction(1, 2), Fraction(-7, 3), 5, complex(1, -2), complex(-3, 1) / 4) * 2:
             assert gen_exponential(x, ctx) == _ref_gen_exponential(x, ctx), x
-
-    def test_phi_rs(self, q, bits):
-        ctx = PrecisionContext(q, bits)
-        for spec in PHI_SPECS * 2:
-            assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx), spec
-
-    def test_terminating_phi_rs_at_guard_precision(self, q, bits):
-        # A terminating 2phi0 inside workprec, with q^n arguments rounded
-        # there.
-        ctx = PrecisionContext(q, bits)
-        for n in (1, 6, 13):
-            with ctx.mp.workprec(bits + 11 * n):
-                qm = ctx.qm
-                spec = HypergeometricSpec(
-                    (qm ** (-n), ctx.mpc(complex(0, 2))), (), -(qm**n), terminating_at=n
-                )
-                assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx), n
 
     def test_hermite2_eval_direct(self, q, bits):
         ctx = PrecisionContext(q, bits)
@@ -1202,28 +1069,8 @@ class TestSeriesKernelsBitwise:
     def test_gen_exponential_at_caller_arguments(self, q, bits):
         _check_gen_exponential_at_caller_arguments(PrecisionContext(q, bits))
 
-    def test_phi_rs_complex_parameters(self, q, bits):
-        ctx = PrecisionContext(q, bits)
-        for spec in COMPLEX_SPECS:
-            assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx), spec
-
     def test_hermite2_eval_direct_at_recurrence_points(self, q, bits):
         _check_hermite2_eval_direct_at_recurrence_points(PrecisionContext(q, bits), range(13))
-
-
-# phi_rs with complex values that PHI_SPECS lacks: a complex lower
-# parameter under a real numerator and under a complex one (a quotient
-# with a complex divisor), the 1phi1 of the coherent-state closed form, a
-# terminating series, and a complex z whose imaginary part is 0 (still
-# the complex operations).
-COMPLEX_SPECS = (
-    HypergeometricSpec((Fraction(1, 3),), (complex(1, 1) / 4,), Fraction(1, 2)),
-    HypergeometricSpec((), (complex(-2, 3),), Fraction(-5, 2)),
-    HypergeometricSpec((complex(0, 1),), (complex(1, -2) / 3,), complex(1, 1) / 4),
-    HypergeometricSpec((complex(0, 3) / 2,), (complex(0, 7) / 10,), complex(0, -7) / 10),
-    HypergeometricSpec((Fraction(1, 8), complex(0, 2)), (complex(0, 3),), 2, terminating_at=7),
-    HypergeometricSpec((Fraction(1, 3),), (Fraction(1, 5),), complex(0.25, 0)),
-)
 
 
 def _gen_exponential_caller_arguments(ctx):
@@ -1232,8 +1079,9 @@ def _gen_exponential_caller_arguments(ctx):
     exponents 1 - k and k + 2 at some k <= HAT_DEPTH; the exact ring
     points q^(K+1) and q^(K+2) at which ``build_measure`` seeds the
     z-radial normalizers (the other rings come from the q-difference
-    equation); and the complex w of ``overlap``, real-valued for
-    z1 = z2."""
+    equation).  Then complex arguments, which gen_exponential accepts:
+    w = (1-q)/q conj(z1) z2, the argument of the reproducing kernel,
+    real-valued for z1 = z2."""
     q = ctx.qm
     c = q / (1 - q)
     args = [0, ctx.mpf(0), ctx.mpc(0)]
@@ -1270,8 +1118,6 @@ def test_series_kernels_bitwise_at_128_and_512_bits(q, bits):
     ctx = PrecisionContext(q, bits)
     _check_gen_exponential_at_caller_arguments(ctx)
     _check_hermite2_eval_direct_at_recurrence_points(ctx, (0, 1, 7, 12))
-    for spec in PHI_SPECS + COMPLEX_SPECS:
-        assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx), spec
 
 
 # The mpf/mpc operators of a context; the series kernels call them only
@@ -1325,23 +1171,9 @@ class TestOperatorCalls:
         assert counts[0] == counts[1] <= 12, counts
 
 
-# Terminating sums, each at a precision its context has not used before,
-# so its one pass of powers starts from an empty table: real specs (the
-# real operations) and complex ones, with e = 1 + s - r from -2 to 2;
-# then the exact 2phi0 of H~_n at the recurrence points.
+# The exact 2phi0 of H~_n at the recurrence points, in a fresh context
+# at each q and precision.
 @pytest.mark.parametrize("q", [Fraction(1, 62), Fraction(5, 56), Fraction(49, 58), Fraction(26, 27)], ids=str)
 @pytest.mark.parametrize("bits", [64, 512])
 def test_terminating_sums_at_fresh_guard_precisions(q, bits):
-    ctx = PrecisionContext(q, bits)
-    for n in range(13):
-        with ctx.mp.workprec(bits + 7 * n + 3):
-            qm = ctx.qm
-            specs = (
-                HypergeometricSpec((qm ** (-n), Fraction(1, 3)), (), -(qm**n), terminating_at=n),
-                HypergeometricSpec((qm ** (-n),), (Fraction(1, 5),), Fraction(1, 2), terminating_at=n),
-                HypergeometricSpec((qm ** (-n),), (Fraction(-2, 7), complex(0, 1) / 3), Fraction(3, 4), terminating_at=n),
-                HypergeometricSpec((qm ** (-n), complex(1, -1), Fraction(1, 9)), (), Fraction(1, 4), terminating_at=n),
-            )
-            for spec in specs:
-                assert phi_rs(spec, ctx) == _ref_phi_rs(spec, ctx), (n, spec)
     _check_hermite2_eval_direct_at_recurrence_points(PrecisionContext(q, bits), range(13))
