@@ -8,10 +8,12 @@ Two evaluation regimes coexist:
   lattice runs on integer pairs (:mod:`qhermite2._pairs`): every
   lattice point, derivative quotient, product, term and sum is a
   correctly rounded pair operation, a polynomial is
-  evaluated by Horner on pairs, and any other callable is called at an
+  evaluated by Horner on pairs, a :class:`~qhermite2.exact.Ratio` is
+  its exact value rounded once, and any other callable is called at an
   mpf point with its result converted once;
 * exact: polynomial identities (Leibniz rule, derivative/antiderivative
-  round trips) proved over the rationals via :class:`~qhermite2.exact.Poly`.
+  round trips, finite integration by parts) proved over the rationals
+  via :class:`~qhermite2.exact.Poly`.
 
 Integral conventions on the base-1 doubly infinite lattice
 {q^j : j in Z}:
@@ -24,8 +26,8 @@ Integral conventions on the base-1 doubly infinite lattice
   prefactor is forced by the fundamental theorem (see the discrepancy
   registry entry ``hat_integral_prefactor``).
 * finite hat integral: integral-hat_0^a f = q^{-1} a sum_{j>=0} q^j f(a q^j),
-  summed under a monitored stopping rule by the ip1/ip2 residuals of
-  :func:`ibp_residual`.
+  which for a polynomial is q^{-1} sum_k c_k a^{k+1} / (1 - q^{k+1}),
+  formed exactly by the ip1/ip2 residuals of :func:`ibp_residual_poly`.
 
 The deformed derivative is
 (dhat f)(x) = (f(q^{-2}x) - f(q^{-1}x)) / (q^{-1}x), which sends x^n to
@@ -54,7 +56,6 @@ from ._pairs import (
     _quotient,
     _raw_pair,
     _size,
-    _sum,
     _times,
 )
 from .context import PrecisionContext, as_fraction
@@ -62,10 +63,11 @@ from .errors import DomainError, NoConvergenceError
 from .exact import (
     GaussianRational,
     Poly,
+    Ratio,
     _over_x,
     jackson_monomial_exact,
 )
-from .qkernel import Decay, q_power_raw, q_power_run
+from .qkernel import q_power_raw, q_power_run
 
 __all__ = [
     "deformed_derivative",
@@ -75,10 +77,11 @@ __all__ = [
     "deformed_derivative_poly",
     "jackson_integral_poly",
     "leibniz_residual",
+    "ibp_residual_poly",
 ]
 
 
-Evaluatable = Union[Callable, Poly]
+Evaluatable = Union[Callable, Poly, Ratio]
 
 # A lattice value is a real or complex pair value (:mod:`qhermite2._pairs`),
 # or a callable's result that is not an mpf or mpc (an int, float, Fraction
@@ -120,10 +123,11 @@ def _q_pair(m: int, ctx: PrecisionContext) -> tuple:
 def _on_pairs(f: Evaluatable, ctx: PrecisionContext) -> Callable:
     """f on the lattice: a function of a real pair point returning a
     lattice value.  A :class:`Poly` runs Horner on pairs
-    (:meth:`Poly.pair_evaluator`); any other callable is called at the
-    mpf of the point, and its result converted once
+    (:meth:`Poly.pair_evaluator`), a :class:`Ratio` rounds its exact
+    value once (:meth:`Ratio.pair_evaluator`); any other callable is
+    called at the mpf of the point, and its result converted once
     (:func:`_lattice_value`)."""
-    if isinstance(f, Poly):
+    if isinstance(f, (Poly, Ratio)):
         return f.pair_evaluator(ctx)
 
     def value(t: tuple):
@@ -144,39 +148,10 @@ def deformed_derivative(f: Evaluatable, x, ctx: PrecisionContext):
     return _mp(_dhat(_on_pairs(f, ctx), ctx)(_as_pair(xv)), ctx)
 
 
-class _Monitored:
-    """One running sum with a monitored stopping rule: ``add`` takes the
-    next term, a pair value, and says whether the sum has settled.  It
-    settles where :class:`~qhermite2.qkernel.Decay` settles on the term
-    magnitudes against the running sum, counting only terms that are not
-    growing (a growing term resets the streak), so geometric q-lattice
-    tails contribute at most a small multiple of the tolerance.  ``last``
-    is the size of the latest term."""
-
-    __slots__ = ("total", "last", "decay")
-
-    def __init__(self, ctx: PrecisionContext) -> None:
-        self.total, self.last, self.decay = _ZERO, None, Decay(ctx)
-
-    def add(self, term: tuple) -> bool:
-        prec, total = self.decay.prec, self.total
-        if type(term[0]) is int and type(total[0]) is int:
-            self.total = total = _sum(total, term, prec)
-            mag = abs(term[0]), term[1]
-        else:
-            self.total = total = _plus(total, term, prec)
-            mag = _size(term, prec)
-        last, self.last = self.last, mag
-        if last is not None and _less(last, mag):
-            self.decay.streak = 0
-            return False
-        return self.decay.settled(mag, _size(total, prec))
-
-
-# Values :func:`_recent` keeps per integrand: a walk step reads an
-# integrand at no more than six points (ip3: q^m and the two points of
-# (d-hat u)(q^m) on each of its two branches; ip1 and ip2: four), and a
-# shifted point repeats a point of its own step or of the two before it.
+# Values :func:`_recent` keeps per integrand: a step of the ip3 sum reads
+# u at no more than six points (q^m and the two points of (d-hat u)(q^m)
+# on each of its two branches), and a shifted point repeats a point of
+# its own step or of the two before it.
 _WINDOW = 18
 
 
@@ -305,53 +280,30 @@ def _slope(value, t2: tuple, qit: tuple, ctx: PrecisionContext) -> tuple:
     return _over(_operand(rise, ctx), qit, prec)
 
 
-def ibp_residual(
-    u: Evaluatable,
-    v: Evaluatable,
-    variant: str,
-    a,
-    ctx: PrecisionContext,
-    K: int = HAT_DEPTH,
-):
-    """|LHS - RHS| of an integration-by-parts identity for the hat integral.
+def ibp_residual(u: Evaluatable, v: Evaluatable, ctx: PrecisionContext, K: int = HAT_DEPTH):
+    """|LHS - RHS| of integration by parts for the hat integral over (0, inf):
 
-    variant="ip1" (finite a):
-        LHS = int-hat_0^a u(q^{-1}x) (dhat v)(x)
-        RHS = (uv)(q^{-2}a) - (uv)(0) - int-hat_0^a v(q^{-2}x) (dhat u)(x)
-    variant="ip2" (finite a): the partner form with the u/v argument
-        shifts exchanged and the same boundary bracket.
-    variant="ip3" (a = inf, pass a=None):
         LHS = q * int-hat_0^inf u(x) (dhat v)(qx)
         RHS = [uv]_0^inf - int-hat_0^inf v(q^{-2}x) (dhat u)(x)
 
-    The boundary bracket of ip1/ip2 is evaluated at q^{-2}a and 0 (the
-    lattice telescoping lands there; see discrepancy registry entry
-    ``ibp_boundary_points``).  ip3 carries the Jacobian factor q on the
-    left (registry entry ``ibp_infinite_jacobian``).  For ip3 the 0-end
-    boundary value uses u(0) times the shrinking-end lattice limit of v,
-    and the inf-end uses the deepest retained lattice point (negligible
-    for decaying integrands).  Both ip3 sums carry the growing-branch
-    certificate of :func:`hat_q_integral` (NoConvergenceError; K >= 1).
-    Every lattice sum, derivative and product runs on pairs.
+    The left side carries the Jacobian factor q (registry entry
+    ``ibp_infinite_jacobian``).  The 0-end boundary value uses u(0)
+    times the shrinking-end lattice limit of v, and the inf-end uses the
+    deepest retained lattice point (negligible for decaying integrands).
+    Both sums carry the growing-branch certificate of
+    :func:`hat_q_integral` (NoConvergenceError; K >= 1).  Every lattice
+    sum, derivative and product runs on pairs.  The finite identities
+    ip1 and ip2 are exact for polynomials: :func:`ibp_residual_poly`.
 
-    Both sums of ip1 and ip2 come from one walk over the lattice, which
-    forms each deformed difference once per point (:func:`_ibp_finite`),
-    and ip3 sums its right side in the pass over its left one.  Each
+    The right side is summed in the pass over the left one.  Each
     integrand is called once per distinct point value in a call, the
     value reused wherever a shifted point equals a recent one: u and v
     must be pure functions.  Errors come in the order of a left sum
     finished before its right one: an error the right side meets (an
     integrand that raises, a value that is not finite) is raised only
-    once the left sum has settled and passed its checks, and the left
-    side's own error, NoConvergenceError included, comes first.
+    once the left sum has passed its check, and the left side's own
+    error, NoConvergenceError included, comes first.
     """
-    if variant in ("ip1", "ip2"):
-        return _ibp_finite(u, v, a, ctx, (variant,))[0]
-    if variant != "ip3":
-        raise DomainError(f"unknown integration-by-parts variant {variant!r}")
-    if a is not None:
-        raise DomainError("ip3 takes a=None")
-
     prec = ctx.mp.prec
     q = _as_pair(ctx.qm)
     uf = _recent(_on_pairs(u, ctx))
@@ -402,85 +354,6 @@ def ibp_residual(
     rim = _sub(deep, zero_end, ctx, prec)
     rhs = _sub(rim, _over(right, q, prec), ctx, prec)
     return _mp(_size(_sub(lhs, rhs, ctx, prec), prec), ctx)
-
-
-def _ibp_finite(u: Evaluatable, v: Evaluatable, a, ctx: PrecisionContext, variants) -> list:
-    """The residuals of the finite ``variants`` ("ip1", "ip2") of
-    :func:`ibp_residual`, in that order, from one walk over the points
-    t_j = q^j a of the finite hat integral.
-
-    Each point's deformed differences (d-hat v)(t_j), which every left
-    sum reads, and (d-hat u)(t_j), which every right sum reads, are
-    formed once.  The four sums (left and right of each variant) keep
-    their own :class:`_Monitored` stop rule and term cap.  A sum that
-    meets an error stops, and its error is raised once every sum before
-    it in the order ip1 left, ip1 right, ip2 left, ip2 right has
-    settled; at the cap the first sum still open raises.  So the call
-    raises what separate calls, each summing its left side before its
-    right one, would raise first.
-    """
-    prec = ctx.mp.prec
-    q = _as_pair(ctx.qm)
-    uf = _on_pairs(u, ctx)
-    if a is None:
-        raise DomainError(f"{variants[0]} needs a finite upper limit")
-    if not callable(v) and not isinstance(v, Poly):
-        raise DomainError(f"{variants[0]} needs an evaluatable v")
-    uf, vf = _recent(uf), _recent(_on_pairs(v, ctx))
-    av = ctx.mpf(a)
-    qi = _quotient(_ONE, q, prec)
-    qi2 = _product(qi, qi, prec)
-    q2 = _product(q, q, prec)
-    top = _quotient(_as_pair(av), q2, prec)
-    rim = _mul(uf(top), vf(top), ctx, prec)
-    boundary = _sub(rim, _mul(uf(_ZERO), vf(_ZERO), ctx, prec), ctx, prec)
-    if av <= 0:
-        raise DomainError(f"upper limit must be positive, got {av}")
-
-    # per sum: the integrand read at a shifted point, the shift (0 for
-    # t/q, 1 for t/q^2) and the function whose d-hat it multiplies; ip1
-    # reads u(t/q) and v(t/q^2), ip2 u(t/q^2) and v(t/q)
-    sides = []
-    for variant in variants:
-        far = int(variant != "ip1")
-        sides += [(uf, far, vf), (vf, 1 - far, uf)]
-    sums = [_Monitored(ctx) for _ in sides]
-    open_, failed = list(range(len(sums))), {}
-    ap, qj = _as_pair(av), _ONE
-    for _ in range(ctx.max_terms):
-        t = _product(qj, ap, prec)
-        qit, t2 = _product(qi, t, prec), _product(qi2, t, prec)
-        points = _quotient(t, q, prec), _quotient(t, q2, prec)
-        slopes = {}
-        for i in open_:
-            f, shift, g = sides[i]
-            try:
-                value = f(points[shift])
-                if g not in slopes:
-                    slopes[g] = _slope(g, t2, qit, ctx)
-                done = sums[i].add(_times(qj, _mul(value, slopes[g], ctx, prec), prec))
-            except Exception as exc:  # raised once the sums before it have settled
-                failed[i], done = exc, True
-            if done:
-                open_ = [j for j in open_ if j != i]
-        first = min(open_ + list(failed), default=None)
-        if first in failed:
-            raise failed[first]
-        if not open_:
-            break
-        qj = _product(qj, q, prec)
-    else:
-        # text pinned byte for byte by test_cli._PINNED_TERM_BUDGET_PAYLOAD and the q = 40/41 contract row
-        last = _mp(sums[open_[0]].last, ctx)
-        raise NoConvergenceError(
-            f"hat_q_integral_finite: lattice terms still {last} after {ctx.max_terms} terms"
-        )
-    scale = _quotient(ap, q, prec)
-    out = []
-    for lhs, rhs in zip(sums[::2], sums[1::2]):
-        rhs = _sub(boundary, _times(scale, rhs.total, prec), ctx, prec)
-        out.append(_mp(_size(_sub(_times(scale, lhs.total, prec), rhs, ctx, prec), prec), ctx))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -542,3 +415,40 @@ def leibniz_residual(u: Poly, v: Poly, variant: str, q: Fraction) -> Poly:
     else:
         raise DomainError(f"unknown Leibniz variant {variant!r}")
     return left - right
+
+
+def _hat_integral_poly(p: Poly, a: Fraction, q: Fraction) -> GaussianRational:
+    """Exact finite hat integral of a polynomial from 0 to a > 0:
+    q^{-1} a sum_{j>=0} q^j p(a q^j) = q^{-1} sum_k c_k a^{k+1} / (1 - q^{k+1})."""
+    total = GaussianRational.ZERO
+    for k, c in enumerate(p.coeffs):
+        if not c.is_zero():
+            total = total + c * (a ** (k + 1) / (1 - q ** (k + 1)))
+    return total / q
+
+
+def ibp_residual_poly(u: Poly, v: Poly, variant: str, a: Fraction, q: Fraction) -> GaussianRational:
+    """Exact LHS - RHS of integration by parts for the finite hat integral.
+
+    variant="ip1":
+        LHS = int-hat_0^a u(q^{-1}x) (dhat v)(x)
+        RHS = (uv)(q^{-2}a) - (uv)(0) - int-hat_0^a v(q^{-2}x) (dhat u)(x)
+    variant="ip2": the partner form with the u/v argument shifts
+        exchanged and the same boundary bracket.
+
+    The lattice telescopes to the boundary points q^{-2}a and 0 (see
+    discrepancy registry entry ``ibp_boundary_points``).  Both vanish
+    for every rational a > 0; zero is the certificate.
+    """
+    a, q = as_fraction(a), as_fraction(q)
+    if a <= 0:
+        raise DomainError(f"upper limit must be positive, got {a}")
+    if variant not in ("ip1", "ip2"):
+        raise DomainError(f"unknown integration-by-parts variant {variant!r}")
+    qi = 1 / q
+    near, far = (qi, qi * qi) if variant == "ip1" else (qi * qi, qi)
+    left = u.scale_argument(near) * deformed_derivative_poly(v, q)
+    right = v.scale_argument(far) * deformed_derivative_poly(u, q)
+    top = a * qi * qi
+    boundary = u(top) * v(top) - u(0) * v(0)
+    return _hat_integral_poly(left, a, q) - (boundary - _hat_integral_poly(right, a, q))

@@ -21,6 +21,7 @@ from qhermite2.extremal import carrier_roots, loadings, orthonormality_gram
 from qhermite2.qcalculus import (
     deformed_derivative,
     ibp_residual,
+    ibp_residual_poly,
     jackson_integral_poly,
     leibniz_residual,
     q_derivative_poly,
@@ -155,9 +156,9 @@ def test_criterion_6_calculus_identities():
             # product rule: exact zero residual polynomials
             for variant in ("first", "second"):
                 assert leibniz_residual(u, v, variant, q).is_zero(), variant
-            # integration by parts, finite and infinite
+            # integration by parts: finite, exact in Q(i), and infinite
             for variant in ("ip1", "ip2"):
-                assert ibp_residual(u, v, variant, Fraction(1), ctx) < tol
+                assert ibp_residual_poly(u, v, variant, Fraction(1), q).is_zero(), variant
             k_inf = max(80, math.ceil(math.log(1e-20) / math.log(float(q))) + 40)
 
             def u_dec(t):
@@ -166,7 +167,7 @@ def test_criterion_6_calculus_identities():
             def v_dec(t):
                 return t / (1 + t * t) ** 2
 
-            assert ibp_residual(u_dec, v_dec, "ip3", None, ctx, K=k_inf) < tol
+            assert ibp_residual(u_dec, v_dec, ctx, K=k_inf) < tol
             # fundamental theorem, exact in Q(i)
             for x in (Fraction(1), Fraction(-3, 2)):
                 recovered = jackson_integral_poly(q_derivative_poly(v, q), x, q)

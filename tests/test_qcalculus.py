@@ -7,24 +7,27 @@ from fractions import Fraction
 
 import pytest
 from correctly_rounded import mul, size
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_rational, round_nearest
 
 from qhermite2 import PrecisionContext
-from qhermite2._pairs import _as_pair, _mpf
+from qhermite2.context import as_fraction
 from qhermite2.errors import DomainError, NoConvergenceError
 from qhermite2.exact import (
     GaussianRational,
     Poly,
+    Ratio,
     bn_squared_exact,
     moment_In_exact,
     qbracket,
 )
 from qhermite2.qcalculus import (
-    _Monitored,
-    _ibp_finite,
+    _hat_integral_poly,
     deformed_derivative,
     deformed_derivative_poly,
     hat_q_integral,
     ibp_residual,
+    ibp_residual_poly,
     jackson_integral_poly,
     leibniz_residual,
     q_derivative_poly,
@@ -161,78 +164,112 @@ def _v_dec(t):
 class TestIntegrationByParts:
     @pytest.mark.parametrize("variant", ["ip1", "ip2"])
     def test_finite_variants_close_at_machine_scale(self, all_ctx, variant):
+        # closer than any machine scale: the finite identities are exact
         for ctx in all_ctx:
-            res = ibp_residual(POLY_A, POLY_B, variant, Fraction(1), ctx)
-            assert res <= ctx.mpf("1e-60")
+            for a in (Fraction(1), Fraction(5, 3)):
+                assert ibp_residual_poly(POLY_A, POLY_B, variant, a, ctx.q).is_zero()
 
     def test_infinite_variant_with_decaying_pair(self, all_ctx):
         tol = Fraction(1, 10**20)
         for ctx in all_ctx:
             qf = float(ctx.q)
             k_inf = max(80, math.ceil(math.log(float(tol)) / math.log(qf)) + 40)
-            res = ibp_residual(_u_dec, _v_dec, "ip3", None, ctx, K=k_inf)
+            res = ibp_residual(_u_dec, _v_dec, ctx, K=k_inf)
             assert res <= ctx.mpf(tol)
 
     def test_infinite_variant_certifies_the_growing_branch(self, ctx_half):
         # u v grows without bound; the lattice sums used to return
         # 7.98e36 here as a residual.
         with pytest.raises(NoConvergenceError) as err:
-            ibp_residual(lambda t: 1 + t * t, lambda t: t, "ip3", None, ctx_half, K=40)
+            ibp_residual(lambda t: 1 + t * t, lambda t: t, ctx_half, K=40)
         assert str(err.value) == (
             "ibp_residual ip3: growing-abscissa branch not decaying at K=40 "
             "(last term 1.661535e+35)"
         )
 
     def test_variant_validation(self, ctx_half):
-        with pytest.raises(DomainError):
-            ibp_residual(POLY_A, POLY_B, "ip9", Fraction(1), ctx_half)
-        with pytest.raises(DomainError):
-            ibp_residual(POLY_A, POLY_B, "ip1", None, ctx_half)
+        with pytest.raises(DomainError, match="unknown integration-by-parts variant 'ip9'"):
+            ibp_residual_poly(POLY_A, POLY_B, "ip9", Fraction(1), ctx_half.q)
         with pytest.raises(DomainError, match="K must be >= 1, got 0"):
-            ibp_residual(_u_dec, _v_dec, "ip3", None, ctx_half, K=0)
+            ibp_residual(_u_dec, _v_dec, ctx_half, K=0)
+
+    @pytest.mark.parametrize("a", [Fraction(0), Fraction(-1, 3)], ids=str)
+    def test_upper_limit_checked_before_anything_is_evaluated(self, a):
+        # u and v are never read: the limit is refused first
+        for variant in ("ip1", "ip2", "ip9"):
+            with pytest.raises(DomainError, match=f"upper limit must be positive, got {a}"):
+                ibp_residual_poly(None, None, variant, a, Fraction(1, 2))
 
 
-# Reference lattice sums: the monitored sum and the finite hat integral as
-# they were written before the stop rule and the walk were shared, kept
-# here to pin the ip1/ip2 residuals bitwise; the modulus of a complex
-# value is correctly rounded, as the pairs round it.
+def _q_values():
+    """q in (0, 1): a rational a/b with b <= 64, 1/64 and 63/64 among them."""
+    return st.one_of(
+        st.sampled_from([Fraction(1, 64), Fraction(63, 64)]),
+        st.integers(2, 64).flatmap(lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b))),
+    )
 
 
-def _ref_monitored_sum(terms, ctx, what):
-    mp = ctx.mp
-    tol = ctx.mpf(ctx.series_tol)
-    total = mp.mpf(0)
-    prev = None
-    streak = 0
-    for k, term in enumerate(terms):
-        total = total + term
-        mag = size(term)
-        scale = max(size(total), tol)
-        if mag <= tol * scale and (prev is None or mag <= prev):
-            streak += 1
-            if streak >= 3:
-                return total
-        else:
-            streak = 0
-        prev = mag
-        if k + 1 >= ctx.max_terms:
-            raise NoConvergenceError(
-                f"{what}: lattice terms still {mag} after {ctx.max_terms} terms"
-            )
-    return total
+_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=50)
+_REAL_POLYS = st.lists(_RATIONALS, max_size=7).map(Poly)
+_LIMITS = st.fractions(min_value=0, max_value=50, max_denominator=1000).filter(lambda a: a > 0)
 
 
-def _ref_hat_q_integral_finite(func, a, ctx):
-    av = ctx.mpf(a)
-    q = ctx.qm
+class TestFiniteIntegrationByPartsExact:
+    """ip1/ip2 over Q: the finite hat integral in closed form."""
 
-    def terms():
-        qj = ctx.mp.mpf(1)
-        for _ in range(ctx.max_terms):
-            yield qj * func(av * qj)
-            qj = qj * q
+    @settings(max_examples=60, deadline=None)
+    @given(_REAL_POLYS, _REAL_POLYS, _q_values(), _LIMITS)
+    def test_both_variants_are_exactly_zero(self, u, v, q, a):
+        for variant in ("ip1", "ip2"):
+            assert ibp_residual_poly(u, v, variant, a, q) == GaussianRational.ZERO
 
-    return av / q * _ref_monitored_sum(terms(), ctx, "hat_q_integral_finite")
+    @settings(max_examples=60, deadline=None)
+    @given(_REAL_POLYS, _q_values(), _LIMITS)
+    def test_hat_integral_is_self_similar(self, p, q, a):
+        # H(a) = q^{-1} a p(a) + H(qa): the first lattice term split off
+        assert _hat_integral_poly(p, a, q) == a / q * p(a) + _hat_integral_poly(p, q * a, q)
+
+    @pytest.mark.parametrize("q", [Fraction(1, 64), Fraction(1, 2), Fraction(26, 27)], ids=str)
+    def test_boundary_at_q_inverse_a_leaves_a_residual(self, q):
+        # registry entry ibp_boundary_points: the bracket is at q^{-2} a,
+        # and moving it to q^{-1} a breaks the suite's ip1 identity
+        u, v, a = Poly((1, 0, 1)), Poly((0, -1, 0, 1)), Fraction(1)
+        lhs = _hat_integral_poly(u.scale_argument(1 / q) * deformed_derivative_poly(v, q), a, q)
+        inner = _hat_integral_poly(v.scale_argument(1 / q**2) * deformed_derivative_poly(u, q), a, q)
+
+        def residual(top):
+            return lhs - (u(top) * v(top) - u(0) * v(0) - inner)
+
+        assert residual(a / q**2) == ibp_residual_poly(u, v, "ip1", a, q) == GaussianRational.ZERO
+        assert not residual(a / q).is_zero()
+
+
+_ONE_PLUS_SQUARE = Poly((1, 0, 1))
+_U_RATIO = Ratio(Poly.one(), _ONE_PLUS_SQUARE * _ONE_PLUS_SQUARE * _ONE_PLUS_SQUARE)
+_V_RATIO = Ratio(Poly.x(), _ONE_PLUS_SQUARE * _ONE_PLUS_SQUARE)
+
+
+def _rounded_once(ratio, ctx):
+    """A callable returning ratio's exact value at an mpf point, rounded
+    once at the working precision."""
+
+    def value(t):
+        exact = ratio.num(as_fraction(t)).re / ratio.den(as_fraction(t)).re
+        return ctx.mp.make_mpf(from_rational(exact.numerator, exact.denominator, ctx.mp.prec, round_nearest))
+
+    return value
+
+
+@pytest.mark.parametrize(
+    "q, bits",
+    [pytest.param(Fraction(q), bits, id=f"{q}-{bits}") for q in ("1/64", "3/10", "4/5") for bits in (64, 128, 256, 512)],
+)
+def test_ip3_over_ratios_equals_the_rounded_callables(q, bits):
+    ctx = PrecisionContext(q, bits)
+    K = max(80, math.ceil(math.log(1e-20) / math.log(float(q))) + 40)
+    got = ibp_residual(_U_RATIO, _V_RATIO, ctx, K)
+    want = ibp_residual(_rounded_once(_U_RATIO, ctx), _rounded_once(_V_RATIO, ctx), ctx, K)
+    assert got._mpf_ == want._mpf_
 
 
 def _outcome(call, *args):
@@ -241,20 +278,6 @@ def _outcome(call, *args):
         return call(*args)
     except NoConvergenceError as exc:
         return type(exc), str(exc)
-
-
-def test_growing_term_resets_the_monitored_streak(ctx_half):
-    # Every term after the first is below tol times the sum; the fourth
-    # grows, so the count restarts and the sum settles on the seventh.
-    tol = ctx_half.series_tol
-    terms = [ctx_half.mpf(t) for t in (1, tol / 8, tol / 16, tol / 4, tol / 32, tol / 64, tol / 128, 5)]
-    total = _Monitored(ctx_half)
-    settled = next(k for k, t in enumerate(terms, 1) if total.add(_as_pair(t)))
-    assert settled == 7
-    want = ctx_half.mp.mpf(0)
-    for t in terms[:7]:
-        want = want + t
-    assert _mpf(total.total, ctx_half) == want
 
 
 # Reference hat-lattice sums: the hat integral, the lattice moment and the
@@ -387,57 +410,8 @@ class TestHatSumsBitwise:
     def test_ibp_residual_ip3(self, q, bits):
         ctx = PrecisionContext(q, bits)
         K = 80
-        got = _outcome(ibp_residual, _u_dec, _v_dec, "ip3", None, ctx, K)
+        got = _outcome(ibp_residual, _u_dec, _v_dec, ctx, K)
         assert got == _outcome(_ref_ip3, _u_dec, _v_dec, ctx, K)
-
-
-# Reference finite integration-by-parts residual: ip1/ip2 as they were
-# written on mpf operators, a polynomial evaluated by Horner on mpmath
-# objects, kept here to pin the residuals bitwise.
-
-
-def _ref_evaluator(f, ctx):
-    if not isinstance(f, Poly):
-        return f
-    coeffs = [ctx.mpf(c.re) for c in reversed(f.coeffs)]
-
-    def horner(x):
-        acc = ctx.mp.mpf(0)
-        for cv in coeffs:
-            acc = acc * x + cv
-        return acc
-
-    return horner
-
-
-def _ref_dhat(f, ctx):
-    qi = 1 / ctx.qm
-    qi2 = qi * qi
-
-    def dhat(t):
-        qit = qi * t
-        return (f(qi2 * t) - f(qit)) / qit
-
-    return dhat
-
-
-def _ref_ibp_finite(u, v, variant, a, ctx):
-    mp = ctx.mp
-    q = ctx.qm
-    uf = _ref_evaluator(u, ctx)
-    vf = _ref_evaluator(v, ctx)
-    av = ctx.mpf(a)
-    du = _ref_dhat(uf, ctx)
-    dv = _ref_dhat(vf, ctx)
-    q2 = q**2
-    boundary = uf(av / q2) * vf(av / q2) - uf(mp.mpf(0)) * vf(mp.mpf(0))
-    if variant == "ip1":
-        lhs = _ref_hat_q_integral_finite(lambda t: uf(t / q) * dv(t), av, ctx)
-        rhs = boundary - _ref_hat_q_integral_finite(lambda t: vf(t / q2) * du(t), av, ctx)
-    else:
-        lhs = _ref_hat_q_integral_finite(lambda t: uf(t / q2) * dv(t), av, ctx)
-        rhs = boundary - _ref_hat_q_integral_finite(lambda t: vf(t / q) * du(t), av, ctx)
-    return abs(lhs - rhs)
 
 
 def _bits(value):
@@ -446,69 +420,6 @@ def _bits(value):
         return tuple(_bits(v) for v in value)
     raw = getattr(value, "_mpf_", None) or getattr(value, "_mpc_", None)
     return type(value).__name__, value if raw is None else raw
-
-
-@pytest.mark.parametrize(
-    "q, bits",
-    [
-        pytest.param(Fraction(q), bits, id=f"{q}-{bits}")
-        for q in ("3/10", "1/2", "4/5", "40/41")
-        for bits in (64, 256)
-    ],
-)
-@pytest.mark.parametrize("variant", ["ip1", "ip2"])
-def test_ibp_residual_finite_bitwise(q, bits, variant):
-    ctx = PrecisionContext(q, bits)
-    pairs = {
-        "poly": (POLY_A, POLY_B),
-        "callable": (lambda t: 3 * t * t + 2 * t + 1, lambda t: 2 * t**3 - t),
-        "mixed": (POLY_B, lambda t: t / (1 + t * t)),
-    }
-    for name, (u, v) in pairs.items():
-        for a in (Fraction(1), Fraction(5, 3)):
-            got = _outcome(ibp_residual, u, v, variant, a, ctx)
-            assert _bits(got) == _bits(_outcome(_ref_ibp_finite, u, v, variant, a, ctx)), (name, a)
-
-
-def _first_raise_or_values(outcomes):
-    """Separate calls' outcomes as one call of both gives them: the
-    first error raised, else the values."""
-    for outcome in outcomes:
-        if isinstance(outcome, tuple):
-            return outcome
-    return list(outcomes)
-
-
-@pytest.mark.parametrize(
-    "q, bits, max_terms",
-    [
-        pytest.param(Fraction(q), bits, terms, id=f"{q}-{bits}-{terms}")
-        for q, bits, terms in (
-            ("3/10", 64, 4000), ("1/2", 256, 4000), ("49/58", 128, 4000), ("40/41", 64, 4000),
-            ("40/41", 256, 16), ("7/9", 128, 40),
-        )
-    ],
-)
-def test_two_variant_walk_equals_single_calls(q, bits, max_terms):
-    """ip1 and ip2 from one walk equal two single-variant calls and the
-    reference bit for bit; at the term cap (max_terms 16 and 40) both
-    raise the error of the first sum still open, left before right and
-    ip1 before ip2 (a constant u or v settles one side at once)."""
-    ctx = PrecisionContext(q, bits, max_terms=max_terms)
-    seven = Poly((gr(7),))
-    pairs = {
-        "poly": (POLY_A, POLY_B),
-        "callable": (lambda t: 3 * t * t + 2 * t + 1, lambda t: 2 * t**3 - t),
-        "mixed": (POLY_B, lambda t: t / (1 + t * t)),
-        "constant-u": (seven, POLY_B),
-        "constant-v": (POLY_A, seven),
-    }
-    for name, (u, v) in pairs.items():
-        for a in (Fraction(1), Fraction(5, 3)):
-            both = _outcome(_ibp_finite, u, v, a, ctx, ("ip1", "ip2"))
-            for single in (ibp_residual, _ref_ibp_finite):
-                want = _first_raise_or_values([_outcome(single, u, v, variant, a, ctx) for variant in ("ip1", "ip2")])
-                assert _bits(both) == _bits(want), (name, a, single.__name__)
 
 
 class _Refused(Exception):
@@ -534,36 +445,18 @@ def _raised_or_value(call, *args):
 
 
 def test_errors_come_in_the_order_of_the_separate_sums():
-    """A call raises what the sums, each left side before its right one
-    and ip1 before ip2, would raise first: an integrand error that only
-    the right side meets waits for the left side, which may settle (the
-    right side's error is raised), hit the term cap or fail its
-    growing-branch check (the left side's NoConvergenceError is)."""
-    # at 40/41 and 16 terms no finite sum settles; ip2's right side reads
-    # u(q^{j-1} a) and its left side u(q^{j-2} a), so only the right one
-    # reaches q^14 before the cap, while ip1's left side reads u(q^{j-1} a)
-    ctx = PrecisionContext(Fraction(40, 41), 64, max_terms=16)
-    q = ctx.qm
-    u = _refusing(lambda t: 3 * t * t + 1, "u", q**14.5, q**13.5)
-
-    def v(t):
-        return 2 * t**3 - t
-
-    want = {variant: _raised_or_value(_ref_ibp_finite, u, v, variant, Fraction(1), ctx) for variant in ("ip1", "ip2")}
-    assert want["ip1"][0] is _Refused and want["ip2"][0] is NoConvergenceError
-    for variant in ("ip1", "ip2"):
-        assert _raised_or_value(ibp_residual, u, v, variant, Fraction(1), ctx) == want[variant]
-    for variants in (("ip1", "ip2"), ("ip2",)):
-        got = _raised_or_value(_ibp_finite, u, v, Fraction(1), ctx, variants)
-        assert got == want[variants[0]], variants
-
-    # ip3 at K = 8: only the right side's (d-hat u)(q^{1-K}) reads u near
+    """A call raises what the sums, the left side before the right one,
+    would raise first: an integrand error that only the right side meets
+    waits for the left side, which may pass its growing-branch check
+    (the right side's error is raised) or fail it (the left side's
+    NoConvergenceError is)."""
+    # at K = 8 only the right side's (d-hat u)(q^{1-K}) reads u near
     # q^{-K-1}; the left side settles with u_dec and does not with 1 + t^4
     ctx = PrecisionContext(Fraction(1, 2), 64)
     deep = (2**8.5, 2**9.5)
-    settles = _raised_or_value(ibp_residual, _refusing(_u_dec, "u", *deep), _v_dec, "ip3", None, ctx, 8)
+    settles = _raised_or_value(ibp_residual, _refusing(_u_dec, "u", *deep), _v_dec, ctx, 8)
     assert settles == (_Refused, f"u refuses a point in {deep}")
-    grows = _raised_or_value(ibp_residual, _refusing(lambda t: 1 + t**4, "u", *deep), _v_dec, "ip3", None, ctx, 8)
+    grows = _raised_or_value(ibp_residual, _refusing(lambda t: 1 + t**4, "u", *deep), _v_dec, ctx, 8)
     assert grows[0] is NoConvergenceError
     assert grows[1].startswith("ibp_residual ip3: growing-abscissa branch not decaying at K=8")
 
@@ -586,20 +479,13 @@ def _counted(f, seen):
 def test_integrands_called_once_per_distinct_point(q, bits):
     """Within one call each integrand is called once per distinct point
     value (raw mpf tuples are normalized, so equal values are equal
-    tuples), and the residuals are those of the uncounted functions."""
+    tuples), and the residual is that of the uncounted functions."""
     ctx = PrecisionContext(q, bits)
-    calls = {
-        "ip1-and-ip2": lambda u, v: _ibp_finite(u, v, Fraction(1), ctx, ("ip1", "ip2")),
-        "ip2": lambda u, v: ibp_residual(u, v, "ip2", Fraction(5, 3), ctx),
-        "ip3": lambda u, v: ibp_residual(u, v, "ip3", None, ctx, K=80),
-    }
-    for name, call in calls.items():
-        u, v = (_u_dec, _v_dec) if name == "ip3" else (lambda t: 3 * t * t + 1, lambda t: t / (1 + t * t))
-        seen_u, seen_v = [], []
-        got = call(_counted(u, seen_u), _counted(v, seen_v))
-        assert _bits(got) == _bits(call(u, v)), name
-        assert len(seen_u) == len(set(seen_u)) > 0, name
-        assert len(seen_v) == len(set(seen_v)) > 0, name
+    seen_u, seen_v = [], []
+    got = ibp_residual(_counted(_u_dec, seen_u), _counted(_v_dec, seen_v), ctx, K=80)
+    assert _bits(got) == _bits(ibp_residual(_u_dec, _v_dec, ctx, K=80))
+    assert len(seen_u) == len(set(seen_u)) > 0
+    assert len(seen_v) == len(set(seen_v)) > 0
 
 
 _WIDE = 3**200  # wider than every working precision below
@@ -631,17 +517,6 @@ class TestCallableBoundaryBitwise:
     """Results of a callable that are not mpf values enter the pair
     arithmetic as the mpf operators took them."""
 
-    def test_finite_ibp(self, q, bits):
-        ctx = PrecisionContext(q, bits)
-        for name, f in _boundary_integrands(ctx).items():
-            if name == "fraction":
-                continue  # the mpf operators refuse Fraction / mpf in d-hat
-            for u, v in ((f, f), (_u_dec, f), (f, _v_dec)):
-                for variant in ("ip1", "ip2"):
-                    got = _outcome(ibp_residual, u, v, variant, Fraction(3, 4), ctx)
-                    want = _outcome(_ref_ibp_finite, u, v, variant, Fraction(3, 4), ctx)
-                    assert _bits(got) == _bits(want), (name, variant)
-
     def test_hat_integral_and_ip3(self, q, bits):
         ctx = PrecisionContext(q, bits)
         K = 40
@@ -650,18 +525,13 @@ class TestCallableBoundaryBitwise:
                 got = _outcome(hat_q_integral, f, ctx, K, diagnostics)
                 want = _outcome(_ref_hat_q_integral, f, ctx, K, diagnostics)
                 assert _bits(got) == _bits(want), (name, diagnostics)
-            got = _outcome(ibp_residual, _u_dec, f, "ip3", None, ctx, K)
+            got = _outcome(ibp_residual, _u_dec, f, ctx, K)
             assert _bits(got) == _bits(_outcome(_ref_ip3, _u_dec, f, ctx, K)), name
             if name == "fraction":
                 continue  # the mpf operators refuse Fraction / mpf in d-hat u
             # u's values meet v's in the boundary products and their difference
-            got = _outcome(ibp_residual, f, f, "ip3", None, ctx, K)
+            got = _outcome(ibp_residual, f, f, ctx, K)
             assert _bits(got) == _bits(_outcome(_ref_ip3, f, f, ctx, K)), name
-
-
-def test_ip3_refuses_a_finite_limit(ctx_half):
-    with pytest.raises(DomainError, match="ip3 takes a=None"):
-        ibp_residual(_u_dec, _v_dec, "ip3", Fraction(1), ctx_half)
 
 
 _OPERATORS = (
@@ -672,8 +542,8 @@ _OPERATORS = (
 
 
 def test_finite_ibp_operator_calls_do_not_grow_with_the_lattice(monkeypatch):
-    """ip1/ip2 of polynomials run on integer pairs: the mpf/mpc operator
-    calls of one residual do not grow with the number of lattice terms."""
+    """ip1/ip2 of polynomials are exact over Q: one residual makes no
+    mpf/mpc operator call, whatever the number of lattice terms."""
     counts = {}
     for q in (Fraction(1, 2), Fraction(26, 27)):
         ctx = PrecisionContext(q, 128)
@@ -690,11 +560,7 @@ def test_finite_ibp_operator_calls_do_not_grow_with_the_lattice(monkeypatch):
                     patch.setattr(cls, name, counted)
             for variant in ("ip1", "ip2"):
                 before = len(calls)
-                residual = ibp_residual(POLY_A, POLY_B, variant, Fraction(1), ctx)
+                residual = ibp_residual_poly(POLY_A, POLY_B, variant, Fraction(1), q)
                 counts[q, variant] = len(calls) - before
-                assert residual < ctx.mpf(1)
-    # Converting the 7 rational coefficients, a and the two tolerances
-    # (ctx.mpf divides) and checking a > 0 twice.  On mpf operators ip1
-    # made 2,040 calls at q = 1/2 and 36,459 at q = 26/27.
-    for variant in ("ip1", "ip2"):
-        assert counts[Fraction(1, 2), variant] == counts[Fraction(26, 27), variant] <= 13, counts
+                assert residual.is_zero()
+    assert set(counts.values()) == {0}, counts
