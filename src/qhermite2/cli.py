@@ -360,7 +360,7 @@ def _cmd_cs(ns, ctx: PrecisionContext) -> CommandOutput:
 # default, so one set for a suite that does not read it is refused.
 _SUITES = {
     "recurrence": (suites.recurrence, ("n_max", "tol")),
-    "qcalculus": (suites.qcalculus, ("tol",)),
+    "qcalculus": (suites.qcalculus, ()),
     "commutators": (suites.commutators, ("dim",)),
     "generating": (suites.generating, ("x", "order")),
     "qdiff": (suites.qdiff, ("n_max",)),

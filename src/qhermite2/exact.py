@@ -18,7 +18,7 @@ from itertools import chain, zip_longest
 from math import gcd, lcm
 from typing import Iterable, Union
 
-from ._pairs import _ONE, _ZERO, _as_pair, _mp, _mpf, _operand, _plus, _product, _quotient, _rational, _sum, _times
+from ._pairs import _ONE, _ZERO, _as_pair, _mp, _mpf, _operand, _plus, _product, _rational, _sum, _times
 from .errors import DomainError
 
 __all__ = [
@@ -379,7 +379,9 @@ def _over_x(p: Poly) -> Poly:
 
 
 class Ratio:
-    """The rational function num / den of two real polynomials."""
+    """The rational function num / den of two real polynomials, such as
+    the integrands of the exact infinite integration by parts
+    (:func:`~qhermite2.qcalculus.ibp_ratio_residual`)."""
 
     __slots__ = ("num", "den")
 
@@ -387,36 +389,6 @@ class Ratio:
         if any(im for _, im in chain(num._num, den._num)):
             raise DomainError("a Ratio takes real polynomials")
         self.num, self.den = num, den
-
-    def pair_evaluator(self, ctx):
-        """Evaluator at a real pair x = m 2^e (:mod:`qhermite2._pairs`):
-        num(x) / den(x) formed exactly on integers and rounded once, to
-        nearest, at the caller's precision ``mp.prec``.  For p with
-        integer numerators c_k over D and d = -e (x made an integer
-        first when e > 0), D p(x) 2^(d deg p) is the integer sum of
-        c_k m^k 2^(d (deg p - k)), from Horner on m.  DomainError where
-        den(x) = 0."""
-        mp, num, den = ctx.mp, self.num, self.den
-        top, bottom = [re for re, _ in reversed(num._num)], [re for re, _ in reversed(den._num)]
-        lift = len(bottom) - len(top)  # deg den - deg num
-
-        def at(coeffs: list, m: int, d: int) -> int:
-            acc = shift = 0
-            for c in coeffs:
-                acc = acc * m + (c << shift)
-                shift += d
-            return acc
-
-        def value(x: tuple) -> tuple:
-            m, e = x
-            if e > 0:
-                m, e = m << e, 0
-            below = at(bottom, m, -e)
-            if not below:
-                raise DomainError(f"Ratio denominator vanishes at {_mpf(x, ctx)}")
-            return _quotient((at(top, m, -e) * den._den, -e * lift), (below * num._den, 0), mp.prec)
-
-        return value
 
 
 # -- exact q-arithmetic ----------------------------------------------------

@@ -1,19 +1,14 @@
-"""The deformed lattice derivative, exact q-derivatives, Jackson-type
-integrals, and integration-by-parts validators.
+"""The deformed calculus of the lattice {q^j}: exact q-derivatives,
+Jackson-type integrals, the hat integral, and the identities the
+``qcalculus`` suite proves.
 
-Two evaluation regimes coexist:
-
-* numeric: callables evaluated on geometric lattices at working
-  precision with monitored tails (never assumed convergent).  The
-  lattice runs on integer pairs (:mod:`qhermite2._pairs`): every
-  lattice point, derivative quotient, product, term and sum is a
-  correctly rounded pair operation, a polynomial is
-  evaluated by Horner on pairs, a :class:`~qhermite2.exact.Ratio` is
-  its exact value rounded once, and any other callable is called at an
-  mpf point with its result converted once;
-* exact: polynomial identities (Leibniz rule, derivative/antiderivative
-  round trips, finite integration by parts) proved over the rationals
-  via :class:`~qhermite2.exact.Poly`.
+The identities are proved over the rationals: on polynomials, on
+rational functions (the infinite integration by parts), and term by
+term on the coefficients of the generalized exponential.  The one
+numeric part is the hat-lattice sum :func:`_hat_sum` of
+:func:`hat_q_integral` and the lattice moments of
+:mod:`qhermite2.qmeasure`: correctly rounded pair operations
+(:mod:`qhermite2._pairs`) with a monitored growing branch.
 
 Integral conventions on the base-1 doubly infinite lattice
 {q^j : j in Z}:
@@ -31,29 +26,27 @@ Integral conventions on the base-1 doubly infinite lattice
 
 The deformed derivative is
 (dhat f)(x) = (f(q^{-2}x) - f(q^{-1}x)) / (q^{-1}x), which sends x^n to
-b_{n-1}^2 x^{n-1}.
+b_{n-1}^2 x^{n-1} (:func:`deformed_derivative_poly`).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Union
+from typing import Callable, List, Union
 
 from ._pairs import (
-    _ONE,
     _ZERO,
     _as_pair,
     _larger,
     _less,
     _mp,
     _mpf,
-    _negative,
     _operand,
     _over,
     _plus,
     _product,
-    _quotient,
     _raw_pair,
     _size,
     _times,
@@ -67,114 +60,18 @@ from .exact import (
     _over_x,
     jackson_monomial_exact,
 )
-from .qkernel import q_power_raw, q_power_run
+from .qkernel import q_power_raw
 
 __all__ = [
-    "deformed_derivative",
     "hat_q_integral",
-    "ibp_residual",
     "q_derivative_poly",
     "deformed_derivative_poly",
+    "gex_eigen_residuals",
     "jackson_integral_poly",
     "leibniz_residual",
     "ibp_residual_poly",
+    "ibp_ratio_residual",
 ]
-
-
-Evaluatable = Union[Callable, Poly, Ratio]
-
-# A lattice value is a real or complex pair value (:mod:`qhermite2._pairs`),
-# or a callable's result that is not an mpf or mpc (an int, float, Fraction
-# or complex), kept raw: two raw values combine by their own operators (an
-# int difference stays exact), and a raw value meets a pair converted as the
-# mpf operators convert it (:func:`~qhermite2._pairs._operand`).  Lattice
-# points are real pairs, each the product, quotient or sum the mpf
-# operators form, at the precision of the call.
-
-
-def _lattice_value(x, ctx: PrecisionContext):
-    """The callable result x as a lattice value."""
-    return _operand(x, ctx) if hasattr(x, "_mpf_") or hasattr(x, "_mpc_") else x
-
-
-def _mul(a, b, ctx: PrecisionContext, prec: int):
-    """a b of two lattice values."""
-    if type(a) is tuple and type(b) is tuple:
-        return _times(a, b, prec)
-    if type(a) is not tuple and type(b) is not tuple:
-        return a * b
-    return _times(_operand(a, ctx), _operand(b, ctx), prec)
-
-
-def _sub(a, b, ctx: PrecisionContext, prec: int):
-    """a - b of two lattice values."""
-    if type(a) is tuple and type(b) is tuple:
-        return _plus(a, _negative(b), prec)
-    if type(a) is not tuple and type(b) is not tuple:
-        return a - b
-    return _plus(_operand(a, ctx), _negative(_operand(b, ctx)), prec)
-
-
-def _q_pair(m: int, ctx: PrecisionContext) -> tuple:
-    """q^m as a pair, the exact power rounded once (``q_power_raw``)."""
-    return _raw_pair(q_power_raw(m, ctx))
-
-
-def _on_pairs(f: Evaluatable, ctx: PrecisionContext) -> Callable:
-    """f on the lattice: a function of a real pair point returning a
-    lattice value.  A :class:`Poly` runs Horner on pairs
-    (:meth:`Poly.pair_evaluator`), a :class:`Ratio` rounds its exact
-    value once (:meth:`Ratio.pair_evaluator`); any other callable is
-    called at the mpf of the point, and its result converted once
-    (:func:`_lattice_value`)."""
-    if isinstance(f, (Poly, Ratio)):
-        return f.pair_evaluator(ctx)
-
-    def value(t: tuple):
-        return _lattice_value(f(_mpf(t, ctx)), ctx)
-
-    return value
-
-
-def deformed_derivative(f: Evaluatable, x, ctx: PrecisionContext):
-    """Deformed derivative (f(q^{-2}x) - f(q^{-1}x)) / (q^{-1}x).
-
-    Sends x^n to b_{n-1}^2 x^{n-1} (and constants to 0); fixed point of
-    the generalized exponential.
-    """
-    xv = ctx.mpf(x)
-    if xv == 0:
-        raise DomainError("deformed_derivative is undefined at x = 0")
-    return _mp(_dhat(_on_pairs(f, ctx), ctx)(_as_pair(xv)), ctx)
-
-
-# Values :func:`_recent` keeps per integrand: a step of the ip3 sum reads
-# u at no more than six points (q^m and the two points of (d-hat u)(q^m)
-# on each of its two branches), and a shifted point repeats a point of
-# its own step or of the two before it.
-_WINDOW = 18
-
-
-def _recent(value):
-    """The lattice function ``value``, called once per distinct point
-    value among the last :data:`_WINDOW` points it was called at: a
-    point that equals one of those as a value, whatever its pair
-    representation (``q_power_run`` mantissas keep trailing zero bits),
-    gets the value already formed.  The oldest point is dropped first."""
-    memo = {}
-
-    def at(t: tuple):
-        man, exp = t
-        low = (man & -man).bit_length() - 1 if man else 0
-        key = man >> low, exp + low
-        found = memo.get(key)
-        if found is None:
-            found = memo[key] = value(t)
-            if len(memo) > _WINDOW:
-                del memo[next(iter(memo))]
-        return found
-
-    return at
 
 
 # Default depth K of the hat lattice (exponents 1 - K .. K + 2) for
@@ -187,6 +84,8 @@ def _hat_sum(term: Callable[[int], tuple], K: int, ctx: PrecisionContext, what: 
     growing-abscissa term j = 1 - k, then the shrinking one j = k + 2.
     The caller forms each whole term, such as q^j g(q^j), as a pair
     value, and names itself in ``what``, which opens the error message.
+    :func:`hat_q_integral`, ``qmeasure.moment_In`` and
+    ``DiscreteMeasure.moment`` sum their lattices here.
 
     Returns (total, max |growing term|, max |shrinking term|) as pair
     values.  Raises NoConvergenceError if the last growing term is not
@@ -208,14 +107,6 @@ def _hat_sum(term: Callable[[int], tuple], K: int, ctx: PrecisionContext, what: 
         max_grow = _larger(max_grow, grow)
         max_shrink = _larger(max_shrink, _size(t_shrink, prec))
         recent = recent[-2:] + [grow]
-    _hat_check(total, recent, K, ctx, what)
-    return total, max_grow, max_shrink
-
-
-def _hat_check(total: tuple, recent: list, K: int, ctx: PrecisionContext, what: str) -> None:
-    """The growing-branch check of :func:`_hat_sum` on a hat sum's total
-    and the sizes of its last two or three growing terms."""
-    prec = ctx.mp.prec
     tol = _as_pair(ctx.mpf(ctx.series_tol))
     *before, last = recent  # K >= 1, so one or two terms come before
     bound = _product(tol, _larger(_size(total, prec), tol), prec)
@@ -224,10 +115,11 @@ def _hat_check(total: tuple, recent: list, K: int, ctx: PrecisionContext, what: 
             f"{what}: growing-abscissa branch not decaying "
             f"at K={K} (last term {ctx.mp.nstr(_mp(last, ctx), 8)})"
         )
+    return total, max_grow, max_shrink
 
 
 def hat_q_integral(
-    f: Evaluatable,
+    f: Union[Callable, Poly],
     ctx: PrecisionContext,
     K: int = HAT_DEPTH,
     return_diagnostics: bool = False,
@@ -236,18 +128,22 @@ def hat_q_integral(
 
     Sums the lattice by :func:`_hat_sum` at depth K (exponents
     1 - K .. K + 2), which raises NoConvergenceError when the
-    growing-abscissa branch has not decayed.  Every lattice moment and
-    the ip3 residual of :func:`ibp_residual` share that sum and check.
+    growing-abscissa branch has not decayed.  A :class:`Poly` runs
+    Horner on pairs (:meth:`Poly.pair_evaluator`); any other callable
+    is called at the mpf of each lattice point q^j, and its result, of
+    whatever type, converted once as the mpf operators convert an
+    operand (:func:`~qhermite2._pairs._operand`) before it is multiplied
+    by q^j.
 
     With ``return_diagnostics=True`` returns
     (value, max_term_growing_branch, max_term_shrinking_branch).
     """
-    value = _on_pairs(f, ctx)
+    value = f.pair_evaluator(ctx) if isinstance(f, Poly) else lambda t: _operand(f(_mpf(t, ctx)), ctx)
     prec = ctx.mp.prec
 
     def term(j: int):
-        qj = _q_pair(j, ctx)
-        return _mul(qj, value(qj), ctx, prec)
+        qj = _raw_pair(q_power_raw(j, ctx))
+        return _times(qj, value(qj), prec)
 
     total, max_grow, max_shrink = _hat_sum(term, K, ctx, "hat_q_integral")
     value = _mp(_over(total, _as_pair(ctx.qm), prec), ctx)
@@ -256,108 +152,8 @@ def hat_q_integral(
     return value
 
 
-def _dhat(value, ctx: PrecisionContext):
-    """d-hat of the lattice function ``value``: the lattice function
-    t -> (value(q^{-2} t) - value(q^{-1} t)) / (q^{-1} t)."""
-    prec = ctx.mp.prec
-    qi = _quotient(_ONE, _as_pair(ctx.qm), prec)
-    qi2 = _product(qi, qi, prec)
-
-    def dhat(t: tuple) -> tuple:
-        return _slope(value, _product(qi2, t, prec), _product(qi, t, prec), ctx)
-
-    return dhat
-
-
-def _slope(value, t2: tuple, qit: tuple, ctx: PrecisionContext) -> tuple:
-    """(value(t2) - value(qit)) / qit, d-hat at t from its points
-    t2 = q^{-2} t and qit = q^{-1} t; a real difference goes straight
-    to ``_quotient``."""
-    prec = ctx.mp.prec
-    rise = _sub(value(t2), value(qit), ctx, prec)
-    if type(rise) is tuple and type(rise[0]) is int:
-        return _quotient(rise, qit, prec)
-    return _over(_operand(rise, ctx), qit, prec)
-
-
-def ibp_residual(u: Evaluatable, v: Evaluatable, ctx: PrecisionContext, K: int = HAT_DEPTH):
-    """|LHS - RHS| of integration by parts for the hat integral over (0, inf):
-
-        LHS = q * int-hat_0^inf u(x) (dhat v)(qx)
-        RHS = [uv]_0^inf - int-hat_0^inf v(q^{-2}x) (dhat u)(x)
-
-    The left side carries the Jacobian factor q (registry entry
-    ``ibp_infinite_jacobian``).  The 0-end boundary value uses u(0)
-    times the shrinking-end lattice limit of v, and the inf-end uses the
-    deepest retained lattice point (negligible for decaying integrands).
-    Both sums carry the growing-branch certificate of
-    :func:`hat_q_integral` (NoConvergenceError; K >= 1).  Every lattice
-    sum, derivative and product runs on pairs.  The finite identities
-    ip1 and ip2 are exact for polynomials: :func:`ibp_residual_poly`.
-
-    The right side is summed in the pass over the left one.  Each
-    integrand is called once per distinct point value in a call, the
-    value reused wherever a shifted point equals a recent one: u and v
-    must be pure functions.  Errors come in the order of a left sum
-    finished before its right one: an error the right side meets (an
-    integrand that raises, a value that is not finite) is raised only
-    once the left sum has passed its check, and the left side's own
-    error, NoConvergenceError included, comes first.
-    """
-    prec = ctx.mp.prec
-    q = _as_pair(ctx.qm)
-    uf = _recent(_on_pairs(u, ctx))
-    powers = list(q_power_run(-K - 2, K + 5, ctx))
-
-    def q_at(m: int) -> tuple:
-        return powers[m + K + 2]
-
-    # ip3 on the doubly infinite base-1 lattice, v sampled at q^m.
-    vf = _on_pairs(v, ctx)
-    v_values = {}  # each lattice index is read up to three times
-
-    def v_at(m: int):
-        if m not in v_values:
-            v_values[m] = vf(q_at(m))
-        return v_values[m]
-
-    du = _dhat(uf, ctx)
-    right, grows, failed = _ZERO, [], None  # the right side's hat sum, beside the left one
-
-    def lhs_term(m: int):
-        # q^m u(q^m) (dhat v)(q * q^m), (dhat v)(q^m) = q^{1-m} (v(q^{m-2}) - v(q^{m-1}));
-        # the right side's q^m v(q^{m-2}) (dhat u)(q^m) joins its sum in the same order
-        nonlocal right, grows, failed
-        qm = q_at(m)
-        value = uf(qm)
-        dv = _mul(q_at(-m), _sub(v_at(m - 1), v_at(m), ctx, prec), ctx, prec)
-        term = _mul(qm, _mul(value, dv, ctx, prec), ctx, prec)
-        if failed is None:
-            try:
-                other = _mul(qm, _mul(v_at(m - 2), du(qm), ctx, prec), ctx, prec)
-            except Exception as exc:  # raised after the left side and the boundary
-                failed = exc
-            else:
-                right = _plus(right, other, prec)
-                if m <= 1:
-                    grows = grows[-2:] + [_size(other, prec)]
-        return term
-
-    # the Jacobian q cancels the measure's q^{-1} prefactor
-    lhs = _hat_sum(lhs_term, K, ctx, "ibp_residual ip3")[0]
-    # boundary [uv]_0^inf: deep end ~ 0 for decaying v, 0-end -> u(0) v(0+)
-    deep = _mul(uf(q_at(-K)), v_at(-K), ctx, prec)
-    zero_end = _mul(uf(_ZERO), v_at(K + 4), ctx, prec)
-    if failed is not None:
-        raise failed
-    _hat_check(right, grows, K, ctx, "ibp_residual ip3")
-    rim = _sub(deep, zero_end, ctx, prec)
-    rhs = _sub(rim, _over(right, q, prec), ctx, prec)
-    return _mp(_size(_sub(lhs, rhs, ctx, prec), prec), ctx)
-
-
 # --------------------------------------------------------------------------
-# Exact polynomial regime
+# Exact regime
 # --------------------------------------------------------------------------
 
 
@@ -377,6 +173,46 @@ def deformed_derivative_poly(p: Poly, q: Fraction) -> Poly:
         return Poly.zero()
     q = as_fraction(q)
     return _over_x(p.scale_argument(1 / (q * q)) - p.scale_argument(1 / q)).scale(q)
+
+
+def _gex_term_ratios(q: Fraction):
+    """The term ratios c_n / c_{n-1} = q^{2n-1} / (1 - q^n), n = 1, 2, ...,
+    of the generalized exponential, c_n = q^{n^2} / (q; q)_n (the
+    update of :func:`~qhermite2.qkernel.gen_exponential`), as integer
+    pairs a^{2n-1} b^n / (b^{2n-1} (b^n - a^n)) for q = a/b, from the
+    running a^n and b^n."""
+    a, b = q.numerator, q.denominator
+    an = bn = 1
+    while True:
+        odd_a, odd_b = an * a * an, bn * bn * b  # a^{2n-1}, b^{2n-1}
+        an, bn = an * a, bn * b
+        yield odd_a * bn, odd_b * (bn - an)
+
+
+def gex_eigen_residuals(q: Fraction, bits: int) -> List[Fraction]:
+    """r_n d_n - 1 for n = 1..N, each zero exactly when the deformed
+    derivative D sends the term c_n x^n of the generalized exponential,
+    c_n = q^{n^2} / (q; q)_n, to c_{n-1} x^{n-1}: the eigen-equation
+    D gex = gex term by term, down to N, the first n with c_n < 2^-bits.
+
+    D sends x^n to d_n x^{n-1}, d_n = q (q^{-2n} - q^{-n}) (the operator
+    of :func:`deformed_derivative_poly`), which for q = a/b is
+    a b^n (b^n - a^n) / (b a^{2n}) on the running a^n and b^n; r_n is the
+    series' term ratio c_n / c_{n-1} (:func:`_gex_term_ratios`).  log2
+    c_n, the sum of the ratios' logarithms, is summed in double
+    precision to find N.
+    """
+    q = as_fraction(q)
+    a, b = q.numerator, q.denominator
+    an = bn = 1
+    log_c, residuals = 0.0, []
+    for rn, rd in _gex_term_ratios(q):
+        an, bn = an * a, bn * b
+        dn, dd = a * bn * (bn - an), b * an * an
+        residuals.append(Fraction(rn * dn - rd * dd, rd * dd))
+        log_c += math.log2(rn) - math.log2(rd)
+        if log_c < -bits:
+            return residuals
 
 
 def jackson_integral_poly(p: Poly, x: Fraction, q: Fraction) -> GaussianRational:
@@ -452,3 +288,40 @@ def ibp_residual_poly(u: Poly, v: Poly, variant: str, a: Fraction, q: Fraction) 
     top = a * qi * qi
     boundary = u(top) * v(top) - u(0) * v(0)
     return _hat_integral_poly(left, a, q) - (boundary - _hat_integral_poly(right, a, q))
+
+
+def _order_at_zero(p: Poly) -> int:
+    """The index of the first nonzero coefficient of p."""
+    return next(k for k in range(p.degree + 1) if not p.coefficient(k).is_zero())
+
+
+def ibp_ratio_residual(u: Ratio, v: Ratio, q: Fraction, jacobian: Fraction, shift: Fraction) -> Poly:
+    """Exact residual of integration by parts for the hat integral over
+    (0, inf) on rational functions u and v, with the Jacobian
+    J = ``jacobian`` and the shift s = ``shift``:
+
+        LHS = J int-hat_0^inf u(x) (dhat v)(qx)
+        RHS = [uv]_0^inf - int-hat_0^inf v(s x) (dhat u)(x)
+
+    At t = q^m the left sum's step is J q^-1 u(t) (v(t/q) - v(t)), the
+    right sum's step at q^{m+1} is v(sqt) (u(t/q) - u(t)), and the
+    bracket telescopes into the steps (uv)(t/q) - (uv)(t), so LHS - RHS
+    sums P(t) = J/q u(t) (v(t/q) - v(t)) + v(sqt) (u(t/q) - u(t))
+    - (uv)(t/q) + (uv)(t) over the lattice.  Returns P times its five
+    denominators u(t), u(t/q), v(t), v(t/q), v(sqt): the zero
+    polynomial for J = q and s = q^-2 (summation by parts; registry
+    entry ``ibp_infinite_jacobian``).  The ends come from degrees:
+    DomainError unless uv vanishes at 0 and at inf, so the bracket is 0
+    and both sums converge.
+    """
+    q = as_fraction(q)
+    uv_num, uv_den = u.num * v.num, u.den * v.den
+    if not uv_num.is_zero() and (uv_num.degree >= uv_den.degree or _order_at_zero(uv_num) <= _order_at_zero(uv_den)):
+        raise DomainError("integration by parts over (0, inf) needs u v to vanish at 0 and at inf")
+    un, ud, vn, vd = u.num, u.den, v.num, v.den
+    uqn, uqd, vqn, vqd = (p.scale_argument(1 / q) for p in (un, ud, vn, vd))
+    vsn, vsd = v.num.scale_argument(shift * q), v.den.scale_argument(shift * q)
+    left = (un * (vqn * vd - vn * vqd) * uqd * vsd).scale(jacobian / q)
+    right = vsn * (uqn * ud - un * uqd) * vd * vqd
+    rim = (un * vn * uqd * vqd - uqn * vqn * ud * vd) * vsd
+    return left + right + rim

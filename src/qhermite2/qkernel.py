@@ -57,6 +57,7 @@ from ._pairs import (
     _ONE,
     _ZERO,
     _as_pair,
+    _larger,
     _less,
     _mp,
     _mpf,
@@ -94,6 +95,10 @@ _STREAK = 3
 
 # 1/2 as an integer pair: the ratio bound of gen_exponential.
 _HALF = (1, -1)
+
+# Bits gen_exponential may lose to cancellation: the slack of series_tol,
+# 2^-(bits - 20), over the working precision.
+_CANCELLATION_GUARD = 20
 
 
 class Decay:
@@ -142,6 +147,17 @@ class Decay:
             return self.streak >= _STREAK
         self.streak = 0
         return False
+
+
+class _Largest(Decay):
+    """:class:`Decay` that also keeps the largest term magnitude it is
+    shown, from a first term of 1 on."""
+
+    largest = _ONE
+
+    def settled(self, last: tuple, scale: tuple) -> bool:
+        self.largest = _larger(self.largest, last)
+        return super().settled(last, scale)
 
 
 def q_power_raw(n: int, ctx: PrecisionContext) -> tuple:
@@ -342,21 +358,43 @@ def gen_exponential(x, ctx: PrecisionContext):
     geometric tail; NoConvergenceError after max_terms terms.  Terms,
     ratios and sums are real or complex pair values, each operation
     correctly rounded, and the sum is returned as an mpf or mpc.
+
+    For a negative or complex x the terms can dwarf the sum (at
+    q = 99/100, gex(-10) = -1.37e21 from terms up to 2.4e113), and the
+    sum loses L bits to rounding, L = top(max |T_n|) - top(|S|), within 1
+    of log2(max |T_n| / |S|) (top(v) is the t of 2^(t-1) <= v < 2^t).
+    There, and only there, the largest term is tracked, and
+    NoConvergenceError is raised when L exceeds _CANCELLATION_GUARD = 20
+    bits.  Its message names the working precision at which the sum would
+    keep the bits asked for; L does not shrink as the precision grows,
+    so the kernel refuses such an x at every precision.
     """
     prec = ctx.mp.prec
     if isinstance(x, (complex, ctx.mp.mpc)):
         re, im = ctx.mpc(x)._mpc_
         xv, term = (_raw_pair(re), _raw_pair(im)), (_ONE, _ZERO)
+        signed = True
     else:
         xv, term = _as_pair(ctx.mpf(x)), _ONE
+        signed = xv[0] < 0
     complements = _q_complements(ctx)
-    total, decay = _times(term, _ZERO, prec), Decay(ctx)
+    total, decay = _times(term, _ZERO, prec), _Largest(ctx) if signed else Decay(ctx)
     for n in range(ctx.max_terms):
         total = _plus(total, term, prec)
         power = _raw_pair(q_power_raw(2 * n + 1, ctx))
         ratio = _over(_times(xv, power, prec), _as_pair(_q_complement(n, complements, ctx)), prec)
         term = _times(term, ratio, prec)
         if decay.settled(_size(term, prec), _size(total, prec)) and _less(_size(ratio, prec), _HALF):
+            if signed:
+                (lm, le), (sm, se) = decay.largest, _size(total, prec)
+                lost = lm.bit_length() + le - sm.bit_length() - se if sm else prec
+                if lost > _CANCELLATION_GUARD:
+                    raise NoConvergenceError(
+                        f"gen_exponential: the terms cancel: the largest is about 2^{lost} times the sum, "
+                        f"which keeps about {max(prec - lost, 0)} of its {prec} bits (guard: "
+                        f"{_CANCELLATION_GUARD} bits lost); a {prec}-bit value needs the sum formed at "
+                        f"{prec + lost} bits or more"
+                    )
             return _mp(total, ctx)
     raise NoConvergenceError(f"gen_exponential: no convergence within max_terms={ctx.max_terms}")
 

@@ -13,7 +13,6 @@ a caller can compare it; the CLI formats it at the working precision.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional
 
@@ -23,8 +22,8 @@ from .exact import GaussianRational, Poly, Ratio, _spectrum_mismatch, bn_squared
 from .extremal import _loading_at, carrier_roots, loadings, orthonormality_gram
 from .qcalculus import (
     HAT_DEPTH,
-    deformed_derivative,
-    ibp_residual,
+    gex_eigen_residuals,
+    ibp_ratio_residual,
     ibp_residual_poly,
     jackson_integral_poly,
     leibniz_residual,
@@ -38,7 +37,6 @@ from .qhermite import (
     hermite2_eval_direct,
     qdiff_equation_check,
 )
-from .qkernel import gen_exponential
 from .qmeasure import TAIL_INDEX, _hat_weight, moment_In, unity_check
 from .qoscillator import ULP_BUDGET, verify_algebra
 
@@ -123,36 +121,28 @@ def recurrence(
     return checks
 
 
-def qcalculus(ctx: PrecisionContext, tol: Fraction = Fraction(1, 10**20)) -> List[Check]:
+def qcalculus(ctx: PrecisionContext) -> List[Check]:
     """Deformed calculus: derivative eigenfunction, Leibniz rules,
     integration by parts (finite and infinite), Jackson endpoint
-    recovery.
+    recovery, each an identity proved exactly over Q.
 
-    The Leibniz rules, the finite integrations by parts ip1/ip2 and the
-    Jackson recovery are proved exactly over Q.  The infinite one, ip3,
-    is summed on the hat lattice at depth K for the pair
-    u = 1/(1+t^2)^3, v = t/(1+t^2)^2, each value the exact ratio rounded
-    once; it is gated by ``tol``."""
-    tol_mp = ctx.mpf(tol)
+    The eigen-equation D gex = gex is checked term by term, for every
+    term c_n x^n down to c_n < 2^-bits (:func:`gex_eigen_residuals`);
+    the infinite integration by parts ip3 as an identity of rational
+    functions for the pair u = 1/(1+t^2)^3, v = t/(1+t^2)^2, with the
+    Jacobian q and the shift q^-2 (:func:`ibp_ratio_residual`)."""
     q = ctx.q
     checks = []
 
-    def gex(t):
-        return gen_exponential(t, ctx)
-
-    worst = ctx.mp.mpf(0)
-    for x in (Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
-        xv = ctx.mpf(x)
-        lhs = deformed_derivative(gex, xv, ctx)
-        ref = gen_exponential(xv, ctx)
-        worst = max(worst, abs(lhs - ref) / abs(ref))
+    residuals = gex_eigen_residuals(q, ctx.precision_bits)
+    wrong = next(((n, r) for n, r in enumerate(residuals, 1) if r), None)
     checks.append(
         Check(
             "deformed-derivative-reproduces-gen-exponential",
-            f"q={q}; x in [1/10, 2]",
-            worst,
-            tol,
-            worst <= tol_mp,
+            f"q={q}; c_n x^n for n <= {len(residuals)}",
+            "0" if wrong is None else f"{wrong[1]} at n={wrong[0]}",
+            "exact zero",
+            wrong is None,
         )
     )
 
@@ -185,23 +175,17 @@ def qcalculus(ctx: PrecisionContext, tol: Fraction = Fraction(1, 10**20)) -> Lis
             )
         )
 
-    try:  # float(tol) is 0 below the double range and overflows above it
-        ln_tol = math.log(float(tol))
-    except (ValueError, OverflowError):
-        ln_tol = math.log(tol.numerator) - math.log(tol.denominator)
-    k_inf = max(80, math.ceil(ln_tol / math.log(float(q))) + 40)
-
-    one_plus_square = Poly((1, 0, 1))
-    u_dec = Ratio(Poly.one(), one_plus_square * one_plus_square * one_plus_square)
-    v_dec = Ratio(Poly.x(), one_plus_square * one_plus_square)
-    residual = ibp_residual(u_dec, v_dec, ctx, K=k_inf)
+    u_dec = Ratio(Poly.one(), u * u * u)  # u = 1 + t^2 here
+    v_dec = Ratio(Poly.x(), u * u)
+    residual = ibp_ratio_residual(u_dec, v_dec, q, q, 1 / (q * q))
+    ok = residual.is_zero()
     checks.append(
         Check(
             "integration-by-parts-ip3",
-            f"q={q}; K={k_inf}; decaying rational pair",
-            residual,
-            tol,
-            residual <= tol_mp,
+            f"q={q}; u=1/(1+t^2)^3, v=t/(1+t^2)^2",
+            "0" if ok else str(residual),
+            "exact zero",
+            ok,
             "left side carries Jacobian q (ledger ibp_infinite_jacobian)",
         )
     )

@@ -10,24 +10,22 @@ gated by the unit suite) and asserts completion within budget only.
 
 from __future__ import annotations
 
-import math
 import time
 from fractions import Fraction
 
 from qhermite2 import PrecisionContext, suites
 from qhermite2.coherent import cs_eigen_residual
-from qhermite2.exact import GaussianRational, Poly, bn_squared_exact, moment_In_exact
+from qhermite2.exact import GaussianRational, Poly, Ratio, bn_squared_exact, moment_In_exact
 from qhermite2.extremal import carrier_roots, loadings, orthonormality_gram
 from qhermite2.qcalculus import (
-    deformed_derivative,
-    ibp_residual,
+    gex_eigen_residuals,
+    ibp_ratio_residual,
     ibp_residual_poly,
     jackson_integral_poly,
     leibniz_residual,
     q_derivative_poly,
 )
 from qhermite2.qhermite import generating_fn_report
-from qhermite2.qkernel import gen_exponential
 from qhermite2.qoscillator import spectrum
 
 Q_VALUES = (Fraction(3, 10), Fraction(1, 2), Fraction(4, 5))
@@ -144,30 +142,19 @@ def test_criterion_6_calculus_identities():
         u = Poly((_gr(1), _gr(2), _gr(3)))
         v = Poly((_gr(0), _gr(-1), _gr(0), _gr(2)))
         for q, ctx in _CONTEXTS.items():
-            tol = ctx.mpf("1e-20")
-            # eigenfunction of the deformed derivative
-            for x in (Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(2)):
-                def gex(t):
-                    return gen_exponential(t, ctx)
-
-                lhs = deformed_derivative(gex, x, ctx)
-                rhs = gen_exponential(ctx.mpf(x), ctx)
-                assert abs(lhs - rhs) / abs(rhs) < tol, (q, x)
+            # eigenfunction of the deformed derivative: every term of the
+            # series down to c_N < 2^-bits, exactly
+            assert not any(gex_eigen_residuals(q, ctx.precision_bits)), q
             # product rule: exact zero residual polynomials
             for variant in ("first", "second"):
                 assert leibniz_residual(u, v, variant, q).is_zero(), variant
-            # integration by parts: finite, exact in Q(i), and infinite
+            # integration by parts: finite and infinite, exact in Q(i)
             for variant in ("ip1", "ip2"):
                 assert ibp_residual_poly(u, v, variant, Fraction(1), q).is_zero(), variant
-            k_inf = max(80, math.ceil(math.log(1e-20) / math.log(float(q))) + 40)
-
-            def u_dec(t):
-                return 1 / (1 + t * t) ** 3
-
-            def v_dec(t):
-                return t / (1 + t * t) ** 2
-
-            assert ibp_residual(u_dec, v_dec, ctx, K=k_inf) < tol
+            one_plus_square = Poly((1, 0, 1))
+            u_dec = Ratio(Poly.one(), one_plus_square * one_plus_square * one_plus_square)
+            v_dec = Ratio(Poly.x(), one_plus_square * one_plus_square)
+            assert ibp_ratio_residual(u_dec, v_dec, q, q, 1 / q**2).is_zero()
             # fundamental theorem, exact in Q(i)
             for x in (Fraction(1), Fraction(-3, 2)):
                 recovered = jackson_integral_poly(q_derivative_poly(v, q), x, q)

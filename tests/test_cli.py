@@ -360,19 +360,20 @@ def test_lattice_output_pinned(capsys, q, bits, job, code, digest):
 # z-radial row was recorded again with the z-radial rows above, twice;
 # the recurrence rows when the direct value became the exact 2phi0
 # rounded once, and the qcalculus rows when ip1/ip2 became exact and
-# the ip3 integrands were rounded once from their exact value.
+# the ip3 integrands were rounded once from their exact value, and again
+# when the deformed derivative and ip3 became exact identities.
 # q, bits, job, exit code, digest.
 _PINNED_SERIES_OUTPUT = """
 1/2 256 cs 0 7a69f2f4b4bd94b1e3b9ef17bdce2d82737bc56630a432da71bce7f0fb91b0d2
 1/2 256 generating 0 13dda2aab459ecdfd8b26100477bcc4139ec092481a77a9fe9ed675ccb9b9d80
 1/2 256 qdiff 0 06168546fd3057b6ff844856dfcb6f6013910d1871cb118d0fc3f6b1b7e25632
 1/2 256 recurrence 0 8015d84dbbf6c38a3e070e98b0926d538ec69077421d877ddd238612488ce196
-1/2 256 qcalculus 0 12a49b799845e74fbcfd83d63e146d83a95799d836793ee4bfd8ca7cda280f75
+1/2 256 qcalculus 0 c8474ad4b3f24dba54f630eb734ea103c62a1e2c6f197400cc3296c5dbc1fc2c
 40/41 128 cs 0 ae9106474f257256001b90f1ce8ddf7caa37847ea2949a38eeca6787014185b3
 40/41 128 generating 0 12bb9807fa47ed3f48f37dd992b3923e5a1c68defbd48f622e05c2d1b1374c50
 40/41 128 qdiff 0 c9c497a9bacc083ca1a67dba4e26cd21155a0b06e004975f26a402733915fb28
 40/41 128 recurrence 0 597329416c5b7b35b3fa7d46c0a68f984399da4c788cb05aadc35d30d7096a79
-40/41 128 qcalculus 0 5fe4626da9ae7cbb7e1dfb9aeaf9c58605772047143399dc6d70ee6120736c77
+40/41 128 qcalculus 0 e86a13d0b08aa455ab4b612a1d4f4b3ff12d48707d0c6185ffb3392249665a6a
 40/41 128 jackson-z-radial 0 08bda28e66425579039c6dd36da3d8bf1c5f3c414acdfc9a73410454bd8c933c
 """
 
@@ -590,6 +591,20 @@ def test_qcalculus_term_budget_payload_pinned(capsys, q):
         assert rows[f"integration-by-parts-{variant}"][3:6] == ["0", "exact zero", "true"]
 
 
+# Every qcalculus gate is an exact identity over Q, so the suite passes
+# at every q and precision; its 64-bit rows used to fail the absolute
+# 1e-20 gates of the two floating rows, which lay below 2^-64.
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+@pytest.mark.parametrize("q", ["1/64", "3/10", "1/2", "2/3", "4/5", "26/27", "40/41", "63/64", "99/100"])
+def test_qcalculus_passes_at_every_q_and_precision(capsys, q, bits):
+    argv = ["verify", "--suite", "qcalculus", f"--q={q}", f"--precision-bits={bits}", "--format=json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    rows = [row for row in json.loads(out)["rows"] if row[0] == "check"]
+    assert len(rows) == 7
+    assert {tuple(row[3:6]) for row in rows} == {("0", "exact zero", "true")}
+
+
 # At depth K = 8 the hat sum's growing-branch certificate first fires at
 # moment n = 8.  The moments suite (n <= 8) stops there with exit 3.  The
 # unity suite reads the same moments, so at its default n <= 6 it fails
@@ -623,23 +638,27 @@ def test_shallow_lattice_output_pinned(capsys, args, code, digest):
 # Refusals with exit 2 and the stderr line: a tail index below K + 2
 # (unity and the jackson measure used to widen it silently, where the
 # moments suite refused it), a negative n_max (these suites used to pass
-# with nothing checked), a tolerance <= 0 (qcalculus used to exit 4
-# from math.log, the others 1), and a --tol or --n-max that the suite or
-# subcommand does not read (these used to exit 0 and echo the value in
-# the config).  argparse refuses the last kind on a subcommand without
-# the option, after its usage line.
+# with nothing checked), a tolerance <= 0 (these used to exit 1), and a
+# --tol or --n-max that the suite or subcommand does not read (these used
+# to exit 0 and echo the value in the config; qcalculus, all of whose
+# gates are exact, read --tol until its last two floating rows went, and
+# now refuses any --tol, one <= 0 too).  argparse refuses the last kind
+# on a subcommand without the option, after its usage line.
 _REFUSALS = """
 verify --suite unity --k-depth=10 --tail=8 | tail depth M=8 too small for K=10
 measure --type jackson --k-depth=10 --tail=8 | tail depth M=8 too small for K=10
 verify --suite recurrence --n-max=-1 | n_max must be >= 0, got -1
 verify --suite moments --n-max=-1 | n_max must be >= 0, got -1
 verify --suite qdiff --n-max=-2 | n_max must be >= 0, got -2
-verify --suite qcalculus --tol=0 | --tol must be > 0, got 0
-verify --suite qcalculus --tol=-1/10 | --tol must be > 0, got -1/10
+verify --suite recurrence --tol=0 | --tol must be > 0, got 0
+verify --suite recurrence --tol=-1/10 | --tol must be > 0, got -1/10
 verify --suite unity --tol=0 | --tol must be > 0, got 0
 verify --suite commutators --tol=1e-40 --n-max=3 --format=json | suite commutators does not read --tol
 verify --suite generating --tol=1/10 | suite generating does not read --tol
 verify --suite qdiff --tol=1/10 | suite qdiff does not read --tol
+verify --suite qcalculus --tol=1/10 | suite qcalculus does not read --tol
+verify --suite qcalculus --tol=0 | suite qcalculus does not read --tol
+verify --suite qcalculus --tol=-1/10 | suite qcalculus does not read --tol
 verify --suite qcalculus --n-max=3 | suite qcalculus does not read --n-max
 verify --suite commutators --n-max=3 | suite commutators does not read --n-max
 verify --suite generating --n-max=3 | suite generating does not read --n-max
@@ -710,11 +729,11 @@ def test_suite_defaults_are_declared_once():
 
 
 def test_tolerance_below_double_range(capsys):
-    # The ip3 depth comes from ln tol without float(tol), which is 0 here;
-    # the gates then fail at 256 bits.
-    code, out, _ = run_cli(capsys, ["verify", "--suite", "qcalculus", "--tol=1e-400"])
+    # float(tol) would be 0 here; the tolerance is read exactly, printed
+    # as the bound of every row, and the gates then fail at 256 bits.
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "moments", "--tol=1e-400", "--format=json"])
     assert code == 1
-    assert "K=1369;" in out
+    assert {row[4] for row in json.loads(out)["rows"]} == {"0." + "0" * 399 + "1"}
 
 
 def test_suite_parameters_spell_q_exactly(capsys):

@@ -4,13 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import ceil, comb, gcd, log
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
-from qhermite2._pairs import _raw_pair
 from qhermite2.context import PrecisionContext, as_fraction
 from qhermite2.errors import DomainError
 from qhermite2.exact import (
@@ -30,7 +28,6 @@ from qhermite2.exact import (
     rho_factorial_exact,
 )
 from qhermite2.qhermite import hermite2_coeffs
-from qhermite2.qkernel import q_power_raw
 
 HALF = Fraction(1, 2)
 Q3 = Fraction(3, 10)
@@ -346,48 +343,7 @@ class TestMpEvaluatorBitwise:
                 horner(x)
 
 
-_ONE_PLUS_SQUARE = Poly((1, 0, 1))
-# The integrands of the qcalculus suite's ip3 row, and a ratio with
-# wide rational coefficients and a numerator of higher degree.
-_RATIOS = (
-    Ratio(Poly.one(), _ONE_PLUS_SQUARE * _ONE_PLUS_SQUARE * _ONE_PLUS_SQUARE),
-    Ratio(Poly.x(), _ONE_PLUS_SQUARE * _ONE_PLUS_SQUARE),
-    Ratio(Poly((Fraction(-3**50, 7), 0, 0, Fraction(2, 3**40), 1)), Poly((Fraction(5, 11), Fraction(-1, 9)))),
-)
-
-
-def _ratio_rounded_once(ratio, point, prec):
-    """ratio at the pair point, from the exact Fraction, rounded once."""
-    m, e = point
-    t = Fraction(m) * Fraction(2) ** e
-    exact = ratio.num(t).re / ratio.den(t).re
-    return from_rational(exact.numerator, exact.denominator, prec, round_nearest)
-
-
-class TestRatioPairEvaluator:
-    """``Ratio.pair_evaluator`` is the exact quotient rounded once."""
-
-    @pytest.mark.parametrize("bits", [64, 128, 256, 512])
-    @pytest.mark.parametrize("q", [Fraction(1, 64), Fraction(3, 10), Fraction(26, 27)], ids=str)
-    def test_values_are_the_exact_quotient_rounded_once(self, q, bits):
-        ctx = PrecisionContext(q=q, precision_bits=bits)
-        K = max(80, ceil(log(1e-20) / log(float(q))) + 40)  # the suite's ip3 depth
-        points = [(0, 0), (3**200, -317), (-(3**150) - 2, 19), (5, 0)]
-        points += [_raw_pair(q_power_raw(m, ctx)) for m in (K, -K, K + 4, -K - 2)]
-        for ratio in _RATIOS:
-            value = ratio.pair_evaluator(ctx)
-            for point in points:
-                got = from_man_exp(*value(point))
-                assert got == _ratio_rounded_once(ratio, point, bits), (ratio, point)
-
-    def test_zero_denominator_refused(self):
-        ctx = PrecisionContext(q=Q3, precision_bits=64)
-        value = Ratio(Poly.one(), Poly((-4, 0, 1))).pair_evaluator(ctx)
-        with pytest.raises(DomainError, match="Ratio denominator vanishes at 2.0"):
-            value((1, 1))
-        with pytest.raises(DomainError, match="Ratio denominator vanishes at -2.0"):
-            value((-2, 0))
-
+class TestRatio:
     def test_complex_polynomials_refused(self):
         with pytest.raises(DomainError, match="a Ratio takes real polynomials"):
             Ratio(Poly((GaussianRational.I,)), Poly.one())

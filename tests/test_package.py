@@ -118,7 +118,7 @@ RESERVED = {
     "bracket_double_factorial": "ROADMAP item 4",
     "formal_series_partial": "ROADMAP item 11",
     "weight_W": "ROADMAP item 21",
-    "hat_q_integral": "kept public face",
+    "hat_q_integral": "the hat-lattice sum for any callable integrand",
     "spectrum": "kept public face",
 }
 

@@ -153,6 +153,101 @@ class TestGenExponential:
         assert abs(got - total) / total < ctx.mpf("1e-70")
 
 
+def _gex_partial_sum(q, x, cut):
+    """(S, T, D): the partial sum S / D of gex(x) = sum_n q^{n^2} x^n / (q; q)_n
+    for x >= 0 up to the first term T / D below 2^-cut S / D, exactly, on
+    integers over one denominator: for q = a/b and x = u/w each term is
+    the one before times a^{2n-1} u / (b^{n-1} (b^n - a^n) w)."""
+    a, b, u, w = q.numerator, q.denominator, x.numerator, x.denominator
+    total = term = den = 1
+    an = bn = 1
+    while True:
+        rise, fall = an * an * a * u, bn * (bn * b - an * a) * w  # a^{2n-1} u, b^{n-1} (b^n - a^n) w
+        an, bn = an * a, bn * b
+        term, total, den = term * rise, total * fall + term * rise, den * fall
+        if term << cut < total:
+            return total - term, term, den
+
+
+class TestGenExponentialAgainstTheExactSeries:
+    """gex(x) at the points the deformed-derivative row once sampled, against
+    the exact partial sum over every term down to 2^-520 of it, within
+    series_tol plus one rounding (and the omitted tail, below twice the
+    first omitted term)."""
+
+    @pytest.mark.parametrize("q", ["1/64", "3/10", "1/2", "4/5", "26/27", "63/64"])
+    def test_within_series_tol_and_one_rounding(self, q):
+        q = Fraction(q)
+        for x in (Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
+            total, omitted, den = _gex_partial_sum(q, x, 520)
+            for bits in (64, 128, 256, 512):
+                ctx = PrecisionContext(q, bits)
+                num, exp = to_rational(gen_exponential(x, ctx)._mpf_)  # value num / exp
+                # |value - S| <= (series_tol + 2^-bits) S + 2 T, times 2^bits exp den
+                gap = abs(num * den - total * exp) << bits
+                assert gap <= ((2**20 + 1) * total + (omitted << bits + 1)) * exp, (x, bits)
+
+
+def _ref_gex_high_precision(q, x, prec):
+    """gex(x) summed in mpf at ``prec`` bits until a term falls below
+    2^-prec of the largest."""
+    mp = PrecisionContext(q, prec).mp
+    qv, xv = mp.mpf(q.numerator) / q.denominator, mp.mpf(x)
+    total = term = largest = mp.mpf(1)
+    n = 0
+    while abs(term) >= largest * mp.mpf(2) ** -prec:
+        term = term * xv * qv ** (2 * n + 1) / (1 - qv ** (n + 1))
+        total += term
+        largest = max(largest, abs(term))
+        n += 1
+    return total
+
+
+class TestGenExponentialCancellation:
+    """Off the positive axis the terms can dwarf the sum: a value returned
+    is good to 2^(guard + 12 - bits), guard 20 bits, and the rest refused."""
+
+    @pytest.mark.parametrize("q", ["9/10", "63/64", "99/100"])
+    def test_returned_values_are_accurate_or_refused(self, q):
+        q = Fraction(q)
+        for x in (-1, -10, -30):
+            want = _ref_gex_high_precision(q, x, 2048)
+            for bits in (64, 128, 256):
+                ctx = PrecisionContext(q, bits)
+                try:
+                    got = gen_exponential(x, ctx)
+                except NoConvergenceError:
+                    continue
+                assert abs(got - want) <= abs(want) * ctx.mpf(2) ** (32 - bits), (x, bits)
+
+    @pytest.mark.parametrize(
+        "q, x, bits, lost",
+        [("99/100", -10, 64, 63), ("63/64", -30, 128, 127), ("9/10", -10, 128, 26), ("40/41", complex(-3, 1) / 4, 256, 60)],
+    )
+    def test_silent_wrong_values_are_refused(self, q, x, bits, lost):
+        # gex(-10) read -3.02e94 at q = 99/100 and 64 bits (true value
+        # -1.3745e21), gex(-30) -3.40e80 at 63/64 and 128 bits (8.21e56)
+        with pytest.raises(NoConvergenceError) as err:
+            gen_exponential(x, PrecisionContext(Fraction(q), bits))
+        assert str(err.value).startswith(f"gen_exponential: the terms cancel: the largest is about 2^{lost} times")
+        assert str(err.value).endswith(f"a {bits}-bit value needs the sum formed at {bits + lost} bits or more")
+
+    def test_a_sum_within_the_guard_is_returned(self):
+        # at q = 9/10, x = -1 the largest term is 2^12 times the sum
+        ctx = PrecisionContext(Fraction(9, 10), 64)
+        want = _ref_gex_high_precision(ctx.q, -1, 2048)
+        assert abs(gen_exponential(-1, ctx) - want) <= abs(want) * ctx.mpf(2) ** -40
+
+    def test_the_positive_axis_tracks_no_term(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a term tracked on the positive axis")
+
+        monkeypatch.setattr(qkernel, "_Largest", refused)
+        ctx = PrecisionContext(Fraction(99, 100), 64)
+        for x in (0, Fraction(1, 10), 10, ctx.mpf(30)):
+            assert gen_exponential(x, ctx) >= 1
+
+
 class TestWeightW:
     def test_reference_value(self, ctx_half):
         got = weight_W(1, ctx_half)
@@ -993,24 +1088,44 @@ class TestQPowerRun:
 # kernel-routed versions must equal them.
 
 
+def _top(v):
+    """The t of 2^(t-1) <= |v| < 2^t of a nonzero mpf."""
+    _, _, exp, bc = v._mpf_
+    return exp + bc
+
+
 def _ref_gen_exponential(x, ctx):
+    # Off the positive axis it refuses a sum whose largest term is more
+    # than 2^20 times its modulus, as the kernel does.
     mp = ctx.mp
     xv = ctx.mpc(x) if isinstance(x, (complex, mp.mpc)) else ctx.mpf(x)
     tol = ctx.mpf(ctx.series_tol)
     total = xv * 0
-    term = 1 + xv * 0
+    term = largest = 1 + xv * 0
     streak = 0
     for n in range(ctx.max_terms):
         total = total + term
         ratio = power_of_q(ctx, 2 * n + 1) * xv / (1 - power_of_q(ctx, n + 1))
         term = mul(term, ratio)
+        largest = max(size(largest), size(term))
         if size(term) <= tol * size(total):
             streak += 1
             if streak >= 3 and size(ratio) < 0.5:
+                signed = isinstance(xv, mp.mpc) or xv < 0
+                if signed and (not total or _top(largest) - _top(size(total)) > 20):
+                    raise NoConvergenceError("reference gen_exponential: the terms cancel")
                 return total
         else:
             streak = 0
     raise NoConvergenceError("reference gen_exponential did not converge")
+
+
+def _value_or_refusal(kernel, x, ctx):
+    """kernel(x, ctx), or NoConvergenceError if it raised that."""
+    try:
+        return kernel(x, ctx)
+    except NoConvergenceError:
+        return NoConvergenceError
 
 
 def _exact_point(x):
@@ -1056,8 +1171,11 @@ class TestSeriesKernelsBitwise:
         # Twice each: the first call grows the context's tables, the
         # second reads them.
         ctx = PrecisionContext(q, bits)
+        # Near q = 1 the terms at -7/3 and (-3 + i)/4 cancel past the
+        # guard, and both refuse them.
         for x in (Fraction(1, 2), Fraction(-7, 3), 5, complex(1, -2), complex(-3, 1) / 4) * 2:
-            assert gen_exponential(x, ctx) == _ref_gen_exponential(x, ctx), x
+            got = _value_or_refusal(gen_exponential, x, ctx)
+            assert got == _value_or_refusal(_ref_gen_exponential, x, ctx), x
 
     def test_hermite2_eval_direct(self, q, bits):
         ctx = PrecisionContext(q, bits)
