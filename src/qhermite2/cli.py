@@ -52,7 +52,6 @@ from .errors import (
     AlgebraViolation,
     DegenerateRootError,
     DomainError,
-    InstabilityError,
     NoConvergenceError,
     TruncationError,
 )
@@ -545,7 +544,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (
         NoConvergenceError,
         TruncationError,
-        InstabilityError,
         DegenerateRootError,
     ) as exc:
         return _emit(ns, _error_payload(ns, exc), _EXIT_NUMERIC)

@@ -10,7 +10,6 @@ __all__ = [
     "DomainError",
     "NoConvergenceError",
     "TruncationError",
-    "InstabilityError",
     "AlgebraViolation",
     "DegenerateRootError",
 ]
@@ -36,11 +35,6 @@ class NoConvergenceError(QHermiteError):
 
 class TruncationError(QHermiteError):
     """A requested truncation cannot deliver the requested accuracy."""
-
-
-class InstabilityError(QHermiteError):
-    """A recurrence-based evaluation failed its internal stability
-    cross-check (for example, disagreement under depth doubling)."""
 
 
 class AlgebraViolation(QHermiteError):

@@ -5,26 +5,22 @@ The weight f solves the lattice functional equation
     f(q y) - f(q^2 y) = -q y f(y)      (y = q^m, m in Z)
 
 with normalization f(0+) = 1.  Written on lattice values g_m = f(q^m)
-this is the three-term recursion g_{m+2} = g_{m+1} + q^{m+1} g_m, whose
-decaying (large-abscissa) solution is minimal.  The stable way to pin a
-minimal solution is to seed deep on the decaying side and recurse
-toward the dominant side, normalizing at the top where f -> 1; naive
-recursion from the f -> 1 end amplifies the seed error by q^{-m} per
-step and collapses in two steps (see discrepancy registry entry
-``lattice_weight_scheme``).  The seed contamination of the deep end
-decays like q^{buffer/2}, so the buffer is sized to push it
-below working precision.  ``lattice_weight`` makes one streamed sweep
-from the deep seeds toward twice the tail depth and retains only the
-requested window and the two tail values it normalizes and checks
-against (the standard one-pass evaluation of a minimal solution;
-W. Gautschi, SIAM Rev. 9 (1967) 24-82).  The sweep runs on integer
-mantissas and exponents: the powers q^(m+1), each the exact power
-rounded once, come from one certified running product
-(``q_power_run``), and each step rounds the exact integer product and
-sum once, to nearest, ties to even.  The sweep stops once three values
-in a row are equal: past that point it provably changes no bit (see
-``_sweep``).  ``lattice_weight`` normalizes and checks the
-swept pairs with the operations of :mod:`qhermite2._pairs`.
+this is the three-term recursion g_{m+2} = g_{m+1} + q^{m+1} g_m.  No
+solution of it is minimal: its even and odd sublattices both decay, and
+the solutions with f(0+) = 1 form a one-parameter family.  The package
+takes the member
+
+    f(q^n) = (q; q)_inf / theta_3 sum_{i >= ceil(-n/2)} q^(i^2) / (q; q)_(n+2i),
+
+theta_3 = sum_{i in Z} q^(i^2), whose masses q^(m-1) f(q^(m-2)) at
+y = q^m are the law of T L for independent T on {q^j}, with mass
+q^j (q^(j+1); q)_inf, and L on {q^(-2k)}, with mass q^(k^2) / theta_3
+(Euler's identities and the Jacobi triple product; G. Gasper and
+M. Rahman, Basic Hypergeometric Series, 2nd ed., 2004, ch. 1).
+``lattice_weight`` evaluates it at the two lowest points of its window
+and runs the recursion up from there on enclosures: every term is
+positive, so nothing cancels, and each value is the member at the
+rounded q, rounded once.
 
 Moments of the weight against the hat integral reproduce
 I_n = q^{-n^2} (q; q)_n.  As rho_n! = c^n I_n (c = q/(1-q)), the Gram
@@ -37,16 +33,18 @@ the discrepancy registry.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Dict, Optional, Tuple
 
 from mpmath.libmp import from_man_exp
 
+from . import _pairs
 from ._pairs import (
     _ZERO,
     _as_pair,
+    _exact,
     _larger,
     _less,
     _magnitude,
@@ -59,7 +57,7 @@ from ._pairs import (
     _sum,
 )
 from .context import PrecisionContext
-from .errors import DomainError, InstabilityError
+from .errors import DomainError, NoConvergenceError
 from .exact import moment_In_exact
 from .qcalculus import HAT_DEPTH, _hat_sum
 from .qkernel import (
@@ -92,18 +90,16 @@ MEASURE_TARGETS = ("y-variable", "x-variable", "z-plane-radial")
 class LatticeWeight:
     """Weight values g_m ~ f(q^m) on the exponent range [m_min, m_max].
 
-    ``tail_init_index`` is the exponent where the tail normalization
-    f -> 1 was imposed; ``residual_max`` the largest relative
-    difference-equation residual over the retained interior;
-    ``negative_count`` the number of retained negative values (the sign
-    pattern is reported, never assumed).
+    ``residual_max`` is the largest relative difference-equation
+    residual over the retained interior; ``negative_count`` the number
+    of retained negative values (the sign pattern is reported, never
+    assumed).
     """
 
     q: Fraction
     m_min: int
     m_max: int
     values: Dict[int, object]
-    tail_init_index: int
     residual_max: object
     negative_count: int
 
@@ -115,125 +111,131 @@ class LatticeWeight:
         return self.values[m]
 
 
-def _default_buffer(ctx: PrecisionContext) -> int:
-    ln_inv_q = -math.log(float(ctx.q))
-    return max(32, math.ceil(2 * ctx.precision_bits * math.log(2) / ln_inv_q)) + 16
+# An enclosure is a pair (lo, hi) of positive integer pairs, lo <= x <= hi.
+# Its operations form each end exactly and cut it to ``width`` bits, the
+# low end down and the high end up; a quotient takes the divisor's other end.
+def _cut(x: tuple, width: int, up: bool) -> tuple:
+    man, exp = x
+    shift = man.bit_length() - width
+    if shift <= 0:
+        return x
+    return (-(-man >> shift) if up else man >> shift), exp + shift
 
 
-def _sweep(K: int, M: int, ctx: PrecisionContext, buffer: int):
-    """One streamed upward sweep of g_{m+2} = g_{m+1} + q^{m+1} g_m.
+def _mul(a: tuple, b: tuple, width: int) -> tuple:
+    (al, ah), (bl, bh) = a, b
+    return _cut((al[0] * bl[0], al[1] + bl[1]), width, 0), _cut((ah[0] * bh[0], ah[1] + bh[1]), width, 1)
 
-    Seeds g = 0, 1 at exponents lo = -K - buffer - 2 and lo + 1 (so
-    g_{lo+2} = 1 exactly) and runs toward the check index 2 m_top on
-    integer pairs (man, exp), man of prec bits.  Each step takes
-    p_{m+1} = q^(m+1) from ``q_power_run`` and forms
-    round(g_{m+1} + round(p_{m+1} g_m)) with the exact integer product
-    and sum, each rounded to nearest, ties to even, at the working
-    precision, so a pair is equal to another exactly when their values
-    are.  Only the window [-K, M] is kept, and the powers on it go into
-    the ``q^n`` memo of the precision (see
-    :func:`~qhermite2.qkernel.q_power_raw`).  Returns
-    (window, (m_top, g_{m_top}), (m_check, g_{m_check})) as pairs: the
-    tail normalization index, where 1 - f < 2^-precision, and the check
-    index at twice its depth.
 
-    The sweep stops at the first step with g_m == g_{m+1} == g_{m+2} = G,
-    and every later value is G: each p_n is the exact q^n rounded once,
-    so p_{n+1} <= p_n, rounding being monotone; all g are >= 0, so
-    G <= round(G + round(p_{n+1} G)) <= round(G + round(p_n G)) = G, and
-    the pair (G, G) repeats with the next power.  So the values the full
-    sweep would reach at m_top (when the stop comes first), at 2 m_top
-    and in the rest of the window are G, bit for bit.
-    """
-    prec = ctx.mp.prec
-    m_top = max(M + 2, math.ceil(prec * math.log(2) / -math.log(float(ctx.q))) + 4)
-    m_check = 2 * m_top
-    lo = -K - buffer - 2
-    window, powers, g_top = [], [], None
-    g0 = g1 = (1 << (prec - 1), 1 - prec)
-    for m, (pm, pe) in zip(range(lo + 1, m_check - 1), q_power_run(lo + 2, m_check, ctx)):
-        # The step written out on integers, not as _sum(g1, _product(...)):
-        # that call made the q = 63/64, 512-bit jackson measure 7-11%
-        # slower (faster in 5 of 24 interleaved runs), and 18% slower
-        # (3 of 12) once the pair operations had their own module.
-        (am, ae), (bm, be) = g0, g1
-        tm, shift = _round_even(pm * am, prec)
-        te = pe + ae + shift
-        gap = be - te
-        # An addend below half an ulp of the other leaves it unrounded.
-        if gap > prec:
-            g2 = g1
-        elif gap < -prec:
-            g2 = tm, te
-        else:
-            low = min(be, te)
-            cm, shift = _round_even((bm << (be - low)) + (tm << (te - low)), prec)
-            g2 = cm, low + shift
-        if -K <= m + 2 <= M:
-            window.append(g2)
-            powers.append((m + 1, pm, pe))
-        elif m + 2 == m_top:
-            g_top = g2
-        if g0 == g1 == g2:
-            break
-        g0, g1 = g1, g2
-    window += [g2] * (K + M + 1 - len(window))
-    memo = ctx.tables.setdefault(("q^n", prec), {})
-    for n, pm, pe in powers:
-        memo.setdefault(n, from_man_exp(pm, pe))
-    return window, (m_top, g2 if g_top is None else g_top), (m_check, g2)
+def _add(a: tuple, b: tuple, width: int) -> tuple:
+    return _cut(_exact(a[0], b[0]), width, 0), _cut(_exact(a[1], b[1]), width, 1)
+
+
+def _div(a: tuple, b: tuple, width: int) -> tuple:
+    out = []
+    for (am, ae), (bm, be), up in ((a[0], b[1], 0), (a[1], b[0], 1)):
+        shift = width + 1 + bm.bit_length() - am.bit_length()
+        quot = -(-(am << shift) // bm) if up else (am << shift) // bm
+        out.append(_cut((quot, ae - be - shift), width, up))
+    return tuple(out)
+
+
+def _series(terms, width: int) -> tuple:
+    """The sum of a positive series whose ratio t_(k+1)/t_k decreases, from
+    its terms' enclosures, up to the first term at most half the one before
+    and 2^-width of the sum: the rest is at most twice that term."""
+    total = prev = None
+    for term in terms:
+        tm, te = term[1]
+        if prev and _less((tm, te + 1), prev[0]) and _less((tm, te + width), total[0]):
+            return total[0], _cut(_exact(total[1], (tm, te + 1)), width, 1)
+        total = _add(total, term, width) if total else term
+        prev = term
+
+
+def _enclosures(K: int, M: int, ctx: PrecisionContext, width: int) -> list:
+    """Enclosures of f(q^n), n in [-K, M], at ``width`` bits, q the exact
+    ``ctx.qm``.  The two seeds n = -K, 1 - K are the closed form (module
+    docstring), with (q; q)_inf = 1/D, D = sum_k q^(k^2) / (q; q)_k^2
+    (Durfee's identity), each sum a positive series on the tables
+    q^(k^2) and 1/(q; q)_k; then g_(n+2) = g_(n+1) + q^(n+1) g_n runs up
+    the window.  Every quantity is positive and every operation monotone,
+    so each end stays on its side."""
+    man, exp = _as_pair(ctx.qm)
+    q, q2 = ((man, exp),) * 2, ((man * man, 2 * exp),) * 2
+    squares, odds, recips, powers = [((1, 0),) * 2], [q], [((1, 0),) * 2], [q]
+
+    def square(k: int) -> tuple:  # q^(k^2); odds[k] = q^(2k+1)
+        while len(squares) <= k:
+            squares.append(_mul(squares[-1], odds[-1], width))
+            odds.append(_mul(odds[-1], q2, width))
+        return squares[k]
+
+    def recip(k: int) -> tuple:  # 1/(q; q)_k; powers[k] = q^(k+1)
+        while len(recips) <= k:
+            (lm, le), (hm, he) = powers[-1]
+            complement = _cut(((1 << -he) - hm, he), width, 0), _cut(((1 << -le) - lm, le), width, 1)
+            recips.append(_div(recips[-1], complement, width))
+            powers.append(_mul(powers[-1], q, width))
+        return recips[k]
+
+    # theta_3 as the terms q^(k^2) + q^((k+1)^2), k >= 0, whose ratio falls.
+    theta = _series((_add(square(k), square(k + 1), width) for k in count()), width)
+    durfee = _series((_mul(square(k), _mul(recip(k), recip(k), width), width) for k in count()), width)
+    norm = _mul(theta, durfee, width)
+    window = [
+        _div(_series((_mul(square(i), recip(n + 2 * i), width) for i in count(-(n // 2))), width), norm, width)
+        for n in (-K, 1 - K)
+    ]
+    pm, pe = _power((man, exp), 1 - K, width)  # within half a unit of 2^pe
+    power = (pm - 1, pe), (pm + 1, pe)
+    for _ in range(K + M - 1):
+        window.append(_add(window[-1], _mul(power, window[-2], width), width))
+        power = _mul(power, q, width)
+    return window
+
+
+def _decided(ends: tuple, prec: int):
+    """The pair both ends of an enclosure round to at prec bits, to
+    nearest, ties to even, or None if they round apart."""
+    (lm, ls), (hm, hs) = _round_even(ends[0][0], prec), _round_even(ends[1][0], prec)
+    lo, hi = from_man_exp(lm, ends[0][1] + ls), from_man_exp(hm, ends[1][1] + hs)
+    return _raw_pair(lo) if lo == hi else None
 
 
 def lattice_weight(K: int, M: int, ctx: PrecisionContext) -> LatticeWeight:
-    """Weight values f(q^m) for m in [-K, M], tail-normalized to f(0+)=1.
-
-    One stable deep-seeded sweep (``_sweep``) keeps the window [-K, M]
-    and the values at two tail indices: m_top, where 1 - f <
-    2^-precision and the weight is normalized, and the check index
-    2 m_top.  If any retained value, normalized at the check index
-    instead, moves by more than series_tol in relative terms the
-    evaluation is declared unstable (InstabilityError).  The
-    all-positive recursion has no cancellation, so interior residuals
-    sit at rounding level.
+    """Weight values f(q^m) for m in [-K, M]: the theta_3 member of the
+    family with f(0+) = 1 (module docstring) at the exact ``ctx.qm``,
+    each rounded once to the working precision, to nearest, ties to even,
+    so no value depends on K or M.  Both ends of a value's enclosure at
+    prec + 64 bits (:func:`_enclosures`) round to it (Ziv's test); if one
+    value is not decided, every enclosure is formed again at 2 prec + 64
+    bits (NoConvergenceError if still not).  The powers q^n on the window
+    go into the ``q^n`` memo (:func:`~qhermite2.qkernel.q_power_raw`).
     """
     if K < 4 or M < 4:
         raise DomainError(f"K and M must be >= 4, got K={K}, M={M}")
-    mp = ctx.mp
-    window, (m_top, g_top), (m_check, g_check) = _sweep(K, M, ctx, _default_buffer(ctx))
-    prec = mp.prec
-    values = [_quotient(g, g_top, prec) for g in window]
+    prec = ctx.mp.prec
+    for guard in (_pairs._GUARD, prec + _pairs._GUARD):
+        values = [_decided(ends, prec) for ends in _enclosures(K, M, ctx, prec + guard)]
+        if None not in values:
+            break
+    else:
+        raise NoConvergenceError(f"lattice weight on [{-K}, {M}] not decided at {prec + guard} bits")
+    memo = ctx.tables.setdefault(("q^n", prec), {})
+    for n, (pm, pe) in zip(range(-K - 1, M), q_power_run(-K - 1, M, ctx)):
+        memo.setdefault(n, from_man_exp(pm, pe))
 
     tol = _as_pair(ctx.mpf(ctx.series_tol))
-    # Equal normalizers move no value: the check can only pass.
-    if g_check != g_top:
-        for m, g, v in zip(range(-K, M + 1), window, values):
-            if not v[0]:
-                continue
-            other = _quotient(g, g_check, prec)
-            moved = _magnitude(_sum(v, (-other[0], other[1]), prec))
-            if _less(tol, _quotient(moved, _magnitude(v), prec)):
-                raise InstabilityError(
-                    f"lattice weight value at m={m} moved by more than "
-                    f"series_tol between the tail normalizations at "
-                    f"m={m_top} and m={m_check}"
-                )
-
     residual_max = _ZERO
     for m, v0, v1, v2 in zip(range(-K, M - 1), values, values[1:], values[2:]):
         step = _product(q_power_raw(m + 1, ctx)[1:3], v0, prec)
         res = _magnitude(_sum(_sum(v1, (-v2[0], v2[1]), prec), step, prec))
         scale = _larger(_larger(_magnitude(v2), _magnitude(step)), tol)
         residual_max = _larger(residual_max, _quotient(res, scale, prec))
-    negative_count = sum(v[0] < 0 for v in values)
-    values = {m: _mpf(v, ctx) for m, v in zip(range(-K, M + 1), values)}
     return LatticeWeight(
-        q=ctx.q,
-        m_min=-K,
-        m_max=M,
-        values=values,
-        tail_init_index=m_top,
-        residual_max=_mpf(residual_max, ctx),
-        negative_count=negative_count,
+        ctx.q, -K, M, {m: _mpf(v, ctx) for m, v in zip(range(-K, M + 1), values)},
+        _mpf(residual_max, ctx), sum(v[0] < 0 for v in values),
     )
 
 
@@ -312,9 +314,10 @@ def _hat_weight(
     K: int, M: int, ctx: PrecisionContext, weight: Optional[LatticeWeight] = None
 ) -> LatticeWeight:
     """The weight on [-(K+1), K], the window that a depth-K hat sum of
-    f(q^{j-2}) reads: built with tail index M >= K + 2, or a prebuilt
-    ``weight`` that covers it.  K >= 3, so the window's lower depth
-    K + 1 meets the floor of :func:`lattice_weight`."""
+    f(q^{j-2}) reads: ``lattice_weight(K + 1, M)``, whose upper end
+    M >= K + 2 changes no value, or a prebuilt ``weight`` that covers
+    it.  K >= 3, so the window's lower depth K + 1 meets the floor of
+    :func:`lattice_weight`."""
     if K < 3:
         raise DomainError(f"K must be >= 3, got K={K}")
     if M < K + 2:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,34 @@ class TestMeasure:
         assert doc["variable"] == "y-variable"
         assert abs(float(doc["total_mass"]) - 1) < 1e-8
         assert "mass_formula" in doc["constants"]
+
+    def _jackson_masses(self, capsys, *options):
+        code, out, _ = run_cli(
+            capsys, ["measure", "--type", "jackson", "--variable", "y", "--format", "json", *options]
+        )
+        assert code == 0
+        return {int(row[1]): Fraction(row[3]) for row in json.loads(out)["rows"]}
+
+    def test_jackson_masses_do_not_depend_on_the_depth(self, capsys):
+        # The deep seed's parity used to pick the member: the mass at y = 1
+        # read 0.182602 at --k-depth=20 and 0.125118 at 21.
+        shallow, odd, deep = (
+            self._jackson_masses(capsys, f"--k-depth={K}") for K in (20, 21, 60)
+        )
+        assert round(float(shallow[0]), 6) == 0.182602
+        for m, mass in shallow.items():
+            assert mass == odd[m] == deep[m], m
+
+    @pytest.mark.parametrize(
+        "q, bits", [("3/4", 129), ("1/64", 192), ("4/5", 192)], ids=str
+    )
+    def test_jackson_masses_do_not_depend_on_the_precision(self, capsys, q, bits):
+        low, high = (
+            self._jackson_masses(capsys, f"--q={q}", f"--precision-bits={b}") for b in (128, bits)
+        )
+        assert low.keys() == high.keys()
+        for m, mass in low.items():
+            assert abs(mass - high[m]) <= Fraction(1, 10**30) * high[m], m
 
     def test_extremal_masses_and_count(self, capsys):
         code, out, _ = run_cli(
@@ -306,34 +335,39 @@ class TestExitCodes:
 # power, which truncates its squarings and rounds a reciprocal twice.
 # The z-radial rows were recorded again when N^2 came from its
 # q-difference equation at the exact ring points, which moved the last
-# digits of the masses and their total.
+# digits of the masses and their total.  Every row was recorded again
+# when the weight became the closed-form theta_3 member of its family,
+# each value rounded once: the 3/4, 29/30 and 40/41 rows had printed the
+# other member of the family (the theta_2 one, which the parity of the
+# deep seed's index picked), the 1/2 and 1/5 rows the same member off in
+# its last digits; no exit code moved.
 # q, bits, job, exit code, digest.
 _PINNED_LATTICE_OUTPUT = """
-1/2 256 jackson-y 0 848322c6183617109c19773c00b4bf81987e8301dae8d3b8ebb238a20b74aa1e
-1/2 256 jackson-x 0 da090c5a47dbf99a21e600290ab1dd563ed687114328b1d4f09bade29ba31202
-1/2 256 jackson-z-radial 0 c0fd23422fdba734d50f6c50bee9d693e498fb0d72ea5880551f8cc21f888a0c
-1/2 256 moments 0 dbe0b0923fc24cf01571c28046d0bdeb3ba2a6f405d8a364d16ee0c4ec7fad22
-1/2 256 unity 0 b8d69e27c63eda96eca2f25218a4bd3587c0e560808c7cfe175fa6a7c0136497
-3/4 128 jackson-y 0 6b907a55ff48cfcc526decf8f7535b8ca29484ea1957dc320a479d4c915d3912
-3/4 128 jackson-x 0 1f76f7c0f1bb5a6a0850be0125207c4c3806679befbb9ee0d050959b5931fca6
-3/4 128 jackson-z-radial 0 e0afbaececf0aec5dbf25e48ec255c0bbb5e40d5cb9fd1195e11265b2da1993c
-3/4 128 moments 1 90f2fbe4b0531987feb99c13e11b75132093970ad11b2224169693d70d199a7d
-3/4 128 unity 0 3ccac9aa5538062ac141d5bd3c36608a571193f5a56d0b0727f756729c4fee55
-1/5 64 jackson-y 0 ee38e0e8eda8da144d50de8a4f34aff0608a2287e512cb0753d0c931eb8e6469
-1/5 64 jackson-x 0 90f1568bd06b902655e437dd6bf54b0915fc0061f65f7dbbe497dbb9a563423f
-1/5 64 jackson-z-radial 0 d8d29807f2f44193e883ee456c7269945e8932386191aaaa31b9b78a1fa7fcb5
-1/5 64 moments 0 ee6cffe5c8e02678100458f2077075e37e58b1a9d200d2f18e78cf80b5f92888
-1/5 64 unity 0 7ba30e00862453ad821bc9e24b8e60275cdc7df88527f2f0f8083ab37e28b985
-29/30 256 jackson-y 0 100cad5dc44bf747c2fbe2a3e99221f5af00f779212c5f2c26ce1017357abe48
-29/30 256 jackson-x 0 e82b37cd4da06e3acda20ee674903d617870384f0056991e8e3004a977625469
-29/30 256 jackson-z-radial 0 837e2d112215974f651fb39a9ba636b72d8a7efadd59891f957749a234da4ff0
-29/30 256 moments 1 1bb2c10fec9ca9a47f9647b16e595ec0651a3f889c21e5ecd6f92d1e17940ef3
-29/30 256 unity 1 68fc3fec7a511ff6df9f0ccae8e8e3e5c49bef59c5da74e6a7278041154e7f4d
-40/41 128 jackson-y 0 01b7e6eab02a0d7d2c40282bdf5adcaa24f3cae0ef806f2a109ea56cc102a728
-40/41 128 jackson-x 0 c682ce1eb555eaffb895f9360e20959b7a64cac8dfb6e1e3011e331e473dda77
-40/41 128 jackson-z-radial 0 08bda28e66425579039c6dd36da3d8bf1c5f3c414acdfc9a73410454bd8c933c
-40/41 128 moments 1 0a6e14e7c27a5c41507935fb08232247f74433c49dbaf5d5f6628af2a47ca27c
-40/41 128 unity 1 ced14c22773d7316db3ecb3638172855437f5ba30a80deb8cececf3da2c4fd66
+1/2 256 jackson-y 0 05fd79ebaf1208b2c4eecdce3ea63a520fc705facbf81eea049c2b1aef98b85e
+1/2 256 jackson-x 0 84267676814557a08f6ae00c63e004e95a73a54f3fc4749bbd8ac436824e052f
+1/2 256 jackson-z-radial 0 7924f8a5aa25970b0f7e92f63bf624aaab0445df9be742fb13223ea627a4e3b3
+1/2 256 moments 0 16e7fe079418a8192a2f351ee828377b5245c78a60e3252ea26b17232510c694
+1/2 256 unity 0 c4b72377e938ec96da445d163af05f6a084e267c8ec19b9b2f7f952caa960a95
+3/4 128 jackson-y 0 2c9addfb937a32fdd4e88973743130067c27cabdb438a39b67b4d538ef008ce3
+3/4 128 jackson-x 0 18b424b98fb0481710cfd85901464a6fdc059732b5032111b88d7e4510531cf0
+3/4 128 jackson-z-radial 0 605de2665d9f5978b60748243c65676199b9808f8c2acfed3e49f191a14659c7
+3/4 128 moments 1 0e9b1dec26d63d0e0883c5f4edbef8c462df4dd54637b6747a4234f19c92601d
+3/4 128 unity 0 f50fc8402379b3e233b5ed724c0a0dcfd8557a3a1978a052c4f9f2733a27dee4
+1/5 64 jackson-y 0 180da124f235b695d8e872a61c614b838641a3394e00d1612af3cbd1e88dcd89
+1/5 64 jackson-x 0 2294ae1914444325f614ff9b0111748b707c7bbbc9eb2402a7c71a5863584763
+1/5 64 jackson-z-radial 0 3023bb04a6b3acff8beb4778c539515073fba246e9df7082eb286e2f4fa3b2b3
+1/5 64 moments 0 a71d21a1fab379a8e3b250c317af52cc1bfeae29053565aff961e2ec4f2665f9
+1/5 64 unity 0 fc8fa983fc161dad40f4238325c931cfb054e9848ec0d03ff00a6d1265f4c24e
+29/30 256 jackson-y 0 023049a3fc25c874c77309d92e296e7af8913b29d61588a3b8d64a71e3a07a63
+29/30 256 jackson-x 0 b79882361153527f5d15585460c7f6eb8d88c74b53f761f40b48ca1abff909d6
+29/30 256 jackson-z-radial 0 baf6c2c3ddf87bb27685e8dcc5ffc783cc0f9fb90b249075b4ded032361267ba
+29/30 256 moments 1 a92156c6a2f3b38c726c61cccb2cee881edbe8843a7de24d0840fffd86a633b1
+29/30 256 unity 1 424eeb83fa6ea3591b1b3d46a99f4a5e871529855fbcaf34f6d29438f75d6747
+40/41 128 jackson-y 0 186c267c573558517584e7b31c50ad42baadeea3acfcb132aaf2be1486ffb469
+40/41 128 jackson-x 0 9cab8bd70d1efaca88ebca40fa500cce342b783cefcc4683f4cfd3c1d49e5f2e
+40/41 128 jackson-z-radial 0 42ac470f4d6660bb5541d8433b6d8fe423bbd54214e902d64cd22b194e959c12
+40/41 128 moments 1 ee0c55c047e1f4750116761ea06fed35575bf1a385a615a65c2fa99060651de2
+40/41 128 unity 1 c601f7941a97f7f1fa67593edc7f4f43c0eacfe0b0eba7b660ad27ac26283687
 """
 
 
@@ -357,7 +391,8 @@ def test_lattice_output_pinned(capsys, q, bits, job, code, digest):
 # Exit code and SHA-256 of stdout of the series-layer subcommands,
 # recorded from the per-call q ** n that the cached q-power kernel
 # replaced (q = 1/2, 256 bits, z-radial is pinned above); the 40/41
-# z-radial row was recorded again with the z-radial rows above, twice;
+# z-radial row was recorded again with the z-radial rows above, three
+# times;
 # the recurrence rows when the direct value became the exact 2phi0
 # rounded once, and the qcalculus rows when ip1/ip2 became exact and
 # the ip3 integrands were rounded once from their exact value, and again
@@ -374,7 +409,7 @@ _PINNED_SERIES_OUTPUT = """
 40/41 128 qdiff 0 c9c497a9bacc083ca1a67dba4e26cd21155a0b06e004975f26a402733915fb28
 40/41 128 recurrence 0 597329416c5b7b35b3fa7d46c0a68f984399da4c788cb05aadc35d30d7096a79
 40/41 128 qcalculus 0 e86a13d0b08aa455ab4b612a1d4f4b3ff12d48707d0c6185ffb3392249665a6a
-40/41 128 jackson-z-radial 0 08bda28e66425579039c6dd36da3d8bf1c5f3c414acdfc9a73410454bd8c933c
+40/41 128 jackson-z-radial 0 42ac470f4d6660bb5541d8433b6d8fe423bbd54214e902d64cd22b194e959c12
 """
 
 
@@ -612,11 +647,12 @@ def test_qcalculus_passes_at_every_q_and_precision(capsys, q, bits):
 # byte for byte.  The moments row was recorded before the hat integral,
 # the moments and the infinite parts residual shared one lattice sum,
 # and again when the sum's error began to name its caller (``moment_In:``
-# where it read ``hat_q_integral:``): suite and extra options, exit
-# code, digest.
+# where it read ``hat_q_integral:``).  The unity row was recorded again
+# when the weight became the closed-form theta_3 member, the same member
+# off in its last digits: suite and extra options, exit code, digest.
 _PINNED_SHALLOW_LATTICE_OUTPUT = """
 moments 3 ef95b53232083c5498016fa379741d483e647259c1d55aa2420bf92d92407812
-unity 1 40d10f7211ede7b0d533a67447a177ea8c91f63d057efdadff7200b1632ff4e4
+unity 1 9880511a5217b5c74a2aa7b426df4bba2b2e360c386960869b6ccf7d703c30e7
 unity --n-max=8 3 ef95b53232083c5498016fa379741d483e647259c1d55aa2420bf92d92407812
 """
 

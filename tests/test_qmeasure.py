@@ -6,21 +6,20 @@ import math
 from fractions import Fraction
 
 import pytest
-from correctly_rounded import power_of_q, powers
+from correctly_rounded import power_of_q
 from hypothesis import HealthCheck, given, settings, strategies as st
-from mpmath.libmp import fone, from_man_exp, fzero, mpf_add, mpf_mul, round_nearest, to_rational
+from mpmath.ctx_mp import MPContext
+from mpmath.libmp import to_rational
 
 from qhermite2 import PrecisionContext, _pairs, qkernel, qmeasure
 from qhermite2.coherent import cs_norm_sq
-from qhermite2.errors import DomainError, InstabilityError, NoConvergenceError
+from qhermite2.errors import DomainError, NoConvergenceError
 from qhermite2.exact import bn_squared_exact, moment_In_exact, rho_factorial_exact
 from qhermite2.qcalculus import HAT_DEPTH
-from qhermite2.qkernel import gen_exponential, q_power, q_power_raw, q_power_run, rho_factorial
+from qhermite2.qkernel import gen_exponential, q_power, q_power_raw, rho_factorial
 from qhermite2.qmeasure import (
     MEASURE_TARGETS,
-    _default_buffer,
     _ring_normalizers,
-    _sweep,
     build_measure,
     formal_series_partial,
     lattice_weight,
@@ -34,39 +33,61 @@ def weight_half(ctx_half):
     return lattice_weight(61, 120, ctx_half)
 
 
-def _ref_raw_lattice(K, M, ctx, buffer):
-    """The two-pass reference: one full sweep held as mpf objects, each
-    q^(m+1) the exact power rounded once."""
-    mp = ctx.mp
-    ln_inv_q = -math.log(float(ctx.q))
-    m_top = max(
-        M + 2, math.ceil(ctx.precision_bits * math.log(2) / ln_inv_q) + 4
-    )
-    lo = -K - buffer - 2
-    n_points = m_top - lo + 1
-    g = [mp.mpf(0)] * n_points
-    g[1] = mp.mpf(1)
-    qs = powers(ctx.qm._mpf_, lo + 1, m_top, mp.prec)  # q^(m+1), m = lo + i
-    for i in range(n_points - 2):
-        g[i + 2] = g[i + 1] + mp.make_mpf(qs[i]) * g[i]
-    return g, lo, m_top
+def _closed_form_reference(K, M, ctx, s=0):
+    """f_s(q^n) for n in [-K, M] at the exact q = ctx.qm, each from its own
+    series ((q; q)_inf / theta_s) sum_i q^(i(i+s)) / (q; q)_(n+s+2i), with
+    theta_s = sum_{i in Z} q^(i(i+s)) and no recursion in n, in mpmath at
+    prec + 200 bits and as many more as Euler's pentagonal series for
+    (q; q)_inf cancels (pi^2 / (6 ln 2 (1 - q))).  s = 0 is the theta_3
+    member of ``lattice_weight``, s = 1 the theta_2 member.  Returns
+    mpf values of that precision."""
+    cancel = math.ceil(math.pi**2 / (6 * math.log(2) * (1 - float(ctx.q))))
+    mp = MPContext()
+    mp.prec = ctx.mp.prec + 200 + cancel
+    q = mp.mpf(ctx.qm)
+    eps = mp.mpf(2) ** -mp.prec
+    euler, k, term = mp.mpf(1), 1, 1
+    while term > eps:
+        term = q ** (k * (3 * k - 1) // 2) * (1 + q**k)
+        euler += (-1) ** k * term
+        k += 1
+    cache = {}
+
+    def power(i):  # q^(i(i+s))
+        if i not in cache:
+            cache[i] = q ** (i * (i + s))
+        return cache[i]
+
+    theta, i = power(0), 1
+    while power(i) > eps:
+        theta += power(i) + power(-i)
+        i += 1
+    recips = [mp.mpf(1)]  # 1/(q; q)_j
+    out = {}
+    for n in range(-K, M + 1):
+        # The term ratio falls, so past a term at most half the one before
+        # the rest is at most twice the last.
+        total, prev, i = None, None, -((n + s) // 2)
+        while True:
+            j = n + s + 2 * i
+            while len(recips) <= j:
+                recips.append(recips[-1] / (1 - q ** len(recips)))
+            t = power(i) * recips[j]
+            if prev is not None and 2 * t <= prev and t < eps * total:
+                break
+            total = t if total is None else total + t
+            prev, i = t, i + 1
+        out[n] = euler / theta * total
+    return out
 
 
 def _ref_lattice_weight(K, M, ctx):
-    """Weight by two full sweeps (tail indices M and 2M) with mpf operators."""
+    """The closed-form reference rounded once to the working precision,
+    and the residual and sign count of ``lattice_weight`` on it with mpf
+    operators."""
     mp = ctx.mp
-    buf = _default_buffer(ctx)
-    g, lo, m_top = _ref_raw_lattice(K, M, ctx, buf)
-    norm = g[m_top - lo]
-    values = {m: g[m - lo] / norm for m in range(-K, M + 1)}
-    g2, lo2, m_top2 = _ref_raw_lattice(K, 2 * M, ctx, buf)
-    norm2 = g2[m_top2 - lo2]
+    values = {m: mp.mpf(v) for m, v in _closed_form_reference(K, M, ctx).items()}
     tol = ctx.mpf(ctx.series_tol)
-    for m in range(-K, M + 1):
-        v2 = g2[m - lo2] / norm2
-        ref = abs(values[m])
-        if ref != 0 and abs(values[m] - v2) / ref > tol:
-            raise InstabilityError(f"moved at m={m}")
     residual_max = mp.mpf(0)
     for m in range(-K, M - 1):
         step = power_of_q(ctx, m + 1) * values[m]
@@ -74,59 +95,18 @@ def _ref_lattice_weight(K, M, ctx):
         scale = max(abs(values[m + 2]), abs(step), tol)
         residual_max = max(residual_max, res / scale)
     negative_count = sum(1 for v in values.values() if v < 0)
-    return values, residual_max, negative_count, m_top
-
-
-def _ref_sweep(K, M, ctx, buffer):
-    """The sweep without its early stop: every step up to 2 m_top, each
-    power the exact one rounded once."""
-    prec = ctx.precision_bits
-    m_top = max(M + 2, math.ceil(prec * math.log(2) / -math.log(float(ctx.q))) + 4)
-    m_check = 2 * m_top
-    window = []
-    g0, g1 = fzero, fone
-    lo = -K - buffer - 2
-    qs = powers(ctx.qm._mpf_, lo + 1, m_check, prec)
-    for m, p in zip(range(lo, m_check - 1), qs):
-        step = mpf_mul(p, g0, prec, round_nearest)
-        g0, g1 = g1, mpf_add(g1, step, prec, round_nearest)
-        if -K <= m + 2 <= M:
-            window.append(g1)
-        elif m + 2 == m_top:
-            g_top = g1
-    return window, (m_top, g_top), (m_check, g1)
-
-
-def _raw_sweep(K, M, ctx, buffer):
-    """_sweep's pairs as raw mpf values.  Every pair has a mantissa of
-    exactly prec bits, so pairs are equal exactly when their values are."""
-    window, (m_top, g_top), (m_check, g_check) = _sweep(K, M, ctx, buffer)
-    prec = ctx.mp.prec
-    assert all(g[0].bit_length() == prec for g in window + [g_top, g_check])
-    return (
-        [from_man_exp(*g) for g in window],
-        (m_top, from_man_exp(*g_top)),
-        (m_check, from_man_exp(*g_check)),
-    )
-
-
-def _assert_sweep_reference(K, M, ctx):
-    """_sweep, early stop included, returns what the full sweep does."""
-    buf = _default_buffer(ctx)
-    want = _ref_sweep(K, M, ctx, buf)  # before _sweep fills the q^n memo
-    assert _raw_sweep(K, M, ctx, buf) == want
+    return values, residual_max, negative_count
 
 
 def _assert_bitwise_reference(K, M, ctx):
     w = lattice_weight(K, M, ctx)
-    values, residual_max, negative_count, m_top = _ref_lattice_weight(K, M, ctx)
+    values, residual_max, negative_count = _ref_lattice_weight(K, M, ctx)
     assert (w.m_min, w.m_max) == (-K, M)
     assert {m: v._mpf_ for m, v in w.values.items()} == {
         m: v._mpf_ for m, v in values.items()
     }
     assert w.residual_max._mpf_ == residual_max._mpf_
     assert w.negative_count == negative_count
-    assert w.tail_init_index == m_top
 
 
 class TestLatticeWeight:
@@ -164,85 +144,96 @@ class TestLatticeWeight:
             lattice_weight(12, 3, ctx_half)
 
 
-class TestTailDoubling:
+@pytest.mark.parametrize("K", [8, 61, 301])
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+@pytest.mark.parametrize(
+    "q", ["1/64", "3/10", "1/2", "3/4", "26/27", "45/46", "63/64", "99/100"]
+)
+def test_window_is_the_closed_form_rounded_once(q, bits, K):
+    # Every value of the window, the two seeds and the whole upward run,
+    # is the direct series for its own n rounded once.
+    ctx = PrecisionContext(Fraction(q), bits)
+    want = _closed_form_reference(K, 8, ctx)
+    got = lattice_weight(K, 8, ctx).values
+    assert {n: v._mpf_ for n, v in got.items()} == {n: ctx.mp.mpf(v)._mpf_ for n, v in want.items()}
+
+
+class TestMember:
+    """The weight is one member of the family at every depth and
+    precision, where a deep seed's parity used to pick it."""
+
+    @pytest.mark.parametrize("q, bits", [("1/2", 256), ("3/4", 128), ("1/64", 192), ("4/5", 128)])
+    def test_masses_do_not_depend_on_the_depth(self, q, bits):
+        ctx = PrecisionContext(Fraction(q), bits)
+        shallow, odd, deep = (
+            dict(zip(mu.exponents, mu.weights))
+            for mu in (build_measure("y-variable", ctx, K=K, M=120) for K in (20, 21, 60))
+        )
+        for m, mass in shallow.items():
+            assert mass._mpf_ == odd[m]._mpf_ == deep[m]._mpf_, m
+
     @pytest.mark.parametrize(
-        "q, bits", [(Fraction(1, 2), 256), (Fraction(63, 64), 128)], ids=str
+        "q, bits", [("3/4", 129), ("1/64", 192), ("4/5", 192), ("1/2", 256)]
     )
-    def test_check_normalizer_is_deeper_and_agrees(self, q, bits):
-        # In both cases the precision floor sets m_top, so a check at the
-        # tail index for 2M would land on m_top itself.
-        ctx = PrecisionContext(q, bits)
-        buf = _default_buffer(ctx)
-        _, (m_top, g_top), (m_check, g_check) = _raw_sweep(61, 120, ctx, buf)
-        assert m_top == lattice_weight(61, 120, ctx).tail_init_index
-        assert m_top > 2 * 120 + 2
-        assert m_check == 2 * m_top
-        top, check = ctx.mp.make_mpf(g_top), ctx.mp.make_mpf(g_check)
-        assert abs(check - top) / top < ctx.mpf(ctx.series_tol)
-
-    def test_sweep_stops_near_the_tail_index(self, monkeypatch):
-        # Once the weight is stationary the sweep stops instead of
-        # running on to the check index 2 m_top.
-        ctx = PrecisionContext(Fraction(29, 30), 128)
-        exponents = []
-
-        def run(start, stop, ctx):
-            for n, power in zip(range(start, stop), q_power_run(start, stop, ctx)):
-                exponents.append(n)
-                yield power
-
-        monkeypatch.setattr(qmeasure, "q_power_run", run)
-        _, (m_top, _), (m_check, _) = _sweep(61, 120, ctx, _default_buffer(ctx))
-        assert m_top - 100 < exponents[-1] < m_top + 100 < m_check
+    def test_masses_do_not_depend_on_the_precision(self, q, bits):
+        # At 128 bits and more the masses agree to about the coarser
+        # precision; at the parent the mass at y = 1 and q = 1/64 read
+        # 0.0078 at 128 bits and 0.954 at 192, the other member's.
+        low, high = (
+            build_measure("y-variable", PrecisionContext(Fraction(q), b)) for b in (128, bits)
+        )
+        assert low.exponents == high.exponents
+        for m, a, b in zip(low.exponents, low.weights, high.weights):
+            a, b = Fraction(*to_rational(a._mpf_)), Fraction(*to_rational(b._mpf_))
+            assert abs(a - b) <= Fraction(1, 2**110) * b, m
 
 
-class TestSweepKernel:
-    """The sweep forms powers, products and sums on integers."""
+class TestIndeterminacy:
+    """The theta_2 member mu^(1), built here from its closed form, solves
+    the same lattice equation and moment problem as the package's theta_3
+    member, and differs from it: a signed measure with vanishing moments."""
 
-    @pytest.mark.parametrize("guard, certified", [(64, True), (2, False)])
-    def test_mpf_arithmetic_only_where_the_certificate_fails(
-        self, monkeypatch, guard, certified
-    ):
-        # Where the power certificate decides, the sweep asks q_power_raw,
-        # which forms the exact power and an mpf of it, only for the
-        # powers with at most prec bits (n = 0 and 1 here); with two
-        # guard bits it decides nothing, every power falls back to
-        # q_power_raw, and that retries with prec + 2 guard bits.
-        q, bits = Fraction(29, 30), 128
-        ctx = PrecisionContext(q, bits)
-        buf = _default_buffer(ctx)
-        want = _ref_sweep(61, 120, PrecisionContext(q, bits), buf)
-        exact, calls, mpf = [], [], []
+    @pytest.fixture(scope="class")
+    def members(self):
+        ctx = PrecisionContext(Fraction(1, 2), 256)
+        K = HAT_DEPTH
+        other = {m: ctx.mp.mpf(v) for m, v in _closed_form_reference(K + 1, K, ctx, s=1).items()}
+        return ctx, lattice_weight(K + 1, K, ctx), qmeasure.LatticeWeight(
+            ctx.q, -(K + 1), K, other, ctx.mpf(0), 0
+        )
 
-        def counted(record, module, name):
-            original = getattr(module, name)
+    def test_solves_the_lattice_equation(self, members):
+        ctx, _, other = members
+        for m in range(-HAT_DEPTH - 1, HAT_DEPTH - 1):
+            g0, g1, g2 = (other.value(m + k) for k in range(3))
+            assert abs(g2 - g1 - q_power(m + 1, ctx) * g0) <= 4 * ctx.eps * g2, m
+        # f(0+) = 1: 1 - f(q^m) ~ q^m/(1-q), as for the theta_3 member.
+        assert abs(other.value(HAT_DEPTH) - 1) < 2 * ctx.mpf(ctx.q**HAT_DEPTH / (1 - ctx.q))
 
-            def call(*args):
-                record.append(args[0] if name == "q_power_raw" else args[1])
-                return original(*args)
+    def test_reproduces_the_moments(self, members):
+        ctx, weight, other = members
+        for n in range(7):
+            ours = moment_In(n, ctx, K=HAT_DEPTH, M=HAT_DEPTH + 2, weight=weight)
+            theirs = moment_In(n, ctx, K=HAT_DEPTH, M=HAT_DEPTH + 2, weight=other)
+            assert theirs.rel_deviation < ctx.mpf("1e-18"), n
+            # Both miss the same hat-sum tail beyond depth K (4e-19 at
+            # n = 0), so the moments of mu^(1) - mu^(0) vanish to working
+            # precision (measured: at most 9e-77 at 256 bits).
+            gap = abs(theirs.lattice_value - ours.lattice_value) / ours.closed_form
+            assert gap < ctx.mpf(2) ** (16 - ctx.precision_bits), n
 
-            monkeypatch.setattr(module, name, call)
-
-        counted(calls, qkernel, "q_power_raw")
-        counted(exact, _pairs, "_exact_power")
-        counted(mpf, qkernel, "from_man_exp")
-        monkeypatch.setattr(_pairs, "_GUARD", guard)
-        got = _raw_sweep(61, 120, ctx, buf)
-        monkeypatch.undo()
-        assert got == want
-        assert len(mpf) == len(calls)
-        if certified:
-            assert calls == exact == [0, 1]
-        else:
-            assert calls == list(range(-61 - buf, calls[-1] + 1))
-            assert exact == [n for n in calls if abs(n) * ctx.qm._mpf_[3] <= 2 * bits]
-        fresh = PrecisionContext(q, bits)
-        for n, value in ctx.tables[("q^n", bits)].items():
-            assert value == q_power_raw(n, fresh), n
+    def test_differs_from_the_package_member(self, members):
+        ctx, weight, other = members
+        # The masses q^(m-1) f(q^(m-2)) at y = 1 (m = 0) and y = 2 (m = -1).
+        for m in (-2, -3):
+            gap = abs(other.value(m) - weight.value(m)) / weight.value(m)
+            assert gap > ctx.mpf("0.1"), m
 
 
 class TestStreamedSweep:
-    """The one-sweep weight is bitwise the two-pass mpf reference."""
+    """The window's upward run from the two closed-form seeds is bitwise
+    the closed form rounded once, with the residual and sign count
+    formed from it."""
 
     @pytest.mark.parametrize(
         "q, bits",
@@ -257,21 +248,14 @@ class TestStreamedSweep:
             )
             for bits in (64, 128, 256)
         ]
-        # Deep sweeps near q = 1 at 512 bits, where most steps descend.
         + [(Fraction(63, 64), 512), (Fraction(45, 46), 512)],
         ids=str,
     )
     def test_matches_reference(self, q, bits):
-        ctx = PrecisionContext(q, bits)
-        _assert_bitwise_reference(61, 120, ctx)
-        _assert_sweep_reference(61, 120, ctx)
-        # A window that reaches past the early stop, which fills it.
-        _assert_sweep_reference(8, 600, ctx)
+        _assert_bitwise_reference(61, 120, PrecisionContext(q, bits))
 
     def test_matches_reference_near_q_one(self):
-        ctx = PrecisionContext(Fraction(63, 64), 64)
-        _assert_bitwise_reference(61, 120, ctx)
-        _assert_sweep_reference(61, 120, ctx)
+        _assert_bitwise_reference(61, 120, PrecisionContext(Fraction(63, 64), 64))
 
     @settings(
         max_examples=15,
@@ -285,9 +269,58 @@ class TestStreamedSweep:
         M=st.integers(min_value=4, max_value=48),
     )
     def test_matches_reference_property(self, q, bits, K, M):
+        _assert_bitwise_reference(K, M, PrecisionContext(q, bits))
+
+
+class TestSweepKernel:
+    """The window's enclosures are retried wider only where Ziv's test
+    fails, and the memo's powers take mpf arithmetic only where their
+    certificate fails."""
+
+    @pytest.mark.parametrize("guard, certified", [(64, True), (2, False)])
+    def test_mpf_arithmetic_only_where_the_certificate_fails(
+        self, monkeypatch, guard, certified
+    ):
+        # With 64 guard bits every value is decided at once, and
+        # q_power_run asks q_power_raw, which forms the exact power and an
+        # mpf of it, only for the powers with at most prec bits (n = 0 and
+        # 1 here).  With two guard bits the enclosures at prec + 2 bits
+        # decide no value, so the window is formed again at 2 prec + 2
+        # bits; every power falls back to q_power_raw, which retries with
+        # prec + 2 guard bits; and the values are the same.
+        q, bits = Fraction(29, 30), 128
         ctx = PrecisionContext(q, bits)
-        _assert_bitwise_reference(K, M, ctx)
-        _assert_sweep_reference(K, M, ctx)
+        want = _ref_lattice_weight(61, 120, PrecisionContext(q, bits))[0]
+        calls, exact, mpf, widths = [], [], [], []
+
+        def counted(record, module, name, index):
+            original = getattr(module, name)
+
+            def call(*args):
+                record.append(args[index])
+                return original(*args)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(calls, qkernel, "q_power_raw", 0)
+        counted(exact, _pairs, "_exact_power", 1)
+        counted(mpf, qkernel, "from_man_exp", 1)
+        counted(widths, qmeasure, "_enclosures", 3)
+        monkeypatch.setattr(_pairs, "_GUARD", guard)
+        got = lattice_weight(61, 120, ctx)
+        monkeypatch.undo()
+        assert {m: v._mpf_ for m, v in got.values.items()} == {m: v._mpf_ for m, v in want.items()}
+        assert len(mpf) == len(calls)
+        if certified:
+            assert widths == [bits + 64]
+            assert calls == exact == [0, 1]
+        else:
+            assert widths == [bits + 2, 2 * bits + 2]
+            assert calls == list(range(-62, 120))
+            assert exact == [n for n in calls if abs(n) * ctx.qm._mpf_[3] <= 2 * bits]
+        fresh = PrecisionContext(q, bits)
+        for n, value in ctx.tables[("q^n", bits)].items():
+            assert value == q_power_raw(n, fresh), n
 
 
 class TestMoments:
@@ -457,14 +490,16 @@ class TestBuildMeasure:
     @pytest.mark.parametrize(
         "q, want",
         [
-            (Fraction(1, 2), "38.786613509863448344535766995523299128"),
+            (Fraction(1, 2), "38.786613509863448344535766995523299127"),
             (Fraction(3, 10), "68.110447217750246983494868015555705768"),
         ],
         ids=str,
     )
     def test_moment_of_negative_order(self, q, want):
         # s^-1 is the exact 1/s rounded once, so the moment adds the terms
-        # (1 / s) w; the digits are those of the binary power it replaced.
+        # (1 / s) w; the digits were those of the binary power it replaced,
+        # and the last 1/2 digit moved when the weight became the closed
+        # form rounded once (the same member).
         ctx = PrecisionContext(q, 128)
         mu = build_measure("y-variable", ctx, K=20, M=60)
         got = mu.moment(-1, ctx)
