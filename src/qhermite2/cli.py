@@ -9,11 +9,12 @@ measure  export lattice or extremal measures (supports and masses)
 cs       coherent-state diagnostics for one z
 
 Every subcommand takes ``--q``, ``--precision-bits``, ``--format`` and
-``--out``; ``--tol`` is a ``verify`` option.  ``verify`` passes a suite
-only the options it reads and refuses ``--tol`` or ``--n-max`` for a
-suite that does not read it.  A default the parser shares with the
-library is read from the library's constant (``suites.OPERATOR_DIM``,
-``qcalculus.HAT_DEPTH``, ...), so each is declared once.
+``--out``.  A suite's keyword parameters are the ``verify`` options it
+reads, each parsed by the type of its default (Fraction or int);
+``verify`` refuses any other of its options, and ``measure`` refuses an
+option its ``--type`` does not read.  No such option has a parser
+default: the JSON config echoes each option read, as typed when given,
+else the default the suite or measure type used.
 
 Conventions
 -----------
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 from dataclasses import dataclass
@@ -61,7 +63,7 @@ from .extremal import carrier_roots, loadings
 from .qcalculus import HAT_DEPTH
 from .qhermite import hermite2_coeffs, psi_eval
 from .qkernel import b_table
-from .qmeasure import TAIL_INDEX, build_measure
+from .qmeasure import build_measure
 
 __all__ = ["main", "SUITES", "SCHEMA_VERSION"]
 
@@ -178,32 +180,11 @@ def _csv_cell(cell: str) -> str:
 
 
 def _config_echo(ns: argparse.Namespace) -> Dict[str, str]:
-    echo = {
-        "q": ns.q,
-        "precision_bits": str(ns.precision_bits),
-        "format": ns.fmt,
-    }
-    for key in (
-        "tol",
-        "suite",
-        "n",
-        "x",
-        "kind",
-        "n_max",
-        "dim",
-        "order",
-        "what",
-        "mtype",
-        "variable",
-        "k_depth",
-        "tail",
-        "bound",
-        "z_re",
-        "z_im",
-        "trunc",
-    ):
-        if hasattr(ns, key) and getattr(ns, key) is not None:
-            echo[key.replace("_", "-")] = str(getattr(ns, key))
+    """q, precision and format, then every other option that is set."""
+    echo = {"q": ns.q, "precision_bits": str(ns.precision_bits), "format": ns.fmt}
+    for key, value in vars(ns).items():
+        if value is not None and key not in ("command", "q", "precision_bits", "fmt", "out"):
+            echo[key.replace("_", "-")] = str(value)
     return echo
 
 
@@ -282,14 +263,39 @@ def _cmd_table(ns, ctx: PrecisionContext) -> CommandOutput:
     return CommandOutput("table", columns, rows, {}, _EXIT_PASS)
 
 
+def _read_options(ns, options, defaults: Dict[str, object], reader: str) -> Dict[str, str]:
+    """The ``options`` set on ``ns``, as typed; one that ``defaults``
+    does not name is refused, and one it names that is unset takes its
+    default on ``ns``, for the config echo."""
+    given = {}
+    for key in options:
+        text = getattr(ns, key)
+        if text is None:
+            if key in defaults:
+                setattr(ns, key, defaults[key])
+        elif key in defaults:
+            given[key] = text
+        else:
+            raise DomainError(f"{reader} does not read --{key.replace('_', '-')}")
+    return given
+
+
+# Measure type -> the options it reads, with their defaults.
+_MEASURE_OPTIONS = {
+    "jackson": {"variable": "y", "k_depth": HAT_DEPTH},
+    "extremal": {"bound": suites.SEARCH_BOUND},
+}
+
+
 def _cmd_measure(ns, ctx: PrecisionContext) -> CommandOutput:
+    _read_options(ns, ("variable", "k_depth", "bound"), _MEASURE_OPTIONS[ns.mtype], f"type {ns.mtype}")
     if ns.mtype == "jackson":
         target = {
             "y": "y-variable",
             "x": "x-variable",
             "z-radial": "z-plane-radial",
         }[ns.variable]
-        measure = build_measure(target, ctx, K=ns.k_depth, M=ns.tail)
+        measure = build_measure(target, ctx, K=ns.k_depth)
         columns = ("branch", "exponent", "support", "mass")
         rows = []
         for i, (m, s, w) in enumerate(
@@ -354,48 +360,44 @@ def _cmd_cs(ns, ctx: PrecisionContext) -> CommandOutput:
 # --------------------------------------------------------------------------
 
 
-# Suite name -> (suite, the verify options it reads); an option left
-# unset keeps the suite's own default.  --tol and --n-max have no parser
-# default, so one set for a suite that does not read it is refused.
+# Suite name -> suite; its keyword parameters are the verify options it
+# reads (_suite_inputs).
 _SUITES = {
-    "recurrence": (suites.recurrence, ("n_max", "tol")),
-    "qcalculus": (suites.qcalculus, ()),
-    "commutators": (suites.commutators, ("dim",)),
-    "generating": (suites.generating, ("x", "order")),
-    "qdiff": (suites.qdiff, ("n_max",)),
-    "moments": (suites.moments, ("tol", "n_max", "k_depth", "tail")),
-    "unity": (suites.unity, ("tol", "n_max", "k_depth", "tail")),
-    "orthonormality": (suites.orthonormality, ("tol", "bound")),
+    "recurrence": suites.recurrence,
+    "qcalculus": suites.qcalculus,
+    "commutators": suites.commutators,
+    "generating": suites.generating,
+    "qdiff": suites.qdiff,
+    "moments": suites.moments,
+    "unity": suites.unity,
+    "orthonormality": suites.orthonormality,
 }
 SUITES = tuple(_SUITES)
 
+# The verify options, as the suites' parameter names, in the order an
+# unread one is reported.
+_SUITE_OPTIONS = ("tol", "n_max", "dim", "x", "order", "k_depth", "bound")
 
-def _suite_inputs(ns, options) -> Dict[str, object]:
-    """Keyword inputs for a suite: the options set, rationals parsed."""
-    for key in ("tol", "n_max"):
-        if getattr(ns, key) is not None and key not in options:
-            raise DomainError(f"suite {ns.suite} does not read --{key.replace('_', '-')}")
+
+def _suite_inputs(ns) -> Dict[str, object]:
+    """Keyword inputs for the suite: the options set that its signature
+    reads, each parsed by the type of its default (Fraction or int)."""
+    params = inspect.signature(_SUITES[ns.suite]).parameters.values()
+    defaults = {p.name: p.default for p in params if p.default is not p.empty}
     inputs: Dict[str, object] = {}
-    for key in options:
-        value = getattr(ns, key)
-        if value is None:
-            continue
-        if key == "tol":
-            try:
-                value = as_fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise DomainError(f"could not parse --tol value {ns.tol!r}")
-            if value <= 0:
-                raise DomainError(f"--tol must be > 0, got {ns.tol}")
-        elif key in ("x", "bound"):
-            value = as_fraction(value)
+    for key, text in _read_options(ns, _SUITE_OPTIONS, defaults, f"suite {ns.suite}").items():
+        try:
+            value = as_fraction(text) if isinstance(defaults[key], Fraction) else int(text)
+        except ValueError:
+            raise DomainError(f"could not parse --{key.replace('_', '-')} value {text!r}")
+        if key == "tol" and value <= 0:
+            raise DomainError(f"--tol must be > 0, got {text}")
         inputs[key] = value
     return inputs
 
 
 def _cmd_verify(ns, ctx: PrecisionContext) -> CommandOutput:
-    suite, options = _SUITES[ns.suite]
-    checks = suite(ctx, **_suite_inputs(ns, options))
+    checks = _SUITES[ns.suite](ctx, **_suite_inputs(ns))
     ok = suites.passed(checks)
     rows = [
         [check.kind]
@@ -459,33 +461,25 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite")
     _add_common(verify)
     verify.add_argument("--suite", required=True, choices=SUITES)
-    verify.add_argument("--tol", default=None, help="override gate tolerance")
-    verify.add_argument("--n-max", type=int, default=None, dest="n_max")
-    verify.add_argument("--dim", type=int, default=suites.OPERATOR_DIM)
-    verify.add_argument("--order", type=int, default=suites.GENFN_ORDER)
-    verify.add_argument("--x", default=suites.GENFN_X)
-    verify.add_argument("--k-depth", type=int, default=HAT_DEPTH, dest="k_depth")
-    verify.add_argument("--tail", type=int, default=TAIL_INDEX)
-    verify.add_argument("--bound", default=suites.SEARCH_BOUND)
+    for key in _SUITE_OPTIONS:
+        verify.add_argument("--" + key.replace("_", "-"), dest=key)
 
     table = sub.add_parser("table", help="tabulate derived quantities")
     _add_common(table)
+    # --n-max first, so the config echo lists it first
+    table.add_argument("--n-max", type=int, default=8, dest="n_max")
     table.add_argument(
         "--what", required=True, choices=("spectrum", "bn", "moments")
     )
-    table.add_argument("--n-max", type=int, default=8, dest="n_max")
 
     measure = sub.add_parser("measure", help="export a discrete measure")
     _add_common(measure)
     measure.add_argument(
         "--type", required=True, choices=("jackson", "extremal"), dest="mtype"
     )
-    measure.add_argument("--k-depth", type=int, default=HAT_DEPTH, dest="k_depth")
-    measure.add_argument("--tail", type=int, default=TAIL_INDEX)
-    measure.add_argument(
-        "--variable", choices=("y", "x", "z-radial"), default="y"
-    )
-    measure.add_argument("--bound", default=suites.SEARCH_BOUND)
+    measure.add_argument("--variable", choices=("y", "x", "z-radial"))
+    measure.add_argument("--k-depth", type=int, dest="k_depth")
+    measure.add_argument("--bound")
 
     cs = sub.add_parser("cs", help="coherent-state diagnostics")
     _add_common(cs)

@@ -33,7 +33,7 @@ from ._pairs import (
     _ONE, _ZERO, _as_pair, _complex_product, _hypot, _less, _mp, _mpf,
     _negative, _operand, _over, _power, _product, _quotient, _raw_pair, _root, _sum,
 )
-from .context import PrecisionContext
+from .context import PrecisionContext, _refuse_unit_q
 from .errors import DomainError, TruncationError
 from .qkernel import b_coeff, b_table, gen_exponential, q_power_raw
 from .qoscillator import build_ladder
@@ -83,8 +83,9 @@ def cs_coeffs(z, trunc: int, ctx: PrecisionContext) -> CoherentStateVector:
     """Normalized coherent-state coefficients up to ``trunc``.
 
     Raises TruncationError when the geometric tail certificate cannot
-    push the missing mass below series_tol (choose a larger trunc), and
-    ValueError for a z that is not finite.
+    push the missing mass below series_tol (choose a larger trunc),
+    ValueError for a z that is not finite, and DomainError for a q that
+    rounds to 1.
 
     Each step on integer pairs is the exact result rounded once, each
     part: |z| (``_hypot``, the root of the exact |z|^2), |z|^2, 1 - q,
@@ -95,6 +96,7 @@ def cs_coeffs(z, trunc: int, ctx: PrecisionContext) -> CoherentStateVector:
     """
     if trunc < 1:
         raise DomainError(f"trunc must be >= 1, got {trunc}")
+    _refuse_unit_q(ctx)
     prec = ctx.mp.prec
     zv = ctx.mpc(z)
     zp = _operand(zv, ctx)

@@ -68,6 +68,13 @@ def as_fraction(value: Rational) -> Fraction:
     raise DomainError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def _refuse_unit_q(ctx: "PrecisionContext") -> None:
+    """DomainError if q rounds to 1 at the working precision, where the
+    lattice weight's theta_3 terms are all 1 and 1 - q is 0."""
+    if ctx.qm == 1:
+        raise DomainError(f"q={ctx.q} rounds to 1 at {ctx.mp.prec} bits of precision")
+
+
 # idle mpmath contexts, handed back by collected contexts; one list for
 # every precision, so it never holds more than were ever alive at once
 _IDLE: list = []

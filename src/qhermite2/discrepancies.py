@@ -117,9 +117,9 @@ REGISTRY: Tuple[DiscrepancyEntry, ...] = (
         rejected="N^2(|z|^2) = gex((1-q) |z|^2)",
         resolved="N^2(|z|^2) = gex((1-q)/q * |z|^2)",
         evidence=(
-            "eigenvector residual bound and the closed-form overlap hold "
-            "only with the /q base; both readings are reported by "
-            "cs_closed_form_report for comparison"
+            "rho_n! = (q/(1-q))^n I_n, so the ratio-law coefficients have "
+            "unit norm within the cs tail bound only with the /q base; the "
+            "z-plane ring masses read N^2 at the same base"
         ),
     ),
     DiscrepancyEntry(
@@ -131,9 +131,10 @@ REGISTRY: Tuple[DiscrepancyEntry, ...] = (
             "(i tau; q)_inf * phi_11(i x; i tau; q, -i tau) / N"
         ),
         evidence=(
-            "direct Fock-sum evaluation matches the resolved closed form "
-            "to 1e-30 across z, x samples; the -i q reading does not "
-            "depend on z and cannot"
+            "when the closed form was last evaluated, a direct Fock sum "
+            "matched the resolved reading to 1e-30 across z, x samples; "
+            "the -i q reading does not depend on z and cannot; the cs "
+            "command now gates the ratio-law vector, not the closed form"
         ),
     ),
     DiscrepancyEntry(
@@ -149,9 +150,11 @@ REGISTRY: Tuple[DiscrepancyEntry, ...] = (
         ),
         evidence=(
             "the backward scheme collapses in two steps (g_{M-1} = 0, "
-            "g_{M-2} < 0); the upward sweep reproduces all closed-form "
-            "moments to 1e-11 and is stable under tail doubling to "
-            "below series_tol"
+            "g_{M-2} < 0); the weight is the theta_3 member "
+            "f(q^n) = (q;q)_inf / theta_3 sum_{i >= ceil(-n/2)} "
+            "q^(i^2) / (q;q)_(n+2i), seeded at the window's two lowest "
+            "points and run upward, and every window value equals that "
+            "series rounded once at 96 (q, precision, depth) test points"
         ),
     ),
     DiscrepancyEntry(

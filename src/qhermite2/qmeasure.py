@@ -56,7 +56,7 @@ from ._pairs import (
     _round_even,
     _sum,
 )
-from .context import PrecisionContext
+from .context import PrecisionContext, _refuse_unit_q
 from .errors import DomainError, NoConvergenceError
 from .exact import moment_In_exact
 from .qcalculus import HAT_DEPTH, _hat_sum
@@ -212,9 +212,11 @@ def lattice_weight(K: int, M: int, ctx: PrecisionContext) -> LatticeWeight:
     value is not decided, every enclosure is formed again at 2 prec + 64
     bits (NoConvergenceError if still not).  The powers q^n on the window
     go into the ``q^n`` memo (:func:`~qhermite2.qkernel.q_power_raw`).
+    DomainError for a q that rounds to 1.
     """
     if K < 4 or M < 4:
         raise DomainError(f"K and M must be >= 4, got K={K}, M={M}")
+    _refuse_unit_q(ctx)
     prec = ctx.mp.prec
     for guard in (_pairs._GUARD, prec + _pairs._GUARD):
         values = [_decided(ends, prec) for ends in _enclosures(K, M, ctx, prec + guard)]
@@ -306,24 +308,17 @@ class MomentResult:
     rel_deviation: object
 
 
-# Default tail index M of the weight behind a hat sum (M >= K + 2).
-TAIL_INDEX = 120
-
-
 def _hat_weight(
-    K: int, M: int, ctx: PrecisionContext, weight: Optional[LatticeWeight] = None
+    K: int, ctx: PrecisionContext, weight: Optional[LatticeWeight] = None
 ) -> LatticeWeight:
     """The weight on [-(K+1), K], the window that a depth-K hat sum of
-    f(q^{j-2}) reads: ``lattice_weight(K + 1, M)``, whose upper end
-    M >= K + 2 changes no value, or a prebuilt ``weight`` that covers
-    it.  K >= 3, so the window's lower depth K + 1 meets the floor of
-    :func:`lattice_weight`."""
+    f(q^{j-2}) reads: ``lattice_weight(K + 1, K + 2)``, or a prebuilt
+    ``weight`` that covers it.  K >= 3, so the window's lower depth
+    K + 1 meets the floor of :func:`lattice_weight`."""
     if K < 3:
         raise DomainError(f"K must be >= 3, got K={K}")
-    if M < K + 2:
-        raise DomainError(f"tail depth M={M} too small for K={K}")
     if weight is None:
-        return lattice_weight(K + 1, M, ctx)
+        return lattice_weight(K + 1, K + 2, ctx)
     if weight.m_min > -(K + 1) or weight.m_max < K:
         raise DomainError(
             f"prebuilt weight range [{weight.m_min}, {weight.m_max}] "
@@ -336,7 +331,6 @@ def moment_In(
     n: int,
     ctx: PrecisionContext,
     K: int = HAT_DEPTH,
-    M: int = TAIL_INDEX,
     weight: Optional[LatticeWeight] = None,
 ) -> MomentResult:
     """n-th weight moment via the hat integral on the lattice.
@@ -348,7 +342,7 @@ def moment_In(
     """
     if n < 0:
         raise DomainError(f"moment order must be >= 0, got {n}")
-    weight = _hat_weight(K, M, ctx, weight)
+    weight = _hat_weight(K, ctx, weight)
 
     prec = ctx.mp.prec
 
@@ -431,7 +425,6 @@ def build_measure(
     target: str,
     ctx: PrecisionContext,
     K: int = HAT_DEPTH,
-    M: int = TAIL_INDEX,
     weight: Optional[LatticeWeight] = None,
 ) -> DiscreteMeasure:
     """Point-mass measure solving the moment conditions.
@@ -449,7 +442,7 @@ def build_measure(
 
     Support points are enumerated by the two-branch index split
     (exponents 1-k and k+2, k = 0..K); the branches are separately
-    monotone in abscissa and disjoint.  M must be >= K + 2.
+    monotone in abscissa and disjoint.
     """
     if target not in MEASURE_TARGETS:
         raise DomainError(
@@ -457,7 +450,7 @@ def build_measure(
         )
     mp = ctx.mp
     q = ctx.qm
-    weight = _hat_weight(K, M, ctx, weight)
+    weight = _hat_weight(K, ctx, weight)
     exponents = [1 - k for k in range(K + 1)] + [k + 2 for k in range(K + 1)]
     branch_split = K + 1
 
@@ -524,7 +517,6 @@ def unity_check(
     n_max: int,
     ctx: PrecisionContext,
     K: int = HAT_DEPTH,
-    M: int = TAIL_INDEX,
 ) -> GramReport:
     """Fock-basis Gram diagnostics of the coherent resolution of unity.
 
@@ -536,8 +528,8 @@ def unity_check(
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    weight = _hat_weight(K, M, ctx)
-    moments = [moment_In(n, ctx, K=K, M=M, weight=weight) for n in range(n_max + 1)]
+    weight = _hat_weight(K, ctx)
+    moments = [moment_In(n, ctx, K=K, weight=weight) for n in range(n_max + 1)]
     diag = tuple(m.lattice_value / m.closed_form for m in moments)
     return GramReport(
         n_max=n_max,

@@ -37,7 +37,7 @@ from .qhermite import (
     hermite2_eval_direct,
     qdiff_equation_check,
 )
-from .qmeasure import TAIL_INDEX, _hat_weight, moment_In, unity_check
+from .qmeasure import _hat_weight, moment_In, unity_check
 from .qoscillator import ULP_BUDGET, verify_algebra
 
 __all__ = [
@@ -53,12 +53,8 @@ __all__ = [
     "orthonormality",
 ]
 
-# Defaults of suite inputs that ``qhermite2 verify`` also takes as
-# options (``measure --type extremal`` shares the search bound); the
-# parser reads them from here.
-OPERATOR_DIM = 16
-GENFN_X = Fraction(1, 2)
-GENFN_ORDER = 10
+# The search bound of ``orthonormality``, and the default of
+# ``measure --type extremal --bound``.
 SEARCH_BOUND = Fraction(40)
 
 
@@ -207,7 +203,7 @@ def qcalculus(ctx: PrecisionContext) -> List[Check]:
     return checks
 
 
-def commutators(ctx: PrecisionContext, dim: int = OPERATOR_DIM) -> List[Check]:
+def commutators(ctx: PrecisionContext, dim: int = 16) -> List[Check]:
     """Operator algebra of the dim x dim sections within the ulp budget
     of :func:`verify_algebra`, and the spectrum by two exact paths."""
     q = ctx.q
@@ -254,7 +250,7 @@ def commutators(ctx: PrecisionContext, dim: int = OPERATOR_DIM) -> List[Check]:
 
 
 def generating(
-    ctx: PrecisionContext, x: Fraction = GENFN_X, order: int = GENFN_ORDER
+    ctx: PrecisionContext, x: Fraction = Fraction(1, 2), order: int = 10
 ) -> List[Check]:
     """The resolved generating-function weight matches every order up
     to ``order`` at x; one diagnostic per weight hypothesis.  At low
@@ -360,21 +356,18 @@ def moments(
     n_max: int = 8,
     tol: Fraction = Fraction(1, 10**8),
     k_depth: int = HAT_DEPTH,
-    tail: int = TAIL_INDEX,
 ) -> List[Check]:
-    """Lattice moments I_n (depth K = k_depth, tail index M = tail)
-    against the closed form, and the telescoping I_n = b_{n-1}^2 I_{n-1}
-    between them."""
+    """Lattice moments I_n (depth K = k_depth) against the closed form,
+    and the telescoping I_n = b_{n-1}^2 I_{n-1} between them."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     tol_mp = ctx.mpf(tol)
-    K, M = k_depth, tail
-    weight = _hat_weight(K, M, ctx)
-    params = f"q={ctx.q}; K={K}; M={M}"
+    weight = _hat_weight(k_depth, ctx)
+    params = f"q={ctx.q}; K={k_depth}"
     checks = []
     lattice_values = []
     for n in range(n_max + 1):
-        result = moment_In(n, ctx, K=K, M=M, weight=weight)
+        result = moment_In(n, ctx, K=k_depth, weight=weight)
         lattice_values.append(result.lattice_value)
         checks.append(
             Check(
@@ -400,20 +393,19 @@ def unity(
     n_max: int = 6,
     tol: Fraction = Fraction(1, 10**6),
     k_depth: int = HAT_DEPTH,
-    tail: int = TAIL_INDEX,
 ) -> List[Check]:
     """Resolution of unity: each Gram diagonal entry I_n(lattice)/I_n,
-    n <= n_max, within tol of 1 (lattice depth k_depth, tail index
-    tail); the off-diagonal vanishes by symmetry."""
+    n <= n_max, within tol of 1 (lattice depth k_depth); the
+    off-diagonal vanishes by symmetry."""
     tol_mp = ctx.mpf(tol)
-    report = unity_check(n_max, ctx, K=k_depth, M=tail)
+    report = unity_check(n_max, ctx, K=k_depth)
     checks = []
     for n, g in enumerate(report.diagonal):
         dev = abs(g - 1)
         checks.append(
             Check(
                 f"gram-diagonal n={n}",
-                f"q={ctx.q}; K={k_depth}; M={tail}",
+                f"q={ctx.q}; K={k_depth}",
                 dev,
                 tol,
                 dev <= tol_mp,

@@ -92,7 +92,7 @@ def test_criterion_3_lattice_moments():
         ctx = _CONTEXTS[Fraction(1, 2)]
         tol = Fraction(1, 10**8)
         # closed form for n <= 8, then the telescoping for 1 <= n <= 8
-        checks = suites.moments(ctx, n_max=8, tol=tol, k_depth=60, tail=120)
+        checks = suites.moments(ctx, n_max=8, tol=tol, k_depth=60)
         assert len(checks) == 17
         for check in checks:
             assert check.residual < ctx.mpf(tol), check.identity
@@ -107,7 +107,7 @@ def test_criterion_4_resolution_of_unity():
     with _Criterion(4, "resolution-of-unity diagonal", 10.0) as crit:
         ctx = _CONTEXTS[Fraction(1, 2)]
         tol = Fraction(1, 10**6)
-        *diagonal, off_diagonal = suites.unity(ctx, n_max=6, tol=tol, k_depth=60, tail=120)
+        *diagonal, off_diagonal = suites.unity(ctx, n_max=6, tol=tol, k_depth=60)
         assert len(diagonal) == 7
         for check in diagonal:
             assert check.residual < ctx.mpf(tol), check.identity

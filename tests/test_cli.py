@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import qhermite2
-from qhermite2 import cli
+from qhermite2 import cli, qmeasure, suites
 from qhermite2.cli import SUITES, main
 from qhermite2.discrepancies import REGISTRY
 
@@ -113,8 +114,7 @@ class TestMeasure:
     def test_jackson_branches_labeled(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            ["measure", "--type", "jackson", "--variable", "y",
-             "--k-depth", "8", "--tail", "16"],
+            ["measure", "--type", "jackson", "--variable", "y", "--k-depth", "8"],
         )
         assert code == 0
         lines = out.splitlines()
@@ -340,34 +340,36 @@ class TestExitCodes:
 # each value rounded once: the 3/4, 29/30 and 40/41 rows had printed the
 # other member of the family (the theta_2 one, which the parity of the
 # deep seed's index picked), the 1/2 and 1/5 rows the same member off in
-# its last digits; no exit code moved.
+# its last digits; no exit code moved.  The moments and unity rows were
+# recorded again when the tail index went: the parameters column no
+# longer prints M=120, and no value moved.
 # q, bits, job, exit code, digest.
 _PINNED_LATTICE_OUTPUT = """
 1/2 256 jackson-y 0 05fd79ebaf1208b2c4eecdce3ea63a520fc705facbf81eea049c2b1aef98b85e
 1/2 256 jackson-x 0 84267676814557a08f6ae00c63e004e95a73a54f3fc4749bbd8ac436824e052f
 1/2 256 jackson-z-radial 0 7924f8a5aa25970b0f7e92f63bf624aaab0445df9be742fb13223ea627a4e3b3
-1/2 256 moments 0 16e7fe079418a8192a2f351ee828377b5245c78a60e3252ea26b17232510c694
-1/2 256 unity 0 c4b72377e938ec96da445d163af05f6a084e267c8ec19b9b2f7f952caa960a95
+1/2 256 moments 0 1651dd225cc92865da64950ff9cac5fabae307bd88b8c9d551e3dac554967faa
+1/2 256 unity 0 253878f4d1466020e7108702964c0209c721e05fd18692ed2d3098e8606b51ce
 3/4 128 jackson-y 0 2c9addfb937a32fdd4e88973743130067c27cabdb438a39b67b4d538ef008ce3
 3/4 128 jackson-x 0 18b424b98fb0481710cfd85901464a6fdc059732b5032111b88d7e4510531cf0
 3/4 128 jackson-z-radial 0 605de2665d9f5978b60748243c65676199b9808f8c2acfed3e49f191a14659c7
-3/4 128 moments 1 0e9b1dec26d63d0e0883c5f4edbef8c462df4dd54637b6747a4234f19c92601d
-3/4 128 unity 0 f50fc8402379b3e233b5ed724c0a0dcfd8557a3a1978a052c4f9f2733a27dee4
+3/4 128 moments 1 7ff2cba2f1d015004f54e608fa51f39e12453f7f571d01aa6484d8fd8a9e3fe5
+3/4 128 unity 0 f87a25b77f17ecf96661889f960f1929bb0f0a6aa5d4e07350fe8e0becebe8f2
 1/5 64 jackson-y 0 180da124f235b695d8e872a61c614b838641a3394e00d1612af3cbd1e88dcd89
 1/5 64 jackson-x 0 2294ae1914444325f614ff9b0111748b707c7bbbc9eb2402a7c71a5863584763
 1/5 64 jackson-z-radial 0 3023bb04a6b3acff8beb4778c539515073fba246e9df7082eb286e2f4fa3b2b3
-1/5 64 moments 0 a71d21a1fab379a8e3b250c317af52cc1bfeae29053565aff961e2ec4f2665f9
-1/5 64 unity 0 fc8fa983fc161dad40f4238325c931cfb054e9848ec0d03ff00a6d1265f4c24e
+1/5 64 moments 0 0918e83b991933cad5e693bd817d06a6903b5253c031ad50815656ccef6d5a89
+1/5 64 unity 0 7c4ba8fd7e6e95704fedd107f155423b83b44d2bed1d4c5a5bba8e9ac98ed862
 29/30 256 jackson-y 0 023049a3fc25c874c77309d92e296e7af8913b29d61588a3b8d64a71e3a07a63
 29/30 256 jackson-x 0 b79882361153527f5d15585460c7f6eb8d88c74b53f761f40b48ca1abff909d6
 29/30 256 jackson-z-radial 0 baf6c2c3ddf87bb27685e8dcc5ffc783cc0f9fb90b249075b4ded032361267ba
-29/30 256 moments 1 a92156c6a2f3b38c726c61cccb2cee881edbe8843a7de24d0840fffd86a633b1
-29/30 256 unity 1 424eeb83fa6ea3591b1b3d46a99f4a5e871529855fbcaf34f6d29438f75d6747
+29/30 256 moments 1 627367115c9ca13c5f0f835f9360b2ac31d0d633f6aa1b1da911de1cab1c693d
+29/30 256 unity 1 0d72982bdf68db93703b6c2aab89f0c1d4e1f98126f584a7c12d01aa39a89764
 40/41 128 jackson-y 0 186c267c573558517584e7b31c50ad42baadeea3acfcb132aaf2be1486ffb469
 40/41 128 jackson-x 0 9cab8bd70d1efaca88ebca40fa500cce342b783cefcc4683f4cfd3c1d49e5f2e
 40/41 128 jackson-z-radial 0 42ac470f4d6660bb5541d8433b6d8fe423bbd54214e902d64cd22b194e959c12
-40/41 128 moments 1 ee0c55c047e1f4750116761ea06fed35575bf1a385a615a65c2fa99060651de2
-40/41 128 unity 1 c601f7941a97f7f1fa67593edc7f4f43c0eacfe0b0eba7b660ad27ac26283687
+40/41 128 moments 1 06a9cef46aef573fcb8849d45f89f60624c2954d14c8ade280586b816c640e45
+40/41 128 unity 1 435738cb0879a5fc9fe38eb390eb3a382c1e71c7e5d5f91e39128923ad2dd387
 """
 
 
@@ -539,22 +541,25 @@ def test_exact_layer_output_pinned(capsys, q, argv, code, digest):
 # values: at 64 bits the last Newton halvings follow rounding, 512 bits
 # runs the widest mantissas, and q = 4/5 sums hundreds of terms per
 # evaluation.  The q = 4/5 roots are those of D, not yet of the paper's
-# carrier, so that row moves with ROADMAP item 1.
+# carrier, so that row moves with ROADMAP item 1.  The json rows were
+# recorded again when the config echo came to list only the options the
+# measure type or suite reads, and the registry's evidence texts were
+# mended; no value moved.
 _PINNED_EXTREMAL_OUTPUT = """
 1/2 256 extremal 7/1000 csv 0 737c28655dd1d0de9b5d2349da2133d95a2a9adec87936c8317b7d49a0054f29
-1/2 256 extremal 7/1000 json 0 24803ee4ee827f70e5d68b52ffaead8eaa2c0017972c9bc8a00077e7b8f5dbc9
+1/2 256 extremal 7/1000 json 0 c09fa1c3ba8c70645e26c9ad7cecd8192a1586e694286746cad620f9127d7aef
 1/2 192 extremal 43/10 csv 0 9fee0edb21f9d3bfcb50b81adfe8437a5a73ed936e2e83acbdcf0fa041f5ff85
-1/2 192 extremal 43/10 json 0 731a9f8486c9ae2d552100347e495cf17950987120fc18aabd2834a951cd59d4
+1/2 192 extremal 43/10 json 0 c7b6f96fd445f580a44f8c2b6cff72ab657179e076904a1498e0e61f67243990
 1/2 128 extremal 973/10 csv 0 910d464e3eba2927ed1f13e6ba5ba2fe45584a7c8bde471fcc313c924433be83
-1/2 128 extremal 973/10 json 0 18f2919a96139f8d05c4b468c3f712d5dfa9b9404c905d13158aaa4daadb38ef
+1/2 128 extremal 973/10 json 0 e9e6c3106d885b0a1a210447b42038f56e1a189944deadc97b2252b71f9d75a1
 3/10 256 extremal 30 csv 0 b531b31193848040d21839da1c8cd23c13a1136f4c727220e07ec85f403e5096
-3/10 256 extremal 30 json 0 ec239b030aa328551a9415be7f91e806ca5406d7bedecf7c665a22f13f47a75b
+3/10 256 extremal 30 json 0 d8bb4b0800c61ee6c5eb5acfe9997326efd736066a2186e7680f1b5daeba7e6d
 1/2 128 orthonormality 40 csv 0 5124f48ff9d37258dbadb17d0e69859bacc56df72dbc6a82d0986c8956905e85
-1/2 128 orthonormality 40 json 0 7e5fe1057ca1c6dbe2a6031bad13ace6341948c96327e670e82a4284cb91b0c9
+1/2 128 orthonormality 40 json 0 edc0c0e856a980b00ccb6a3411f43c6401716e63a820b6bd799b60752b2ee621
 1/2 128 orthonormality 51 csv 0 8c2fd5048ff6a646e4ee32a5c53f57507662ba49f78c15f3bb061dacc49cffd4
-1/2 128 orthonormality 51 json 0 d9e48726ecd1c8236877cff4fe0983e85c935f256acf39e55661932c0cb5caf7
+1/2 128 orthonormality 51 json 0 66ffaef2f841875571d69863b56bce424e7d4621302f1cf2c44e0b451ca09d1d
 1/2 64 extremal 30 csv 0 7173507e617c914cfa775f4bb95487a1b2cb4b3e8b211838fcf4a72a7fd671e6
-1/2 512 extremal 25 json 0 2becc244df3f0947b6f0ede04d64c76a4afc0939e7d9318c49739f3985741d84
+1/2 512 extremal 25 json 0 597c40c299d7c5781c94e3dabc38868472e4bb3bda742bad386a55e302d1938d
 4/5 128 extremal 10 csv 0 e7323ab763b15f6755b8f2651e5e62efc63fc3cdc4369fabf57300851f69bbc9
 """
 
@@ -580,10 +585,11 @@ def test_extremal_output_pinned(capsys, q, bits, job, bound, fmt, code, digest):
 
 # Exit code and SHA-256 of stdout of the operator-algebra suite, recorded
 # from the suite as it was written inside the CLI (q = 999/1000 fails the
-# 4-ulp gate there too): q, bits, dim, format, exit code, digest.
+# 4-ulp gate there too): q, bits, dim, format, exit code, digest.  The
+# json row was recorded again with the extremal json rows above.
 _PINNED_COMMUTATORS_OUTPUT = """
 1/2 256 16 csv 0 dcc790a6ca9f45154aa2afb7b762b89ef4388a12b2baa6d541700cfab62a3426
-1/2 256 16 json 0 d6255717a8f01d9503f9fa608c4cd50e7dc705a5e7ccb01a843944a478ae58a7
+1/2 256 16 json 0 c32195973bd876128748fa407664c905bd069f98dea99110b3364ad74d3f1312
 3/10 256 32 csv 0 ad3e2dc39af9656a4e4ee346eaec4e12658e282b1e939a93ae623b1cb41fc927
 999/1000 256 32 csv 1 ab35f620b9d516176288f315db69380c1614642b299bd6d48250b069dd3f6371
 """
@@ -649,10 +655,11 @@ def test_qcalculus_passes_at_every_q_and_precision(capsys, q, bits):
 # and again when the sum's error began to name its caller (``moment_In:``
 # where it read ``hat_q_integral:``).  The unity row was recorded again
 # when the weight became the closed-form theta_3 member, the same member
-# off in its last digits: suite and extra options, exit code, digest.
+# off in its last digits, and when the tail index went (no M= in the
+# parameters): suite and extra options, exit code, digest.
 _PINNED_SHALLOW_LATTICE_OUTPUT = """
 moments 3 ef95b53232083c5498016fa379741d483e647259c1d55aa2420bf92d92407812
-unity 1 9880511a5217b5c74a2aa7b426df4bba2b2e360c386960869b6ccf7d703c30e7
+unity 1 a90d69e0a886a8a510cb016a3d25a2157a51bce200ec66f39ce4a5a0e42d0d54
 unity --n-max=8 3 ef95b53232083c5498016fa379741d483e647259c1d55aa2420bf92d92407812
 """
 
@@ -671,18 +678,18 @@ def test_shallow_lattice_output_pinned(capsys, args, code, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-# Refusals with exit 2 and the stderr line: a tail index below K + 2
-# (unity and the jackson measure used to widen it silently, where the
-# moments suite refused it), a negative n_max (these suites used to pass
+# Refusals with exit 2 and the stderr line: --tail, the upper end of the
+# weight's window, which changed no value and is gone (a value below
+# K + 2 used to be refused), a negative n_max (these suites used to pass
 # with nothing checked), a tolerance <= 0 (these used to exit 1), and a
 # --tol or --n-max that the suite or subcommand does not read (these used
 # to exit 0 and echo the value in the config; qcalculus, all of whose
 # gates are exact, read --tol until its last two floating rows went, and
-# now refuses any --tol, one <= 0 too).  argparse refuses the last kind
-# on a subcommand without the option, after its usage line.
+# now refuses any --tol, one <= 0 too).  argparse refuses an option that
+# a subcommand does not have, after its usage line.
 _REFUSALS = """
-verify --suite unity --k-depth=10 --tail=8 | tail depth M=8 too small for K=10
-measure --type jackson --k-depth=10 --tail=8 | tail depth M=8 too small for K=10
+verify --suite unity --k-depth=10 --tail=8 | unrecognized arguments: --tail=8
+measure --type jackson --k-depth=10 --tail=8 | unrecognized arguments: --tail=8
 verify --suite recurrence --n-max=-1 | n_max must be >= 0, got -1
 verify --suite moments --n-max=-1 | n_max must be >= 0, got -1
 verify --suite qdiff --n-max=-2 | n_max must be >= 0, got -2
@@ -739,29 +746,86 @@ def test_poly_evaluates_only_the_printed_kind(capsys, monkeypatch, kind, unprint
     assert run_cli(capsys, argv) == printed
 
 
+def _reads(name):
+    """The verify options a suite reads: its keyword parameters, with
+    their defaults."""
+    params = inspect.signature(getattr(suites, name)).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
+# Every verify option that some suite reads, with a value it accepts.
+_SUITE_OPTIONS = {key: str(value) for name in SUITES for key, value in _reads(name).items()}
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [(name, key) for name in SUITES for key in _SUITE_OPTIONS if key not in _reads(name)],
+)
+def test_unread_suite_option_is_refused(capsys, name, key):
+    # Built from the signatures: an option the suite does not read used
+    # to exit 0 and appear in the config echo (qdiff --dim=3).
+    flag = "--" + key.replace("_", "-")
+    argv = ["verify", "--suite", name, f"{flag}={_SUITE_OPTIONS[key]}"]
+    assert run_cli(capsys, argv) == (2, "", f"usage error: suite {name} does not read {flag}\n")
+
+
+@pytest.mark.parametrize(
+    "mtype, option", [("jackson", "--bound=40"), ("extremal", "--k-depth=7"), ("extremal", "--variable=y")]
+)
+def test_unread_measure_option_is_refused(capsys, mtype, option):
+    flag = option.split("=")[0]
+    argv = ["measure", "--type", mtype, option]
+    assert run_cli(capsys, argv) == (2, "", f"usage error: type {mtype} does not read {flag}\n")
+
+
 def test_suite_defaults_are_declared_once():
-    # verify --dim, --order, --x and --bound and measure --bound read the
-    # suites' constants; the config echo prints them as 16, 10, 1/2, 40.
-    import inspect
-
-    from qhermite2 import suites
-
-    def default(suite, name):
-        return inspect.signature(suite).parameters[name].default
-
-    assert (suites.OPERATOR_DIM, suites.GENFN_ORDER) == (16, 10)
-    assert (str(suites.GENFN_X), str(suites.SEARCH_BOUND)) == ("1/2", "40")
-    assert default(suites.commutators, "dim") is suites.OPERATOR_DIM
-    assert default(suites.generating, "order") is suites.GENFN_ORDER
-    assert default(suites.generating, "x") is suites.GENFN_X
-    assert default(suites.orthonormality, "bound") is suites.SEARCH_BOUND
+    # A suite's signature is the one place its defaults live: the verify
+    # parser holds none, and the config echo prints the signature's.
+    assert set(cli._SUITE_OPTIONS) == set(_SUITE_OPTIONS)
     parse = cli._build_parser().parse_args
-    verify = parse(["verify", "--suite", "generating"])
-    assert verify.dim is suites.OPERATOR_DIM
-    assert verify.order is suites.GENFN_ORDER
-    assert verify.x is suites.GENFN_X
-    assert verify.bound is suites.SEARCH_BOUND
-    assert parse(["measure", "--type", "extremal"]).bound is suites.SEARCH_BOUND
+    for name in SUITES:
+        ns = parse(["verify", "--suite", name])
+        assert {key: getattr(ns, key) for key in cli._SUITE_OPTIONS} == dict.fromkeys(cli._SUITE_OPTIONS)
+        cli._suite_inputs(ns)
+        echo = cli._config_echo(ns)
+        for key in ("q", "precision_bits", "format", "suite"):
+            del echo[key]
+        assert echo == {key.replace("_", "-"): str(value) for key, value in _reads(name).items()}
+    ns = parse(["measure", "--type", "jackson"])
+    assert (ns.k_depth, ns.variable, ns.bound) == (None, None, None)
+
+
+# q = 1 - 2^-70 rounds to 1 at 64 bits.  The lattice weight's theta_3
+# series then never stopped (every term is 1) and cs divided by 1 - q = 0
+# (exit 4); both are refused.  The exact commands are unaffected.
+_UNIT_Q = ["--q=1180591620717411303423/1180591620717411303424", "--precision-bits=64"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "measure --type jackson --variable y",
+        "measure --type jackson --variable z-radial",
+        "verify --suite moments",
+        "verify --suite unity",
+        "cs",
+    ],
+)
+def test_q_rounding_to_one_is_refused(capsys, monkeypatch, argv):
+    def entered(*args):
+        raise AssertionError("the theta_3 series was entered")
+
+    monkeypatch.setattr(qmeasure, "_series", entered)
+    message = f"usage error: q={_UNIT_Q[0][4:]} rounds to 1 at 64 bits of precision\n"
+    assert run_cli(capsys, argv.split() + _UNIT_Q) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["poly --n 3 --x 1/2", "table --what bn", "verify --suite recurrence", "verify --suite commutators"],
+)
+def test_exact_commands_at_a_q_rounding_to_one(capsys, argv):
+    assert run_cli(capsys, argv.split() + _UNIT_Q)[0] == 0
 
 
 def test_tolerance_below_double_range(capsys):

@@ -76,6 +76,12 @@ class TestCoefficients:
         with pytest.raises(DomainError):
             cs_coeffs(ctx_half.mpc(1), 0, ctx_half)
 
+    def test_q_rounding_to_one_is_refused(self):
+        # 1 - q is 0 at 64 bits for q = 1 - 2^-70; it used to divide by it.
+        ctx = PrecisionContext(Fraction(2**70 - 1, 2**70), 64)
+        with pytest.raises(DomainError, match=r"rounds to 1 at 64 bits"):
+            cs_coeffs(ctx.mpc(1), 20, ctx)
+
 
 class TestEigenResidual:
     def test_residual_below_bound_across_grid(self, all_ctx):

@@ -33,7 +33,13 @@ when the lattice weight became the closed-form theta_3 member of its
 family, each value rounded once: the unity 4/5 and jackson 63/64
 (512 bits) rows had printed the other member of the family (the theta_2
 one, which the parity of the deep seed's index picked), the others the
-same member off in its last digits; no exit code moved.
+same member off in its last digits; no exit code moved.  When the tail
+index went, the moments and unity rows were recorded again without M=
+in their parameters column (the two rows that passed --tail no longer
+do, and the two that pinned its refusal went), and every json row of
+verify and measure when the config echo came to list only the options
+the suite or measure type reads and the registry's evidence texts were
+mended; no value or exit code moved.
 """
 
 from __future__ import annotations
@@ -52,8 +58,8 @@ _CONTRACT = [
     ('measure --type jackson --variable y --q=63/64 --precision-bits=64', 0, "e27d91b956550968dc9193b80641232b8007b05d5d74602517d10049b4f2bd9b", ''),
     ('measure --type jackson --variable x --q=63/64 --precision-bits=64', 0, "008dc18e7c394bedbbc1d097e19f793d0a76d8e188c086049aa6fa71e21bd438", ''),
     ('measure --type jackson --variable z-radial --q=63/64 --precision-bits=64', 0, "e80add3ec9472488dfb253d55241bd350ca32d995a5f028bccd90ed17fcb8652", ''),
-    ('verify --suite moments --q=63/64 --precision-bits=64', 1, "9b1b003cc306effb104f53868a85280268d76dfcd23db3821ec712c6ee0c4f74", ''),
-    ('verify --suite unity --q=63/64 --precision-bits=64', 1, "024321cf96a545f204064d4500db140ce577f58a69e9ecdfe861ab8269b404e7", ''),
+    ('verify --suite moments --q=63/64 --precision-bits=64', 1, "bda9c26ec02e6fe16a4e0f08d95ceb6fa3473f23ea328f2d8368741441913434", ''),
+    ('verify --suite unity --q=63/64 --precision-bits=64', 1, "9fdffdb763520b0c291b0a50058719e8bbef6ca7f1c49c4b64ae280d1e7ca0a2", ''),
     ('cs --q=1/3 --precision-bits=128', 0, "5eb47609e9ef5782ea80f9d20c98482ebca94c3d641f83c5ed1132d29974a608", ''),
     ('cs --z-re=-3/2 --z-im=1/4 --trunc=30 --q=1/3 --precision-bits=128', 0, "cbb642c00c608e73f98bbd68cb2d539e61031db3cef6d304505f47e6b40a2af2", ''),
     ('verify --suite generating --q=1/3 --precision-bits=128', 0, "b9e90101959a4d22796809e0d16dec639a47d8016ad94b8ba23e907f9b644547", ''),
@@ -76,22 +82,22 @@ _CONTRACT = [
     ('verify --suite generating --q=26/27 --precision-bits=256', 0, "2c3602e6a3636ff3d93f4396ea8c6b401aab4871e35937142c8127f833b84269", ''),
     ('verify --suite qdiff --q=26/27 --precision-bits=256', 0, "b9e2c7d2c44f9cc752b1ae6009c51a521a0f7df966b6644d547fa93fd5ee6cc1", ''),
     ('verify --suite recurrence --q=26/27 --precision-bits=256', 0, "01056493b0e0fa129046288028f1253f2d7d70a72fe0909ef60b021d16e04372", ''),
-    ('verify --suite recurrence --format=json', 0, "1ec5d4ca1a7f28cb163aa77b5ed6fcad22c649dff5c7e48a2490cedbaf83868d", ''),
-    ('verify --suite generating --x=-3/4 --order=6 --format=json', 0, "7ba59dda8c98d80a9f4813e7323ebb3e386254d9ae9fe05ab888d93d546f88e9", ''),
+    ('verify --suite recurrence --format=json', 0, "593ed0f43670d94b3b961b67e4afa8ac3ef553bacd662a81415cb6c5b9e31b6a", ''),
+    ('verify --suite generating --x=-3/4 --order=6 --format=json', 0, "1c91b87a2a1463e96e79bfb95bf5ec665b7a4ad666676de62a770b43f5038c3a", ''),
     ('cs --format=json', 0, "69398cec35c4629585be0559a57e9eac57d9a6a01c7f108d18ad481ff6571ba6", ''),
     ('table --what spectrum --q=3/10', 0, "b78c22614120d963ddb08bcdb12cf475221394268c58040b09403430dd15ba6f", ''),
     ('table --what bn --q=3/10', 0, "262471ff3512157105499cb35453f61f7d03f906507d335aa133e29aa48323a2", ''),
     ('table --what moments --q=3/10', 0, "5d048476d9e3cb62d83e27cde6264054720e9ab2f266460590038972dba07e62", ''),
-    ('verify --suite commutators --q=2/3 --dim=24 --format=json', 0, "57a612c793f7fb29aa9bd4c3cb4a16d70c9a4908d3abaa20156547d9a3039dc0", ''),
+    ('verify --suite commutators --q=2/3 --dim=24 --format=json', 0, "b333fb148b147e2293e92218fa082f99fa4c71e0d118d8afbc26a5ea65fe0949", ''),
     ('measure --type extremal --bound=1/1000 --precision-bits=128', 0, "737c28655dd1d0de9b5d2349da2133d95a2a9adec87936c8317b7d49a0054f29", ''),
     ('measure --type extremal --q=1/64 --bound=200', 0, "d18d2e943b3f0a4cc45b3eb69f2b9e6c677d82ff551ab41139102225d617f5d2", ''),
     ('verify --suite recurrence --n-max=5 --tol=1e-30 --q=3/10', 0, "a72163108594abe5251c1516beed8e0eced7d1cc66acc00409d92df47238bcc5", ''),
     ('verify --suite recurrence --precision-bits=64', 1, "dcf08275c0f9491945d7bd3802cdf285f187704ad1f7ca469f78d0c7979eea03", ''),
     ('verify --suite qcalculus --tol=1/10000000000 --q=4/5', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: suite qcalculus does not read --tol'),
-    ('verify --suite qdiff --n-max=6 --format=json', 0, "b107af320d6758c479ff8df6c88868a7ee7694e9839354bc799df8e84092ea1c", ''),
-    ('verify --suite moments --n-max=4 --k-depth=30 --tail=60 --tol=1e-6', 0, "7387c78437260ad8fbc60e4f7befca94f5cfbecb66378a311cd00669fcbb2963", ''),
-    ('verify --suite unity --n-max=3 --q=4/5 --format=json', 1, "e80910f82d6478d7dc51eb1002d4894b89b16c4b2d858b23cfb08bc6441e98fb", ''),
-    ('verify --suite unity --tol=1e-3', 0, "93680bbe52d22eb2cf15aeac3ca7ee784335c5aa693fb7418d08f11acbbfe46c", ''),
+    ('verify --suite qdiff --n-max=6 --format=json', 0, "9c06bafda9b46a3f1658ea2d4ce881cd2cdf3c4042a02b34ff0c47baea5621e4", ''),
+    ('verify --suite moments --n-max=4 --k-depth=30 --tol=1e-6', 0, "cf85e639a895556a3ea12eb019cc83a27350182f6fdd3c0a9783be91feb2ed10", ''),
+    ('verify --suite unity --n-max=3 --q=4/5 --format=json', 1, "ecee01fdc468901c35e2428bb39c36975a32e26458034f8b743b9ac7268c799b", ''),
+    ('verify --suite unity --tol=1e-3', 0, "aff781bdb9435546fc25a58a1cd5c78de9525940280338582972abfd3c54d338", ''),
     ('verify --suite commutators --q=99/100 --dim=48 --precision-bits=64', 1, "ed1d32a900bbaf3e22b42dca66fdaaf4d2a2e0423b17331f6a721d25ef226606", ''),
     ('verify --suite generating --x=2 --q=4/5', 0, "e07fe26bc5fd532dcfbe12b991fc9525629c14106e87e32dde5e39f4330b6c45", ''),
     ('verify --suite recurrence --tol=abc', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage error: could not parse --tol value 'abc'"),
@@ -105,8 +111,6 @@ _CONTRACT = [
     ('measure --type jackson --variable x --k-depth=8', 0, "3f7b7396e774ff4a09bff80c6a8299019b3f1b0b7d6c7b5cd2a9f26afff43aaa", ''),
     ('verify --suite qcalculus --q=1/64 --precision-bits=128', 0, "2046c239b533c8b5365177da87eac2cd295a6e022ff64871d3f01b5fdb4bee80", ''),
     ('verify --suite qcalculus --q=1/64 --precision-bits=256', 0, "98e070fba0572b1a62c563ab9ce701935a3a985cb0d3bec11d8203a1ff88210c", ''),
-    ('verify --suite moments --k-depth=10 --tail=8', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: tail depth M=8 too small for K=10'),
-    ('verify --suite moments --tail=3', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: tail depth M=3 too small for K=60'),
     ('verify --suite moments --k-depth=2', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: K must be >= 3, got K=2'),
     ('verify --suite unity --k-depth=-3', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: K must be >= 3, got K=-3'),
     ('verify --suite moments --k-depth=-3', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: K must be >= 3, got K=-3'),
@@ -122,17 +126,17 @@ _HOT_PATH_CONTRACT = [
     ('verify --suite qcalculus --q=26/27 --precision-bits=128', 0, "2f139069cc80cae855968ca2008286026302b9f355c2a2537072a7df046fe43a", ''),
     ('verify --suite qcalculus --q=9/10 --precision-bits=512', 0, "4dedbca2899149e5f25f5cc8f69c6fcc425cc89c78f7abfbe58720f5858ee625", ''),
     ('measure --type jackson --variable z-radial --q=32/33', 0, "256a5ce7998e89a697cf082cb664d7429cbcced287b952e811af1996d6bc3076", ''),
-    ('measure --type jackson --variable z-radial --q=3/7 --precision-bits=512 --format=json', 0, "c8962af8ce0f512775b85fe0a01929741b6ed836ba6ce8054486461d53f87530", ''),
+    ('measure --type jackson --variable z-radial --q=3/7 --precision-bits=512 --format=json', 0, "04059a0b6769e6ef39cd728c0463cee1f00a3513f3d838978d304e346d5ee276", ''),
     ('verify --suite recurrence --q=7/61 --precision-bits=512', 0, "9d19e00c44dbcbf5b5acb7ca24b131f2fec2836bda06c1c48448149d84d0cebd", ''),
-    ('verify --suite moments --q=11/12 --k-depth=300 --tail=400 --precision-bits=128', 0, "e3973da647b781a6a9ba95d60323b1c0b1ed1a88bbe0c6fff67a93a0abc931ae", ''),
+    ('verify --suite moments --q=11/12 --k-depth=300 --precision-bits=128', 0, "17991567ba041188d738d5e5b46aa37a7aa808c3e7bd244831db8940bc7d719f", ''),
     ('cs --q=19/28 --precision-bits=512', 0, "df92cbdc95a4cb9f10728d3c0b904711c30139b1ad9305b7feb452cd3d8a90a4", ''),
     ('cs --z-re=3 --z-im=-2 --q=7/8 --format=json', 0, "667cf93f01dc488cdbc31369378c283fc490b98a2a7439c05e7bfee0048ec5d2", ''),
     ('poly --n 12 --x=-13/5 --q=5/6 --precision-bits=512', 0, "4ea3f7a33ef80f45fca54961fa34fadd8581f62bd6af18fdd0ac6c093822e397", ''),
     ('measure --type jackson --variable y --q=63/64 --precision-bits=512', 0, "72ed0fe2d45fd018c22eeddbc77b97c395e09ce46f5c3c66906335ebbe3ebb74", ''),
-    ('verify --suite unity --q=45/46 --precision-bits=512', 1, "df229942ced25783fbfcc618a2fe636b13cb7b7dca07396a0641a88bee2b0755", ''),
+    ('verify --suite unity --q=45/46 --precision-bits=512', 1, "fc59c01ae93e1ff0c20959086c7ddb7da3bb40eb991500bd1df05e017e5f03b4", ''),
     ('verify --suite qcalculus --q=49/58 --precision-bits=512', 0, "60334f017f7c9e8f7579fc6a0d24f315ba211d24f4d6e01179d32ff7e8c1c0e1", ''),
     ('verify --suite qcalculus --q=56/61 --precision-bits=256', 0, "01b2f7e316e57d817b56fe55f8193be660e75ae18b258714f5fb766964779943", ''),
-    ('verify --suite qcalculus --q=40/41 --precision-bits=512 --format=json', 0, "4e19170d4d24b09fe21da4136b01df6702840364a10651827f5108be62a771ca", ''),
+    ('verify --suite qcalculus --q=40/41 --precision-bits=512 --format=json', 0, "6c11aba1ecf2a619506e540ccc32b91fe82c3c65d2a82a0dad00335f2a421484", ''),
     ('verify --suite recurrence --q=1/62 --precision-bits=256', 0, "ec7970c9c183fbde0011007e5e8ffec88f5e8110b7ea8454beca3f71fff292f5", ''),
     ('verify --suite recurrence --q=5/56 --precision-bits=128', 0, "314875c1fa7c975b417659c20098ba03451c9b95744f5dec001f77ed0f1f6e20", ''),
     ('verify --suite recurrence --q=8/17 --precision-bits=256', 0, "478577fd2e38e735eae073b9c8126faf03e70eaf5435c274bfe30b2e929b3dbf", ''),

@@ -177,7 +177,7 @@ class TestHatIntegral:
         # High moments at q = 4/5 produce growing-branch terms whose
         # adjacent magnitudes alternate between two parity subsequences;
         # the decay certificate must consult both predecessors.
-        result = moment_In(8, ctx_q8, K=60, M=120)
+        result = moment_In(8, ctx_q8, K=60)
         assert result.rel_deviation < ctx_q8.mpf("1e-3")
 
     def test_domain_validation(self, ctx_half):
@@ -422,12 +422,12 @@ class TestHatSumsBitwise:
             for n in range(9):
                 got = _outcome(
                     lambda: tuple(
-                        vars(moment_In(n, ctx, K=K, M=M, weight=weight)).values()
+                        vars(moment_In(n, ctx, K=K, weight=weight)).values()
                     )
                 )
                 want = _outcome(lambda: (n,) + _ref_moment_In(n, ctx, K, weight))
                 assert got == want, (K, n)
-            fresh = moment_In(3, ctx, K=K, M=M)
+            fresh = moment_In(3, ctx, K=K)
             assert fresh.lattice_value == _ref_moment_In(3, ctx, K, weight)[0]
 
 def _bits(value):

@@ -130,6 +130,17 @@ class TestLatticeWeight:
                 assert abs(lhs - rhs) <= 16 * ctx.eps * scale
             assert w.residual_max <= ctx.mpf("1e-60")
 
+    def test_q_rounding_to_one_is_refused(self, monkeypatch):
+        # q = 1 - 2^-70 rounds to 1 at 64 bits: every theta_3 term is 1,
+        # and the series never stopped.
+        def entered(*args):
+            raise AssertionError("the theta_3 series was entered")
+
+        monkeypatch.setattr(qmeasure, "_series", entered)
+        ctx = PrecisionContext(Fraction(2**70 - 1, 2**70), 64)
+        with pytest.raises(DomainError, match=r"rounds to 1 at 64 bits"):
+            lattice_weight(8, 8, ctx)
+
     def test_range_enforced(self, ctx_half):
         w = lattice_weight(6, 8, ctx_half)
         with pytest.raises(DomainError):
@@ -167,7 +178,7 @@ class TestMember:
         ctx = PrecisionContext(Fraction(q), bits)
         shallow, odd, deep = (
             dict(zip(mu.exponents, mu.weights))
-            for mu in (build_measure("y-variable", ctx, K=K, M=120) for K in (20, 21, 60))
+            for mu in (build_measure("y-variable", ctx, K=K) for K in (20, 21, 60))
         )
         for m, mass in shallow.items():
             assert mass._mpf_ == odd[m]._mpf_ == deep[m]._mpf_, m
@@ -213,8 +224,8 @@ class TestIndeterminacy:
     def test_reproduces_the_moments(self, members):
         ctx, weight, other = members
         for n in range(7):
-            ours = moment_In(n, ctx, K=HAT_DEPTH, M=HAT_DEPTH + 2, weight=weight)
-            theirs = moment_In(n, ctx, K=HAT_DEPTH, M=HAT_DEPTH + 2, weight=other)
+            ours = moment_In(n, ctx, K=HAT_DEPTH, weight=weight)
+            theirs = moment_In(n, ctx, K=HAT_DEPTH, weight=other)
             assert theirs.rel_deviation < ctx.mpf("1e-18"), n
             # Both miss the same hat-sum tail beyond depth K (4e-19 at
             # n = 0), so the moments of mu^(1) - mu^(0) vanish to working
@@ -326,18 +337,18 @@ class TestSweepKernel:
 class TestMoments:
     def test_matches_closed_form_to_target(self, ctx_q3, ctx_half, weight_half):
         for n in range(9):
-            res = moment_In(n, ctx_half, K=60, M=120, weight=weight_half)
+            res = moment_In(n, ctx_half, K=60, weight=weight_half)
             assert res.rel_deviation < ctx_half.mpf("1e-8"), n
         for n in range(9):
-            res = moment_In(n, ctx_q3, K=60, M=120)
+            res = moment_In(n, ctx_q3, K=60)
             assert res.rel_deviation < ctx_q3.mpf("1e-8"), n
 
     def test_shallow_lattice_honest_at_slow_decay(self, ctx_q8):
         # At q = 4/5 the shrinking-branch tail q^{K+3}/(1-q) at K=60 sits
         # near 5e-6, so the 1e-8 target needs the deeper lattice.
-        shallow = moment_In(0, ctx_q8, K=60, M=120)
+        shallow = moment_In(0, ctx_q8, K=60)
         assert shallow.rel_deviation > ctx_q8.mpf("1e-8")
-        deep = moment_In(0, ctx_q8, K=140, M=282)
+        deep = moment_In(0, ctx_q8, K=140)
         assert deep.rel_deviation < ctx_q8.mpf("1e-8")
 
     def test_telescoping_ratio(self, ctx_half, weight_half):
@@ -346,8 +357,8 @@ class TestMoments:
             assert moment_In_exact(n, q) == (
                 bn_squared_exact(n - 1, q) * moment_In_exact(n - 1, q)
             )
-            hi = moment_In(n, ctx_half, K=60, M=120, weight=weight_half)
-            lo = moment_In(n - 1, ctx_half, K=60, M=120, weight=weight_half)
+            hi = moment_In(n, ctx_half, K=60, weight=weight_half)
+            lo = moment_In(n - 1, ctx_half, K=60, weight=weight_half)
             ratio = hi.lattice_value / lo.lattice_value
             want = ctx_half.mpf(bn_squared_exact(n - 1, q))
             assert abs(ratio - want) / want < ctx_half.mpf("1e-8")
@@ -355,11 +366,9 @@ class TestMoments:
     def test_parameter_validation(self, ctx_half, weight_half):
         with pytest.raises(DomainError):
             moment_In(-1, ctx_half)
-        with pytest.raises(DomainError):
-            moment_In(0, ctx_half, K=60, M=40)
         shallow = lattice_weight(10, 30, ctx_half)
         with pytest.raises(DomainError):
-            moment_In(0, ctx_half, K=60, M=120, weight=shallow)
+            moment_In(0, ctx_half, K=60, weight=shallow)
 
 
 class TestFormalSeries:
@@ -445,7 +454,7 @@ def test_formal_series_reads_shared_complements_bitwise(q, bits):
 class TestBuildMeasure:
     def test_branches_are_monotone_and_disjoint(self, ctx_half, weight_half):
         for target in MEASURE_TARGETS:
-            mu = build_measure(target, ctx_half, K=60, M=120, weight=weight_half)
+            mu = build_measure(target, ctx_half, K=60, weight=weight_half)
             split = mu.branch_split
             grow = mu.support[:split]
             shrink = mu.support[split:]
@@ -455,7 +464,7 @@ class TestBuildMeasure:
             assert all(w > 0 for w in mu.weights)
 
     def test_y_measure_reproduces_moments(self, ctx_half, weight_half):
-        mu = build_measure("y-variable", ctx_half, K=60, M=120, weight=weight_half)
+        mu = build_measure("y-variable", ctx_half, K=60, weight=weight_half)
         for n in range(5):
             got = mu.moment(n, ctx_half)
             want = ctx_half.mpf(moment_In_exact(n, ctx_half.q))
@@ -468,8 +477,8 @@ class TestBuildMeasure:
         # add the same 122 positive terms in the same order and round each
         # term differently (under 16 roundings), so at p bits they agree
         # within 2^(8-p) (measured at 256 bits: at most 8 * 2^-256, at n = 3).
-        mu = build_measure("x-variable", ctx_half, K=60, M=120, weight=weight_half)
-        diagonal = unity_check(4, ctx_half, K=60, M=120).diagonal
+        mu = build_measure("x-variable", ctx_half, K=60, weight=weight_half)
+        diagonal = unity_check(4, ctx_half, K=60).diagonal
         for n in range(5):
             g = ctx_half.mp.pi / rho_factorial(n, ctx_half) * mu.moment(n, ctx_half)
             assert abs(g - 1) < ctx_half.mpf("1e-6")
@@ -479,7 +488,7 @@ class TestBuildMeasure:
     def test_moment_of_undecayed_lattice_raises(self, ctx_half):
         # At K = 8 the growing branch of moment 8 has not decayed; the
         # measure moment goes through the hat sum and its certificate.
-        mu = build_measure("y-variable", ctx_half, K=8, M=16)
+        mu = build_measure("y-variable", ctx_half, K=8)
         with pytest.raises(
             NoConvergenceError,
             match=r"^DiscreteMeasure\.moment: growing-abscissa branch not decaying "
@@ -501,7 +510,7 @@ class TestBuildMeasure:
         # and the last 1/2 digit moved when the weight became the closed
         # form rounded once (the same member).
         ctx = PrecisionContext(q, 128)
-        mu = build_measure("y-variable", ctx, K=20, M=60)
+        mu = build_measure("y-variable", ctx, K=20)
         got = mu.moment(-1, ctx)
         assert str(got) == want
         plain = ctx.mpf(0)
@@ -510,9 +519,9 @@ class TestBuildMeasure:
         assert abs(got - plain) <= ctx.mpf(2) ** -100 * plain
 
     def test_radial_masses_absorb_normalizer(self, ctx_half, weight_half):
-        flat = build_measure("x-variable", ctx_half, K=60, M=120, weight=weight_half)
+        flat = build_measure("x-variable", ctx_half, K=60, weight=weight_half)
         ring = build_measure(
-            "z-plane-radial", ctx_half, K=60, M=120, weight=weight_half
+            "z-plane-radial", ctx_half, K=60, weight=weight_half
         )
         assert ring.support == flat.support
         for k in (0, 30, 61, 100):
@@ -524,15 +533,15 @@ class TestBuildMeasure:
             assert abs(ring.weights[k] - want) <= 16 * ctx_half.eps * want
 
     def test_radial_masses_take_the_ring_normalizers(self, ctx_half, weight_half):
-        flat = build_measure("x-variable", ctx_half, K=60, M=120, weight=weight_half)
-        ring = build_measure("z-plane-radial", ctx_half, K=60, M=120, weight=weight_half)
+        flat = build_measure("x-variable", ctx_half, K=60, weight=weight_half)
+        ring = build_measure("z-plane-radial", ctx_half, K=60, weight=weight_half)
         norms = dict(zip(range(62, -60, -1), _ring_normalizers(60, ctx_half)))
         for m, nu, mass in zip(ring.exponents, flat.weights, ring.weights):
             assert mass == ctx_half.mp.pi * _pairs._mpf(norms[m], ctx_half) * nu, m
 
     def test_constants_documented(self, ctx_half, weight_half):
         for target in MEASURE_TARGETS:
-            mu = build_measure(target, ctx_half, K=60, M=120, weight=weight_half)
+            mu = build_measure(target, ctx_half, K=60, weight=weight_half)
             assert "mass_formula" in mu.constants
 
     def test_unknown_target_rejected(self, ctx_half):
@@ -571,18 +580,16 @@ class TestUnityCheck:
     )
     def test_diagonal_is_lattice_moment_over_closed_form(self, q, bits, K):
         ctx = PrecisionContext(Fraction(q), bits)
-        report = unity_check(6, ctx, K=K, M=120)
+        report = unity_check(6, ctx, K=K)
         weight = lattice_weight(K + 1, 120, ctx)
         for n, g in enumerate(report.diagonal):
-            res = moment_In(n, ctx, K=K, M=120, weight=weight)
+            res = moment_In(n, ctx, K=K, weight=weight)
             assert g._mpf_ == (res.lattice_value / res.closed_form)._mpf_, n
         assert report.max_abs_deviation == max(abs(g - 1) for g in report.diagonal)
 
     def test_parameter_validation(self, ctx_half):
         with pytest.raises(DomainError):
             unity_check(-1, ctx_half)
-        with pytest.raises(DomainError, match="tail depth M=8 too small for K=10"):
-            unity_check(3, ctx_half, K=10, M=8)
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256, 512])
