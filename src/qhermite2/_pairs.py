@@ -289,12 +289,6 @@ def _larger(a: tuple, b: tuple) -> tuple:
     return b if _less(a, b) else a
 
 
-def _pair(value: tuple, prec: int) -> tuple:
-    """(man, exp) of the positive raw mpf ``value``, man of prec bits."""
-    _, man, exp, bc = value
-    return man << (prec - bc), exp - (prec - bc)
-
-
 def _as_pair(value) -> tuple:
     """The mpf ``value`` as a pair."""
     sign, man, exp, _ = value._mpf_

@@ -263,10 +263,12 @@ def _cmd_table(ns, ctx: PrecisionContext) -> CommandOutput:
     return CommandOutput("table", columns, rows, {}, _EXIT_PASS)
 
 
-def _read_options(ns, options, defaults: Dict[str, object], reader: str) -> Dict[str, str]:
-    """The ``options`` set on ``ns``, as typed; one that ``defaults``
-    does not name is refused, and one it names that is unset takes its
-    default on ``ns``, for the config echo."""
+def _read_options(ns, options, defaults: Dict[str, object], reader: str) -> Dict[str, object]:
+    """The value of each option that ``defaults`` names: its default if
+    unset on ``ns``, which ``ns`` then holds for the config echo, else
+    the text on ``ns`` parsed by the type of the default (a Fraction, an
+    int or text).  An option set on ``ns`` that ``defaults`` does not
+    name is refused, before any is parsed."""
     given = {}
     for key in options:
         text = getattr(ns, key)
@@ -277,7 +279,13 @@ def _read_options(ns, options, defaults: Dict[str, object], reader: str) -> Dict
             given[key] = text
         else:
             raise DomainError(f"{reader} does not read --{key.replace('_', '-')}")
-    return given
+    values = dict(defaults)
+    for key, text in given.items():
+        try:
+            values[key] = type(defaults[key])(text)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"could not parse --{key.replace('_', '-')} value {text!r}")
+    return values
 
 
 # Measure type -> the options it reads, with their defaults.
@@ -288,14 +296,14 @@ _MEASURE_OPTIONS = {
 
 
 def _cmd_measure(ns, ctx: PrecisionContext) -> CommandOutput:
-    _read_options(ns, ("variable", "k_depth", "bound"), _MEASURE_OPTIONS[ns.mtype], f"type {ns.mtype}")
+    values = _read_options(ns, ("variable", "k_depth", "bound"), _MEASURE_OPTIONS[ns.mtype], f"type {ns.mtype}")
     if ns.mtype == "jackson":
         target = {
             "y": "y-variable",
             "x": "x-variable",
             "z-radial": "z-plane-radial",
-        }[ns.variable]
-        measure = build_measure(target, ctx, K=ns.k_depth)
+        }[values["variable"]]
+        measure = build_measure(target, ctx, K=values["k_depth"])
         columns = ("branch", "exponent", "support", "mass")
         rows = []
         for i, (m, s, w) in enumerate(
@@ -310,7 +318,7 @@ def _cmd_measure(ns, ctx: PrecisionContext) -> CommandOutput:
         }
         return CommandOutput("measure", columns, rows, extra, _EXIT_PASS)
 
-    bound = as_fraction(ns.bound)
+    bound = values["bound"]
     if bound <= 0:
         raise DomainError(f"--bound must be > 0, got {ns.bound}")
     roots = carrier_roots(bound, ctx)
@@ -380,19 +388,13 @@ _SUITE_OPTIONS = ("tol", "n_max", "dim", "x", "order", "k_depth", "bound")
 
 
 def _suite_inputs(ns) -> Dict[str, object]:
-    """Keyword inputs for the suite: the options set that its signature
-    reads, each parsed by the type of its default (Fraction or int)."""
+    """Keyword inputs for the suite: the options its signature reads
+    (:func:`_read_options`)."""
     params = inspect.signature(_SUITES[ns.suite]).parameters.values()
     defaults = {p.name: p.default for p in params if p.default is not p.empty}
-    inputs: Dict[str, object] = {}
-    for key, text in _read_options(ns, _SUITE_OPTIONS, defaults, f"suite {ns.suite}").items():
-        try:
-            value = as_fraction(text) if isinstance(defaults[key], Fraction) else int(text)
-        except ValueError:
-            raise DomainError(f"could not parse --{key.replace('_', '-')} value {text!r}")
-        if key == "tol" and value <= 0:
-            raise DomainError(f"--tol must be > 0, got {text}")
-        inputs[key] = value
+    inputs = _read_options(ns, _SUITE_OPTIONS, defaults, f"suite {ns.suite}")
+    if inputs.get("tol", 1) <= 0:
+        raise DomainError(f"--tol must be > 0, got {ns.tol}")
     return inputs
 
 

@@ -45,10 +45,10 @@ a row with |t| <= series_tol max(S, series_tol), S the running sum (for
 the loading ratio the larger of |Num| and |Den'|, with t the larger of
 their terms).
 
-Carrier roots are found by a sign scan over a fixed grid (its
-``grid_points`` set the bracket lattice) on the positive axis.  D is
-even bit for bit, not only in exact arithmetic: round-to-nearest is
-symmetric in sign, so each recurrence step gives Psi_n(-x) =
+Carrier roots are found by a sign scan over a fixed grid on the positive
+axis (``_GRID_POINTS`` geometric and as many linear points set the
+bracket lattice).  D is even bit for bit, not only in exact arithmetic:
+round-to-nearest is symmetric in sign, so each recurrence step gives Psi_n(-x) =
 (-1)^n Psi_n(x) exactly, every term x Psi_{2k-1}(x) keeps its value and
 the stop rule sees the same numbers.  The negative roots are therefore
 the mirrored positive ones; and as Num and Den' are odd and each
@@ -134,6 +134,9 @@ __all__ = [
 ]
 
 _RND = round_nearest
+
+# Points of each of the two scan grids of ``carrier_roots`` (``_scan_grid``).
+_GRID_POINTS = 512
 
 # The carrier sign screen (``_screen_sum``): a double operation, and
 # float() of an mpf, errs by at most _U relative in the normal range; a
@@ -637,12 +640,11 @@ def carrier_roots(
     search_bound,
     ctx: PrecisionContext,
     k_terms: Optional[int] = None,
-    grid_points: int = 512,
 ) -> Tuple[CarrierPoint, ...]:
     """All carrier roots in [-search_bound, search_bound].
 
     Sign-scans a merged geometric + linear grid on (0, search_bound]
-    (``grid_points`` of each).  Grid points at or below 2 r0, compared
+    (``_GRID_POINTS`` of each).  Grid points at or below 2 r0, compared
     exactly, take the sign +1 that ``_root_free_radius`` proves
     (D >= 1/2 there); a bound at or below 2 r0 holds no root and builds
     no grid.  The double-precision screen (``_screen``) signs the other
@@ -668,13 +670,11 @@ def carrier_roots(
     bound = ctx.mpf(search_bound)
     if bound <= 0:
         raise DomainError("search_bound must be > 0")
-    if grid_points < 16:
-        raise DomainError(f"grid_points must be >= 16, got {grid_points}")
     root_free = 2 * _root_free_radius(ctx.q)
     if _rational(bound) <= root_free:
         return ()
 
-    grid = _scan_grid(bound, grid_points, ctx)
+    grid = _scan_grid(bound, _GRID_POINTS, ctx)
     # The grid ends at or above bound, so some point lies above 2 r0.
     proven = next(i for i, g in enumerate(grid) if _rational(g) > root_free)
 

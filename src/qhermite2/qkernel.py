@@ -18,16 +18,18 @@ first.  ``gen_exponential`` reads 1 - q^(n+1) from one list per context
 as well.
 Each of these tables is kept per precision, the working precision
 ``ctx.mp.prec`` of the call, as every rounded table is
-(:class:`~qhermite2.context.PrecisionContext`).  Consecutive powers come
-from :func:`q_power_run`, which yields the same values as integer
-mantissas and exponents from one running product and the same test.
+(:class:`~qhermite2.context.PrecisionContext`).
 
-Every adaptive series in the package stops on one rule, kept by
-:class:`Decay`: three terms in a row with |t| <= tol max(|S|, tol), tol
-the context's ``series_tol`` and S the running scale (the partial sum,
-or the larger partial sum of a ratio), compared as integer pairs
-(:mod:`qhermite2._pairs`) at the working precision.  The ratio series
-:func:`gen_exponential` also waits for a term ratio below 1/2.
+:class:`Decay` keeps the stop rule of :func:`gen_exponential` and of the
+extremal carrier, loading and kernel-mass sums: three terms in a row
+with |t| <= tol max(|S|, tol), tol the context's ``series_tol`` and S
+the running scale (the partial sum, or the larger partial sum of a
+ratio), compared as integer pairs (:mod:`qhermite2._pairs`) at the
+working precision.  :func:`gen_exponential` also waits for a term ratio
+below 1/2.  Other series stop on rules of their own: the theta_3 and
+Durfee sums of the lattice weight (``qmeasure._series``) at the first
+term at most half the one before and below 2^-width of the sum, and
+:func:`weight_W` at its first factor below ``series_tol``.
 
 :func:`gen_exponential` runs on integer pairs as well: each term ratio,
 term, partial sum and magnitude is a real or complex pair value, each
@@ -62,7 +64,6 @@ from ._pairs import (
     _mp,
     _mpf,
     _over,
-    _pair,
     _plus,
     _power,
     _product,
@@ -71,7 +72,6 @@ from ._pairs import (
     _root,
     _size,
     _squarings,
-    _start,
     _sum,
     _times,
 )
@@ -102,7 +102,7 @@ _CANCELLATION_GUARD = 20
 
 
 class Decay:
-    """The monitored-decay stop rule of every adaptive series.
+    """The monitored-decay stop rule (module docstring names its series).
 
     ``settled(last, scale)`` takes the magnitude of the latest term and
     the running scale as nonnegative integer pairs (man, exp) (a finite
@@ -183,61 +183,6 @@ def q_power_raw(n: int, ctx: PrecisionContext) -> tuple:
 def q_power(n: int, ctx: PrecisionContext):
     """q^n as an mpf, the exact power rounded once (see :func:`q_power_raw`)."""
     return ctx.mp.make_mpf(q_power_raw(n, ctx))
-
-
-def q_power_run(start: int, stop: int, ctx: PrecisionContext):
-    """Yield q^n for n in range(start, stop) as an integer pair (man, exp),
-    man 2^exp the value of ``q_power_raw(n, ctx)``.
-
-    The mantissa has ``ctx.mp.prec`` bits (one more only where rounding
-    carries to a power of two), so the caller can round products of it
-    on integers.  A running product A = pm 2^pe of W = prec + _GUARD
-    bits (``_pairs._GUARD``) follows q^n, one multiply by the mantissa
-    of q per step, as q^(n+1) = q^n q for every n.  It starts where
-    :func:`~qhermite2._pairs._power` does (``_pairs._start``), and every
-    truncation rounds down, so with c the truncations in A (at most
-    |start| + 3 in the start value, and one per step) and u = 2^(1-W),
-
-        A (1 - u)^c <= q^n <= A (1 - u)^-c,   |A - q^n| < 4c 2^pe,
-
-    as A < 2^(W + pe) and c u <= 1/2 for any run that fits in memory.
-    Where that interval lies strictly between two neighbouring
-    boundaries of the rounding to prec bits (a float and a midpoint),
-    all of it rounds to one float, which is q^n rounded once (Ziv's
-    test); elsewhere (rare: the interval covers under 2^-40 of the
-    rounding cell on runs of up to a million steps, but every exactly
-    representable power lands there) the value is ``q_power_raw``'s.
-    For q a power of two every power is exact.
-    """
-    prec = ctx.mp.prec
-    _, man, exp, _ = ctx.qm._mpf_
-    if man == 1:
-        top = 1 << (prec - 1)
-        for n in range(start, stop):
-            yield top, exp * n + 1 - prec
-        return
-    guard = _pairs._GUARD
-    width = prec + guard
-    pm, pe = _start(start, _chain(abs(start).bit_length(), ctx), width)
-    # The top prec + 1 bits of pm, r = pm >> shift, bracket A between
-    # r 2^shift and (r + 1) 2^shift: a float and the midpoint above it
-    # (r even) or a midpoint and the float above it (r odd).  An
-    # interval A +- error strictly inside rounds to (r + 1) >> 1.
-    shift = guard - 1
-    block = 1 << shift
-    mask = block - 1
-    error = 4 * (abs(start) + 3 + stop - start)
-    limit = block - error
-    for n in range(start, stop):
-        if error < pm & mask < limit:
-            yield ((pm >> shift) + 1) >> 1, pe + guard
-        else:
-            yield _pair(q_power_raw(n, ctx), prec)
-        pm *= man
-        pe += exp
-        excess = pm.bit_length() - width
-        pm >>= excess
-        pe += excess
 
 
 def _chain(count: int, ctx: PrecisionContext) -> tuple:

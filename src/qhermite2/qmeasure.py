@@ -42,12 +42,9 @@ from mpmath.libmp import from_man_exp
 
 from . import _pairs
 from ._pairs import (
-    _ZERO,
     _as_pair,
     _exact,
-    _larger,
     _less,
-    _magnitude,
     _mpf,
     _power,
     _product,
@@ -66,7 +63,6 @@ from .qkernel import (
     gen_exponential,
     q_power,
     q_power_raw,
-    q_power_run,
 )
 
 __all__ = [
@@ -88,20 +84,13 @@ MEASURE_TARGETS = ("y-variable", "x-variable", "z-plane-radial")
 
 @dataclass(frozen=True)
 class LatticeWeight:
-    """Weight values g_m ~ f(q^m) on the exponent range [m_min, m_max].
-
-    ``residual_max`` is the largest relative difference-equation
-    residual over the retained interior; ``negative_count`` the number
-    of retained negative values (the sign pattern is reported, never
-    assumed).
-    """
+    """Weight values g_m = f(q^m) of :func:`lattice_weight`, keyed by m
+    on the exponent range [m_min, m_max]."""
 
     q: Fraction
     m_min: int
     m_max: int
     values: Dict[int, object]
-    residual_max: object
-    negative_count: int
 
     def value(self, m: int):
         if m < self.m_min or m > self.m_max:
@@ -210,9 +199,8 @@ def lattice_weight(K: int, M: int, ctx: PrecisionContext) -> LatticeWeight:
     so no value depends on K or M.  Both ends of a value's enclosure at
     prec + 64 bits (:func:`_enclosures`) round to it (Ziv's test); if one
     value is not decided, every enclosure is formed again at 2 prec + 64
-    bits (NoConvergenceError if still not).  The powers q^n on the window
-    go into the ``q^n`` memo (:func:`~qhermite2.qkernel.q_power_raw`).
-    DomainError for a q that rounds to 1.
+    bits (NoConvergenceError if still not).  DomainError for a q that
+    rounds to 1.
     """
     if K < 4 or M < 4:
         raise DomainError(f"K and M must be >= 4, got K={K}, M={M}")
@@ -224,21 +212,7 @@ def lattice_weight(K: int, M: int, ctx: PrecisionContext) -> LatticeWeight:
             break
     else:
         raise NoConvergenceError(f"lattice weight on [{-K}, {M}] not decided at {prec + guard} bits")
-    memo = ctx.tables.setdefault(("q^n", prec), {})
-    for n, (pm, pe) in zip(range(-K - 1, M), q_power_run(-K - 1, M, ctx)):
-        memo.setdefault(n, from_man_exp(pm, pe))
-
-    tol = _as_pair(ctx.mpf(ctx.series_tol))
-    residual_max = _ZERO
-    for m, v0, v1, v2 in zip(range(-K, M - 1), values, values[1:], values[2:]):
-        step = _product(q_power_raw(m + 1, ctx)[1:3], v0, prec)
-        res = _magnitude(_sum(_sum(v1, (-v2[0], v2[1]), prec), step, prec))
-        scale = _larger(_larger(_magnitude(v2), _magnitude(step)), tol)
-        residual_max = _larger(residual_max, _quotient(res, scale, prec))
-    return LatticeWeight(
-        ctx.q, -K, M, {m: _mpf(v, ctx) for m, v in zip(range(-K, M + 1), values)},
-        _mpf(residual_max, ctx), sum(v[0] < 0 for v in values),
-    )
+    return LatticeWeight(ctx.q, -K, M, {m: _mpf(v, ctx) for m, v in zip(range(-K, M + 1), values)})
 
 
 @dataclass(frozen=True)

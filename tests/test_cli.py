@@ -685,8 +685,10 @@ def test_shallow_lattice_output_pinned(capsys, args, code, digest):
 # --tol or --n-max that the suite or subcommand does not read (these used
 # to exit 0 and echo the value in the config; qcalculus, all of whose
 # gates are exact, read --tol until its last two floating rows went, and
-# now refuses any --tol, one <= 0 too).  argparse refuses an option that
-# a subcommand does not have, after its usage line.
+# now refuses any --tol, one <= 0 too).  measure parses --bound as verify
+# parses its options, naming the option (it used to report "cannot parse
+# rational from ..."), and --bound <= 0 keeps its own message.  argparse
+# refuses an option that a subcommand does not have, after its usage line.
 _REFUSALS = """
 verify --suite unity --k-depth=10 --tail=8 | unrecognized arguments: --tail=8
 measure --type jackson --k-depth=10 --tail=8 | unrecognized arguments: --tail=8
@@ -696,6 +698,11 @@ verify --suite qdiff --n-max=-2 | n_max must be >= 0, got -2
 verify --suite recurrence --tol=0 | --tol must be > 0, got 0
 verify --suite recurrence --tol=-1/10 | --tol must be > 0, got -1/10
 verify --suite unity --tol=0 | --tol must be > 0, got 0
+measure --type extremal --bound=1/0 | could not parse --bound value '1/0'
+measure --type extremal --bound=0 | --bound must be > 0, got 0
+measure --type extremal --bound=-5/2 | --bound must be > 0, got -5/2
+verify --suite orthonormality --bound=1/0 | could not parse --bound value '1/0'
+verify --suite recurrence --n-max=1/2 | could not parse --n-max value '1/2'
 verify --suite commutators --tol=1e-40 --n-max=3 --format=json | suite commutators does not read --tol
 verify --suite generating --tol=1/10 | suite generating does not read --tol
 verify --suite qdiff --tol=1/10 | suite qdiff does not read --tol

@@ -282,8 +282,6 @@ class TestCarrierRoots:
     def test_parameter_validation(self, ctx_half):
         with pytest.raises(DomainError):
             carrier_roots(Fraction(-1), ctx_half)
-        with pytest.raises(DomainError):
-            carrier_roots(Fraction(6), ctx_half, grid_points=8)
 
 
 class TestLoadings:

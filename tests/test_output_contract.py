@@ -39,7 +39,9 @@ in their parameters column (the two rows that passed --tail no longer
 do, and the two that pinned its refusal went), and every json row of
 verify and measure when the config echo came to list only the options
 the suite or measure type reads and the registry's evidence texts were
-mended; no value or exit code moved.
+mended; no value or exit code moved.  The stderr line of the measure row
+with --bound=abc moved when measure came to parse --bound as verify
+parses every option, naming the option; its stdout and exit code stayed.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ _CONTRACT = [
     ('verify --suite generating --x=2 --q=4/5', 0, "e07fe26bc5fd532dcfbe12b991fc9525629c14106e87e32dde5e39f4330b6c45", ''),
     ('verify --suite recurrence --tol=abc', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage error: could not parse --tol value 'abc'"),
     ('poly --n 3 --x=abc', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage error: could not parse --x value 'abc'"),
-    ('measure --type extremal --bound=abc', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage error: cannot parse rational from 'abc'"),
+    ('measure --type extremal --bound=abc', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage error: could not parse --bound value 'abc'"),
     ('measure --type jackson --k-depth=-3', 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'usage error: K must be >= 3, got K=-3'),
     ('measure --type extremal --q=1/64 --bound=100000 --precision-bits=64', 0, "610261b84ef193e1b59087ad0db84377fd3113bc797870f5d635621491dd0f99", ''),
     ('verify --suite qcalculus --q=3/10 --precision-bits=64', 0, "a127f20528d87022c317685bc4549d6b3175dfa32a1e4b619c1249dc78a32667", ''),

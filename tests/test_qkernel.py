@@ -57,7 +57,6 @@ from qhermite2.qkernel import (
     q_pochhammer,
     q_power,
     q_power_raw,
-    q_power_run,
     rho_factorial,
     weight_W,
 )
@@ -986,32 +985,9 @@ def _short(ns, ctx):
     return [n for n in ns if abs(n) * bc <= 2 * ctx.mp.prec]
 
 
-def _representable(ns, ctx):
-    """The n whose power q^n has at most prec bits, for q not a power of
-    two: those the run's test cannot decide."""
-    man, count, exact = ctx.qm._mpf_[1], 0, 1
-    while exact.bit_length() <= ctx.mp.prec:
-        count, exact = count + 1, exact * man
-    return [n for n in ns if 0 <= n < count]
-
-
-def _run(start, stop, ctx):
-    """q_power_run's pairs as raw mpf values; each mantissa has the
-    working precision's bits, or one more where rounding carried."""
-    prec = ctx.mp.prec
-    out = []
-    for man, exp in q_power_run(start, stop, ctx):
-        assert man >> (prec - 1) == 1 or man == 1 << prec
-        out.append(from_man_exp(man, exp))
-    return out
-
-
-def _exact_run(start, stop, ctx):
-    return powers(ctx.qm._mpf_, start, stop, ctx.mp.prec)
-
-
 class TestQPowerRun:
-    """q_power_run yields the exact q^n rounded once for consecutive n."""
+    """q_power_raw gives the exact q^n rounded once over runs of
+    consecutive n."""
 
     # Ranges across zero, and runs that start deep on either side.
     RANGES = ((-1500, 1500), (-40000, -39000), (39000, 40000))
@@ -1026,8 +1002,7 @@ class TestQPowerRun:
     def test_matches_q_power_raw(self, q, bits):
         ctx = PrecisionContext(q, bits)
         for start, stop in self.RANGES:
-            want = _exact_run(start, stop, ctx)
-            assert _run(start, stop, ctx) == want
+            want = powers(ctx.qm._mpf_, start, stop, bits)
             assert [q_power_raw(n, ctx) for n in range(start, stop)] == want
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1043,43 +1018,8 @@ class TestQPowerRun:
     )
     def test_property_rational_q(self, q, bits, start, length):
         ctx = PrecisionContext(q, bits)
-        want = _exact_run(start, start + length, ctx)
-        assert _run(start, start + length, ctx) == want
+        want = powers(ctx.qm._mpf_, start, start + length, bits)
         assert [q_power_raw(n, ctx) for n in range(start, start + length)] == want
-
-    @pytest.mark.parametrize("guard, certified", [(64, True), (2, False)])
-    def test_fallback_keeps_the_bits(self, monkeypatch, guard, certified):
-        # The rounding test decides every step at the default guard but
-        # the exactly representable powers; with two guard bits it
-        # decides none, each step falls back to q_power_raw, and that
-        # retries with prec + 2 guard bits.
-        ctx = PrecisionContext(Fraction(29, 30), 256)
-        ns = range(-1500, 1500)
-        monkeypatch.setattr(_pairs, "_GUARD", guard)
-        calls = _counted(monkeypatch, qkernel, "q_power_raw", 0)
-        assert _run(ns.start, ns.stop, ctx) == _exact_run(ns.start, ns.stop, ctx)
-        assert calls == (_representable(ns, ctx) if certified else list(ns))
-        assert _representable(ns, ctx) == [0, 1]
-
-    def test_other_precision_certifies(self, monkeypatch):
-        # Inside workprec the run certifies its steps as at the context
-        # precision and calls q_power_raw for the representable powers
-        # only: q^0 and q^1 of the long mantissa of 40/41.
-        self._certifies_inside_workprec(monkeypatch, Fraction(40, 41), [0, 1])
-
-    def test_other_precision_certifies_short_mantissa(self, monkeypatch):
-        # The powers 3^n 2^(-2n) of q = 3/4 are representable in 205 bits
-        # up to n = 129.
-        self._certifies_inside_workprec(monkeypatch, Fraction(3, 4), list(range(130)))
-
-    @staticmethod
-    def _certifies_inside_workprec(monkeypatch, q, representable):
-        ctx = PrecisionContext(q, 128)
-        ns = range(-2000, 2000)
-        calls = _counted(monkeypatch, qkernel, "q_power_raw", 0)
-        with ctx.mp.workprec(128 + 77):
-            assert _run(ns.start, ns.stop, ctx) == _exact_run(ns.start, ns.stop, ctx)
-            assert calls == _representable(ns, ctx) == representable
 
 
 # Test-local copies of the series kernels on mpf/mpc values, with each

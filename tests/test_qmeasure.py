@@ -6,17 +6,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from correctly_rounded import power_of_q
 from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import to_rational
 
-from qhermite2 import PrecisionContext, _pairs, qkernel, qmeasure
+from qhermite2 import PrecisionContext, _pairs, qmeasure
 from qhermite2.coherent import cs_norm_sq
 from qhermite2.errors import DomainError, NoConvergenceError
 from qhermite2.exact import bn_squared_exact, moment_In_exact, rho_factorial_exact
 from qhermite2.qcalculus import HAT_DEPTH
-from qhermite2.qkernel import gen_exponential, q_power, q_power_raw, rho_factorial
+from qhermite2.qkernel import gen_exponential, q_power, rho_factorial
 from qhermite2.qmeasure import (
     MEASURE_TARGETS,
     _ring_normalizers,
@@ -82,38 +81,22 @@ def _closed_form_reference(K, M, ctx, s=0):
 
 
 def _ref_lattice_weight(K, M, ctx):
-    """The closed-form reference rounded once to the working precision,
-    and the residual and sign count of ``lattice_weight`` on it with mpf
-    operators."""
-    mp = ctx.mp
-    values = {m: mp.mpf(v) for m, v in _closed_form_reference(K, M, ctx).items()}
-    tol = ctx.mpf(ctx.series_tol)
-    residual_max = mp.mpf(0)
-    for m in range(-K, M - 1):
-        step = power_of_q(ctx, m + 1) * values[m]
-        res = abs(values[m + 1] - values[m + 2] + step)
-        scale = max(abs(values[m + 2]), abs(step), tol)
-        residual_max = max(residual_max, res / scale)
-    negative_count = sum(1 for v in values.values() if v < 0)
-    return values, residual_max, negative_count
+    """The closed-form reference rounded once to the working precision."""
+    return {m: ctx.mp.mpf(v) for m, v in _closed_form_reference(K, M, ctx).items()}
 
 
 def _assert_bitwise_reference(K, M, ctx):
     w = lattice_weight(K, M, ctx)
-    values, residual_max, negative_count = _ref_lattice_weight(K, M, ctx)
     assert (w.m_min, w.m_max) == (-K, M)
     assert {m: v._mpf_ for m, v in w.values.items()} == {
-        m: v._mpf_ for m, v in values.items()
+        m: v._mpf_ for m, v in _ref_lattice_weight(K, M, ctx).items()
     }
-    assert w.residual_max._mpf_ == residual_max._mpf_
-    assert w.negative_count == negative_count
 
 
 class TestLatticeWeight:
     def test_positive_and_tail_normalized(self, all_ctx):
         for ctx in all_ctx:
             w = lattice_weight(12, 40, ctx)
-            assert w.negative_count == 0
             assert all(v > 0 for v in w.values.values())
             # telescoping the difference equation: 1 - f(q^m) ~ q^m/(1-q)
             tail = 2 * ctx.mpf(ctx.q ** 40 / (1 - ctx.q))
@@ -128,7 +111,6 @@ class TestLatticeWeight:
                 rhs = w.value(m + 1) + q ** (m + 1) * w.value(m)
                 scale = max(abs(lhs), ctx.mpf(1))
                 assert abs(lhs - rhs) <= 16 * ctx.eps * scale
-            assert w.residual_max <= ctx.mpf("1e-60")
 
     def test_q_rounding_to_one_is_refused(self, monkeypatch):
         # q = 1 - 2^-70 rounds to 1 at 64 bits: every theta_3 term is 1,
@@ -210,7 +192,7 @@ class TestIndeterminacy:
         K = HAT_DEPTH
         other = {m: ctx.mp.mpf(v) for m, v in _closed_form_reference(K + 1, K, ctx, s=1).items()}
         return ctx, lattice_weight(K + 1, K, ctx), qmeasure.LatticeWeight(
-            ctx.q, -(K + 1), K, other, ctx.mpf(0), 0
+            ctx.q, -(K + 1), K, other
         )
 
     def test_solves_the_lattice_equation(self, members):
@@ -243,8 +225,7 @@ class TestIndeterminacy:
 
 class TestStreamedSweep:
     """The window's upward run from the two closed-form seeds is bitwise
-    the closed form rounded once, with the residual and sign count
-    formed from it."""
+    the closed form rounded once."""
 
     @pytest.mark.parametrize(
         "q, bits",
@@ -285,53 +266,29 @@ class TestStreamedSweep:
 
 class TestSweepKernel:
     """The window's enclosures are retried wider only where Ziv's test
-    fails, and the memo's powers take mpf arithmetic only where their
-    certificate fails."""
+    fails, and the values are the same either way."""
 
     @pytest.mark.parametrize("guard, certified", [(64, True), (2, False)])
-    def test_mpf_arithmetic_only_where_the_certificate_fails(
-        self, monkeypatch, guard, certified
-    ):
-        # With 64 guard bits every value is decided at once, and
-        # q_power_run asks q_power_raw, which forms the exact power and an
-        # mpf of it, only for the powers with at most prec bits (n = 0 and
-        # 1 here).  With two guard bits the enclosures at prec + 2 bits
-        # decide no value, so the window is formed again at 2 prec + 2
-        # bits; every power falls back to q_power_raw, which retries with
-        # prec + 2 guard bits; and the values are the same.
+    def test_enclosures_widen_only_where_ziv_fails(self, monkeypatch, guard, certified):
+        # With 64 guard bits every value is decided at once.  With two
+        # guard bits the enclosures at prec + 2 bits decide no value, so
+        # the window is formed again at 2 prec + 2 bits.
         q, bits = Fraction(29, 30), 128
         ctx = PrecisionContext(q, bits)
-        want = _ref_lattice_weight(61, 120, PrecisionContext(q, bits))[0]
-        calls, exact, mpf, widths = [], [], [], []
+        want = _ref_lattice_weight(61, 120, PrecisionContext(q, bits))
+        widths = []
+        enclosures = qmeasure._enclosures
 
-        def counted(record, module, name, index):
-            original = getattr(module, name)
+        def counted(*args):
+            widths.append(args[3])
+            return enclosures(*args)
 
-            def call(*args):
-                record.append(args[index])
-                return original(*args)
-
-            monkeypatch.setattr(module, name, call)
-
-        counted(calls, qkernel, "q_power_raw", 0)
-        counted(exact, _pairs, "_exact_power", 1)
-        counted(mpf, qkernel, "from_man_exp", 1)
-        counted(widths, qmeasure, "_enclosures", 3)
+        monkeypatch.setattr(qmeasure, "_enclosures", counted)
         monkeypatch.setattr(_pairs, "_GUARD", guard)
         got = lattice_weight(61, 120, ctx)
         monkeypatch.undo()
         assert {m: v._mpf_ for m, v in got.values.items()} == {m: v._mpf_ for m, v in want.items()}
-        assert len(mpf) == len(calls)
-        if certified:
-            assert widths == [bits + 64]
-            assert calls == exact == [0, 1]
-        else:
-            assert widths == [bits + 2, 2 * bits + 2]
-            assert calls == list(range(-62, 120))
-            assert exact == [n for n in calls if abs(n) * ctx.qm._mpf_[3] <= 2 * bits]
-        fresh = PrecisionContext(q, bits)
-        for n, value in ctx.tables[("q^n", bits)].items():
-            assert value == q_power_raw(n, fresh), n
+        assert widths == ([bits + 64] if certified else [bits + 2, 2 * bits + 2])
 
 
 class TestMoments:
